@@ -12,6 +12,7 @@ Values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "is_unit",
     "exact_division",
     "MONOMIAL_ORDERS",
+    "DESCENDING_KEYS",
 ]
 
 
@@ -161,6 +163,28 @@ MONOMIAL_ORDERS = {
     "lex": _lex_key,
 }
 
+# The same orders reversed, as cheap keys for ascending sorts and min-heaps:
+# desc(m) < desc(m') iff m is larger than m'.  Each negates its order's key
+# component-wise, so the largest monomial comes first.
+
+def _grevlex_desc(e: tuple) -> tuple:
+    return (-sum(e), e[::-1])
+
+
+def _grlex_desc(e: tuple) -> tuple:
+    return (-sum(e), tuple(map(neg, e)))
+
+
+def _lex_desc(e: tuple) -> tuple:
+    return tuple(map(neg, e))
+
+
+DESCENDING_KEYS = {
+    "grevlex": _grevlex_desc,
+    "grlex": _grlex_desc,
+    "lex": _lex_desc,
+}
+
 
 class RingSpec:
     """A polynomial ring over an exact field with a fixed monomial order.
@@ -170,7 +194,8 @@ class RingSpec:
     order: "grevlex" (default) | "lex" | "grlex".
     """
 
-    __slots__ = ("field", "variables", "order", "nvars", "mono_key", "_var_index", "_zero_exp")
+    __slots__ = ("field", "variables", "order", "nvars", "mono_key", "desc_key", "_var_index",
+                 "_zero_exp")
 
     def __init__(self, field, variables: Iterable[str], order: str = "grevlex"):
         if field == "Q" or isinstance(field, _Rationals):
@@ -190,6 +215,7 @@ class RingSpec:
         self.order = order
         self.nvars = len(variables)
         self.mono_key = MONOMIAL_ORDERS[order]
+        self.desc_key = DESCENDING_KEYS[order]
         self._var_index = {v: i for i, v in enumerate(variables)}
         self._zero_exp = (0,) * self.nvars
 
@@ -230,7 +256,7 @@ class RingSpec:
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, RingSpec)
             and self.field == other.field
             and self.variables == other.variables

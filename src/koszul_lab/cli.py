@@ -27,6 +27,7 @@ from .cube import (
     Report,
     is_admissible,
     iterated_h0,
+    label_subsets,
     subset_key,
     total_complex,
     validate_cube,
@@ -168,13 +169,6 @@ def _ring_from_doc(doc: dict, order_flag) -> RingSpec:
     return RingSpec(field, tuple(str(v) for v in variables), order)
 
 
-def _subsets(labels):
-    subs = [frozenset()]
-    for lab in labels:
-        subs += [s | {lab} for s in subs]
-    return subs
-
-
 def _matrix_from_doc(rows, ring, target_rank, source_rank, where: str) -> FreeMap:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise ValueError(f"matrix '{where}' must be a list of rows")
@@ -190,7 +184,7 @@ def _cube_from_doc(doc: dict, ring: RingSpec) -> Cube:
     labels = tuple(str(l) for l in labels)
     vd = _require(cd, "vertices")
     bd = _require(cd, "boundaries")
-    subs = _subsets(labels)
+    subs = label_subsets(labels)
     ranks = {}
     for T in subs:
         key = subset_key(T)
@@ -238,7 +232,7 @@ def _modcube_from_doc(d: dict, ring: RingSpec) -> ModCube:
     labels = tuple(str(l) for l in d.get("S", []))
     vd = _require(d, "vertices")
     bd = d.get("boundaries", {})
-    subs = _subsets(labels)
+    subs = label_subsets(labels)
     verts = {}
     for T in subs:
         key = subset_key(T)

@@ -24,10 +24,10 @@ from .modcalc import (
     Complex,
     FPModule,
     FreeMap,
+    _relations_among,
     cokernel,
     determinant_of_square,
     homology,
-    is_injective,
     is_zero_module,
     submodule_equal,
     zero_spherical,
@@ -54,6 +54,15 @@ __all__ = [
 def subset_key(subset: Iterable[str]) -> str:
     """Canonical serialization of a label subset: sorted, comma-joined."""
     return ",".join(sorted(subset))
+
+
+def label_subsets(labels: Iterable[str]) -> list:
+    """All subsets of `labels` in doubling order: for each label in turn, the
+    subsets so far followed by each of them with that label added."""
+    out = [frozenset()]
+    for lab in labels:
+        out += [s | {lab} for s in out]
+    return out
 
 
 def _normalize_subset(subset: Iterable[str], labels: Sequence[str]) -> FrozenSet[str]:
@@ -104,10 +113,7 @@ class _CubeBase:
 
     def subsets(self) -> list:
         """All 2^n subsets, ordered by (size, serialized key)."""
-        out = [frozenset()]
-        for lab in self.labels:
-            out += [s | {lab} for s in out]
-        return sorted(out, key=lambda s: (len(s), subset_key(s)))
+        return sorted(label_subsets(self.labels), key=lambda s: (len(s), subset_key(s)))
 
     def subsets_of_size(self, k: int) -> list:
         return [s for s in self.subsets() if len(s) == k]
@@ -147,9 +153,7 @@ class Cube(_CubeBase):
         self.ring = ring
         vertex_rank = {frozenset(T): r for T, r in vertex_rank.items()}
         boundary = {(frozenset(T), k): m for (T, k), m in boundary.items()}
-        all_subsets = [frozenset()]
-        for lab in labels:
-            all_subsets += [s | {lab} for s in all_subsets]
+        all_subsets = label_subsets(labels)
         if set(vertex_rank) != set(all_subsets):
             raise ValueError("vertex_rank must cover exactly the subsets of the labels")
         for r in vertex_rank.values():
@@ -193,9 +197,7 @@ class ModCube(_CubeBase):
         self.ring = ring
         vertices = {frozenset(T): M for T, M in vertices.items()}
         boundary = {(frozenset(T), k): m for (T, k), m in boundary.items()}
-        all_subsets = [frozenset()]
-        for lab in labels:
-            all_subsets += [s | {lab} for s in all_subsets]
+        all_subsets = label_subsets(labels)
         if set(vertices) != set(all_subsets):
             raise ValueError("vertices must cover exactly the subsets of the labels")
         self.vertices = vertices
@@ -271,9 +273,7 @@ def restrict(x, U: Iterable[str], V: Iterable[str]):
     if U & V:
         raise ValueError(f"restriction subsets overlap: {sorted(U & V)}")
     labels = tuple(lab for lab in x.labels if lab in U)
-    sub = [frozenset()]
-    for lab in labels:
-        sub += [s | {lab} for s in sub]
+    sub = label_subsets(labels)
     boundary = {(A, k): x.d(A | V, k) for A in sub for k in A}
     if isinstance(x, Cube):
         ranks = {A: x.vertex_rank[A | V] for A in sub}
@@ -376,9 +376,7 @@ def _h0_modcube(x: ModCube, k: str) -> ModCube:
     if k not in x.labels:
         raise ValueError(f"direction {k!r} not a label")
     labels = tuple(lab for lab in x.labels if lab != k)
-    sub = [frozenset()]
-    for lab in labels:
-        sub += [s | {lab} for s in sub]
+    sub = label_subsets(labels)
     verts = {}
     for T in sub:
         amb = x.vertices[T]
@@ -412,21 +410,14 @@ def directional_homology(x: Cube, k: str, p: int) -> ModCube:
         raise ValueError("homological degree must be 0 or 1")
     from .modcalc import _graph_coordinates
     labels = tuple(lab for lab in x.labels if lab != k)
-    sub = [frozenset()]
-    for lab in labels:
-        sub += [s | {lab} for s in sub]
+    sub = label_subsets(labels)
     gens_at: dict = {}
     verts = {}
     for T in sub:
         gens = syzygies(x.d(T | {k}, k).entries, x.ring, source_rank=x.vertex_rank[T | {k}])
         gens_at[T] = gens
-        if gens:
-            rels = SubmoduleBasis(x.ring, len(gens),
-                                  syzygies([[g[i] for g in gens] for i in range(x.vertex_rank[T | {k}])],
-                                           x.ring, source_rank=len(gens)))
-        else:
-            rels = SubmoduleBasis(x.ring, 0, [])
-        verts[T] = FPModule(x.ring, len(gens), rels)
+        rels = _relations_among(gens, x.vertex_rank[T | {k}], x.ring)
+        verts[T] = FPModule(x.ring, len(gens), SubmoduleBasis(x.ring, len(gens), rels))
     boundary = {}
     empty_rels_cache: dict = {}
     for T in sub:
@@ -506,50 +497,50 @@ def _mod_injective(m: FreeMap, src: FPModule, tgt: FPModule) -> bool:
     return True
 
 
-def _free_cube_boundaries_injective(x: Cube, failures: list, prefix: str) -> bool:
-    ok = True
-    for T in x.subsets():
-        for k in sorted(T):
-            if not is_injective(x.d(T, k)):
-                failures.append(f"{prefix}boundary d^{k}_{{{subset_key(T)}}} is not injective")
-                ok = False
-    return ok
-
-
-def _admissible_definition(mc: ModCube, failures: list, prefix: str) -> bool:
-    if not mc.labels:
-        return True
-    ok = True
+def _admissible_definition(mc: ModCube, applied: frozenset, memo: dict) -> tuple:
+    """(ok, failures) for the H_0 cube `mc`, reached by applying the
+    directions `applied`; failures are relative to mc.  memo maps a set of
+    applied directions to the (ok, failures) of its cube."""
+    failures = []
     for T in mc.subsets():
         for k in sorted(T):
             if not _mod_injective(mc.d(T, k), mc.vertex(T), mc.vertex(T - {k})):
-                failures.append(f"{prefix}boundary d^{k}_{{{subset_key(T)}}} is not injective")
-                ok = False
-    if not ok:
-        return False
-    for k in mc.labels:
-        sub = _h0_modcube(mc, k)
-        if not _admissible_definition(sub, failures, f"{prefix}H0^{k}·"):
-            ok = False
-    return ok
-
-
-def _admissible_spherical(x: Cube, failures: list, prefix: str) -> bool:
-    if not x.labels:
-        return True
+                failures.append(f"boundary d^{k}_{{{subset_key(T)}}} is not injective")
+    if failures:
+        return False, tuple(failures)
     ok = True
+    for k in mc.labels:
+        key = applied | {k}
+        if key not in memo:
+            memo[key] = _admissible_definition(_h0_modcube(mc, k), key, memo)
+        sub_ok, sub_failures = memo[key]
+        ok = ok and sub_ok
+        failures += [f"H0^{k}·{f}" for f in sub_failures]
+    return ok, tuple(failures)
+
+
+def _admissible_spherical(x: Cube, fixed: frozenset, memo: dict) -> tuple:
+    """(ok, failures) for the face `x`, whose vertex at A is the input cube's
+    vertex at A ∪ fixed; failures are relative to x.  memo maps a face, as
+    (its labels, fixed), to its (ok, failures)."""
+    if not x.labels:
+        return True, ()
+    failures = []
     tot = total_complex(x)
     bad = [k for k in range(1, tot.length + 1) if not is_zero_module(homology(tot, k))]
     if bad:
-        failures.append(f"{prefix}Tot is not 0-spherical: H_{bad[0]} is nonzero")
-        ok = False
+        failures.append(f"Tot is not 0-spherical: H_{bad[0]} is nonzero")
+    ok = not bad
     S = frozenset(x.labels)
     for k in x.labels:
         for V, tag in ((frozenset(), "front"), (frozenset({k}), "back")):
-            face = restrict(x, S - {k}, V)
-            if not _admissible_spherical(face, failures, f"{prefix}{tag}^{k}·"):
-                ok = False
-    return ok
+            key = (S - {k}, fixed | V)
+            if key not in memo:
+                memo[key] = _admissible_spherical(restrict(x, S - {k}, V), fixed | V, memo)
+            sub_ok, sub_failures = memo[key]
+            ok = ok and sub_ok
+            failures += [f"{tag}^{k}·{f}" for f in sub_failures]
+    return ok, tuple(failures)
 
 
 def _admissible_inductive(mc: ModCube, failures: list, prefix: str) -> bool:
@@ -585,15 +576,27 @@ def is_admissible(x: Cube, strategy: str = "definition") -> Report:
     front/back faces are recursively admissible.  inductive: the two faces in
     the first label's direction are admissible, that direction's boundaries
     are injective, and H_0 in that direction is admissible.
+
+    definition and spherical_faces reach one cube along many paths (H_0^k
+    then H_0^l or the reverse; the back face of a front face or the reverse),
+    so each call keeps a memo, created here and dropped on return, and checks
+    every cube once.  This is sound because the cube a path ends at does not
+    depend on the path.  H_0 over the directions D keeps the other labels in
+    their order and presents its vertex at W with relations
+    rel_W + Σ_{k∈D} im d^k_{W∪k}, a sum that does not depend on the order of
+    D; a face keeps the label order and is fixed by its labels and the
+    directions held at the back.  A memo entry holds the verdict and the
+    failures relative to its cube, and a repeat visit replays them under the
+    path's prefix, so the failure list equals the unmemoized one.
     """
     report = validate_cube(x)
     if not report.ok:
         raise ValueError("invalid cube: " + "; ".join(report.failures))
     failures: list = []
     if strategy == "definition":
-        ok = _admissible_definition(x.as_modcube(), failures, "")
+        ok, failures = _admissible_definition(x.as_modcube(), frozenset(), {})
     elif strategy == "spherical_faces":
-        ok = _admissible_spherical(x, failures, "")
+        ok, failures = _admissible_spherical(x, frozenset(), {})
     elif strategy == "inductive":
         ok = _admissible_inductive(x.as_modcube(), failures, "")
     else:

@@ -14,7 +14,9 @@ form of the generators.
 from __future__ import annotations
 
 import math
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import add, le, sub
 from typing import Optional, Sequence
 
 from .arith import Poly, RingMismatchError, RingSpec
@@ -54,25 +56,38 @@ def _vector_from_vp(vp: dict, ring: RingSpec, rank: int) -> tuple:
     return tuple(Poly(ring, t) for t in polys)
 
 
-def _term_key(ring: RingSpec):
-    mono = ring.mono_key
-    # leading term = max; positions compared by index, lower index larger
-    return lambda t: (-t[0], mono(t[1]))
+def _desc_term_key(ring: RingSpec):
+    desc = ring.desc_key
+    # position over term, reversed: the leading term is the min; lower
+    # positions are larger
+    return lambda t: (t[0], desc(t[1]))
 
 
 def _divides(ea: tuple, eb: tuple) -> bool:
-    return all(a <= b for a, b in zip(ea, eb))
+    return all(map(le, ea, eb))
 
 
-def _add_scaled(target: dict, vp: dict, exp: tuple, coeff, field) -> None:
-    """target += vp * (coeff * x^exp), in place."""
+def _add_scaled(target: dict, vp: dict, exp: tuple, coeff, field, born: Optional[list] = None) -> None:
+    """target += vp * (coeff * x^exp), in place.
+
+    Keys that were absent from target and now hold a nonzero coefficient are
+    appended to `born` when it is given.
+    """
+    get = target.get
+    p = field.char
     for (pos, e), c in vp.items():
-        key = (pos, tuple(a + b for a, b in zip(e, exp)))
-        s = field.add(target.get(key, field.zero), field.mul(c, coeff))
-        if s == field.zero:
-            target.pop(key, None)
+        key = (pos, tuple(map(add, e, exp)))
+        old = get(key)
+        if p:
+            s = ((0 if old is None else old) + c * coeff) % p
         else:
+            s = c * coeff if old is None else old + c * coeff
+        if s:
             target[key] = s
+            if old is None and born is not None:
+                born.append(key)
+        elif old is not None:
+            del target[key]
 
 
 def _vp_canonical(vp: dict) -> tuple:
@@ -84,9 +99,9 @@ class _Element:
 
     __slots__ = ("vp", "lt", "lc", "lt_pos", "lt_exp")
 
-    def __init__(self, vp: dict, tkey):
+    def __init__(self, vp: dict, dkey):
         self.vp = vp
-        self.lt = max(vp, key=tkey)
+        self.lt = min(vp, key=dkey)
         self.lc = vp[self.lt]
         self.lt_pos, self.lt_exp = self.lt
 
@@ -98,17 +113,26 @@ def _nf_vp(vp: dict, basis: Sequence[_Element], ring: RingSpec, want_cert: bool 
     with  input = sum_i q_i * basis[i] + remainder  exactly.
     """
     field = ring.field
-    tkey = _term_key(ring)
+    desc = ring.desc_key
+    by_pos: dict = {}  # lead position -> [(index, element)] in basis order
+    for i, b in enumerate(basis):
+        by_pos.setdefault(b.lt_pos, []).append((i, b))
     work = dict(vp)
+    # min-heap on the descending position-over-term key, so the largest term
+    # pops first; a popped term no longer in `work` was cancelled and is skipped
+    heap = [((t[0], desc(t[1])), t) for t in work]
+    heapify(heap)
     rem: dict = {}
     cert = [dict() for _ in basis] if want_cert else None
-    while work:
-        t = max(work, key=tkey)
+    while heap:
+        t = heappop(heap)[1]
+        c = work.get(t)
+        if c is None:
+            continue
         pos, e = t
-        c = work[t]
-        for i, b in enumerate(basis):
-            if b.lt_pos == pos and _divides(b.lt_exp, e):
-                qexp = tuple(a - x for a, x in zip(e, b.lt_exp))
+        for i, b in by_pos.get(pos, ()):
+            if _divides(b.lt_exp, e):
+                qexp = tuple(map(sub, e, b.lt_exp))
                 qc = field.mul(c, field.inv(b.lc))
                 if want_cert:
                     s = field.add(cert[i].get(qexp, field.zero), qc)
@@ -116,7 +140,10 @@ def _nf_vp(vp: dict, basis: Sequence[_Element], ring: RingSpec, want_cert: bool 
                         cert[i].pop(qexp, None)
                     else:
                         cert[i][qexp] = s
-                _add_scaled(work, b.vp, qexp, field.neg(qc), field)
+                born: list = []
+                _add_scaled(work, b.vp, qexp, field.neg(qc), field, born)
+                for key in born:
+                    heappush(heap, ((key[0], desc(key[1])), key))
                 break
         else:
             rem[t] = c
@@ -132,14 +159,15 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int) -> list:
     for module positions.
     """
     field = ring.field
-    tkey = _term_key(ring)
+    dkey = _desc_term_key(ring)
     mono = ring.mono_key
 
     G: list = []
     pairs: dict = {}  # (i, j) -> lcm exponent tuple, i < j, same lead position
+    queue: list = []  # min-heap of (mono(lcm), (i, j)) over exactly the pairs in `pairs`
 
     def monic_elem(vp: dict) -> _Element:
-        e = _Element(vp, tkey)
+        e = _Element(vp, dkey)
         if e.lc != field.one:
             inv = field.inv(e.lc)
             e.vp = {t: field.mul(c, inv) for t, c in vp.items()}
@@ -153,6 +181,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int) -> list:
             if h is not None and h.lt_pos == g.lt_pos:
                 lcm = tuple(max(a, b) for a, b in zip(h.lt_exp, g.lt_exp))
                 pairs[(i, gi)] = lcm
+                heappush(queue, (mono(lcm), (i, gi)))
         G.append(g)
 
     for vp in inputs:
@@ -162,8 +191,8 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int) -> list:
         if rem:
             add_elem(rem)
 
-    while pairs:
-        (i, j) = min(pairs, key=lambda ij: (mono(pairs[ij]), ij))
+    while queue:
+        _, (i, j) = heappop(queue)
         lcm = pairs.pop((i, j))
         gi, gj = G[i], G[j]
         if gi is None or gj is None:
@@ -195,7 +224,8 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int) -> list:
 
     # minimalize: drop elements whose leading term is divisible by another's
     live = [g for g in G if g is not None]
-    live.sort(key=lambda g: tkey(g.lt))
+    # ascending by leading term; the leading terms are pairwise distinct
+    live.sort(key=lambda g: dkey(g.lt), reverse=True)
     minimal: list = []
     for g in live:
         if any(h.lt_pos == g.lt_pos and _divides(h.lt_exp, g.lt_exp) for h in minimal):
@@ -208,7 +238,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int) -> list:
         rem, _ = _nf_vp(g.vp, others, ring)
         if rem:
             reduced.append(monic_elem(rem))
-    reduced.sort(key=lambda g: tkey(g.lt))
+    reduced.sort(key=lambda g: dkey(g.lt), reverse=True)
     return reduced
 
 
@@ -442,9 +472,9 @@ def submodule_from_reduced_gb(ring: RingSpec, rank: int, vectors: Sequence[Seque
     returns reduced bases (e.g. syzygies); normal forms against the result are
     then certified directly in these generators.
     """
-    tkey = _term_key(ring)
+    dkey = _desc_term_key(ring)
     sb = SubmoduleBasis(ring, rank, vectors)
-    sb._gb = [_Element(_vp_from_vector(v), tkey) for v in sb.generators]
+    sb._gb = [_Element(_vp_from_vector(v), dkey) for v in sb.generators]
     return sb
 
 

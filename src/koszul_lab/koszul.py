@@ -27,6 +27,7 @@ from .cube import (
     Cube,
     Report,
     degenerate_directions,
+    label_subsets,
     nondegenerate_part,
     restrict,
     subset_key,
@@ -221,9 +222,7 @@ def typical_cube(fs: Sequence[Poly], labels: Optional[Sequence[str]] = None,
     if len(labels) != len(fs):
         raise ValueError("one label per sequence entry")
     by_label = dict(zip(labels, fs))
-    subs = [frozenset()]
-    for lab in labels:
-        subs += [s | {lab} for s in subs]
+    subs = label_subsets(labels)
     ranks = {T: 1 for T in subs}
     boundary = {(T, k): FreeMap(ring, [[by_label[k]]]) for T in subs for k in T}
     return Cube(ring, labels, ranks, boundary)
@@ -406,10 +405,7 @@ def verify_weight_decomposition(x: Cube, fs) -> Report:
     pairs = 0
     for T in x.subsets():
         rest = [lab for lab in x.labels if lab not in T]
-        rest_subsets = [frozenset()]
-        for lab in rest:
-            rest_subsets += [s | {lab} for s in rest_subsets]
-        for U in rest_subsets:
+        for U in label_subsets(rest):
             pairs += 1
             rank = x.vertex_rank[U]
             cols = []
@@ -522,9 +518,7 @@ def random_koszul(fs: Sequence[Poly], summands: int, basechange_steps: int, seed
     any_power = any(e == 2 for row in expo for e in row)
     powered = [[fs[j] ** row[j] for j in range(len(fs))] for row in expo]
     by_label = {lab: j for j, lab in enumerate(labels)}
-    subs = [frozenset()]
-    for lab in labels:
-        subs += [s | {lab} for s in subs]
+    subs = label_subsets(labels)
     z = ring.zero()
     diag = {}
     for k in labels:

@@ -13,9 +13,10 @@ zero-tests or submodule equalities, which the engine decides exactly.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import add
 from typing import Optional, Sequence
 
-from .arith import Poly, RingSpec
+from .arith import Poly, RingMismatchError, RingSpec
 from .groebner import (
     IdealBasis,
     SubmoduleBasis,
@@ -162,20 +163,42 @@ class FreeMap:
     # -- arithmetic -------------------------------------------------------------
 
     def compose(self, other: "FreeMap") -> "FreeMap":
-        """self ∘ other."""
+        """self ∘ other.
+
+        Sparse: zero entries are skipped, and each output entry sums its
+        products term by term in one dict.
+        """
         if self.source_rank != other.target_rank:
             raise ValueError("rank mismatch in composition")
-        z = self.ring.zero()
+        if self.ring != other.ring and self.target_rank and self.source_rank and other.source_rank:
+            raise RingMismatchError(f"ring mismatch: {self.ring!r} vs {other.ring!r}")
+        ring = self.ring
+        p = ring.field.char
+        # nonzero entries of each row of `other`: [(column, terms)]
+        other_rows = [[(j, q.terms) for j, q in enumerate(row) if q.terms] for row in other.entries]
         rows = []
-        for i in range(self.target_rank):
-            row = []
-            for j in range(other.source_rank):
-                acc = z
-                for k in range(self.source_rank):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(row)
-        return FreeMap(self.ring, rows, target_rank=self.target_rank, source_rank=other.source_rank)
+        for row in self.entries:
+            acc: dict = {}  # output column -> terms
+            for a, brow in zip(row, other_rows):
+                if not a.terms or not brow:
+                    continue
+                for j, bterms in brow:
+                    out = acc.setdefault(j, {})
+                    get = out.get
+                    for e1, c1 in a.terms.items():
+                        for e2, c2 in bterms.items():
+                            e = tuple(map(add, e1, e2))
+                            old = get(e)
+                            if p:
+                                s = ((0 if old is None else old) + c1 * c2) % p
+                            else:
+                                s = c1 * c2 if old is None else old + c1 * c2
+                            if s:
+                                out[e] = s
+                            elif old is not None:
+                                del out[e]
+            rows.append([Poly(ring, acc.get(j, {})) for j in range(other.source_rank)])
+        return FreeMap(ring, rows, target_rank=self.target_rank, source_rank=other.source_rank)
 
     def __matmul__(self, other: "FreeMap") -> "FreeMap":
         return self.compose(other)
@@ -409,12 +432,23 @@ def fitting_ideal(m: FreeMap, t: int) -> IdealBasis:
 # homology
 # ---------------------------------------------------------------------------
 
+def _relations_among(gens: Sequence[Sequence[Poly]], rank: int, ring: RingSpec) -> list:
+    """The syzygies of the vectors `gens` in A^rank, as vectors in A^len(gens).
+
+    A module presented on generators `gens` of a submodule of A^rank needs
+    these among its relations: they are the combinations of the generators
+    that vanish in A^rank.
+    """
+    return syzygies([[g[i] for g in gens] for i in range(rank)], ring, source_rank=len(gens))
+
+
 def homology(c: Complex, k: int) -> FPModule:
     """H_k(c) presented on the kernel generators of d_k.
 
     Generators: the reduced syzygy basis of d_k (the full ambient basis at
     k = 0).  Relations: each column of d_{k+1}, rewritten in those kernel
-    coordinates via an exact division certificate.
+    coordinates via an exact division certificate, followed by the syzygies
+    among the kernel generators themselves.
     """
     if not 0 <= k <= c.length:
         raise IndexError(f"homology index {k} out of range 0..{c.length}")
@@ -432,6 +466,7 @@ def homology(c: Complex, k: int) -> FPModule:
             if any(not p.is_zero() for p in rem):
                 raise RuntimeError("image column escaped the kernel — broken complex")
             rel_vectors.append(tuple(cert))
+    rel_vectors += _relations_among(gens, c.ranks[k], ring)
     rels = SubmoduleBasis(ring, len(gens), rel_vectors)
     return FPModule(ring, len(gens), rels)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
 
 from .arith import Poly, RingSpec
-from .cube import ModCube, Report, _h0_modcube, _mod_injective, restrict, subset_key
+from .cube import ModCube, Report, _h0_modcube, _mod_injective, label_subsets, restrict, subset_key
 from .groebner import SubmoduleBasis, radical_membership
 from .koszul import is_A_sequence
 from .modcalc import (
@@ -151,10 +151,7 @@ class ResolutionInput:
                             f"target {j}: vertex {{{subset_key(T)}}} is not supported on V(f_{u})")
             for v in self.V:
                 rest = [lab for lab in self.V if lab != v]
-                pieces = [frozenset()]
-                for lab in rest:
-                    pieces += [s | {lab} for s in pieces]
-                for T in pieces:
+                for T in label_subsets(rest):
                     amb = z.vertex(T)
                     rels = amb.relations.plus(SubmoduleBasis(
                         self.ring, amb.rank, z.d(T | {v}, v).columns()))
@@ -283,9 +280,7 @@ def _resolve_cube(z: ModCube, gU: Sequence[Poly], g: Dict[str, Poly]):
     L0 = y0.vertex(frozenset()).rank
     L1 = y1.vertex(frozenset()).rank
     L = L0 + L1
-    subs = [frozenset()]
-    for lab in z.labels:
-        subs += [t | {lab} for t in subs]
+    subs = label_subsets(z.labels)
     verts = {T: FPModule(ring, L, _gU_relations(ring, L, gU)) for T in subs}
     boundary = {}
     for T in subs:
@@ -310,10 +305,7 @@ def _resolve_cube(z: ModCube, gU: Sequence[Poly], g: Dict[str, Poly]):
 
 def _summand_order(labels: Sequence[str]):
     """Subsets of the labels in assembly order: first label's block first."""
-    subs = [frozenset()]
-    for lab in labels:
-        subs += [s | {lab} for s in subs]
-    return sorted(subs, key=lambda T: tuple(0 if lab in T else 1 for lab in labels))
+    return sorted(label_subsets(labels), key=lambda T: tuple(0 if lab in T else 1 for lab in labels))
 
 
 def _typical_sum_cube(ring: RingSpec, labels: Sequence[str], g: Dict[str, Poly],
@@ -323,9 +315,7 @@ def _typical_sum_cube(ring: RingSpec, labels: Sequence[str], g: Dict[str, Poly],
     for T in _summand_order(labels):
         blocks.extend([T] * mult.get(T, 0))
     L = len(blocks)
-    subs = [frozenset()]
-    for lab in labels:
-        subs += [s | {lab} for s in subs]
+    subs = label_subsets(labels)
     verts = {A: FPModule(ring, L, _gU_relations(ring, L, gU)) for A in subs}
     z = ring.zero()
     one = ring.one()

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from koszul_lab.arith import (
+    DESCENDING_KEYS,
     MONOMIAL_ORDERS,
     ParseError,
     Poly,
@@ -120,6 +121,15 @@ def test_order_axioms(e1, e2, e3):
             assert key(shifted1) < key(shifted2)
         # 1 is minimal
         assert key((0, 0, 0)) <= key(e1)
+
+
+@given(exps3, exps3)
+def test_descending_keys_reverse_monomial_orders(e1, e2):
+    assert set(DESCENDING_KEYS) == set(MONOMIAL_ORDERS)
+    for name, key in MONOMIAL_ORDERS.items():
+        desc = DESCENDING_KEYS[name]
+        assert (desc(e1) < desc(e2)) == (key(e1) > key(e2))
+        assert (desc(e1) == desc(e2)) == (e1 == e2)
 
 
 def test_grevlex_vs_grlex_disagree():

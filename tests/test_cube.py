@@ -253,3 +253,99 @@ def pad_with_identity(x: Cube, new_label: str) -> Cube:
             boundary[(T | {new_label}, k)] = x.d(T, k)
         boundary[(T | {new_label}, new_label)] = FreeMap.identity(x.ring, x.vertex_rank[T])
     return Cube(x.ring, labels, ranks, boundary)
+
+
+# --------------------------------------------------------------------------
+# admissibility: homology regression, pinned failure lists, work counts
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field", [101, "Q"])
+def test_koszul_rank4_cube_admissible_all_strategies(field):
+    # Koszul, hence admissible.  spherical_faces used to reject it: H_1 was
+    # presented without the syzygies among its kernel generators.
+    from koszul_lab.koszul import random_koszul
+    ring = RingSpec(field, ("x", "y", "z", "w"))
+    x = random_koszul(list(ring.gens()), 4, 6, seed=7)
+    for s in ADMISSIBILITY_STRATEGIES:
+        assert is_admissible(x, strategy=s).ok, s
+
+
+# Failure lists as the unmemoized recursions produced them.  In both cubes
+# one face or H_0 cube is reached along several paths, so the memo has to
+# replay its failures under each path's prefix.
+ZERO_DIRECTION_SPHERICAL_FAILURES = (
+    "Tot is not 0-spherical: H_1 is nonzero",
+    "front^2·Tot is not 0-spherical: H_1 is nonzero",
+    "front^2·front^3·Tot is not 0-spherical: H_1 is nonzero",
+    "front^2·back^3·Tot is not 0-spherical: H_1 is nonzero",
+    "back^2·Tot is not 0-spherical: H_1 is nonzero",
+    "back^2·front^3·Tot is not 0-spherical: H_1 is nonzero",
+    "back^2·back^3·Tot is not 0-spherical: H_1 is nonzero",
+    "front^3·Tot is not 0-spherical: H_1 is nonzero",
+    "front^3·front^2·Tot is not 0-spherical: H_1 is nonzero",
+    "front^3·back^2·Tot is not 0-spherical: H_1 is nonzero",
+    "back^3·Tot is not 0-spherical: H_1 is nonzero",
+    "back^3·front^2·Tot is not 0-spherical: H_1 is nonzero",
+    "back^3·back^2·Tot is not 0-spherical: H_1 is nonzero",
+)
+ZERO_DIRECTION_DEFINITION_FAILURES = (
+    "boundary d^1_{1} is not injective",
+    "boundary d^1_{1,2} is not injective",
+    "boundary d^1_{1,3} is not injective",
+    "boundary d^1_{1,2,3} is not injective",
+)
+# (x, y, x + y): every boundary and every single H_0 is injective, but each
+# H_0 over two directions is reached twice and kills the third.
+TYPICAL_XY_XPY_DEFINITION_FAILURES = (
+    "H0^1·H0^2·boundary d^3_{3} is not injective",
+    "H0^1·H0^3·boundary d^2_{2} is not injective",
+    "H0^2·H0^1·boundary d^3_{3} is not injective",
+    "H0^2·H0^3·boundary d^1_{1} is not injective",
+    "H0^3·H0^1·boundary d^2_{2} is not injective",
+    "H0^3·H0^2·boundary d^1_{1} is not injective",
+)
+
+
+def test_memoized_failure_lists_pinned():
+    from _gen import X3, Y3, Z3, zero_direction
+    from koszul_lab.koszul import random_koszul
+    zd = zero_direction(random_koszul([X3, Y3, Z3], 1, 2, seed=0), "1")
+    assert is_admissible(zd, "spherical_faces").failures == ZERO_DIRECTION_SPHERICAL_FAILURES
+    assert is_admissible(zd, "definition").failures == ZERO_DIRECTION_DEFINITION_FAILURES
+    t = typical_cube([X3, Y3, X3 + Y3])
+    assert is_admissible(t, "definition").failures == TYPICAL_XY_XPY_DEFINITION_FAILURES
+    assert is_admissible(t, "spherical_faces").failures == (
+        "Tot is not 0-spherical: H_1 is nonzero",)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_spherical_faces_builds_each_face_tot_once(monkeypatch):
+    # |S| = 4: one Tot per face x|_U^V with U nonempty, 3^4 - 2^4 of them
+    import koszul_lab.cube as cube_module
+    ring = RingSpec(101, ("x", "y", "z", "w"))
+    x = typical_cube(list(ring.gens()))
+    calls = _count_calls(monkeypatch, cube_module, "total_complex")
+    assert is_admissible(x, "spherical_faces").ok
+    assert len(calls) <= 3 ** 4 - 2 ** 4
+
+
+def test_definition_builds_each_h0_cube_once(monkeypatch):
+    # |S| = 4: H_0 cubes are indexed by the 2^4 sets of applied directions;
+    # expanding each once takes at most 4 * 2^3 calls of _h0_modcube
+    import koszul_lab.cube as cube_module
+    ring = RingSpec(101, ("x", "y", "z", "w"))
+    x = typical_cube(list(ring.gens()))
+    calls = _count_calls(monkeypatch, cube_module, "_h0_modcube")
+    assert is_admissible(x, "definition").ok
+    assert len(calls) <= 4 * 2 ** 3

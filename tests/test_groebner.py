@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszul_lab.arith import RingSpec, parse_poly
+from koszul_lab.arith import Poly, RingSpec, parse_poly
 from koszul_lab.groebner import (
     IdealBasis,
     SubmoduleBasis,
@@ -265,3 +265,77 @@ def test_grade_invariant_under_permutation():
     gens = ["x^2", "y^2 - x", "z"]
     base = grade(ideal(*gens, ring=Q3))
     assert base == grade(ideal(*reversed(gens), ring=Q3))
+
+
+# --------------------------------------------------------------------------
+# keyed-heap normal form against the loop it replaced
+# --------------------------------------------------------------------------
+
+def _nf_vp_reference(vp, basis, ring, want_cert=False):
+    """Normal form by re-keying every remaining term at each step: the
+    largest term first, reduced by the first divisor in basis order."""
+    field = ring.field
+    mono = ring.mono_key
+    work = dict(vp)
+    rem = {}
+    cert = [dict() for _ in basis] if want_cert else None
+    while work:
+        t = max(work, key=lambda t: (-t[0], mono(t[1])))
+        pos, e = t
+        c = work[t]
+        for i, b in enumerate(basis):
+            if b.lt_pos == pos and all(a <= x for a, x in zip(b.lt_exp, e)):
+                qexp = tuple(a - x for a, x in zip(e, b.lt_exp))
+                qc = field.mul(c, field.inv(b.lc))
+                if want_cert:
+                    s = field.add(cert[i].get(qexp, field.zero), qc)
+                    if s == field.zero:
+                        cert[i].pop(qexp, None)
+                    else:
+                        cert[i][qexp] = s
+                for (bpos, be), bc in b.vp.items():
+                    key = (bpos, tuple(a + x for a, x in zip(be, qexp)))
+                    s = field.add(work.get(key, field.zero), field.mul(bc, field.neg(qc)))
+                    if s == field.zero:
+                        work.pop(key, None)
+                    else:
+                        work[key] = s
+                break
+        else:
+            rem[t] = c
+            del work[t]
+    return rem, cert
+
+
+def _random_vector(rng, ring, rank, terms, max_exp):
+    vec = []
+    for _ in range(rank):
+        p = ring.zero()
+        for _ in range(rng.randint(0, terms)):
+            e = tuple(rng.randint(0, max_exp) for _ in range(ring.nvars))
+            p = p + Poly(ring, {e: ring.field.of(rng.randint(1, 9) * rng.choice((1, -1)))})
+        vec.append(p)
+    return tuple(vec)
+
+
+@pytest.mark.parametrize("field", ["Q", 101])
+@pytest.mark.parametrize("order", ["grevlex", "grlex", "lex"])
+@pytest.mark.parametrize("rank", [1, 3])
+def test_nf_vp_matches_reference(field, order, rank):
+    import random
+    from koszul_lab.groebner import _desc_term_key, _Element, _nf_vp, _vp_from_vector
+    ring = RingSpec(field, ("x", "y", "z"), order)
+    rng = random.Random(f"nf-{field}-{order}-{rank}")
+    dkey = _desc_term_key(ring)
+    for _ in range(12):
+        # a reduced GB of linear generators (it stays small under every
+        # order), and quadratic generators as an arbitrary divisor list
+        linear = [_random_vector(rng, ring, rank, terms=3, max_exp=1) for _ in range(rng.randint(1, 3))]
+        quadratic = [_random_vector(rng, ring, rank, terms=3, max_exp=2) for _ in range(rng.randint(1, 3))]
+        gb = SubmoduleBasis(ring, rank, linear)._gb_elements()
+        raw = [_Element(_vp_from_vector(g), dkey) for g in quadratic if any(not p.is_zero() for p in g)]
+        for basis in (gb, raw):
+            for _ in range(4):
+                vp = _vp_from_vector(_random_vector(rng, ring, rank, terms=5, max_exp=3))
+                assert _nf_vp(vp, basis, ring, True) == _nf_vp_reference(vp, basis, ring, True)
+                assert _nf_vp(vp, basis, ring) == _nf_vp_reference(vp, basis, ring)

@@ -271,3 +271,103 @@ def test_lift_roundtrip_on_cyclic_quotients(a, b):
     g = lift_through_surjection(f, M([["1", "x"]]), mod)
     diff = M([["1", "x"]]).compose(g) - f
     assert mod.relations.contains_vector(diff.column(0))
+
+
+def _exact_at(c: Complex, k: int) -> bool:
+    """ker d_k ⊆ im d_{k+1}, decided by membership alone (d_0 = 0)."""
+    ring, rank = c.ring, c.ranks[k]
+    if k == 0:
+        kernel = [tuple(ring.one() if j == i else ring.zero() for j in range(rank))
+                  for i in range(rank)]
+    else:
+        kernel = kernel_generators(c.differential(k))
+    if k == c.length:
+        return not kernel
+    image = SubmoduleBasis(ring, rank, c.differential(k + 1).columns())
+    return all(image.contains_vector(g) for g in kernel)
+
+
+def test_homology_zero_iff_kernel_in_image():
+    import _gen
+    for c in _gen.complex_suite(100):
+        for k in range(c.length + 1):
+            assert is_zero_module(homology(c, k)) == _exact_at(c, k), (c, k)
+
+
+def test_homology_presents_syzygies_of_kernel_generators():
+    # H_1 of A <- A^3 is ker (x y z), generated by three Koszul vectors that
+    # satisfy one syzygy; the presentation must carry it as a relation
+    R = RingSpec("Q", ("x", "y", "z"))
+    c = Complex(R, (1, 3), (FreeMap(R, [list(R.gens())]),))
+    gens = kernel_generators(c.differential(1))
+    H1 = homology(c, 1)
+    assert H1.rank == len(gens) == 3
+    assert not H1.relations.is_zero_submodule()
+    for rel in H1.relations.generators:
+        combo = [sum((r * g[i] for r, g in zip(rel, gens)), R.zero()) for i in range(3)]
+        assert all(p.is_zero() for p in combo)
+
+
+# --------------------------------------------------------------------------
+# sparse compose against the dense loop it replaced
+# --------------------------------------------------------------------------
+
+def _compose_reference(a: FreeMap, b: FreeMap) -> FreeMap:
+    """a ∘ b by the dense triple loop over Poly arithmetic."""
+    z = a.ring.zero()
+    rows = []
+    for i in range(a.target_rank):
+        row = []
+        for j in range(b.source_rank):
+            acc = z
+            for k in range(a.source_rank):
+                acc = acc + a.entries[i][k] * b.entries[k][j]
+            row.append(acc)
+        rows.append(row)
+    return FreeMap(a.ring, rows, target_rank=a.target_rank, source_rank=b.source_rank)
+
+
+def _sparse_random_map(rng, ring, target, source, density=0.35):
+    gens = ring.gens()
+    rows = []
+    for _ in range(target):
+        row = []
+        for _ in range(source):
+            p = ring.zero()
+            if rng.random() < density:
+                for _ in range(rng.randint(1, 3)):
+                    mono = ring.const(rng.randint(-3, 3))
+                    for g in gens:
+                        mono = mono * g ** rng.randint(0, 2)
+                    p = p + mono
+            row.append(p)
+        rows.append(row)
+    return FreeMap(ring, rows, target_rank=target, source_rank=source)
+
+
+@pytest.mark.parametrize("field", ["Q", 101])
+def test_compose_matches_dense_reference(field):
+    import random
+    ring = RingSpec(field, ("x", "y", "z"))
+    rng = random.Random(20261017)
+    for _ in range(60):
+        m, n, p = (rng.randint(0, 5) for _ in range(3))
+        a = _sparse_random_map(rng, ring, m, n)
+        b = _sparse_random_map(rng, ring, n, p)
+        assert a.compose(b) == _compose_reference(a, b)
+    # products that cancel: (x  -x) ∘ (y ; y) = 0
+    x, y, _ = ring.gens()
+    cancel = FreeMap(ring, [[x, -x]]).compose(FreeMap(ring, [[y], [y]]))
+    assert cancel.is_zero_map() and cancel.entries[0][0].terms == {}
+
+
+def test_compose_ring_mismatch_raises():
+    from koszul_lab.arith import RingMismatchError
+    F = RingSpec(101, ("x", "y"))
+    with pytest.raises(RingMismatchError):
+        M([["x"]]).compose(FreeMap(F, [[F.gens()[0]]]))
+    # zero entries still meet in a product, as in the dense loop
+    with pytest.raises(RingMismatchError):
+        FreeMap.zero(Q2, 2, 2).compose(FreeMap.zero(F, 2, 1))
+    with pytest.raises(ValueError):
+        M([["x", "y"]]).compose(M([["x"]]))
