@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -23,7 +22,6 @@ from .arith import ParseError, Poly, RingMismatchError, RingSpec, parse_poly
 from .cube import (
     ADMISSIBILITY_STRATEGIES,
     Cube,
-    ModCube,
     Report,
     is_admissible,
     iterated_h0,
@@ -56,7 +54,7 @@ from .modcalc import (
     is_zero_module,
     zero_spherical,
 )
-from .resolve import ResolutionInput, check_resolution, koszul_resolve
+from .resolve import ResolutionInput, koszul_resolve
 
 SCHEMA = "koszul-lab/report/v1"
 
@@ -176,35 +174,53 @@ def _matrix_from_doc(rows, ring, target_rank, source_rank, where: str) -> FreeMa
     return FreeMap(ring, parsed, target_rank=target_rank, source_rank=source_rank)
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"'{where}' must be an object")
+    return value
+
+
+def _rank_from_doc(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{where} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _cube_from_doc(doc: dict, ring: RingSpec) -> Cube:
-    cd = _require(doc, "cube")
+    cd = _object(_require(doc, "cube"), "cube")
     labels = cd.get("S")
     if not isinstance(labels, list):
         raise ValueError("'cube.S' must be a list of labels")
     labels = tuple(str(l) for l in labels)
-    vd = _require(cd, "vertices")
-    bd = _require(cd, "boundaries")
+    vd = _object(_require(cd, "vertices"), "cube.vertices")
     subs = label_subsets(labels)
     ranks = {}
     for T in subs:
         key = subset_key(T)
         if key not in vd:
             raise ValueError(f"missing vertex rank for subset '{key}'")
-        ranks[T] = int(vd[key])
+        ranks[T] = _rank_from_doc(vd[key], f"vertex rank for subset '{key}'")
     extra = set(vd) - {subset_key(T) for T in subs}
     if extra:
         raise ValueError(f"unknown vertex keys {sorted(extra)}")
+    bd = _object(_require(cd, "boundaries"), "cube.boundaries")
+    return Cube(ring, labels, ranks, _boundaries_from_doc(bd, ring, subs, ranks.get))
+
+
+def _boundaries_from_doc(bd: dict, ring: RingSpec, subs: list, rank) -> dict:
+    """Boundary matrices keyed "<subset key>|<direction>"; rank(T) is the
+    ambient rank of the vertex at T."""
     boundary = {}
     for T in subs:
         for k in sorted(T):
             key = f"{subset_key(T)}|{k}"
             if key not in bd:
                 raise ValueError(f"missing boundary matrix '{key}'")
-            boundary[(T, k)] = _matrix_from_doc(bd[key], ring, ranks[T - {k}], ranks[T], key)
-    extra_b = set(bd) - {f"{subset_key(T)}|{k}" for T in subs for k in T}
-    if extra_b:
-        raise ValueError(f"unknown boundary keys {sorted(extra_b)}")
-    return Cube(ring, labels, ranks, boundary)
+            boundary[(T, k)] = _matrix_from_doc(bd[key], ring, rank(T - {k}), rank(T), key)
+    extra = set(bd) - {f"{subset_key(T)}|{k}" for T in subs for k in T}
+    if extra:
+        raise ValueError(f"unknown boundary keys {sorted(extra)}")
+    return boundary
 
 
 def _sequence_from_doc(doc: dict, ring: RingSpec, key: str = "sequence"):
@@ -219,7 +235,7 @@ def _complex_from_doc(doc: dict, ring: RingSpec) -> Complex:
     ranks = cd.get("ranks")
     if not isinstance(ranks, list) or not ranks:
         raise ValueError("'complex.ranks' must be a nonempty list")
-    ranks = [int(r) for r in ranks]
+    ranks = [_rank_from_doc(r, "a 'complex.ranks' entry") for r in ranks]
     diffs_doc = cd.get("differentials", [])
     if len(diffs_doc) != len(ranks) - 1:
         raise ValueError(f"expected {len(ranks) - 1} differentials, got {len(diffs_doc)}")
@@ -228,10 +244,12 @@ def _complex_from_doc(doc: dict, ring: RingSpec) -> Complex:
     return Complex(ring, ranks, diffs)
 
 
-def _modcube_from_doc(d: dict, ring: RingSpec) -> ModCube:
-    labels = tuple(str(l) for l in d.get("S", []))
-    vd = _require(d, "vertices")
-    bd = d.get("boundaries", {})
+def _modcube_from_doc(d: dict, ring: RingSpec) -> Cube:
+    labels = d.get("S", [])
+    if not isinstance(labels, list):
+        raise ValueError("'S' must be a list of labels")
+    labels = tuple(str(l) for l in labels)
+    vd = _object(_require(d, "vertices"), "vertices")
     subs = label_subsets(labels)
     verts = {}
     for T in subs:
@@ -241,23 +259,19 @@ def _modcube_from_doc(d: dict, ring: RingSpec) -> ModCube:
         entry = vd[key]
         if not isinstance(entry, dict) or "rank" not in entry:
             raise ValueError(f"vertex '{key}' must be an object with 'rank' (and 'relations')")
-        rank = int(entry["rank"])
+        rank = _rank_from_doc(entry["rank"], f"rank of vertex '{key}'")
+        rows = entry.get("relations", [])
+        if not isinstance(rows, list) or any(not isinstance(row, list) for row in rows):
+            raise ValueError(f"relations of vertex '{key}' must be a list of rows")
         gens = []
-        for row in entry.get("relations", []):
+        for row in rows:
             vec = tuple(parse_poly(str(s), ring) for s in row)
             if len(vec) != rank:
                 raise ValueError(f"relation length mismatch at vertex '{key}'")
             gens.append(vec)
         verts[T] = FPModule(ring, rank, SubmoduleBasis(ring, rank, gens))
-    boundary = {}
-    for T in subs:
-        for k in sorted(T):
-            key = f"{subset_key(T)}|{k}"
-            if key not in bd:
-                raise ValueError(f"missing boundary matrix '{key}'")
-            boundary[(T, k)] = _matrix_from_doc(
-                bd[key], ring, verts[T - {k}].rank, verts[T].rank, key)
-    return ModCube(ring, labels, verts, boundary)
+    bd = _object(d.get("boundaries", {}), "boundaries")
+    return Cube(ring, labels, verts, _boundaries_from_doc(bd, ring, subs, lambda T: verts[T].rank))
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +324,6 @@ def _options_header(seed: int, max_power: int, perm_cap: int) -> dict:
 @click.group()
 def main():
     """Checks and constructions for cubes of modules over polynomial rings."""
-    threads = os.environ.get("KOSZUL_LAB_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            raise click.UsageError(
-                f"KOSZUL_LAB_THREADS must be a positive integer, got {threads!r}")
 
 
 @main.command("validate")
@@ -370,17 +376,17 @@ def cmd_homology(input_path, order, seed, max_power, perm_cap, fmt):
 @click.option("--directions", default="", help="Comma-joined labels to iterate over "
               "(default: all).")
 def cmd_h0(input_path, order, seed, max_power, perm_cap, fmt, directions):
-    """Iterated directional H_0, with the order-independence verdict."""
+    """Iterated directional H_0 over the chosen directions."""
     def work():
         doc = _load_doc(input_path)
         ring = _ring_from_doc(doc, order)
         x = _cube_from_doc(doc, ring)
         T = [s for s in directions.split(",") if s] if directions else list(x.labels)
-        mc, agree = iterated_h0(x, T)
+        mc = iterated_h0(x, T)
         verts = {subset_key(W): {"rank": mc.vertex(W).rank,
                                  "relations": _jsonable(mc.vertex(W).relations)}
                  for W in mc.subsets()}
-        return agree, {"agree": agree, "directions": sorted(T), "vertices": verts}
+        return True, {"directions": sorted(T), "vertices": verts}
     _run("h0", _options_header(seed, max_power, perm_cap), fmt, work)
 
 
@@ -435,6 +441,8 @@ def cmd_typical(input_path, order, seed, max_power, perm_cap, fmt):
         ring = _ring_from_doc(doc, order)
         fs = _sequence_from_doc(doc, ring)
         labels = doc.get("labels")
+        if labels is not None and not isinstance(labels, list):
+            raise ValueError("'labels' must be a list of strings")
         x = typical_cube(fs, labels=labels, ring=ring)
         return True, {"cube": _cube_doc(x)}
     _run("typical", _options_header(seed, max_power, perm_cap), fmt, work)
@@ -590,17 +598,18 @@ def cmd_resolve(input_path, order, seed, max_power, perm_cap, fmt):
     def work():
         doc = _load_doc(input_path)
         ring = _ring_from_doc(doc, order)
-        rd = _require(doc, "resolution")
-        if not isinstance(rd, dict):
-            raise ValueError("'resolution' must be an object")
-        U = [str(u) for u in rd.get("U", [])]
-        V = [str(v) for v in rd.get("V", [])]
-        fs_doc = _require(rd, "fs")
+        rd = _object(_require(doc, "resolution"), "resolution")
+        U, V = rd.get("U", []), rd.get("V", [])
+        if not isinstance(U, list) or not isinstance(V, list):
+            raise ValueError("'resolution.U' and 'resolution.V' must be lists of labels")
+        U, V = [str(u) for u in U], [str(v) for v in V]
+        fs_doc = _object(_require(rd, "fs"), "resolution.fs")
         fs = {str(s): parse_poly(str(p), ring) for s, p in fs_doc.items()}
         targets_doc = _require(rd, "targets")
         if not isinstance(targets_doc, list):
             raise ValueError("'resolution.targets' must be a list")
-        targets = [_modcube_from_doc(d, ring) for d in targets_doc]
+        targets = [_modcube_from_doc(_object(d, f"resolution.targets[{i}]"), ring)
+                   for i, d in enumerate(targets_doc)]
 
         def keyed_maps(d, src, tgt):
             out = {}
@@ -610,11 +619,15 @@ def cmd_resolve(input_path, order, seed, max_power, perm_cap, fmt):
                                           src.vertex(T).rank, key)
             return out
 
-        connecting = [keyed_maps(w, targets[i], targets[i + 1])
-                      for i, w in enumerate(rd.get("connecting", []))]
+        connecting_doc = rd.get("connecting", [])
+        if not isinstance(connecting_doc, list) or len(connecting_doc) != len(targets) - 1:
+            raise ValueError("'resolution.connecting' must be a list of one map per "
+                             "consecutive pair of targets")
+        connecting = [keyed_maps(_object(w, f"resolution.connecting[{i}]"),
+                                 targets[i], targets[i + 1])
+                      for i, w in enumerate(connecting_doc)]
         inp = ResolutionInput(fs, U, V, targets, connecting)
         out = koszul_resolve(inp, cap=max_power)
-        rep = check_resolution(out, inp)
         stages = []
         for stage in out.stages:
             stages.append({
@@ -623,13 +636,14 @@ def cmd_resolve(input_path, order, seed, max_power, perm_cap, fmt):
                                                       key=lambda kv: subset_key(kv[0]))},
                 "epi": {subset_key(T): _jsonable(m) for T, m in stage.epi.items()},
             })
-        return rep.ok, {
+        # koszul_resolve has verified the resolution and raises when it fails
+        return True, {
             "exponents": dict(sorted(out.exponents.items())),
             "g": {s: str(p) for s, p in sorted(out.g.items())},
             "stages": stages,
             "connecting": [{subset_key(T): _jsonable(m) for T, m in t.items()}
                            for t in out.connecting],
-            "failures": list(rep.failures),
+            "failures": [],
         }
     _run("resolve", _options_header(seed, max_power, perm_cap), fmt, work)
 

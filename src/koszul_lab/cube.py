@@ -1,4 +1,4 @@
-"""Cubes of free (and finitely presented) modules indexed by subsets of S.
+"""Cubes of finitely presented modules indexed by subsets of S.
 
 A cube assigns a module to every subset T of a finite label set S and a
 boundary map d^k_T : x_T -> x_{T\\{k}} to every k in T, subject to the
@@ -7,16 +7,19 @@ restriction to faces, degeneracy detection, the total complex (with the usual
 alternating signs), directional homology H_0^k / H_1^k, iterated H_0, and
 three equivalent admissibility checkers that are cross-checked in the tests.
 
-Free-valued cubes (`Cube`) are the primary input type; homology produces
-`ModCube`s whose vertices are cokernel presentations on the same ambient
-ranks, so boundary matrices are reused unchanged and order-independence
-statements become literal submodule equalities.
+`Cube` is the one cube type.  Each vertex is a cokernel presentation
+A^r / relations and each boundary a matrix between the ambient free modules;
+a free cube (Koszul, typical) is the case with no relations, and a vertex
+may be given as the int r for A^r.  Homology keeps the ambient ranks and
+enlarges the relations, so boundary matrices are reused unchanged and
+order-independence statements become literal submodule equalities.
+`ModCube` is another name for the same class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
 from .arith import Poly, RingSpec, is_unit
 from .groebner import SubmoduleBasis, syzygies
@@ -29,7 +32,6 @@ from .modcalc import (
     determinant_of_square,
     homology,
     is_zero_module,
-    submodule_equal,
     zero_spherical,
 )
 
@@ -104,19 +106,69 @@ class CubeOrdering:
         return f"CubeOrdering({list(self.sequence)})"
 
 
-class _CubeBase:
-    """Shared subset/boundary bookkeeping for free and module-valued cubes."""
+class Cube:
+    """A cube of finitely presented modules: an FPModule per subset, a FreeMap
+    per (subset, direction) between the ambient free modules.
 
-    labels: tuple
-    ring: RingSpec
-    boundary: dict
+    A vertex given as an int r is the free module A^r, so a free cube is the
+    case where no vertex carries relations.  Construction checks labels,
+    shapes and key completeness only; well-definedness and the
+    commuting-square law are checked by validate_cube so that invalid cubes
+    can be constructed and reported on.
+    """
+
+    __slots__ = ("labels", "ring", "vertices", "boundary")
+
+    def __init__(self, ring: RingSpec, labels: Sequence[str],
+                 vertices: Dict[FrozenSet[str], Union[int, FPModule]],
+                 boundary: Dict[Tuple[FrozenSet[str], str], FreeMap]):
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
+            raise ValueError("cube labels must be distinct")
+        for lab in labels:
+            # subset_key joins labels with ',' and boundary keys add '|'
+            if not isinstance(lab, str) or not lab or "," in lab or "|" in lab:
+                raise ValueError(f"cube label {lab!r} must be a nonempty string without ',' or '|'")
+        self.labels = labels
+        self.ring = ring
+        verts = {}
+        for T, M in vertices.items():
+            if isinstance(M, int):
+                if M < 0:
+                    raise ValueError("vertex rank must be non-negative")
+                M = FPModule.free(ring, M)
+            verts[frozenset(T)] = M
+        boundary = {(frozenset(T), k): m for (T, k), m in boundary.items()}
+        all_subsets = label_subsets(labels)
+        if set(verts) != set(all_subsets):
+            raise ValueError("vertices must cover exactly the subsets of the labels")
+        self.vertices = verts
+        self.boundary = boundary
+        needed = {(T, k) for T in all_subsets for k in T}
+        if needed != boundary.keys():
+            missing = {(subset_key(T), k) for (T, k) in needed - boundary.keys()}
+            extra = {(subset_key(T), k) for (T, k) in boundary.keys() - needed}
+            raise ValueError(f"boundary keys mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+        for (T, k), m in boundary.items():
+            if m.ring != ring:
+                raise ValueError("boundary ring mismatch")
+            src, tgt = verts[T].rank, verts[T - {k}].rank
+            if (m.source_rank, m.target_rank) != (src, tgt):
+                raise ValueError(
+                    f"boundary d^{k}_{{{subset_key(T)}}} has shape {m.target_rank}x{m.source_rank},"
+                    f" expected {tgt}x{src}")
+
+    @property
+    def vertex_rank(self) -> Dict[FrozenSet[str], int]:
+        """Ambient rank of every vertex."""
+        return {T: M.rank for T, M in self.vertices.items()}
+
+    def vertex(self, T: Iterable[str]) -> FPModule:
+        return self.vertices[_normalize_subset(T, self.labels)]
 
     def subsets(self) -> list:
         """All 2^n subsets, ordered by (size, serialized key)."""
         return sorted(label_subsets(self.labels), key=lambda s: (len(s), subset_key(s)))
-
-    def subsets_of_size(self, k: int) -> list:
-        return [s for s in self.subsets() if len(s) == k]
 
     def d(self, T: Iterable[str], k: str) -> FreeMap:
         T = _normalize_subset(T, self.labels)
@@ -124,122 +176,11 @@ class _CubeBase:
             raise ValueError(f"direction {k!r} not in subset {subset_key(T) or '{}'}")
         return self.boundary[(T, k)]
 
-    def _check_boundary_keys(self, vertex_keys: set):
-        needed = {(T, k) for T in vertex_keys for k in T}
-        have = set(self.boundary)
-        if needed != have:
-            missing = {(subset_key(T), k) for (T, k) in needed - have}
-            extra = {(subset_key(T), k) for (T, k) in have - needed}
-            raise ValueError(f"boundary keys mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-
-
-class Cube(_CubeBase):
-    """A cube of free modules: ranks per subset, FreeMap per (subset, direction).
-
-    Construction checks shapes and key completeness only; the commuting-square
-    law is checked by validate_cube so that invalid cubes can be constructed
-    and reported on.
-    """
-
-    __slots__ = ("labels", "ring", "vertex_rank", "boundary")
-
-    def __init__(self, ring: RingSpec, labels: Sequence[str],
-                 vertex_rank: Dict[FrozenSet[str], int],
-                 boundary: Dict[Tuple[FrozenSet[str], str], FreeMap]):
-        labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("cube labels must be distinct")
-        self.labels = labels
-        self.ring = ring
-        vertex_rank = {frozenset(T): r for T, r in vertex_rank.items()}
-        boundary = {(frozenset(T), k): m for (T, k), m in boundary.items()}
-        all_subsets = label_subsets(labels)
-        if set(vertex_rank) != set(all_subsets):
-            raise ValueError("vertex_rank must cover exactly the subsets of the labels")
-        for r in vertex_rank.values():
-            if r < 0:
-                raise ValueError("vertex rank must be non-negative")
-        self.vertex_rank = vertex_rank
-        self.boundary = boundary
-        self._check_boundary_keys(set(all_subsets))
-        for (T, k), m in boundary.items():
-            if m.ring != ring:
-                raise ValueError("boundary ring mismatch")
-            src, tgt = vertex_rank[T], vertex_rank[T - {k}]
-            if (m.source_rank, m.target_rank) != (src, tgt):
-                raise ValueError(
-                    f"boundary d^{k}_{{{subset_key(T)}}} has shape {m.target_rank}x{m.source_rank},"
-                    f" expected {tgt}x{src}")
-
-    def rank(self, T: Iterable[str]) -> int:
-        return self.vertex_rank[_normalize_subset(T, self.labels)]
-
-    def as_modcube(self) -> "ModCube":
-        verts = {T: FPModule.free(self.ring, self.vertex_rank[T]) for T in self.vertex_rank}
-        return ModCube(self.ring, self.labels, verts, dict(self.boundary))
-
     def __repr__(self):
         return f"Cube(labels={list(self.labels)})"
 
 
-class ModCube(_CubeBase):
-    """A cube of finitely presented modules sharing boundary matrices on ambients."""
-
-    __slots__ = ("labels", "ring", "vertices", "boundary")
-
-    def __init__(self, ring: RingSpec, labels: Sequence[str],
-                 vertices: Dict[FrozenSet[str], FPModule],
-                 boundary: Dict[Tuple[FrozenSet[str], str], FreeMap]):
-        labels = tuple(labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("cube labels must be distinct")
-        self.labels = labels
-        self.ring = ring
-        vertices = {frozenset(T): M for T, M in vertices.items()}
-        boundary = {(frozenset(T), k): m for (T, k), m in boundary.items()}
-        all_subsets = label_subsets(labels)
-        if set(vertices) != set(all_subsets):
-            raise ValueError("vertices must cover exactly the subsets of the labels")
-        self.vertices = vertices
-        self.boundary = boundary
-        self._check_boundary_keys(set(all_subsets))
-        for (T, k), m in boundary.items():
-            src, tgt = vertices[T].rank, vertices[T - {k}].rank
-            if (m.source_rank, m.target_rank) != (src, tgt):
-                raise ValueError(
-                    f"boundary d^{k}_{{{subset_key(T)}}} has shape {m.target_rank}x{m.source_rank},"
-                    f" expected {tgt}x{src}")
-
-    def vertex(self, T: Iterable[str]) -> FPModule:
-        return self.vertices[_normalize_subset(T, self.labels)]
-
-    def validate(self) -> Report:
-        """Well-definedness (relations map into relations) plus squares mod relations."""
-        failures = []
-        for (T, k), m in sorted(self.boundary.items(), key=lambda item: (subset_key(item[0][0]), item[0][1])):
-            tgt = self.vertices[T - {k}]
-            for rel in self.vertices[T].relations.generators:
-                if not tgt.relations.contains_vector(m.apply(rel)):
-                    failures.append(
-                        f"boundary d^{k}_{{{subset_key(T)}}} does not preserve relations")
-                    break
-        for T in self.subsets():
-            for k in sorted(T):
-                for l in sorted(T):
-                    if l <= k:
-                        continue
-                    lhs = self.d(T - {k}, l).compose(self.d(T, k))
-                    rhs = self.d(T - {l}, k).compose(self.d(T, l))
-                    diff = lhs - rhs
-                    tgt = self.vertices[T - {k, l}]
-                    if not all(tgt.relations.contains_vector(diff.column(j))
-                               for j in range(diff.source_rank)):
-                        failures.append(
-                            f"square at {{{subset_key(T)}}} in directions {k},{l} does not commute")
-        return Report(not failures, tuple(failures))
-
-    def __repr__(self):
-        return f"ModCube(labels={list(self.labels)})"
+ModCube = Cube
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +188,19 @@ class ModCube(_CubeBase):
 # ---------------------------------------------------------------------------
 
 def validate_cube(x: Cube) -> Report:
-    """Check every commuting square d^l ∘ d^k = d^k ∘ d^l; list all violations."""
+    """Well-definedness and the commuting-square law; list all violations.
+
+    Every boundary must map the relations of its source into those of its
+    target (these failures come first), and every square must commute,
+    d^l ∘ d^k = d^k ∘ d^l, modulo the relations of the vertex it lands in.
+    """
     failures = []
+    from_relations = [(T, k) for (T, k) in x.boundary if x.vertices[T].relations.generators]
+    for T, k in sorted(from_relations, key=lambda Tk: (subset_key(Tk[0]), Tk[1])):
+        m = x.boundary[(T, k)]
+        tgt = x.vertices[T - {k}].relations
+        if not all(tgt.contains_vector(m.apply(rel)) for rel in x.vertices[T].relations.generators):
+            failures.append(f"boundary d^{k}_{{{subset_key(T)}}} does not preserve relations")
     for T in x.subsets():
         for k in sorted(T):
             for l in sorted(T):
@@ -256,17 +208,33 @@ def validate_cube(x: Cube) -> Report:
                     continue
                 lhs = x.d(T - {k}, l).compose(x.d(T, k))
                 rhs = x.d(T - {l}, k).compose(x.d(T, l))
-                if lhs != rhs:
+                if lhs == rhs:
+                    continue
+                # free squares stop at the equality above; only a target with
+                # relations can absorb the difference
+                tgt = x.vertices[T - {k, l}].relations
+                diff = lhs - rhs
+                if not (tgt.generators and all(tgt.contains_vector(diff.column(j))
+                                               for j in range(diff.source_rank))):
                     failures.append(
                         f"square at {{{subset_key(T)}}} in directions {k},{l} does not commute")
     return Report(not failures, tuple(failures))
 
 
-def restrict(x, U: Iterable[str], V: Iterable[str]):
+def _require_free(x: Cube) -> None:
+    """Raise ValueError unless x is a valid cube of free modules."""
+    if any(M.relations.generators for M in x.vertices.values()):
+        raise ValueError("expected a cube of free modules, but a vertex carries relations")
+    report = validate_cube(x)
+    if not report.ok:
+        raise ValueError("invalid cube: " + "; ".join(report.failures))
+
+
+def restrict(x: Cube, U: Iterable[str], V: Iterable[str]) -> Cube:
     """x|_U^V: the cube over U whose vertex at A is x's vertex at A ∪ V.
 
-    U and V must be disjoint subsets of the labels.  Works for both free and
-    module-valued cubes; the label order of U is inherited from x.
+    U and V must be disjoint subsets of the labels; the label order of U is
+    inherited from x.
     """
     U = _normalize_subset(U, x.labels)
     V = _normalize_subset(V, x.labels)
@@ -275,11 +243,7 @@ def restrict(x, U: Iterable[str], V: Iterable[str]):
     labels = tuple(lab for lab in x.labels if lab in U)
     sub = label_subsets(labels)
     boundary = {(A, k): x.d(A | V, k) for A in sub for k in A}
-    if isinstance(x, Cube):
-        ranks = {A: x.vertex_rank[A | V] for A in sub}
-        return Cube(x.ring, labels, ranks, boundary)
-    verts = {A: x.vertices[A | V] for A in sub}
-    return ModCube(x.ring, labels, verts, boundary)
+    return Cube(x.ring, labels, {A: x.vertices[A | V] for A in sub}, boundary)
 
 
 def _is_invertible(m: FreeMap) -> bool:
@@ -327,9 +291,7 @@ def total_complex(x: Cube, ordering: Optional[CubeOrdering] = None) -> Complex:
     their declared order by default).  The Complex constructor re-asserts
     d ∘ d = 0.
     """
-    report = validate_cube(x)
-    if not report.ok:
-        raise ValueError("invalid cube: " + "; ".join(report.failures))
+    _require_free(x)
     if ordering is None:
         ordering = CubeOrdering(x.labels)
     if sorted(ordering.sequence) != sorted(x.labels):
@@ -346,7 +308,7 @@ def total_complex(x: Cube, ordering: Optional[CubeOrdering] = None) -> Complex:
         total = 0
         for s in subs:
             off[s] = total
-            total += x.vertex_rank[s]
+            total += x.vertices[s].rank
         offsets.append(off)
         ranks.append(total)
     z = ring.zero()
@@ -371,7 +333,7 @@ def total_complex(x: Cube, ordering: Optional[CubeOrdering] = None) -> Complex:
 # directional homology
 # ---------------------------------------------------------------------------
 
-def _h0_modcube(x: ModCube, k: str) -> ModCube:
+def _h0_modcube(x: Cube, k: str) -> Cube:
     """H_0^k of a module cube: same ambient ranks, relations enlarged by im d^k."""
     if k not in x.labels:
         raise ValueError(f"direction {k!r} not a label")
@@ -384,10 +346,10 @@ def _h0_modcube(x: ModCube, k: str) -> ModCube:
         rels = amb.relations.plus(SubmoduleBasis(x.ring, amb.rank, dk.columns()))
         verts[T] = FPModule(x.ring, amb.rank, rels)
     boundary = {(T, l): x.d(T, l) for T in sub for l in T}
-    return ModCube(x.ring, labels, verts, boundary)
+    return Cube(x.ring, labels, verts, boundary)
 
 
-def directional_homology(x: Cube, k: str, p: int) -> ModCube:
+def directional_homology(x: Cube, k: str, p: int) -> Cube:
     """H_p^k(x) as a module cube over S∖{k}; p must be 0 or 1.
 
     p = 0: vertex at T is coker(d^k_{T∪{k}}), presented on x's ambient at T
@@ -397,12 +359,10 @@ def directional_homology(x: Cube, k: str, p: int) -> ModCube:
     p = 1: vertex at T presents ker(d^k_{T∪{k}}) on its reduced syzygy
     generators; induced boundaries are d^l in kernel coordinates.
     """
-    report = validate_cube(x)
-    if not report.ok:
-        raise ValueError("invalid cube: " + "; ".join(report.failures))
+    _require_free(x)
     if p == 0:
-        out = _h0_modcube(x.as_modcube(), k)
-        check = out.validate()
+        out = _h0_modcube(x, k)
+        check = validate_cube(out)
         if not check.ok:
             raise RuntimeError("induced H_0 cube failed validation: " + "; ".join(check.failures))
         return out
@@ -414,9 +374,10 @@ def directional_homology(x: Cube, k: str, p: int) -> ModCube:
     gens_at: dict = {}
     verts = {}
     for T in sub:
-        gens = syzygies(x.d(T | {k}, k).entries, x.ring, source_rank=x.vertex_rank[T | {k}])
+        src_rank = x.vertices[T | {k}].rank
+        gens = syzygies(x.d(T | {k}, k).entries, x.ring, source_rank=src_rank)
         gens_at[T] = gens
-        rels = _relations_among(gens, x.vertex_rank[T | {k}], x.ring)
+        rels = _relations_among(gens, src_rank, x.ring)
         verts[T] = FPModule(x.ring, len(gens), SubmoduleBasis(x.ring, len(gens), rels))
     boundary = {}
     empty_rels_cache: dict = {}
@@ -424,7 +385,7 @@ def directional_homology(x: Cube, k: str, p: int) -> ModCube:
         for l in T:
             src_gens = gens_at[T]
             tgt_gens = gens_at[T - {l}]
-            tgt_amb = x.vertex_rank[(T - {l}) | {k}]
+            tgt_amb = x.vertices[(T - {l}) | {k}].rank
             if tgt_amb not in empty_rels_cache:
                 empty_rels_cache[tgt_amb] = SubmoduleBasis(x.ring, tgt_amb, [])
             dl = x.d(T | {k}, l)
@@ -436,45 +397,26 @@ def directional_homology(x: Cube, k: str, p: int) -> ModCube:
                     raise RuntimeError("kernel image escaped the target kernel — broken cube")
                 cols.append(tuple(coords))
             boundary[(T, l)] = FreeMap.from_columns(x.ring, len(tgt_gens), cols)
-    return ModCube(x.ring, labels, verts, boundary)
+    return Cube(x.ring, labels, verts, boundary)
 
 
-def iterated_h0(x: Cube, T: Iterable[str], orders: Optional[Sequence[Sequence[str]]] = None):
-    """Iterate H_0 over the directions in T; returns (ModCube over S∖T, verdict).
+def iterated_h0(x: Cube, T: Iterable[str]) -> Cube:
+    """H_0 iterated over the directions in T: a module cube over S∖T.
 
-    The first order drives the returned cube; the verdict records whether the
-    denominator submodule at every vertex agrees across all requested orders
-    (default: the label order on T plus its reverse).  Requires admissibility
-    of x when |T| ≥ 2, per the iterated-homology hypothesis.
+    Its vertex at W is x's vertex at W with relations enlarged by
+    Σ_{k∈T} im d^k_{W∪k}, a sum that does not depend on the order in which
+    the directions are taken, so they are taken in label order.  Requires
+    admissibility of x when |T| ≥ 2, per the iterated-homology hypothesis.
     """
     T = _normalize_subset(T, x.labels)
-    if orders is None:
-        base = [lab for lab in x.labels if lab in T]
-        orders = [base] if len(T) < 2 else [base, list(reversed(base))]
-    norm_orders = []
-    for o in orders:
-        o = list(o)
-        if sorted(o) != sorted(T):
-            raise ValueError(f"order {o} is not a permutation of {sorted(T)}")
-        norm_orders.append(o)
     if len(T) >= 2:
         verdict = is_admissible(x, strategy="definition")
         if not verdict.ok:
             raise ValueError("iterated H_0 requires an admissible cube: "
                              + "; ".join(verdict.failures[:3]))
-    results = []
-    for o in norm_orders:
-        mc = x.as_modcube()
-        for k in o:
-            mc = _h0_modcube(mc, k)
-        results.append(mc)
-    first = results[0]
-    agree = True
-    for other in results[1:]:
-        for W in first.subsets():
-            if not submodule_equal(first.vertex(W).relations, other.vertex(W).relations):
-                agree = False
-    return first, agree
+    for k in [lab for lab in x.labels if lab in T]:
+        x = _h0_modcube(x, k)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +439,7 @@ def _mod_injective(m: FreeMap, src: FPModule, tgt: FPModule) -> bool:
     return True
 
 
-def _admissible_definition(mc: ModCube, applied: frozenset, memo: dict) -> tuple:
+def _admissible_definition(mc: Cube, applied: frozenset, memo: dict) -> tuple:
     """(ok, failures) for the H_0 cube `mc`, reached by applying the
     directions `applied`; failures are relative to mc.  memo maps a set of
     applied directions to the (ok, failures) of its cube."""
@@ -543,7 +485,7 @@ def _admissible_spherical(x: Cube, fixed: frozenset, memo: dict) -> tuple:
     return ok, tuple(failures)
 
 
-def _admissible_inductive(mc: ModCube, failures: list, prefix: str) -> bool:
+def _admissible_inductive(mc: Cube, failures: list, prefix: str) -> bool:
     if not mc.labels:
         return True
     s = mc.labels[0]
@@ -589,16 +531,14 @@ def is_admissible(x: Cube, strategy: str = "definition") -> Report:
     failures relative to its cube, and a repeat visit replays them under the
     path's prefix, so the failure list equals the unmemoized one.
     """
-    report = validate_cube(x)
-    if not report.ok:
-        raise ValueError("invalid cube: " + "; ".join(report.failures))
+    _require_free(x)
     failures: list = []
     if strategy == "definition":
-        ok, failures = _admissible_definition(x.as_modcube(), frozenset(), {})
+        ok, failures = _admissible_definition(x, frozenset(), {})
     elif strategy == "spherical_faces":
         ok, failures = _admissible_spherical(x, frozenset(), {})
     elif strategy == "inductive":
-        ok = _admissible_inductive(x.as_modcube(), failures, "")
+        ok = _admissible_inductive(x, failures, "")
     else:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {ADMISSIBILITY_STRATEGIES}")
     return Report(ok, tuple(failures), {"strategy": strategy})

@@ -26,6 +26,7 @@ from .arith import Poly, RingSpec, exact_division, is_unit
 from .cube import (
     Cube,
     Report,
+    _require_free,
     degenerate_directions,
     label_subsets,
     nondegenerate_part,
@@ -248,9 +249,7 @@ def is_koszul_cube(x: Cube, fs) -> KoszulVerdict:
     annihilator.  Diagnostics cover every (T,k) pair even after a failure,
     so a bad cube reports all of its defects at once.
     """
-    report = validate_cube(x)
-    if not report.ok:
-        raise ValueError("invalid cube: " + "; ".join(report.failures))
+    _require_free(x)
     seq = _sequence_by_label(x, fs)
     diagnostics: Dict[str, dict] = {}
     ok = True
@@ -313,10 +312,8 @@ def determinant(x: Cube) -> Tuple[Dict[str, Poly], Report]:
     Incoherence on a cube that passed is_koszul_cube means a bug, so the
     verdict is returned rather than assumed.
     """
-    report = validate_cube(x)
-    if not report.ok:
-        raise ValueError("invalid cube: " + "; ".join(report.failures))
-    ranks = {x.vertex_rank[T] for T in x.subsets()}
+    _require_free(x)
+    ranks = {M.rank for M in x.vertices.values()}
     if len(ranks) > 1:
         return {}, Report(False, (f"vertices do not share a rank: {sorted(ranks)}",))
     S = frozenset(x.labels)
@@ -407,7 +404,7 @@ def verify_weight_decomposition(x: Cube, fs) -> Report:
         rest = [lab for lab in x.labels if lab not in T]
         for U in label_subsets(rest):
             pairs += 1
-            rank = x.vertex_rank[U]
+            rank = x.vertices[U].rank
             cols = []
             for t in sorted(T):
                 cols.extend(x.d(U | {t}, t).columns())
@@ -440,7 +437,7 @@ def generators_presentation(x: Cube, perm_cap: int = 6):
     if not coherence.ok:
         raise ValueError("determinant incoherence: " + "; ".join(coherence.failures))
     ring = x.ring
-    rank0 = x.vertex_rank[frozenset()]
+    rank0 = x.vertices[frozenset()].rank
     cols = []
     for k in x.labels:
         cols.extend(x.d(frozenset({k}), k).columns())

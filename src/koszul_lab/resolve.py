@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
 
 from .arith import Poly, RingSpec
-from .cube import ModCube, Report, _h0_modcube, _mod_injective, label_subsets, restrict, subset_key
+from .cube import (Cube, Report, _h0_modcube, _mod_injective, label_subsets, restrict,
+                   subset_key, validate_cube)
 from .groebner import SubmoduleBasis, radical_membership
 from .koszul import is_A_sequence
 from .modcalc import (
@@ -66,7 +67,7 @@ class ResolutionInput:
     __slots__ = ("ring", "fs", "U", "V", "targets", "connecting")
 
     def __init__(self, fs: Mapping[str, Poly], U: Sequence[str], V: Sequence[str],
-                 targets: Sequence[Union[ModCube, FPModule]],
+                 targets: Sequence[Union[Cube, FPModule]],
                  connecting: Sequence[VertexMaps] = ()):
         self.U = tuple(U)
         self.V = tuple(V)
@@ -82,11 +83,11 @@ class ResolutionInput:
             if isinstance(z, FPModule):
                 if self.V:
                     raise ValueError("a bare module target needs V = ()")
-                z = ModCube(z.ring, (), {frozenset(): z}, {})
+                z = Cube(z.ring, (), {frozenset(): z}, {})
             if tuple(z.labels) != self.V:
                 raise ValueError(f"target labels {list(z.labels)} must equal V {list(self.V)}")
             wrapped.append(z)
-        self.targets: Tuple[ModCube, ...] = tuple(wrapped)
+        self.targets: Tuple[Cube, ...] = tuple(wrapped)
         self.ring: RingSpec = self.targets[0].ring
         if any(z.ring != self.ring for z in self.targets):
             raise ValueError("targets must share one ring")
@@ -127,7 +128,7 @@ class ResolutionInput:
         if seq and not is_A_sequence(seq).a_sequence:
             failures.append("the sequence over U ∪ V is not an A-sequence")
         for j, z in enumerate(self.targets):
-            rep = z.validate()
+            rep = validate_cube(z)
             if not rep.ok:
                 failures.append(f"target {j} is not a valid module cube: {rep.failures[0]}")
                 continue
@@ -180,7 +181,7 @@ class ResolutionInput:
 class ResolutionStage:
     """One resolved target: the covering cube, its epi, and summand counts."""
 
-    y: ModCube
+    y: Cube
     epi: VertexMaps
     multiplicities: Dict[FrozenSet[str], int]
 
@@ -199,7 +200,7 @@ class ResolutionOutput:
 # exponents
 # ---------------------------------------------------------------------------
 
-def _h0_tot_module(z: ModCube) -> FPModule:
+def _h0_tot_module(z: Cube) -> FPModule:
     """H_0(Tot z): the corner modulo its relations and all arrival images."""
     amb = z.vertex(frozenset())
     rels = amb.relations
@@ -240,7 +241,7 @@ def _gU_relations(ring: RingSpec, rank: int, gU: Sequence[Poly]) -> SubmoduleBas
     return SubmoduleBasis(ring, rank, gens)
 
 
-def _resolve_cube(z: ModCube, gU: Sequence[Poly], g: Dict[str, Poly]):
+def _resolve_cube(z: Cube, gU: Sequence[Poly], g: Dict[str, Poly]):
     """(y, epi, multiplicities) covering the module cube z, by induction on |V|."""
     ring = z.ring
     if not z.labels:
@@ -250,7 +251,7 @@ def _resolve_cube(z: ModCube, gU: Sequence[Poly], g: Dict[str, Poly]):
             for i in range(r):
                 if not M.relations.contains_vector(tuple(gu * c for c in M.basis_vector(i))):
                     raise LiftError("the modulus does not annihilate the target module")
-        y = ModCube(ring, (), {frozenset(): FPModule(ring, r, _gU_relations(ring, r, gU))}, {})
+        y = Cube(ring, (), {frozenset(): FPModule(ring, r, _gU_relations(ring, r, gU))}, {})
         return y, {frozenset(): FreeMap.identity(ring, r)}, {frozenset(): r}
     v = z.labels[0]
     rest = tuple(lab for lab in z.labels if lab != v)
@@ -300,7 +301,7 @@ def _resolve_cube(z: ModCube, gU: Sequence[Poly], g: Dict[str, Poly]):
             epi[T] = FreeMap.hstack(p0[A], z.d(A | {v}, v).compose(p1[A]))
     mult = {Tp | {v}: c for Tp, c in l0.items()}
     mult.update({W: c for W, c in l1.items()})
-    return ModCube(ring, z.labels, verts, boundary), epi, mult
+    return Cube(ring, z.labels, verts, boundary), epi, mult
 
 
 def _summand_order(labels: Sequence[str]):
@@ -309,7 +310,7 @@ def _summand_order(labels: Sequence[str]):
 
 
 def _typical_sum_cube(ring: RingSpec, labels: Sequence[str], g: Dict[str, Poly],
-                      mult: Dict[FrozenSet[str], int], gU: Sequence[Poly]) -> ModCube:
+                      mult: Dict[FrozenSet[str], int], gU: Sequence[Poly]) -> Cube:
     """The declared shape: ⊕_T Typ_B(g^T)^{mult[T]} with g^T_v = g_v or 1."""
     blocks = []
     for T in _summand_order(labels):
@@ -325,14 +326,14 @@ def _typical_sum_cube(ring: RingSpec, labels: Sequence[str], g: Dict[str, Poly],
             rows = [[(g[k] if k in blocks[i] else one) if i == j else z
                      for j in range(L)] for i in range(L)]
             boundary[(A, k)] = FreeMap(ring, rows, target_rank=L, source_rank=L)
-    return ModCube(ring, tuple(labels), verts, boundary)
+    return Cube(ring, tuple(labels), verts, boundary)
 
 
 # ---------------------------------------------------------------------------
 # lifting a cube morphism through an epi of resolution cubes
 # ---------------------------------------------------------------------------
 
-def _lift_cube(f: VertexMaps, x: ModCube, q: VertexMaps, y: ModCube, z: ModCube) -> VertexMaps:
+def _lift_cube(f: VertexMaps, x: Cube, q: VertexMaps, y: Cube, z: Cube) -> VertexMaps:
     """t: x → y with q∘t ≡ f modulo z's vertex relations, a cube morphism mod y's.
 
     x and y are resolution cubes (free ambients modulo g_U), z the target the

@@ -198,12 +198,11 @@ def resolve_problems(count=20, seed0=SEED0 + 50_000):
         elif kind == 1:
             # free 1-cube from the generator, V = {1}
             c = random_koszul([x], 1 + i % 3, (i * 3) % 5, seed=seed0 + i)
-            problems.append(ResolutionInput({"1": x}, [], ["1"], [c.as_modcube()]))
+            problems.append(ResolutionInput({"1": x}, [], ["1"], [c]))
         elif kind == 2:
             # free square, V = {1, 2}
             c = random_koszul([x, y], 1 + i % 2, (i * 5) % 4, seed=seed0 + i)
-            problems.append(ResolutionInput({"1": x, "2": y}, [], ["1", "2"],
-                                            [c.as_modcube()]))
+            problems.append(ResolutionInput({"1": x, "2": y}, [], ["1", "2"], [c]))
         elif kind == 3:
             # mixed: 1-cube over A/(y^b) with x-power boundary
             b = 1 + i % 2

@@ -91,12 +91,43 @@ def test_precondition_failure_is_input_error(tmp_path):
     assert code == 2
 
 
-def test_threads_env_is_validated(tmp_path):
-    doc = write_doc(tmp_path, TYP_XY)
-    out, code = run("validate", "--input", doc, env={"KOSZUL_LAB_THREADS": "zero"})
+ONE_CUBE = {"S": ["1"], "vertices": {"": 1, "1": 1}, "boundaries": {"1|1": [["x"]]}}
+
+# each of these used to be accepted or end in a traceback with exit 1, which
+# reads as "verdict false"
+MALFORMED_CASES = [
+    ("cube_not_object", "validate", {"ring": RING_Q2, "cube": []}),
+    ("rank_not_integer", "validate",
+     {"ring": RING_Q2, "cube": {**ONE_CUBE, "vertices": {"": 1, "1": [1]}}}),
+    ("rank_not_whole", "validate",
+     {"ring": RING_Q2, "cube": {**ONE_CUBE, "vertices": {"": 1.7, "1": 1}}}),
+    ("complex_rank_not_integer", "be-check",
+     {"ring": RING_Q2, "complex": {"ranks": [1, [1]], "differentials": [[["x"]]]}}),
+    ("fs_not_object", "resolve",
+     {"ring": RING_Q2, "resolution": {"U": [], "V": [], "fs": [], "targets": []}}),
+    ("relations_not_rows", "resolve",
+     {"ring": RING_Q2, "resolution": {"U": [], "V": [], "fs": {}, "targets": [
+         {"S": [], "vertices": {"": {"rank": 1, "relations": 5}}}]}}),
+    ("resolve_labels_not_list", "resolve",
+     {"ring": RING_Q2, "resolution": {"U": "1", "V": [], "fs": {"1": "x"}, "targets": [
+         {"S": [], "vertices": {"": {"rank": 1, "relations": [["x"]]}}}]}}),
+    ("connecting_not_object", "resolve",
+     {"ring": RING_Q2, "resolution": {"U": [], "V": [], "fs": {}, "connecting": [5],
+                                      "targets": [{"S": [], "vertices": {"": {"rank": 1}}}] * 2}}),
+    ("typical_label_not_string", "typical",
+     {"ring": RING_Q2, "sequence": ["x"], "labels": [1]}),
+    ("label_collides_with_subset_key", "validate",
+     {"ring": RING_Q2, "cube": {"S": ["a,b"], "vertices": {"": 1, "a,b": 1},
+                                "boundaries": {"a,b|a,b": [["x"]]}}}),
+]
+
+
+@pytest.mark.parametrize("command,doc", [c[1:] for c in MALFORMED_CASES],
+                         ids=[c[0] for c in MALFORMED_CASES])
+def test_malformed_document_is_input_error(tmp_path, command, doc):
+    out, code = run(command, "--input", write_doc(tmp_path, doc))
     assert code == 2
-    out, code = run("validate", "--input", doc, env={"KOSZUL_LAB_THREADS": "2"})
-    assert code == 0
+    assert json.loads(out)["error"]["type"] == "input"
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from koszul_lab.cube import (
     Cube,
     CubeOrdering,
     ModCube,
+    _h0_modcube,
     degenerate_directions,
     directional_homology,
     is_admissible,
@@ -22,6 +23,7 @@ from koszul_lab.cube import (
 from koszul_lab.groebner import SubmoduleBasis
 from koszul_lab.koszul import typical_cube
 from koszul_lab.modcalc import (
+    FPModule,
     FreeMap,
     homology,
     is_zero_module,
@@ -74,6 +76,56 @@ def test_validate_catches_noncommuting_square():
     assert any("1,2" in f for f in rep.failures)
     with pytest.raises(ValueError):
         total_complex(bad)
+
+
+def _square_mod_x(e_vertex):
+    """Square whose two paths to the empty vertex are 1 and 1 + x."""
+    one = FreeMap(Q2, [[P("1")]])
+    return ModCube(Q2, ("1", "2"), {E: e_vertex, S1: 1, S2: 1, S12: 1},
+                   {(S1, "1"): one, (S2, "2"): one, (S12, "1"): one,
+                    (S12, "2"): FreeMap(Q2, [[P("1 + x")]])})
+
+
+def test_validate_square_commuting_modulo_relations():
+    assert validate_cube(_square_mod_x(FPModule.cyclic(Q2, [X]))).ok
+    assert validate_cube(_square_mod_x(1)).failures == (
+        "square at {1,2} in directions 1,2 does not commute",)
+
+
+def test_validate_catches_boundary_not_preserving_relations():
+    one = FreeMap(Q2, [[P("1")]])
+    z = ModCube(Q2, ("1",), {E: 1, S1: FPModule.cyclic(Q2, [X])}, {(S1, "1"): one})
+    assert validate_cube(z).failures == ("boundary d^1_{1} does not preserve relations",)
+    ok = ModCube(Q2, ("1",), {E: FPModule.cyclic(Q2, [X]), S1: FPModule.cyclic(Q2, [X])},
+                 {(S1, "1"): one})
+    assert validate_cube(ok).ok
+
+
+def test_free_only_operations_reject_relations():
+    x = _square_mod_x(FPModule.cyclic(Q2, [X]))
+    with pytest.raises(ValueError, match="relations"):
+        total_complex(x)
+    for s in ADMISSIBILITY_STRATEGIES:
+        with pytest.raises(ValueError, match="relations"):
+            is_admissible(x, strategy=s)
+
+
+def test_int_ranks_are_free_modules():
+    for x in (typical_cube([X, Y]), BOTH_X, _square_mod_x(1)):
+        free = Cube(Q2, x.labels, {T: FPModule.free(Q2, r) for T, r in x.vertex_rank.items()},
+                    x.boundary)
+        assert free.vertices == x.vertices
+        assert validate_cube(free) == validate_cube(x)
+        if validate_cube(x).ok:
+            a, b = total_complex(free), total_complex(x)
+            assert a.ranks == b.ranks and a.differentials == b.differentials
+
+
+def test_labels_must_serialize():
+    for bad in ("", "a,b", "a|b", 1):
+        with pytest.raises(ValueError):
+            Cube(Q2, (bad,), {E: 1, frozenset({bad}): 1},
+                 {(frozenset({bad}), bad): FreeMap(Q2, [[X]])})
 
 
 def test_validate_catches_shape_mismatch():
@@ -164,8 +216,7 @@ def test_directional_homology_h1():
 
 def test_iterated_h0_agreement():
     x = typical_cube([X, Y])
-    mc, agree = iterated_h0(x, {"1", "2"})
-    assert agree
+    mc = iterated_h0(x, {"1", "2"})
     assert mc.labels == ()
     assert submodule_equal(mc.vertex(E).relations,
                            SubmoduleBasis(Q2, 1, [(X,), (Y,)]))
@@ -179,20 +230,20 @@ def test_iterated_h0_requires_admissibility():
 def test_iterated_h0_explicit_orders():
     x, y, z = Q3.gens()
     t = typical_cube([x, y, z])
-    mc, agree = iterated_h0(t, {"1", "3"}, orders=[["1", "3"], ["3", "1"]])
-    assert agree
+    want = SubmoduleBasis(Q3, 1, [(x,), (z,)])
+    mc = iterated_h0(t, {"1", "3"})
     assert mc.labels == ("2",)
-    assert submodule_equal(mc.vertex(E).relations,
-                           SubmoduleBasis(Q3, 1, [(x,), (z,)]))
-    with pytest.raises(ValueError):
-        iterated_h0(t, {"1", "3"}, orders=[["1", "2"]])
+    assert submodule_equal(mc.vertex(E).relations, want)
+    # the reverse order presents the same vertex
+    rev = _h0_modcube(_h0_modcube(t, "3"), "1")
+    assert submodule_equal(rev.vertex(E).relations, want)
 
 
 def test_iterated_h0_matches_tot_h0():
     x, y, z = Q3.gens()
     t = typical_cube([x, y, z])
     T = {"1", "2"}
-    mc, _ = iterated_h0(t, T)
+    mc = iterated_h0(t, T)
     for W in mc.subsets():
         tot0 = homology(total_complex(restrict(t, T, W)), 0)
         assert submodule_equal(mc.vertex(W).relations, tot0.relations)

@@ -185,7 +185,7 @@ def test_three_v_labels_out_of_scope():
     Q3 = RingSpec("Q", ("x", "y", "z"))
     x, y, z3 = Q3.gens()
     from koszul_lab.koszul import typical_cube
-    t = typical_cube([x, y, z3]).as_modcube()
+    t = typical_cube([x, y, z3])
     inp = ResolutionInput({"1": x, "2": y, "3": z3}, [], ["1", "2", "3"], [t])
     with pytest.raises(ValueError):
         koszul_resolve(inp)
