@@ -4,9 +4,10 @@ Every command reads a JSON input document (--input), runs one check or
 construction, and prints a versioned report envelope.  Exit codes: 0 the
 check passed (or the computation succeeded), 1 the mathematical verdict is
 false, 2 the input is malformed or violates a precondition, 3 a resource
-cap was exceeded.  Reports are deterministic given (input, options, seed) —
-keys sorted, no timestamps, seeds and caps echoed in a reproducibility
-header.  See the README for the document formats.
+cap was exceeded, 4 an internal re-verification failed.  Reports are
+deterministic given (input, options, seed) — keys sorted, no timestamps,
+seeds and caps echoed in a reproducibility header.  See the README for the
+document formats.
 """
 
 from __future__ import annotations
@@ -117,6 +118,11 @@ def _run(command: str, options: dict, fmt: str, worker):
         envelope["error"] = {"type": "cap", "message": str(e)}
         _emit(envelope, fmt)
         sys.exit(3)
+    except RuntimeError as e:
+        # a failed internal re-verification: a defect of the program, not a verdict
+        envelope["error"] = {"type": "internal", "message": str(e)}
+        _emit(envelope, fmt)
+        sys.exit(4)
     except (OSError, json.JSONDecodeError, RingMismatchError, ValueError) as e:
         envelope["error"] = {"type": "input", "message": str(e)}
         _emit(envelope, fmt)
@@ -157,7 +163,9 @@ def _ring_from_doc(doc: dict, order_flag) -> RingSpec:
     if field_spec == "Q":
         field = "Q"
     elif isinstance(field_spec, dict) and set(field_spec) == {"Fp"}:
-        field = int(field_spec["Fp"])
+        field = field_spec["Fp"]
+        if not isinstance(field, int) or isinstance(field, bool):
+            raise ValueError(f"'ring.field.Fp' must be an integer prime, got {field!r}")
     else:
         raise ValueError(f"unsupported field spec {field_spec!r} (use \"Q\" or {{\"Fp\": p}})")
     variables = spec.get("vars")

@@ -27,6 +27,7 @@ from .modcalc import (
     Complex,
     FPModule,
     FreeMap,
+    _graph_coordinates,
     _relations_among,
     cokernel,
     determinant_of_square,
@@ -368,7 +369,6 @@ def directional_homology(x: Cube, k: str, p: int) -> Cube:
         return out
     if p != 1:
         raise ValueError("homological degree must be 0 or 1")
-    from .modcalc import _graph_coordinates
     labels = tuple(lab for lab in x.labels if lab != k)
     sub = label_subsets(labels)
     gens_at: dict = {}
@@ -380,22 +380,16 @@ def directional_homology(x: Cube, k: str, p: int) -> Cube:
         rels = _relations_among(gens, src_rank, x.ring)
         verts[T] = FPModule(x.ring, len(gens), SubmoduleBasis(x.ring, len(gens), rels))
     boundary = {}
-    empty_rels_cache: dict = {}
     for T in sub:
         for l in T:
-            src_gens = gens_at[T]
             tgt_gens = gens_at[T - {l}]
             tgt_amb = x.vertices[(T - {l}) | {k}].rank
-            if tgt_amb not in empty_rels_cache:
-                empty_rels_cache[tgt_amb] = SubmoduleBasis(x.ring, tgt_amb, [])
             dl = x.d(T | {k}, l)
-            cols = []
-            for g in src_gens:
-                img = dl.apply(g)
-                coords = _graph_coordinates(img, tgt_gens, empty_rels_cache[tgt_amb], x.ring, tgt_amb)
-                if coords is None:
-                    raise RuntimeError("kernel image escaped the target kernel — broken cube")
-                cols.append(tuple(coords))
+            imgs = [dl.apply(g) for g in gens_at[T]]
+            cols = _graph_coordinates(imgs, tgt_gens, SubmoduleBasis(x.ring, tgt_amb, []),
+                                      x.ring, tgt_amb)
+            if any(u is None for u in cols):
+                raise RuntimeError("kernel image escaped the target kernel — broken cube")
             boundary[(T, l)] = FreeMap.from_columns(x.ring, len(tgt_gens), cols)
     return Cube(x.ring, labels, verts, boundary)
 

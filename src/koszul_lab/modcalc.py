@@ -20,6 +20,8 @@ from .arith import Poly, RingMismatchError, RingSpec
 from .groebner import (
     IdealBasis,
     SubmoduleBasis,
+    _nf_vp,
+    _vp_from_vector,
     ideal_intersection,
     module_quotient,
     submodule_from_reduced_gb,
@@ -489,14 +491,18 @@ def zero_spherical(c: Complex) -> bool:
 # lifting
 # ---------------------------------------------------------------------------
 
-def _graph_coordinates(vec: Sequence[Poly], cols: Sequence[Sequence[Poly]],
-                       rels: SubmoduleBasis, ring: RingSpec, rank: int):
-    """Coordinates of vec in terms of cols, modulo rels; None if not in the span.
+def _graph_coordinates(vecs: Sequence[Sequence[Poly]], cols: Sequence[Sequence[Poly]],
+                       rels: SubmoduleBasis, ring: RingSpec, rank: int) -> list:
+    """Coordinates of each vector of vecs in terms of cols, modulo rels.
 
-    Works on the graph module generated by (col_j ⊕ e_j) and (rel ⊕ 0): the
-    normal form of (vec ⊕ 0) has zero head iff vec lies in the span, and its
-    tail is then the negated coordinate vector.
+    Returns one entry per vector, in order: its coordinate list, or None when
+    it is not in the span.  One graph module, generated by (col_j ⊕ e_j) and
+    (rel ⊕ 0), serves the whole batch: the normal form of (vec ⊕ 0) has zero
+    head (positions < rank) iff vec lies in the span, and its tail is then
+    the negated coordinate vector.
     """
+    if not vecs:
+        return []
     n = len(cols)
     z = ring.zero()
     gens = []
@@ -506,11 +512,19 @@ def _graph_coordinates(vec: Sequence[Poly], cols: Sequence[Sequence[Poly]],
         gens.append(tuple(col) + tuple(tail))
     for r in rels.generators:
         gens.append(tuple(r) + (z,) * n)
-    graph = SubmoduleBasis(ring, rank + n, gens)
-    rem, _ = graph.nf_vector(tuple(vec) + (z,) * n)
-    if any(not p.is_zero() for p in rem[:rank]):
-        return None
-    return [-p for p in rem[rank:]]
+    basis = SubmoduleBasis(ring, rank + n, gens)._gb_elements()
+    neg = ring.field.neg
+    out = []
+    for vec in vecs:
+        rem, _ = _nf_vp(_vp_from_vector(vec), basis, ring)
+        if any(pos < rank for pos, _ in rem):
+            out.append(None)
+            continue
+        tail = [{} for _ in range(n)]
+        for (pos, e), c in rem.items():
+            tail[pos - rank][e] = neg(c)
+        out.append([Poly(ring, t) for t in tail])
+    return out
 
 
 def lift_through_surjection(f: FreeMap, p: FreeMap, module: FPModule) -> FreeMap:
@@ -522,16 +536,14 @@ def lift_through_surjection(f: FreeMap, p: FreeMap, module: FPModule) -> FreeMap
     if f.target_rank != module.rank or p.target_rank != module.rank:
         raise ValueError("maps must share the module's ambient rank")
     ring = module.ring
-    cols = p.columns()
-    for i in range(module.rank):
-        if _graph_coordinates(module.basis_vector(i), cols, module.relations, ring, module.rank) is None:
-            raise LiftError("map is not surjective onto the module")
-    g_cols = []
-    for col in f.columns():
-        u = _graph_coordinates(col, cols, module.relations, ring, module.rank)
-        if u is None:
-            raise LiftError("lift infeasible: column has no preimage")
-        g_cols.append(tuple(u))
+    basis = [module.basis_vector(i) for i in range(module.rank)]
+    coords = _graph_coordinates(basis + f.columns(), p.columns(), module.relations,
+                                ring, module.rank)
+    if any(u is None for u in coords[:module.rank]):
+        raise LiftError("map is not surjective onto the module")
+    g_cols = coords[module.rank:]
+    if any(u is None for u in g_cols):
+        raise LiftError("lift infeasible: column has no preimage")
     g = FreeMap.from_columns(ring, p.source_rank, g_cols)
     check = p.compose(g)
     for j in range(f.source_rank):

@@ -263,19 +263,16 @@ def _resolve_cube(z: Cube, gU: Sequence[Poly], g: Dict[str, Poly]):
     s: VertexMaps = {}
     for A in z0.subsets():
         dz = z.d(A | {v}, v)
-        rel0 = z0.vertex(A).relations
-        cols = dz.columns()
-        s_cols = []
-        for j in range(p0[A].source_rank):
-            vec = tuple(gv * c for c in p0[A].column(j))
-            coords = _graph_coordinates(vec, cols, rel0, ring, dz.target_rank)
-            if coords is None:
+        vecs = [tuple(gv * c for c in col) for col in p0[A].columns()]
+        coords = _graph_coordinates(vecs, dz.columns(), z0.vertex(A).relations,
+                                    ring, dz.target_rank)
+        for j, u in enumerate(coords):
+            if u is None:
                 raise LiftError(
                     f"lifting infeasible: g_{v} times generator {j} at vertex "
                     f"{{{subset_key(A)}}} has no preimage under the {v}-boundary "
                     "(the modulus fails to kill H_0 in that direction)")
-            s_cols.append(tuple(coords))
-        s[A] = FreeMap.from_columns(ring, dz.source_rank, s_cols)
+        s[A] = FreeMap.from_columns(ring, dz.source_rank, coords)
     z1 = restrict(z, rest, frozenset({v}))
     y1, p1, l1 = _resolve_cube(z1, gU, g)
     L0 = y0.vertex(frozenset()).rank
@@ -370,32 +367,24 @@ def _lift_cube(f: VertexMaps, x: Cube, q: VertexMaps, y: Cube, z: Cube) -> Verte
         dy = y.d(A | {v}, v)
         dx = x.d(A | {v}, v)
         rhs = s0p[A].compose(dx)
-        cols = dy.columns()
-        rel = y0.vertex(A).relations
-        out_cols = []
-        for j in range(rhs.source_rank):
-            coords = _graph_coordinates(rhs.column(j), cols, rel, ring, dy.target_rank)
-            if coords is None:
-                raise LiftError(
-                    f"lift failed: front solution does not factor through the "
-                    f"{v}-boundary at {{{subset_key(A)}}}")
-            out_cols.append(tuple(coords))
-        s1p[A] = FreeMap.from_columns(ring, dy.source_rank, out_cols)
+        coords = _graph_coordinates(rhs.columns(), dy.columns(), y0.vertex(A).relations,
+                                    ring, dy.target_rank)
+        if any(u is None for u in coords):
+            raise LiftError(
+                f"lift failed: front solution does not factor through the "
+                f"{v}-boundary at {{{subset_key(A)}}}")
+        s1p[A] = FreeMap.from_columns(ring, dy.source_rank, coords)
     h: VertexMaps = {}
     for A in sub_rest:
         defect = f[A] - q[A].compose(s0p[A])
         dz = z.d(A | {v}, v)
-        rel = z0.vertex(A).relations
-        cols = dz.columns()
-        out_cols = []
-        for j in range(defect.source_rank):
-            coords = _graph_coordinates(defect.column(j), cols, rel, ring, dz.target_rank)
-            if coords is None:
-                raise LiftError(
-                    f"lift failed: homotopy defect escapes the {v}-boundary image "
-                    f"at {{{subset_key(A)}}}")
-            out_cols.append(tuple(coords))
-        h[A] = FreeMap.from_columns(ring, dz.source_rank, out_cols)
+        coords = _graph_coordinates(defect.columns(), dz.columns(), z0.vertex(A).relations,
+                                    ring, dz.target_rank)
+        if any(u is None for u in coords):
+            raise LiftError(
+                f"lift failed: homotopy defect escapes the {v}-boundary image "
+                f"at {{{subset_key(A)}}}")
+        h[A] = FreeMap.from_columns(ring, dz.source_rank, coords)
     u = _lift_cube(h, x0, q1, y1, z1)
     t: VertexMaps = {}
     for A in sub_rest:
@@ -458,12 +447,12 @@ def check_resolution(out: ResolutionOutput, inp: ResolutionInput) -> Report:
         tag = f"stage {idx}"
         for T in z.subsets():
             M = z.vertex(T)
-            cols = epi[T].columns()
-            for i in range(M.rank):
-                if _graph_coordinates(M.basis_vector(i), cols, M.relations, ring, M.rank) is None:
-                    failures.append(
-                        f"(a) {tag}: epi at {{{subset_key(T)}}} misses basis vector {i}")
-                    break
+            basis = [M.basis_vector(i) for i in range(M.rank)]
+            coords = _graph_coordinates(basis, epi[T].columns(), M.relations, ring, M.rank)
+            missed = [i for i, u in enumerate(coords) if u is None]
+            if missed:
+                failures.append(
+                    f"(a) {tag}: epi at {{{subset_key(T)}}} misses basis vector {missed[0]}")
         expected = _typical_sum_cube(ring, z.labels, out.g, mult, gU)
         shapes_ok = True
         for T in y.subsets():
@@ -481,11 +470,11 @@ def check_resolution(out: ResolutionOutput, inp: ResolutionInput) -> Report:
                             f"(b) {tag}: boundary d^{k} at {{{subset_key(T)}}} is not the "
                             "declared diagonal")
         H = _h0_tot_module(z)
-        cols = epi[frozenset()].columns()
-        for i in range(H.rank):
-            if _graph_coordinates(H.basis_vector(i), cols, H.relations, ring, H.rank) is None:
-                failures.append(f"(c) {tag}: induced map on H_0(Tot) is not surjective")
-                break
+        basis = [H.basis_vector(i) for i in range(H.rank)]
+        coords = _graph_coordinates(basis, epi[frozenset()].columns(), H.relations,
+                                    ring, H.rank)
+        if any(u is None for u in coords):
+            failures.append(f"(c) {tag}: induced map on H_0(Tot) is not surjective")
         for T in z.subsets():
             for k in sorted(T):
                 diff = epi[T - {k}].compose(y.d(T, k)) - z.d(T, k).compose(epi[T])

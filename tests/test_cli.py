@@ -130,6 +130,30 @@ def test_malformed_document_is_input_error(tmp_path, command, doc):
     assert json.loads(out)["error"]["type"] == "input"
 
 
+@pytest.mark.parametrize("p", [2.5, "7", True], ids=["float", "string", "bool"])
+def test_field_characteristic_must_be_json_integer(tmp_path, p):
+    # int() used to read 2.5 as GF(2) and "7" as GF(7), each with verdict true
+    doc = {"ring": {"field": {"Fp": p}, "vars": ["x"]}, "sequence": ["x"]}
+    out, code = run("regseq", "--input", write_doc(tmp_path, doc))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "input"
+    assert "Fp" in err["message"]
+
+
+def test_failed_reverification_is_internal_error(monkeypatch):
+    # koszul_resolve raises RuntimeError when its own check of the result fails
+    import koszul_lab.resolve
+    from koszul_lab.cube import Report
+    monkeypatch.setattr(koszul_lab.resolve, "check_resolution",
+                        lambda out, inp: Report(False, ("(a) forced failure",)))
+    out, code = run("resolve", "--input", golden_in("resolve_onecube.json"))
+    assert code == 4
+    err = json.loads(out)["error"]
+    assert err["type"] == "internal"
+    assert "failed verification" in err["message"]
+
+
 # --------------------------------------------------------------------------
 # envelope and reproducibility header
 # --------------------------------------------------------------------------

@@ -214,6 +214,28 @@ def test_directional_homology_h1():
         directional_homology(typical_cube([X, Y]), "1", 2)
 
 
+def test_directional_homology_h1_of_zeroed_direction():
+    # ker of the zeroed d^2 is the whole vertex, so H_1^2 is the back face
+    # written in the reduced kernel basis (e2, e1); boundaries pinned as the
+    # one-vector solver computed them
+    from _gen import zero_direction
+    from koszul_lab.koszul import random_koszul
+    ring = RingSpec(101, ("x", "y", "z"))
+    x = zero_direction(random_koszul(list(ring.gens()), 2, 3, seed=11), "2")
+    h = directional_homology(x, "2", 1)
+    assert validate_cube(h).ok
+    assert {subset_key(T): h.vertex(T).rank for T in h.subsets()} == {
+        "": 2, "1": 2, "3": 2, "1,3": 2}
+    got = {f"{subset_key(T)}|{l}": [[str(p) for p in r] for r in h.d(T, l).entries]
+           for T in h.subsets() for l in sorted(T)}
+    assert got == {
+        "1|1": [["x^2", "30*x^2"], ["23*x^2 + 56*x", "84*x^2 + 65*x"]],
+        "3|3": [["54*z^2", "91*z^2"], ["30*z^2 + 25*z", "73*z^2 + z"]],
+        "1,3|1": [["x^2 + 69*x", "10*x"], ["76*x^2 + 9*x", "54*x"]],
+        "1,3|3": [["65*z^2 + 96*z", "71*z"], ["45*z^2 + 17*z", "z"]],
+    }
+
+
 def test_iterated_h0_agreement():
     x = typical_cube([X, Y])
     mc = iterated_h0(x, {"1", "2"})

@@ -371,3 +371,64 @@ def test_compose_ring_mismatch_raises():
         FreeMap.zero(Q2, 2, 2).compose(FreeMap.zero(F, 2, 1))
     with pytest.raises(ValueError):
         M([["x", "y"]]).compose(M([["x"]]))
+
+
+# --------------------------------------------------------------------------
+# batched graph coordinates against the one-vector solver they replaced
+# --------------------------------------------------------------------------
+
+def _graph_coordinates_reference(vec, cols, rels, ring, rank):
+    """Coordinates of one vector in terms of cols modulo rels, or None, by a
+    fresh graph module and `nf_vector` per vector."""
+    n = len(cols)
+    z = ring.zero()
+    gens = []
+    for j, col in enumerate(cols):
+        tail = [z] * n
+        tail[j] = ring.one()
+        gens.append(tuple(col) + tuple(tail))
+    for r in rels.generators:
+        gens.append(tuple(r) + (z,) * n)
+    graph = SubmoduleBasis(ring, rank + n, gens)
+    rem, _ = graph.nf_vector(tuple(vec) + (z,) * n)
+    if any(not p.is_zero() for p in rem[:rank]):
+        return None
+    return [-p for p in rem[rank:]]
+
+
+@pytest.mark.parametrize("field", ["Q", 101])
+def test_graph_coordinates_batch_matches_reference(field):
+    import random
+    from koszul_lab.modcalc import _graph_coordinates
+    ring = RingSpec(field, ("x", "y", "z"))
+    rng = random.Random(20261018)
+    seen_none = seen_coords = 0
+    for _ in range(40):
+        rank, n, nrels = rng.randint(1, 3), rng.randint(0, 4), rng.randint(0, 2)
+        cols = _sparse_random_map(rng, ring, rank, n).columns()
+        rels = SubmoduleBasis(ring, rank, _sparse_random_map(rng, ring, rank, nrels).columns())
+        # combinations of the columns and relations lie in the span; random
+        # vectors mostly do not
+        span = FreeMap.from_columns(ring, rank, cols + list(rels.generators))
+        vecs = []
+        for _ in range(rng.randint(0, 5)):
+            if rng.random() < 0.6:
+                coeffs = _sparse_random_map(rng, ring, n + nrels, 1, density=0.6).column(0)
+                vecs.append(span.apply(coeffs))
+            else:
+                vecs.append(_sparse_random_map(rng, ring, rank, 1, density=0.6).column(0))
+        got = _graph_coordinates(vecs, cols, rels, ring, rank)
+        want = [_graph_coordinates_reference(v, cols, rels, ring, rank) for v in vecs]
+        assert got == want
+        seen_none += want.count(None)
+        seen_coords += len(want) - want.count(None)
+    assert seen_none and seen_coords
+    assert _graph_coordinates([], [(X,)], SubmoduleBasis(Q2, 1, []), Q2, 1) == []
+
+
+def test_lift_reports_non_surjective_before_missing_preimage():
+    # p misses e2, and so does the second column of f
+    mod = FPModule.free(Q2, 2)
+    p = FreeMap.from_columns(Q2, 2, [(ONE, ZERO)])
+    with pytest.raises(LiftError, match="not surjective"):
+        lift_through_surjection(FreeMap.identity(Q2, 2), p, mod)

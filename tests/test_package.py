@@ -1,11 +1,14 @@
 """The package names that code outside the library reads."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import koszul_lab
 
-WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKER = PERFBENCH / "worker.py"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def test_benchmark_worker_names_exist():
@@ -18,3 +21,16 @@ def test_benchmark_worker_names_exist():
     assert {"Cube", "ModCube", "is_admissible", "koszul_resolve"} <= names
     assert [n for n in sorted(names) if not hasattr(koszul_lab, n)] == []
     assert koszul_lab.ModCube is koszul_lab.Cube
+
+
+def test_tracer_private_names_exist():
+    # The tracer wraps these private helpers by name; a missing one would
+    # only show as a crashed traced run.
+    tree = ast.parse(TRACER.read_text())
+    private = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "PRIVATE" for t in node.targets))
+    assert "_graph_coordinates" in private["modcalc"]
+    missing = [f"{layer}.{name}" for layer, names in sorted(private.items()) for name in names
+               if not hasattr(importlib.import_module(f"koszul_lab.{layer}"), name)]
+    assert missing == []

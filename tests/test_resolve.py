@@ -263,3 +263,26 @@ def test_chain_square_example():
     out = koszul_resolve(inp)
     rep = check_resolution(out, inp)
     assert rep.ok, rep.failures
+
+
+def test_resolve_solves_each_lifting_system_once(monkeypatch):
+    # a chain of two free 1-cubes: the resolution, the lift of the chain map
+    # and check_resolution each write a batch of vectors against one
+    # (cols, rels); 13 solver calls in all (22 with one call per vector)
+    import koszul_lab.cube
+    import koszul_lab.modcalc
+    import koszul_lab.resolve
+    from _gen import resolve_problems
+    inp = resolve_problems()[4]
+    assert len(inp.targets) == 2
+    solve = koszul_lab.modcalc._graph_coordinates
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    for module in (koszul_lab.modcalc, koszul_lab.resolve, koszul_lab.cube):
+        monkeypatch.setattr(module, "_graph_coordinates", counted)
+    koszul_resolve(inp)
+    assert len(calls) <= 13
