@@ -172,13 +172,27 @@ def _ring_from_doc(doc: dict, order_flag) -> RingSpec:
     if not isinstance(variables, list) or not variables:
         raise ValueError("'ring.vars' must be a nonempty list")
     order = order_flag or spec.get("order", "grevlex")
-    return RingSpec(field, tuple(str(v) for v in variables), order)
+    names = tuple(_string_from_doc(v, f"ring.vars[{i}]") for i, v in enumerate(variables))
+    return RingSpec(field, names, order)
+
+
+def _string_from_doc(value, where: str) -> str:
+    """Polynomials and variable names are JSON strings; `where` is the JSON
+    path that names a value of any other type in the error."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where} must be a string, got {json.dumps(value)}")
+    return value
+
+
+def _poly_from_doc(value, ring: RingSpec, where: str) -> Poly:
+    return parse_poly(_string_from_doc(value, where), ring)
 
 
 def _matrix_from_doc(rows, ring, target_rank, source_rank, where: str) -> FreeMap:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise ValueError(f"matrix '{where}' must be a list of rows")
-    parsed = [[parse_poly(str(s), ring) for s in r] for r in rows]
+    parsed = [[_poly_from_doc(s, ring, f"{where}[{i}][{j}]") for j, s in enumerate(r)]
+              for i, r in enumerate(rows)]
     return FreeMap(ring, parsed, target_rank=target_rank, source_rank=source_rank)
 
 
@@ -212,19 +226,21 @@ def _cube_from_doc(doc: dict, ring: RingSpec) -> Cube:
     if extra:
         raise ValueError(f"unknown vertex keys {sorted(extra)}")
     bd = _object(_require(cd, "boundaries"), "cube.boundaries")
-    return Cube(ring, labels, ranks, _boundaries_from_doc(bd, ring, subs, ranks.get))
+    return Cube(ring, labels, ranks,
+                _boundaries_from_doc(bd, ring, subs, ranks.get, "cube.boundaries"))
 
 
-def _boundaries_from_doc(bd: dict, ring: RingSpec, subs: list, rank) -> dict:
-    """Boundary matrices keyed "<subset key>|<direction>"; rank(T) is the
-    ambient rank of the vertex at T."""
+def _boundaries_from_doc(bd: dict, ring: RingSpec, subs: list, rank, where: str) -> dict:
+    """Boundary matrices keyed "<subset key>|<direction>" in the object at
+    JSON path `where`; rank(T) is the ambient rank of the vertex at T."""
     boundary = {}
     for T in subs:
         for k in sorted(T):
             key = f"{subset_key(T)}|{k}"
             if key not in bd:
                 raise ValueError(f"missing boundary matrix '{key}'")
-            boundary[(T, k)] = _matrix_from_doc(bd[key], ring, rank(T - {k}), rank(T), key)
+            boundary[(T, k)] = _matrix_from_doc(bd[key], ring, rank(T - {k}), rank(T),
+                                                f"{where}[{json.dumps(key)}]")
     extra = set(bd) - {f"{subset_key(T)}|{k}" for T in subs for k in T}
     if extra:
         raise ValueError(f"unknown boundary keys {sorted(extra)}")
@@ -235,7 +251,7 @@ def _sequence_from_doc(doc: dict, ring: RingSpec, key: str = "sequence"):
     seq = _require(doc, key)
     if not isinstance(seq, list):
         raise ValueError(f"'{key}' must be a list of polynomial strings")
-    return [parse_poly(str(s), ring) for s in seq]
+    return [_poly_from_doc(s, ring, f"{key}[{i}]") for i, s in enumerate(seq)]
 
 
 def _complex_from_doc(doc: dict, ring: RingSpec) -> Complex:
@@ -247,12 +263,15 @@ def _complex_from_doc(doc: dict, ring: RingSpec) -> Complex:
     diffs_doc = cd.get("differentials", [])
     if len(diffs_doc) != len(ranks) - 1:
         raise ValueError(f"expected {len(ranks) - 1} differentials, got {len(diffs_doc)}")
-    diffs = [_matrix_from_doc(rows, ring, ranks[k], ranks[k + 1], f"d_{k + 1}")
+    diffs = [_matrix_from_doc(rows, ring, ranks[k], ranks[k + 1],
+                              f"complex.differentials[{k}]")
              for k, rows in enumerate(diffs_doc)]
     return Complex(ring, ranks, diffs)
 
 
-def _modcube_from_doc(d: dict, ring: RingSpec) -> Cube:
+def _modcube_from_doc(d, ring: RingSpec, where: str) -> Cube:
+    """The module cube in the object `d` at JSON path `where`."""
+    d = _object(d, where)
     labels = d.get("S", [])
     if not isinstance(labels, list):
         raise ValueError("'S' must be a list of labels")
@@ -272,14 +291,16 @@ def _modcube_from_doc(d: dict, ring: RingSpec) -> Cube:
         if not isinstance(rows, list) or any(not isinstance(row, list) for row in rows):
             raise ValueError(f"relations of vertex '{key}' must be a list of rows")
         gens = []
-        for row in rows:
-            vec = tuple(parse_poly(str(s), ring) for s in row)
+        for i, row in enumerate(rows):
+            path = f"{where}.vertices[{json.dumps(key)}].relations[{i}]"
+            vec = tuple(_poly_from_doc(s, ring, f"{path}[{j}]") for j, s in enumerate(row))
             if len(vec) != rank:
                 raise ValueError(f"relation length mismatch at vertex '{key}'")
             gens.append(vec)
         verts[T] = FPModule(ring, rank, SubmoduleBasis(ring, rank, gens))
     bd = _object(d.get("boundaries", {}), "boundaries")
-    return Cube(ring, labels, verts, _boundaries_from_doc(bd, ring, subs, lambda T: verts[T].rank))
+    return Cube(ring, labels, verts, _boundaries_from_doc(bd, ring, subs, lambda T: verts[T].rank,
+                                                          f"{where}.boundaries"))
 
 
 # ---------------------------------------------------------------------------
@@ -612,27 +633,27 @@ def cmd_resolve(input_path, order, seed, max_power, perm_cap, fmt):
             raise ValueError("'resolution.U' and 'resolution.V' must be lists of labels")
         U, V = [str(u) for u in U], [str(v) for v in V]
         fs_doc = _object(_require(rd, "fs"), "resolution.fs")
-        fs = {str(s): parse_poly(str(p), ring) for s, p in fs_doc.items()}
+        fs = {s: _poly_from_doc(p, ring, f"resolution.fs[{json.dumps(s)}]")
+              for s, p in fs_doc.items()}
         targets_doc = _require(rd, "targets")
         if not isinstance(targets_doc, list):
             raise ValueError("'resolution.targets' must be a list")
-        targets = [_modcube_from_doc(_object(d, f"resolution.targets[{i}]"), ring)
+        targets = [_modcube_from_doc(d, ring, f"resolution.targets[{i}]")
                    for i, d in enumerate(targets_doc)]
 
-        def keyed_maps(d, src, tgt):
+        def keyed_maps(d, src, tgt, where):
             out = {}
-            for key, rows in d.items():
+            for key, rows in _object(d, where).items():
                 T = frozenset(s for s in key.split(",") if s)
                 out[T] = _matrix_from_doc(rows, ring, tgt.vertex(T).rank,
-                                          src.vertex(T).rank, key)
+                                          src.vertex(T).rank, f"{where}[{json.dumps(key)}]")
             return out
 
         connecting_doc = rd.get("connecting", [])
         if not isinstance(connecting_doc, list) or len(connecting_doc) != len(targets) - 1:
             raise ValueError("'resolution.connecting' must be a list of one map per "
                              "consecutive pair of targets")
-        connecting = [keyed_maps(_object(w, f"resolution.connecting[{i}]"),
-                                 targets[i], targets[i + 1])
+        connecting = [keyed_maps(w, targets[i], targets[i + 1], f"resolution.connecting[{i}]")
                       for i, w in enumerate(connecting_doc)]
         inp = ResolutionInput(fs, U, V, targets, connecting)
         out = koszul_resolve(inp, cap=max_power)

@@ -48,7 +48,6 @@ from .modcalc import (
     FPModule,
     FreeMap,
     annihilator,
-    cokernel,
     determinant_of_square,
     fitting_ideal,
     is_injective,
@@ -118,19 +117,23 @@ class KoszulVerdict:
 # sequences
 # ---------------------------------------------------------------------------
 
-def _regular_check(seq: Sequence[Poly]):
-    """(ok, failing index 1-based, witness) for one fixed order."""
-    if not seq:
-        return True, None, None
-    ring = seq[0].ring
-    for i, f in enumerate(seq, start=1):
-        if is_unit(f):
-            return False, i, None
-        prefix = IdealBasis(ring, list(seq[:i - 1]))
-        quot = ideal_quotient(prefix, f)
-        if quot != prefix:
-            witness = next(g for g in quot.reduced_gb if not prefix.contains(g))
-            return False, i, witness
+def _regular_check(fs: Sequence[Poly], order: Sequence[int], memo: dict):
+    """(ok, failing position 1-based, witness) for fs taken in `order`.
+
+    memo maps (frozenset of prefix indices, index i) to the witness that f_i
+    is a zerodivisor modulo the prefix ideal, or to None when it is not.
+    """
+    for pos, i in enumerate(order, start=1):
+        if is_unit(fs[i]):
+            return False, pos, None
+        key = (frozenset(order[:pos - 1]), i)
+        if key not in memo:
+            prefix = IdealBasis(fs[i].ring, [fs[j] for j in order[:pos - 1]])
+            quot = ideal_quotient(prefix, fs[i])
+            memo[key] = None if quot == prefix else next(
+                g for g in quot.reduced_gb if not prefix.contains(g))
+        if memo[key] is not None:
+            return False, pos, memo[key]
     return True, None, None
 
 
@@ -142,7 +145,7 @@ def is_regular_sequence(fs: Sequence[Poly]) -> SequenceReport:
     Groebner basis.
     """
     fs = tuple(fs)
-    ok, idx, wit = _regular_check(fs)
+    ok, idx, wit = _regular_check(fs, range(len(fs)), {})
     return SequenceReport(fs, ok, failing_index=idx, witness=wit)
 
 
@@ -150,22 +153,28 @@ def is_A_sequence(fs: Sequence[Poly], perm_cap: int = 6) -> SequenceReport:
     """Regular under every permutation (the order-free strengthening).
 
     All len(fs)! orders are checked, so the length is capped (default 6).
-    Prefix ideals repeat heavily across permutations and hit the Groebner
-    cache, which keeps this affordable.
+    Each regularity question is decided once per call: whether f_i is a
+    nonzerodivisor modulo (f_j : j ∈ P) depends only on the set P, and the
+    witness, the first element of the reduced Groebner basis of (P : f_i)
+    outside (P), is canonical too.  A memo keyed on (P, i) is shared by the
+    first-order check and every permutation, so n entries cost at most
+    n·2^(n-1) ideal quotients instead of n + n!·n, and every report is the
+    one the unmemoized checks would give.
     """
     fs = tuple(fs)
     if len(fs) > perm_cap:
         raise CapExceededError(
             f"A-sequence check on {len(fs)} elements exceeds the permutation cap {perm_cap}")
-    reg_ok, reg_idx, reg_wit = _regular_check(fs)
+    memo: dict = {}
+    reg_ok, reg_idx, reg_wit = _regular_check(fs, range(len(fs)), memo)
     if not reg_ok:
         return SequenceReport(fs, False, a_sequence=False, failing_permutation=fs,
                               failing_index=reg_idx, witness=reg_wit)
     for perm in permutations(range(len(fs))):
-        order = tuple(fs[i] for i in perm)
-        ok, idx, wit = _regular_check(order)
+        ok, idx, wit = _regular_check(fs, perm, memo)
         if not ok:
-            return SequenceReport(fs, True, a_sequence=False, failing_permutation=order,
+            return SequenceReport(fs, True, a_sequence=False,
+                                  failing_permutation=tuple(fs[i] for i in perm),
                                   failing_index=idx, witness=wit)
     return SequenceReport(fs, True, a_sequence=True)
 
@@ -242,12 +251,36 @@ def _sequence_by_label(x: Cube, fs) -> Dict[str, Poly]:
     return dict(zip(x.labels, fs))
 
 
+def _boundary_flags(m: FreeMap, f: Poly) -> Tuple[bool, bool]:
+    """(injective, support on V(f)) for one boundary m, an r×s matrix."""
+    ring = m.ring
+    r, s = m.target_rank, m.source_rank
+    if r == s:
+        det = determinant_of_square(m)
+        return not det.is_zero(), radical_membership(f, IdealBasis(ring, [det]))
+    if r == 0:
+        fitt = IdealBasis(ring, [ring.one()])   # the empty minor
+    elif s < r:
+        fitt = IdealBasis(ring, [])
+    else:
+        fitt = fitting_ideal(m, r)
+    return is_injective(m), radical_membership(f, fitt)
+
+
 def is_koszul_cube(x: Cube, fs) -> KoszulVerdict:
     """Every boundary d^k_T injective with cokernel supported on V(f_k).
 
-    Support is the radical-membership test of f_k against the cokernel's
-    annihilator.  Diagnostics cover every (T,k) pair even after a failure,
-    so a bad cube reports all of its defects at once.
+    Support is tested on Fitt_0 instead of the annihilator: by Fitting's
+    lemma √Ann(M) = √Fitt_0(M) (Eisenbud, Commutative Algebra, Prop. 20.7),
+    and Fitt_0(coker m) is the ideal of maximal minors I_r(m) of the r×s
+    matrix m, so the flag is the radical test of f_k against I_r(m).  That
+    ideal is the unit ideal when r = 0 and zero when s < r, as the
+    annihilator is on those shapes.  For a square m, Fitt_0 = (det m), and
+    since the ring is a domain m is injective iff det m ≠ 0: one determinant
+    decides both flags.  A non-square m keeps the kernel computation for
+    injectivity.  Diagnostics
+    cover every (T,k) pair even after a failure, so a bad cube reports all
+    of its defects at once.
     """
     _require_free(x)
     seq = _sequence_by_label(x, fs)
@@ -255,9 +288,7 @@ def is_koszul_cube(x: Cube, fs) -> KoszulVerdict:
     ok = True
     for T in x.subsets():
         for k in sorted(T):
-            m = x.d(T, k)
-            inj = is_injective(m)
-            supp = radical_membership(seq[k], annihilator(cokernel(m)))
+            inj, supp = _boundary_flags(x.d(T, k), seq[k])
             diagnostics[f"{subset_key(T)}|{k}"] = {"injective": inj, "support": supp}
             ok = ok and inj and supp
     return KoszulVerdict(ok, diagnostics)

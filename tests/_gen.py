@@ -5,7 +5,7 @@ are sized so the whole acceptance run stays within its stated time budgets
 on a laptop-class machine (GF(101) coefficients, small ranks).
 """
 
-from koszul_lab.arith import RingSpec
+from koszul_lab.arith import RingSpec, parse_poly
 from koszul_lab.cube import Cube, ModCube
 from koszul_lab.koszul import random_koszul
 from koszul_lab.modcalc import Complex, FreeMap, FPModule
@@ -47,6 +47,24 @@ def koszul_suite(count=100, seed0=SEED0):
         summands = rng.randint(1, max_summands)
         steps = rng.randint(0, 5)
         out.append((random_koszul(fs, summands, steps, seed=seed0 + i), fs))
+    return out
+
+
+# A-sequences of non-linear entries: pure powers, and a power plus a mixed
+# term, in every order regular
+NONLINEAR_A_SEQUENCES = (("x^2", "y^2+x*z", "z^3"), ("x*y+z^2", "y^2", "x^3"))
+
+
+def nonlinear_koszul_suite(per_sequence=6, seed0=SEED0 + 60_000):
+    """(cube, fs) pairs from random_koszul on NONLINEAR_A_SEQUENCES over Q
+    and GF(101): |S| = 3, vertex rank cycling through 1..3."""
+    out = []
+    for field in ("Q", 101):
+        ring = RingSpec(field, ("x", "y", "z"))
+        for texts in NONLINEAR_A_SEQUENCES:
+            fs = [parse_poly(t, ring) for t in texts]
+            for i in range(per_sequence):
+                out.append((random_koszul(fs, 1 + i % 3, 1 + (2 * i) % 5, seed=seed0 + i), fs))
     return out
 
 

@@ -30,6 +30,7 @@ from koszul_lab.koszul import (
     determinant,
     factor_sequence_check,
     is_A_sequence,
+    is_koszul_cube,
     is_regular_sequence,
     typical_cube,
 )
@@ -332,3 +333,23 @@ def test_criterion_9_output_stability():
         cross += 1
     report(9, f"byte-stable goldens: {reruns} commands x 2 consecutive runs; "
               f"{cross} order-independent commands x 3 orders")
+
+
+# ---------------------------------------------------------------------------
+# 10. the theorems on non-linear A-sequences
+# ---------------------------------------------------------------------------
+
+def test_criterion_10_nonlinear_a_sequences():
+    t0 = time.perf_counter()
+    suite = _gen.nonlinear_koszul_suite(6)
+    assert len(suite) == 24
+    for i, (c, fs) in enumerate(suite):
+        assert len(c.labels) == 3 and all(r <= 3 for r in c.vertex_rank.values())
+        assert is_koszul_cube(c, fs).is_koszul, (i, "not Koszul")
+        for s in STRATEGIES:
+            assert is_admissible(c, strategy=s).ok, (i, s)
+        assert det_is_a_sequence(c), (i, "determinants not an A-sequence")
+    dt = time.perf_counter() - t0
+    report(10, f"{len(suite)} cubes on non-linear A-sequences (|S|=3, rank<=3, Q and "
+               f"GF(101)): Koszul, admissible by all 3 strategies, determinants an "
+               f"A-sequence, in {dt:.2f}s")

@@ -130,6 +130,40 @@ def test_malformed_document_is_input_error(tmp_path, command, doc):
     assert json.loads(out)["error"]["type"] == "input"
 
 
+# a non-string where a polynomial or a variable name belongs used to be read
+# through str(): null became the text "None", which is a variable of the
+# sequence case's ring
+NON_STRING_CASES = [
+    ("matrix", "validate",
+     {"ring": RING_Q2, "cube": {**ONE_CUBE, "boundaries": {"1|1": [[None]]}}},
+     'cube.boundaries["1|1"][0][0]'),
+    ("sequence", "regseq",
+     {"ring": {"field": "Q", "vars": ["x", "None"]}, "sequence": ["x", None]},
+     "sequence[1]"),
+    ("relations", "resolve",
+     {"ring": RING_Q2, "resolution": {"U": [], "V": [], "fs": {}, "targets": [
+         {"S": [], "vertices": {"": {"rank": 1, "relations": [[True]]}}}]}},
+     'resolution.targets[0].vertices[""].relations[0][0]'),
+    ("fs", "resolve",
+     {"ring": RING_Q2, "resolution": {"U": ["1"], "V": [], "fs": {"1": 1}, "targets": [
+         {"S": [], "vertices": {"": {"rank": 1, "relations": [["x"]]}}}]}},
+     'resolution.fs["1"]'),
+    ("vars", "regseq",
+     {"ring": {"field": "Q", "vars": [1, 2]}, "sequence": ["1"]},
+     "ring.vars[0]"),
+]
+
+
+@pytest.mark.parametrize("command,doc,path", [c[1:] for c in NON_STRING_CASES],
+                         ids=[c[0] for c in NON_STRING_CASES])
+def test_non_string_polynomial_is_input_error(tmp_path, command, doc, path):
+    out, code = run(command, "--input", write_doc(tmp_path, doc))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "input"
+    assert err["message"].startswith(f"{path} must be a string")
+
+
 @pytest.mark.parametrize("p", [2.5, "7", True], ids=["float", "string", "bool"])
 def test_field_characteristic_must_be_json_integer(tmp_path, p):
     # int() used to read 2.5 as GF(2) and "7" as GF(7), each with verdict true

@@ -2,9 +2,11 @@
 
 import pytest
 
+import _gen
+import koszul_lab.koszul as koszul
 from koszul_lab.arith import RingSpec, parse_poly
 from koszul_lab.cube import Cube, subset_key, total_complex, validate_cube
-from koszul_lab.groebner import IdealBasis, SubmoduleBasis
+from koszul_lab.groebner import IdealBasis, SubmoduleBasis, radical_membership
 from koszul_lab.koszul import (
     be_acyclicity,
     det_is_a_sequence,
@@ -24,6 +26,9 @@ from koszul_lab.modcalc import (
     CapExceededError,
     Complex,
     FreeMap,
+    annihilator,
+    cokernel,
+    is_injective,
     submodule_equal,
     zero_spherical,
 )
@@ -91,6 +96,101 @@ def test_a_sequence_perm_cap():
         is_A_sequence([x, y, z], perm_cap=2)
 
 
+def test_a_sequence_decides_each_question_once(monkeypatch):
+    # one ideal quotient per (prefix set, entry): 4 * 2^3, where checking
+    # every order afresh costs 4 + 4! * 4 = 100
+    calls = []
+    real = koszul.ideal_quotient
+
+    def counted(I, f):
+        calls.append(f)
+        return real(I, f)
+
+    monkeypatch.setattr(koszul, "ideal_quotient", counted)
+    for ring in (RingSpec("Q", ("x", "y", "z", "w")), RingSpec(101, ("x", "y", "z", "w"))):
+        for text in (("x", "y", "z", "w"), ("x^2", "y^2+x*z", "z^3", "w")):
+            calls.clear()
+            assert is_A_sequence([parse_poly(t, ring) for t in text]).a_sequence
+            assert len(calls) <= 32
+
+
+# (field, sequence, is_regular_sequence fields, is_A_sequence fields), each
+# report as (regular, a_sequence, failing_permutation, failing_index,
+# witness); pinned from the checks that tried every order afresh
+SEQUENCE_REPORTS = [
+    ("Q", ("x", "y*(1-x)", "z*(1-x)"),
+     (True, None, None, None, None),
+     (True, False, ("-x*y + y", "-x*z + z", "x"), 2, "y")),
+    ("Q", ("y*(1-x)", "z*(1-x)", "x"),
+     (False, None, None, 2, "y"),
+     (False, False, ("-x*y + y", "-x*z + z", "x"), 2, "y")),
+    ("Q", ("w", "x", "y*(1-x)", "z*(1-x)"),
+     (True, None, None, None, None),
+     (True, False, ("w", "-x*y + y", "-x*z + z", "x"), 3, "y")),
+    ("Q", ("x", "2", "y"),
+     (False, None, None, 2, None),
+     (False, False, ("x", "2", "y"), 2, None)),
+    ("Q", ("x", "0", "y"),
+     (False, None, None, 2, "1"),
+     (False, False, ("x", "0", "y"), 2, "1")),
+    ("Q", ("0", "x"),
+     (False, None, None, 1, "1"),
+     (False, False, ("0", "x"), 1, "1")),
+    ("Q", ("x", "y", "x"),
+     (False, None, None, 3, "1"),
+     (False, False, ("x", "y", "x"), 3, "1")),
+    ("Q", ("x*y", "x*z", "y*z"),
+     (False, None, None, 2, "y"),
+     (False, False, ("x*y", "x*z", "y*z"), 2, "y")),
+    ("Q", ("x^2", "y^2+x*z", "z^3", "w"),
+     (True, None, None, None, None),
+     (True, True, None, None, None)),
+    (101, ("x", "y*(1-x)", "z*(1-x)"),
+     (True, None, None, None, None),
+     (True, False, ("100*x*y + y", "100*x*z + z", "x"), 2, "y")),
+    (101, ("w", "x", "y*(1-x)", "z*(1-x)"),
+     (True, None, None, None, None),
+     (True, False, ("w", "100*x*y + y", "100*x*z + z", "x"), 3, "y")),
+    (101, ("x", "2", "y"),
+     (False, None, None, 2, None),
+     (False, False, ("x", "2", "y"), 2, None)),
+    (101, ("x", "y", "x"),
+     (False, None, None, 3, "1"),
+     (False, False, ("x", "y", "x"), 3, "1")),
+]
+
+
+def _report_fields(rep):
+    perm = rep.failing_permutation
+    return (rep.regular, rep.a_sequence, None if perm is None else tuple(map(str, perm)),
+            rep.failing_index, None if rep.witness is None else str(rep.witness))
+
+
+@pytest.mark.parametrize("field,text,regular,a_seq", SEQUENCE_REPORTS)
+def test_sequence_reports_pinned(field, text, regular, a_seq):
+    ring = RingSpec(field, ("x", "y", "z", "w"))
+    fs = [parse_poly(t, ring) for t in text]
+    assert _report_fields(is_regular_sequence(fs)) == regular
+    assert _report_fields(is_A_sequence(fs)) == a_seq
+
+
+@pytest.mark.parametrize("field", ["Q", 101])
+def test_factor_sequence_check_pinned(field):
+    ring = RingSpec(field, ("x", "y", "z", "w"))
+    cases = [  # fs, gs, (hypothesis, conclusion, applicable)
+        (("x", "y"), ("y", "x"), (False, True, False)),
+        (("x", "y", "z"), ("x", "y^2", "z"), (True, True, True)),
+        (("x", "x*y"), ("y", "1"), (False, False, False)),
+        (("x", "y*(1-x)", "z*(1-x)"), ("1", "1", "1"), (False, False, False)),
+    ]
+    for fs, gs, expected in cases:
+        rep = factor_sequence_check([parse_poly(t, ring) for t in fs],
+                                    [parse_poly(t, ring) for t in gs])
+        assert rep.ok and rep.failures == ()
+        assert (rep.info["hypothesis_a_sequence"], rep.info["conclusion_a_sequence"],
+                rep.info["applicable"]) == expected
+
+
 def test_factor_sequence_check():
     rep = factor_sequence_check([X ** 2, Y ** 3], [X, Y])
     assert rep.ok
@@ -145,6 +245,55 @@ def test_koszul_rejects_noninjective():
     z = Cube(Q2, ("1",), {E: 1, S1: 1}, {(S1, "1"): FreeMap.zero(Q2, 1, 1)})
     v = is_koszul_cube(z, [X])
     assert not v.is_koszul and not v.diagnostics["1|1"]["injective"]
+
+
+def _reference_diagnostics(x, fs):
+    """Both boundary flags from a kernel computation and the radical test
+    against the full annihilator of the cokernel."""
+    seq = dict(zip(x.labels, fs))
+    return {f"{subset_key(T)}|{k}": {
+                "injective": is_injective(x.d(T, k)),
+                "support": radical_membership(seq[k], annihilator(cokernel(x.d(T, k))))}
+            for T in x.subsets() for k in sorted(T)}
+
+
+def _one_direction(ring, rank0, rank1, rows):
+    return Cube(ring, ("1",), {E: rank0, S1: rank1},
+                {(S1, "1"): FreeMap(ring, rows, target_rank=rank0, source_rank=rank1)})
+
+
+def test_koszul_diagnostics_match_annihilator_reference():
+    cases = []
+    q3 = RingSpec("Q", ("x", "y", "z"))
+    qx, qy, qz = q3.gens()
+    q_seqs = ([qx], [qx, qy], [qx + qy, qz], [qx, qy + qz, qz])
+    suites = [_gen.koszul_suite(100)]
+    suites.append([(random_koszul(q_seqs[i % 4], 1 + i % (4 - len(q_seqs[i % 4])), i % 5,
+                                  seed=_gen.SEED0 + i), q_seqs[i % 4]) for i in range(24)])
+    for suite in suites:
+        for c, fs in suite:
+            cases.append((c, fs))
+            if len(fs) > 1:
+                cases.append((c, fs[::-1]))   # wrong support
+            cases.append((_gen.zero_direction(c, c.labels[-1]), fs))
+    for ring in (q3, _gen.R3):
+        x, y, z = ring.gens()
+        zero = ring.zero()
+        for f in (x, y, zero, ring.one()):
+            cases += [
+                (_one_direction(ring, 1, 0, [[]]), [f]),                   # 1x0
+                (_one_direction(ring, 0, 1, []), [f]),                     # 0x1
+                (_one_direction(ring, 2, 1, [[x], [y]]), [f]),             # 2x1
+                (_one_direction(ring, 2, 1, [[zero], [zero]]), [f]),
+                (_one_direction(ring, 1, 2, [[x, y * z]]), [f]),           # 1x2
+                (_one_direction(ring, 2, 3, [[x, y, zero], [zero, x, z]]), [f]),
+            ]
+    boundaries = 0
+    for c, fs in cases:
+        reference = _reference_diagnostics(c, fs)
+        assert is_koszul_cube(c, fs).diagnostics == reference
+        boundaries += len(reference)
+    assert boundaries > 600
 
 
 def test_koszul_power_boundary_not_reduced():
