@@ -219,9 +219,6 @@ class RingSpec:
         self._var_index = {v: i for i, v in enumerate(variables)}
         self._zero_exp = (0,) * self.nvars
 
-    def var_index(self, name: str) -> int:
-        return self._var_index[name]
-
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> "Poly":

@@ -177,11 +177,18 @@ def _ring_from_doc(doc: dict, order_flag) -> RingSpec:
 
 
 def _string_from_doc(value, where: str) -> str:
-    """Polynomials and variable names are JSON strings; `where` is the JSON
-    path that names a value of any other type in the error."""
+    """Polynomials, variable names and labels are JSON strings; `where` is
+    the JSON path that names a value of any other type in the error."""
     if not isinstance(value, str):
         raise ValueError(f"{where} must be a string, got {json.dumps(value)}")
     return value
+
+
+def _labels_from_doc(value, where: str) -> tuple:
+    """A list of labels at JSON path `where`; each label is a JSON string."""
+    if not isinstance(value, list):
+        raise ValueError(f"'{where}' must be a list of labels")
+    return tuple(_string_from_doc(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
 def _poly_from_doc(value, ring: RingSpec, where: str) -> Poly:
@@ -210,10 +217,7 @@ def _rank_from_doc(value, where: str) -> int:
 
 def _cube_from_doc(doc: dict, ring: RingSpec) -> Cube:
     cd = _object(_require(doc, "cube"), "cube")
-    labels = cd.get("S")
-    if not isinstance(labels, list):
-        raise ValueError("'cube.S' must be a list of labels")
-    labels = tuple(str(l) for l in labels)
+    labels = _labels_from_doc(cd.get("S"), "cube.S")
     vd = _object(_require(cd, "vertices"), "cube.vertices")
     subs = label_subsets(labels)
     ranks = {}
@@ -272,10 +276,7 @@ def _complex_from_doc(doc: dict, ring: RingSpec) -> Complex:
 def _modcube_from_doc(d, ring: RingSpec, where: str) -> Cube:
     """The module cube in the object `d` at JSON path `where`."""
     d = _object(d, where)
-    labels = d.get("S", [])
-    if not isinstance(labels, list):
-        raise ValueError("'S' must be a list of labels")
-    labels = tuple(str(l) for l in labels)
+    labels = _labels_from_doc(d.get("S", []), f"{where}.S")
     vd = _object(_require(d, "vertices"), "vertices")
     subs = label_subsets(labels)
     verts = {}
@@ -628,10 +629,8 @@ def cmd_resolve(input_path, order, seed, max_power, perm_cap, fmt):
         doc = _load_doc(input_path)
         ring = _ring_from_doc(doc, order)
         rd = _object(_require(doc, "resolution"), "resolution")
-        U, V = rd.get("U", []), rd.get("V", [])
-        if not isinstance(U, list) or not isinstance(V, list):
-            raise ValueError("'resolution.U' and 'resolution.V' must be lists of labels")
-        U, V = [str(u) for u in U], [str(v) for v in V]
+        U = _labels_from_doc(rd.get("U", []), "resolution.U")
+        V = _labels_from_doc(rd.get("V", []), "resolution.V")
         fs_doc = _object(_require(rd, "fs"), "resolution.fs")
         fs = {s: _poly_from_doc(p, ring, f"resolution.fs[{json.dumps(s)}]")
               for s, p in fs_doc.items()}

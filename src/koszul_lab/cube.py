@@ -222,13 +222,18 @@ def validate_cube(x: Cube) -> Report:
     return Report(not failures, tuple(failures))
 
 
+def _require_valid(x: Cube) -> None:
+    """Raise ValueError unless x is a valid cube."""
+    report = validate_cube(x)
+    if not report.ok:
+        raise ValueError("invalid cube: " + "; ".join(report.failures))
+
+
 def _require_free(x: Cube) -> None:
     """Raise ValueError unless x is a valid cube of free modules."""
     if any(M.relations.generators for M in x.vertices.values()):
         raise ValueError("expected a cube of free modules, but a vertex carries relations")
-    report = validate_cube(x)
-    if not report.ok:
-        raise ValueError("invalid cube: " + "; ".join(report.failures))
+    _require_valid(x)
 
 
 def restrict(x: Cube, U: Iterable[str], V: Iterable[str]) -> Cube:
@@ -350,6 +355,15 @@ def _h0_modcube(x: Cube, k: str) -> Cube:
     return Cube(x.ring, labels, verts, boundary)
 
 
+def _h0_over(x: Cube, T: Iterable[str]) -> Cube:
+    """H_0 over the directions in T, taken in label order: a module cube over
+    S∖T whose vertex at W is x_W modulo rel_W + Σ_{k∈T} im d^k_{W∪k}, the
+    relations first, then the columns of each d^k in label order."""
+    for k in [lab for lab in x.labels if lab in T]:
+        x = _h0_modcube(x, k)
+    return x
+
+
 def directional_homology(x: Cube, k: str, p: int) -> Cube:
     """H_p^k(x) as a module cube over S∖{k}; p must be 0 or 1.
 
@@ -400,7 +414,8 @@ def iterated_h0(x: Cube, T: Iterable[str]) -> Cube:
     Its vertex at W is x's vertex at W with relations enlarged by
     Σ_{k∈T} im d^k_{W∪k}, a sum that does not depend on the order in which
     the directions are taken, so they are taken in label order.  Requires
-    admissibility of x when |T| ≥ 2, per the iterated-homology hypothesis.
+    admissibility of x when |T| ≥ 2, per the iterated-homology hypothesis;
+    x may be free or carry relations.
     """
     T = _normalize_subset(T, x.labels)
     if len(T) >= 2:
@@ -408,9 +423,7 @@ def iterated_h0(x: Cube, T: Iterable[str]) -> Cube:
         if not verdict.ok:
             raise ValueError("iterated H_0 requires an admissible cube: "
                              + "; ".join(verdict.failures[:3]))
-    for k in [lab for lab in x.labels if lab in T]:
-        x = _h0_modcube(x, k)
-    return x
+    return _h0_over(x, T)
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +526,11 @@ def is_admissible(x: Cube, strategy: str = "definition") -> Report:
     the first label's direction are admissible, that direction's boundaries
     are injective, and H_0 in that direction is admissible.
 
+    x must be a valid cube.  definition and inductive take any cube,
+    injectivity being tested modulo the vertex relations; spherical_faces
+    builds total complexes, so it needs a free cube and raises ValueError on
+    one whose vertices carry relations.
+
     definition and spherical_faces reach one cube along many paths (H_0^k
     then H_0^l or the reverse; the back face of a front face or the reverse),
     so each call keeps a memo, created here and dropped on return, and checks
@@ -525,7 +543,7 @@ def is_admissible(x: Cube, strategy: str = "definition") -> Report:
     failures relative to its cube, and a repeat visit replays them under the
     path's prefix, so the failure list equals the unmemoized one.
     """
-    _require_free(x)
+    _require_valid(x)
     failures: list = []
     if strategy == "definition":
         ok, failures = _admissible_definition(x, frozenset(), {})

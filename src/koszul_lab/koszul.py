@@ -26,6 +26,7 @@ from .arith import Poly, RingSpec, exact_division, is_unit
 from .cube import (
     Cube,
     Report,
+    _h0_over,
     _require_free,
     degenerate_directions,
     label_subsets,
@@ -45,7 +46,6 @@ from .groebner import (
 from .modcalc import (
     CapExceededError,
     Complex,
-    FPModule,
     FreeMap,
     annihilator,
     determinant_of_square,
@@ -428,19 +428,13 @@ def verify_weight_decomposition(x: Cube, fs) -> Report:
     if not verdict.is_koszul:
         raise ValueError("weight decomposition requires a verified Koszul cube")
     seq = _sequence_by_label(x, fs)
-    ring = x.ring
     failures = []
     pairs = 0
     for T in x.subsets():
-        rest = [lab for lab in x.labels if lab not in T]
-        for U in label_subsets(rest):
+        pieces = _h0_over(x, T)
+        for U in label_subsets(pieces.labels):
             pairs += 1
-            rank = x.vertices[U].rank
-            cols = []
-            for t in sorted(T):
-                cols.extend(x.d(U | {t}, t).columns())
-            piece = FPModule(ring, rank, SubmoduleBasis(ring, rank, cols))
-            ann = annihilator(piece)
+            ann = annihilator(pieces.vertices[U])
             for t in sorted(T):
                 if not radical_membership(seq[t], ann):
                     failures.append(
@@ -467,19 +461,14 @@ def generators_presentation(x: Cube, perm_cap: int = 6):
     dets, coherence = determinant(x)
     if not coherence.ok:
         raise ValueError("determinant incoherence: " + "; ".join(coherence.failures))
-    ring = x.ring
-    rank0 = x.vertices[frozenset()].rank
-    cols = []
-    for k in x.labels:
-        cols.extend(x.d(frozenset({k}), k).columns())
-    rels = SubmoduleBasis(ring, rank0, cols)
+    H = _h0_over(x, x.labels).vertices[frozenset()]
     tot = total_complex(x)
     if tot.length:
-        denom = SubmoduleBasis(ring, rank0, tot.differential(1).columns())
-        if not submodule_equal(rels, denom):
+        denom = SubmoduleBasis(x.ring, H.rank, tot.differential(1).columns())
+        if not submodule_equal(H.relations, denom):
             raise RuntimeError("arrival-boundary span disagrees with the Tot degree-1 image")
     seq_report = is_A_sequence([dets[k] for k in x.labels], perm_cap=perm_cap)
-    return FPModule(ring, rank0, rels), seq_report
+    return H, seq_report
 
 
 # ---------------------------------------------------------------------------

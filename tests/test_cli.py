@@ -130,9 +130,9 @@ def test_malformed_document_is_input_error(tmp_path, command, doc):
     assert json.loads(out)["error"]["type"] == "input"
 
 
-# a non-string where a polynomial or a variable name belongs used to be read
-# through str(): null became the text "None", which is a variable of the
-# sequence case's ring
+# a non-string where a polynomial, a variable name or a label belongs used to
+# be read through str(): null became the text "None", which is a variable of
+# the sequence case's ring and the label of the V case's target
 NON_STRING_CASES = [
     ("matrix", "validate",
      {"ring": RING_Q2, "cube": {**ONE_CUBE, "boundaries": {"1|1": [[None]]}}},
@@ -151,6 +151,23 @@ NON_STRING_CASES = [
     ("vars", "regseq",
      {"ring": {"field": "Q", "vars": [1, 2]}, "sequence": ["1"]},
      "ring.vars[0]"),
+    ("cube_label", "validate",
+     {"ring": RING_Q2, "cube": {**ONE_CUBE, "S": [1]}},
+     "cube.S[0]"),
+    ("target_label", "resolve",
+     {"ring": RING_Q2, "resolution": {"U": [], "V": ["1"], "fs": {"1": "x"}, "targets": [
+         {"S": [1], "vertices": {"": {"rank": 1}, "1": {"rank": 1}},
+          "boundaries": {"1|1": [["x"]]}}]}},
+     "resolution.targets[0].S[0]"),
+    ("U_label", "resolve",
+     {"ring": RING_Q2, "resolution": {"U": [1], "V": [], "fs": {"1": "x"}, "targets": [
+         {"S": [], "vertices": {"": {"rank": 1, "relations": [["x"]]}}}]}},
+     "resolution.U[0]"),
+    ("V_label", "resolve",
+     {"ring": RING_Q2, "resolution": {"U": [], "V": [None], "fs": {"None": "x"}, "targets": [
+         {"S": ["None"], "vertices": {"": {"rank": 1}, "None": {"rank": 1}},
+          "boundaries": {"None|None": [["x"]]}}]}},
+     "resolution.V[0]"),
 ]
 
 
@@ -173,6 +190,25 @@ def test_field_characteristic_must_be_json_integer(tmp_path, p):
     err = json.loads(out)["error"]
     assert err["type"] == "input"
     assert "Fp" in err["message"]
+
+
+def test_resolve_non_admissible_target_is_input_error(tmp_path):
+    # Typ(x, y, x+y) is injective one H_0 level down, but not two: on
+    # H_0^1 H_0^2 = A/(x, y) the third boundary x+y is zero
+    labels = ["1", "2", "3"]
+    f = {"1": "x", "2": "y", "3": "x + y"}
+    subsets = [[lab for i, lab in enumerate(labels) if n >> i & 1] for n in range(8)]
+    target = {"S": labels,
+              "vertices": {",".join(T): {"rank": 1} for T in subsets},
+              "boundaries": {f"{','.join(T)}|{k}": [[f[k]]] for T in subsets for k in T}}
+    doc = {"ring": {"field": "Q", "vars": ["x", "y", "z"]},
+           "resolution": {"U": [], "V": labels, "fs": {"1": "x", "2": "y", "3": "z"},
+                          "targets": [target]}}
+    out, code = run("resolve", "--input", write_doc(tmp_path, doc))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "input"
+    assert "target 0: H0^1·H0^2·boundary d^3_{3} is not injective" in err["message"]
 
 
 def test_failed_reverification_is_internal_error(monkeypatch):
@@ -353,6 +389,7 @@ CROSS_ORDER_CASES = [
     ("aseq_xx", ["aseq"], "aseq_xx.json", 1),
     ("be_check_koszul_xy", ["be-check"], "koszul_xy_complex.json", 0),
     ("resolve_onecube", ["resolve"], "resolve_onecube.json", 0),
+    ("resolve_typ_x2yz", ["resolve"], "resolve_typ_x2yz.json", 0),
 ]
 
 FIXED_ORDER_CASES = [

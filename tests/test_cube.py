@@ -105,9 +105,31 @@ def test_free_only_operations_reject_relations():
     x = _square_mod_x(FPModule.cyclic(Q2, [X]))
     with pytest.raises(ValueError, match="relations"):
         total_complex(x)
-    for s in ADMISSIBILITY_STRATEGIES:
-        with pytest.raises(ValueError, match="relations"):
-            is_admissible(x, strategy=s)
+    with pytest.raises(ValueError, match="relations"):
+        is_admissible(x, strategy="spherical_faces")
+    # definition and inductive test injectivity modulo relations:
+    # d^1_{1} = 1 : A -> A/(x) kills x
+    assert [is_admissible(x, strategy=s).ok for s in ("definition", "inductive")] == [False, False]
+
+
+def test_module_cube_admissibility():
+    from _gen import koszul_suite, perturbed_suite
+    # H_0^k of a Koszul cube is an admissible module cube, and H_0 over the
+    # remaining directions of it is H_0(Tot) of the free cube
+    for x, _ in koszul_suite(30):
+        for k in x.labels:
+            h = _h0_modcube(x, k)
+            assert is_admissible(h, "definition").ok and is_admissible(h, "inductive").ok
+            rest = [lab for lab in x.labels if lab != k]
+            assert submodule_equal(iterated_h0(h, rest).vertices[E].relations,
+                                   iterated_h0(x, x.labels).vertices[E].relations)
+    # on H_0^k of non-admissible cubes the two strategies agree, both ways
+    verdicts = set()
+    for x in perturbed_suite(20):
+        for k in x.labels:
+            h = _h0_modcube(x, k)
+            verdicts.add((is_admissible(h, "definition").ok, is_admissible(h, "inductive").ok))
+    assert verdicts == {(True, True), (False, False)}
 
 
 def test_int_ranks_are_free_modules():

@@ -8,16 +8,20 @@ order of summands cannot drift silently.
 import pytest
 
 from koszul_lab.arith import RingSpec, parse_poly
-from koszul_lab.cube import ModCube, subset_key
+from koszul_lab.cube import ModCube, _h0_over, label_subsets
 from koszul_lab.groebner import SubmoduleBasis
-from koszul_lab.modcalc import CapExceededError, FPModule, FreeMap, LiftError
+from koszul_lab.koszul import random_koszul, typical_cube
+from koszul_lab.modcalc import (CapExceededError, FPModule, FreeMap, LiftError,
+                                _graph_coordinates)
 from koszul_lab.resolve import (
     ResolutionInput,
+    _h0_tot_module,
     _resolve_cube,
     check_resolution,
     find_exponents,
     koszul_resolve,
 )
+from _gen import resolve_problems
 
 Q2 = RingSpec("Q", ("x", "y"))
 X, Y = Q2.gens()
@@ -181,13 +185,18 @@ def test_base_case_checks_annihilation():
         _resolve_cube(ModCube(Q2, (), {E: cyclic("x^2")}, {}), [X], {})
 
 
-def test_three_v_labels_out_of_scope():
+def test_verify_reports_defect_two_h0_levels_down():
+    # Typ(x, y, x+y): every boundary and every H_0^k boundary is injective,
+    # but on H_0^1 H_0^2 = A/(x, y) the third boundary x+y is zero
     Q3 = RingSpec("Q", ("x", "y", "z"))
-    x, y, z3 = Q3.gens()
-    from koszul_lab.koszul import typical_cube
-    t = typical_cube([x, y, z3])
-    inp = ResolutionInput({"1": x, "2": y, "3": z3}, [], ["1", "2", "3"], [t])
-    with pytest.raises(ValueError):
+    x, y, z = Q3.gens()
+    inp = ResolutionInput({"1": x, "2": y, "3": z}, [], ["1", "2", "3"],
+                          [typical_cube([x, y, x + y])])
+    failures = inp.verify().failures
+    defect = "target 0: H0^1·H0^2·boundary d^3_{3} is not injective"
+    assert defect in failures
+    assert [f for f in failures if "not supported" not in f] == [defect]
+    with pytest.raises(ValueError, match="not injective"):
         koszul_resolve(inp)
 
 
@@ -265,14 +274,104 @@ def test_chain_square_example():
     assert rep.ok, rep.failures
 
 
+def test_chain_three_v_labels():
+    Q3 = RingSpec("Q", ("x", "y", "z"))
+    x, y, z = Q3.gens()
+    t = typical_cube([x ** 2, y, z])
+    w = {T: FreeMap(Q3, [[y]]) for T in label_subsets(t.labels)}
+    inp = ResolutionInput({"1": x, "2": y, "3": z}, [], ["1", "2", "3"], [t, t],
+                          connecting=[w])
+    out = koszul_resolve(inp)
+    rep = check_resolution(out, inp)
+    assert rep.ok, rep.failures
+
+
+# --------------------------------------------------------------------------
+# more than two V-directions
+# --------------------------------------------------------------------------
+
+def test_three_v_labels_resolve():
+    Q3 = RingSpec("Q", ("x", "y", "z"))
+    x, y, z3 = Q3.gens()
+    t = typical_cube([x, y, z3])
+    inp = ResolutionInput({"1": x, "2": y, "3": z3}, [], ["1", "2", "3"], [t])
+    out = koszul_resolve(inp)
+    assert out.exponents == {"1": 1, "2": 1, "3": 1}
+    assert out.stages[0].multiplicities == {T: 1 for T in label_subsets(("1", "2", "3"))}
+    rep = check_resolution(out, inp)
+    assert rep.ok, rep.failures
+
+
+def _wide_v_cases(field):
+    """(name, ResolutionInput, exponents) with |V| = 3 or 4: typical cubes,
+    random Koszul cubes, and the module cube H_0^4 of a random Koszul 4-cube
+    resolved with U = {4}."""
+    R3 = RingSpec(field, ("x", "y", "z"))
+    x, y, z = R3.gens()
+    R4 = RingSpec(field, ("x", "y", "z", "w"))
+    X, Y, Z, W = R4.gens()
+    fs3 = {"1": x, "2": y, "3": z}
+    cases = [("typ_xyz", ResolutionInput(fs3, [], ["1", "2", "3"], [typical_cube([x, y, z])]),
+              {"1": 1, "2": 1, "3": 1}),
+             ("typ_xyzw", ResolutionInput({"1": X, "2": Y, "3": Z, "4": W}, [],
+                                          ["1", "2", "3", "4"], [typical_cube([X, Y, Z, W])]),
+              {"1": 1, "2": 1, "3": 1, "4": 1})]
+    for r, m in ((2, {"1": 1, "2": 1, "3": 1}), (3, {"1": 2, "2": 1, "3": 2})):
+        c = random_koszul([x, y, z], r, 3, seed=r)
+        cases.append((f"random_rank{r}", ResolutionInput(fs3, [], ["1", "2", "3"], [c]), m))
+    fs4 = [X, Y ** 2 + X * Z, Z, W]
+    h = _h0_over(random_koszul(fs4, 2, 3, seed=5), ["4"])
+    cases.append(("h0_4_of_random", ResolutionInput(dict(zip("1234", fs4)), ["4"],
+                                                    ["1", "2", "3"], [h]),
+                  {"1": 2, "2": 2, "3": 1, "4": 2}))
+    return cases
+
+
+@pytest.mark.parametrize("field", ["Q", 101])
+def test_resolve_three_and_four_v_labels(field):
+    for name, inp, exponents in _wide_v_cases(field):
+        out = koszul_resolve(inp)
+        assert out.exponents == exponents, name
+        rep = check_resolution(out, inp)
+        assert rep.ok, (name, rep.failures)
+
+
+# --------------------------------------------------------------------------
+# verification
+# --------------------------------------------------------------------------
+
+def _lifts(cols, M, ring):
+    """Is M = A^r / relations spanned by the images of `cols`?  On M = H_0(Tot z)
+    and the epi at the empty vertex this is surjectivity on H_0(Tot), which
+    check_resolution leaves to its check (a)."""
+    basis = [M.basis_vector(i) for i in range(M.rank)]
+    return None not in _graph_coordinates(basis, cols, M.relations, ring, M.rank)
+
+
+def test_epi_at_empty_vertex_implies_h0_tot_surjective():
+    # check (a) at the empty vertex, onto z_∅, implies surjectivity onto its
+    # quotient H_0(Tot z); epis with one column dropped exercise the
+    # implication where (a) can fail
+    problems = resolve_problems() + [inp for _, inp, _ in _wide_v_cases(101)]
+    for i, inp in enumerate(problems):
+        out = koszul_resolve(inp)
+        for stage, z in zip(out.stages, inp.targets):
+            cols = stage.epi[E].columns()
+            for drop in [None] + list(range(len(cols))):
+                kept = cols if drop is None else cols[:drop] + cols[drop + 1:]
+                if _lifts(kept, z.vertex(E), inp.ring):
+                    assert _lifts(kept, _h0_tot_module(z), inp.ring), (i, drop)
+                else:
+                    assert drop is not None, i
+
+
 def test_resolve_solves_each_lifting_system_once(monkeypatch):
     # a chain of two free 1-cubes: the resolution, the lift of the chain map
     # and check_resolution each write a batch of vectors against one
-    # (cols, rels); 13 solver calls in all (22 with one call per vector)
+    # (cols, rels); 11 solver calls in all (22 with one call per vector)
     import koszul_lab.cube
     import koszul_lab.modcalc
     import koszul_lab.resolve
-    from _gen import resolve_problems
     inp = resolve_problems()[4]
     assert len(inp.targets) == 2
     solve = koszul_lab.modcalc._graph_coordinates
@@ -285,4 +384,4 @@ def test_resolve_solves_each_lifting_system_once(monkeypatch):
     for module in (koszul_lab.modcalc, koszul_lab.resolve, koszul_lab.cube):
         monkeypatch.setattr(module, "_graph_coordinates", counted)
     koszul_resolve(inp)
-    assert len(calls) <= 13
+    assert len(calls) <= 11
