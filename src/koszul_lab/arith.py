@@ -5,6 +5,8 @@ the two types defined here: `RingSpec`, which fixes a coefficient field, a
 variable list and a monomial order, and `Poly`, a sparse exponent-vector ->
 coefficient map.  Coefficients are `fractions.Fraction` over the rationals and
 plain ints in [0, p) over a prime field; there is no floating point anywhere.
+(Inside Buchberger over Q the Groebner engine works on integer vectors; every
+Poly and every basis it returns holds Fractions.)
 
 Values are immutable after construction and safe to share.
 """

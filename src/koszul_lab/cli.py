@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import click
 
-from .arith import ParseError, Poly, RingMismatchError, RingSpec, parse_poly
+from .arith import Poly, RingMismatchError, RingSpec, parse_poly
 from .cube import (
     ADMISSIBILITY_STRATEGIES,
     Cube,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
-from .arith import Poly, RingSpec, is_unit
+from .arith import RingSpec, is_unit
 from .groebner import SubmoduleBasis, syzygies
 from .modcalc import (
     Complex,
@@ -29,11 +29,9 @@ from .modcalc import (
     FreeMap,
     _graph_coordinates,
     _relations_among,
-    cokernel,
     determinant_of_square,
     homology,
     is_zero_module,
-    zero_spherical,
 )
 
 __all__ = [
@@ -298,6 +296,11 @@ def total_complex(x: Cube, ordering: Optional[CubeOrdering] = None) -> Complex:
     d ∘ d = 0.
     """
     _require_free(x)
+    return _total_complex(x, ordering)
+
+
+def _total_complex(x: Cube, ordering: Optional[CubeOrdering] = None) -> Complex:
+    """Tot(x) of a cube already known to be a valid free cube."""
     if ordering is None:
         ordering = CubeOrdering(x.labels)
     if sorted(ordering.sequence) != sorted(x.labels):
@@ -475,7 +478,7 @@ def _admissible_spherical(x: Cube, fixed: frozenset, memo: dict) -> tuple:
     if not x.labels:
         return True, ()
     failures = []
-    tot = total_complex(x)
+    tot = _total_complex(x)
     bad = [k for k in range(1, tot.length + 1) if not is_zero_module(homology(tot, k))]
     if bad:
         failures.append(f"Tot is not 0-spherical: H_{bad[0]} is nonzero")
@@ -529,7 +532,9 @@ def is_admissible(x: Cube, strategy: str = "definition") -> Report:
     x must be a valid cube.  definition and inductive take any cube,
     injectivity being tested modulo the vertex relations; spherical_faces
     builds total complexes, so it needs a free cube and raises ValueError on
-    one whose vertices carry relations.
+    one whose vertices carry relations.  x is validated once, here: the
+    faces of a valid free cube are valid free cubes (their squares are
+    squares of x), so their total complexes are built without re-validating.
 
     definition and spherical_faces reach one cube along many paths (H_0^k
     then H_0^l or the reverse; the back face of a front face or the reverse),
@@ -543,7 +548,10 @@ def is_admissible(x: Cube, strategy: str = "definition") -> Report:
     failures relative to its cube, and a repeat visit replays them under the
     path's prefix, so the failure list equals the unmemoized one.
     """
-    _require_valid(x)
+    if strategy == "spherical_faces":
+        _require_free(x)
+    else:
+        _require_valid(x)
     failures: list = []
     if strategy == "definition":
         ok, failures = _admissible_definition(x, frozenset(), {})

@@ -9,13 +9,30 @@ Everything here is exact and deterministic: pair selection uses the normal
 strategy with a fixed tie-break, reduced bases are canonical (monic,
 auto-reduced, sorted by leading term), and results are cached by the canonical
 form of the generators.
+
+Over Q, Buchberger runs fraction-free.  Its inputs enter with denominators
+cleared, and every element it keeps is a primitive integer vector (content 1,
+positive leading coefficient, not divided out).  A reduction step is a
+pseudo-division: with g = gcd(lc(b), c) the working vector is multiplied by
+lc(b)/g and (c/g)·x^q·b is subtracted; the S-vector of g_i and g_j is
+(lc_j/g)·x^{u_i}·g_i - (lc_i/g)·x^{u_j}·g_j.  Content is removed once per
+remainder, and Fractions are made only at the end, when the reduced basis is
+made monic.  Over GF(p) elements are kept monic and the same steps run with
+multipliers 1 and c/lc(b).  Every element is a nonzero scalar multiple of the
+one a field-coefficient run would hold, so leading terms, divisibility tests,
+pairs and both criteria are the same, the same reductions run, and the reduced
+basis, which is unique, is the same Fraction basis to the last coefficient.
+Normal forms outside Buchberger reduce the Fraction vectors of the cached
+monic bases by field division.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import gcd
 from operator import add, le, sub
 from typing import Optional, Sequence
 
@@ -106,13 +123,58 @@ class _Element:
         self.lt_pos, self.lt_exp = self.lt
 
 
+def _cofactors(a, b, p: int) -> tuple:
+    """(u, v) with u*a == v*b and u != 0: the multipliers that cancel a
+    coefficient a against b.
+
+    Over GF(p), u = 1.  Over Q on integers, u = b/g and v = a/g with
+    g = gcd(a, b), so no denominator arises; on Fractions, u = 1.
+    """
+    if p:
+        return 1, a * pow(b, -1, p) % p
+    if type(a) is int and type(b) is int:
+        g = gcd(a, b)
+        return b // g, a // g
+    return 1, a / b
+
+
+def _integral(vp: dict) -> dict:
+    """vp over Q with its denominators cleared: an integer vector on the same terms."""
+    den = math.lcm(*(c.denominator for c in vp.values()))
+    return {t: c.numerator * (den // c.denominator) for t, c in vp.items()}
+
+
+def _unit_normal(vp: dict, dkey, p: int) -> _Element:
+    """The element for vp in Buchberger's working form: monic over GF(p); over
+    Q an integer vector with content 1 and a positive leading coefficient."""
+    e = _Element(vp, dkey)
+    if p:
+        if e.lc != 1:
+            inv = pow(e.lc, -1, p)
+            e.vp = {t: c * inv % p for t, c in vp.items()}
+            e.lc = 1
+    else:
+        g = gcd(*vp.values())
+        if e.lc < 0:
+            g = -g
+        if g != 1:
+            e.vp = {t: c // g for t, c in vp.items()}
+            e.lc //= g
+    return e
+
+
 def _nf_vp(vp: dict, basis: Sequence[_Element], ring: RingSpec, want_cert: bool = False):
     """Full normal form of vp against basis; optionally with division certificate.
 
     Returns (remainder_vp, cert) where cert[i] is the dict-form polynomial q_i
-    with  input = sum_i q_i * basis[i] + remainder  exactly.
+    with  λ·input = sum_i q_i * basis[i] + remainder  exactly, for a nonzero
+    scalar λ.  On field coefficients (GF(p), or Fractions over Q) every step
+    divides by the leading coefficient and λ = 1.  On Buchberger's integer
+    vectors over Q every step is a pseudo-division and λ is the product of
+    its multipliers.
     """
     field = ring.field
+    p = field.char
     desc = ring.desc_key
     by_pos: dict = {}  # lead position -> [(index, element)] in basis order
     for i, b in enumerate(basis):
@@ -133,7 +195,11 @@ def _nf_vp(vp: dict, basis: Sequence[_Element], ring: RingSpec, want_cert: bool 
         for i, b in by_pos.get(pos, ()):
             if _divides(b.lt_exp, e):
                 qexp = tuple(map(sub, e, b.lt_exp))
-                qc = field.mul(c, field.inv(b.lc))
+                u, qc = _cofactors(c, b.lc, p)
+                if u != 1:
+                    for d in [work, rem] + (cert or []):
+                        for k in d:
+                            d[k] *= u
                 if want_cert:
                     s = field.add(cert[i].get(qexp, field.zero), qc)
                     if s == field.zero:
@@ -156,9 +222,12 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int) -> list:
 
     Normal pair-selection strategy (smallest lcm in the order, ties by index),
     chain criterion always, product criterion only for rank 1 — it is unsound
-    for module positions.
+    for module positions.  Elements are kept in the working form of
+    `_unit_normal` (over Q, integer vectors) and made monic field vectors on
+    return.
     """
     field = ring.field
+    p = field.char
     dkey = _desc_term_key(ring)
     mono = ring.mono_key
 
@@ -166,16 +235,8 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int) -> list:
     pairs: dict = {}  # (i, j) -> lcm exponent tuple, i < j, same lead position
     queue: list = []  # min-heap of (mono(lcm), (i, j)) over exactly the pairs in `pairs`
 
-    def monic_elem(vp: dict) -> _Element:
-        e = _Element(vp, dkey)
-        if e.lc != field.one:
-            inv = field.inv(e.lc)
-            e.vp = {t: field.mul(c, inv) for t, c in vp.items()}
-            e.lc = field.one
-        return e
-
     def add_elem(vp: dict):
-        g = monic_elem(vp)
+        g = _unit_normal(vp, dkey, p)
         gi = len(G)
         for i, h in enumerate(G):
             if h is not None and h.lt_pos == g.lt_pos:
@@ -187,7 +248,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int) -> list:
     for vp in inputs:
         if not vp:
             continue
-        rem, _ = _nf_vp(vp, [h for h in G if h is not None], ring)
+        rem, _ = _nf_vp(vp if p else _integral(vp), [h for h in G if h is not None], ring)
         if rem:
             add_elem(rem)
 
@@ -214,10 +275,11 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int) -> list:
                     break
         if skip:
             continue
-        # S-vector
+        # S-vector: ui*x^(lcm - lt_i)*g_i - uj*x^(lcm - lt_j)*g_j, ui*lc_i == uj*lc_j
+        ui, uj = _cofactors(gi.lc, gj.lc, p)
         s: dict = {}
-        _add_scaled(s, gi.vp, tuple(a - b for a, b in zip(lcm, gi.lt_exp)), field.one, field)
-        _add_scaled(s, gj.vp, tuple(a - b for a, b in zip(lcm, gj.lt_exp)), field.neg(field.one), field)
+        _add_scaled(s, gi.vp, tuple(a - b for a, b in zip(lcm, gi.lt_exp)), ui, field)
+        _add_scaled(s, gj.vp, tuple(a - b for a, b in zip(lcm, gj.lt_exp)), field.neg(uj), field)
         rem, _ = _nf_vp(s, [h for h in G if h is not None], ring)
         if rem:
             add_elem(rem)
@@ -231,13 +293,22 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int) -> list:
         if any(h.lt_pos == g.lt_pos and _divides(h.lt_exp, g.lt_exp) for h in minimal):
             continue
         minimal.append(g)
-    # tail-reduce each against the others
+    # tail-reduce each against the others, then make it monic; over Q this is
+    # where the Fractions are made.  A coefficient 1 is the shared field.one,
+    # not a new Fraction per term: the bases stay cached for the life of the
+    # process, and fresh ones cost about 2% more peak memory.
+    one = field.one
     reduced = []
     for idx, g in enumerate(minimal):
         others = [h for k, h in enumerate(minimal) if k != idx]
         rem, _ = _nf_vp(g.vp, others, ring)
         if rem:
-            reduced.append(monic_elem(rem))
+            e = _unit_normal(rem, dkey, p)
+            if not p:
+                lc = e.lc
+                e.vp = {t: one if c == lc else Fraction(c, lc) for t, c in e.vp.items()}
+                e.lc = one
+            reduced.append(e)
     reduced.sort(key=lambda g: dkey(g.lt), reverse=True)
     return reduced
 

@@ -541,10 +541,9 @@ def lift_through_surjection(f: FreeMap, p: FreeMap, module: FPModule) -> FreeMap
                                 ring, module.rank)
     if any(u is None for u in coords[:module.rank]):
         raise LiftError("map is not surjective onto the module")
-    g_cols = coords[module.rank:]
-    if any(u is None for u in g_cols):
-        raise LiftError("lift infeasible: column has no preimage")
-    g = FreeMap.from_columns(ring, p.source_rank, g_cols)
+    # every vector is a combination of the basis vectors, so once they all
+    # have coordinates, so does every column of f
+    g = FreeMap.from_columns(ring, p.source_rank, coords[module.rank:])
     check = p.compose(g)
     for j in range(f.source_rank):
         diff = tuple(a - b for a, b in zip(check.column(j), f.column(j)))

@@ -24,7 +24,7 @@ relations on A-presentations throughout; one Groebner engine suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Mapping, Sequence, Tuple, Union
 
 from .arith import Poly, RingSpec
 from .cube import (Cube, Report, _admissible_inductive, _h0_modcube, _h0_over, label_subsets,

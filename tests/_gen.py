@@ -68,6 +68,18 @@ def nonlinear_koszul_suite(per_sequence=6, seed0=SEED0 + 60_000):
     return out
 
 
+def four_direction_koszul_suite(per_field=6, seed0=SEED0 + 70_000):
+    """(cube, fs) pairs from random_koszul on x, y, z, w over Q and GF(101):
+    |S| = 4, vertex rank cycling through 1..4."""
+    out = []
+    for field in ("Q", 101):
+        ring = RingSpec(field, ("x", "y", "z", "w"))
+        fs = list(ring.gens())
+        for i in range(per_field):
+            out.append((random_koszul(fs, 1 + i % 4, 1 + (3 * i) % 7, seed=seed0 + i), fs))
+    return out
+
+
 def pad_identity(x: Cube, new_label: str) -> Cube:
     """Extend by one direction whose boundaries are all identities."""
     labels = x.labels + (new_label,)

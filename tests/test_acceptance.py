@@ -15,7 +15,6 @@ import _gen
 from koszul_lab.arith import RingSpec
 from koszul_lab.cube import (
     Cube,
-    ModCube,
     _h0_modcube,
     degenerate_directions,
     is_admissible,

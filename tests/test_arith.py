@@ -10,7 +10,6 @@ from koszul_lab.arith import (
     DESCENDING_KEYS,
     MONOMIAL_ORDERS,
     ParseError,
-    Poly,
     RingMismatchError,
     RingSpec,
     exact_division,

@@ -26,7 +26,6 @@ from koszul_lab.modcalc import (
     FPModule,
     FreeMap,
     homology,
-    is_zero_module,
     submodule_equal,
     zero_spherical,
 )
@@ -430,9 +429,20 @@ def test_spherical_faces_builds_each_face_tot_once(monkeypatch):
     import koszul_lab.cube as cube_module
     ring = RingSpec(101, ("x", "y", "z", "w"))
     x = typical_cube(list(ring.gens()))
-    calls = _count_calls(monkeypatch, cube_module, "total_complex")
+    calls = _count_calls(monkeypatch, cube_module, "_total_complex")
     assert is_admissible(x, "spherical_faces").ok
-    assert len(calls) <= 3 ** 4 - 2 ** 4
+    assert 0 < len(calls) <= 3 ** 4 - 2 ** 4
+
+
+def test_spherical_faces_validates_once(monkeypatch):
+    # the input is validated at the root; its faces are valid free cubes
+    # and their total complexes are built without validating again
+    import koszul_lab.cube as cube_module
+    ring = RingSpec(101, ("x", "y", "z", "w"))
+    x = typical_cube(list(ring.gens()))
+    calls = _count_calls(monkeypatch, cube_module, "validate_cube")
+    assert is_admissible(x, "spherical_faces").ok
+    assert len(calls) == 1
 
 
 def test_definition_builds_each_h0_cube_once(monkeypatch):

@@ -6,6 +6,8 @@ regression in the engine cannot silently re-derive itself.
 """
 
 import math
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -339,3 +341,171 @@ def test_nf_vp_matches_reference(field, order, rank):
                 vp = _vp_from_vector(_random_vector(rng, ring, rank, terms=5, max_exp=3))
                 assert _nf_vp(vp, basis, ring, True) == _nf_vp_reference(vp, basis, ring, True)
                 assert _nf_vp(vp, basis, ring) == _nf_vp_reference(vp, basis, ring)
+
+
+# --------------------------------------------------------------------------
+# fraction-free Buchberger against the field-coefficient engine it replaced
+# --------------------------------------------------------------------------
+
+def _buchberger_reference(inputs, ring, rank):
+    """Buchberger on field coefficients: every element made monic, every
+    reduction a field division.  The same normal pair selection, chain
+    criterion and rank-1 product criterion as the engine."""
+    from heapq import heappop, heappush
+    from koszul_lab.groebner import _desc_term_key, _Element
+    field = ring.field
+    dkey = _desc_term_key(ring)
+    mono = ring.mono_key
+    divides = lambda a, b: all(x <= y for x, y in zip(a, b))
+    G, pairs, queue = [], {}, []
+
+    def monic_elem(vp):
+        e = _Element(vp, dkey)
+        if e.lc != field.one:
+            inv = field.inv(e.lc)
+            e.vp = {t: field.mul(c, inv) for t, c in vp.items()}
+            e.lc = field.one
+        return e
+
+    def add_elem(vp):
+        g = monic_elem(vp)
+        for i, h in enumerate(G):
+            if h is not None and h.lt_pos == g.lt_pos:
+                lcm = tuple(max(a, b) for a, b in zip(h.lt_exp, g.lt_exp))
+                pairs[(i, len(G))] = lcm
+                heappush(queue, (mono(lcm), (i, len(G))))
+        G.append(g)
+
+    def add_scaled(target, vp, exp, coeff):
+        for (pos, e), c in vp.items():
+            key = (pos, tuple(a + b for a, b in zip(e, exp)))
+            s = field.add(target.get(key, field.zero), field.mul(c, coeff))
+            if s == field.zero:
+                target.pop(key, None)
+            else:
+                target[key] = s
+
+    for vp in inputs:
+        rem, _ = _nf_vp_reference(vp, [h for h in G if h is not None], ring)
+        if rem:
+            add_elem(rem)
+    while queue:
+        _, (i, j) = heappop(queue)
+        lcm = pairs.pop((i, j))
+        gi, gj = G[i], G[j]
+        if rank == 1 and all(a + b == l for a, b, l in zip(gi.lt_exp, gj.lt_exp, lcm)):
+            continue
+        if any(k not in (i, j) and gk.lt_pos == gi.lt_pos and divides(gk.lt_exp, lcm)
+               and (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs
+               for k, gk in enumerate(G)):
+            continue
+        s = {}
+        add_scaled(s, gi.vp, tuple(a - b for a, b in zip(lcm, gi.lt_exp)), field.one)
+        add_scaled(s, gj.vp, tuple(a - b for a, b in zip(lcm, gj.lt_exp)), field.neg(field.one))
+        rem, _ = _nf_vp_reference(s, [h for h in G if h is not None], ring)
+        if rem:
+            add_elem(rem)
+    minimal = []
+    for g in sorted(G, key=lambda g: dkey(g.lt), reverse=True):
+        if not any(h.lt_pos == g.lt_pos and divides(h.lt_exp, g.lt_exp) for h in minimal):
+            minimal.append(g)
+    reduced = []
+    for idx, g in enumerate(minimal):
+        rem, _ = _nf_vp_reference(g.vp, [h for k, h in enumerate(minimal) if k != idx], ring)
+        if rem:
+            reduced.append(monic_elem(rem))
+    return sorted(reduced, key=lambda g: dkey(g.lt), reverse=True)
+
+
+RATIONALS = (Fraction(1, 2), Fraction(-3, 7), Fraction(2), Fraction(-1), Fraction(5, 3),
+             Fraction(-4), Fraction(2, 9), Fraction(1))
+
+
+def _rational_corpus(field, order, rank):
+    """Seeded generator sets with non-integral coefficients."""
+    import random
+    ring = RingSpec(field, ("x", "y", "z"), order)
+    rng = random.Random(f"ff-{field}-{order}-{rank}")
+    corpus = []
+    # quadrics under lex can take minutes at rank 2; linear forms stay small
+    max_deg = 1 if order == "lex" else 2
+    monomials = [e for e in product(range(3), repeat=3) if sum(e) <= max_deg]
+    for _ in range(10):
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            vec = []
+            for _ in range(rank):
+                terms = {rng.choice(monomials): ring.field.of(rng.choice(RATIONALS))
+                         for _ in range(rng.randint(1, 4))}
+                vec.append(Poly(ring, terms))
+            gens.append(tuple(vec))
+        corpus.append(gens)
+    return ring, corpus
+
+
+def _gb_data(gb):
+    return [(e.vp, e.lt, e.lc) for e in gb]
+
+
+@pytest.mark.parametrize("field", ["Q", 101])
+@pytest.mark.parametrize("order", ["grevlex", "grlex", "lex"])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_buchberger_matches_field_reference(field, order, rank):
+    import random
+    from koszul_lab.groebner import _buchberger, _nf_vp, _vp_from_vector
+    ring, corpus = _rational_corpus(field, order, rank)
+    rng = random.Random(f"ff-nf-{field}-{order}-{rank}")
+    for gens in corpus:
+        vps = [vp for vp in map(_vp_from_vector, gens) if vp]
+        ours = _buchberger(vps, ring, rank)
+        ref = _buchberger_reference(vps, ring, rank)
+        assert _gb_data(ours) == _gb_data(ref)
+        if field == "Q":
+            assert all(type(c) is Fraction for e in ours for c in e.vp.values())
+        for _ in range(3):
+            vp = _vp_from_vector(tuple(Poly(ring, {
+                tuple(rng.randint(0, 3) for _ in range(3)): ring.field.of(rng.choice(RATIONALS))
+                for _ in range(rng.randint(0, 4))}) for _ in range(rank)))
+            assert _nf_vp(vp, ours, ring, True) == _nf_vp_reference(vp, ref, ring, True)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "grlex", "lex"])
+def test_rank1_buchberger_matches_sympy(order):
+    sympy = pytest.importorskip("sympy")
+    from koszul_lab.groebner import _buchberger, _vp_from_vector
+    ring, corpus = _rational_corpus("Q", order, 1)
+    sx = sympy.symbols("x y z")
+    for gens in corpus:
+        polys = [g[0] for g in gens if not g[0].is_zero()]
+        if not polys:
+            continue
+        ours = {frozenset((e, c) for (_, e), c in g.vp.items())
+                for g in _buchberger([_vp_from_vector((p,)) for p in polys], ring, 1)}
+        theirs = sympy.groebner([sympy.Poly.from_dict(dict(p.terms), *sx, domain=sympy.QQ)
+                                 for p in polys], *sx, order=order, domain=sympy.QQ)
+        theirs = {frozenset((e, Fraction(int(c.numerator), int(c.denominator))) for e, c in g.terms())
+                  for g in theirs.polys if not g.is_zero}
+        assert ours == theirs
+
+
+def test_buchberger_over_q_runs_no_fraction_arithmetic(monkeypatch):
+    # Fractions may be built and read (Fraction(n, d), .numerator,
+    # .denominator), but no Fraction operator may run inside Buchberger
+    from koszul_lab.groebner import _buchberger, _vp_from_vector
+    cases = []
+    for rank in (1, 2):
+        ring, corpus = _rational_corpus("Q", "grevlex", rank)
+        cases += [(ring, rank, [vp for vp in map(_vp_from_vector, gens) if vp]) for gens in corpus]
+    expected = [_gb_data(_buchberger_reference(vps, ring, rank)) for ring, rank, vps in cases]
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic inside Buchberger")
+    with monkeypatch.context() as m:
+        for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
+            m.setattr(Fraction, f"__{op}__", forbidden)
+            m.setattr(Fraction, f"__r{op}__", forbidden)
+        for op in ("neg", "pos", "abs"):
+            m.setattr(Fraction, f"__{op}__", forbidden)
+        got = [_buchberger(vps, ring, rank) for ring, rank, vps in cases]
+    assert [_gb_data(gb) for gb in got] == expected
+    assert any(c.denominator > 1 for gb in got for e in gb for c in e.vp.values())

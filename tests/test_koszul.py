@@ -5,7 +5,15 @@ import pytest
 import _gen
 import koszul_lab.koszul as koszul
 from koszul_lab.arith import RingSpec, parse_poly
-from koszul_lab.cube import Cube, degenerate_directions, subset_key, total_complex, validate_cube
+from koszul_lab.cube import (
+    ADMISSIBILITY_STRATEGIES,
+    Cube,
+    degenerate_directions,
+    is_admissible,
+    subset_key,
+    total_complex,
+    validate_cube,
+)
 from koszul_lab.groebner import IdealBasis, SubmoduleBasis, grade, radical_membership
 from koszul_lab.koszul import (
     be_acyclicity,
@@ -413,7 +421,8 @@ def test_h0_of_koszul_cube_is_perfect():
     # grade Ann M <= pd M, H_0 is perfect: grade Ann H_0 = |S|
     # (Bruns–Herzog, Cohen–Macaulay Rings, §1.4)
     checked = 0
-    for x, _ in _gen.koszul_suite(100) + _gen.nonlinear_koszul_suite():
+    suites = _gen.koszul_suite(100) + _gen.nonlinear_koszul_suite() + _gen.four_direction_koszul_suite()
+    for x, _ in suites:
         if degenerate_directions(x):
             continue
         H, _ = generators_presentation(x)
@@ -422,6 +431,19 @@ def test_h0_of_koszul_cube_is_perfect():
         assert grade(annihilator(H)) == len(x.labels), x.labels
         checked += 1
     assert checked >= 100
+
+
+def test_four_direction_koszul_cubes_are_admissible():
+    # Koszul implies admissible, and the determinants of a Koszul cube form
+    # an A-sequence: both theorems as oracles at |S| = 4, ranks 1-4, Q and GF(101)
+    suite = _gen.four_direction_koszul_suite()
+    assert len(suite) == 12
+    assert {max(x.vertex_rank.values()) for x, _ in suite} == {1, 2, 3, 4}
+    for i, (x, _) in enumerate(suite):
+        assert len(x.labels) == 4
+        for s in ADMISSIBILITY_STRATEGIES:
+            assert is_admissible(x, strategy=s).ok, (i, s)
+        assert det_is_a_sequence(x), (i, "determinants not an A-sequence")
 
 
 # --------------------------------------------------------------------------

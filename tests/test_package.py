@@ -6,6 +6,7 @@ from pathlib import Path
 
 import koszul_lab
 
+SRC = Path(koszul_lab.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKER = PERFBENCH / "worker.py"
 TRACER = PERFBENCH / "tracer.py"
@@ -34,3 +35,28 @@ def test_tracer_private_names_exist():
     missing = [f"{layer}.{name}" for layer, names in sorted(private.items()) for name in names
                if not hasattr(importlib.import_module(f"koszul_lab.{layer}"), name)]
     assert missing == []
+
+
+def test_no_unused_imports():
+    # No lint tool is installed, so this is the check: every name a library
+    # module imports is read in that module or listed in its __all__.  A
+    # package __init__ imports to re-export, so it is exempt.
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                                    for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read - exported)]
+    assert unused == []
