@@ -171,7 +171,7 @@ def _ring_from_doc(doc: dict, order_flag) -> RingSpec:
     variables = spec.get("vars")
     if not isinstance(variables, list) or not variables:
         raise ValueError("'ring.vars' must be a nonempty list")
-    order = order_flag or spec.get("order", "grevlex")
+    order = order_flag or _string_from_doc(spec.get("order", "grevlex"), "ring.order")
     names = tuple(_string_from_doc(v, f"ring.vars[{i}]") for i, v in enumerate(variables))
     return RingSpec(field, names, order)
 
@@ -259,12 +259,14 @@ def _sequence_from_doc(doc: dict, ring: RingSpec, key: str = "sequence"):
 
 
 def _complex_from_doc(doc: dict, ring: RingSpec) -> Complex:
-    cd = _require(doc, "complex")
+    cd = _object(_require(doc, "complex"), "complex")
     ranks = cd.get("ranks")
     if not isinstance(ranks, list) or not ranks:
         raise ValueError("'complex.ranks' must be a nonempty list")
     ranks = [_rank_from_doc(r, "a 'complex.ranks' entry") for r in ranks]
     diffs_doc = cd.get("differentials", [])
+    if not isinstance(diffs_doc, list):
+        raise ValueError("'complex.differentials' must be a list")
     if len(diffs_doc) != len(ranks) - 1:
         raise ValueError(f"expected {len(ranks) - 1} differentials, got {len(diffs_doc)}")
     diffs = [_matrix_from_doc(rows, ring, ranks[k], ranks[k + 1],
@@ -591,7 +593,7 @@ def cmd_factor_lemma(input_path, order, seed, max_power, perm_cap, fmt):
 @main.command("weight-decomp")
 @_common_options
 def cmd_weight_decomp(input_path, order, seed, max_power, perm_cap, fmt):
-    """Support and sphericity data of the weight decomposition."""
+    """Sphericity data of the weight decomposition of a Koszul cube."""
     def work():
         doc = _load_doc(input_path)
         ring = _ring_from_doc(doc, order)

@@ -550,21 +550,10 @@ def submodule_from_reduced_gb(ring: RingSpec, rank: int, vectors: Sequence[Seque
 
 
 def ideal_quotient(I: IdealBasis, f: Poly) -> IdealBasis:
-    """(I : f) = {a : a*f in I}, via syzygies of the row (f | gens I)."""
-    ring = I.ring
-    row = [f] + [g for g in I.generators if not g.is_zero()]
-    syz = syzygies([row], ring)
-    gens = []
-    seen = set()
-    for col in syz:
-        a = col[0]
-        if a.is_zero():
-            continue
-        key = _vp_canonical(_vp_from_vector((a.monic(),)))
-        if key not in seen:
-            seen.add(key)
-            gens.append(a)
-    return IdealBasis(ring, gens)
+    """(I : f) = {a : a*f in I}: the module quotient of the rank-1 submodule
+    spanned by the nonzero generators of I, via syzygies of the row (f | gens I)."""
+    rel = SubmoduleBasis(I.ring, 1, [(g,) for g in I.generators if not g.is_zero()])
+    return module_quotient(rel, (f,))
 
 
 def module_quotient(rel: SubmoduleBasis, vec: Sequence[Poly]) -> IdealBasis:

@@ -6,11 +6,14 @@ bytes must also survive any --order setting; order-sensitive outputs are only
 pinned under the default order.
 """
 
+import copy
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 from koszul_lab.cli import main
 
@@ -119,6 +122,11 @@ MALFORMED_CASES = [
     ("label_collides_with_subset_key", "validate",
      {"ring": RING_Q2, "cube": {"S": ["a,b"], "vertices": {"": 1, "a,b": 1},
                                 "boundaries": {"a,b|a,b": [["x"]]}}}),
+    ("order_list", "regseq", {"ring": {**RING_Q2, "order": ["lex"]}, "sequence": ["x"]}),
+    ("order_object", "regseq", {"ring": {**RING_Q2, "order": {"a": 1}}, "sequence": ["x"]}),
+    ("complex_not_object", "be-check", {"ring": RING_Q2, "complex": [1, 2]}),
+    ("differentials_not_list", "be-check",
+     {"ring": RING_Q2, "complex": {"ranks": [1, 1], "differentials": 5}}),
 ]
 
 
@@ -424,3 +432,58 @@ def test_golden_cross_order(name, args, infile, want_code):
         out, code = run(*args, "--input", golden_in(infile), "--order", order)
         assert code == want_code
         assert out == reference, f"output drifted under --order {order}"
+
+
+# --------------------------------------------------------------------------
+# document fuzzer
+# --------------------------------------------------------------------------
+
+SMALL_VALUES = [None, True, False, *range(-2, 6), 2.5, "", "x", "1", "a,b", "x|",
+                [], [1], {}, {"a": 1}]
+
+
+def _node_paths(doc, path=()):
+    """The path (keys and indices) of every node of a JSON document, root first."""
+    yield path
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def _replace_node(doc, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(doc)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("name,args,infile",
+                         [c[:3] for c in CROSS_ORDER_CASES + FIXED_ORDER_CASES],
+                         ids=[c[0] for c in CROSS_ORDER_CASES + FIXED_ORDER_CASES])
+@given(data=st.data())
+def test_mutated_golden_input_keeps_the_exit_contract(tmp_path_factory, data, name, args, infile):
+    # one node of a golden input replaced by a small JSON value: whatever the
+    # verdict, the run ends in an exit code of the contract and an envelope,
+    # never in a traceback
+    doc = json.loads(Path(golden_in(infile)).read_text())
+    path = data.draw(st.sampled_from(list(_node_paths(doc))), label="path")
+    value = data.draw(st.sampled_from(SMALL_VALUES), label="value")
+    mutated = tmp_path_factory.getbasetemp() / f"fuzz_{name}.json"
+    mutated.write_text(json.dumps(_replace_node(doc, path, value)))
+    result = runner.invoke(main, [*args, "--input", str(mutated)])
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        repr(result.exception)
+    assert 0 <= result.exit_code <= 4
+    env = json.loads(result.output)
+    assert env["schema"] == "koszul-lab/report/v1"
+    if result.exit_code == 2:
+        assert env["error"]["type"] == "input"

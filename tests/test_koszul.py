@@ -1,15 +1,22 @@
 """Koszul cubes, sequence conditions, determinants, acyclicity, generators."""
 
+from collections import Counter
+
 import pytest
 
 import _gen
+import koszul_lab.cube as cube
 import koszul_lab.koszul as koszul
+import koszul_lab.modcalc as modcalc
 from koszul_lab.arith import RingSpec, parse_poly
 from koszul_lab.cube import (
     ADMISSIBILITY_STRATEGIES,
     Cube,
+    _h0_over,
     degenerate_directions,
     is_admissible,
+    label_subsets,
+    nondegenerate_part,
     subset_key,
     total_complex,
     validate_cube,
@@ -328,6 +335,23 @@ def test_koszul_nondegenerate_part():
     assert nd.d(S2, "2") == FreeMap(Q2, [[Y]])
 
 
+def _same_cube(a, b):
+    return (a.labels == b.labels and a.vertex_rank == b.vertex_rank
+            and a.boundary == b.boundary)
+
+
+def test_koszul_nondegenerate_part_matches_full_test_on_padded_cubes():
+    # an identity direction added to a Koszul cube keeps it Koszul (the new
+    # cokernels are 0) and is the one degenerate direction: the top-boundary
+    # test must drop exactly it, as the test of every parallel boundary does
+    cases = _gen.koszul_suite(100) + _gen.nonlinear_koszul_suite()
+    for x, fs in cases:
+        padded = _gen.pad_identity(x, "9")
+        short = koszul_nondegenerate_part(padded, list(fs) + [fs[0].ring.gens()[0]])
+        assert _same_cube(short, nondegenerate_part(padded))
+        assert _same_cube(short, x)
+
+
 # --------------------------------------------------------------------------
 # determinants
 # --------------------------------------------------------------------------
@@ -406,6 +430,47 @@ def test_weight_decomposition_typical():
     assert rep.info["pairs_checked"] == 9  # 3^2 disjoint (T, U) pairs
 
 
+def test_weight_decomposition_support_is_implied_by_koszul():
+    # reference for the support test verify_weight_decomposition no longer
+    # runs: each f_t (t in T) is in the radical of the annihilator of the
+    # iterated-H_0 piece at U, presented by the T-arrival columns
+    suites = _gen.koszul_suite(100) + _gen.nonlinear_koszul_suite() + _gen.four_direction_koszul_suite()
+    flags = 0
+    for x, fs in suites:
+        seq = dict(zip(x.labels, fs))
+        for T in x.subsets()[1:]:
+            pieces = _h0_over(x, T)
+            for U in label_subsets(pieces.labels):
+                ann = annihilator(pieces.vertices[U])
+                for t in sorted(T):
+                    assert radical_membership(seq[t], ann), (x.labels, T, U, t)
+                    flags += 1
+        rep = verify_weight_decomposition(x, fs)
+        assert rep.ok and rep.info["pairs_checked"] == 3 ** len(x.labels)
+    assert flags > 2000
+
+
+def test_weight_decomposition_validates_once(monkeypatch):
+    # the Koszul check validates the cube; its faces are not validated
+    # again, and no annihilator is computed
+    x, fs = next((x, fs) for x, fs in _gen.koszul_suite(10) if len(x.labels) == 3)
+    validations = []
+    real_validate = cube.validate_cube
+
+    def counted(c):
+        validations.append(c.labels)
+        return real_validate(c)
+
+    def no_annihilator(M):
+        raise AssertionError("annihilator computed")
+
+    monkeypatch.setattr(cube, "validate_cube", counted)
+    monkeypatch.setattr(modcalc, "annihilator", no_annihilator)
+    monkeypatch.setattr(koszul, "annihilator", no_annihilator, raising=False)
+    assert verify_weight_decomposition(x, fs).info["pairs_checked"] == 27
+    assert validations == [x.labels]
+
+
 def test_generators_presentation():
     M, cert = generators_presentation(typical_cube([X, Y]))
     assert M.rank == 1
@@ -413,6 +478,24 @@ def test_generators_presentation():
     assert cert.a_sequence
     with pytest.raises(ValueError):
         generators_presentation(rank1_square("1", "1", "y", "y"))
+
+
+def _vector_multiset(vectors):
+    return Counter(tuple(map(str, v)) for v in vectors)
+
+
+def test_generators_relations_are_tot_degree_one_columns():
+    # the arrival-boundary relations of H_0 are the columns of d_1 of Tot x
+    # (each with sign +1), as vectors counted with multiplicity
+    checked = 0
+    for x, _ in _gen.koszul_suite(100) + _gen.nonlinear_koszul_suite() + _gen.four_direction_koszul_suite():
+        if degenerate_directions(x):
+            continue
+        H, _ = generators_presentation(x)
+        d1 = total_complex(x).differential(1)
+        assert _vector_multiset(H.relations.generators) == _vector_multiset(d1.columns())
+        checked += 1
+    assert checked >= 100
 
 
 def test_h0_of_koszul_cube_is_perfect():
@@ -444,6 +527,23 @@ def test_four_direction_koszul_cubes_are_admissible():
         for s in ADMISSIBILITY_STRATEGIES:
             assert is_admissible(x, strategy=s).ok, (i, s)
         assert det_is_a_sequence(x), (i, "determinants not an A-sequence")
+
+
+def test_four_direction_admissibility_negative_and_padded():
+    # a zeroed direction kills injectivity, so no strategy may accept; an
+    # identity direction added to a 3-direction Koszul cube gives an
+    # admissible cube (Tot is a cone of an identity), so every strategy must
+    zeroed = [_gen.zero_direction(x, x.labels[i % 4])
+              for i, (x, _) in enumerate(_gen.four_direction_koszul_suite())]
+    three = [x for x, _ in _gen.koszul_suite(100) + _gen.nonlinear_koszul_suite(per_sequence=2)
+             if len(x.labels) == 3]
+    padded = [_gen.pad_identity(x, "9") for x in three]
+    assert {x.ring.field.char for x in zeroed} == {x.ring.field.char for x in padded} == {0, 101}
+    for s in ADMISSIBILITY_STRATEGIES:
+        for i, x in enumerate(zeroed):
+            assert not is_admissible(x, strategy=s).ok, (i, s)
+        for i, x in enumerate(padded):
+            assert is_admissible(x, strategy=s).ok, (i, s)
 
 
 # --------------------------------------------------------------------------
