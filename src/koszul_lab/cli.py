@@ -149,9 +149,10 @@ def _load_doc(path: str) -> dict:
     return doc
 
 
-def _require(doc: dict, key: str):
+def _require(doc: dict, key: str, where: str = ""):
+    """doc[key], where `where` is the JSON path of doc ("" for the document)."""
     if key not in doc:
-        raise ValueError(f"missing '{key}' in the input document")
+        raise ValueError(f"missing '{where + '.' if where else ''}{key}' in the input document")
     return doc[key]
 
 
@@ -215,23 +216,44 @@ def _rank_from_doc(value, where: str) -> int:
     return value
 
 
-def _cube_from_doc(doc: dict, ring: RingSpec) -> Cube:
-    cd = _object(_require(doc, "cube"), "cube")
-    labels = _labels_from_doc(cd.get("S"), "cube.S")
-    vd = _object(_require(cd, "vertices"), "cube.vertices")
+def _cube_from_doc(d, ring: RingSpec, where: str) -> Cube:
+    """The cube in the object `d` at JSON path `where`.  A vertex is a rank r,
+    the free module A^r, or {"rank": r, "relations": rows}; "S" and
+    "boundaries" default to [] and {}."""
+    d = _object(d, where)
+    labels = _labels_from_doc(d.get("S", []), f"{where}.S")
+    vd = _object(_require(d, "vertices", where), f"{where}.vertices")
     subs = label_subsets(labels)
-    ranks = {}
+    verts = {}
     for T in subs:
         key = subset_key(T)
         if key not in vd:
-            raise ValueError(f"missing vertex rank for subset '{key}'")
-        ranks[T] = _rank_from_doc(vd[key], f"vertex rank for subset '{key}'")
+            raise ValueError(f"missing vertex for subset '{key}' in '{where}.vertices'")
+        verts[T] = _vertex_from_doc(vd[key], ring, f"{where}.vertices[{json.dumps(key)}]")
     extra = set(vd) - {subset_key(T) for T in subs}
     if extra:
-        raise ValueError(f"unknown vertex keys {sorted(extra)}")
-    bd = _object(_require(cd, "boundaries"), "cube.boundaries")
-    return Cube(ring, labels, ranks,
-                _boundaries_from_doc(bd, ring, subs, ranks.get, "cube.boundaries"))
+        raise ValueError(f"unknown vertex keys {sorted(extra)} in '{where}.vertices'")
+    bd = _object(d.get("boundaries", {}), f"{where}.boundaries")
+    return Cube(ring, labels, verts, _boundaries_from_doc(bd, ring, subs, lambda T: verts[T].rank,
+                                                          f"{where}.boundaries"))
+
+
+def _vertex_from_doc(v, ring: RingSpec, where: str) -> FPModule:
+    if not isinstance(v, dict):
+        return FPModule.free(ring, _rank_from_doc(v, where))
+    if "rank" not in v:
+        raise ValueError(f"{where} must be a rank or an object with 'rank' (and 'relations')")
+    rank = _rank_from_doc(v["rank"], f"{where}.rank")
+    rows = v.get("relations", [])
+    if not isinstance(rows, list) or any(not isinstance(row, list) for row in rows):
+        raise ValueError(f"{where}.relations must be a list of rows")
+    gens = []
+    for i, row in enumerate(rows):
+        if len(row) != rank:
+            raise ValueError(f"{where}.relations[{i}] has length {len(row)}, expected {rank}")
+        gens.append(tuple(_poly_from_doc(s, ring, f"{where}.relations[{i}][{j}]")
+                          for j, s in enumerate(row)))
+    return FPModule(ring, rank, SubmoduleBasis(ring, rank, gens))
 
 
 def _boundaries_from_doc(bd: dict, ring: RingSpec, subs: list, rank, where: str) -> dict:
@@ -273,37 +295,6 @@ def _complex_from_doc(doc: dict, ring: RingSpec) -> Complex:
                               f"complex.differentials[{k}]")
              for k, rows in enumerate(diffs_doc)]
     return Complex(ring, ranks, diffs)
-
-
-def _modcube_from_doc(d, ring: RingSpec, where: str) -> Cube:
-    """The module cube in the object `d` at JSON path `where`."""
-    d = _object(d, where)
-    labels = _labels_from_doc(d.get("S", []), f"{where}.S")
-    vd = _object(_require(d, "vertices"), "vertices")
-    subs = label_subsets(labels)
-    verts = {}
-    for T in subs:
-        key = subset_key(T)
-        if key not in vd:
-            raise ValueError(f"missing vertex for subset '{key}'")
-        entry = vd[key]
-        if not isinstance(entry, dict) or "rank" not in entry:
-            raise ValueError(f"vertex '{key}' must be an object with 'rank' (and 'relations')")
-        rank = _rank_from_doc(entry["rank"], f"rank of vertex '{key}'")
-        rows = entry.get("relations", [])
-        if not isinstance(rows, list) or any(not isinstance(row, list) for row in rows):
-            raise ValueError(f"relations of vertex '{key}' must be a list of rows")
-        gens = []
-        for i, row in enumerate(rows):
-            path = f"{where}.vertices[{json.dumps(key)}].relations[{i}]"
-            vec = tuple(_poly_from_doc(s, ring, f"{path}[{j}]") for j, s in enumerate(row))
-            if len(vec) != rank:
-                raise ValueError(f"relation length mismatch at vertex '{key}'")
-            gens.append(vec)
-        verts[T] = FPModule(ring, rank, SubmoduleBasis(ring, rank, gens))
-    bd = _object(d.get("boundaries", {}), "boundaries")
-    return Cube(ring, labels, verts, _boundaries_from_doc(bd, ring, subs, lambda T: verts[T].rank,
-                                                          f"{where}.boundaries"))
 
 
 # ---------------------------------------------------------------------------
@@ -349,348 +340,233 @@ def _common_options(f):
     return f
 
 
-def _options_header(seed: int, max_power: int, perm_cap: int) -> dict:
-    return {"seed": seed, "max_power": max_power, "perm_cap": perm_cap}
-
-
 @click.group()
 def main():
     """Checks and constructions for cubes of modules over polynomial rings."""
 
 
-@main.command("validate")
-@_common_options
-def cmd_validate(input_path, order, seed, max_power, perm_cap, fmt):
+def _command(name: str, *extra_options):
+    """Register body(doc, ring, opts) -> (verdict, details) as the command
+    `name`, with the common options and then `extra_options`, click option
+    decorators in the order --help lists them.  opts maps the parameter name
+    of every option but --input, --order and the output format to its value."""
+    def register(body):
+        def command(input_path, order, fmt, **opts):
+            def work():
+                doc = _load_doc(input_path)
+                return body(doc, _ring_from_doc(doc, order), opts)
+            header = {key: opts[key] for key in ("seed", "max_power", "perm_cap")}
+            _run(name, header, fmt, work)
+        command.__doc__ = body.__doc__
+        for option in reversed(extra_options):
+            command = option(command)
+        return main.command(name)(_common_options(command))
+    return register
+
+
+@_command("validate")
+def cmd_validate(doc, ring, opts):
     """Check the commuting-square law on a cube document."""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        x = _cube_from_doc(doc, ring)
-        rep = validate_cube(x)
-        return rep.ok, {"failures": list(rep.failures)}
-    _run("validate", _options_header(seed, max_power, perm_cap), fmt, work)
+    rep = validate_cube(_cube_from_doc(_require(doc, "cube"), ring, "cube"))
+    return rep.ok, {"failures": list(rep.failures)}
 
 
-@main.command("tot")
-@_common_options
-def cmd_tot(input_path, order, seed, max_power, perm_cap, fmt):
+@_command("tot")
+def cmd_tot(doc, ring, opts):
     """Emit the total complex of a cube document."""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        x = _cube_from_doc(doc, ring)
-        c = total_complex(x)
-        return True, {"complex": _complex_doc(c)}
-    _run("tot", _options_header(seed, max_power, perm_cap), fmt, work)
+    c = total_complex(_cube_from_doc(_require(doc, "cube"), ring, "cube"))
+    return True, {"complex": _complex_doc(c)}
 
 
-@main.command("homology")
-@_common_options
-def cmd_homology(input_path, order, seed, max_power, perm_cap, fmt):
+@_command("homology")
+def cmd_homology(doc, ring, opts):
     """Homology presentations of the total complex in every degree."""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        x = _cube_from_doc(doc, ring)
-        c = total_complex(x)
-        modules = {}
-        for k in range(c.length + 1):
-            M = homology(c, k)
-            modules[str(k)] = {"rank": M.rank,
-                               "relations": _jsonable(M.relations),
-                               "is_zero": is_zero_module(M)}
-        return True, {"modules": modules, "zero_spherical": zero_spherical(c)}
-    _run("homology", _options_header(seed, max_power, perm_cap), fmt, work)
+    c = total_complex(_cube_from_doc(_require(doc, "cube"), ring, "cube"))
+    modules = {}
+    for k in range(c.length + 1):
+        M = homology(c, k)
+        modules[str(k)] = {**_jsonable(M), "is_zero": is_zero_module(M)}
+    return True, {"modules": modules, "zero_spherical": zero_spherical(c)}
 
 
-@main.command("h0")
-@_common_options
-@click.option("--directions", default="", help="Comma-joined labels to iterate over "
-              "(default: all).")
-def cmd_h0(input_path, order, seed, max_power, perm_cap, fmt, directions):
+@_command("h0", click.option("--directions", default="", help="Comma-joined labels to iterate "
+                             "over (default: all)."))
+def cmd_h0(doc, ring, opts):
     """Iterated directional H_0 over the chosen directions."""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        x = _cube_from_doc(doc, ring)
-        T = [s for s in directions.split(",") if s] if directions else list(x.labels)
-        mc = iterated_h0(x, T)
-        verts = {subset_key(W): {"rank": mc.vertex(W).rank,
-                                 "relations": _jsonable(mc.vertex(W).relations)}
-                 for W in mc.subsets()}
-        return True, {"directions": sorted(T), "vertices": verts}
-    _run("h0", _options_header(seed, max_power, perm_cap), fmt, work)
+    x = _cube_from_doc(_require(doc, "cube"), ring, "cube")
+    directions = opts["directions"]
+    T = [s for s in directions.split(",") if s] if directions else list(x.labels)
+    return True, {"directions": sorted(T), "vertices": iterated_h0(x, T).vertices}
 
 
-@main.command("admissible")
-@_common_options
-@click.option("--strategy", type=click.Choice(ADMISSIBILITY_STRATEGIES),
-              default="definition", show_default=True)
-def cmd_admissible(input_path, order, seed, max_power, perm_cap, fmt, strategy):
+@_command("admissible", click.option("--strategy", type=click.Choice(ADMISSIBILITY_STRATEGIES),
+                                     default="definition", show_default=True))
+def cmd_admissible(doc, ring, opts):
     """Admissibility of a cube under the chosen strategy."""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        x = _cube_from_doc(doc, ring)
-        rep = is_admissible(x, strategy=strategy)
-        return rep.ok, {"strategy": strategy, "failures": list(rep.failures)}
-    _run("admissible", _options_header(seed, max_power, perm_cap), fmt, work)
+    x = _cube_from_doc(_require(doc, "cube"), ring, "cube")
+    rep = is_admissible(x, strategy=opts["strategy"])
+    return rep.ok, {"strategy": opts["strategy"], "failures": list(rep.failures)}
 
 
-@main.command("koszul-check")
-@_common_options
-def cmd_koszul_check(input_path, order, seed, max_power, perm_cap, fmt):
+@_command("koszul-check")
+def cmd_koszul_check(doc, ring, opts):
     """Is the cube Koszul with respect to the document's sequence?"""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        x = _cube_from_doc(doc, ring)
-        fs = _sequence_from_doc(doc, ring)
-        v = is_koszul_cube(x, fs)
-        return v.is_koszul, {"diagnostics": v.diagnostics, "pd_note": v.pd_note}
-    _run("koszul-check", _options_header(seed, max_power, perm_cap), fmt, work)
+    x = _cube_from_doc(_require(doc, "cube"), ring, "cube")
+    v = is_koszul_cube(x, _sequence_from_doc(doc, ring))
+    return v.is_koszul, {"diagnostics": v.diagnostics, "pd_note": v.pd_note}
 
 
-@main.command("reduced-check")
-@_common_options
-def cmd_reduced_check(input_path, order, seed, max_power, perm_cap, fmt):
+@_command("reduced-check")
+def cmd_reduced_check(doc, ring, opts):
     """Is the Koszul cube reduced (f_k kills each k-cokernel on the nose)?"""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        x = _cube_from_doc(doc, ring)
-        fs = _sequence_from_doc(doc, ring)
-        return is_reduced_koszul(x, fs), {}
-    _run("reduced-check", _options_header(seed, max_power, perm_cap), fmt, work)
+    x = _cube_from_doc(_require(doc, "cube"), ring, "cube")
+    return is_reduced_koszul(x, _sequence_from_doc(doc, ring)), {}
 
 
-@main.command("typical")
-@_common_options
-def cmd_typical(input_path, order, seed, max_power, perm_cap, fmt):
+@_command("typical")
+def cmd_typical(doc, ring, opts):
     """Emit the typical cube of the document's sequence."""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        fs = _sequence_from_doc(doc, ring)
-        labels = doc.get("labels")
-        if labels is not None and not isinstance(labels, list):
-            raise ValueError("'labels' must be a list of strings")
-        x = typical_cube(fs, labels=labels, ring=ring)
-        return True, {"cube": _cube_doc(x)}
-    _run("typical", _options_header(seed, max_power, perm_cap), fmt, work)
+    fs = _sequence_from_doc(doc, ring)
+    labels = doc.get("labels")
+    if labels is not None:
+        labels = _labels_from_doc(labels, "labels")
+    return True, {"cube": _cube_doc(typical_cube(fs, labels=labels, ring=ring))}
 
 
-@main.command("det")
-@_common_options
-def cmd_det(input_path, order, seed, max_power, perm_cap, fmt):
+@_command("det")
+def cmd_det(doc, ring, opts):
     """Per-direction determinants and their unit-coherence verdict."""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        x = _cube_from_doc(doc, ring)
-        dets, rep = determinant(x)
-        return rep.ok, {"determinants": {k: str(v) for k, v in dets.items()},
-                        "failures": list(rep.failures)}
-    _run("det", _options_header(seed, max_power, perm_cap), fmt, work)
+    dets, rep = determinant(_cube_from_doc(_require(doc, "cube"), ring, "cube"))
+    return rep.ok, {"determinants": dets, "failures": list(rep.failures)}
 
 
-@main.command("fitting")
-@_common_options
-@click.option("--size", type=click.IntRange(1, None), required=True,
-              help="Minor size t for the Fitting ideal I_t.")
-def cmd_fitting(input_path, order, seed, max_power, perm_cap, fmt, size):
+@_command("fitting", click.option("--size", type=click.IntRange(1, None), required=True,
+                                  help="Minor size t for the Fitting ideal I_t."))
+def cmd_fitting(doc, ring, opts):
     """Fitting ideal of the document's matrix."""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        rows = _require(doc, "matrix")
-        if not isinstance(rows, list) or not rows or any(not isinstance(r, list) for r in rows):
-            raise ValueError("'matrix' must be a nonempty list of rows")
-        m = _matrix_from_doc(rows, ring, len(rows), len(rows[0]), "matrix")
-        ideal = fitting_ideal(m, size)
-        return True, {"size": size, "generators": _jsonable(ideal)}
-    _run("fitting", _options_header(seed, max_power, perm_cap), fmt, work)
+    rows = _require(doc, "matrix")
+    if not isinstance(rows, list) or not rows or any(not isinstance(r, list) for r in rows):
+        raise ValueError("'matrix' must be a nonempty list of rows")
+    m = _matrix_from_doc(rows, ring, len(rows), len(rows[0]), "matrix")
+    return True, {"size": opts["size"], "generators": fitting_ideal(m, opts["size"])}
 
 
-@main.command("grade")
-@_common_options
-def cmd_grade(input_path, order, seed, max_power, perm_cap, fmt):
+@_command("grade")
+def cmd_grade(doc, ring, opts):
     """Grade of the ideal generated by the document's 'ideal' polynomials."""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        gens = _sequence_from_doc(doc, ring, key="ideal")
-        g = grade(IdealBasis(ring, gens))
-        return True, {"grade": _jsonable(g)}
-    _run("grade", _options_header(seed, max_power, perm_cap), fmt, work)
+    gens = _sequence_from_doc(doc, ring, key="ideal")
+    return True, {"grade": grade(IdealBasis(ring, gens))}
 
 
-@main.command("be-check")
-@_common_options
-def cmd_be_check(input_path, order, seed, max_power, perm_cap, fmt):
+@_command("be-check")
+def cmd_be_check(doc, ring, opts):
     """Buchsbaum–Eisenbud acyclicity of the document's complex."""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        c = _complex_from_doc(doc, ring)
-        rep = be_acyclicity(c)
-        return rep.ok, {"failures": list(rep.failures),
-                        "r": _jsonable(rep.info.get("r", {})),
-                        "grades": _jsonable(rep.info.get("grades", {})),
-                        "fitting": _jsonable(rep.info.get("fitting", {}))}
-    _run("be-check", _options_header(seed, max_power, perm_cap), fmt, work)
+    rep = be_acyclicity(_complex_from_doc(doc, ring))
+    return rep.ok, {"failures": list(rep.failures),
+                    "r": rep.info.get("r", {}),
+                    "grades": rep.info.get("grades", {}),
+                    "fitting": rep.info.get("fitting", {})}
 
 
-@main.command("regseq")
-@_common_options
-def cmd_regseq(input_path, order, seed, max_power, perm_cap, fmt):
+@_command("regseq")
+def cmd_regseq(doc, ring, opts):
     """Is the document's sequence regular (in the given order)?"""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        fs = _sequence_from_doc(doc, ring)
-        rep = is_regular_sequence(fs)
-        return rep.regular, {
-            "failing_index": rep.failing_index,
-            "witness": None if rep.witness is None else str(rep.witness),
-        }
-    _run("regseq", _options_header(seed, max_power, perm_cap), fmt, work)
+    rep = is_regular_sequence(_sequence_from_doc(doc, ring))
+    return rep.regular, {"failing_index": rep.failing_index, "witness": rep.witness}
 
 
-@main.command("aseq")
-@_common_options
-def cmd_aseq(input_path, order, seed, max_power, perm_cap, fmt):
+@_command("aseq")
+def cmd_aseq(doc, ring, opts):
     """Is the document's sequence regular under every permutation?"""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        fs = _sequence_from_doc(doc, ring)
-        rep = is_A_sequence(fs, perm_cap=perm_cap)
-        return bool(rep.a_sequence), {
-            "regular": rep.regular,
-            "failing_permutation": None if rep.failing_permutation is None
-            else [str(f) for f in rep.failing_permutation],
-            "failing_index": rep.failing_index,
-            "witness": None if rep.witness is None else str(rep.witness),
-        }
-    _run("aseq", _options_header(seed, max_power, perm_cap), fmt, work)
+    rep = is_A_sequence(_sequence_from_doc(doc, ring), perm_cap=opts["perm_cap"])
+    return bool(rep.a_sequence), {
+        "regular": rep.regular,
+        "failing_permutation": rep.failing_permutation,
+        "failing_index": rep.failing_index,
+        "witness": rep.witness,
+    }
 
 
-@main.command("factor-lemma")
-@_common_options
-def cmd_factor_lemma(input_path, order, seed, max_power, perm_cap, fmt):
+@_command("factor-lemma")
+def cmd_factor_lemma(doc, ring, opts):
     """Factor-lemma cross-check on 'sequence' (f) and 'cofactors' (g)."""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        fs = _sequence_from_doc(doc, ring)
-        gs = _sequence_from_doc(doc, ring, key="cofactors")
-        rep = factor_sequence_check(fs, gs, perm_cap=perm_cap)
-        return rep.ok, {"failures": list(rep.failures), **_jsonable(rep.info)}
-    _run("factor-lemma", _options_header(seed, max_power, perm_cap), fmt, work)
+    fs = _sequence_from_doc(doc, ring)
+    gs = _sequence_from_doc(doc, ring, key="cofactors")
+    rep = factor_sequence_check(fs, gs, perm_cap=opts["perm_cap"])
+    return rep.ok, {"failures": list(rep.failures), **rep.info}
 
 
-@main.command("weight-decomp")
-@_common_options
-def cmd_weight_decomp(input_path, order, seed, max_power, perm_cap, fmt):
+@_command("weight-decomp")
+def cmd_weight_decomp(doc, ring, opts):
     """Sphericity data of the weight decomposition of a Koszul cube."""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        x = _cube_from_doc(doc, ring)
-        fs = _sequence_from_doc(doc, ring)
-        rep = verify_weight_decomposition(x, fs)
-        return rep.ok, {"failures": list(rep.failures),
-                        "pairs_checked": rep.info.get("pairs_checked")}
-    _run("weight-decomp", _options_header(seed, max_power, perm_cap), fmt, work)
+    x = _cube_from_doc(_require(doc, "cube"), ring, "cube")
+    rep = verify_weight_decomposition(x, _sequence_from_doc(doc, ring))
+    return rep.ok, {"failures": list(rep.failures),
+                    "pairs_checked": rep.info.get("pairs_checked")}
 
 
-@main.command("generators")
-@_common_options
-def cmd_generators(input_path, order, seed, max_power, perm_cap, fmt):
+@_command("generators")
+def cmd_generators(doc, ring, opts):
     """H_0(Tot) presented by arrival boundaries, with the determinant certificate."""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        x = _cube_from_doc(doc, ring)
-        M, cert = generators_presentation(x, perm_cap=perm_cap)
-        return bool(cert.a_sequence), {
-            "rank": M.rank,
-            "relations": _jsonable(M.relations),
-            "det_sequence": [str(f) for f in cert.sequence],
-            "det_a_sequence": bool(cert.a_sequence),
-        }
-    _run("generators", _options_header(seed, max_power, perm_cap), fmt, work)
+    x = _cube_from_doc(_require(doc, "cube"), ring, "cube")
+    M, cert = generators_presentation(x, perm_cap=opts["perm_cap"])
+    return bool(cert.a_sequence), {
+        "rank": M.rank,
+        "relations": M.relations,
+        "det_sequence": cert.sequence,
+        "det_a_sequence": bool(cert.a_sequence),
+    }
 
 
-@main.command("resolve")
-@_common_options
-def cmd_resolve(input_path, order, seed, max_power, perm_cap, fmt):
+@_command("resolve")
+def cmd_resolve(doc, ring, opts):
     """Resolve the document's targets by sums of typical cubes."""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        rd = _object(_require(doc, "resolution"), "resolution")
-        U = _labels_from_doc(rd.get("U", []), "resolution.U")
-        V = _labels_from_doc(rd.get("V", []), "resolution.V")
-        fs_doc = _object(_require(rd, "fs"), "resolution.fs")
-        fs = {s: _poly_from_doc(p, ring, f"resolution.fs[{json.dumps(s)}]")
-              for s, p in fs_doc.items()}
-        targets_doc = _require(rd, "targets")
-        if not isinstance(targets_doc, list):
-            raise ValueError("'resolution.targets' must be a list")
-        targets = [_modcube_from_doc(d, ring, f"resolution.targets[{i}]")
-                   for i, d in enumerate(targets_doc)]
+    rd = _object(_require(doc, "resolution"), "resolution")
+    U = _labels_from_doc(rd.get("U", []), "resolution.U")
+    V = _labels_from_doc(rd.get("V", []), "resolution.V")
+    fs_doc = _object(_require(rd, "fs", "resolution"), "resolution.fs")
+    fs = {s: _poly_from_doc(p, ring, f"resolution.fs[{json.dumps(s)}]")
+          for s, p in fs_doc.items()}
+    targets_doc = _require(rd, "targets", "resolution")
+    if not isinstance(targets_doc, list):
+        raise ValueError("'resolution.targets' must be a list")
+    targets = [_cube_from_doc(d, ring, f"resolution.targets[{i}]")
+               for i, d in enumerate(targets_doc)]
 
-        def keyed_maps(d, src, tgt, where):
-            out = {}
-            for key, rows in _object(d, where).items():
-                T = frozenset(s for s in key.split(",") if s)
-                out[T] = _matrix_from_doc(rows, ring, tgt.vertex(T).rank,
-                                          src.vertex(T).rank, f"{where}[{json.dumps(key)}]")
-            return out
+    def keyed_maps(d, src, tgt, where):
+        out = {}
+        for key, rows in _object(d, where).items():
+            T = frozenset(s for s in key.split(",") if s)
+            out[T] = _matrix_from_doc(rows, ring, tgt.vertex(T).rank,
+                                      src.vertex(T).rank, f"{where}[{json.dumps(key)}]")
+        return out
 
-        connecting_doc = rd.get("connecting", [])
-        if not isinstance(connecting_doc, list) or len(connecting_doc) != len(targets) - 1:
-            raise ValueError("'resolution.connecting' must be a list of one map per "
-                             "consecutive pair of targets")
-        connecting = [keyed_maps(w, targets[i], targets[i + 1], f"resolution.connecting[{i}]")
-                      for i, w in enumerate(connecting_doc)]
-        inp = ResolutionInput(fs, U, V, targets, connecting)
-        out = koszul_resolve(inp, cap=max_power)
-        stages = []
-        for stage in out.stages:
-            stages.append({
-                "multiplicities": {subset_key(T): n
-                                   for T, n in sorted(stage.multiplicities.items(),
-                                                      key=lambda kv: subset_key(kv[0]))},
-                "epi": {subset_key(T): _jsonable(m) for T, m in stage.epi.items()},
-            })
-        # koszul_resolve has verified the resolution and raises when it fails
-        return True, {
-            "exponents": dict(sorted(out.exponents.items())),
-            "g": {s: str(p) for s, p in sorted(out.g.items())},
-            "stages": stages,
-            "connecting": [{subset_key(T): _jsonable(m) for T, m in t.items()}
-                           for t in out.connecting],
-            "failures": [],
-        }
-    _run("resolve", _options_header(seed, max_power, perm_cap), fmt, work)
+    connecting_doc = rd.get("connecting", [])
+    if not isinstance(connecting_doc, list) or len(connecting_doc) != len(targets) - 1:
+        raise ValueError("'resolution.connecting' must be a list of one map per "
+                         "consecutive pair of targets")
+    connecting = [keyed_maps(w, targets[i], targets[i + 1], f"resolution.connecting[{i}]")
+                  for i, w in enumerate(connecting_doc)]
+    out = koszul_resolve(ResolutionInput(fs, U, V, targets, connecting), cap=opts["max_power"])
+    # koszul_resolve has verified the resolution and raises when it fails
+    return True, {
+        "exponents": out.exponents,
+        "g": out.g,
+        "stages": [{"multiplicities": stage.multiplicities, "epi": stage.epi}
+                   for stage in out.stages],
+        "connecting": out.connecting,
+        "failures": [],
+    }
 
 
-@main.command("random-koszul")
-@_common_options
-@click.option("--summands", type=click.IntRange(1, 4), default=2, show_default=True)
-@click.option("--steps", type=click.IntRange(0, 12), default=2, show_default=True)
-def cmd_random_koszul(input_path, order, seed, max_power, perm_cap, fmt, summands, steps):
+@_command("random-koszul",
+          click.option("--summands", type=click.IntRange(1, 4), default=2, show_default=True),
+          click.option("--steps", type=click.IntRange(0, 12), default=2, show_default=True))
+def cmd_random_koszul(doc, ring, opts):
     """Emit a seeded random Koszul cube over the document's sequence."""
-    def work():
-        doc = _load_doc(input_path)
-        ring = _ring_from_doc(doc, order)
-        fs = _sequence_from_doc(doc, ring)
-        x = random_koszul(fs, summands, steps, seed)
-        return True, {"cube": _cube_doc(x)}
-    _run("random-koszul", _options_header(seed, max_power, perm_cap), fmt, work)
+    fs = _sequence_from_doc(doc, ring)
+    x = random_koszul(fs, opts["summands"], opts["steps"], opts["seed"])
+    return True, {"cube": _cube_doc(x)}
 
 
 if __name__ == "__main__":

@@ -117,6 +117,9 @@ MALFORMED_CASES = [
     ("connecting_not_object", "resolve",
      {"ring": RING_Q2, "resolution": {"U": [], "V": [], "fs": {}, "connecting": [5],
                                       "targets": [{"S": [], "vertices": {"": {"rank": 1}}}] * 2}}),
+    ("target_unknown_vertex_key", "resolve",
+     {"ring": RING_Q2, "resolution": {"U": [], "V": [], "fs": {}, "targets": [
+         {"S": [], "vertices": {"": {"rank": 1, "relations": [["x"]]}, "zzz": {"rank": 7}}}]}}),
     ("typical_label_not_string", "typical",
      {"ring": RING_Q2, "sequence": ["x"], "labels": [1]}),
     ("label_collides_with_subset_key", "validate",
@@ -176,6 +179,9 @@ NON_STRING_CASES = [
          {"S": ["None"], "vertices": {"": {"rank": 1}, "None": {"rank": 1}},
           "boundaries": {"None|None": [["x"]]}}]}},
      "resolution.V[0]"),
+    ("typical_label", "typical",
+     {"ring": RING_Q2, "sequence": ["x"], "labels": [1]},
+     "labels[0]"),
 ]
 
 
@@ -230,6 +236,51 @@ def test_failed_reverification_is_internal_error(monkeypatch):
     err = json.loads(out)["error"]
     assert err["type"] == "internal"
     assert "failed verification" in err["message"]
+
+
+COMMANDS = ["admissible", "aseq", "be-check", "det", "factor-lemma", "fitting", "generators",
+            "grade", "h0", "homology", "koszul-check", "random-koszul", "reduced-check",
+            "regseq", "resolve", "tot", "typical", "validate", "weight-decomp"]
+
+
+def test_every_command_has_the_common_options():
+    assert sorted(main.commands) == COMMANDS
+    for name, command in main.commands.items():
+        params = {opt: p for p in command.params for opt in p.opts}
+        assert params["--input"].required, name
+        assert params["--json"].name == params["--text"].name == "fmt", name
+        defaults = {opt: params[opt].default
+                    for opt in ("--order", "--seed", "--max-power", "--perm-cap", "--json")}
+        assert defaults == {"--order": None, "--seed": 0, "--max-power": 64, "--perm-cap": 6,
+                            "--json": True}, name
+
+
+# one vertex carries relations: A --x--> A/(y), whose kernel (y) is not zero
+MODULE_VERTEX_CUBE = {"ring": RING_Q2, "cube": {
+    "S": ["1"], "vertices": {"": {"rank": 1, "relations": [["y"]]}, "1": 1},
+    "boundaries": {"1|1": [["x"]]}}}
+
+
+def test_cube_document_accepts_module_vertices(tmp_path):
+    doc = write_doc(tmp_path, MODULE_VERTEX_CUBE)
+    assert run("validate", "--input", doc)[1] == 0
+    out, code = run("admissible", "--strategy", "inductive", "--input", doc)
+    assert code == 1
+    assert "boundary d^1_{1} is not injective" in json.loads(out)["details"]["failures"][0]
+    # a command that needs a free cube rejects it as input, not as a verdict
+    out, code = run("tot", "--input", doc)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "input"
+    assert "expected a cube of free modules" in err["message"]
+
+
+def test_target_errors_name_their_json_path(tmp_path):
+    doc = write_doc(tmp_path, {"ring": RING_Q2, "resolution": {
+        "U": [], "V": [], "fs": {}, "targets": [{"S": [], "vertices": [1]}]}})
+    out, code = run("resolve", "--input", doc)
+    assert code == 2
+    assert "resolution.targets[0].vertices" in json.loads(out)["error"]["message"]
 
 
 # --------------------------------------------------------------------------

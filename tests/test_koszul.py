@@ -17,6 +17,7 @@ from koszul_lab.cube import (
     is_admissible,
     label_subsets,
     nondegenerate_part,
+    restrict,
     subset_key,
     total_complex,
     validate_cube,
@@ -448,6 +449,20 @@ def test_weight_decomposition_support_is_implied_by_koszul():
         rep = verify_weight_decomposition(x, fs)
         assert rep.ok and rep.info["pairs_checked"] == 3 ** len(x.labels)
     assert flags > 2000
+
+
+def test_weight_decomposition_one_direction_faces_are_implied_by_koszul():
+    # reference for the |T| = 1 faces verify_weight_decomposition no longer
+    # computes: Tot of x|_{t}^U is the boundary d^t_{U∪t}, injective on a
+    # Koszul cube, so it is 0-spherical
+    suites = _gen.koszul_suite(100) + _gen.nonlinear_koszul_suite() + _gen.four_direction_koszul_suite()
+    faces = 0
+    for x, fs in suites:
+        for t in x.labels:
+            for U in label_subsets(lab for lab in x.labels if lab != t):
+                assert zero_spherical(total_complex(restrict(x, {t}, U))), (x.labels, t, U)
+                faces += 1
+    assert faces > 1000
 
 
 def test_weight_decomposition_validates_once(monkeypatch):

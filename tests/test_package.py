@@ -60,3 +60,11 @@ def test_no_unused_imports():
                 exported = set(ast.literal_eval(node.value))
         unused += [f"{path.name}: {name}" for name in sorted(imported - read - exported)]
     assert unused == []
+
+
+def test_sources_parse_as_python_3_10():
+    # 3.10 is the requires-python floor; this catches newer syntax where no
+    # 3.10 interpreter is at hand
+    tests = Path(__file__).resolve().parent
+    for path in sorted(SRC.rglob("*.py")) + sorted(tests.rglob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
