@@ -23,7 +23,6 @@ __all__ = [
     "ParseError",
     "RingMismatchError",
     "parse_poly",
-    "poly_op",
     "is_unit",
     "exact_division",
     "MONOMIAL_ORDERS",
@@ -574,17 +573,6 @@ class _Parser:
 # ---------------------------------------------------------------------------
 # the small spec'd operation surface
 # ---------------------------------------------------------------------------
-
-def poly_op(a: Poly, b: Poly, op: str) -> Poly:
-    """Exact ring arithmetic: op in {"add", "sub", "mul"}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
 
 def is_unit(a: Poly) -> bool:
     """Units of a polynomial ring over a field: nonzero constants."""

@@ -156,10 +156,20 @@ def _require(doc: dict, key: str, where: str = ""):
     return doc[key]
 
 
+def _closed_keys(obj: dict, allowed: tuple, where: str) -> dict:
+    """obj, the object at JSON path `where`, once no key of it is outside
+    `allowed`: a misspelt key must not silently fall back to a default."""
+    extra = sorted(set(obj) - set(allowed))
+    if extra:
+        raise ValueError(f"unknown keys {extra} in '{where}'; allowed keys: {list(allowed)}")
+    return obj
+
+
 def _ring_from_doc(doc: dict, order_flag) -> RingSpec:
     spec = _require(doc, "ring")
     if not isinstance(spec, dict):
         raise ValueError("'ring' must be an object")
+    _closed_keys(spec, ("field", "vars", "order"), "ring")
     field_spec = spec.get("field", "Q")
     if field_spec == "Q":
         field = "Q"
@@ -241,7 +251,7 @@ def _cube_from_doc(d, ring: RingSpec, where: str) -> Cube:
 def _vertex_from_doc(v, ring: RingSpec, where: str) -> FPModule:
     if not isinstance(v, dict):
         return FPModule.free(ring, _rank_from_doc(v, where))
-    if "rank" not in v:
+    if "rank" not in _closed_keys(v, ("rank", "relations"), where):
         raise ValueError(f"{where} must be a rank or an object with 'rank' (and 'relations')")
     rank = _rank_from_doc(v["rank"], f"{where}.rank")
     rows = v.get("relations", [])
@@ -534,9 +544,13 @@ def cmd_resolve(doc, ring, opts):
                for i, d in enumerate(targets_doc)]
 
     def keyed_maps(d, src, tgt, where):
+        subsets = {subset_key(T): T for T in label_subsets(tgt.labels)}
         out = {}
         for key, rows in _object(d, where).items():
-            T = frozenset(s for s in key.split(",") if s)
+            if key not in subsets:
+                raise ValueError(f"{where}[{json.dumps(key)}] is not a subset key of the "
+                                 f"target labels {list(tgt.labels)}")
+            T = subsets[key]
             out[T] = _matrix_from_doc(rows, ring, tgt.vertex(T).rank,
                                       src.vertex(T).rank, f"{where}[{json.dumps(key)}]")
         return out

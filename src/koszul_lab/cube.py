@@ -22,16 +22,15 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
 from .arith import RingSpec, is_unit
-from .groebner import SubmoduleBasis, syzygies
+from .groebner import SubmoduleBasis, _kernel_span, syzygies
 from .modcalc import (
     Complex,
     FPModule,
     FreeMap,
     _graph_coordinates,
+    _nonzero_homology_degree,
     _relations_among,
     determinant_of_square,
-    homology,
-    is_zero_module,
 )
 
 __all__ = [
@@ -427,17 +426,15 @@ def iterated_h0(x: Cube, T: Iterable[str]) -> Cube:
 def _mod_injective(m: FreeMap, src: FPModule, tgt: FPModule) -> bool:
     """Is the induced map A^a/rel_src -> A^b/rel_tgt injective?
 
-    The preimage of rel_tgt under m is spanned by the first-block parts of the
-    syzygies of [m | rel_tgt]; injectivity says that span lies in rel_src.
+    The preimage of rel_tgt under m is spanned by the first-block parts of
+    any generating set of the kernel of [m | rel_tgt]; injectivity says that
+    span lies in rel_src.  The generators are the unreduced ones of
+    `_kernel_span`, since each is only tested for membership.
     """
     cols = m.columns() + list(tgt.relations.generators)
     rows = [[c[i] for c in cols] for i in range(tgt.rank)]
-    syz = syzygies(rows, m.ring, source_rank=len(cols))
-    for col in syz:
-        u = col[:m.source_rank]
-        if not src.relations.contains_vector(u):
-            return False
-    return True
+    return all(src.relations.contains_vector(g[:m.source_rank])
+               for g in _kernel_span(rows, m.ring, source_rank=len(cols)))
 
 
 def _admissible_definition(mc: Cube, applied: frozenset, memo: dict) -> tuple:
@@ -465,15 +462,18 @@ def _admissible_definition(mc: Cube, applied: frozenset, memo: dict) -> tuple:
 def _admissible_spherical(x: Cube, fixed: frozenset, memo: dict) -> tuple:
     """(ok, failures) for the face `x`, whose vertex at A is the input cube's
     vertex at A ∪ fixed; failures are relative to x.  memo maps a face, as
-    (its labels, fixed), to its (ok, failures)."""
+    (its labels, fixed), to its (ok, failures).
+
+    Tot(x) is 0-spherical unless some ker d_k escapes im d_{k+1}; the first
+    such degree is the one reported, and no H_k is presented to find it.
+    """
     if not x.labels:
         return True, ()
     failures = []
-    tot = _total_complex(x)
-    bad = [k for k in range(1, tot.length + 1) if not is_zero_module(homology(tot, k))]
-    if bad:
-        failures.append(f"Tot is not 0-spherical: H_{bad[0]} is nonzero")
-    ok = not bad
+    bad = _nonzero_homology_degree(_total_complex(x))
+    if bad is not None:
+        failures.append(f"Tot is not 0-spherical: H_{bad} is nonzero")
+    ok = bad is None
     S = frozenset(x.labels)
     for k in x.labels:
         for V, tag in ((frozenset(), "front"), (frozenset({k}), "back")):

@@ -24,6 +24,13 @@ pairs and both criteria are the same, the same reductions run, and the reduced
 basis, which is unique, is the same Fraction basis to the last coefficient.
 Normal forms outside Buchberger reduce the Fraction vectors of the cached
 monic bases by field division.
+
+Syzygies come from the same engine, with no second elimination.  Buchberger
+runs on the columns of a matrix, each augmented by a unit vector that
+records it, and a remainder that vanishes on the columns' block is a
+syzygy: it is collected and never joins the basis (Schreyer).  Callers that
+only test membership take those kernel generators as they come;
+`syzygies` returns their reduced basis.
 """
 
 from __future__ import annotations
@@ -217,29 +224,62 @@ def _nf_vp(vp: dict, basis: Sequence[_Element], ring: RingSpec, want_cert: bool 
     return rem, cert
 
 
-def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int) -> list:
-    """Reduced module Groebner basis of the flattened generators.
+def _field_vp(vp: dict, lc, p: int, one) -> dict:
+    """vp divided by its leading coefficient lc, with field coefficients.
+
+    Over GF(p) the working form is already monic.  Over Q this is where the
+    Fractions are made.  A coefficient 1 is the shared field.one, not a new
+    Fraction per term: the bases stay cached for the life of the process, and
+    fresh ones cost about 2% more peak memory.
+    """
+    if p:
+        return vp
+    return {t: one if c == lc else Fraction(c, lc) for t, c in vp.items()}
+
+
+def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optional[int] = None) -> list:
+    """Reduced module Groebner basis of the flattened generators, or, given
+    `head`, generators of their syzygies.
 
     Normal pair-selection strategy (smallest lcm in the order, ties by index),
     chain criterion always, product criterion only for rank 1 — it is unsound
     for module positions.  Elements are kept in the working form of
     `_unit_normal` (over Q, integer vectors) and made monic field vectors on
     return.
+
+    With `head` < rank the inputs are augmented columns col_j ⊕ e_j: col_j in
+    the positions < head, e_j at position head + j, so every element is some
+    (F·t, t) and its tail t says which combination of the columns it is.  A
+    remainder whose head part is zero is a syzygy t: it is collected and does
+    not join the basis, so syzygies never form pairs and never reduce tails.
+    The heads of the basis are a Groebner basis of the column span, the
+    S-pairs kept by the chain criterion generate its syzygies, and the input
+    remainders tie each column to the basis; so the collected tails generate
+    the kernel (Schreyer 1980; La Scala-Stillman 1998).  They are returned
+    unreduced, shifted to positions 0 .. rank - head - 1, as monic field
+    vectors, in place of the basis.
     """
     field = ring.field
     p = field.char
+    one = field.one
     dkey = _desc_term_key(ring)
     mono = ring.mono_key
+    if head is None:
+        head = rank
 
     G: list = []
+    syz: list = []  # zero-head remainders, shifted into the tail's positions
     pairs: dict = {}  # (i, j) -> lcm exponent tuple, i < j, same lead position
     queue: list = []  # min-heap of (mono(lcm), (i, j)) over exactly the pairs in `pairs`
 
     def add_elem(vp: dict):
         g = _unit_normal(vp, dkey, p)
+        if g.lt_pos >= head:
+            syz.append(_field_vp({(pos - head, e): c for (pos, e), c in g.vp.items()}, g.lc, p, one))
+            return
         gi = len(G)
         for i, h in enumerate(G):
-            if h is not None and h.lt_pos == g.lt_pos:
+            if h.lt_pos == g.lt_pos:
                 lcm = tuple(max(a, b) for a, b in zip(h.lt_exp, g.lt_exp))
                 pairs[(i, gi)] = lcm
                 heappush(queue, (mono(lcm), (i, gi)))
@@ -248,7 +288,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int) -> list:
     for vp in inputs:
         if not vp:
             continue
-        rem, _ = _nf_vp(vp if p else _integral(vp), [h for h in G if h is not None], ring)
+        rem, _ = _nf_vp(vp if p else _integral(vp), G, ring)
         if rem:
             add_elem(rem)
 
@@ -256,8 +296,6 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int) -> list:
         _, (i, j) = heappop(queue)
         lcm = pairs.pop((i, j))
         gi, gj = G[i], G[j]
-        if gi is None or gj is None:
-            continue
         # product criterion (ideals only): coprime leading monomials
         if rank == 1 and all(a + b == l for a, b, l in zip(gi.lt_exp, gj.lt_exp, lcm)):
             continue
@@ -265,7 +303,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int) -> list:
         # are already handled
         skip = False
         for k, gk in enumerate(G):
-            if gk is None or k == i or k == j or gk.lt_pos != gi.lt_pos:
+            if k == i or k == j or gk.lt_pos != gi.lt_pos:
                 continue
             if _divides(gk.lt_exp, lcm):
                 pik = (min(i, k), max(i, k))
@@ -280,45 +318,41 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int) -> list:
         s: dict = {}
         _add_scaled(s, gi.vp, tuple(a - b for a, b in zip(lcm, gi.lt_exp)), ui, field)
         _add_scaled(s, gj.vp, tuple(a - b for a, b in zip(lcm, gj.lt_exp)), field.neg(uj), field)
-        rem, _ = _nf_vp(s, [h for h in G if h is not None], ring)
+        rem, _ = _nf_vp(s, G, ring)
         if rem:
             add_elem(rem)
 
+    if head < rank:
+        return syz
     # minimalize: drop elements whose leading term is divisible by another's
-    live = [g for g in G if g is not None]
     # ascending by leading term; the leading terms are pairwise distinct
-    live.sort(key=lambda g: dkey(g.lt), reverse=True)
+    G.sort(key=lambda g: dkey(g.lt), reverse=True)
     minimal: list = []
-    for g in live:
+    for g in G:
         if any(h.lt_pos == g.lt_pos and _divides(h.lt_exp, g.lt_exp) for h in minimal):
             continue
         minimal.append(g)
-    # tail-reduce each against the others, then make it monic; over Q this is
-    # where the Fractions are made.  A coefficient 1 is the shared field.one,
-    # not a new Fraction per term: the bases stay cached for the life of the
-    # process, and fresh ones cost about 2% more peak memory.
-    one = field.one
+    # tail-reduce each against the others, then make it monic
     reduced = []
     for idx, g in enumerate(minimal):
         others = [h for k, h in enumerate(minimal) if k != idx]
         rem, _ = _nf_vp(g.vp, others, ring)
         if rem:
             e = _unit_normal(rem, dkey, p)
-            if not p:
-                lc = e.lc
-                e.vp = {t: one if c == lc else Fraction(c, lc) for t, c in e.vp.items()}
-                e.lc = one
+            e.vp = _field_vp(e.vp, e.lc, p, one)
+            e.lc = one
             reduced.append(e)
     reduced.sort(key=lambda g: dkey(g.lt), reverse=True)
     return reduced
 
 
-# global cache of reduced bases, keyed by the canonical generator set
+# global cache of reduced bases and kernel generators, keyed by a tag naming
+# what the entry holds and the canonical form of the generators
 _GB_CACHE: dict = {}
 
 
 def _compute_gb(ring: RingSpec, rank: int, vps: Sequence[dict]) -> list:
-    key = (ring.key(), rank, tuple(sorted(_vp_canonical(vp) for vp in vps)))
+    key = ("gb", ring.key(), rank, tuple(sorted(_vp_canonical(vp) for vp in vps)))
     hit = _GB_CACHE.get(key)
     if hit is None:
         hit = _buchberger(list(vps), ring, rank)
@@ -492,17 +526,14 @@ def ideal_membership(f: Poly, I: IdealBasis):
     return False, None
 
 
-def syzygies(rows: Sequence[Sequence[Poly]], ring: Optional[RingSpec] = None,
-             source_rank: Optional[int] = None) -> list:
-    """Generators for the kernel of the free-module map given by `rows`.
+def _kernel(rows: Sequence[Sequence[Poly]], ring: Optional[RingSpec], source_rank: Optional[int],
+            reduced: bool) -> list:
+    """Kernel generators of the matrix `rows` (row-major), as columns.
 
-    `rows` is the matrix row-major (length = target rank); columns are vectors
-    in A^(target rank).  Returns a list of columns (tuples of Poly, length =
-    source rank) generating the syzygy module.
-
-    Computed by elimination: columns are augmented with unit vectors in extra
-    positions below the ambient block; basis elements supported entirely in
-    the extra block are exactly the syzygies.
+    One Buchberger run on the augmented columns col_j ⊕ e_j collects the
+    zero-head remainders.  Those generators, or with `reduced` their reduced
+    basis in rank `source_rank`, are cached under a key tagged by which of
+    the two the entry holds.
     """
     target_rank = len(rows)
     if ring is None:
@@ -516,32 +547,53 @@ def syzygies(rows: Sequence[Sequence[Poly]], ring: Optional[RingSpec] = None,
     for r in rows:
         if len(r) != source_rank:
             raise ValueError("ragged matrix")
-    if source_rank == 0:
-        return []
-    augmented = []
-    for j in range(source_rank):
-        vec = [rows[i][j] for i in range(target_rank)]
-        unit = [ring.zero()] * source_rank
-        unit[j] = ring.one()
-        augmented.append(tuple(vec) + tuple(unit))
-    vps = [_vp_from_vector(v) for v in augmented]
-    gb = _compute_gb(ring, target_rank + source_rank, vps)
-    out = []
-    for e in gb:
-        if e.lt_pos >= target_rank:
-            # position-over-term: a leading term in the extra block forces
-            # every term into the extra block
-            vec = _vector_from_vp(e.vp, ring, target_rank + source_rank)
-            out.append(tuple(vec[target_rank:]))
-    return out
+    cols = [_vp_from_vector([r[j] for r in rows]) for j in range(source_rank)]
+    key = ("syzygies" if reduced else "kernel_span", ring.key(), target_rank,
+           tuple(_vp_canonical(vp) for vp in cols))
+    hit = _GB_CACHE.get(key)
+    if hit is None:
+        for j, vp in enumerate(cols):  # col_j ⊕ e_j, made after the key
+            vp[(target_rank + j, ring._zero_exp)] = ring.field.one
+        hit = _buchberger(cols, ring, target_rank + source_rank, head=target_rank)
+        if reduced:
+            hit = [e.vp for e in _buchberger(hit, ring, source_rank)]
+        _GB_CACHE[key] = hit
+    return [_vector_from_vp(vp, ring, source_rank) for vp in hit]
+
+
+def _kernel_span(rows: Sequence[Sequence[Poly]], ring: Optional[RingSpec] = None,
+                 source_rank: Optional[int] = None) -> list:
+    """Generators of the kernel of the matrix `rows`, unreduced.
+
+    These are the syzygies that one Buchberger pass collects (see
+    `_buchberger`): a generating set, not a basis, which is all a caller
+    needs that only tests whether each generator lies in some submodule.
+    """
+    return _kernel(rows, ring, source_rank, reduced=False)
+
+
+def syzygies(rows: Sequence[Sequence[Poly]], ring: Optional[RingSpec] = None,
+             source_rank: Optional[int] = None) -> list:
+    """Generators for the kernel of the free-module map given by `rows`.
+
+    `rows` is the matrix row-major (length = target rank); columns are vectors
+    in A^(target rank).  Returns the reduced position-over-term Groebner
+    basis of the syzygy module in A^(source rank), as columns.
+
+    Computed as Schreyer syzygies: the generators of `_kernel_span`, read off
+    the S-pair reductions of one Buchberger run, and then their reduced
+    basis.  A reduced basis is unique, so it does not depend on how the
+    generators were found.
+    """
+    return _kernel(rows, ring, source_rank, reduced=True)
 
 
 def submodule_from_reduced_gb(ring: RingSpec, rank: int, vectors: Sequence[Sequence[Poly]]) -> SubmoduleBasis:
     """Wrap vectors already known to be a reduced module GB, skipping Buchberger.
 
-    Used where the generators come out of an elimination computation that
-    returns reduced bases (e.g. syzygies); normal forms against the result are
-    then certified directly in these generators.
+    Used where the generators are a reduced basis already, such as the
+    output of `syzygies`; normal forms against the result are then
+    certified directly in these generators.
     """
     dkey = _desc_term_key(ring)
     sb = SubmoduleBasis(ring, rank, vectors)

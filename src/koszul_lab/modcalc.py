@@ -20,6 +20,7 @@ from .arith import Poly, RingMismatchError, RingSpec
 from .groebner import (
     IdealBasis,
     SubmoduleBasis,
+    _kernel_span,
     _nf_vp,
     _vp_from_vector,
     ideal_intersection,
@@ -327,7 +328,8 @@ class Complex:
 # ---------------------------------------------------------------------------
 
 def kernel_generators(m: FreeMap) -> list:
-    """Reduced generating set for ker(m) — the columns returned by syzygies."""
+    """The reduced Groebner basis of ker(m), as columns: `syzygies` of the
+    matrix, Schreyer syzygies of one Buchberger run, reduced."""
     return syzygies(m.entries, m.ring, source_rank=m.source_rank)
 
 
@@ -473,18 +475,29 @@ def homology(c: Complex, k: int) -> FPModule:
     return FPModule(ring, len(gens), rels)
 
 
-def zero_spherical(c: Complex) -> bool:
-    """True iff H_k(c) = 0 for every k >= 1."""
+def _nonzero_homology_degree(c: Complex) -> Optional[int]:
+    """The least k >= 1 with H_k(c) != 0, or None when c is 0-spherical.
+
+    H_k is zero iff ker d_k lies in im d_{k+1}, so each degree tests the
+    unreduced kernel generators of `_kernel_span` for membership in the
+    image, and no H_k is presented.
+    """
     for k in range(1, c.length + 1):
-        gens = kernel_generators(c.differential(k))
+        d = c.differential(k)
+        gens = _kernel_span(d.entries, c.ring, source_rank=d.source_rank)
         if not gens:
             continue
         if k == c.length:
-            return False  # nonzero kernel at the top has no image to kill it
+            return k  # nonzero kernel at the top has no image to kill it
         image = SubmoduleBasis(c.ring, c.ranks[k], c.differential(k + 1).columns())
         if not all(image.contains_vector(g) for g in gens):
-            return False
-    return True
+            return k
+    return None
+
+
+def zero_spherical(c: Complex) -> bool:
+    """True iff H_k(c) = 0 for every k >= 1."""
+    return _nonzero_homology_degree(c) is None
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,14 @@ MALFORMED_CASES = [
     ("complex_not_object", "be-check", {"ring": RING_Q2, "complex": [1, 2]}),
     ("differentials_not_list", "be-check",
      {"ring": RING_Q2, "complex": {"ranks": [1, 1], "differentials": 5}}),
+    # a misspelt key used to fall back to its default: the free module A,
+    # the field Q, the order grevlex
+    ("vertex_misspelt_relations", "validate",
+     {"ring": RING_Q2, "cube": {**ONE_CUBE, "vertices": {"": {"rank": 1, "relation": [["y"]]},
+                                                         "1": 1}}}),
+    ("ring_misspelt_field", "regseq",
+     {"ring": {"feild": {"Fp": 7}, "vars": ["x"]}, "sequence": ["7*x"]}),
+    ("ring_misspelt_order", "regseq", {"ring": {**RING_Q2, "ordr": "lex"}, "sequence": ["x"]}),
 ]
 
 
@@ -273,6 +281,39 @@ def test_cube_document_accepts_module_vertices(tmp_path):
     err = json.loads(out)["error"]
     assert err["type"] == "input"
     assert "expected a cube of free modules" in err["message"]
+
+
+@pytest.mark.parametrize("command,doc,where,allowed", [
+    ("admissible", {"ring": RING_Q2, "cube": {**ONE_CUBE, "vertices": {
+        "": {"rank": 1, "relation": [["y"]]}, "1": 1}}},
+     'cube.vertices[""]', ["rank", "relations"]),
+    ("regseq", {"ring": {"feild": {"Fp": 7}, "vars": ["x"]}, "sequence": ["7*x"]},
+     "ring", ["field", "vars", "order"]),
+    ("regseq", {"ring": {**RING_Q2, "ordr": "lex"}, "sequence": ["x"]},
+     "ring", ["field", "vars", "order"]),
+], ids=["vertex", "field", "order"])
+def test_unknown_keys_name_their_json_path_and_the_allowed_keys(tmp_path, command, doc, where,
+                                                                allowed):
+    out, code = run(command, "--input", write_doc(tmp_path, doc))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "input"
+    assert f"'{where}'" in error["message"]
+    assert str(allowed) in error["message"]
+
+
+@pytest.mark.parametrize("key", [",", "9"])
+def test_connecting_keys_are_subset_keys(tmp_path, key):
+    # "," used to split into the empty subset, and "9" failed naming no path
+    target = {"S": [], "vertices": {"": {"rank": 1}}}
+    doc = write_doc(tmp_path, {"ring": RING_Q2, "resolution": {
+        "U": [], "V": [], "fs": {}, "targets": [target, target],
+        "connecting": [{key: [["1"]]}]}})
+    out, code = run("resolve", "--input", doc)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "input"
+    assert f"resolution.connecting[0][{json.dumps(key)}]" in error["message"]
 
 
 def test_target_errors_name_their_json_path(tmp_path):

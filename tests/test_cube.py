@@ -10,6 +10,7 @@ from koszul_lab.cube import (
     CubeOrdering,
     ModCube,
     _h0_modcube,
+    _mod_injective,
     degenerate_directions,
     directional_homology,
     is_admissible,
@@ -20,12 +21,13 @@ from koszul_lab.cube import (
     total_complex,
     validate_cube,
 )
-from koszul_lab.groebner import SubmoduleBasis
+from koszul_lab.groebner import SubmoduleBasis, syzygies
 from koszul_lab.koszul import typical_cube
 from koszul_lab.modcalc import (
     FPModule,
     FreeMap,
     homology,
+    is_zero_module,
     submodule_equal,
     zero_spherical,
 )
@@ -129,6 +131,48 @@ def test_module_cube_admissibility():
             h = _h0_modcube(x, k)
             verdicts.add((is_admissible(h, "definition").ok, is_admissible(h, "inductive").ok))
     assert verdicts == {(True, True), (False, False)}
+
+
+def _mod_injective_reference(m, src, tgt):
+    """The test `_mod_injective` ran on the reduced syzygy basis of
+    [m | rel_tgt]: every first block must lie in rel_src."""
+    cols = m.columns() + list(tgt.relations.generators)
+    rows = [[c[i] for c in cols] for i in range(tgt.rank)]
+    return all(src.relations.contains_vector(g[:m.source_rank])
+               for g in syzygies(rows, m.ring, source_rank=len(cols)))
+
+
+def test_mod_injective_matches_syzygy_reference():
+    from _gen import koszul_suite, perturbed_suite
+    verdicts = set()
+    for x in [x for x, _ in koszul_suite(30)] + perturbed_suite(20):
+        for k in x.labels:
+            h = _h0_modcube(x, k)
+            for T in h.subsets():
+                for l in sorted(T):
+                    args = (h.d(T, l), h.vertex(T), h.vertex(T - {l}))
+                    ours = _mod_injective(*args)
+                    assert ours == _mod_injective_reference(*args), (x, k, T, l)
+                    verdicts.add(ours)
+    assert verdicts == {True, False}
+
+
+def test_zero_spherical_matches_homology_on_tot():
+    # admissibility no longer presents H_k to test it for zero; homology
+    # stays an independent check of zero_spherical on the faces it visits
+    from _gen import koszul_suite, perturbed_suite
+    verdicts = set()
+    for x in [x for x, _ in koszul_suite(100)] + perturbed_suite(50):
+        S = frozenset(x.labels)
+        for U in x.subsets():
+            if not U:
+                continue
+            for V in restrict(x, S - U, E).subsets():
+                c = total_complex(restrict(x, U, V))
+                want = all(is_zero_module(homology(c, k)) for k in range(1, c.length + 1))
+                assert zero_spherical(c) == want, (x, U, V)
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_int_ranks_are_free_modules():

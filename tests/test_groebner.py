@@ -509,3 +509,98 @@ def test_buchberger_over_q_runs_no_fraction_arithmetic(monkeypatch):
         got = [_buchberger(vps, ring, rank) for ring, rank, vps in cases]
     assert [_gb_data(gb) for gb in got] == expected
     assert any(c.denominator > 1 for gb in got for e in gb for c in e.vp.values())
+
+
+# --------------------------------------------------------------------------
+# Schreyer syzygies against the elimination they replaced
+# --------------------------------------------------------------------------
+
+def _syzygies_reference(rows, ring, source_rank):
+    """The elimination `syzygies` used to run: the reduced basis of the
+    columns augmented with unit vectors below them, whose members with a
+    leading term in the unit block are the reduced syzygy basis."""
+    from koszul_lab.groebner import _buchberger, _vector_from_vp, _vp_from_vector
+    target_rank = len(rows)
+    augmented = []
+    for j in range(source_rank):
+        unit = [ring.zero()] * source_rank
+        unit[j] = ring.one()
+        augmented.append(tuple(r[j] for r in rows) + tuple(unit))
+    rank = target_rank + source_rank
+    gb = _buchberger([vp for vp in map(_vp_from_vector, augmented) if vp], ring, rank)
+    return [_vector_from_vp(e.vp, ring, rank)[target_rank:] for e in gb if e.lt_pos >= target_rank]
+
+
+def _matrix_corpus(field, order):
+    """Seeded matrices, three of each shape: target rank 1-3, source rank
+    1-5, coefficients such as 1/2 and -3/7.  Some columns are zero or a
+    multiple of an earlier column, so that inputs reduce to syzygies too."""
+    import random
+    ring = RingSpec(field, ("x", "y", "z"), order)
+    rng = random.Random(f"syz-{field}-{order}")
+    corpus = []
+    for target_rank, source_rank, _ in product((1, 2, 3), (1, 2, 3, 4, 5), range(3)):
+        # quadrics blow up under lex and in the larger shapes; linear forms
+        # stay small
+        max_deg = 2 if order != "lex" and target_rank * source_rank <= 6 else 1
+        monomials = [e for e in product(range(3), repeat=3) if sum(e) <= max_deg]
+        cols = []
+        for _ in range(source_rank):
+            kind = rng.random()
+            if kind < 0.1:
+                cols.append(tuple(ring.zero() for _ in range(target_rank)))
+            elif kind < 0.25 and cols:
+                c = Poly(ring, {rng.choice(monomials): ring.field.of(rng.choice(RATIONALS))})
+                cols.append(tuple(c * p for p in rng.choice(cols)))
+            else:
+                cols.append(tuple(
+                    Poly(ring, {rng.choice(monomials): ring.field.of(rng.choice(RATIONALS))
+                                for _ in range(rng.randint(0, 3))})
+                    for _ in range(target_rank)))
+        corpus.append([[c[i] for c in cols] for i in range(target_rank)])
+    return ring, corpus
+
+
+def _vector_data(vectors):
+    # coefficients with their types: a Fraction and an equal int differ here
+    return [[sorted((e, type(c), c) for e, c in p.terms.items()) for p in v] for v in vectors]
+
+
+@pytest.mark.parametrize("field", ["Q", 101])
+@pytest.mark.parametrize("order", ["grevlex", "grlex", "lex"])
+def test_syzygies_match_elimination_reference(field, order):
+    ring, corpus = _matrix_corpus(field, order)
+    for rows in corpus:
+        source_rank = len(rows[0])
+        ours = syzygies(rows, ring, source_rank)
+        ref = _syzygies_reference(rows, ring, source_rank)
+        assert _vector_data(ours) == _vector_data(ref), rows
+    assert any(not syzygies(rows, ring, len(rows[0])) for rows in corpus)
+    assert any(len(syzygies(rows, ring, len(rows[0]))) >= 3 for rows in corpus)
+
+
+@pytest.mark.parametrize("field", ["Q", 101])
+@pytest.mark.parametrize("order", ["grevlex", "grlex", "lex"])
+def test_kernel_span_generates_the_syzygy_module(field, order):
+    from koszul_lab.groebner import _kernel_span
+    ring, corpus = _matrix_corpus(field, order)
+    for rows in corpus:
+        source_rank = len(rows[0])
+        span = _kernel_span(rows, ring, source_rank)
+        for g in span:
+            for row in rows:
+                img = ring.zero()
+                for a, b in zip(row, g):
+                    img = img + a * b
+                assert img.is_zero()
+        reduced = list(SubmoduleBasis(ring, source_rank, span).reduced_gb)
+        assert _vector_data(reduced) == _vector_data(syzygies(rows, ring, source_rank))
+
+
+def test_kernel_span_of_injective_matrix_is_empty():
+    from koszul_lab.groebner import _kernel_span
+    x, y, z = Q3.gens()
+    zero = Q3.zero()
+    assert _kernel_span([[x, y], [zero, z]]) == []
+    assert _kernel_span([[x * y]]) == []
+    assert _kernel_span([[x, y]]) != []
