@@ -146,7 +146,9 @@ def _load_doc(path: str) -> dict:
         raise ValueError(f"malformed JSON: {e.msg} at line {e.lineno} column {e.colno}")
     if not isinstance(doc, dict):
         raise ValueError("input document must be a JSON object")
-    return doc
+    # the keys any command reads: documents are shared between commands
+    return _closed_keys(doc, ("ring", "cube", "sequence", "cofactors", "labels", "matrix",
+                              "ideal", "complex", "resolution"), "")
 
 
 def _require(doc: dict, key: str, where: str = ""):
@@ -161,7 +163,8 @@ def _closed_keys(obj: dict, allowed: tuple, where: str) -> dict:
     `allowed`: a misspelt key must not silently fall back to a default."""
     extra = sorted(set(obj) - set(allowed))
     if extra:
-        raise ValueError(f"unknown keys {extra} in '{where}'; allowed keys: {list(allowed)}")
+        place = f"'{where}'" if where else "the input document"
+        raise ValueError(f"unknown keys {extra} in {place}; allowed keys: {list(allowed)}")
     return obj
 
 
@@ -230,7 +233,7 @@ def _cube_from_doc(d, ring: RingSpec, where: str) -> Cube:
     """The cube in the object `d` at JSON path `where`.  A vertex is a rank r,
     the free module A^r, or {"rank": r, "relations": rows}; "S" and
     "boundaries" default to [] and {}."""
-    d = _object(d, where)
+    d = _closed_keys(_object(d, where), ("S", "vertices", "boundaries"), where)
     labels = _labels_from_doc(d.get("S", []), f"{where}.S")
     vd = _object(_require(d, "vertices", where), f"{where}.vertices")
     subs = label_subsets(labels)
@@ -291,7 +294,8 @@ def _sequence_from_doc(doc: dict, ring: RingSpec, key: str = "sequence"):
 
 
 def _complex_from_doc(doc: dict, ring: RingSpec) -> Complex:
-    cd = _object(_require(doc, "complex"), "complex")
+    cd = _closed_keys(_object(_require(doc, "complex"), "complex"), ("ranks", "differentials"),
+                      "complex")
     ranks = cd.get("ranks")
     if not isinstance(ranks, list) or not ranks:
         raise ValueError("'complex.ranks' must be a nonempty list")
@@ -531,7 +535,8 @@ def cmd_generators(doc, ring, opts):
 @_command("resolve")
 def cmd_resolve(doc, ring, opts):
     """Resolve the document's targets by sums of typical cubes."""
-    rd = _object(_require(doc, "resolution"), "resolution")
+    rd = _closed_keys(_object(_require(doc, "resolution"), "resolution"),
+                      ("U", "V", "fs", "targets", "connecting"), "resolution")
     U = _labels_from_doc(rd.get("U", []), "resolution.U")
     V = _labels_from_doc(rd.get("V", []), "resolution.V")
     fs_doc = _object(_require(rd, "fs", "resolution"), "resolution.fs")

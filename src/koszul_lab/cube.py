@@ -22,14 +22,13 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
 from .arith import RingSpec, is_unit
-from .groebner import SubmoduleBasis, _kernel_span, syzygies
+from .groebner import SubmoduleBasis, _preimage, syzygies
 from .modcalc import (
     Complex,
     FPModule,
     FreeMap,
     _graph_coordinates,
     _nonzero_homology_degree,
-    _relations_among,
     determinant_of_square,
 )
 
@@ -386,7 +385,7 @@ def directional_homology(x: Cube, k: str, p: int) -> Cube:
         src_rank = x.vertices[T | {k}].rank
         gens = syzygies(x.d(T | {k}, k).entries, x.ring, source_rank=src_rank)
         gens_at[T] = gens
-        rels = _relations_among(gens, src_rank, x.ring)
+        rels = _preimage(gens, (), x.ring, src_rank, reduced=True)
         verts[T] = FPModule(x.ring, len(gens), SubmoduleBasis(x.ring, len(gens), rels))
     boundary = {}
     for T in sub:
@@ -426,15 +425,12 @@ def iterated_h0(x: Cube, T: Iterable[str]) -> Cube:
 def _mod_injective(m: FreeMap, src: FPModule, tgt: FPModule) -> bool:
     """Is the induced map A^a/rel_src -> A^b/rel_tgt injective?
 
-    The preimage of rel_tgt under m is spanned by the first-block parts of
-    any generating set of the kernel of [m | rel_tgt]; injectivity says that
-    span lies in rel_src.  The generators are the unreduced ones of
-    `_kernel_span`, since each is only tested for membership.
+    Injectivity says the preimage of rel_tgt under m lies in rel_src.  Its
+    generators are tested unreduced, since each is only tested for
+    membership.
     """
-    cols = m.columns() + list(tgt.relations.generators)
-    rows = [[c[i] for c in cols] for i in range(tgt.rank)]
-    return all(src.relations.contains_vector(g[:m.source_rank])
-               for g in _kernel_span(rows, m.ring, source_rank=len(cols)))
+    return all(src.relations.contains_vector(t)
+               for t in _preimage(m.columns(), tgt.relations.generators, m.ring, tgt.rank))
 
 
 def _admissible_definition(mc: Cube, applied: frozenset, memo: dict) -> tuple:

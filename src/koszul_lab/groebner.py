@@ -25,12 +25,17 @@ basis, which is unique, is the same Fraction basis to the last coefficient.
 Normal forms outside Buchberger reduce the Fraction vectors of the cached
 monic bases by field division.
 
-Syzygies come from the same engine, with no second elimination.  Buchberger
-runs on the columns of a matrix, each augmented by a unit vector that
-records it, and a remainder that vanishes on the columns' block is a
-syzygy: it is collected and never joins the basis (Schreyer).  Callers that
-only test membership take those kernel generators as they come;
-`syzygies` returns their reduced basis.
+Every linear system over A is solved on one graph module.  For columns
+col_j in A^rank and relations rel, `_graph_module` flattens the generators
+col_j ⊕ e_j, with e_j at position rank + j, and rel ⊕ 0; the tail of an
+element records which combination of the columns its head is.  Buchberger
+on it collects each remainder whose head vanishes, and such a remainder
+never joins the basis (Schreyer): their tails generate the preimage
+{t : Σ t_j·col_j ∈ span(rels)}, which `_preimage` returns.  A kernel, and
+so `syzygies`, is the preimage of 0; `module_quotient` is the preimage of
+rel under a ↦ a·vec; `ideal_intersection` is Σ t_i·g_i over the preimage of
+J under the generators g_i of I.  The reduced basis of the graph module
+itself gives coordinates modulo the relations (`modcalc._graph_coordinates`).
 """
 
 from __future__ import annotations
@@ -247,24 +252,25 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
     `_unit_normal` (over Q, integer vectors) and made monic field vectors on
     return.
 
-    With `head` < rank the inputs are augmented columns col_j ⊕ e_j: col_j in
-    the positions < head, e_j at position head + j, so every element is some
-    (F·t, t) and its tail t says which combination of the columns it is.  A
-    remainder whose head part is zero is a syzygy t: it is collected and does
-    not join the basis, so syzygies never form pairs and never reduce tails.
-    The heads of the basis are a Groebner basis of the column span, the
-    S-pairs kept by the chain criterion generate its syzygies, and the input
-    remainders tie each column to the basis; so the collected tails generate
-    the kernel (Schreyer 1980; La Scala-Stillman 1998).  They are returned
-    unreduced, shifted to positions 0 .. rank - head - 1, as monic field
-    vectors, in place of the basis.
+    Given `head`, the inputs are a graph module (`_graph_module`) with its
+    columns col_j in the positions < head, so every element is some
+    (F·t + R·s, t).  A remainder whose head part is zero has F·t in the span
+    R of the relations: it is collected and does not join the basis, so it
+    never forms pairs and never reduces tails.  The heads of the basis are a
+    Groebner basis of the span of columns and relations, the S-pairs kept by
+    the chain criterion generate its syzygies, and the input remainders tie
+    each input to the basis; so the collected tails generate the preimage of
+    R, the kernel when there are no relations (Schreyer 1980; La
+    Scala-Stillman 1998).  They are returned unreduced, shifted to positions
+    0 .. rank - head - 1, as monic field vectors, in place of the basis.
     """
     field = ring.field
     p = field.char
     one = field.one
     dkey = _desc_term_key(ring)
     mono = ring.mono_key
-    if head is None:
+    want_basis = head is None
+    if want_basis:
         head = rank
 
     G: list = []
@@ -322,7 +328,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
         if rem:
             add_elem(rem)
 
-    if head < rank:
+    if not want_basis:
         return syz
     # minimalize: drop elements whose leading term is divisible by another's
     # ascending by leading term; the leading terms are pairwise distinct
@@ -526,15 +532,47 @@ def ideal_membership(f: Poly, I: IdealBasis):
     return False, None
 
 
+def _graph_module(cols: Sequence[dict], rels: Sequence[dict], ring: RingSpec, rank: int) -> list:
+    """The graph module of the flattened columns `cols` modulo the flattened
+    relations `rels` in A^rank.
+
+    Its generators are col_j ⊕ e_j, with e_j at position rank + j, and then
+    rel ⊕ 0.  An element (v, t) has v ≡ Σ t_j·col_j modulo rels, so the tail
+    t records which combination of the columns the head v is.
+    """
+    e = ring._zero_exp
+    return [{**vp, (rank + j, e): ring.field.one} for j, vp in enumerate(cols)] + \
+        [vp for vp in rels if vp]
+
+
+def _preimage(cols: Sequence[Sequence[Poly]], rels: Sequence[Sequence[Poly]], ring: RingSpec,
+              rank: int, reduced: bool = False) -> list:
+    """Generators of {t : Σ t_j·col_j ∈ span(rels)}, as vectors in A^len(cols).
+
+    One Buchberger run on the graph module with head `rank` collects its
+    zero-head remainders (see `_buchberger`).  Those generators are cached,
+    and with `reduced` so is their reduced basis, made from them.
+    """
+    n = len(cols)
+    col_vps, rel_vps = list(map(_vp_from_vector, cols)), list(map(_vp_from_vector, rels))
+    key = ("preimage", ring.key(), rank, tuple(map(_vp_canonical, col_vps)),
+           tuple(map(_vp_canonical, rel_vps)))
+    hit = _GB_CACHE.get(key)
+    if hit is None:
+        graph = _graph_module(col_vps, rel_vps, ring, rank)
+        hit = _GB_CACHE[key] = _buchberger(graph, ring, rank + n, head=rank)
+    if reduced:
+        span, key = hit, ("reduced",) + key
+        hit = _GB_CACHE.get(key)
+        if hit is None:
+            hit = _GB_CACHE[key] = [e.vp for e in _buchberger(span, ring, n)]
+    return [_vector_from_vp(vp, ring, n) for vp in hit]
+
+
 def _kernel(rows: Sequence[Sequence[Poly]], ring: Optional[RingSpec], source_rank: Optional[int],
             reduced: bool) -> list:
-    """Kernel generators of the matrix `rows` (row-major), as columns.
-
-    One Buchberger run on the augmented columns col_j ⊕ e_j collects the
-    zero-head remainders.  Those generators, or with `reduced` their reduced
-    basis in rank `source_rank`, are cached under a key tagged by which of
-    the two the entry holds.
-    """
+    """Kernel generators of the matrix `rows` (row-major), as columns: the
+    preimage of 0 under its columns."""
     target_rank = len(rows)
     if ring is None:
         if not rows or not rows[0]:
@@ -547,18 +585,8 @@ def _kernel(rows: Sequence[Sequence[Poly]], ring: Optional[RingSpec], source_ran
     for r in rows:
         if len(r) != source_rank:
             raise ValueError("ragged matrix")
-    cols = [_vp_from_vector([r[j] for r in rows]) for j in range(source_rank)]
-    key = ("syzygies" if reduced else "kernel_span", ring.key(), target_rank,
-           tuple(_vp_canonical(vp) for vp in cols))
-    hit = _GB_CACHE.get(key)
-    if hit is None:
-        for j, vp in enumerate(cols):  # col_j ⊕ e_j, made after the key
-            vp[(target_rank + j, ring._zero_exp)] = ring.field.one
-        hit = _buchberger(cols, ring, target_rank + source_rank, head=target_rank)
-        if reduced:
-            hit = [e.vp for e in _buchberger(hit, ring, source_rank)]
-        _GB_CACHE[key] = hit
-    return [_vector_from_vp(vp, ring, source_rank) for vp in hit]
+    cols = [[r[j] for r in rows] for j in range(source_rank)]
+    return _preimage(cols, (), ring, target_rank, reduced)
 
 
 def _kernel_span(rows: Sequence[Sequence[Poly]], ring: Optional[RingSpec] = None,
@@ -603,44 +631,25 @@ def submodule_from_reduced_gb(ring: RingSpec, rank: int, vectors: Sequence[Seque
 
 def ideal_quotient(I: IdealBasis, f: Poly) -> IdealBasis:
     """(I : f) = {a : a*f in I}: the module quotient of the rank-1 submodule
-    spanned by the nonzero generators of I, via syzygies of the row (f | gens I)."""
+    spanned by the nonzero generators of I."""
     rel = SubmoduleBasis(I.ring, 1, [(g,) for g in I.generators if not g.is_zero()])
     return module_quotient(rel, (f,))
 
 
 def module_quotient(rel: SubmoduleBasis, vec: Sequence[Poly]) -> IdealBasis:
-    """(rel : vec) = {a : a*vec in rel} as an ideal."""
-    ring = rel.ring
-    rank = rel.ambient_rank
-    vec = tuple(vec)
-    cols = [vec] + list(rel.generators)
-    rows = [[c[i] for c in cols] for i in range(rank)]
-    syz = syzygies(rows, ring, source_rank=len(cols))
-    gens = []
-    seen = set()
-    for col in syz:
-        a = col[0]
-        if a.is_zero():
-            continue
-        key = _vp_canonical(_vp_from_vector((a.monic(),)))
-        if key not in seen:
-            seen.add(key)
-            gens.append(a)
-    return IdealBasis(ring, gens)
+    """(rel : vec) = {a : a*vec in rel} as an ideal: the preimage of rel
+    under a ↦ a·vec."""
+    pre = _preimage([tuple(vec)], rel.generators, rel.ring, rel.ambient_rank)
+    return IdealBasis(rel.ring, [t[0] for t in pre])
 
 
 def ideal_intersection(I: IdealBasis, J: IdealBasis) -> IdealBasis:
-    """I ∩ J by elimination in A^2 on generators (g, g) and (h, 0)."""
+    """I ∩ J = {Σ t_i·g_i} over the preimage of J under the row (g_i) of
+    I's generators."""
     ring = I.ring
-    gens2 = [(g, g) for g in I.generators if not g.is_zero()]
-    gens2 += [(h, ring.zero()) for h in J.generators if not h.is_zero()]
-    vps = [_vp_from_vector(v) for v in gens2]
-    gb = _compute_gb(ring, 2, vps)
-    out = []
-    for e in gb:
-        if e.lt_pos == 1:
-            out.append(_vector_from_vp(e.vp, ring, 2)[1])
-    return IdealBasis(ring, out)
+    gs = [g for g in I.generators if not g.is_zero()]
+    pre = _preimage([(g,) for g in gs], [(h,) for h in J.generators], ring, 1)
+    return IdealBasis(ring, [sum((a * g for a, g in zip(t, gs)), ring.zero()) for t in pre])
 
 
 def radical_membership(f: Poly, I: IdealBasis) -> bool:

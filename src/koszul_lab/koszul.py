@@ -98,17 +98,12 @@ class KoszulVerdict:
     diagnostics maps "T|k" (serialized subset, direction) to injectivity and
     support flags.  The projective-dimension bound on each cokernel needs no
     computation — an injection of free modules presents its cokernel with
-    pd ≤ 1 — and is recorded as a note.  The optional fields are filled by
-    the dedicated entry points (is_reduced_koszul, determinant,
-    det_is_a_sequence); this keeps the basic check cheap.
+    pd ≤ 1 — and is recorded as a note.
     """
 
     is_koszul: bool
     diagnostics: Dict[str, dict]
     pd_note: str = "pd(coker) <= 1 by construction: cokernel of an injection of free modules"
-    is_reduced: Optional[bool] = None
-    determinant: Optional[Dict[str, Poly]] = None
-    det_is_a_sequence: Optional[bool] = None
 
 
 # ---------------------------------------------------------------------------

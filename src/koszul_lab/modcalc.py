@@ -2,9 +2,12 @@
 
 Modules are cokernels: an FPModule is a free ambient A^rank together with a
 submodule of relations, and every operation below reduces to Groebner
-computations on the relations or on free-map matrices — kernels and cokernels,
-annihilators, Fitting ideals, homology of bounded complexes, and lifting
-through surjections.
+computations on the relations or on free-map matrices.  Each linear system
+among them is the one graph module of `groebner` (col_j ⊕ e_j, rel ⊕ 0):
+kernels, injectivity and the relations of homology presentations are
+preimages of 0, annihilators are built from quotients and intersections,
+which are preimages too, and lifting through a surjection reads coordinates
+off the graph module's reduced basis.  Fitting ideals come from minors.
 
 Presentations are never minimized; downstream properties are all phrased as
 zero-tests or submodule equalities, which the engine decides exactly.
@@ -20,8 +23,11 @@ from .arith import Poly, RingMismatchError, RingSpec
 from .groebner import (
     IdealBasis,
     SubmoduleBasis,
+    _compute_gb,
+    _graph_module,
     _kernel_span,
     _nf_vp,
+    _preimage,
     _vp_from_vector,
     ideal_intersection,
     module_quotient,
@@ -334,7 +340,7 @@ def kernel_generators(m: FreeMap) -> list:
 
 
 def is_injective(m: FreeMap) -> bool:
-    return not kernel_generators(m)
+    return not _kernel_span(m.entries, m.ring, source_rank=m.source_rank)
 
 
 def cokernel(m: FreeMap) -> FPModule:
@@ -436,16 +442,6 @@ def fitting_ideal(m: FreeMap, t: int) -> IdealBasis:
 # homology
 # ---------------------------------------------------------------------------
 
-def _relations_among(gens: Sequence[Sequence[Poly]], rank: int, ring: RingSpec) -> list:
-    """The syzygies of the vectors `gens` in A^rank, as vectors in A^len(gens).
-
-    A module presented on generators `gens` of a submodule of A^rank needs
-    these among its relations: they are the combinations of the generators
-    that vanish in A^rank.
-    """
-    return syzygies([[g[i] for g in gens] for i in range(rank)], ring, source_rank=len(gens))
-
-
 def homology(c: Complex, k: int) -> FPModule:
     """H_k(c) presented on the kernel generators of d_k.
 
@@ -470,7 +466,7 @@ def homology(c: Complex, k: int) -> FPModule:
             if any(not p.is_zero() for p in rem):
                 raise RuntimeError("image column escaped the kernel — broken complex")
             rel_vectors.append(tuple(cert))
-    rel_vectors += _relations_among(gens, c.ranks[k], ring)
+    rel_vectors += _preimage(gens, (), ring, c.ranks[k], reduced=True)
     rels = SubmoduleBasis(ring, len(gens), rel_vectors)
     return FPModule(ring, len(gens), rels)
 
@@ -509,23 +505,17 @@ def _graph_coordinates(vecs: Sequence[Sequence[Poly]], cols: Sequence[Sequence[P
     """Coordinates of each vector of vecs in terms of cols, modulo rels.
 
     Returns one entry per vector, in order: its coordinate list, or None when
-    it is not in the span.  One graph module, generated by (col_j ⊕ e_j) and
-    (rel ⊕ 0), serves the whole batch: the normal form of (vec ⊕ 0) has zero
-    head (positions < rank) iff vec lies in the span, and its tail is then
-    the negated coordinate vector.
+    it is not in the span.  One reduced basis of the graph module
+    (`groebner._graph_module`: col_j ⊕ e_j, rel ⊕ 0) serves the whole
+    batch: the normal form of (vec ⊕ 0) has zero head (positions < rank)
+    iff vec lies in the span, and its tail is then the negated coordinate
+    vector.
     """
     if not vecs:
         return []
-    n = len(cols)
-    z = ring.zero()
-    gens = []
-    for j, col in enumerate(cols):
-        tail = [z] * n
-        tail[j] = ring.one()
-        gens.append(tuple(col) + tuple(tail))
-    for r in rels.generators:
-        gens.append(tuple(r) + (z,) * n)
-    basis = SubmoduleBasis(ring, rank + n, gens)._gb_elements()
+    graph = _graph_module(list(map(_vp_from_vector, cols)),
+                          list(map(_vp_from_vector, rels.generators)), ring, rank)
+    basis = _compute_gb(ring, rank + len(cols), graph)
     neg = ring.field.neg
     out = []
     for vec in vecs:
@@ -533,7 +523,7 @@ def _graph_coordinates(vecs: Sequence[Sequence[Poly]], cols: Sequence[Sequence[P
         if any(pos < rank for pos, _ in rem):
             out.append(None)
             continue
-        tail = [{} for _ in range(n)]
+        tail = [{} for _ in cols]
         for (pos, e), c in rem.items():
             tail[pos - rank][e] = neg(c)
         out.append([Poly(ring, t) for t in tail])

@@ -191,6 +191,13 @@ def test_parse_error_positions():
         P("")
 
 
+def test_double_star_is_not_a_power():
+    # only ^ writes a power; the second * of ** starts no factor
+    with pytest.raises(ParseError) as e:
+        P("x**2")
+    assert e.value.position == 2
+
+
 def test_parse_rational_and_nested():
     assert P("1/2*x + 1/2*x") == P("x")
     assert P("-(x - y)") == P("y - x")

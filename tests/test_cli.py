@@ -8,11 +8,12 @@ pinned under the default order.
 
 import copy
 import json
+import string
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from koszul_lab.cli import main
@@ -291,7 +292,17 @@ def test_cube_document_accepts_module_vertices(tmp_path):
      "ring", ["field", "vars", "order"]),
     ("regseq", {"ring": {**RING_Q2, "ordr": "lex"}, "sequence": ["x"]},
      "ring", ["field", "vars", "order"]),
-], ids=["vertex", "field", "order"])
+    ("validate", {"ring": RING_Q2, "cube": {**ONE_CUBE, "boundary": {}}},
+     "cube", ["S", "vertices", "boundaries"]),
+    ("resolve", {"ring": RING_Q2, "resolution": {"u": ["1"], "V": [], "fs": {"1": "x"},
+                                                 "targets": [ONE_CUBE]}},
+     "resolution", ["U", "V", "fs", "targets", "connecting"]),
+    ("resolve", {"ring": RING_Q2, "resolution": {"U": [], "V": [], "fs": {}, "targets": [
+        {"S": [], "vertices": {"": 1}, "S ": ["1"]}]}},
+     "resolution.targets[0]", ["S", "vertices", "boundaries"]),
+    ("be-check", {"ring": RING_Q2, "complex": {"ranks": [1], "differential": []}},
+     "complex", ["ranks", "differentials"]),
+], ids=["vertex", "field", "order", "cube", "resolution", "target", "complex"])
 def test_unknown_keys_name_their_json_path_and_the_allowed_keys(tmp_path, command, doc, where,
                                                                 allowed):
     out, code = run(command, "--input", write_doc(tmp_path, doc))
@@ -300,6 +311,16 @@ def test_unknown_keys_name_their_json_path_and_the_allowed_keys(tmp_path, comman
     assert error["type"] == "input"
     assert f"'{where}'" in error["message"]
     assert str(allowed) in error["message"]
+
+
+def test_document_keys_are_closed(tmp_path):
+    # "labls" used to be ignored, so typical fell back to its default labels
+    doc = write_doc(tmp_path, {"ring": RING_Q2, "sequence": ["x"], "labls": ["a"]})
+    out, code = run("typical", "--input", doc)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "input"
+    assert "unknown keys ['labls'] in the input document" in error["message"]
 
 
 @pytest.mark.parametrize("key", [",", "9"])
@@ -487,6 +508,7 @@ CROSS_ORDER_CASES = [
     ("admissible_bothx", ["admissible", "--strategy", "spherical_faces"],
      "bothx_square.json", 1),
     ("aseq_xx", ["aseq"], "aseq_xx.json", 1),
+    ("regseq_xy_xz", ["regseq"], "regseq_xy_xz.json", 1),
     ("be_check_koszul_xy", ["be-check"], "koszul_xy_complex.json", 0),
     ("resolve_onecube", ["resolve"], "resolve_onecube.json", 0),
     ("resolve_typ_x2yz", ["resolve"], "resolve_typ_x2yz.json", 0),
@@ -547,6 +569,45 @@ def _node_paths(doc, path=()):
         yield from _node_paths(child, path + (key,))
 
 
+def _node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# the keys allowed in each object whose keys are fixed names; subset keys
+# (vertices, boundaries, connecting maps) and the labels of resolution.fs
+# are not fixed names
+FIXED_KEYS = {
+    "document": ("ring", "cube", "sequence", "cofactors", "labels", "matrix", "ideal",
+                 "complex", "resolution"),
+    "ring": ("field", "vars", "order"),
+    "field": ("Fp",),
+    "cube": ("S", "vertices", "boundaries"),
+    "vertex": ("rank", "relations"),
+    "resolution": ("U", "V", "fs", "targets", "connecting"),
+    "complex": ("ranks", "differentials"),
+}
+
+
+def _fixed_key_objects(doc):
+    """(path, allowed keys) of every object of a document whose keys are
+    fixed names."""
+    for path in _node_paths(doc):
+        if not isinstance(_node_at(doc, path), dict):
+            continue
+        if not path:
+            yield path, FIXED_KEYS["document"]
+        elif len(path) == 1 and path[0] in FIXED_KEYS:
+            yield path, FIXED_KEYS[path[0]]
+        elif path == ("ring", "field"):
+            yield path, FIXED_KEYS["field"]
+        elif len(path) == 3 and path[:2] == ("resolution", "targets"):
+            yield path, FIXED_KEYS["cube"]
+        elif len(path) >= 2 and path[-2] == "vertices":
+            yield path, FIXED_KEYS["vertex"]
+
+
 def _replace_node(doc, path, value):
     if not path:
         return value
@@ -565,17 +626,33 @@ def _replace_node(doc, path, value):
 def test_mutated_golden_input_keeps_the_exit_contract(tmp_path_factory, data, name, args, infile):
     # one node of a golden input replaced by a small JSON value: whatever the
     # verdict, the run ends in an exit code of the contract and an envelope,
-    # never in a traceback
+    # never in a traceback.  Or one character of a fixed-name key edited into
+    # a key its object does not allow: that is always an input error.
     doc = json.loads(Path(golden_in(infile)).read_text())
-    path = data.draw(st.sampled_from(list(_node_paths(doc))), label="path")
-    value = data.draw(st.sampled_from(SMALL_VALUES), label="value")
+    rename = data.draw(st.booleans(), label="rename")
+    if rename:
+        path, allowed = data.draw(st.sampled_from(list(_fixed_key_objects(doc))), label="object")
+        obj = _node_at(doc, path)
+        key = data.draw(st.sampled_from(sorted(obj)), label="key")
+        i = data.draw(st.integers(0, len(key)), label="position")
+        char = data.draw(st.sampled_from(["", *string.ascii_letters, *string.digits, "_"]),
+                         label="char")
+        new = key[:i] + char + key[i + 1:]  # "" deletes key[i]; i == len(key) appends
+        assume(new not in allowed)
+        doc = _replace_node(doc, path, {(new if k == key else k): v for k, v in obj.items()})
+    else:
+        path = data.draw(st.sampled_from(list(_node_paths(doc))), label="path")
+        value = data.draw(st.sampled_from(SMALL_VALUES), label="value")
+        doc = _replace_node(doc, path, value)
     mutated = tmp_path_factory.getbasetemp() / f"fuzz_{name}.json"
-    mutated.write_text(json.dumps(_replace_node(doc, path, value)))
+    mutated.write_text(json.dumps(doc))
     result = runner.invoke(main, [*args, "--input", str(mutated)])
     assert result.exception is None or isinstance(result.exception, SystemExit), \
         repr(result.exception)
     assert 0 <= result.exit_code <= 4
     env = json.loads(result.output)
     assert env["schema"] == "koszul-lab/report/v1"
+    if rename:
+        assert result.exit_code == 2
     if result.exit_code == 2:
         assert env["error"]["type"] == "input"

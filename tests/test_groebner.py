@@ -604,3 +604,95 @@ def test_kernel_span_of_injective_matrix_is_empty():
     assert _kernel_span([[x, y], [zero, z]]) == []
     assert _kernel_span([[x * y]]) == []
     assert _kernel_span([[x, y]]) != []
+
+
+# --------------------------------------------------------------------------
+# quotients and intersections from the preimage against the code they replaced
+# --------------------------------------------------------------------------
+
+def _module_quotient_reference(rel, vec):
+    """The `module_quotient` that took the reduced syzygies of the columns
+    (vec | rel) and kept their distinct nonzero first coordinates."""
+    ring, rank = rel.ring, rel.ambient_rank
+    cols = [tuple(vec)] + list(rel.generators)
+    rows = [[c[i] for c in cols] for i in range(rank)]
+    gens, seen = [], set()
+    for col in syzygies(rows, ring, source_rank=len(cols)):
+        a = col[0]
+        key = tuple(sorted(a.monic().terms.items())) if not a.is_zero() else None
+        if key is not None and key not in seen:
+            seen.add(key)
+            gens.append(a)
+    return IdealBasis(ring, gens)
+
+
+def _ideal_intersection_reference(I, J):
+    """The `ideal_intersection` that eliminated in A^2 on the generators
+    (g, g) of I and (h, 0) of J: the basis members with a zero first
+    coordinate carry I ∩ J in the second."""
+    ring = I.ring
+    gens = [(g, g) for g in I.generators if not g.is_zero()]
+    gens += [(h, ring.zero()) for h in J.generators if not h.is_zero()]
+    gb = SubmoduleBasis(ring, 2, gens).reduced_gb
+    return IdealBasis(ring, [v[1] for v in gb if v[0].is_zero()])
+
+
+def _quotient_corpus(field):
+    """Seeded module quotients at rank 1-3 with 0-3 relations, and ideal
+    pairs with 0-3 generators each; coefficients such as 1/2 and -3/7.
+    Some vectors, relations and generators are zero."""
+    import random
+    ring = RingSpec(field, ("x", "y", "z"))
+    rng = random.Random(f"quot-{field}")
+
+    def poly(max_deg):
+        monomials = [e for e in product(range(3), repeat=3) if sum(e) <= max_deg]
+        return Poly(ring, {rng.choice(monomials): ring.field.of(rng.choice(RATIONALS))
+                           for _ in range(rng.randint(0, 3))})
+
+    quotients = []
+    for rank, nrels, _ in product((1, 2, 3), (0, 1, 2, 3), range(3)):
+        # quadrics stay in the smaller shapes, as in _matrix_corpus
+        max_deg = 2 if rank * (nrels + 1) <= 6 else 1
+        vec = tuple(poly(max_deg) for _ in range(rank)) if rng.random() > 0.15 else \
+            tuple(ring.zero() for _ in range(rank))
+        rels = []
+        for _ in range(nrels):
+            # half of the relations sit at one position, so that the module is
+            # torsion more often and its quotients are proper ideals
+            at = rng.randrange(rank) if rng.random() < 0.5 else None
+            rels.append(tuple(poly(max_deg) if at in (None, i) else ring.zero()
+                              for i in range(rank)))
+        quotients.append((SubmoduleBasis(ring, rank, rels), vec))
+    pairs = [(IdealBasis(ring, [poly(2) for _ in range(ni)]),
+              IdealBasis(ring, [poly(2) for _ in range(nj)]))
+             for ni, nj, _ in product((0, 1, 2, 3), (0, 1, 2, 3), range(2))]
+    return ring, quotients, pairs
+
+
+@pytest.mark.parametrize("field", ["Q", 101])
+def test_module_quotient_matches_reference(field):
+    ring, quotients, _ = _quotient_corpus(field)
+    got = []
+    for rel, vec in quotients:
+        ours = module_quotient(rel, vec)
+        assert ours == _module_quotient_reference(rel, vec), (rel.generators, vec)
+        got.append(ours)
+    # the corpus reaches the zero ideal, the unit ideal and proper ideals between
+    assert any(q.is_zero_ideal() for q in got)
+    assert any(q.contains_one() for q in got)
+    assert any(not q.is_zero_ideal() and not q.contains_one() for q in got)
+    # a zero vector has the unit ideal as its quotient
+    assert module_quotient(SubmoduleBasis(ring, 2, []), (ring.zero(), ring.zero())).contains_one()
+
+
+@pytest.mark.parametrize("field", ["Q", 101])
+def test_ideal_intersection_matches_reference(field):
+    ring, _, pairs = _quotient_corpus(field)
+    got = []
+    for I, J in pairs:
+        ours = ideal_intersection(I, J)
+        assert ours == _ideal_intersection_reference(I, J), (I, J)
+        got.append(ours)
+    assert any(not q.is_zero_ideal() and not q.contains_one() for q in got)
+    assert ideal_intersection(IdealBasis(ring, []), IdealBasis(ring, ring.gens())).is_zero_ideal()

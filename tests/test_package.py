@@ -10,6 +10,7 @@ SRC = Path(koszul_lab.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKER = PERFBENCH / "worker.py"
 TRACER = PERFBENCH / "tracer.py"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_benchmark_worker_names_exist():
@@ -39,10 +40,10 @@ def test_tracer_private_names_exist():
 
 def test_no_unused_imports():
     # No lint tool is installed, so this is the check: every name a library
-    # module imports is read in that module or listed in its __all__.  A
-    # package __init__ imports to re-export, so it is exempt.
+    # or test module imports is read in that module or listed in its
+    # __all__.  A package __init__ imports to re-export, so it is exempt.
     unused = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(SRC.rglob("*.py")) + sorted(TESTS.rglob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
@@ -58,13 +59,12 @@ def test_no_unused_imports():
             if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
                                                     for t in node.targets):
                 exported = set(ast.literal_eval(node.value))
-        unused += [f"{path.name}: {name}" for name in sorted(imported - read - exported)]
+        unused += [f"{path.parent.name}/{path.name}: {name}" for name in sorted(imported - read - exported)]
     assert unused == []
 
 
 def test_sources_parse_as_python_3_10():
     # 3.10 is the requires-python floor; this catches newer syntax where no
     # 3.10 interpreter is at hand
-    tests = Path(__file__).resolve().parent
-    for path in sorted(SRC.rglob("*.py")) + sorted(tests.rglob("*.py")):
+    for path in sorted(SRC.rglob("*.py")) + sorted(TESTS.rglob("*.py")):
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
