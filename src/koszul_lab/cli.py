@@ -539,7 +539,8 @@ def cmd_resolve(doc, ring, opts):
                       ("U", "V", "fs", "targets", "connecting"), "resolution")
     U = _labels_from_doc(rd.get("U", []), "resolution.U")
     V = _labels_from_doc(rd.get("V", []), "resolution.V")
-    fs_doc = _object(_require(rd, "fs", "resolution"), "resolution.fs")
+    fs_doc = _closed_keys(_object(_require(rd, "fs", "resolution"), "resolution.fs"), U + V,
+                          "resolution.fs")
     fs = {s: _poly_from_doc(p, ring, f"resolution.fs[{json.dumps(s)}]")
           for s, p in fs_doc.items()}
     targets_doc = _require(rd, "targets", "resolution")

@@ -31,9 +31,12 @@ col_j ⊕ e_j, with e_j at position rank + j, and rel ⊕ 0; the tail of an
 element records which combination of the columns its head is.  Buchberger
 on it collects each remainder whose head vanishes, and such a remainder
 never joins the basis (Schreyer): their tails generate the preimage
-{t : Σ t_j·col_j ∈ span(rels)}, which `_preimage` returns.  A kernel, and
-so `syzygies`, is the preimage of 0; `module_quotient` is the preimage of
-rel under a ↦ a·vec; `ideal_intersection` is Σ t_i·g_i over the preimage of
+{t : Σ t_j·col_j ∈ span(rels)}, which `_preimage` returns.  The heads of
+the elements that do join it are a Groebner basis of the image, the span of
+the columns and relations, so one run gives both the kernel of a map and a
+basis that decides membership in its image (`_kernel_and_image`).  A
+kernel, and so `syzygies`, is the preimage of 0; `module_quotient` is the
+preimage of rel under a ↦ a·vec; `ideal_intersection` is Σ t_i·g_i over the preimage of
 J under the generators g_i of I.  The reduced basis of the graph module
 itself gives coordinates modulo the relations (`modcalc._graph_coordinates`).
 """
@@ -242,9 +245,10 @@ def _field_vp(vp: dict, lc, p: int, one) -> dict:
     return {t: one if c == lc else Fraction(c, lc) for t, c in vp.items()}
 
 
-def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optional[int] = None) -> list:
+def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optional[int] = None):
     """Reduced module Groebner basis of the flattened generators, or, given
-    `head`, generators of their syzygies.
+    `head`, generators of their syzygies and the basis whose heads are a
+    Groebner basis of the image.
 
     Normal pair-selection strategy (smallest lcm in the order, ties by index),
     chain criterion always, product criterion only for rank 1 — it is unsound
@@ -262,7 +266,14 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
     each input to the basis; so the collected tails generate the preimage of
     R, the kernel when there are no relations (Schreyer 1980; La
     Scala-Stillman 1998).  They are returned unreduced, shifted to positions
-    0 .. rank - head - 1, as monic field vectors, in place of the basis.
+    0 .. rank - head - 1, as monic field vectors, in place of the reduced
+    basis, together with the basis as it stands: each of its elements has
+    its leading term in the head, and each S-pair among them reduces to
+    zero or to a collected remainder, whose head is zero; so the heads of
+    the basis are a Groebner basis (neither minimal nor reduced, in the
+    working form) of the image, the span of the columns and relations.  One
+    run thus gives the kernel and decides membership in the image
+    (Eisenbud, Commutative Algebra, 15.10).
     """
     field = ring.field
     p = field.char
@@ -329,7 +340,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
             add_elem(rem)
 
     if not want_basis:
-        return syz
+        return syz, G
     # minimalize: drop elements whose leading term is divisible by another's
     # ascending by leading term; the leading terms are pairwise distinct
     G.sort(key=lambda g: dkey(g.lt), reverse=True)
@@ -393,17 +404,22 @@ class IdealBasis:
     def reduced_gb(self) -> tuple:
         return tuple(_vector_from_vp(e.vp, self.ring, 1)[0] for e in self._gb_elements())
 
-    def nf(self, f: Poly, want_cert: bool = False):
+    def _checked_vp(self, f: Poly) -> dict:
         if f.ring != self.ring:
             raise RingMismatchError("polynomial ring does not match the ideal's ring")
-        rem, cert = _nf_vp(_vp_from_vector((f,)), self._gb_elements(), self.ring, want_cert)
+        return _vp_from_vector((f,))
+
+    def nf(self, f: Poly, want_cert: bool = False):
+        rem, cert = _nf_vp(self._checked_vp(f), self._gb_elements(), self.ring, want_cert)
         rpoly = _vector_from_vp(rem, self.ring, 1)[0]
         if not want_cert:
             return rpoly, None
         return rpoly, [Poly(self.ring, c) for c in cert]
 
     def contains(self, f: Poly) -> bool:
-        return self.nf(f)[0].is_zero()
+        vp = self._checked_vp(f)
+        # the zero polynomial lies in every ideal: no basis is needed
+        return not vp or not _nf_vp(vp, self._gb_elements(), self.ring)[0]
 
     def is_zero_ideal(self) -> bool:
         return not self._gb_elements()
@@ -457,21 +473,25 @@ class SubmoduleBasis:
     def reduced_gb(self) -> tuple:
         return tuple(_vector_from_vp(e.vp, self.ring, self.ambient_rank) for e in self._gb_elements())
 
-    def nf_vector(self, vec: Sequence[Poly], want_cert: bool = False):
+    def _checked_vp(self, vec: Sequence[Poly]) -> dict:
         vec = tuple(vec)
         if len(vec) != self.ambient_rank:
             raise ValueError(f"vector length {len(vec)} != ambient rank {self.ambient_rank}")
         if any(p.ring != self.ring for p in vec):
             raise RingMismatchError("vector ring does not match the submodule's ring")
-        rem, cert = _nf_vp(_vp_from_vector(vec), self._gb_elements(), self.ring, want_cert)
+        return _vp_from_vector(vec)
+
+    def nf_vector(self, vec: Sequence[Poly], want_cert: bool = False):
+        rem, cert = _nf_vp(self._checked_vp(vec), self._gb_elements(), self.ring, want_cert)
         rvec = _vector_from_vp(rem, self.ring, self.ambient_rank)
         if not want_cert:
             return rvec, None
         return rvec, [Poly(self.ring, c) for c in cert]
 
     def contains_vector(self, vec: Sequence[Poly]) -> bool:
-        rem, _ = self.nf_vector(vec)
-        return all(p.is_zero() for p in rem)
+        vp = self._checked_vp(vec)
+        # the zero vector lies in every submodule: no basis is needed
+        return not vp or not _nf_vp(vp, self._gb_elements(), self.ring)[0]
 
     def is_zero_submodule(self) -> bool:
         return not self._gb_elements()
@@ -560,13 +580,24 @@ def _preimage(cols: Sequence[Sequence[Poly]], rels: Sequence[Sequence[Poly]], ri
     hit = _GB_CACHE.get(key)
     if hit is None:
         graph = _graph_module(col_vps, rel_vps, ring, rank)
-        hit = _GB_CACHE[key] = _buchberger(graph, ring, rank + n, head=rank)
+        hit = _GB_CACHE[key] = _buchberger(graph, ring, rank + n, head=rank)[0]
     if reduced:
         span, key = hit, ("reduced",) + key
         hit = _GB_CACHE.get(key)
         if hit is None:
             hit = _GB_CACHE[key] = [e.vp for e in _buchberger(span, ring, n)]
     return [_vector_from_vp(vp, ring, n) for vp in hit]
+
+
+def _kernel_and_image(cols: Sequence[Sequence[Poly]], ring: RingSpec, rank: int) -> tuple:
+    """(kernel, image) of the map A^len(cols) -> A^rank with columns `cols`,
+    from one uncached Buchberger run on its graph module: the flattened
+    kernel generators, unreduced, and a Groebner basis of the image, the
+    heads of that run's basis, as elements for `_nf_vp` (see `_buchberger`)."""
+    graph = _graph_module(list(map(_vp_from_vector, cols)), (), ring, rank)
+    dkey = _desc_term_key(ring)
+    kernel, basis = _buchberger(graph, ring, rank + len(cols), head=rank)
+    return kernel, [_Element({t: c for t, c in g.vp.items() if t[0] < rank}, dkey) for g in basis]
 
 
 def _kernel(rows: Sequence[Sequence[Poly]], ring: Optional[RingSpec], source_rank: Optional[int],

@@ -501,8 +501,8 @@ def random_koszul(fs: Sequence[Poly], summands: int, basechange_steps: int, seed
     fs = tuple(fs)
     if not fs:
         raise ValueError("need a nonempty sequence")
-    if len(fs) > 4:
-        raise ValueError("at most 4 directions")
+    if len(fs) > 6:
+        raise ValueError("at most 6 directions")
     if not 1 <= summands <= 4:
         raise ValueError("summands must be between 1 and 4")
     if not 0 <= basechange_steps <= 12:

@@ -7,7 +7,10 @@ among them is the one graph module of `groebner` (col_j ⊕ e_j, rel ⊕ 0):
 kernels, injectivity and the relations of homology presentations are
 preimages of 0, annihilators are built from quotients and intersections,
 which are preimages too, and lifting through a surjection reads coordinates
-off the graph module's reduced basis.  Fitting ideals come from minors.
+off the graph module's reduced basis.  The same run that gives a kernel
+gives a basis of the image, which is all 0-sphericity needs; support on
+V(f) is tested on the cyclic quotients (rel : e_i) with no annihilator
+formed.  Fitting ideals come from minors.
 
 Presentations are never minimized; downstream properties are all phrased as
 zero-tests or submodule equalities, which the engine decides exactly.
@@ -25,12 +28,14 @@ from .groebner import (
     SubmoduleBasis,
     _compute_gb,
     _graph_module,
+    _kernel_and_image,
     _kernel_span,
     _nf_vp,
     _preimage,
     _vp_from_vector,
     ideal_intersection,
     module_quotient,
+    radical_membership,
     submodule_from_reduced_gb,
     syzygies,
 )
@@ -44,6 +49,7 @@ __all__ = [
     "is_injective",
     "cokernel",
     "annihilator",
+    "supported_on",
     "submodule_equal",
     "fitting_ideal",
     "homology",
@@ -364,6 +370,25 @@ def annihilator(M: FPModule) -> IdealBasis:
     return acc
 
 
+def supported_on(M: FPModule, f: Poly) -> bool:
+    """True iff M is supported on V(f), that is f ∈ √Ann M.
+
+    Ann M = ∩_i (relations : e_i), and the radical of a finite intersection
+    is the intersection of the radicals, so f is tested against each
+    quotient on its own and no intersection is formed.  Each quotient
+    generator a is re-verified: a·e_i lies in the relations.
+    """
+    for i in range(M.rank):
+        e = M.basis_vector(i)
+        quot = module_quotient(M.relations, e)
+        for a in quot.generators:
+            if not M.relations.contains_vector(tuple(a * c for c in e)):
+                raise RuntimeError("quotient generator failed re-verification")
+        if not radical_membership(f, quot):
+            return False
+    return True
+
+
 def submodule_equal(a: SubmoduleBasis, b: SubmoduleBasis) -> bool:
     if a.ring != b.ring or a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient mismatch")
@@ -475,18 +500,23 @@ def _nonzero_homology_degree(c: Complex) -> Optional[int]:
     """The least k >= 1 with H_k(c) != 0, or None when c is 0-spherical.
 
     H_k is zero iff ker d_k lies in im d_{k+1}, so each degree tests the
-    unreduced kernel generators of `_kernel_span` for membership in the
-    image, and no H_k is presented.
+    unreduced kernel generators of d_k for membership in the image, and no
+    H_k is presented.  One Buchberger run per differential serves both
+    sides (`groebner._kernel_and_image`): the run on d_{k+1} that gives the
+    Groebner basis of its image also gives ker d_{k+1}, the next degree's
+    kernel.  The runs are not cached: a face is visited once.
     """
+    ring = c.ring
+    nxt = None  # (kernel, image) of d_k, when the previous degree's run made it
     for k in range(1, c.length + 1):
-        d = c.differential(k)
-        gens = _kernel_span(d.entries, c.ring, source_rank=d.source_rank)
+        gens, _ = nxt or _kernel_and_image(c.differential(k).columns(), ring, c.ranks[k - 1])
+        nxt = None
         if not gens:
             continue
         if k == c.length:
             return k  # nonzero kernel at the top has no image to kill it
-        image = SubmoduleBasis(c.ring, c.ranks[k], c.differential(k + 1).columns())
-        if not all(image.contains_vector(g) for g in gens):
+        nxt = _kernel_and_image(c.differential(k + 1).columns(), ring, c.ranks[k])
+        if any(_nf_vp(g, nxt[1], ring)[0] for g in gens):
             return k
     return None
 

@@ -29,17 +29,17 @@ from typing import Dict, FrozenSet, Mapping, Sequence, Tuple, Union
 from .arith import Poly, RingSpec
 from .cube import (Cube, Report, _admissible_inductive, _h0_modcube, _h0_over, label_subsets,
                    restrict, subset_key, validate_cube)
-from .groebner import SubmoduleBasis, radical_membership
+from .groebner import SubmoduleBasis
 from .koszul import is_A_sequence
 from .modcalc import (
     FPModule,
     FreeMap,
     LiftError,
     _graph_coordinates,
-    annihilator,
     lift_through_surjection,
     min_annihilating_power,
     submodule_equal,
+    supported_on,
 )
 
 __all__ = [
@@ -121,6 +121,12 @@ class ResolutionInput:
         admissible module cube (checked by the inductive strategy, at every
         |V|); every vertex is supported on V(f_u) for u ∈ U and every
         directional cokernel on V(f_v); connecting maps are cube morphisms.
+
+        Support is decided without forming an annihilator: Ann M is the
+        intersection of the quotients (rel : e_i) over the basis vectors,
+        and the radical of a finite intersection is the intersection of the
+        radicals, so f ∈ √Ann M iff f ∈ √(rel : e_i) for every i
+        (`modcalc.supported_on`).
         """
         failures = []
         seq = [self.fs[s] for s in self.U + self.V]
@@ -134,13 +140,13 @@ class ResolutionInput:
             _admissible_inductive(z, failures, f"target {j}: ")
             for u in self.U:
                 for T in z.subsets():
-                    if not radical_membership(self.fs[u], annihilator(z.vertex(T))):
+                    if not supported_on(z.vertex(T), self.fs[u]):
                         failures.append(
                             f"target {j}: vertex {{{subset_key(T)}}} is not supported on V(f_{u})")
             for v in self.V:
                 H = _h0_modcube(z, v)
                 for T in label_subsets(H.labels):
-                    if not radical_membership(self.fs[v], annihilator(H.vertex(T))):
+                    if not supported_on(H.vertex(T), self.fs[v]):
                         failures.append(
                             f"target {j}: H_0^{v} at {{{subset_key(T)}}} is not supported on V(f_{v})")
         for i, w in enumerate(self.connecting):
@@ -416,6 +422,11 @@ def check_resolution(out: ResolutionOutput, inp: ResolutionInput) -> Report:
     (c) all squares commute modulo the target presentations — within each
         stage, and around the connecting maps for chains.
 
+    For (a), epi[T] is onto A^r/rel exactly when every basis vector e_i
+    lies in rel + im epi[T].  That is a membership question in one
+    submodule of A^r, so it is decided by that submodule's Groebner basis;
+    no coordinates are computed.
+
     Surjectivity on H_0(Tot) is not checked on its own: H_0(Tot z) is a
     quotient of z_∅, so (a) at the empty vertex implies it.
     """
@@ -427,12 +438,12 @@ def check_resolution(out: ResolutionOutput, inp: ResolutionInput) -> Report:
         tag = f"stage {idx}"
         for T in z.subsets():
             M = z.vertex(T)
-            basis = [M.basis_vector(i) for i in range(M.rank)]
-            coords = _graph_coordinates(basis, epi[T].columns(), M.relations, ring, M.rank)
-            missed = [i for i, u in enumerate(coords) if u is None]
-            if missed:
+            span = SubmoduleBasis(ring, M.rank, M.relations.generators + tuple(epi[T].columns()))
+            missed = next((i for i in range(M.rank)
+                           if not span.contains_vector(M.basis_vector(i))), None)
+            if missed is not None:
                 failures.append(
-                    f"(a) {tag}: epi at {{{subset_key(T)}}} misses basis vector {missed[0]}")
+                    f"(a) {tag}: epi at {{{subset_key(T)}}} misses basis vector {missed}")
         expected = _typical_sum_cube(ring, z.labels, out.g, mult, gU)
         shapes_ok = True
         for T in y.subsets():

@@ -80,6 +80,20 @@ def four_direction_koszul_suite(per_field=6, seed0=SEED0 + 70_000):
     return out
 
 
+def five_direction_koszul_suite(seed0=SEED0 + 80_000):
+    """(cube, fs) pairs from random_koszul at |S| = 5 over Q and GF(101),
+    vertex rank at most 2: per field, x, y, z, w, v at ranks 1, 2, 2 and
+    x^2, y^2+x*z, z^3, w, v at rank 2."""
+    out = []
+    for field in ("Q", 101):
+        ring = RingSpec(field, ("x", "y", "z", "w", "v"))
+        linear = list(ring.gens())
+        nonlinear = [parse_poly(t, ring) for t in NONLINEAR_A_SEQUENCES[0] + ("w", "v")]
+        for i, (fs, summands) in enumerate(((linear, 1), (linear, 2), (linear, 2), (nonlinear, 2))):
+            out.append((random_koszul(fs, summands, 2 + (3 * i) % 7, seed=seed0 + i), fs))
+    return out
+
+
 def pad_identity(x: Cube, new_label: str) -> Cube:
     """Extend by one direction whose boundaries are all identities."""
     labels = x.labels + (new_label,)

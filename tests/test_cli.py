@@ -139,6 +139,10 @@ MALFORMED_CASES = [
     ("ring_misspelt_field", "regseq",
      {"ring": {"feild": {"Fp": 7}, "vars": ["x"]}, "sequence": ["7*x"]}),
     ("ring_misspelt_order", "regseq", {"ring": {**RING_Q2, "ordr": "lex"}, "sequence": ["x"]}),
+    # a sequence entry for a label outside U ∪ V used to be ignored
+    ("fs_label_outside_u_v", "resolve",
+     {"ring": RING_Q2, "resolution": {"U": [], "V": ["1"], "fs": {"1": "x", "l": "y"},
+                                      "targets": [ONE_CUBE]}}),
 ]
 
 
@@ -302,7 +306,11 @@ def test_cube_document_accepts_module_vertices(tmp_path):
      "resolution.targets[0]", ["S", "vertices", "boundaries"]),
     ("be-check", {"ring": RING_Q2, "complex": {"ranks": [1], "differential": []}},
      "complex", ["ranks", "differentials"]),
-], ids=["vertex", "field", "order", "cube", "resolution", "target", "complex"])
+    ("resolve", {"ring": RING_Q2, "resolution": {"U": ["2"], "V": ["1"],
+                                                 "fs": {"1": "x", "2": "y", "3": "x"},
+                                                 "targets": [ONE_CUBE]}},
+     "resolution.fs", ["2", "1"]),
+], ids=["vertex", "field", "order", "cube", "resolution", "target", "complex", "fs"])
 def test_unknown_keys_name_their_json_path_and_the_allowed_keys(tmp_path, command, doc, where,
                                                                 allowed):
     out, code = run(command, "--input", write_doc(tmp_path, doc))
@@ -505,6 +513,8 @@ CROSS_ORDER_CASES = [
     ("h0_typ_xy", ["h0"], "typ_xy.json", 0),
     ("homology_typ_xy", ["homology"], "typ_xy.json", 0),
     ("admissible_typ_xy", ["admissible", "--strategy", "inductive"], "typ_xy.json", 0),
+    ("admissible_spherical_typ_xy", ["admissible", "--strategy", "spherical_faces"],
+     "typ_xy.json", 0),
     ("admissible_bothx", ["admissible", "--strategy", "spherical_faces"],
      "bothx_square.json", 1),
     ("aseq_xx", ["aseq"], "aseq_xx.json", 1),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszul_lab.arith import Poly, RingSpec, parse_poly
+from koszul_lab.arith import Poly, RingMismatchError, RingSpec, parse_poly
 from koszul_lab.groebner import (
     IdealBasis,
     SubmoduleBasis,
@@ -151,6 +151,32 @@ def test_submodule_plus_and_zero():
     b = SubmoduleBasis(Q2, 2, [(zero, y)])
     assert a.plus(b) == SubmoduleBasis(Q2, 2, [(x, zero), (zero, y)])
     assert SubmoduleBasis(Q2, 3, []).is_zero_submodule()
+
+
+def test_zero_vector_and_zero_polynomial_need_no_basis():
+    # the zero element lies in every submodule and ideal, so membership is
+    # answered before any Groebner basis is built; shape and ring checks
+    # still come first and still raise
+    x, y = Q2.gens()
+    zero = Q2.zero()
+    sub = SubmoduleBasis(Q2, 2, [(x * x + y, x), (y, zero)])
+    assert sub.contains_vector((zero, zero))
+    assert sub._gb is None
+    with pytest.raises(ValueError, match="vector length 3 != ambient rank 2"):
+        sub.contains_vector((zero, zero, zero))
+    with pytest.raises(RingMismatchError):
+        sub.contains_vector((Q3.zero(), Q3.zero()))
+    assert sub._gb is None
+    ideal = IdealBasis(Q2, [x * x + y, x * y])
+    assert ideal.contains(zero)
+    assert ideal._gb is None
+    with pytest.raises(RingMismatchError):
+        ideal.contains(Q3.zero())
+    assert ideal._gb is None
+    # a nonzero element still builds the basis and is decided by it
+    assert sub.contains_vector((y, zero)) and not sub.contains_vector((x, zero))
+    assert sub._gb is not None
+    assert ideal.contains(x * x * y + y * y) and not ideal.contains(x)
 
 
 def test_submodule_from_reduced_gb_is_trusted():
@@ -595,6 +621,31 @@ def test_kernel_span_generates_the_syzygy_module(field, order):
                 assert img.is_zero()
         reduced = list(SubmoduleBasis(ring, source_rank, span).reduced_gb)
         assert _vector_data(reduced) == _vector_data(syzygies(rows, ring, source_rank))
+
+
+@pytest.mark.parametrize("field", ["Q", 101])
+@pytest.mark.parametrize("order", ["grevlex", "grlex", "lex"])
+def test_kernel_and_image_from_one_run(field, order):
+    # the heads of the basis elements that are not syzygies are a Groebner
+    # basis of the image: they generate the span of the columns, and their
+    # leading terms generate the leading terms of its reduced basis; the
+    # collected tails are the kernel
+    from koszul_lab.groebner import (_buchberger, _divides, _kernel_and_image, _vector_from_vp,
+                                     _vp_canonical)
+    ring, corpus = _matrix_corpus(field, order)
+    for rows in corpus:
+        target_rank, source_rank = len(rows), len(rows[0])
+        cols = [tuple(r[j] for r in rows) for j in range(source_rank)]
+        kernel, image = _kernel_and_image(cols, ring, target_rank)
+        assert all(e.lt_pos < target_rank for e in image)
+        reduced = _buchberger([e.vp for e in image], ring, target_rank)
+        want = SubmoduleBasis(ring, target_rank, cols)._gb_elements()
+        assert [_vp_canonical(e.vp) for e in reduced] == [_vp_canonical(e.vp) for e in want]
+        assert all(any(e.lt_pos == g.lt_pos and _divides(e.lt_exp, g.lt_exp) for e in image)
+                   for g in want), rows
+        span = [_vector_from_vp(vp, ring, source_rank) for vp in kernel]
+        assert _vector_data(SubmoduleBasis(ring, source_rank, span).reduced_gb) == \
+            _vector_data(syzygies(rows, ring, source_rank))
 
 
 def test_kernel_span_of_injective_matrix_is_empty():

@@ -561,6 +561,24 @@ def test_four_direction_admissibility_negative_and_padded():
             assert is_admissible(x, strategy=s).ok, (i, s)
 
 
+def test_five_direction_koszul_cubes_are_admissible_and_zeroed_ones_are_not():
+    # the two theorem oracles at |S| = 5, rank <= 2, Q and GF(101): Koszul
+    # implies admissible under all three strategies, and the determinants
+    # form an A-sequence; a zeroed direction must fail all three strategies
+    suite = _gen.five_direction_koszul_suite()
+    assert len(suite) == 8
+    assert {x.ring.field.char for x, _ in suite} == {0, 101}
+    assert {max(x.vertex_rank.values()) for x, _ in suite} == {1, 2}
+    for i, (x, _) in enumerate(suite):
+        assert len(x.labels) == 5
+        for s in ADMISSIBILITY_STRATEGIES:
+            assert is_admissible(x, strategy=s).ok, (i, s)
+        assert det_is_a_sequence(x), (i, "determinants not an A-sequence")
+        zeroed = _gen.zero_direction(x, x.labels[i % 5])
+        for s in ADMISSIBILITY_STRATEGIES:
+            assert not is_admissible(zeroed, strategy=s).ok, (i, s, "zeroed")
+
+
 # --------------------------------------------------------------------------
 # random generation
 # --------------------------------------------------------------------------
@@ -615,6 +633,7 @@ def test_random_koszul_input_caps():
         random_koszul([x], 5, 2, seed=0)               # too many summands
     with pytest.raises(ValueError):
         random_koszul([x], 2, 13, seed=0)              # too many steps
-    r5 = RingSpec(101, ("a", "b", "c", "d", "e"))
-    with pytest.raises(ValueError):
-        random_koszul(list(r5.gens()), 1, 0, seed=0)   # too many directions
+    r7 = RingSpec(101, ("a", "b", "c", "d", "e", "f", "g"))
+    with pytest.raises(ValueError, match="at most 6 directions"):
+        random_koszul(list(r7.gens()), 1, 0, seed=0)   # too many directions
+    assert len(random_koszul(list(r7.gens())[:6], 1, 0, seed=0).labels) == 6

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszul_lab.arith import RingSpec, parse_poly
-from koszul_lab.groebner import IdealBasis, SubmoduleBasis
+from koszul_lab.groebner import IdealBasis, SubmoduleBasis, _kernel_span
 from koszul_lab.modcalc import (
     CapExceededError,
     Complex,
@@ -23,6 +23,7 @@ from koszul_lab.modcalc import (
     lift_through_surjection,
     min_annihilating_power,
     submodule_equal,
+    supported_on,
     zero_spherical,
 )
 
@@ -432,3 +433,91 @@ def test_lift_reports_non_surjective_before_missing_preimage():
     p = FreeMap.from_columns(Q2, 2, [(ONE, ZERO)])
     with pytest.raises(LiftError, match="not surjective"):
         lift_through_surjection(FreeMap.identity(Q2, 2), p, mod)
+
+
+# --------------------------------------------------------------------------
+# verdict-only paths against the full computations they replaced
+# --------------------------------------------------------------------------
+
+def _nonzero_homology_degree_reference(c):
+    """The least k >= 1 with H_k(c) != 0, or None: the kernel generators of
+    each d_k tested against a Groebner basis of im d_{k+1} built on its own."""
+    for k in range(1, c.length + 1):
+        d = c.differential(k)
+        gens = _kernel_span(d.entries, c.ring, source_rank=d.source_rank)
+        if not gens:
+            continue
+        if k == c.length:
+            return k
+        image = SubmoduleBasis(c.ring, c.ranks[k], c.differential(k + 1).columns())
+        if not all(image.contains_vector(g) for g in gens):
+            return k
+    return None
+
+
+def test_nonzero_homology_degree_matches_separate_image_reference():
+    # one Buchberger run per differential gives both its kernel and its
+    # image; the answer must be the one the separate image basis gave, on
+    # the Tot of every face of Koszul and non-admissible cubes, on whole
+    # |S| = 4 Tots and on complexes with a zeroed or scaled differential
+    from _gen import complex_suite, four_direction_koszul_suite, koszul_suite, perturbed_suite
+    from koszul_lab.cube import restrict, total_complex
+    from koszul_lab.modcalc import _nonzero_homology_degree
+    complexes = complex_suite(100) + [total_complex(x) for x, _ in four_direction_koszul_suite()]
+    for x in [x for x, _ in koszul_suite(40)] + perturbed_suite(30):
+        S = frozenset(x.labels)
+        for U in x.subsets():
+            if U:
+                complexes += [total_complex(restrict(x, U, V))
+                              for V in restrict(x, S - U, frozenset()).subsets()]
+    degrees = []
+    for c in complexes:
+        want = _nonzero_homology_degree_reference(c)
+        assert _nonzero_homology_degree(c) == want, c
+        degrees.append(want)
+    assert None in degrees and 1 in degrees and any(d and d >= 2 for d in degrees)
+
+
+def _module_corpus():
+    """Modules of both support verdicts: hand-made ones, the vertices and
+    H_0^k vertices of the resolve problems' targets, and cokernels of the
+    boundaries of small Koszul cubes."""
+    from _gen import koszul_suite, resolve_problems
+    from koszul_lab.cube import _h0_modcube
+    two = FPModule(Q2, 2, SubmoduleBasis(Q2, 2, [(X * X, ZERO), (Y, X), (ZERO, Y * Y)]))
+    # A/(x^2) ⊕ A/(y): the two basis vectors have different supports
+    split = FPModule(Q2, 2, SubmoduleBasis(Q2, 2, [(X * X, ZERO), (ZERO, Y)]))
+    modules = [FPModule.free(Q2, 0), FPModule.free(Q2, 2), cyclic("1"), cyclic("x^2"),
+               cyclic("x^2", "x*y"), cyclic("x*y"), two, split]
+    for inp in resolve_problems():
+        for z in inp.targets:
+            modules += [z.vertex(T) for T in z.subsets()]
+            for v in z.labels:
+                H = _h0_modcube(z, v)
+                modules += [H.vertex(T) for T in H.subsets()]
+    for x, _ in koszul_suite(20):
+        modules += [cokernel(x.d(T, k)) for T in x.subsets() for k in sorted(T)]
+    return modules
+
+
+def test_supported_on_matches_annihilator_reference():
+    # Ann M = ∩_i (rel : e_i), and the radical of a finite intersection is
+    # the intersection of the radicals: testing each quotient on its own
+    # must agree with the radical of the whole annihilator
+    from koszul_lab.groebner import radical_membership
+    verdicts = set()
+    for M in _module_corpus():
+        x, y = M.ring.gens()[:2]
+        for f in (x, y, x + y, x * y, M.ring.zero(), M.ring.one()):
+            want = radical_membership(f, annihilator(M))
+            assert supported_on(M, f) == want, (M, f)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_supported_on_reverifies_each_quotient_generator(monkeypatch):
+    import koszul_lab.modcalc as modcalc
+    assert supported_on(cyclic("x^2"), X)
+    monkeypatch.setattr(modcalc, "module_quotient", lambda rel, vec: IdealBasis(Q2, [X]))
+    with pytest.raises(RuntimeError, match="re-verification"):
+        supported_on(cyclic("x^2"), X)

@@ -8,13 +8,15 @@ order of summands cannot drift silently.
 import pytest
 
 from koszul_lab.arith import RingSpec, parse_poly
-from koszul_lab.cube import ModCube, _h0_over, label_subsets
+from koszul_lab.cube import ModCube, _h0_over, label_subsets, subset_key
 from koszul_lab.groebner import SubmoduleBasis
 from koszul_lab.koszul import random_koszul, typical_cube
 from koszul_lab.modcalc import (CapExceededError, FPModule, FreeMap, LiftError,
                                 _graph_coordinates)
 from koszul_lab.resolve import (
     ResolutionInput,
+    ResolutionOutput,
+    ResolutionStage,
     _h0_tot_module,
     _resolve_cube,
     check_resolution,
@@ -385,3 +387,114 @@ def test_resolve_solves_each_lifting_system_once(monkeypatch):
         monkeypatch.setattr(module, "_graph_coordinates", counted)
     koszul_resolve(inp)
     assert len(calls) <= 11
+
+
+# --------------------------------------------------------------------------
+# verdict-only checks against the full computations they replaced
+# --------------------------------------------------------------------------
+
+def _surjectivity_failures_reference(out, inp):
+    """Check (a) as it was made by solving for coordinates: the first basis
+    vector of each target vertex that has no preimage under the epi."""
+    failures = []
+    for idx, (stage, z) in enumerate(zip(out.stages, inp.targets)):
+        for T in z.subsets():
+            M = z.vertex(T)
+            basis = [M.basis_vector(i) for i in range(M.rank)]
+            coords = _graph_coordinates(basis, stage.epi[T].columns(), M.relations, inp.ring,
+                                        M.rank)
+            missed = [i for i, u in enumerate(coords) if u is None]
+            if missed:
+                failures.append(f"(a) stage {idx}: epi at {{{subset_key(T)}}} misses basis vector "
+                                f"{missed[0]}")
+    return failures
+
+
+def _zero_column(m, j):
+    cols = m.columns()
+    cols[j] = tuple(m.ring.zero() for _ in cols[j])
+    return FreeMap.from_columns(m.ring, m.target_rank, cols)
+
+
+def test_surjectivity_check_matches_graph_coordinates_reference():
+    # (a) asks whether e_i ∈ rel + im epi for every i; its failures must be
+    # the ones the coordinate solver gave, also on epis that are not onto
+    problems = resolve_problems() + [inp for _, inp, _ in _wide_v_cases(101)]
+    failing = 0
+    for i, inp in enumerate(problems):
+        out = koszul_resolve(inp)
+        for drop in (None, 0, 1):
+            stages = []
+            for stage in out.stages:
+                epi = dict(stage.epi)
+                if drop is not None:
+                    epi = {T: _zero_column(m, drop) if drop < m.source_rank else m
+                           for T, m in epi.items()}
+                stages.append(ResolutionStage(stage.y, epi, stage.multiplicities))
+            bent = ResolutionOutput(out.exponents, out.g, tuple(stages), out.connecting)
+            want = _surjectivity_failures_reference(bent, inp)
+            got = check_resolution(bent, inp).failures
+            assert [f for f in got if f.startswith("(a)")] == want, (i, drop)
+            assert (drop is None) <= (got == ()), (i, got)
+            failing += bool(want)
+    assert failing >= 20
+
+
+def _verify_cases():
+    """ResolutionInputs whose verify() passes and ones that fail it on
+    support: the resolve problems, Koszul cubes of |S| <= 3 and |S| = 4 as
+    V-targets, the same with the sequence reversed, and modules whose
+    U-entry does not kill them."""
+    from _gen import four_direction_koszul_suite, koszul_suite
+    cases = resolve_problems() + [inp for _, inp, _ in _wide_v_cases(101)]
+    for x, fs in koszul_suite(12) + four_direction_koszul_suite(per_field=2):
+        labels = list(x.labels)
+        cases.append(ResolutionInput(dict(zip(labels, fs)), [], labels, [x]))
+        if len(fs) > 1:
+            cases.append(ResolutionInput(dict(zip(labels, fs[::-1])), [], labels, [x]))
+    cases.append(ResolutionInput({"1": Y}, ["1"], [], [cyclic("x^2")]))
+    # x kills the first summand of A/(x^2) ⊕ A/(y) but no power kills the second
+    split = FPModule(Q2, 2, SubmoduleBasis(Q2, 2, [(X * X, Q2.zero()), (Q2.zero(), Y)]))
+    cases.append(ResolutionInput({"1": X}, ["1"], [], [split]))
+    # x, x is no A-sequence, and x kills no vertex of this 1-cube over A/(y^3)
+    cases.append(ResolutionInput({"1": X, "2": X}, ["2"], ["1"], [one_cube("x^2", cyclic("y^3"))]))
+    return cases
+
+
+def test_verify_support_matches_annihilator_reference(monkeypatch):
+    # support on V(f) is f ∈ √(rel : e_i) for each basis vector; verify()
+    # must report what the radical of the whole annihilator reported
+    import koszul_lab.resolve as resolve_mod
+    from koszul_lab.groebner import radical_membership
+    from koszul_lab.modcalc import annihilator
+    cases = _verify_cases()
+    got = [inp.verify() for inp in cases]
+    monkeypatch.setattr(resolve_mod, "supported_on",
+                        lambda M, f: radical_membership(f, annihilator(M)))
+    want = [inp.verify() for inp in cases]
+    assert got == want
+    assert {rep.ok for rep in want} == {True, False}
+    unsupported = [f for rep in want for f in rep.failures if "is not supported" in f]
+    assert any("vertex" in f for f in unsupported) and any("H_0^" in f for f in unsupported)
+
+
+def test_checks_solve_no_coordinates_and_form_no_annihilator(monkeypatch):
+    # check_resolution and verify() only answer yes/no questions: neither
+    # reads coordinates off a graph module nor builds an annihilator
+    import koszul_lab.cube
+    import koszul_lab.koszul
+    import koszul_lab.modcalc
+    import koszul_lab.resolve
+    problems = resolve_problems()[:6] + [inp for _, inp, _ in _wide_v_cases(101)]
+    outs = [koszul_resolve(inp) for inp in problems]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called from a yes/no check")
+
+    for module in (koszul_lab.modcalc, koszul_lab.resolve, koszul_lab.cube):
+        monkeypatch.setattr(module, "_graph_coordinates", forbidden)
+    for module in (koszul_lab.modcalc, koszul_lab.resolve, koszul_lab.koszul):
+        monkeypatch.setattr(module, "annihilator", forbidden, raising=False)
+    for inp, out in zip(problems, outs):
+        assert inp.verify().ok
+        assert check_resolution(out, inp).ok
