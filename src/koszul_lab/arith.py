@@ -6,15 +6,18 @@ variable list and a monomial order, and `Poly`, a sparse exponent-vector ->
 coefficient map.  Coefficients are `fractions.Fraction` over the rationals and
 plain ints in [0, p) over a prime field; there is no floating point anywhere.
 (Inside Buchberger over Q the Groebner engine works on integer vectors; every
-Poly and every basis it returns holds Fractions.)
+Poly and every basis it returns holds Fractions.  Products over Q, here and in
+`modcalc.FreeMap.compose`, likewise sum integer numerators over a common
+denominator and make each Fraction once.)
 
 Values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from operator import neg
+from operator import add
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -26,7 +29,6 @@ __all__ = [
     "is_unit",
     "exact_division",
     "MONOMIAL_ORDERS",
-    "DESCENDING_KEYS",
 ]
 
 
@@ -164,29 +166,6 @@ MONOMIAL_ORDERS = {
     "lex": _lex_key,
 }
 
-# The same orders reversed, as cheap keys for ascending sorts and min-heaps:
-# desc(m) < desc(m') iff m is larger than m'.  Each negates its order's key
-# component-wise, so the largest monomial comes first.
-
-def _grevlex_desc(e: tuple) -> tuple:
-    return (-sum(e), e[::-1])
-
-
-def _grlex_desc(e: tuple) -> tuple:
-    return (-sum(e), tuple(map(neg, e)))
-
-
-def _lex_desc(e: tuple) -> tuple:
-    return tuple(map(neg, e))
-
-
-DESCENDING_KEYS = {
-    "grevlex": _grevlex_desc,
-    "grlex": _grlex_desc,
-    "lex": _lex_desc,
-}
-
-
 class RingSpec:
     """A polynomial ring over an exact field with a fixed monomial order.
 
@@ -195,8 +174,8 @@ class RingSpec:
     order: "grevlex" (default) | "lex" | "grlex".
     """
 
-    __slots__ = ("field", "variables", "order", "nvars", "mono_key", "desc_key", "_var_index",
-                 "_zero_exp")
+    __slots__ = ("field", "variables", "order", "nvars", "mono_key", "_var_index", "_zero_exp",
+                 "_term_keys")
 
     def __init__(self, field, variables: Iterable[str], order: str = "grevlex"):
         if field == "Q" or isinstance(field, _Rationals):
@@ -216,9 +195,9 @@ class RingSpec:
         self.order = order
         self.nvars = len(variables)
         self.mono_key = MONOMIAL_ORDERS[order]
-        self.desc_key = DESCENDING_KEYS[order]
         self._var_index = {v: i for i, v in enumerate(variables)}
         self._zero_exp = (0,) * self.nvars
+        self._term_keys = None  # the Groebner engine's term-key layout, made on first use
 
     # -- constructors ------------------------------------------------------
 
@@ -318,45 +297,53 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        field = self.ring.field
+        p = self.ring.field.char
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms.items():
-            s = field.add(out.get(e, field.zero), c)
-            if s == field.zero:
-                out.pop(e, None)
-            else:
+            old = get(e)
+            if old is None:
+                out[e] = c
+                continue
+            s = (old + c) % p if p else old + c
+            if s:
                 out[e] = s
-        return Poly(self.ring, out)
+            else:
+                del out[e]
+        return _poly(self.ring, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
-        field = self.ring.field
+        p = self.ring.field.char
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms.items():
-            s = field.sub(out.get(e, field.zero), c)
-            if s == field.zero:
-                out.pop(e, None)
-            else:
+            old = get(e)
+            if old is None:
+                out[e] = -c % p if p else -c
+                continue
+            s = (old - c) % p if p else old - c
+            if s:
                 out[e] = s
-        return Poly(self.ring, out)
+            else:
+                del out[e]
+        return _poly(self.ring, out)
 
     def __neg__(self) -> "Poly":
-        field = self.ring.field
-        return Poly(self.ring, {e: field.neg(c) for e, c in self.terms.items()})
+        p = self.ring.field.char
+        if p:
+            return _poly(self.ring, {e: -c % p for e, c in self.terms.items()})
+        return _poly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        field = self.ring.field
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = field.add(out.get(e, field.zero), field.mul(c1, c2))
-                if s == field.zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Poly(self.ring, out)
+        p = self.ring.field.char
+        a, b = self.terms, other.terms
+        if p:
+            return _poly(self.ring, _coefficients(_product_sums(a, b, {}), 1, p))
+        da, db = _denominator(a.values()), _denominator(b.values())
+        acc = _product_sums(_numerators(a, da), _numerators(b, db), {})
+        return _poly(self.ring, _coefficients(acc, da * db, 0))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -432,6 +419,47 @@ class Poly:
         for sign, body in pieces[1:]:
             out += f" {sign} {body}"
         return out
+
+
+def _poly(ring: RingSpec, terms: dict) -> Poly:
+    """A Poly that takes ownership of `terms`, a fresh dict of nonzero
+    coefficients: no copy is made, unlike Poly(ring, terms)."""
+    p = Poly.__new__(Poly)
+    p.ring = ring
+    p.terms = terms
+    return p
+
+
+def _denominator(coeffs: Iterable) -> int:
+    """The lcm of the denominators of Fraction coefficients."""
+    return math.lcm(*[c.denominator for c in coeffs])
+
+
+def _numerators(terms: dict, d: int) -> dict:
+    """Fraction coefficients times d, a common denominator, as ints."""
+    if d == 1:
+        return {e: c.numerator for e, c in terms.items()}
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
+
+
+def _product_sums(a: dict, b: dict, acc: dict) -> dict:
+    """acc += a * b on integer coefficients, unreduced; zero sums are kept."""
+    get = acc.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = get(e, 0) + c1 * c2
+    return acc
+
+
+def _coefficients(acc: dict, d: int, p: int) -> dict:
+    """The nonzero field coefficients of integer sums over the denominator d:
+    s % p over GF(p) (where d is 1), Fraction(s, d) over Q."""
+    if p:
+        return {e: r for e, s in acc.items() if (r := s % p)}
+    if d == 1:
+        return {e: Fraction(s) for e, s in acc.items() if s}
+    return {e: Fraction(s, d) for e, s in acc.items() if s}
 
 
 def _coeff_string(c) -> tuple:

@@ -1,9 +1,22 @@
 """Buchberger engine for ideals and submodules of free modules.
 
 One reduction engine serves both cases: an element of a free module A^r is
-flattened to a dict mapping (position, exponent-tuple) -> coefficient, and the
-term order is position-over-term (lower position wins, then the ring's
-monomial order).  Ideals are the r = 1 case.
+flattened to a dict mapping a term key -> coefficient, and the term order is
+position-over-term (lower position wins, then the ring's monomial order).
+Ideals are the r = 1 case.
+
+A term key is one int, packed by `_Terms`: the position in the top bits,
+then one 32-bit field for the total degree and one per variable, laid out
+per monomial order so that comparing keys compares terms.  A term times a
+monomial is the sum of their keys; whether one term divides another of the
+same position is one masked subtraction on the guard bits, the top bit of
+each variable's field; and the key `k ^ desc` ascends as terms descend, so
+a min-heap of plain ints pops the largest term first.  Keys are made only
+where vectors of Poly enter the engine (`_vp_from_vector`) and turned back
+into exponent tuples where they leave it (`_vector_from_vp`).  Every
+exponent and total degree must stay below 2^31, so that no field carries
+into the next: a vector beyond that is refused on entry, and a product
+whose new term reaches it raises CapExceededError, never a wrapped key.
 
 Everything here is exact and deterministic: pair selection uses the normal
 strategy with a fixed tie-break, reduced bases are canonical (monic,
@@ -48,10 +61,9 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd
-from operator import add, le, sub
 from typing import Optional, Sequence
 
-from .arith import Poly, RingMismatchError, RingSpec
+from .arith import Poly, RingMismatchError, RingSpec, _poly
 
 __all__ = [
     "IdealBasis",
@@ -69,57 +81,189 @@ __all__ = [
 ]
 
 
+class CapExceededError(RuntimeError):
+    """A bounded search (annihilating power, determinant exponent) ran out of
+    cap, or an exponent or total degree reached 2^31, the bound of the
+    Groebner engine's packed term keys."""
+
+
+# ---------------------------------------------------------------------------
+# packed term keys
+# ---------------------------------------------------------------------------
+
+_FIELD = 32
+_ONES = (1 << _FIELD) - 1
+_LIMIT = 1 << (_FIELD - 1)  # every exponent and total degree stays below this
+_MEMO = 1 << 16  # entries a memo of `_Terms` holds before it starts afresh
+
+
+class _Terms:
+    """Packed term keys of A^r for one number of variables and monomial order.
+
+    The key of x^e at position pos is (pos << shift) | fields, with one
+    32-bit field for the total degree and one per variable, most
+    significant first:
+
+        grevlex   deg | e_n | ... | e_1
+        grlex     deg | e_1 | ... | e_n
+        lex       e_1 | ... | e_n | deg
+
+    Under grlex and lex the fields, read as one int, compare as the
+    monomials do.  Grevlex compares (deg, -e_n, ..., -e_1), so there the
+    variable fields compare complemented: `m ^ asc` orders monomials
+    ascending, and `k ^ desc`, which complements the degree field under
+    grevlex and every field otherwise, orders keys by position and then by
+    descending term.  That is position over term reversed: a min-heap of
+    `k ^ desc` pops the largest term first.
+
+    While every field is below 2^31, its top bit is a guard.  k + m is the
+    key of the term times the monomial, with no carry between fields.
+    ((t | guard) - lt) & guard == guard, with `guard` the guard bits of the
+    variable fields, holds exactly when every exponent of t is at least
+    lt's: a variable field can borrow only from the degree field, which lies
+    below one only under lex, and only when t has the smaller degree and so
+    some smaller exponent.
+    """
+
+    __slots__ = ("shift", "mono", "desc", "asc", "guard", "overflow", "_deg", "_offsets",
+                 "_vars", "_spread", "_top", "_keys", "_exps")
+
+    def __init__(self, nvars: int, order: str):
+        if order == "lex":
+            deg, offsets = 0, [_FIELD * (nvars - i) for i in range(nvars)]
+        elif order == "grlex":
+            deg, offsets = _FIELD * nvars, [_FIELD * (nvars - 1 - i) for i in range(nvars)]
+        else:
+            deg, offsets = _FIELD * nvars, [_FIELD * i for i in range(nvars)]
+        self.shift = _FIELD * (nvars + 1)
+        self.mono = (1 << self.shift) - 1
+        self.desc = _ONES << deg if order == "grevlex" else self.mono
+        self.asc = self.desc ^ self.mono
+        self.guard = sum(_LIMIT << o for o in offsets)
+        self.overflow = self.guard | _LIMIT << deg
+        self._deg = deg
+        self._offsets = offsets
+        self._vars = sum(_ONES << o for o in offsets)
+        self._spread = sum(1 << o for o in offsets)
+        self._top = min(offsets) + max(offsets)
+        self._keys: dict = {}  # exponent tuple -> monomial key
+        self._exps: dict = {}  # monomial key -> exponent tuple
+
+    def monomial(self, e: tuple) -> int:
+        """The key of x^e at position 0; CapExceededError from degree 2^31."""
+        m = self._keys.get(e)
+        if m is None:
+            d = sum(e)
+            if d >= _LIMIT:
+                raise CapExceededError(f"total degree {d} is 2^31 or more, beyond the Groebner "
+                                       "engine's term keys")
+            m = d << self._deg
+            for x, o in zip(e, self._offsets):
+                m |= x << o
+            if len(self._keys) >= _MEMO:
+                self._keys.clear()
+            self._keys[e] = m
+        return m
+
+    def exponents(self, k: int) -> tuple:
+        """The exponent tuple of the key k, at any position."""
+        m = k & self.mono
+        e = self._exps.get(m)
+        if e is None:
+            e = tuple((m >> o) & _ONES for o in self._offsets)
+            if len(self._exps) >= _MEMO:
+                self._exps.clear()
+            self._exps[m] = e
+        return e
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of two keys at the same position.
+
+        Its degree field is summed anew and may reach 2^31, never 2^32; the
+        key of a term it makes in an S-vector is then refused as overflow.
+        """
+        ea, eb = a & self._vars, b & self._vars
+        a_ge = ((ea | self.guard) - eb) & self.guard  # guard bit: a's exponent >= b's
+        take = (a_ge >> (_FIELD - 1)) * (_LIMIT - 1)
+        e = (ea & take) | (eb & ~take)
+        # the field of e * spread at offset `top` is the sum of e's fields;
+        # each partial sum is at most that, below 2^32, so none carries
+        d = (e * self._spread >> self._top) & _ONES
+        return (a & ~self.mono) | d << self._deg | e
+
+
+_TERMS: dict = {}  # (number of variables, order) -> _Terms, shared by equal layouts
+
+
+def _terms(ring: RingSpec) -> _Terms:
+    t = ring._term_keys
+    if t is None:
+        t = _TERMS.get((ring.nvars, ring.order))
+        if t is None:
+            t = _TERMS[(ring.nvars, ring.order)] = _Terms(ring.nvars, ring.order)
+        ring._term_keys = t
+    return t
+
+
 # ---------------------------------------------------------------------------
 # flattened vector-polynomial helpers
 # ---------------------------------------------------------------------------
 
-def _vp_from_vector(vec: Sequence[Poly]) -> dict:
+def _vp_from_vector(vec: Sequence[Poly], ring: RingSpec) -> dict:
+    terms = _terms(ring)
+    shift, get = terms.shift, terms._keys.get
     vp = {}
     for pos, p in enumerate(vec):
+        base = pos << shift
         for e, c in p.terms.items():
-            vp[(pos, e)] = c
+            m = get(e)
+            if m is None:
+                m = terms.monomial(e)
+            vp[base | m] = c
     return vp
 
 
-def _vector_from_vp(vp: dict, ring: RingSpec, rank: int) -> tuple:
+def _vector_from_vp(vp: dict, ring: RingSpec, rank: int, head: int = 0) -> tuple:
+    """The vector in A^rank of the terms of vp at positions head .. head +
+    rank - 1, moved down to 0 .. rank - 1; None when vp has a term at a
+    position below head."""
+    terms = _terms(ring)
+    shift, mono, get = terms.shift, terms.mono, terms._exps.get
     polys = [dict() for _ in range(rank)]
-    for (pos, e), c in vp.items():
-        polys[pos][e] = c
-    return tuple(Poly(ring, t) for t in polys)
+    for k, c in vp.items():
+        pos = (k >> shift) - head
+        if pos < 0:
+            return None
+        polys[pos][get(k & mono) or terms.exponents(k)] = c
+    return tuple(_poly(ring, t) for t in polys)
 
 
-def _desc_term_key(ring: RingSpec):
-    desc = ring.desc_key
-    # position over term, reversed: the leading term is the min; lower
-    # positions are larger
-    return lambda t: (t[0], desc(t[1]))
+def _add_scaled(target: dict, vp: dict, q: int, coeff, field, overflow: int,
+                born: Optional[list] = None) -> None:
+    """target += vp * (coeff * x^q), in place, for the monomial key q.
 
-
-def _divides(ea: tuple, eb: tuple) -> bool:
-    return all(map(le, ea, eb))
-
-
-def _add_scaled(target: dict, vp: dict, exp: tuple, coeff, field, born: Optional[list] = None) -> None:
-    """target += vp * (coeff * x^exp), in place.
-
-    Keys that were absent from target and now hold a nonzero coefficient are
-    appended to `born` when it is given.
+    A key absent from target is a new term.  Each is tested against the
+    `overflow` guard bits, a test that is exact because both addends have
+    every field below 2^31, and appended to `born` when it is given.
     """
     get = target.get
     p = field.char
-    for (pos, e), c in vp.items():
-        key = (pos, tuple(map(add, e, exp)))
+    for k, c in vp.items():
+        key = k + q
         old = get(key)
-        if p:
-            s = ((0 if old is None else old) + c * coeff) % p
-        else:
-            s = c * coeff if old is None else old + c * coeff
-        if s:
-            target[key] = s
-            if old is None and born is not None:
+        if old is None:
+            if key & overflow:
+                raise CapExceededError("an exponent or total degree reached 2^31, beyond the "
+                                       "Groebner engine's term keys")
+            target[key] = c * coeff % p if p else c * coeff
+            if born is not None:
                 born.append(key)
-        elif old is not None:
-            del target[key]
+        else:
+            s = (old + c * coeff) % p if p else old + c * coeff
+            if s:
+                target[key] = s
+            else:
+                del target[key]
 
 
 def _vp_canonical(vp: dict) -> tuple:
@@ -129,13 +273,14 @@ def _vp_canonical(vp: dict) -> tuple:
 class _Element:
     """A basis element with precomputed leading data."""
 
-    __slots__ = ("vp", "lt", "lc", "lt_pos", "lt_exp")
+    __slots__ = ("vp", "lt", "lc", "lt_pos")
 
-    def __init__(self, vp: dict, dkey):
+    def __init__(self, vp: dict, terms: _Terms):
+        desc = terms.desc
         self.vp = vp
-        self.lt = min(vp, key=dkey)
+        self.lt = desc ^ min([k ^ desc for k in vp])
         self.lc = vp[self.lt]
-        self.lt_pos, self.lt_exp = self.lt
+        self.lt_pos = self.lt >> terms.shift
 
 
 def _cofactors(a, b, p: int) -> tuple:
@@ -159,10 +304,10 @@ def _integral(vp: dict) -> dict:
     return {t: c.numerator * (den // c.denominator) for t, c in vp.items()}
 
 
-def _unit_normal(vp: dict, dkey, p: int) -> _Element:
+def _unit_normal(vp: dict, terms: _Terms, p: int) -> _Element:
     """The element for vp in Buchberger's working form: monic over GF(p); over
     Q an integer vector with content 1 and a positive leading coefficient."""
-    e = _Element(vp, dkey)
+    e = _Element(vp, terms)
     if p:
         if e.lc != 1:
             inv = pow(e.lc, -1, p)
@@ -181,50 +326,55 @@ def _unit_normal(vp: dict, dkey, p: int) -> _Element:
 def _nf_vp(vp: dict, basis: Sequence[_Element], ring: RingSpec, want_cert: bool = False):
     """Full normal form of vp against basis; optionally with division certificate.
 
-    Returns (remainder_vp, cert) where cert[i] is the dict-form polynomial q_i
-    with  λ·input = sum_i q_i * basis[i] + remainder  exactly, for a nonzero
-    scalar λ.  On field coefficients (GF(p), or Fractions over Q) every step
-    divides by the leading coefficient and λ = 1.  On Buchberger's integer
-    vectors over Q every step is a pseudo-division and λ is the product of
-    its multipliers.
+    Returns (remainder_vp, cert) where cert[i] maps monomial keys to the
+    coefficients of q_i, with  λ·input = sum_i q_i * basis[i] + remainder
+    exactly, for a nonzero scalar λ.  On field coefficients (GF(p), or
+    Fractions over Q) every step divides by the leading coefficient and
+    λ = 1.  On Buchberger's integer vectors over Q every step is a
+    pseudo-division and λ is the product of its multipliers.
+
+    The terms still to reduce sit in a min-heap of plain ints, `k ^ desc`
+    (see `_Terms`), so the largest pops first; a popped term no longer in
+    the working vector was cancelled and is skipped.  A basis element at the
+    term's position divides it when the guard bits survive the subtraction
+    of its leading key, and the quotient is then the difference of the keys.
     """
     field = ring.field
     p = field.char
-    desc = ring.desc_key
+    terms = _terms(ring)
+    desc, guard, shift, overflow = terms.desc, terms.guard, terms.shift, terms.overflow
     by_pos: dict = {}  # lead position -> [(index, element)] in basis order
     for i, b in enumerate(basis):
         by_pos.setdefault(b.lt_pos, []).append((i, b))
     work = dict(vp)
-    # min-heap on the descending position-over-term key, so the largest term
-    # pops first; a popped term no longer in `work` was cancelled and is skipped
-    heap = [((t[0], desc(t[1])), t) for t in work]
+    heap = [k ^ desc for k in work]
     heapify(heap)
     rem: dict = {}
     cert = [dict() for _ in basis] if want_cert else None
+    born: list = []
     while heap:
-        t = heappop(heap)[1]
+        t = heappop(heap) ^ desc
         c = work.get(t)
         if c is None:
             continue
-        pos, e = t
-        for i, b in by_pos.get(pos, ()):
-            if _divides(b.lt_exp, e):
-                qexp = tuple(map(sub, e, b.lt_exp))
+        for i, b in by_pos.get(t >> shift, ()):
+            if ((t | guard) - b.lt) & guard == guard:
+                q = t - b.lt
                 u, qc = _cofactors(c, b.lc, p)
                 if u != 1:
                     for d in [work, rem] + (cert or []):
                         for k in d:
                             d[k] *= u
                 if want_cert:
-                    s = field.add(cert[i].get(qexp, field.zero), qc)
+                    s = field.add(cert[i].get(q, field.zero), qc)
                     if s == field.zero:
-                        cert[i].pop(qexp, None)
+                        cert[i].pop(q, None)
                     else:
-                        cert[i][qexp] = s
-                born: list = []
-                _add_scaled(work, b.vp, qexp, field.neg(qc), field, born)
-                for key in born:
-                    heappush(heap, ((key[0], desc(key[1])), key))
+                        cert[i][q] = s
+                _add_scaled(work, b.vp, q, field.neg(qc), field, overflow, born)
+                for k in born:
+                    heappush(heap, k ^ desc)
+                born.clear()
                 break
         else:
             rem[t] = c
@@ -254,7 +404,8 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
     chain criterion always, product criterion only for rank 1 — it is unsound
     for module positions.  Elements are kept in the working form of
     `_unit_normal` (over Q, integer vectors) and made monic field vectors on
-    return.
+    return.  Leading terms, lcms and the shifts of S-vectors are term keys
+    (`_Terms`), so the criteria and S-vectors are integer operations.
 
     Given `head`, the inputs are a graph module (`_graph_module`) with its
     columns col_j in the positions < head, so every element is some
@@ -278,28 +429,29 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
     field = ring.field
     p = field.char
     one = field.one
-    dkey = _desc_term_key(ring)
-    mono = ring.mono_key
+    terms = _terms(ring)
+    desc, asc, guard, mono, overflow = terms.desc, terms.asc, terms.guard, terms.mono, terms.overflow
     want_basis = head is None
     if want_basis:
         head = rank
+    offset = head << terms.shift
 
     G: list = []
     syz: list = []  # zero-head remainders, shifted into the tail's positions
-    pairs: dict = {}  # (i, j) -> lcm exponent tuple, i < j, same lead position
-    queue: list = []  # min-heap of (mono(lcm), (i, j)) over exactly the pairs in `pairs`
+    pairs: dict = {}  # (i, j) -> lcm key, i < j, same lead position
+    queue: list = []  # min-heap of (ascending lcm monomial, (i, j)) over exactly the pairs in `pairs`
 
     def add_elem(vp: dict):
-        g = _unit_normal(vp, dkey, p)
+        g = _unit_normal(vp, terms, p)
         if g.lt_pos >= head:
-            syz.append(_field_vp({(pos - head, e): c for (pos, e), c in g.vp.items()}, g.lc, p, one))
+            syz.append(_field_vp({k - offset: c for k, c in g.vp.items()}, g.lc, p, one))
             return
         gi = len(G)
         for i, h in enumerate(G):
             if h.lt_pos == g.lt_pos:
-                lcm = tuple(max(a, b) for a, b in zip(h.lt_exp, g.lt_exp))
+                lcm = terms.lcm(h.lt, g.lt)
                 pairs[(i, gi)] = lcm
-                heappush(queue, (mono(lcm), (i, gi)))
+                heappush(queue, ((lcm & mono) ^ asc, (i, gi)))
         G.append(g)
 
     for vp in inputs:
@@ -314,15 +466,16 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
         lcm = pairs.pop((i, j))
         gi, gj = G[i], G[j]
         # product criterion (ideals only): coprime leading monomials
-        if rank == 1 and all(a + b == l for a, b, l in zip(gi.lt_exp, gj.lt_exp, lcm)):
+        if rank == 1 and gi.lt + gj.lt == lcm:
             continue
         # chain criterion: some g_k divides the lcm and both companion pairs
         # are already handled
         skip = False
+        lcm_guarded = lcm | guard
         for k, gk in enumerate(G):
             if k == i or k == j or gk.lt_pos != gi.lt_pos:
                 continue
-            if _divides(gk.lt_exp, lcm):
+            if (lcm_guarded - gk.lt) & guard == guard:
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik not in pairs and pjk not in pairs:
@@ -333,8 +486,8 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
         # S-vector: ui*x^(lcm - lt_i)*g_i - uj*x^(lcm - lt_j)*g_j, ui*lc_i == uj*lc_j
         ui, uj = _cofactors(gi.lc, gj.lc, p)
         s: dict = {}
-        _add_scaled(s, gi.vp, tuple(a - b for a, b in zip(lcm, gi.lt_exp)), ui, field)
-        _add_scaled(s, gj.vp, tuple(a - b for a, b in zip(lcm, gj.lt_exp)), field.neg(uj), field)
+        _add_scaled(s, gi.vp, lcm - gi.lt, ui, field, overflow)
+        _add_scaled(s, gj.vp, lcm - gj.lt, field.neg(uj), field, overflow)
         rem, _ = _nf_vp(s, G, ring)
         if rem:
             add_elem(rem)
@@ -343,10 +496,11 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
         return syz, G
     # minimalize: drop elements whose leading term is divisible by another's
     # ascending by leading term; the leading terms are pairwise distinct
-    G.sort(key=lambda g: dkey(g.lt), reverse=True)
+    G.sort(key=lambda g: g.lt ^ desc, reverse=True)
     minimal: list = []
     for g in G:
-        if any(h.lt_pos == g.lt_pos and _divides(h.lt_exp, g.lt_exp) for h in minimal):
+        lt_guarded = g.lt | guard
+        if any(h.lt_pos == g.lt_pos and (lt_guarded - h.lt) & guard == guard for h in minimal):
             continue
         minimal.append(g)
     # tail-reduce each against the others, then make it monic
@@ -355,11 +509,11 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
         others = [h for k, h in enumerate(minimal) if k != idx]
         rem, _ = _nf_vp(g.vp, others, ring)
         if rem:
-            e = _unit_normal(rem, dkey, p)
+            e = _unit_normal(rem, terms, p)
             e.vp = _field_vp(e.vp, e.lc, p, one)
             e.lc = one
             reduced.append(e)
-    reduced.sort(key=lambda g: dkey(g.lt), reverse=True)
+    reduced.sort(key=lambda g: g.lt ^ desc, reverse=True)
     return reduced
 
 
@@ -396,7 +550,7 @@ class IdealBasis:
 
     def _gb_elements(self) -> list:
         if self._gb is None:
-            vps = [_vp_from_vector((g,)) for g in self.generators if not g.is_zero()]
+            vps = [_vp_from_vector((g,), self.ring) for g in self.generators if not g.is_zero()]
             self._gb = _compute_gb(self.ring, 1, vps)
         return self._gb
 
@@ -407,14 +561,14 @@ class IdealBasis:
     def _checked_vp(self, f: Poly) -> dict:
         if f.ring != self.ring:
             raise RingMismatchError("polynomial ring does not match the ideal's ring")
-        return _vp_from_vector((f,))
+        return _vp_from_vector((f,), self.ring)
 
     def nf(self, f: Poly, want_cert: bool = False):
         rem, cert = _nf_vp(self._checked_vp(f), self._gb_elements(), self.ring, want_cert)
         rpoly = _vector_from_vp(rem, self.ring, 1)[0]
         if not want_cert:
             return rpoly, None
-        return rpoly, [Poly(self.ring, c) for c in cert]
+        return rpoly, [_vector_from_vp(c, self.ring, 1)[0] for c in cert]
 
     def contains(self, f: Poly) -> bool:
         vp = self._checked_vp(f)
@@ -425,8 +579,8 @@ class IdealBasis:
         return not self._gb_elements()
 
     def contains_one(self) -> bool:
-        gb = self._gb_elements()
-        return any(e.lt_pos == 0 and all(x == 0 for x in e.lt_exp) for e in gb)
+        # the key of the constant term at position 0 is 0
+        return any(e.lt == 0 for e in self._gb_elements())
 
     def __eq__(self, other):
         if not isinstance(other, IdealBasis) or self.ring != other.ring:
@@ -464,7 +618,7 @@ class SubmoduleBasis:
 
     def _gb_elements(self) -> list:
         if self._gb is None:
-            vps = [_vp_from_vector(v) for v in self.generators]
+            vps = [_vp_from_vector(v, self.ring) for v in self.generators]
             vps = [vp for vp in vps if vp]
             self._gb = _compute_gb(self.ring, self.ambient_rank, vps)
         return self._gb
@@ -479,14 +633,14 @@ class SubmoduleBasis:
             raise ValueError(f"vector length {len(vec)} != ambient rank {self.ambient_rank}")
         if any(p.ring != self.ring for p in vec):
             raise RingMismatchError("vector ring does not match the submodule's ring")
-        return _vp_from_vector(vec)
+        return _vp_from_vector(vec, self.ring)
 
     def nf_vector(self, vec: Sequence[Poly], want_cert: bool = False):
         rem, cert = _nf_vp(self._checked_vp(vec), self._gb_elements(), self.ring, want_cert)
         rvec = _vector_from_vp(rem, self.ring, self.ambient_rank)
         if not want_cert:
             return rvec, None
-        return rvec, [Poly(self.ring, c) for c in cert]
+        return rvec, [_vector_from_vp(c, self.ring, 1)[0] for c in cert]
 
     def contains_vector(self, vec: Sequence[Poly]) -> bool:
         vp = self._checked_vp(vec)
@@ -560,8 +714,8 @@ def _graph_module(cols: Sequence[dict], rels: Sequence[dict], ring: RingSpec, ra
     rel ⊕ 0.  An element (v, t) has v ≡ Σ t_j·col_j modulo rels, so the tail
     t records which combination of the columns the head v is.
     """
-    e = ring._zero_exp
-    return [{**vp, (rank + j, e): ring.field.one} for j, vp in enumerate(cols)] + \
+    shift, one = _terms(ring).shift, ring.field.one
+    return [{**vp, (rank + j) << shift: one} for j, vp in enumerate(cols)] + \
         [vp for vp in rels if vp]
 
 
@@ -574,7 +728,8 @@ def _preimage(cols: Sequence[Sequence[Poly]], rels: Sequence[Sequence[Poly]], ri
     and with `reduced` so is their reduced basis, made from them.
     """
     n = len(cols)
-    col_vps, rel_vps = list(map(_vp_from_vector, cols)), list(map(_vp_from_vector, rels))
+    col_vps = [_vp_from_vector(v, ring) for v in cols]
+    rel_vps = [_vp_from_vector(v, ring) for v in rels]
     key = ("preimage", ring.key(), rank, tuple(map(_vp_canonical, col_vps)),
            tuple(map(_vp_canonical, rel_vps)))
     hit = _GB_CACHE.get(key)
@@ -594,10 +749,11 @@ def _kernel_and_image(cols: Sequence[Sequence[Poly]], ring: RingSpec, rank: int)
     from one uncached Buchberger run on its graph module: the flattened
     kernel generators, unreduced, and a Groebner basis of the image, the
     heads of that run's basis, as elements for `_nf_vp` (see `_buchberger`)."""
-    graph = _graph_module(list(map(_vp_from_vector, cols)), (), ring, rank)
-    dkey = _desc_term_key(ring)
+    terms = _terms(ring)
+    graph = _graph_module([_vp_from_vector(v, ring) for v in cols], (), ring, rank)
     kernel, basis = _buchberger(graph, ring, rank + len(cols), head=rank)
-    return kernel, [_Element({t: c for t, c in g.vp.items() if t[0] < rank}, dkey) for g in basis]
+    bound = rank << terms.shift  # the least key at position rank
+    return kernel, [_Element({k: c for k, c in g.vp.items() if k < bound}, terms) for g in basis]
 
 
 def _kernel(rows: Sequence[Sequence[Poly]], ring: Optional[RingSpec], source_rank: Optional[int],
@@ -654,9 +810,9 @@ def submodule_from_reduced_gb(ring: RingSpec, rank: int, vectors: Sequence[Seque
     output of `syzygies`; normal forms against the result are then
     certified directly in these generators.
     """
-    dkey = _desc_term_key(ring)
+    terms = _terms(ring)
     sb = SubmoduleBasis(ring, rank, vectors)
-    sb._gb = [_Element(_vp_from_vector(v), dkey) for v in sb.generators]
+    sb._gb = [_Element(_vp_from_vector(v, ring), terms) for v in sb.generators]
     return sb
 
 
@@ -714,7 +870,8 @@ def ideal_dimension(I: IdealBasis) -> int:
     if I.contains_one():
         raise ValueError("unit ideal has no staircase dimension")
     n = I.ring.nvars
-    supports = {frozenset(i for i, x in enumerate(e.lt_exp) if x > 0) for e in I._gb_elements()}
+    exponents = _terms(I.ring).exponents
+    supports = {frozenset(i for i, x in enumerate(exponents(e.lt)) if x > 0) for e in I._gb_elements()}
     for size in range(n, -1, -1):
         for U in combinations(range(n), size):
             Uset = frozenset(U)

@@ -19,11 +19,12 @@ zero-tests or submodule equalities, which the engine decides exactly.
 from __future__ import annotations
 
 from itertools import combinations
-from operator import add
 from typing import Optional, Sequence
 
-from .arith import Poly, RingMismatchError, RingSpec
+from .arith import (Poly, RingMismatchError, RingSpec, _coefficients, _denominator, _numerators,
+                    _poly, _product_sums)
 from .groebner import (
+    CapExceededError,
     IdealBasis,
     SubmoduleBasis,
     _compute_gb,
@@ -32,6 +33,7 @@ from .groebner import (
     _kernel_span,
     _nf_vp,
     _preimage,
+    _vector_from_vp,
     _vp_from_vector,
     ideal_intersection,
     module_quotient,
@@ -58,10 +60,6 @@ __all__ = [
     "lift_through_surjection",
     "min_annihilating_power",
 ]
-
-
-class CapExceededError(RuntimeError):
-    """A bounded search (annihilating power, determinant exponent) ran out of cap."""
 
 
 class LiftError(ValueError):
@@ -181,7 +179,11 @@ class FreeMap:
         """self ∘ other.
 
         Sparse: zero entries are skipped, and each output entry sums its
-        products term by term in one dict.
+        products term by term in one dict of ints, for both fields.  Over Q
+        each row i of self is scaled to integers by the lcm D_i of its
+        denominators and each column j of other by E_j, so entry (i, j) is
+        made once per term, as Fraction(s, D_i·E_j) from the integer sum s;
+        over GF(p) it is s % p.
         """
         if self.source_rank != other.target_rank:
             raise ValueError("rank mismatch in composition")
@@ -189,31 +191,28 @@ class FreeMap:
             raise RingMismatchError(f"ring mismatch: {self.ring!r} vs {other.ring!r}")
         ring = self.ring
         p = ring.field.char
-        # nonzero entries of each row of `other`: [(column, terms)]
-        other_rows = [[(j, q.terms) for j, q in enumerate(row) if q.terms] for row in other.entries]
+        ncols = other.source_rank
+        if p:
+            col_den = [1] * ncols
+        else:
+            col_den = [_denominator(c for row in other.entries for c in row[j].terms.values())
+                       for j in range(ncols)]
+        # nonzero entries of each row of `other`, in integers: [(column, terms)]
+        other_rows = [[(j, q.terms if p else _numerators(q.terms, col_den[j]))
+                       for j, q in enumerate(row) if q.terms] for row in other.entries]
         rows = []
         for row in self.entries:
-            acc: dict = {}  # output column -> terms
+            d = 1 if p else _denominator(c for a in row for c in a.terms.values())
+            acc: dict = {}  # output column -> integer sums
             for a, brow in zip(row, other_rows):
                 if not a.terms or not brow:
                     continue
+                left = a.terms if p else _numerators(a.terms, d)
                 for j, bterms in brow:
-                    out = acc.setdefault(j, {})
-                    get = out.get
-                    for e1, c1 in a.terms.items():
-                        for e2, c2 in bterms.items():
-                            e = tuple(map(add, e1, e2))
-                            old = get(e)
-                            if p:
-                                s = ((0 if old is None else old) + c1 * c2) % p
-                            else:
-                                s = c1 * c2 if old is None else old + c1 * c2
-                            if s:
-                                out[e] = s
-                            elif old is not None:
-                                del out[e]
-            rows.append([Poly(ring, acc.get(j, {})) for j in range(other.source_rank)])
-        return FreeMap(ring, rows, target_rank=self.target_rank, source_rank=other.source_rank)
+                    _product_sums(left, bterms, acc.setdefault(j, {}))
+            rows.append([_poly(ring, _coefficients(acc[j], d * col_den[j], p) if j in acc else {})
+                         for j in range(ncols)])
+        return FreeMap(ring, rows, target_rank=self.target_rank, source_rank=ncols)
 
     def __matmul__(self, other: "FreeMap") -> "FreeMap":
         return self.compose(other)
@@ -543,20 +542,15 @@ def _graph_coordinates(vecs: Sequence[Sequence[Poly]], cols: Sequence[Sequence[P
     """
     if not vecs:
         return []
-    graph = _graph_module(list(map(_vp_from_vector, cols)),
-                          list(map(_vp_from_vector, rels.generators)), ring, rank)
+    graph = _graph_module([_vp_from_vector(v, ring) for v in cols],
+                          [_vp_from_vector(v, ring) for v in rels.generators], ring, rank)
     basis = _compute_gb(ring, rank + len(cols), graph)
     neg = ring.field.neg
     out = []
     for vec in vecs:
-        rem, _ = _nf_vp(_vp_from_vector(vec), basis, ring)
-        if any(pos < rank for pos, _ in rem):
-            out.append(None)
-            continue
-        tail = [{} for _ in cols]
-        for (pos, e), c in rem.items():
-            tail[pos - rank][e] = neg(c)
-        out.append([Poly(ring, t) for t in tail])
+        rem, _ = _nf_vp(_vp_from_vector(vec, ring), basis, ring)
+        tail = _vector_from_vp({k: neg(c) for k, c in rem.items()}, ring, len(cols), head=rank)
+        out.append(None if tail is None else list(tail))
     return out
 
 

@@ -80,6 +80,18 @@ def four_direction_koszul_suite(per_field=6, seed0=SEED0 + 70_000):
     return out
 
 
+def nonlinear_four_direction_koszul_suite(seed0=SEED0 + 90_000):
+    """(cube, fs) pairs from random_koszul on x^2, y^2+x*z, z^3, w over Q and
+    GF(101): |S| = 4, vertex rank 1 and 2 per field."""
+    out = []
+    for field in ("Q", 101):
+        ring = RingSpec(field, ("x", "y", "z", "w"))
+        fs = [parse_poly(t, ring) for t in NONLINEAR_A_SEQUENCES[0] + ("w",)]
+        for i, summands in enumerate((1, 2)):
+            out.append((random_koszul(fs, summands, 2 + 3 * i, seed=seed0 + i), fs))
+    return out
+
+
 def five_direction_koszul_suite(seed0=SEED0 + 80_000):
     """(cube, fs) pairs from random_koszul at |S| = 5 over Q and GF(101),
     vertex rank at most 2: per field, x, y, z, w, v at ranks 1, 2, 2 and

@@ -72,6 +72,20 @@ def test_exit_codes(tmp_path):
     assert json.loads(out)["error"]["type"] == "cap"
 
 
+def test_exponent_beyond_the_term_keys_is_a_cap_error(tmp_path):
+    # the Groebner engine packs a term into one int with 32-bit fields, so it
+    # refuses an exponent or total degree of 2^31 or more rather than wrap it
+    out, code = run("aseq", "--input", write_doc(tmp_path, {
+        "ring": RING_Q2, "sequence": ["x^2147483648", "y"]}))
+    assert code == 3
+    env = json.loads(out)
+    assert env["error"]["type"] == "cap"
+    assert "2^31" in env["error"]["message"]
+    # x^(2^31 - 2)·y, the largest term the check forms, is still below the bound
+    assert run("aseq", "--input", write_doc(tmp_path, {
+        "ring": RING_Q2, "sequence": ["x^2147483646", "y"]}, "b.json"))[1] == 0
+
+
 def test_missing_file_is_input_error(tmp_path):
     out, code = run("validate", "--input", str(tmp_path / "absent.json"))
     assert code == 2

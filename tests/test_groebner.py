@@ -8,12 +8,13 @@ regression in the engine cannot silently re-derive itself.
 import math
 from fractions import Fraction
 from itertools import product
+from operator import le
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszul_lab.arith import Poly, RingMismatchError, RingSpec, parse_poly
+from koszul_lab.arith import MONOMIAL_ORDERS, Poly, RingMismatchError, RingSpec, parse_poly
 from koszul_lab.groebner import (
     IdealBasis,
     SubmoduleBasis,
@@ -296,8 +297,42 @@ def test_grade_invariant_under_permutation():
 
 
 # --------------------------------------------------------------------------
-# keyed-heap normal form against the loop it replaced
+# keyed-heap normal form on packed keys against the loop it replaced
 # --------------------------------------------------------------------------
+#
+# The references run on (position, exponent tuple) dicts and share no code
+# with the engine's packed term keys; the engine's results are compared
+# through its decoder, `_vector_from_vp`.
+
+def _tuple_vp(vec):
+    """A vector of Poly as a (position, exponent tuple) -> coefficient dict."""
+    return {(pos, e): c for pos, p in enumerate(vec) for e, c in p.terms.items()}
+
+
+def _decoded(vp, ring, rank):
+    """A packed-key dict of the engine as a (position, exponent tuple) dict."""
+    from koszul_lab.groebner import _vector_from_vp
+    return _tuple_vp(_vector_from_vp(vp, ring, rank))
+
+
+def _decoded_nf(result, ring, rank):
+    # remainder in A^rank, certificate keys as exponent tuples
+    rem, cert = result
+    return _decoded(rem, ring, rank), cert and [{e: c for (_, e), c in _decoded(q, ring, 1).items()}
+                                                for q in cert]
+
+
+class _RefElement:
+    """A basis element of the references: its leading (position, exponent
+    tuple) under position over term, lower position first."""
+
+    def __init__(self, vp, ring):
+        mono = ring.mono_key
+        self.vp = vp
+        self.lt = max(vp, key=lambda t: (-t[0], mono(t[1])))
+        self.lc = vp[self.lt]
+        self.lt_pos, self.lt_exp = self.lt
+
 
 def _nf_vp_reference(vp, basis, ring, want_cert=False):
     """Normal form by re-keying every remaining term at each step: the
@@ -351,22 +386,99 @@ def _random_vector(rng, ring, rank, terms, max_exp):
 @pytest.mark.parametrize("rank", [1, 3])
 def test_nf_vp_matches_reference(field, order, rank):
     import random
-    from koszul_lab.groebner import _desc_term_key, _Element, _nf_vp, _vp_from_vector
+    from koszul_lab.groebner import _Element, _nf_vp, _terms, _vp_from_vector
     ring = RingSpec(field, ("x", "y", "z"), order)
     rng = random.Random(f"nf-{field}-{order}-{rank}")
-    dkey = _desc_term_key(ring)
     for _ in range(12):
         # a reduced GB of linear generators (it stays small under every
         # order), and quadratic generators as an arbitrary divisor list
         linear = [_random_vector(rng, ring, rank, terms=3, max_exp=1) for _ in range(rng.randint(1, 3))]
         quadratic = [_random_vector(rng, ring, rank, terms=3, max_exp=2) for _ in range(rng.randint(1, 3))]
         gb = SubmoduleBasis(ring, rank, linear)._gb_elements()
-        raw = [_Element(_vp_from_vector(g), dkey) for g in quadratic if any(not p.is_zero() for p in g)]
+        raw = [_Element(_vp_from_vector(g, ring), _terms(ring)) for g in quadratic
+               if any(not p.is_zero() for p in g)]
         for basis in (gb, raw):
+            ref = [_RefElement(_decoded(b.vp, ring, rank), ring) for b in basis]
+            assert [_decoded({b.lt: b.lc}, ring, rank) for b in basis] == [{r.lt: r.lc} for r in ref]
             for _ in range(4):
-                vp = _vp_from_vector(_random_vector(rng, ring, rank, terms=5, max_exp=3))
-                assert _nf_vp(vp, basis, ring, True) == _nf_vp_reference(vp, basis, ring, True)
-                assert _nf_vp(vp, basis, ring) == _nf_vp_reference(vp, basis, ring)
+                vec = _random_vector(rng, ring, rank, terms=5, max_exp=3)
+                vp = _vp_from_vector(vec, ring)
+                assert _decoded_nf(_nf_vp(vp, basis, ring, True), ring, rank) == \
+                    _nf_vp_reference(_tuple_vp(vec), ref, ring, True)
+                assert _decoded_nf(_nf_vp(vp, basis, ring), ring, rank) == \
+                    _nf_vp_reference(_tuple_vp(vec), ref, ring)
+
+
+# --------------------------------------------------------------------------
+# packed term keys
+# --------------------------------------------------------------------------
+
+@st.composite
+def _term_pairs(draw):
+    nvars = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, 3))
+    order = draw(st.sampled_from(sorted(MONOMIAL_ORDERS)))
+    exps = st.tuples(*[st.integers(0, 6) for _ in range(nvars)])
+    pos = st.integers(0, rank - 1)
+    return nvars, order, (draw(pos), draw(exps)), (draw(pos), draw(exps)), draw(exps)
+
+
+@given(_term_pairs())
+@settings(max_examples=300)
+def test_packed_keys_follow_position_over_term(case):
+    # one packed int per term: its heap key orders terms as position over
+    # term under MONOMIAL_ORDERS; a product is a sum of keys; the guard-bit
+    # test is componentwise <=; and a key unpacks to its term
+    from koszul_lab.groebner import _terms
+    nvars, order, (p1, e1), (p2, e2), m = case
+    terms = _terms(RingSpec("Q", [f"x{i}" for i in range(nvars)], order))
+    mono = MONOMIAL_ORDERS[order]
+    key = lambda pos, e: pos << terms.shift | terms.monomial(e)
+    k1, k2, km = key(p1, e1), key(p2, e2), terms.monomial(m)
+    larger = (-p1, mono(e1)) > (-p2, mono(e2))  # lower position wins
+    assert ((k1 ^ terms.desc) < (k2 ^ terms.desc)) == larger
+    assert (k1 == k2) == ((p1, e1) == (p2, e2))
+    if p1 == p2:
+        assert ((k1 & terms.mono ^ terms.asc) < (k2 & terms.mono ^ terms.asc)) == (mono(e1) < mono(e2))
+    assert k1 + km == key(p1, tuple(a + b for a, b in zip(e1, m)))
+    assert (((k1 | terms.guard) - k2) & terms.guard == terms.guard) == all(map(le, e2, e1))
+    assert (k1 >> terms.shift, terms.exponents(k1)) == (p1, e1)
+    if p1 == p2:
+        lcm = tuple(max(a, b) for a, b in zip(e1, e2))
+        assert terms.lcm(k1, k2) == key(p1, lcm)
+
+
+def test_exponent_of_two_to_the_31_is_refused_not_wrapped():
+    # a vector that cannot be packed is refused on entry; a reduction or an
+    # S-vector that would form an exponent of 2^31 raises
+    from koszul_lab.groebner import CapExceededError as engine_cap
+    from koszul_lab.modcalc import CapExceededError as modcalc_cap
+    import koszul_lab
+    assert engine_cap is modcalc_cap is koszul_lab.CapExceededError
+    big = 2 ** 31
+    x, y = Q2.gens()
+    with pytest.raises(engine_cap):
+        IdealBasis(Q2, [x ** big, y]).reduced_gb
+    with pytest.raises(engine_cap):
+        IdealBasis(Q2, [x]).contains(x ** (big - 1) * y)
+    # just below the bound every key packs, and the GB is the inputs
+    assert IdealBasis(Q2, [x ** (big - 2), y]).contains(x ** (big - 2) * y)
+    # one reduction step that raises the total degree from 2^31 - 2 to 2^31:
+    # x^(2^31 - 2) - x^(2^31 - 3)·(x - y^3) under lex, and the same at
+    # position 0 of A^2 against (x, y^3) under grevlex
+    lex = Q2.with_order("lex")
+    xl, yl = lex.gens()
+    with pytest.raises(engine_cap):
+        IdealBasis(lex, [xl - yl ** 3]).contains(xl ** (big - 2))
+    with pytest.raises(engine_cap):
+        SubmoduleBasis(Q2, 2, [(x, y ** 3)]).contains_vector((x ** (big - 2), Q2.zero()))
+    assert not SubmoduleBasis(Q2, 2, [(x, y ** 2)]).contains_vector((x ** (big - 2), Q2.zero()))
+    # an S-vector whose lcm has total degree 2^31: x^(2^30)·y - 1 and x·y^(2^30) - 1
+    half = 2 ** 30
+    with pytest.raises(engine_cap):
+        IdealBasis(Q2, [x ** half * y - Q2.one(), x * y ** half - Q2.one()]).reduced_gb
+    with pytest.raises(engine_cap):
+        SubmoduleBasis(Q2, 2, [(x ** half * y, Q2.one()), (x * y ** half, Q2.one())]).reduced_gb
 
 
 # --------------------------------------------------------------------------
@@ -378,15 +490,14 @@ def _buchberger_reference(inputs, ring, rank):
     reduction a field division.  The same normal pair selection, chain
     criterion and rank-1 product criterion as the engine."""
     from heapq import heappop, heappush
-    from koszul_lab.groebner import _desc_term_key, _Element
     field = ring.field
-    dkey = _desc_term_key(ring)
     mono = ring.mono_key
+    term_key = lambda t: (-t[0], mono(t[1]))  # ascending in position over term
     divides = lambda a, b: all(x <= y for x, y in zip(a, b))
     G, pairs, queue = [], {}, []
 
     def monic_elem(vp):
-        e = _Element(vp, dkey)
+        e = _RefElement(vp, ring)
         if e.lc != field.one:
             inv = field.inv(e.lc)
             e.vp = {t: field.mul(c, inv) for t, c in vp.items()}
@@ -432,7 +543,7 @@ def _buchberger_reference(inputs, ring, rank):
         if rem:
             add_elem(rem)
     minimal = []
-    for g in sorted(G, key=lambda g: dkey(g.lt), reverse=True):
+    for g in sorted(G, key=lambda g: term_key(g.lt)):
         if not any(h.lt_pos == g.lt_pos and divides(h.lt_exp, g.lt_exp) for h in minimal):
             minimal.append(g)
     reduced = []
@@ -440,7 +551,7 @@ def _buchberger_reference(inputs, ring, rank):
         rem, _ = _nf_vp_reference(g.vp, [h for k, h in enumerate(minimal) if k != idx], ring)
         if rem:
             reduced.append(monic_elem(rem))
-    return sorted(reduced, key=lambda g: dkey(g.lt), reverse=True)
+    return sorted(reduced, key=lambda g: term_key(g.lt))
 
 
 RATIONALS = (Fraction(1, 2), Fraction(-3, 7), Fraction(2), Fraction(-1), Fraction(5, 3),
@@ -469,7 +580,13 @@ def _rational_corpus(field, order, rank):
     return ring, corpus
 
 
-def _gb_data(gb):
+def _gb_data(gb, ring, rank):
+    # the engine's elements, through its decoder
+    return [(_decoded(e.vp, ring, rank), next(iter(_decoded({e.lt: e.lc}, ring, rank))), e.lc)
+            for e in gb]
+
+
+def _ref_gb_data(gb):
     return [(e.vp, e.lt, e.lc) for e in gb]
 
 
@@ -482,17 +599,18 @@ def test_buchberger_matches_field_reference(field, order, rank):
     ring, corpus = _rational_corpus(field, order, rank)
     rng = random.Random(f"ff-nf-{field}-{order}-{rank}")
     for gens in corpus:
-        vps = [vp for vp in map(_vp_from_vector, gens) if vp]
-        ours = _buchberger(vps, ring, rank)
-        ref = _buchberger_reference(vps, ring, rank)
-        assert _gb_data(ours) == _gb_data(ref)
+        gens = [g for g in gens if any(p.terms for p in g)]
+        ours = _buchberger([_vp_from_vector(g, ring) for g in gens], ring, rank)
+        ref = _buchberger_reference([_tuple_vp(g) for g in gens], ring, rank)
+        assert _gb_data(ours, ring, rank) == _ref_gb_data(ref)
         if field == "Q":
             assert all(type(c) is Fraction for e in ours for c in e.vp.values())
         for _ in range(3):
-            vp = _vp_from_vector(tuple(Poly(ring, {
+            vec = tuple(Poly(ring, {
                 tuple(rng.randint(0, 3) for _ in range(3)): ring.field.of(rng.choice(RATIONALS))
-                for _ in range(rng.randint(0, 4))}) for _ in range(rank)))
-            assert _nf_vp(vp, ours, ring, True) == _nf_vp_reference(vp, ref, ring, True)
+                for _ in range(rng.randint(0, 4))}) for _ in range(rank))
+            assert _decoded_nf(_nf_vp(_vp_from_vector(vec, ring), ours, ring, True), ring, rank) == \
+                _nf_vp_reference(_tuple_vp(vec), ref, ring, True)
 
 
 @pytest.mark.parametrize("order", ["grevlex", "grlex", "lex"])
@@ -505,8 +623,8 @@ def test_rank1_buchberger_matches_sympy(order):
         polys = [g[0] for g in gens if not g[0].is_zero()]
         if not polys:
             continue
-        ours = {frozenset((e, c) for (_, e), c in g.vp.items())
-                for g in _buchberger([_vp_from_vector((p,)) for p in polys], ring, 1)}
+        ours = {frozenset((e, c) for (_, e), c in _decoded(g.vp, ring, 1).items())
+                for g in _buchberger([_vp_from_vector((p,), ring) for p in polys], ring, 1)}
         theirs = sympy.groebner([sympy.Poly.from_dict(dict(p.terms), *sx, domain=sympy.QQ)
                                  for p in polys], *sx, order=order, domain=sympy.QQ)
         theirs = {frozenset((e, Fraction(int(c.numerator), int(c.denominator))) for e, c in g.terms())
@@ -521,8 +639,10 @@ def test_buchberger_over_q_runs_no_fraction_arithmetic(monkeypatch):
     cases = []
     for rank in (1, 2):
         ring, corpus = _rational_corpus("Q", "grevlex", rank)
-        cases += [(ring, rank, [vp for vp in map(_vp_from_vector, gens) if vp]) for gens in corpus]
-    expected = [_gb_data(_buchberger_reference(vps, ring, rank)) for ring, rank, vps in cases]
+        cases += [(ring, rank, [g for g in gens if any(p.terms for p in g)]) for gens in corpus]
+    expected = [_ref_gb_data(_buchberger_reference([_tuple_vp(g) for g in gens], ring, rank))
+                for ring, rank, gens in cases]
+    cases = [(ring, rank, [_vp_from_vector(g, ring) for g in gens]) for ring, rank, gens in cases]
 
     def forbidden(*args):
         raise AssertionError("Fraction arithmetic inside Buchberger")
@@ -533,7 +653,7 @@ def test_buchberger_over_q_runs_no_fraction_arithmetic(monkeypatch):
         for op in ("neg", "pos", "abs"):
             m.setattr(Fraction, f"__{op}__", forbidden)
         got = [_buchberger(vps, ring, rank) for ring, rank, vps in cases]
-    assert [_gb_data(gb) for gb in got] == expected
+    assert [_gb_data(gb, ring, rank) for gb, (ring, rank, _) in zip(got, cases)] == expected
     assert any(c.denominator > 1 for gb in got for e in gb for c in e.vp.values())
 
 
@@ -553,7 +673,7 @@ def _syzygies_reference(rows, ring, source_rank):
         unit[j] = ring.one()
         augmented.append(tuple(r[j] for r in rows) + tuple(unit))
     rank = target_rank + source_rank
-    gb = _buchberger([vp for vp in map(_vp_from_vector, augmented) if vp], ring, rank)
+    gb = _buchberger([vp for vp in (_vp_from_vector(v, ring) for v in augmented) if vp], ring, rank)
     return [_vector_from_vp(e.vp, ring, rank)[target_rank:] for e in gb if e.lt_pos >= target_rank]
 
 
@@ -630,8 +750,7 @@ def test_kernel_and_image_from_one_run(field, order):
     # basis of the image: they generate the span of the columns, and their
     # leading terms generate the leading terms of its reduced basis; the
     # collected tails are the kernel
-    from koszul_lab.groebner import (_buchberger, _divides, _kernel_and_image, _vector_from_vp,
-                                     _vp_canonical)
+    from koszul_lab.groebner import _buchberger, _kernel_and_image, _vector_from_vp, _vp_canonical
     ring, corpus = _matrix_corpus(field, order)
     for rows in corpus:
         target_rank, source_rank = len(rows), len(rows[0])
@@ -641,8 +760,11 @@ def test_kernel_and_image_from_one_run(field, order):
         reduced = _buchberger([e.vp for e in image], ring, target_rank)
         want = SubmoduleBasis(ring, target_rank, cols)._gb_elements()
         assert [_vp_canonical(e.vp) for e in reduced] == [_vp_canonical(e.vp) for e in want]
-        assert all(any(e.lt_pos == g.lt_pos and _divides(e.lt_exp, g.lt_exp) for e in image)
-                   for g in want), rows
+        lead = lambda e: next(iter(_decoded({e.lt: e.lc}, ring, target_rank)))
+        image_leads, want_leads = list(map(lead, image)), list(map(lead, want))
+        assert [e.lt_pos for e in image] == [pos for pos, _ in image_leads]
+        assert all(any(a == b and all(map(le, ea, eb)) for a, ea in image_leads)
+                   for b, eb in want_leads), rows
         span = [_vector_from_vp(vp, ring, source_rank) for vp in kernel]
         assert _vector_data(SubmoduleBasis(ring, source_rank, span).reduced_gb) == \
             _vector_data(syzygies(rows, ring, source_rank))

@@ -49,6 +49,7 @@ from koszul_lab.modcalc import (
     submodule_equal,
     zero_spherical,
 )
+from koszul_lab.resolve import ResolutionInput, check_resolution, koszul_resolve
 
 Q2 = RingSpec("Q", ("x", "y"))
 Q3 = RingSpec("Q", ("x", "y", "z"))
@@ -559,6 +560,31 @@ def test_four_direction_admissibility_negative_and_padded():
             assert not is_admissible(x, strategy=s).ok, (i, s)
         for i, x in enumerate(padded):
             assert is_admissible(x, strategy=s).ok, (i, s)
+
+
+def test_nonlinear_four_direction_koszul_cubes_pass_every_oracle():
+    # x^2, y^2+xz, z^3, w at ranks 1-2, Q and GF(101): Koszul implies
+    # admissible under all three strategies; the determinants form an
+    # A-sequence; H_0 is perfect, grade Ann H_0 = |S|; and koszul_resolve
+    # with U = ∅, V = S passes check_resolution.  A zeroed direction must
+    # fail all three strategies.
+    suite = _gen.nonlinear_four_direction_koszul_suite()
+    assert len(suite) == 4
+    assert {x.ring.field.char for x, _ in suite} == {0, 101}
+    assert {max(x.vertex_rank.values()) for x, _ in suite} == {1, 2}
+    for i, (x, fs) in enumerate(suite):
+        assert len(x.labels) == 4
+        for s in ADMISSIBILITY_STRATEGIES:
+            assert is_admissible(x, strategy=s).ok, (i, s)
+        assert det_is_a_sequence(x), (i, "determinants not an A-sequence")
+        H, _ = generators_presentation(x)
+        assert not is_zero_module(H)
+        assert grade(annihilator(H)) == 4, i
+        inp = ResolutionInput(dict(zip(x.labels, fs)), [], x.labels, [x])
+        assert check_resolution(koszul_resolve(inp), inp).ok, i
+        zeroed = _gen.zero_direction(x, x.labels[i % 4])
+        for s in ADMISSIBILITY_STRATEGIES:
+            assert not is_admissible(zeroed, strategy=s).ok, (i, s, "zeroed")
 
 
 def test_five_direction_koszul_cubes_are_admissible_and_zeroed_ones_are_not():

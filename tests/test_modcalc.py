@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszul_lab.arith import RingSpec, parse_poly
+from koszul_lab.arith import Poly, RingSpec, parse_poly
 from koszul_lab.groebner import IdealBasis, SubmoduleBasis, _kernel_span
 from koszul_lab.modcalc import (
     CapExceededError,
@@ -54,6 +54,49 @@ def test_freemap_shapes_and_algebra():
     assert (f + f) == f.scaled(Q2.const(2))
     assert (f - f).is_zero_map()
     assert (-f) == f.scaled(Q2.const(-1))
+
+
+@pytest.mark.parametrize("field", ["Q", 101])
+def test_compose_matches_entrywise_reference(field):
+    # compose sums integer numerators over row and column denominators; the
+    # reference sums Fraction (or mod p) products entry by entry
+    import random
+    from fractions import Fraction
+    ring = RingSpec(field, ("x", "y"))
+    F = ring.field
+    rng = random.Random(f"compose-{field}")
+    coeffs = [Fraction(1, 2), Fraction(-3, 7), Fraction(2), Fraction(-1), Fraction(5, 3),
+              Fraction(1, 6), Fraction(-4, 9)]
+
+    def entry():
+        if rng.random() < 0.3:
+            return ring.zero()
+        terms = {(rng.randint(0, 2), rng.randint(0, 2)): F.of(rng.choice(coeffs))
+                 for _ in range(rng.randint(1, 3))}
+        return Poly(ring, terms)
+
+    def reference(a, b, i, j):
+        out = {}
+        for k in range(a.source_rank):
+            for e1, c1 in a.entries[i][k].terms.items():
+                for e2, c2 in b.entries[k][j].terms.items():
+                    e = (e1[0] + e2[0], e1[1] + e2[1])
+                    out[e] = F.add(out.get(e, F.zero), F.mul(c1, c2))
+        return {e: c for e, c in out.items() if c != F.zero}
+
+    for _ in range(40):
+        r, m, s = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        a = FreeMap(ring, [[entry() for _ in range(m)] for _ in range(r)], target_rank=r, source_rank=m)
+        b = FreeMap(ring, [[entry() for _ in range(s)] for _ in range(m)], target_rank=m, source_rank=s)
+        # [a | a] ∘ [b ; -b] is zero: every sum cancels
+        for x, y in ((a, b), (FreeMap.hstack(a, a), FreeMap.vstack(b, -b))):
+            got = x.compose(y)
+            for i in range(r):
+                for j in range(s):
+                    assert got.entries[i][j].terms == reference(x, y, i, j), (i, j)
+                    assert all(type(c) is (int if F.char else Fraction)
+                               for c in got.entries[i][j].terms.values())
+        assert FreeMap.hstack(a, a).compose(FreeMap.vstack(b, -b)).is_zero_map()
 
 
 def test_freemap_identity_zero_blocks():
