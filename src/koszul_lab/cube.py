@@ -27,8 +27,10 @@ from .modcalc import (
     Complex,
     FPModule,
     FreeMap,
-    _graph_coordinates,
+    _congruent,
+    _factor_through,
     _nonzero_homology_degree,
+    _preserves_relations,
     determinant_of_square,
 )
 
@@ -192,30 +194,27 @@ def validate_cube(x: Cube) -> Report:
     d^l ∘ d^k = d^k ∘ d^l, modulo the relations of the vertex it lands in.
     """
     failures = []
-    from_relations = [(T, k) for (T, k) in x.boundary if x.vertices[T].relations.generators]
-    for T, k in sorted(from_relations, key=lambda Tk: (subset_key(Tk[0]), Tk[1])):
-        m = x.boundary[(T, k)]
-        tgt = x.vertices[T - {k}].relations
-        if not all(tgt.contains_vector(m.apply(rel)) for rel in x.vertices[T].relations.generators):
+    for T, k in sorted(x.boundary, key=lambda Tk: (subset_key(Tk[0]), Tk[1])):
+        if not _preserves_relations(x.boundary[(T, k)], x.vertices[T], x.vertices[T - {k}]):
             failures.append(f"boundary d^{k}_{{{subset_key(T)}}} does not preserve relations")
     for T in x.subsets():
         for k in sorted(T):
             for l in sorted(T):
-                if l <= k:
-                    continue
-                lhs = x.d(T - {k}, l).compose(x.d(T, k))
-                rhs = x.d(T - {l}, k).compose(x.d(T, l))
-                if lhs == rhs:
-                    continue
-                # free squares stop at the equality above; only a target with
-                # relations can absorb the difference
-                tgt = x.vertices[T - {k, l}].relations
-                diff = lhs - rhs
-                if not (tgt.generators and all(tgt.contains_vector(diff.column(j))
-                                               for j in range(diff.source_rank))):
+                if l > k and not _congruent(x.d(T - {k}, l).compose(x.d(T, k)),
+                                            x.d(T - {l}, k).compose(x.d(T, l)),
+                                            x.vertices[T - {k, l}].relations):
                     failures.append(
                         f"square at {{{subset_key(T)}}} in directions {k},{l} does not commute")
     return Report(not failures, tuple(failures))
+
+
+def _noncommuting_squares(w: Dict[FrozenSet[str], FreeMap], src: Cube, tgt: Cube) -> list:
+    """The (T, k), in subset order, at which the vertex maps w: src → tgt fail
+    to commute with the boundaries: w[T∖k]∘d^k_T ≢ d^k_T∘w[T] modulo the
+    relations of tgt at T∖k.  w is a cube morphism iff there are none."""
+    return [(T, k) for T in src.subsets() for k in sorted(T)
+            if not _congruent(w[T - {k}].compose(src.d(T, k)), tgt.d(T, k).compose(w[T]),
+                              tgt.vertex(T - {k}).relations)]
 
 
 def _require_valid(x: Cube) -> None:
@@ -379,24 +378,24 @@ def directional_homology(x: Cube, k: str, p: int) -> Cube:
         raise ValueError("homological degree must be 0 or 1")
     labels = tuple(lab for lab in x.labels if lab != k)
     sub = label_subsets(labels)
-    gens_at: dict = {}
+    gens_at: dict = {}  # T -> the kernel generators, as the columns of a map
     verts = {}
     for T in sub:
         src_rank = x.vertices[T | {k}].rank
         gens = syzygies(x.d(T | {k}, k).entries, x.ring, source_rank=src_rank)
-        gens_at[T] = gens
+        gens_at[T] = FreeMap.from_columns(x.ring, src_rank, gens)
         rels = _preimage(gens, (), x.ring, src_rank, reduced=True)
         verts[T] = FPModule(x.ring, len(gens), SubmoduleBasis(x.ring, len(gens), rels))
     boundary = {}
     for T in sub:
         for l in T:
             tgt_gens = gens_at[T - {l}]
-            tgt_amb = x.vertices[(T - {l}) | {k}].rank
-            dl = x.d(T | {k}, l)
-            imgs = [dl.apply(g) for g in gens_at[T]]
-            cols = _graph_coordinates(imgs, tgt_gens, SubmoduleBasis(x.ring, tgt_amb, []),
-                                      x.ring, tgt_amb)
-            boundary[(T, l)] = FreeMap.from_columns(x.ring, len(tgt_gens), cols)
+            induced = _factor_through(tgt_gens, x.d(T | {k}, l).compose(gens_at[T]),
+                                      SubmoduleBasis(x.ring, tgt_gens.target_rank, []))
+            if isinstance(induced, int):
+                raise RuntimeError(f"d^{l}_{{{subset_key(T | {k})}}} maps kernel generator "
+                                   f"{induced} out of the kernel of d^{k}")
+            boundary[(T, l)] = induced
     return Cube(x.ring, labels, verts, boundary)
 
 

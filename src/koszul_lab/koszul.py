@@ -38,7 +38,6 @@ from .cube import (
 )
 from .groebner import (
     IdealBasis,
-    SubmoduleBasis,
     grade,
     ideal_quotient,
     radical_membership,
@@ -47,6 +46,8 @@ from .modcalc import (
     CapExceededError,
     Complex,
     FreeMap,
+    _kills,
+    cokernel,
     determinant_of_square,
     fitting_ideal,
     is_injective,
@@ -296,18 +297,7 @@ def is_reduced_koszul(x: Cube, fs) -> bool:
     if not verdict.is_koszul:
         raise ValueError("not a Koszul cube with respect to the given sequence")
     seq = _sequence_by_label(x, fs)
-    z = x.ring.zero()
-    for T in x.subsets():
-        for k in sorted(T):
-            m = x.d(T, k)
-            colmod = SubmoduleBasis(x.ring, m.target_rank, m.columns())
-            f = seq[k]
-            for i in range(m.target_rank):
-                e = [z] * m.target_rank
-                e[i] = f
-                if not colmod.contains_vector(tuple(e)):
-                    return False
-    return True
+    return all(_kills(seq[k], cokernel(x.d(T, k))) for T in x.subsets() for k in sorted(T))
 
 
 def koszul_nondegenerate_part(x: Cube, fs) -> Cube:

@@ -12,6 +12,11 @@ gives a basis of the image, which is all 0-sphericity needs; support on
 V(f) is tested on the cyclic quotients (rel : e_i) with no annihilator
 formed.  Fitting ideals come from minors.
 
+Each question asked of module maps has one helper, the one place it is
+asked: `_congruent` (a ≡ b modulo relations), `_kills` (g·M = 0),
+`_factor_through` (X with d∘X ≡ b, the only caller of `_graph_coordinates`)
+and `_preserves_relations` (m induces a map of the presented modules).
+
 Presentations are never minimized; downstream properties are all phrased as
 zero-tests or submodule equalities, which the engine decides exactly.
 """
@@ -19,7 +24,7 @@ zero-tests or submodule equalities, which the engine decides exactly.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .arith import (Poly, RingMismatchError, RingSpec, _coefficients, _denominator, _numerators,
                     _poly, _product_sums)
@@ -362,10 +367,8 @@ def annihilator(M: FPModule) -> IdealBasis:
     for i in range(M.rank):
         quot = module_quotient(M.relations, M.basis_vector(i))
         acc = quot if acc is None else ideal_intersection(acc, quot)
-    for a in acc.generators:
-        for i in range(M.rank):
-            if not M.relations.contains_vector(tuple(a * c for c in M.basis_vector(i))):
-                raise RuntimeError("annihilator generator failed re-verification")
+    if not all(_kills(a, M) for a in acc.generators):
+        raise RuntimeError("annihilator generator failed re-verification")
     return acc
 
 
@@ -395,7 +398,42 @@ def submodule_equal(a: SubmoduleBasis, b: SubmoduleBasis) -> bool:
 
 
 def is_zero_module(M: FPModule) -> bool:
-    return all(M.relations.contains_vector(M.basis_vector(i)) for i in range(M.rank))
+    return _kills(M.ring.one(), M)
+
+
+# ---------------------------------------------------------------------------
+# the questions asked of module maps
+# ---------------------------------------------------------------------------
+
+def _congruent(a: FreeMap, b: FreeMap, rel: SubmoduleBasis) -> bool:
+    """a ≡ b modulo rel: every column of a − b lies in rel.  Equal maps agree
+    with no membership test, and with no relations only equal maps agree."""
+    if a == b:
+        return True
+    diff = a - b
+    return bool(rel.generators) and all(rel.contains_vector(diff.column(j))
+                                        for j in range(diff.source_rank))
+
+
+def _kills(g: Poly, M: FPModule) -> bool:
+    """g·M = 0: g·e_i lies in the relations for every basis vector e_i."""
+    z = M.ring.zero()
+    return all(M.relations.contains_vector(tuple(g if j == i else z for j in range(M.rank)))
+               for i in range(M.rank))
+
+
+def _preserves_relations(m: FreeMap, src: FPModule, tgt: FPModule) -> bool:
+    """m maps the relations of src into those of tgt, so it induces a map src → tgt."""
+    return all(tgt.relations.contains_vector(m.apply(r)) for r in src.relations.generators)
+
+
+def _factor_through(d: FreeMap, b: FreeMap, rel: SubmoduleBasis) -> Union[FreeMap, int]:
+    """X with d∘X ≡ b modulo rel, or the index of the first column of b that
+    has no preimage under d.  One graph module serves every column."""
+    coords = _graph_coordinates(b.columns(), d.columns(), rel, d.ring, d.target_rank)
+    if None in coords:
+        return coords.index(None)
+    return FreeMap.from_columns(d.ring, d.source_rank, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -562,20 +600,15 @@ def lift_through_surjection(f: FreeMap, p: FreeMap, module: FPModule) -> FreeMap
     """
     if f.target_rank != module.rank or p.target_rank != module.rank:
         raise ValueError("maps must share the module's ambient rank")
-    ring = module.ring
-    basis = [module.basis_vector(i) for i in range(module.rank)]
-    coords = _graph_coordinates(basis + f.columns(), p.columns(), module.relations,
-                                ring, module.rank)
-    if any(u is None for u in coords[:module.rank]):
+    # one solve for the basis vectors and the columns of f; once every basis
+    # vector has a preimage, so does every column of f
+    lifted = _factor_through(p, FreeMap.hstack(FreeMap.identity(module.ring, module.rank), f),
+                             module.relations)
+    if isinstance(lifted, int):
         raise LiftError("map is not surjective onto the module")
-    # every vector is a combination of the basis vectors, so once they all
-    # have coordinates, so does every column of f
-    g = FreeMap.from_columns(ring, p.source_rank, coords[module.rank:])
-    check = p.compose(g)
-    for j in range(f.source_rank):
-        diff = tuple(a - b for a, b in zip(check.column(j), f.column(j)))
-        if not module.relations.contains_vector(diff):
-            raise RuntimeError("lift failed re-verification")
+    g = FreeMap.from_columns(module.ring, p.source_rank, lifted.columns()[module.rank:])
+    if not _congruent(p.compose(g), f, module.relations):
+        raise RuntimeError("lift failed re-verification")
     return g
 
 
@@ -586,7 +619,6 @@ def min_annihilating_power(f: Poly, M: FPModule, cap: int) -> int:
     power = M.ring.one()
     for m in range(1, cap + 1):
         power = power * f
-        if all(M.relations.contains_vector(tuple(power * c for c in M.basis_vector(i)))
-               for i in range(M.rank)):
+        if _kills(power, M):
             return m
     raise CapExceededError(f"no power of the element up to {cap} annihilates the module")

@@ -19,6 +19,11 @@ module-level lifting.
 
 B = A/(g_U) is represented by carrying g_U·(ambient basis) as extra
 relations on A-presentations throughout; one Groebner engine suffices.
+
+Each division and lift is `modcalc._factor_through`, the base case's
+annihilation `_kills` and each checked square `_congruent`; whether vertex
+maps form a cube morphism is `cube._noncommuting_squares`, for verify() and
+check_resolution alike.
 """
 
 from __future__ import annotations
@@ -27,15 +32,18 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Sequence, Tuple, Union
 
 from .arith import Poly, RingSpec
-from .cube import (Cube, Report, _admissible_inductive, _h0_modcube, _h0_over, label_subsets,
-                   restrict, subset_key, validate_cube)
+from .cube import (Cube, Report, _admissible_inductive, _h0_modcube, _h0_over,
+                   _noncommuting_squares, label_subsets, restrict, subset_key, validate_cube)
 from .groebner import SubmoduleBasis
 from .koszul import is_A_sequence
 from .modcalc import (
     FPModule,
     FreeMap,
     LiftError,
-    _graph_coordinates,
+    _congruent,
+    _factor_through,
+    _kills,
+    _preserves_relations,
     lift_through_surjection,
     min_annihilating_power,
     submodule_equal,
@@ -151,18 +159,13 @@ class ResolutionInput:
                             f"target {j}: H_0^{v} at {{{subset_key(T)}}} is not supported on V(f_{v})")
         for i, w in enumerate(self.connecting):
             src, tgt = self.targets[i], self.targets[i + 1]
+            squares = _noncommuting_squares(w, src, tgt)
             for T in src.subsets():
-                if not all(tgt.vertex(T).relations.contains_vector(w[T].apply(r))
-                           for r in src.vertex(T).relations.generators):
+                if not _preserves_relations(w[T], src.vertex(T), tgt.vertex(T)):
                     failures.append(
                         f"connecting map does not preserve relations at {{{subset_key(T)}}}")
-                for k in sorted(T):
-                    diff = w[T - {k}].compose(src.d(T, k)) - tgt.d(T, k).compose(w[T])
-                    rel = tgt.vertex(T - {k}).relations
-                    if not all(rel.contains_vector(diff.column(jj))
-                               for jj in range(diff.source_rank)):
-                        failures.append(
-                            f"connecting square at {{{subset_key(T)}}} direction {k} fails")
+                failures += [f"connecting square at {{{subset_key(T)}}} direction {k} fails"
+                             for U, k in squares if U == T]
         return Report(not failures, tuple(failures))
 
 
@@ -232,10 +235,8 @@ def _resolve_cube(z: Cube, gU: Sequence[Poly], g: Dict[str, Poly]):
     if not z.labels:
         M = z.vertex(frozenset())
         r = M.rank
-        for gu in gU:
-            for i in range(r):
-                if not M.relations.contains_vector(tuple(gu * c for c in M.basis_vector(i))):
-                    raise LiftError("the modulus does not annihilate the target module")
+        if not all(_kills(gu, M) for gu in gU):
+            raise LiftError("the modulus does not annihilate the target module")
         y = Cube(ring, (), {frozenset(): FPModule(ring, r, _gU_relations(ring, r, gU))}, {})
         return y, {frozenset(): FreeMap.identity(ring, r)}, {frozenset(): r}
     v = z.labels[0]
@@ -247,17 +248,12 @@ def _resolve_cube(z: Cube, gU: Sequence[Poly], g: Dict[str, Poly]):
     # g_v kills H_0 in direction v at each vertex
     s: VertexMaps = {}
     for A in z0.subsets():
-        dz = z.d(A | {v}, v)
-        vecs = [tuple(gv * c for c in col) for col in p0[A].columns()]
-        coords = _graph_coordinates(vecs, dz.columns(), z0.vertex(A).relations,
-                                    ring, dz.target_rank)
-        for j, u in enumerate(coords):
-            if u is None:
-                raise LiftError(
-                    f"lifting infeasible: g_{v} times generator {j} at vertex "
-                    f"{{{subset_key(A)}}} has no preimage under the {v}-boundary "
-                    "(the modulus fails to kill H_0 in that direction)")
-        s[A] = FreeMap.from_columns(ring, dz.source_rank, coords)
+        s[A] = _factor_through(z.d(A | {v}, v), p0[A].scaled(gv), z0.vertex(A).relations)
+        if isinstance(s[A], int):
+            raise LiftError(
+                f"lifting infeasible: g_{v} times generator {s[A]} at vertex "
+                f"{{{subset_key(A)}}} has no preimage under the {v}-boundary "
+                "(the modulus fails to kill H_0 in that direction)")
     z1 = restrict(z, rest, frozenset({v}))
     y1, p1, l1 = _resolve_cube(z1, gU, g)
     L0 = y0.vertex(frozenset()).rank
@@ -350,27 +346,20 @@ def _lift_cube(f: VertexMaps, x: Cube, q: VertexMaps, y: Cube, z: Cube) -> Verte
     s0p = _lift_cube(sigma, x0, idmaps, y0, Hy)
     s1p: VertexMaps = {}
     for A in sub_rest:
-        dy = y.d(A | {v}, v)
-        dx = x.d(A | {v}, v)
-        rhs = s0p[A].compose(dx)
-        coords = _graph_coordinates(rhs.columns(), dy.columns(), y0.vertex(A).relations,
-                                    ring, dy.target_rank)
-        if any(u is None for u in coords):
+        s1p[A] = _factor_through(y.d(A | {v}, v), s0p[A].compose(x.d(A | {v}, v)),
+                                 y0.vertex(A).relations)
+        if isinstance(s1p[A], int):
             raise LiftError(
                 f"lift failed: front solution does not factor through the "
                 f"{v}-boundary at {{{subset_key(A)}}}")
-        s1p[A] = FreeMap.from_columns(ring, dy.source_rank, coords)
     h: VertexMaps = {}
     for A in sub_rest:
-        defect = f[A] - q[A].compose(s0p[A])
-        dz = z.d(A | {v}, v)
-        coords = _graph_coordinates(defect.columns(), dz.columns(), z0.vertex(A).relations,
-                                    ring, dz.target_rank)
-        if any(u is None for u in coords):
+        h[A] = _factor_through(z.d(A | {v}, v), f[A] - q[A].compose(s0p[A]),
+                               z0.vertex(A).relations)
+        if isinstance(h[A], int):
             raise LiftError(
                 f"lift failed: homotopy defect escapes the {v}-boundary image "
                 f"at {{{subset_key(A)}}}")
-        h[A] = FreeMap.from_columns(ring, dz.source_rank, coords)
     u = _lift_cube(h, x0, q1, y1, z1)
     t: VertexMaps = {}
     for A in sub_rest:
@@ -460,33 +449,16 @@ def check_resolution(out: ResolutionOutput, inp: ResolutionInput) -> Report:
                         failures.append(
                             f"(b) {tag}: boundary d^{k} at {{{subset_key(T)}}} is not the "
                             "declared diagonal")
-        for T in z.subsets():
-            for k in sorted(T):
-                diff = epi[T - {k}].compose(y.d(T, k)) - z.d(T, k).compose(epi[T])
-                rel = z.vertex(T - {k}).relations
-                if not all(rel.contains_vector(diff.column(j))
-                           for j in range(diff.source_rank)):
-                    failures.append(
-                        f"(c) {tag}: square at {{{subset_key(T)}}} direction {k} fails")
+        failures += [f"(c) {tag}: square at {{{subset_key(T)}}} direction {k} fails"
+                     for T, k in _noncommuting_squares(epi, y, z)]
     for i, t in enumerate(out.connecting):
-        w = inp.connecting[i]
-        y_src = out.stages[i].y
-        y_tgt = out.stages[i + 1].y
-        epi_src = out.stages[i].epi
-        epi_tgt = out.stages[i + 1].epi
-        z_tgt = inp.targets[i + 1]
-        for T in y_src.subsets():
-            diff = epi_tgt[T].compose(t[T]) - w[T].compose(epi_src[T])
-            rel = z_tgt.vertex(T).relations
-            if not all(rel.contains_vector(diff.column(j)) for j in range(diff.source_rank)):
+        src, tgt = out.stages[i], out.stages[i + 1]
+        squares = _noncommuting_squares(t, src.y, tgt.y)
+        for T in src.y.subsets():
+            if not _congruent(tgt.epi[T].compose(t[T]), inp.connecting[i][T].compose(src.epi[T]),
+                              inp.targets[i + 1].vertex(T).relations):
                 failures.append(
                     f"(c) connecting square at {{{subset_key(T)}}} fails (stage {i}→{i + 1})")
-            for k in sorted(T):
-                diff = t[T - {k}].compose(y_src.d(T, k)) - y_tgt.d(T, k).compose(t[T])
-                rel = y_tgt.vertex(T - {k}).relations
-                if not all(rel.contains_vector(diff.column(j))
-                           for j in range(diff.source_rank)):
-                    failures.append(
-                        f"(c) connecting map is not a cube morphism at {{{subset_key(T)}}} "
-                        f"direction {k}")
+            failures += [f"(c) connecting map is not a cube morphism at {{{subset_key(T)}}} "
+                         f"direction {k}" for U, k in squares if U == T]
     return Report(not failures, tuple(failures))

@@ -536,6 +536,8 @@ CROSS_ORDER_CASES = [
     ("be_check_koszul_xy", ["be-check"], "koszul_xy_complex.json", 0),
     ("resolve_onecube", ["resolve"], "resolve_onecube.json", 0),
     ("resolve_typ_x2yz", ["resolve"], "resolve_typ_x2yz.json", 0),
+    ("resolve_chain", ["resolve"], "resolve_chain.json", 0),
+    ("resolve_chain_broken_square", ["resolve"], "resolve_chain_broken_square.json", 2),
 ]
 
 FIXED_ORDER_CASES = [

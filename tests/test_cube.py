@@ -279,6 +279,19 @@ def test_directional_homology_h1():
         directional_homology(typical_cube([X, Y]), "1", 2)
 
 
+def test_directional_homology_h1_without_coordinates_raises(monkeypatch):
+    # an induced boundary is written in the target's kernel generators; when
+    # the solver finds no coordinates the invariant is broken, and that is a
+    # RuntimeError naming the boundary, not a None inside a matrix
+    import koszul_lab.modcalc
+    from _gen import zero_direction
+    monkeypatch.setattr(koszul_lab.modcalc, "_graph_coordinates",
+                        lambda vecs, *rest: [None] * len(vecs))
+    x = zero_direction(typical_cube([X, Y]), "2")
+    with pytest.raises(RuntimeError, match=r"d\^1_\{1,2\} maps kernel generator 0 out"):
+        directional_homology(x, "2", 1)
+
+
 def test_directional_homology_h1_of_zeroed_direction():
     # ker of the zeroed d^2 is the whole vertex, so H_1^2 is the back face
     # written in the reduced kernel basis (e2, e1); boundaries pinned as the

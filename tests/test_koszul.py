@@ -605,6 +605,42 @@ def test_five_direction_koszul_cubes_are_admissible_and_zeroed_ones_are_not():
             assert not is_admissible(zeroed, strategy=s).ok, (i, s, "zeroed")
 
 
+def test_five_direction_h0_is_perfect():
+    # the perfection oracle of test_h0_of_koszul_cube_is_perfect at |S| = 5:
+    # grade Ann H_0 = |S| on every cube of the suite
+    for i, (x, _) in enumerate(_gen.five_direction_koszul_suite()):
+        H, _ = generators_presentation(x)
+        assert not is_zero_module(H), i
+        assert grade(annihilator(H)) == 5, i
+
+
+def test_five_direction_identity_padding_is_admissible():
+    # an identity direction added to a 4-direction Koszul cube, over Q and
+    # GF(101): Tot is a cone of an identity, so every strategy must accept,
+    # and the added direction is the only degenerate one
+    suite = _gen.four_direction_koszul_suite()
+    padded = [_gen.pad_identity(suite[i][0], "9") for i in (1, 7)]
+    assert {x.ring.field.char for x in padded} == {0, 101}
+    for i, x in enumerate(padded):
+        assert len(x.labels) == 5
+        assert degenerate_directions(x) == {"9"}, i
+        for s in ADMISSIBILITY_STRATEGIES:
+            assert is_admissible(x, strategy=s).ok, (i, s)
+
+
+def test_five_direction_resolve_round_trips():
+    # koszul_resolve with U = ∅, V = S at |V| = 5 passes check_resolution:
+    # both rank-1 cubes of the suite and one rank-2 cube over GF(101)
+    suite = _gen.five_direction_koszul_suite()
+    cubes = [suite[i] for i in (0, 4, 5)]
+    assert [(x.ring.field.char, max(x.vertex_rank.values())) for x, _ in cubes] == \
+        [(0, 1), (101, 1), (101, 2)]
+    for i, (x, fs) in enumerate(cubes):
+        inp = ResolutionInput(dict(zip(x.labels, fs)), [], x.labels, [x])
+        rep = check_resolution(koszul_resolve(inp), inp)
+        assert rep.ok, (i, rep.failures)
+
+
 # --------------------------------------------------------------------------
 # random generation
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ order of summands cannot drift silently.
 import pytest
 
 from koszul_lab.arith import RingSpec, parse_poly
-from koszul_lab.cube import ModCube, _h0_over, label_subsets, subset_key
+from koszul_lab.cube import Cube, ModCube, _h0_over, label_subsets, subset_key
 from koszul_lab.groebner import SubmoduleBasis
 from koszul_lab.koszul import random_koszul, typical_cube
 from koszul_lab.modcalc import (CapExceededError, FPModule, FreeMap, LiftError,
@@ -19,6 +19,7 @@ from koszul_lab.resolve import (
     ResolutionStage,
     _h0_tot_module,
     _resolve_cube,
+    _typical_sum_cube,
     check_resolution,
     find_exponents,
     koszul_resolve,
@@ -265,24 +266,32 @@ def test_chain_rejects_broken_square():
         koszul_resolve(ResolutionInput({"1": X}, [], ["1"], [z0, z1], connecting=[w]))
 
 
-def test_chain_square_example():
-    # the two-direction chain exercises the recursive lift in both labels
+def square_chain_input():
     z0 = square_cube("x^2", "y")
     z1 = square_cube("x^2", "y")
     w = {T: FreeMap(Q2, [[Y]]) for T in (E, S1, S2, S12)}
-    inp = ResolutionInput({"1": X, "2": Y}, [], ["1", "2"], [z0, z1], connecting=[w])
+    return ResolutionInput({"1": X, "2": Y}, [], ["1", "2"], [z0, z1], connecting=[w])
+
+
+def three_v_chain_input():
+    Q3 = RingSpec("Q", ("x", "y", "z"))
+    x, y, z = Q3.gens()
+    t = typical_cube([x ** 2, y, z])
+    w = {T: FreeMap(Q3, [[y]]) for T in label_subsets(t.labels)}
+    return ResolutionInput({"1": x, "2": y, "3": z}, [], ["1", "2", "3"], [t, t],
+                           connecting=[w])
+
+
+def test_chain_square_example():
+    # the two-direction chain exercises the recursive lift in both labels
+    inp = square_chain_input()
     out = koszul_resolve(inp)
     rep = check_resolution(out, inp)
     assert rep.ok, rep.failures
 
 
 def test_chain_three_v_labels():
-    Q3 = RingSpec("Q", ("x", "y", "z"))
-    x, y, z = Q3.gens()
-    t = typical_cube([x ** 2, y, z])
-    w = {T: FreeMap(Q3, [[y]]) for T in label_subsets(t.labels)}
-    inp = ResolutionInput({"1": x, "2": y, "3": z}, [], ["1", "2", "3"], [t, t],
-                          connecting=[w])
+    inp = three_v_chain_input()
     out = koszul_resolve(inp)
     rep = check_resolution(out, inp)
     assert rep.ok, rep.failures
@@ -370,10 +379,10 @@ def test_epi_at_empty_vertex_implies_h0_tot_surjective():
 def test_resolve_solves_each_lifting_system_once(monkeypatch):
     # a chain of two free 1-cubes: the resolution, the lift of the chain map
     # and check_resolution each write a batch of vectors against one
-    # (cols, rels); 11 solver calls in all (22 with one call per vector)
-    import koszul_lab.cube
+    # (cols, rels); 11 solver calls in all (22 with one call per vector).
+    # Every solve goes through modcalc._factor_through, so modcalc is the one
+    # module that binds the solver
     import koszul_lab.modcalc
-    import koszul_lab.resolve
     inp = resolve_problems()[4]
     assert len(inp.targets) == 2
     solve = koszul_lab.modcalc._graph_coordinates
@@ -383,8 +392,7 @@ def test_resolve_solves_each_lifting_system_once(monkeypatch):
         calls.append(args)
         return solve(*args)
 
-    for module in (koszul_lab.modcalc, koszul_lab.resolve, koszul_lab.cube):
-        monkeypatch.setattr(module, "_graph_coordinates", counted)
+    monkeypatch.setattr(koszul_lab.modcalc, "_graph_coordinates", counted)
     koszul_resolve(inp)
     assert len(calls) <= 11
 
@@ -480,8 +488,9 @@ def test_verify_support_matches_annihilator_reference(monkeypatch):
 
 def test_checks_solve_no_coordinates_and_form_no_annihilator(monkeypatch):
     # check_resolution and verify() only answer yes/no questions: neither
-    # reads coordinates off a graph module nor builds an annihilator
-    import koszul_lab.cube
+    # reads coordinates off a graph module nor builds an annihilator.  Every
+    # solve goes through modcalc._factor_through, so patching modcalc's
+    # binding of the solver reaches all of them
     import koszul_lab.koszul
     import koszul_lab.modcalc
     import koszul_lab.resolve
@@ -491,10 +500,145 @@ def test_checks_solve_no_coordinates_and_form_no_annihilator(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("called from a yes/no check")
 
-    for module in (koszul_lab.modcalc, koszul_lab.resolve, koszul_lab.cube):
-        monkeypatch.setattr(module, "_graph_coordinates", forbidden)
+    monkeypatch.setattr(koszul_lab.modcalc, "_graph_coordinates", forbidden)
     for module in (koszul_lab.modcalc, koszul_lab.resolve, koszul_lab.koszul):
         monkeypatch.setattr(module, "annihilator", forbidden, raising=False)
     for inp, out in zip(problems, outs):
         assert inp.verify().ok
         assert check_resolution(out, inp).ok
+
+
+# --------------------------------------------------------------------------
+# square checks against the loops they were written as
+# --------------------------------------------------------------------------
+
+def _square_failures_reference(out, inp):
+    """Checks (b) and (c) of check_resolution on out (none when out is None),
+    then the connecting-map checks of inp.verify(), written out as one loop
+    per square: each difference of composites is tested column by column."""
+    failures = []
+    for idx, (stage, z) in enumerate(zip(out.stages if out else (), inp.targets)):
+        y, epi, mult = stage.y, stage.epi, stage.multiplicities
+        tag = f"stage {idx}"
+        expected = _typical_sum_cube(inp.ring, z.labels, out.g, mult,
+                                     [out.g[u] for u in inp.U])
+        shapes_ok = True
+        for T in y.subsets():
+            if y.vertex(T).rank != expected.vertex(T).rank:
+                failures.append(f"(b) {tag}: rank mismatch at {{{subset_key(T)}}}")
+                shapes_ok = False
+            elif y.vertex(T).relations != expected.vertex(T).relations:
+                failures.append(
+                    f"(b) {tag}: relations at {{{subset_key(T)}}} differ from the declared modulus")
+        if shapes_ok:
+            for T in y.subsets():
+                for k in sorted(T):
+                    if y.d(T, k) != expected.d(T, k):
+                        failures.append(f"(b) {tag}: boundary d^{k} at {{{subset_key(T)}}} is "
+                                        "not the declared diagonal")
+        for T in z.subsets():
+            for k in sorted(T):
+                diff = epi[T - {k}].compose(y.d(T, k)) - z.d(T, k).compose(epi[T])
+                rel = z.vertex(T - {k}).relations
+                if not all(rel.contains_vector(diff.column(j)) for j in range(diff.source_rank)):
+                    failures.append(f"(c) {tag}: square at {{{subset_key(T)}}} direction {k} fails")
+    for i, t in enumerate(out.connecting if out else ()):
+        w = inp.connecting[i]
+        y_src, y_tgt = out.stages[i].y, out.stages[i + 1].y
+        epi_src, epi_tgt = out.stages[i].epi, out.stages[i + 1].epi
+        for T in y_src.subsets():
+            diff = epi_tgt[T].compose(t[T]) - w[T].compose(epi_src[T])
+            rel = inp.targets[i + 1].vertex(T).relations
+            if not all(rel.contains_vector(diff.column(j)) for j in range(diff.source_rank)):
+                failures.append(
+                    f"(c) connecting square at {{{subset_key(T)}}} fails (stage {i}→{i + 1})")
+            for k in sorted(T):
+                diff = t[T - {k}].compose(y_src.d(T, k)) - y_tgt.d(T, k).compose(t[T])
+                rel = y_tgt.vertex(T - {k}).relations
+                if not all(rel.contains_vector(diff.column(j)) for j in range(diff.source_rank)):
+                    failures.append(f"(c) connecting map is not a cube morphism at "
+                                    f"{{{subset_key(T)}}} direction {k}")
+    for i, w in enumerate(inp.connecting):
+        src, tgt = inp.targets[i], inp.targets[i + 1]
+        for T in src.subsets():
+            if not all(tgt.vertex(T).relations.contains_vector(w[T].apply(r))
+                       for r in src.vertex(T).relations.generators):
+                failures.append(f"connecting map does not preserve relations at "
+                                f"{{{subset_key(T)}}}")
+            for k in sorted(T):
+                diff = w[T - {k}].compose(src.d(T, k)) - tgt.d(T, k).compose(w[T])
+                rel = tgt.vertex(T - {k}).relations
+                if not all(rel.contains_vector(diff.column(jj)) for jj in range(diff.source_rank)):
+                    failures.append(
+                        f"connecting square at {{{subset_key(T)}}} direction {k} fails")
+    return failures
+
+
+def _square_failures(out, inp):
+    """The failures of the same checks, as check_resolution and verify() report them."""
+    failures = []
+    if out is not None:
+        failures += [f for f in check_resolution(out, inp).failures if f.startswith(("(b)", "(c)"))]
+    if inp.connecting:
+        failures += [f for f in inp.verify().failures if f.startswith("connecting")]
+    return failures
+
+
+def _plus_x(maps, key, ring):
+    """The maps with entry (0, 0) of maps[key] plus the first variable."""
+    m = maps[key]
+    rows = [list(r) for r in m.entries]
+    rows[0][0] = rows[0][0] + ring.gens()[0]
+    return {**maps, key: FreeMap(ring, rows, target_rank=m.target_rank, source_rank=m.source_rank)}
+
+
+def _bent(out, inp, i):
+    """(out, inp) pairs with one entry bent by x: an epi entry, a boundary
+    entry of a covering cube, an entry of the lifted connecting map, an entry
+    of the input's connecting map.  The vertex bent cycles with i."""
+    ring = inp.ring
+    stage = out.stages[0]
+    subs = stage.y.subsets()
+    T = subs[i % len(subs)]
+    yield (ResolutionOutput(out.exponents, out.g,
+                            (ResolutionStage(stage.y, _plus_x(stage.epi, T, ring),
+                                             stage.multiplicities),) + out.stages[1:],
+                            out.connecting), inp)
+    y = stage.y
+    if y.labels:
+        top = subs[-1]
+        k = sorted(top)[i % len(top)]
+        bent_y = Cube(ring, y.labels, y.vertices, _plus_x(y.boundary, (top, k), ring))
+        yield (ResolutionOutput(out.exponents, out.g,
+                                (ResolutionStage(bent_y, stage.epi, stage.multiplicities),)
+                                + out.stages[1:], out.connecting), inp)
+    if out.connecting:
+        yield (ResolutionOutput(out.exponents, out.g, out.stages,
+                                (_plus_x(out.connecting[0], T, ring),)), inp)
+        bent_inp = ResolutionInput(inp.fs, inp.U, inp.V, inp.targets,
+                                   [_plus_x(inp.connecting[0], T, ring)])
+        yield out, bent_inp
+
+
+def test_square_checks_match_reference():
+    # checks (b) and (c) and the connecting-map checks of verify() report,
+    # string for string and in order, what one loop per square reported,
+    # on resolutions and on copies with one entry bent
+    problems = (resolve_problems() + [square_chain_input(), three_v_chain_input()]
+                + [inp for _, inp, _ in _wide_v_cases(101)])
+    seen = set()
+    for i, inp in enumerate(problems):
+        out = koszul_resolve(inp)
+        for bent_out, bent_inp in [(out, inp), *_bent(out, inp, i)]:
+            want = _square_failures_reference(bent_out, bent_inp)
+            assert _square_failures(bent_out, bent_inp) == want, i
+            seen.update(f.split(" at ")[0] for f in want)
+    # a connecting map that does not carry the relations of A/(x) into A/(x^2)
+    unmapped = ResolutionInput({"1": X}, ["1"], [], [cyclic("x"), cyclic("x^2")],
+                               connecting=[{E: FreeMap(Q2, [[Q2.one()]])}])
+    want = _square_failures_reference(None, unmapped)
+    assert _square_failures(None, unmapped) == want
+    seen.update(f.split(" at ")[0] for f in want)
+    assert seen >= {"(b) stage 0: boundary d^1", "(c) stage 0: square",
+                    "(c) connecting square", "(c) connecting map is not a cube morphism",
+                    "connecting square", "connecting map does not preserve relations"}, seen
