@@ -29,6 +29,7 @@ from .modcalc import (
     FreeMap,
     _congruent,
     _factor_through,
+    _freemap,
     _nonzero_homology_degree,
     _preserves_relations,
     determinant_of_square,
@@ -311,21 +312,20 @@ def _total_complex(x: Cube, ordering: Optional[CubeOrdering] = None) -> Complex:
             total += x.vertices[s].rank
         offsets.append(off)
         ranks.append(total)
-    z = ring.zero()
     diffs = []
     for k in range(1, n + 1):
-        rows = [[z] * ranks[k] for _ in range(ranks[k - 1])]
+        cols = [{} for _ in range(ranks[k])]
         for T in layers[k]:
             col0 = offsets[k][T]
             for j in sorted(T):
                 sign = sum(1 for t in T if ordering.position(t) > ordering.position(j)) % 2
                 m = x.d(T, j)
                 row0 = offsets[k - 1][T - {j}]
-                for i in range(m.target_rank):
-                    for jj in range(m.source_rank):
-                        entry = m.entries[i][jj]
-                        rows[row0 + i][col0 + jj] = -entry if sign else entry
-        diffs.append(FreeMap(ring, rows, target_rank=ranks[k - 1], source_rank=ranks[k]))
+                for jj, c in enumerate(m.cols):
+                    out = cols[col0 + jj]
+                    for i, entry in c.items():
+                        out[row0 + i] = -entry if sign else entry
+        diffs.append(_freemap(ring, ranks[k - 1], cols))
     return Complex(ring, ranks, diffs)
 
 

@@ -12,11 +12,13 @@ monomial is the sum of their keys; whether one term divides another of the
 same position is one masked subtraction on the guard bits, the top bit of
 each variable's field; and the key `k ^ desc` ascends as terms descend, so
 a min-heap of plain ints pops the largest term first.  Keys are made only
-where vectors of Poly enter the engine (`_vp_from_vector`) and turned back
-into exponent tuples where they leave it (`_vector_from_vp`).  Every
-exponent and total degree must stay below 2^31, so that no field carries
-into the next: a vector beyond that is refused on entry, and a product
-whose new term reaches it raises CapExceededError, never a wrapped key.
+where vectors of Poly enter the engine (`_vp_from_column`, which takes a
+sparse column, a mapping of positions to Poly, and `_vp_from_vector`) and
+turned back into exponent tuples where they leave it (`_column_from_vp`
+and `_vector_from_vp`).  Every exponent and total degree must stay below
+2^31, so that no field carries into the next: a vector beyond that is
+refused on entry, and a product whose new term reaches it raises
+CapExceededError, never a wrapped key.
 
 Everything here is exact and deterministic: pair selection uses the normal
 strategy with a fixed tie-break, reduced bases are canonical (monic,
@@ -61,7 +63,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .arith import Poly, RingMismatchError, RingSpec, _poly
 
@@ -209,11 +211,13 @@ def _terms(ring: RingSpec) -> _Terms:
 # flattened vector-polynomial helpers
 # ---------------------------------------------------------------------------
 
-def _vp_from_vector(vec: Sequence[Poly], ring: RingSpec) -> dict:
+def _vp_from_column(col: Mapping[int, Poly], ring: RingSpec) -> dict:
+    """The flattened vector of a sparse column: a mapping of positions to Poly,
+    in which a missing position is zero."""
     terms = _terms(ring)
     shift, get = terms.shift, terms._keys.get
     vp = {}
-    for pos, p in enumerate(vec):
+    for pos, p in col.items():
         base = pos << shift
         for e, c in p.terms.items():
             m = get(e)
@@ -223,19 +227,36 @@ def _vp_from_vector(vec: Sequence[Poly], ring: RingSpec) -> dict:
     return vp
 
 
-def _vector_from_vp(vp: dict, ring: RingSpec, rank: int, head: int = 0) -> tuple:
-    """The vector in A^rank of the terms of vp at positions head .. head +
-    rank - 1, moved down to 0 .. rank - 1; None when vp has a term at a
+def _vp_from_vector(vec: Sequence[Poly], ring: RingSpec) -> dict:
+    return _vp_from_column(dict(enumerate(vec)), ring)
+
+
+def _column_from_vp(vp: dict, ring: RingSpec, head: int = 0) -> Optional[dict]:
+    """The sparse column of the terms of vp, each position moved down by head,
+    mapping a position to its nonzero Poly; None when vp has a term at a
     position below head."""
     terms = _terms(ring)
     shift, mono, get = terms.shift, terms.mono, terms._exps.get
-    polys = [dict() for _ in range(rank)]
+    polys: dict = {}
     for k, c in vp.items():
         pos = (k >> shift) - head
         if pos < 0:
             return None
-        polys[pos][get(k & mono) or terms.exponents(k)] = c
-    return tuple(_poly(ring, t) for t in polys)
+        t = polys.get(pos)
+        if t is None:
+            t = polys[pos] = {}
+        t[get(k & mono) or terms.exponents(k)] = c
+    return {pos: _poly(ring, t) for pos, t in polys.items()}
+
+
+def _vector_from_vp(vp: dict, ring: RingSpec, rank: int, head: int = 0) -> tuple:
+    """The vector in A^rank of the terms of vp at positions head .. head +
+    rank - 1, moved down to 0 .. rank - 1; None when vp has a term at a
+    position below head."""
+    col = _column_from_vp(vp, ring, head)
+    if col is None:
+        return None
+    return tuple(col.get(i) or _poly(ring, {}) for i in range(rank))
 
 
 def _add_scaled(target: dict, vp: dict, q: int, coeff, field, overflow: int,
@@ -323,7 +344,17 @@ def _unit_normal(vp: dict, terms: _Terms, p: int) -> _Element:
     return e
 
 
-def _nf_vp(vp: dict, basis: Sequence[_Element], ring: RingSpec, want_cert: bool = False):
+def _by_position(basis: Sequence[_Element]) -> dict:
+    """The elements of basis grouped by lead position: [(index, element)] in
+    basis order."""
+    by_pos: dict = {}
+    for i, b in enumerate(basis):
+        by_pos.setdefault(b.lt_pos, []).append((i, b))
+    return by_pos
+
+
+def _nf_vp(vp: dict, basis: Sequence[_Element], ring: RingSpec, want_cert: bool = False,
+           by_pos: Optional[dict] = None):
     """Full normal form of vp against basis; optionally with division certificate.
 
     Returns (remainder_vp, cert) where cert[i] maps monomial keys to the
@@ -338,14 +369,14 @@ def _nf_vp(vp: dict, basis: Sequence[_Element], ring: RingSpec, want_cert: bool 
     the working vector was cancelled and is skipped.  A basis element at the
     term's position divides it when the guard bits survive the subtraction
     of its leading key, and the quotient is then the difference of the keys.
+    `by_pos` is `_by_position(basis)`, made here when it is not given.
     """
     field = ring.field
     p = field.char
     terms = _terms(ring)
     desc, guard, shift, overflow = terms.desc, terms.guard, terms.shift, terms.overflow
-    by_pos: dict = {}  # lead position -> [(index, element)] in basis order
-    for i, b in enumerate(basis):
-        by_pos.setdefault(b.lt_pos, []).append((i, b))
+    if by_pos is None:
+        by_pos = _by_position(basis)
     work = dict(vp)
     heap = [k ^ desc for k in work]
     heapify(heap)
@@ -437,6 +468,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
     offset = head << terms.shift
 
     G: list = []
+    by_pos: dict = {}  # `_by_position(G)`, grown with G
     syz: list = []  # zero-head remainders, shifted into the tail's positions
     pairs: dict = {}  # (i, j) -> lcm key, i < j, same lead position
     queue: list = []  # min-heap of (ascending lcm monomial, (i, j)) over exactly the pairs in `pairs`
@@ -447,17 +479,18 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
             syz.append(_field_vp({k - offset: c for k, c in g.vp.items()}, g.lc, p, one))
             return
         gi = len(G)
-        for i, h in enumerate(G):
-            if h.lt_pos == g.lt_pos:
-                lcm = terms.lcm(h.lt, g.lt)
-                pairs[(i, gi)] = lcm
-                heappush(queue, ((lcm & mono) ^ asc, (i, gi)))
+        same = by_pos.setdefault(g.lt_pos, [])
+        for i, h in same:
+            lcm = terms.lcm(h.lt, g.lt)
+            pairs[(i, gi)] = lcm
+            heappush(queue, ((lcm & mono) ^ asc, (i, gi)))
+        same.append((gi, g))
         G.append(g)
 
     for vp in inputs:
         if not vp:
             continue
-        rem, _ = _nf_vp(vp if p else _integral(vp), G, ring)
+        rem, _ = _nf_vp(vp if p else _integral(vp), G, ring, by_pos=by_pos)
         if rem:
             add_elem(rem)
 
@@ -472,8 +505,8 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
         # are already handled
         skip = False
         lcm_guarded = lcm | guard
-        for k, gk in enumerate(G):
-            if k == i or k == j or gk.lt_pos != gi.lt_pos:
+        for k, gk in by_pos[gi.lt_pos]:
+            if k == i or k == j:
                 continue
             if (lcm_guarded - gk.lt) & guard == guard:
                 pik = (min(i, k), max(i, k))
@@ -488,7 +521,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
         s: dict = {}
         _add_scaled(s, gi.vp, lcm - gi.lt, ui, field, overflow)
         _add_scaled(s, gj.vp, lcm - gj.lt, field.neg(uj), field, overflow)
-        rem, _ = _nf_vp(s, G, ring)
+        rem, _ = _nf_vp(s, G, ring, by_pos=by_pos)
         if rem:
             add_elem(rem)
 
@@ -627,7 +660,17 @@ class SubmoduleBasis:
     def reduced_gb(self) -> tuple:
         return tuple(_vector_from_vp(e.vp, self.ring, self.ambient_rank) for e in self._gb_elements())
 
-    def _checked_vp(self, vec: Sequence[Poly]) -> dict:
+    def _checked_vp(self, vec) -> dict:
+        """The flattened form of vec: a sequence of ambient_rank Poly, or a
+        sparse column, a dict of positions to Poly in which a missing
+        position is zero."""
+        if isinstance(vec, dict):
+            if any(not 0 <= i < self.ambient_rank for i in vec):
+                raise ValueError(
+                    f"column position out of range for ambient rank {self.ambient_rank}")
+            if any(p.ring != self.ring for p in vec.values()):
+                raise RingMismatchError("column ring does not match the submodule's ring")
+            return _vp_from_column(vec, self.ring)
         vec = tuple(vec)
         if len(vec) != self.ambient_rank:
             raise ValueError(f"vector length {len(vec)} != ambient rank {self.ambient_rank}")
@@ -642,7 +685,9 @@ class SubmoduleBasis:
             return rvec, None
         return rvec, [_vector_from_vp(c, self.ring, 1)[0] for c in cert]
 
-    def contains_vector(self, vec: Sequence[Poly]) -> bool:
+    def contains_vector(self, vec) -> bool:
+        """Whether vec, a sequence of Poly or a sparse column dict, lies in the
+        submodule."""
         vp = self._checked_vp(vec)
         # the zero vector lies in every submodule: no basis is needed
         return not vp or not _nf_vp(vp, self._gb_elements(), self.ring)[0]

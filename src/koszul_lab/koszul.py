@@ -46,6 +46,7 @@ from .modcalc import (
     CapExceededError,
     Complex,
     FreeMap,
+    _freemap,
     _kills,
     cokernel,
     determinant_of_square,
@@ -461,11 +462,12 @@ def _random_constant(rng: random.Random, ring: RingSpec) -> Poly:
 
 
 def _elementary_product(ring: RingSpec, n: int, factors) -> FreeMap:
-    out = FreeMap.identity(ring, n)
+    out = eye = FreeMap.identity(ring, n)
     for (i, j, c) in factors:
-        rows = [list(r) for r in FreeMap.identity(ring, n).entries]
-        rows[i][j] = rows[i][j] + c
-        out = out.compose(FreeMap(ring, rows, target_rank=n, source_rank=n))
+        # the identity plus c, a nonzero term, at row i of column j != i
+        cols = list(eye.cols)
+        cols[j] = {**cols[j], i: c}
+        out = out.compose(_freemap(ring, n, cols))
     return out
 
 
@@ -514,13 +516,7 @@ def random_koszul(fs: Sequence[Poly], summands: int, basechange_steps: int, seed
     powered = [[fs[j] ** row[j] for j in range(len(fs))] for row in expo]
     by_label = {lab: j for j, lab in enumerate(labels)}
     subs = label_subsets(labels)
-    z = ring.zero()
-    diag = {}
-    for k in labels:
-        j = by_label[k]
-        rows = [[powered[i][j] if i == i2 else z for i2 in range(summands)]
-                for i in range(summands)]
-        diag[k] = FreeMap(ring, rows, target_rank=summands, source_rank=summands)
+    diag = {k: FreeMap.diagonal(ring, [row[by_label[k]] for row in powered]) for k in labels}
     if summands == 1 or basechange_steps == 0:
         boundary = {(T, k): diag[k] for T in subs for k in T}
     else:

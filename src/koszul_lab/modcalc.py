@@ -17,6 +17,12 @@ asked: `_congruent` (a ≡ b modulo relations), `_kills` (g·M = 0),
 `_factor_through` (X with d∘X ≡ b, the only caller of `_graph_coordinates`)
 and `_preserves_relations` (m induces a map of the presented modules).
 
+A FreeMap stores its nonzero entries only, one dict per column from row
+index to entry, and every operation runs over those; `entries`, the dense
+matrix row-major, is a view made on each read for printing, minors and
+`syzygies`.  The helpers above hand sparse columns to the engine as they
+are (`groebner._vp_from_column`), and coordinates come back sparse.
+
 Presentations are never minimized; downstream properties are all phrased as
 zero-tests or submodule equalities, which the engine decides exactly.
 """
@@ -24,7 +30,8 @@ zero-tests or submodule equalities, which the engine decides exactly.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from math import lcm
+from typing import Mapping, Optional, Sequence, Union
 
 from .arith import (Poly, RingMismatchError, RingSpec, _coefficients, _denominator, _numerators,
                     _poly, _product_sums)
@@ -32,13 +39,15 @@ from .groebner import (
     CapExceededError,
     IdealBasis,
     SubmoduleBasis,
+    _by_position,
+    _column_from_vp,
     _compute_gb,
     _graph_module,
     _kernel_and_image,
     _kernel_span,
     _nf_vp,
     _preimage,
-    _vector_from_vp,
+    _vp_from_column,
     _vp_from_vector,
     ideal_intersection,
     module_quotient,
@@ -72,123 +81,147 @@ class LiftError(ValueError):
 
 
 class FreeMap:
-    """A map of free modules A^source_rank -> A^target_rank, matrix row-major."""
+    """A map of free modules A^source_rank -> A^target_rank.
 
-    __slots__ = ("ring", "target_rank", "source_rank", "entries")
+    The matrix is stored by column: cols[j] maps the row index of each
+    nonzero entry of column j to that entry, and no zero entry is stored,
+    so every operation runs over the nonzero entries only.  `entries`, the
+    dense matrix row-major, is a view made anew on each read.  Maps are
+    immutable, and share column dicts.
+    """
+
+    __slots__ = ("ring", "target_rank", "source_rank", "cols")
 
     def __init__(self, ring: RingSpec, entries: Sequence[Sequence[Poly]],
                  target_rank: Optional[int] = None, source_rank: Optional[int] = None):
         rows = [tuple(r) for r in entries]
         if target_rank is None:
             target_rank = len(rows)
-        if len(rows) != target_rank:
-            raise ValueError(f"expected {target_rank} rows, got {len(rows)}")
         if source_rank is None:
             if not rows:
                 raise ValueError("source rank required for a 0-row matrix")
             source_rank = len(rows[0])
-        for r in rows:
+        _check_ranks(target_rank, source_rank)
+        if len(rows) != target_rank:
+            raise ValueError(f"expected {target_rank} rows, got {len(rows)}")
+        cols = [{} for _ in range(source_rank)]
+        for i, r in enumerate(rows):
             if len(r) != source_rank:
                 raise ValueError("ragged matrix")
-            for p in r:
-                if p.ring != ring:
+            for col, p in zip(cols, r):
+                if p.ring is not ring and p.ring != ring:
                     raise ValueError("entry ring mismatch")
+                if p.terms:
+                    col[i] = p
         self.ring = ring
         self.target_rank = target_rank
         self.source_rank = source_rank
-        self.entries = tuple(rows)
+        self.cols = tuple(cols)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def identity(cls, ring: RingSpec, n: int) -> "FreeMap":
-        one, zero = ring.one(), ring.zero()
-        return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)],
-                   target_rank=n, source_rank=n)
+        _check_ranks(n, n)
+        one = ring.one()
+        return _freemap(ring, n, [{i: one} for i in range(n)])
 
     @classmethod
     def zero(cls, ring: RingSpec, target_rank: int, source_rank: int) -> "FreeMap":
-        z = ring.zero()
-        return cls(ring, [[z] * source_rank for _ in range(target_rank)],
-                   target_rank=target_rank, source_rank=source_rank)
+        _check_ranks(target_rank, source_rank)
+        return _freemap(ring, target_rank, [{} for _ in range(source_rank)])
 
     @classmethod
     def from_columns(cls, ring: RingSpec, target_rank: int, cols: Sequence[Sequence[Poly]]) -> "FreeMap":
         cols = [tuple(c) for c in cols]
+        _check_ranks(target_rank, len(cols))
+        out = []
         for c in cols:
             if len(c) != target_rank:
                 raise ValueError("column length mismatch")
-        return cls(ring, [[c[i] for c in cols] for i in range(target_rank)],
-                   target_rank=target_rank, source_rank=len(cols))
+            if any(p.ring != ring for p in c):
+                raise ValueError("entry ring mismatch")
+            out.append({i: p for i, p in enumerate(c) if p.terms})
+        return _freemap(ring, target_rank, out)
+
+    @classmethod
+    def diagonal(cls, ring: RingSpec, diag: Sequence[Poly]) -> "FreeMap":
+        """The square matrix with diagonal `diag` and zeros elsewhere."""
+        diag = tuple(diag)
+        if any(g.ring != ring for g in diag):
+            raise ValueError("entry ring mismatch")
+        return _freemap(ring, len(diag), [{i: g} if g.terms else {} for i, g in enumerate(diag)])
 
     @classmethod
     def scalar(cls, ring: RingSpec, g: Poly, n: int) -> "FreeMap":
         """g times the identity on A^n."""
-        z = ring.zero()
-        return cls(ring, [[g if i == j else z for j in range(n)] for i in range(n)],
-                   target_rank=n, source_rank=n)
+        _check_ranks(n, n)
+        return cls.diagonal(ring, [g] * n)
 
     # -- block structure ------------------------------------------------------
 
     @classmethod
     def block_diag(cls, a: "FreeMap", b: "FreeMap") -> "FreeMap":
-        z = a.ring.zero()
-        rows = []
-        for r in a.entries:
-            rows.append(list(r) + [z] * b.source_rank)
-        for r in b.entries:
-            rows.append([z] * a.source_rank + list(r))
-        return cls(a.ring, rows, target_rank=a.target_rank + b.target_rank,
-                   source_rank=a.source_rank + b.source_rank)
+        _check_same_ring(a, b)
+        shift = a.target_rank
+        return _freemap(a.ring, a.target_rank + b.target_rank,
+                        a.cols + tuple({i + shift: p for i, p in c.items()} for c in b.cols))
 
     @classmethod
     def hstack(cls, a: "FreeMap", b: "FreeMap") -> "FreeMap":
         """[a | b]: same target, concatenated sources."""
         if a.target_rank != b.target_rank:
             raise ValueError("hstack needs equal target ranks")
-        rows = [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)]
-        return cls(a.ring, rows, target_rank=a.target_rank,
-                   source_rank=a.source_rank + b.source_rank)
+        _check_same_ring(a, b)
+        return _freemap(a.ring, a.target_rank, a.cols + b.cols)
 
     @classmethod
     def vstack(cls, a: "FreeMap", b: "FreeMap") -> "FreeMap":
         """[a ; b]: same source, concatenated targets."""
         if a.source_rank != b.source_rank:
             raise ValueError("vstack needs equal source ranks")
-        return cls(a.ring, list(a.entries) + list(b.entries),
-                   target_rank=a.target_rank + b.target_rank, source_rank=a.source_rank)
+        _check_same_ring(a, b)
+        shift = a.target_rank
+        return _freemap(a.ring, a.target_rank + b.target_rank,
+                        [{**ca, **{i + shift: p for i, p in cb.items()}}
+                         for ca, cb in zip(a.cols, b.cols)])
 
     # -- data access -----------------------------------------------------------
 
+    @property
+    def entries(self) -> tuple:
+        """The dense matrix, row-major, with the zero entries filled in."""
+        z = _poly(self.ring, {})
+        return tuple(tuple(c.get(i, z) for c in self.cols) for i in range(self.target_rank))
+
     def column(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.target_rank))
+        return _dense(self.cols[j], self.ring, self.target_rank)
 
     def columns(self) -> list:
-        return [self.column(j) for j in range(self.source_rank)]
+        return [_dense(c, self.ring, self.target_rank) for c in self.cols]
 
     def apply(self, vec: Sequence[Poly]) -> tuple:
         vec = tuple(vec)
         if len(vec) != self.source_rank:
             raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.target_rank):
-            acc = self.ring.zero()
-            for j in range(self.source_rank):
-                acc = acc + self.entries[i][j] * vec[j]
-            out.append(acc)
+        out = [self.ring.zero()] * self.target_rank
+        for c, v in zip(self.cols, vec):
+            for i, a in c.items():
+                out[i] = out[i] + a * v
         return tuple(out)
 
     # -- arithmetic -------------------------------------------------------------
 
     def compose(self, other: "FreeMap") -> "FreeMap":
-        """self ∘ other.
+        """self ∘ other, column by column: column j of the product is the sum
+        of b_kj times column k of self over the nonzero entries b_kj of
+        column j of other (Gustavson, ACM TOMS 1978).
 
-        Sparse: zero entries are skipped, and each output entry sums its
-        products term by term in one dict of ints, for both fields.  Over Q
-        each row i of self is scaled to integers by the lcm D_i of its
-        denominators and each column j of other by E_j, so entry (i, j) is
-        made once per term, as Fraction(s, D_i·E_j) from the integer sum s;
-        over GF(p) it is s % p.
+        Each output entry sums its products term by term in one dict of
+        ints, for both fields.  Over Q each row i of self is scaled to
+        integers by the lcm D_i of its denominators and each column j of
+        other by E_j, so entry (i, j) is made once per term, as
+        Fraction(s, D_i·E_j) from the integer sum s; over GF(p) it is s % p.
         """
         if self.source_rank != other.target_rank:
             raise ValueError("rank mismatch in composition")
@@ -196,66 +229,127 @@ class FreeMap:
             raise RingMismatchError(f"ring mismatch: {self.ring!r} vs {other.ring!r}")
         ring = self.ring
         p = ring.field.char
-        ncols = other.source_rank
+        # the nonzero entries of each column of self, in integers: [(row, terms)]
         if p:
-            col_den = [1] * ncols
+            row_den = None
+            left = [[(i, a.terms) for i, a in c.items()] for c in self.cols]
         else:
-            col_den = [_denominator(c for row in other.entries for c in row[j].terms.values())
-                       for j in range(ncols)]
-        # nonzero entries of each row of `other`, in integers: [(column, terms)]
-        other_rows = [[(j, q.terms if p else _numerators(q.terms, col_den[j]))
-                       for j, q in enumerate(row) if q.terms] for row in other.entries]
-        rows = []
-        for row in self.entries:
-            d = 1 if p else _denominator(c for a in row for c in a.terms.values())
-            acc: dict = {}  # output column -> integer sums
-            for a, brow in zip(row, other_rows):
-                if not a.terms or not brow:
-                    continue
-                left = a.terms if p else _numerators(a.terms, d)
-                for j, bterms in brow:
-                    _product_sums(left, bterms, acc.setdefault(j, {}))
-            rows.append([_poly(ring, _coefficients(acc[j], d * col_den[j], p) if j in acc else {})
-                         for j in range(ncols)])
-        return FreeMap(ring, rows, target_rank=self.target_rank, source_rank=ncols)
+            row_den = [1] * self.target_rank
+            for c in self.cols:
+                for i, a in c.items():
+                    row_den[i] = lcm(row_den[i], _denominator(a.terms.values()))
+            left = [[(i, _numerators(a.terms, row_den[i])) for i, a in c.items()] for c in self.cols]
+        out = []
+        for bcol in other.cols:
+            e = 1 if p else _denominator(c for b in bcol.values() for c in b.terms.values())
+            acc: dict = {}  # output row -> integer sums
+            for k, b in bcol.items():
+                right = b.terms if p else _numerators(b.terms, e)
+                for i, aterms in left[k]:
+                    _product_sums(aterms, right, acc.setdefault(i, {}))
+            col = {}
+            for i, sums in acc.items():
+                terms = _coefficients(sums, 1 if p else row_den[i] * e, p)
+                if terms:
+                    col[i] = _poly(ring, terms)
+            out.append(col)
+        return _freemap(ring, self.target_rank, out)
 
     def __matmul__(self, other: "FreeMap") -> "FreeMap":
         return self.compose(other)
 
     def __add__(self, other: "FreeMap") -> "FreeMap":
-        if (self.target_rank, self.source_rank) != (other.target_rank, other.source_rank):
-            raise ValueError("shape mismatch")
-        rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        return FreeMap(self.ring, rows, target_rank=self.target_rank, source_rank=self.source_rank)
+        return _plus(self, other, False)
 
     def __sub__(self, other: "FreeMap") -> "FreeMap":
-        if (self.target_rank, self.source_rank) != (other.target_rank, other.source_rank):
-            raise ValueError("shape mismatch")
-        rows = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        return FreeMap(self.ring, rows, target_rank=self.target_rank, source_rank=self.source_rank)
+        return _plus(self, other, True)
 
     def __neg__(self) -> "FreeMap":
-        return FreeMap(self.ring, [[-p for p in r] for r in self.entries],
-                       target_rank=self.target_rank, source_rank=self.source_rank)
+        return _freemap(self.ring, self.target_rank,
+                        [{i: -p for i, p in c.items()} for c in self.cols])
 
     def scaled(self, g: Poly) -> "FreeMap":
-        return FreeMap(self.ring, [[g * p for p in r] for r in self.entries],
-                       target_rank=self.target_rank, source_rank=self.source_rank)
+        # A is a domain: g·p is zero only when g is
+        if g.ring != self.ring:
+            raise RingMismatchError(f"ring mismatch: {self.ring!r} vs {g.ring!r}")
+        if not g.terms:
+            return FreeMap.zero(self.ring, self.target_rank, self.source_rank)
+        return _freemap(self.ring, self.target_rank,
+                        [{i: g * p for i, p in c.items()} for c in self.cols])
 
     def is_zero_map(self) -> bool:
-        return all(p.is_zero() for r in self.entries for p in r)
+        return not any(self.cols)
 
     def __eq__(self, other):
         return (isinstance(other, FreeMap) and self.ring == other.ring
                 and self.target_rank == other.target_rank
                 and self.source_rank == other.source_rank
-                and self.entries == other.entries)
+                and self.cols == other.cols)
 
     def __hash__(self):
-        return hash((self.ring, self.target_rank, self.source_rank, self.entries))
+        return hash((self.ring, self.target_rank, self.source_rank,
+                     tuple(frozenset(c.items()) for c in self.cols)))
 
     def __repr__(self):
         return f"FreeMap({self.target_rank}x{self.source_rank})"
+
+
+def _freemap(ring: RingSpec, target_rank: int, cols: Sequence[dict]) -> FreeMap:
+    """A FreeMap on `cols`, one dict per column mapping row indices below
+    target_rank to nonzero Poly over ring: no check is made, unlike
+    FreeMap(ring, entries).  A column dict is never changed once it is in a
+    map, so maps share them."""
+    m = FreeMap.__new__(FreeMap)
+    m.ring = ring
+    m.target_rank = target_rank
+    m.cols = tuple(cols)
+    m.source_rank = len(m.cols)
+    return m
+
+
+def _plus(a: FreeMap, b: FreeMap, negate: bool) -> FreeMap:
+    """a + b, or a − b when negate is set; a column of b equal to a's gives
+    the zero column of a − b with no subtraction."""
+    if (a.target_rank, a.source_rank) != (b.target_rank, b.source_rank):
+        raise ValueError("shape mismatch")
+    _check_same_ring(a, b)
+    out = []
+    for ca, cb in zip(a.cols, b.cols):
+        if not cb:
+            out.append(ca)
+            continue
+        if negate and ca == cb:
+            out.append({})
+            continue
+        c = dict(ca)
+        for i, q in cb.items():
+            p = c.get(i)
+            if p is None:
+                c[i] = -q if negate else q
+                continue
+            s = p - q if negate else p + q
+            if s.terms:
+                c[i] = s
+            else:
+                del c[i]
+        out.append(c)
+    return _freemap(a.ring, a.target_rank, out)
+
+
+def _dense(col: dict, ring: RingSpec, rank: int) -> tuple:
+    """The sparse column col as a tuple of rank Poly, zeros filled in."""
+    z = _poly(ring, {})
+    return tuple(col.get(i, z) for i in range(rank))
+
+
+def _check_ranks(target_rank: int, source_rank: int) -> None:
+    if target_rank < 0 or source_rank < 0:
+        raise ValueError(f"negative rank in a {target_rank}x{source_rank} map")
+
+
+def _check_same_ring(a: FreeMap, b: FreeMap) -> None:
+    if a.ring != b.ring:
+        raise RingMismatchError(f"ring mismatch: {a.ring!r} vs {b.ring!r}")
 
 
 class FPModule:
@@ -406,20 +500,16 @@ def is_zero_module(M: FPModule) -> bool:
 # ---------------------------------------------------------------------------
 
 def _congruent(a: FreeMap, b: FreeMap, rel: SubmoduleBasis) -> bool:
-    """a ≡ b modulo rel: every column of a − b lies in rel.  Equal maps agree
-    with no membership test, and with no relations only equal maps agree."""
-    if a == b:
-        return True
-    diff = a - b
-    return bool(rel.generators) and all(rel.contains_vector(diff.column(j))
-                                        for j in range(diff.source_rank))
+    """a ≡ b modulo rel: every column of a − b lies in rel.  Only its nonzero
+    columns are tested, since a zero column lies in every submodule, and
+    with no relations only equal maps agree."""
+    diff = [c for c in (a - b).cols if c]
+    return not diff or (bool(rel.generators) and all(map(rel.contains_vector, diff)))
 
 
 def _kills(g: Poly, M: FPModule) -> bool:
     """g·M = 0: g·e_i lies in the relations for every basis vector e_i."""
-    z = M.ring.zero()
-    return all(M.relations.contains_vector(tuple(g if j == i else z for j in range(M.rank)))
-               for i in range(M.rank))
+    return all(M.relations.contains_vector({i: g}) for i in range(M.rank))
 
 
 def _preserves_relations(m: FreeMap, src: FPModule, tgt: FPModule) -> bool:
@@ -430,10 +520,10 @@ def _preserves_relations(m: FreeMap, src: FPModule, tgt: FPModule) -> bool:
 def _factor_through(d: FreeMap, b: FreeMap, rel: SubmoduleBasis) -> Union[FreeMap, int]:
     """X with d∘X ≡ b modulo rel, or the index of the first column of b that
     has no preimage under d.  One graph module serves every column."""
-    coords = _graph_coordinates(b.columns(), d.columns(), rel, d.ring, d.target_rank)
+    coords = _graph_coordinates(b.cols, d.cols, rel, d.ring, d.target_rank)
     if None in coords:
         return coords.index(None)
-    return FreeMap.from_columns(d.ring, d.source_rank, coords)
+    return _freemap(d.ring, d.source_rank, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +574,13 @@ def fitting_ideal(m: FreeMap, t: int) -> IdealBasis:
     if t < 1 or t > min(m.source_rank, m.target_rank):
         raise ValueError(f"minor size {t} out of range for a "
                          f"{m.target_rank}x{m.source_rank} matrix")
+    entries = m.entries
     memo: dict = {}
     gens = []
     seen = set()
     for rows in combinations(range(m.target_rank), t):
         for cols in combinations(range(m.source_rank), t):
-            d = matrix_minor_det(m.entries, rows, cols, m.ring, memo)
+            d = matrix_minor_det(entries, rows, cols, m.ring, memo)
             if d.is_zero():
                 continue
             mine = d.monic()
@@ -567,11 +658,13 @@ def zero_spherical(c: Complex) -> bool:
 # lifting
 # ---------------------------------------------------------------------------
 
-def _graph_coordinates(vecs: Sequence[Sequence[Poly]], cols: Sequence[Sequence[Poly]],
+def _graph_coordinates(vecs: Sequence[Mapping[int, Poly]], cols: Sequence[Mapping[int, Poly]],
                        rels: SubmoduleBasis, ring: RingSpec, rank: int) -> list:
     """Coordinates of each vector of vecs in terms of cols, modulo rels.
 
-    Returns one entry per vector, in order: its coordinate list, or None when
+    Vectors and columns are sparse, mappings of positions to Poly in which
+    a missing position is zero.  Returns one entry per vector, in order: its
+    coordinates, sparse in the same way with only nonzero Poly, or None when
     it is not in the span.  One reduced basis of the graph module
     (`groebner._graph_module`: col_j ⊕ e_j, rel ⊕ 0) serves the whole
     batch: the normal form of (vec ⊕ 0) has zero head (positions < rank)
@@ -580,15 +673,15 @@ def _graph_coordinates(vecs: Sequence[Sequence[Poly]], cols: Sequence[Sequence[P
     """
     if not vecs:
         return []
-    graph = _graph_module([_vp_from_vector(v, ring) for v in cols],
+    graph = _graph_module([_vp_from_column(c, ring) for c in cols],
                           [_vp_from_vector(v, ring) for v in rels.generators], ring, rank)
     basis = _compute_gb(ring, rank + len(cols), graph)
     neg = ring.field.neg
+    by_pos = _by_position(basis)
     out = []
     for vec in vecs:
-        rem, _ = _nf_vp(_vp_from_vector(vec, ring), basis, ring)
-        tail = _vector_from_vp({k: neg(c) for k, c in rem.items()}, ring, len(cols), head=rank)
-        out.append(None if tail is None else list(tail))
+        rem, _ = _nf_vp(_vp_from_column(vec, ring), basis, ring, by_pos=by_pos)
+        out.append(_column_from_vp({k: neg(c) for k, c in rem.items()}, ring, head=rank))
     return out
 
 
@@ -606,7 +699,7 @@ def lift_through_surjection(f: FreeMap, p: FreeMap, module: FPModule) -> FreeMap
                              module.relations)
     if isinstance(lifted, int):
         raise LiftError("map is not surjective onto the module")
-    g = FreeMap.from_columns(module.ring, p.source_rank, lifted.columns()[module.rank:])
+    g = _freemap(module.ring, p.source_rank, lifted.cols[module.rank:])
     if not _congruent(p.compose(g), f, module.relations):
         raise RuntimeError("lift failed re-verification")
     return g

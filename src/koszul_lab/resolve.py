@@ -265,8 +265,7 @@ def _resolve_cube(z: Cube, gU: Sequence[Poly], g: Dict[str, Poly]):
     for T in subs:
         for k in T:
             if k == v:
-                boundary[(T, k)] = FreeMap.block_diag(
-                    FreeMap.scalar(ring, gv, L0), FreeMap.identity(ring, L1))
+                boundary[(T, k)] = FreeMap.diagonal(ring, [gv] * L0 + [ring.one()] * L1)
             else:
                 boundary[(T, k)] = FreeMap.block_diag(
                     y0.d(T - {v}, k), y1.d(T - {v}, k))
@@ -296,14 +295,9 @@ def _typical_sum_cube(ring: RingSpec, labels: Sequence[str], g: Dict[str, Poly],
     L = len(blocks)
     subs = label_subsets(labels)
     verts = {A: FPModule(ring, L, _gU_relations(ring, L, gU)) for A in subs}
-    z = ring.zero()
     one = ring.one()
-    boundary = {}
-    for A in subs:
-        for k in A:
-            rows = [[(g[k] if k in blocks[i] else one) if i == j else z
-                     for j in range(L)] for i in range(L)]
-            boundary[(A, k)] = FreeMap(ring, rows, target_rank=L, source_rank=L)
+    boundary = {(A, k): FreeMap.diagonal(ring, [g[k] if k in T else one for T in blocks])
+                for A in subs for k in A}
     return Cube(ring, tuple(labels), verts, boundary)
 
 

@@ -180,6 +180,24 @@ def test_zero_vector_and_zero_polynomial_need_no_basis():
     assert ideal.contains(x * x * y + y * y) and not ideal.contains(x)
 
 
+def test_contains_vector_takes_sparse_columns():
+    # a sparse column {position: Poly} is the dense vector with zeros filled in
+    x, y = Q2.gens()
+    zero = Q2.zero()
+    sub = SubmoduleBasis(Q2, 3, [(x * x + y, x, zero), (y, zero, x * y)])
+    for vec in [(zero, zero, zero), (x * x + y, x, zero), (y, zero, x * y), (y, x, zero),
+                (x * x + y + y, x, x * y), (zero, zero, x)]:
+        col = {i: p for i, p in enumerate(vec) if not p.is_zero()}
+        assert sub.contains_vector(col) == sub.contains_vector(vec), vec
+        assert sub.contains_vector(dict(enumerate(vec))) == sub.contains_vector(vec), vec
+        assert sub.nf_vector(col) == sub.nf_vector(vec), vec
+    assert SubmoduleBasis(Q2, 2, []).contains_vector({})
+    with pytest.raises(ValueError, match="position out of range"):
+        sub.contains_vector({3: x})
+    with pytest.raises(RingMismatchError):
+        sub.contains_vector({0: Q3.gens()[0]})
+
+
 def test_submodule_from_reduced_gb_is_trusted():
     x, y = Q2.gens()
     zero = Q2.zero()

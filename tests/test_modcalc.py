@@ -131,6 +131,18 @@ def test_freemap_from_columns_and_shape_mismatch():
         M([["x"]]).compose(M([["x", "y"]]).compose(FreeMap.identity(Q2, 3)))
 
 
+def test_freemap_rejects_negative_ranks():
+    for make in (lambda: FreeMap(Q2, [], target_rank=0, source_rank=-2),
+                 lambda: FreeMap(Q2, [], target_rank=-1, source_rank=0),
+                 lambda: FreeMap.zero(Q2, 0, -1),
+                 lambda: FreeMap.zero(Q2, -1, 2),
+                 lambda: FreeMap.identity(Q2, -1),
+                 lambda: FreeMap.scalar(Q2, X, -3),
+                 lambda: FreeMap.from_columns(Q2, -1, [])):
+        with pytest.raises(ValueError, match="negative rank"):
+            make()
+
+
 # --------------------------------------------------------------------------
 # kernels, cokernels, annihilators
 # --------------------------------------------------------------------------
@@ -418,6 +430,107 @@ def test_compose_ring_mismatch_raises():
 
 
 # --------------------------------------------------------------------------
+# sparse storage against a dense reference
+# --------------------------------------------------------------------------
+
+def _dense_ops_reference(ring, rows, t, s):
+    """Every FreeMap operation, on a dense list of rows of Poly."""
+    z = ring.zero()
+    return {
+        "column": lambda j: tuple(rows[i][j] for i in range(t)),
+        "neg": [[-p for p in r] for r in rows],
+        "scaled": lambda g: [[g * p for p in r] for r in rows],
+        "plus": lambda other, sign: [[a + b if sign > 0 else a - b for a, b in zip(ra, rb)]
+                                     for ra, rb in zip(rows, other)],
+        "apply": lambda vec: tuple(sum((rows[i][j] * vec[j] for j in range(s)), z)
+                                   for i in range(t)),
+        "hstack": lambda other: [list(ra) + list(rb) for ra, rb in zip(rows, other)],
+        "vstack": lambda other: [list(r) for r in rows] + [list(r) for r in other],
+        "block_diag": lambda other, ot, os: ([list(r) + [z] * os for r in rows]
+                                             + [[z] * s + list(r) for r in other]),
+    }
+
+
+def _assert_sparse_invariants(m):
+    assert len(m.cols) == m.source_rank
+    for c in m.cols:
+        assert all(0 <= i < m.target_rank for i in c)
+        assert all(p.terms and p.ring == m.ring for p in c.values())  # no zero entry stored
+    again = FreeMap(m.ring, m.entries, target_rank=m.target_rank, source_rank=m.source_rank)
+    assert again == m and hash(again) == hash(m)
+
+
+@pytest.mark.parametrize("field", ["Q", 101])
+def test_freemap_operations_match_dense_reference(field):
+    import random
+    ring = RingSpec(field, ("x", "y", "z"))
+    z = ring.zero()
+    rng = random.Random(f"freemap-{field}")
+    shapes = [(0, 3), (3, 0), (0, 0), (2, 2)] + [(rng.randint(1, 4), rng.randint(1, 4))
+                                                   for _ in range(30)]
+    seen_zero = 0
+    for t, s in shapes:
+        density = rng.choice((0.0, 0.2, 0.5, 0.9))
+        a = _sparse_random_map(rng, ring, t, s, density)
+        b = _sparse_random_map(rng, ring, t, s, density)
+        c = _sparse_random_map(rng, ring, s, rng.randint(0, 3), density)
+        d = _sparse_random_map(rng, ring, rng.randint(0, 3), s, density)
+        e = _sparse_random_map(rng, ring, rng.randint(0, 3), t, density)
+        seen_zero += a.is_zero_map()
+        rows = [list(r) for r in a.entries]
+        ref = _dense_ops_reference(ring, rows, t, s)
+
+        def same(m, dense_rows, shape):
+            _assert_sparse_invariants(m)
+            assert (m.target_rank, m.source_rank) == shape
+            assert m.entries == tuple(tuple(r) for r in dense_rows)
+            assert m == FreeMap(ring, dense_rows, target_rank=shape[0], source_rank=shape[1])
+
+        for m in (a, b, c, d, e):
+            _assert_sparse_invariants(m)
+        assert a.is_zero_map() == all(p.is_zero() for r in rows for p in r)
+        assert a.columns() == [ref["column"](j) for j in range(s)]
+        assert FreeMap.from_columns(ring, t, a.columns()) == a
+        same(-a, ref["neg"], (t, s))
+        g = rng.choice((z, ring.const(3), ring.gens()[0] - ring.gens()[2]))
+        same(a.scaled(g), ref["scaled"](g), (t, s))
+        same(a + b, ref["plus"](b.entries, 1), (t, s))
+        same(a - b, ref["plus"](b.entries, -1), (t, s))
+        same(a - a, [[z] * s for _ in range(t)], (t, s))
+        same(a + -a, [[z] * s for _ in range(t)], (t, s))  # every sum cancels
+        same((a + b) - b, rows, (t, s))
+        assert (a - a).is_zero_map() and (a - a) == FreeMap.zero(ring, t, s)
+        same(a.compose(c), _compose_reference(a, c).entries, (t, c.source_rank))
+        same(e.compose(a), _compose_reference(e, a).entries, (e.target_rank, s))
+        vec = c.column(0) if c.source_rank else tuple(ring.gens()[1] for _ in range(s))
+        assert a.apply(vec) == ref["apply"](vec)
+        same(FreeMap.hstack(a, b), ref["hstack"](b.entries), (t, 2 * s))
+        same(FreeMap.vstack(a, d), ref["vstack"](d.entries), (t + d.target_rank, s))
+        same(FreeMap.block_diag(a, c), ref["block_diag"](c.entries, c.target_rank, c.source_rank),
+             (t + c.target_rank, s + c.source_rank))
+        # equal maps built in different ways hash equal
+        assert a + b == b + a and hash(a + b) == hash(b + a)
+        assert a.compose(FreeMap.identity(ring, s)) == a == FreeMap.identity(ring, t).compose(a)
+        assert hash(a.compose(FreeMap.identity(ring, s))) == hash(a)
+    assert seen_zero
+    # the constructors against their dense matrices
+    x = ring.gens()[0]
+    for n in (0, 1, 3):
+        eye = [[ring.one() if i == j else z for j in range(n)] for i in range(n)]
+        assert FreeMap.identity(ring, n).entries == tuple(map(tuple, eye))
+        assert FreeMap.scalar(ring, x, n) == FreeMap(ring, [[x * p for p in r] for r in eye],
+                                                     target_rank=n, source_rank=n)
+        assert FreeMap.scalar(ring, z, n) == FreeMap.zero(ring, n, n)
+        _assert_sparse_invariants(FreeMap.scalar(ring, z, n))
+        diag = [x, z, ring.one()][:n]
+        assert FreeMap.diagonal(ring, diag).entries == tuple(
+            tuple(diag[i] if i == j else z for j in range(n)) for i in range(n))
+        _assert_sparse_invariants(FreeMap.diagonal(ring, diag))
+        assert FreeMap.zero(ring, n, 2).entries == ((z, z),) * n
+        assert FreeMap.zero(ring, 2, n).entries == ((z,) * n,) * 2
+
+
+# --------------------------------------------------------------------------
 # batched graph coordinates against the one-vector solver they replaced
 # --------------------------------------------------------------------------
 
@@ -461,13 +574,15 @@ def test_graph_coordinates_batch_matches_reference(field):
                 vecs.append(span.apply(coeffs))
             else:
                 vecs.append(_sparse_random_map(rng, ring, rank, 1, density=0.6).column(0))
-        got = _graph_coordinates(vecs, cols, rels, ring, rank)
+        got = [u if u is None else [u.get(j, ring.zero()) for j in range(n)]
+               for u in _graph_coordinates([dict(enumerate(v)) for v in vecs],
+                                           [dict(enumerate(c)) for c in cols], rels, ring, rank)]
         want = [_graph_coordinates_reference(v, cols, rels, ring, rank) for v in vecs]
         assert got == want
         seen_none += want.count(None)
         seen_coords += len(want) - want.count(None)
     assert seen_none and seen_coords
-    assert _graph_coordinates([], [(X,)], SubmoduleBasis(Q2, 1, []), Q2, 1) == []
+    assert _graph_coordinates([], [{0: X}], SubmoduleBasis(Q2, 1, []), Q2, 1) == []
 
 
 def test_lift_reports_non_surjective_before_missing_preimage():

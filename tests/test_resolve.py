@@ -347,6 +347,40 @@ def test_resolve_three_and_four_v_labels(field):
         assert rep.ok, (name, rep.failures)
 
 
+# sha256 of `_resolution_transcript` over resolve_problems() and the |V| = 3-4
+# cases over Q and then GF(101), as the dense row-major FreeMap printed it
+# before matrices were stored by column.  No golden prints these epis and
+# connecting maps, so this is what pins their coordinates.
+RESOLUTION_TRANSCRIPT_SHA256 = "50bbe0352801cb898e4d85bb4c88fcd7ea338ba731a0c5a78f34cc7608fb59c6"
+
+
+def _resolution_transcript(cases) -> list:
+    """One line per epi and connecting map of each resolution: the case, the
+    stage, the vertex and the matrix as printed, row by row."""
+    def printed(m):
+        return ("[" + "; ".join(", ".join(str(p) for p in row) for row in m.entries)
+                + f"] {m.target_rank}x{m.source_rank}")
+
+    lines = []
+    for n, inp in enumerate(cases):
+        out = koszul_resolve(inp)
+        for s, stage in enumerate(out.stages):
+            for T in sorted(stage.epi, key=subset_key):
+                lines.append(f"{n} epi {s} {{{subset_key(T)}}} {printed(stage.epi[T])}")
+        for s, t in enumerate(out.connecting):
+            for T in sorted(t, key=subset_key):
+                lines.append(f"{n} connecting {s} {{{subset_key(T)}}} {printed(t[T])}")
+    return lines
+
+
+def test_resolution_maps_are_pinned():
+    import hashlib
+    cases = resolve_problems() + [inp for field in ("Q", 101) for _, inp, _ in _wide_v_cases(field)]
+    lines = _resolution_transcript(cases)
+    assert len(cases) == 30 and len(lines) == 153
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RESOLUTION_TRANSCRIPT_SHA256
+
+
 # --------------------------------------------------------------------------
 # verification
 # --------------------------------------------------------------------------
@@ -356,7 +390,9 @@ def _lifts(cols, M, ring):
     and the epi at the empty vertex this is surjectivity on H_0(Tot), which
     check_resolution leaves to its check (a)."""
     basis = [M.basis_vector(i) for i in range(M.rank)]
-    return None not in _graph_coordinates(basis, cols, M.relations, ring, M.rank)
+    return None not in _graph_coordinates([dict(enumerate(v)) for v in basis],
+                                          [dict(enumerate(c)) for c in cols], M.relations, ring,
+                                          M.rank)
 
 
 def test_epi_at_empty_vertex_implies_h0_tot_surjective():
@@ -409,8 +445,8 @@ def _surjectivity_failures_reference(out, inp):
         for T in z.subsets():
             M = z.vertex(T)
             basis = [M.basis_vector(i) for i in range(M.rank)]
-            coords = _graph_coordinates(basis, stage.epi[T].columns(), M.relations, inp.ring,
-                                        M.rank)
+            coords = _graph_coordinates([dict(enumerate(v)) for v in basis], stage.epi[T].cols,
+                                        M.relations, inp.ring, M.rank)
             missed = [i for i, u in enumerate(coords) if u is None]
             if missed:
                 failures.append(f"(a) stage {idx}: epi at {{{subset_key(T)}}} misses basis vector "
