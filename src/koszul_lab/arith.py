@@ -2,13 +2,24 @@
 
 Everything downstream (Groebner bases, module calculus, cube homology) runs on
 the two types defined here: `RingSpec`, which fixes a coefficient field, a
-variable list and a monomial order, and `Poly`, a sparse exponent-vector ->
+variable list and a monomial order, and `Poly`, a sparse monomial ->
 coefficient map.  Coefficients are `fractions.Fraction` over the rationals and
 plain ints in [0, p) over a prime field; there is no floating point anywhere.
 (Inside Buchberger over Q the Groebner engine works on integer vectors; every
 Poly and every basis it returns holds Fractions.  Products over Q, here and in
 `modcalc.FreeMap.compose`, likewise sum integer numerators over a common
 denominator and make each Fraction once.)
+
+A monomial has one encoding below the public API: a packed int, its key
+under the ring's layout (`_Terms`, shared by every ring with the same number
+of variables and order).  A Poly maps keys to coefficients, and the Groebner
+engine keys a vector's terms the same way with the position added on top, so
+a product of monomials is a sum of ints, a divisibility test is one masked
+subtraction, and entering the engine is a shift.  Exponent tuples appear only
+at the edge: `Poly(ring, {exponent tuple: c})` packs them, `Poly.terms`,
+`leading` and `sorted_terms` unpack, and so does printing.  Every exponent
+and total degree stays below 2^31, the bound of the keys' fields: a product
+or an exponent tuple that would reach it raises CapExceededError.
 
 Values are immutable after construction and safe to share.
 """
@@ -17,14 +28,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
-from typing import Iterable, Mapping
+from functools import reduce
+from operator import or_
+from typing import Iterable, Mapping, Optional
 
 __all__ = [
     "RingSpec",
     "Poly",
     "ParseError",
     "RingMismatchError",
+    "CapExceededError",
     "parse_poly",
     "is_unit",
     "exact_division",
@@ -44,97 +57,62 @@ class ParseError(ValueError):
         self.position = position
 
 
+class CapExceededError(RuntimeError):
+    """A bounded search (annihilating power, determinant exponent) ran out of
+    cap, or an exponent or total degree reached 2^31, the bound of the packed
+    monomial keys."""
+
+
 # ---------------------------------------------------------------------------
 # coefficient fields
 # ---------------------------------------------------------------------------
 
-class _Rationals:
-    """Arbitrary-precision rationals; coefficients are Fraction instances."""
+class _Field:
+    """The coefficient field of characteristic `char`: Q when it is 0, with
+    Fraction coefficients, and GF(char) otherwise, with ints in [0, char)."""
 
-    name = "Q"
-    char = 0
+    __slots__ = ("char", "name", "zero", "one")
 
-    @staticmethod
-    def of(n) -> Fraction:
-        return Fraction(n)
+    def __init__(self, char: int):
+        self.char = char
+        self.name = f"GF({char})" if char else "Q"
+        self.zero = 0 if char else Fraction(0)
+        self.one = 1 if char else Fraction(1)
 
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return Fraction(1) / a
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def __repr__(self):
-        return "Q"
-
-    def __eq__(self, other):
-        return isinstance(other, _Rationals)
-
-    def __hash__(self):
-        return hash("Q")
-
-
-class _PrimeField:
-    """GF(p); coefficients are ints reduced into [0, p)."""
-
-    char: int
-
-    def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-            raise ValueError(f"field characteristic must be prime, got {p}")
-        self.p = p
-        self.char = p
-        self.name = f"GF({p})"
-        self.zero = 0
-        self.one = 1 % p
-
-    def of(self, n) -> int:
+    def of(self, n):
+        p = self.char
+        if not p:
+            return Fraction(n)
         if isinstance(n, Fraction):
-            if n.denominator % self.p == 0:
-                raise ValueError(f"denominator of {n} is divisible by {self.p}")
-            return n.numerator * pow(n.denominator, -1, self.p) % self.p
-        return int(n) % self.p
+            if n.denominator % p == 0:
+                raise ValueError(f"denominator of {n} is divisible by {p}")
+            return n.numerator * pow(n.denominator, -1, p) % p
+        return int(n) % p
 
     def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
+        p = self.char
+        return (a + b) % p if p else a + b
 
     def mul(self, a, b):
-        return (a * b) % self.p
+        p = self.char
+        return a * b % p if p else a * b
 
     def neg(self, a):
-        return (-a) % self.p
+        p = self.char
+        return -a % p if p else -a
 
     def inv(self, a):
-        return pow(a, -1, self.p)
+        p = self.char
+        return pow(a, -1, p) if p else self.one / a
 
     def __repr__(self):
         return self.name
 
     def __eq__(self, other):
-        return isinstance(other, _PrimeField) and other.p == self.p
+        return isinstance(other, _Field) and other.char == self.char
 
     def __hash__(self):
-        return hash(("GF", self.p))
+        return hash(("GF", self.char) if self.char else "Q")
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +122,8 @@ class _PrimeField:
 # Each order is given as a key function on exponent tuples; monomial m is
 # larger than m' iff key(m) > key(m') under tuple comparison.  All three keys
 # are total, multiplicative (key comparison is translation-invariant) and have
-# the constant monomial as minimum; the property tests exercise this.
+# the constant monomial as minimum; the property tests exercise this.  They
+# are the reference the packed keys of `_Terms` are tested against.
 
 def _grevlex_key(e: tuple) -> tuple:
     # graded, ties broken by the *last* nonzero entry of the difference being
@@ -166,24 +145,128 @@ MONOMIAL_ORDERS = {
     "lex": _lex_key,
 }
 
+
+# ---------------------------------------------------------------------------
+# packed monomial keys
+# ---------------------------------------------------------------------------
+
+_FIELD = 32
+_ONES = (1 << _FIELD) - 1
+_LIMIT = 1 << (_FIELD - 1)  # every exponent and total degree stays below this
+
+
+class _Terms:
+    """Packed term keys of A^r for one number of variables and monomial order.
+
+    The key of x^e at position pos is (pos << shift) | fields, with one
+    32-bit field for the total degree and one per variable, most
+    significant first:
+
+        grevlex   deg | e_n | ... | e_1
+        grlex     deg | e_1 | ... | e_n
+        lex       e_1 | ... | e_n | deg
+
+    A Poly holds the keys at position 0; the Groebner engine adds the
+    position of a vector's entry on top.  Under grlex and lex the fields,
+    read as one int, compare as the monomials do.  Grevlex compares (deg,
+    -e_n, ..., -e_1), so there the variable fields compare complemented:
+    `m ^ asc` orders monomials ascending, and `k ^ desc`, which complements
+    the degree field under grevlex and every field otherwise, orders keys by
+    position and then by descending term.  That is position over term
+    reversed: a min-heap of `k ^ desc` pops the largest term first.
+
+    While every field is below 2^31, its top bit is a guard.  k + m is the
+    key of the term times the monomial, with no carry between fields, and
+    it overflows exactly when `(k + m) & overflow` is nonzero.
+    ((t | guard) - lt) & guard == guard, with `guard` the guard bits of the
+    variable fields, holds exactly when every exponent of t is at least
+    lt's: a variable field can borrow only from the degree field, which lies
+    below one only under lex, and only when t has the smaller degree and so
+    some smaller exponent.
+    """
+
+    __slots__ = ("shift", "mono", "desc", "asc", "guard", "overflow", "var_keys", "_deg",
+                 "_offsets", "_vars", "_spread", "_top")
+
+    def __init__(self, nvars: int, order: str):
+        if order == "lex":
+            deg, offsets = 0, [_FIELD * (nvars - i) for i in range(nvars)]
+        elif order == "grlex":
+            deg, offsets = _FIELD * nvars, [_FIELD * (nvars - 1 - i) for i in range(nvars)]
+        else:
+            deg, offsets = _FIELD * nvars, [_FIELD * i for i in range(nvars)]
+        self.shift = _FIELD * (nvars + 1)
+        self.mono = (1 << self.shift) - 1
+        self.desc = _ONES << deg if order == "grevlex" else self.mono
+        self.asc = self.desc ^ self.mono
+        self.guard = sum(_LIMIT << o for o in offsets)
+        self.overflow = self.guard | _LIMIT << deg
+        self.var_keys = tuple(1 << deg | 1 << o for o in offsets)  # the key of each variable
+        self._deg = deg
+        self._offsets = offsets
+        self._vars = sum(_ONES << o for o in offsets)
+        self._spread = sum(1 << o for o in offsets)
+        self._top = min(offsets) + max(offsets)
+
+    def monomial(self, e: tuple) -> int:
+        """The key of x^e at position 0, for a tuple e of nonnegative ints;
+        CapExceededError from total degree 2^31."""
+        d = sum(e)
+        if d >= _LIMIT:
+            raise _overflowed()
+        m = d << self._deg
+        for x, o in zip(e, self._offsets):
+            m |= x << o
+        return m
+
+    def exponents(self, k: int) -> tuple:
+        """The exponent tuple of the key k, at any position."""
+        return tuple((k >> o) & _ONES for o in self._offsets)
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of two keys at the same position.
+
+        Its degree field is summed anew and may reach 2^31, never 2^32; the
+        key of a term it makes in an S-vector is then refused as overflow.
+        """
+        ea, eb = a & self._vars, b & self._vars
+        a_ge = ((ea | self.guard) - eb) & self.guard  # guard bit: a's exponent >= b's
+        take = (a_ge >> (_FIELD - 1)) * (_LIMIT - 1)
+        e = (ea & take) | (eb & ~take)
+        # the field of e * spread at offset `top` is the sum of e's fields;
+        # each partial sum is at most that, below 2^32, so none carries
+        d = (e * self._spread >> self._top) & _ONES
+        return (a & ~self.mono) | d << self._deg | e
+
+
+def _overflowed() -> CapExceededError:
+    return CapExceededError("an exponent or total degree reached 2^31, beyond the packed "
+                            "monomial keys")
+
+
+_LAYOUTS: dict = {}  # (number of variables, order) -> _Terms, shared by equal layouts
+
+
 class RingSpec:
     """A polynomial ring over an exact field with a fixed monomial order.
 
     field: "Q" or an int p (prime) for GF(p).
     variables: ordered, distinct, nonempty names.
     order: "grevlex" (default) | "lex" | "grlex".
+    `layout` packs its monomials into keys (`_Terms`).
     """
 
-    __slots__ = ("field", "variables", "order", "nvars", "mono_key", "_var_index", "_zero_exp",
-                 "_term_keys")
+    __slots__ = ("field", "variables", "order", "nvars", "mono_key", "layout", "_var_keys")
 
     def __init__(self, field, variables: Iterable[str], order: str = "grevlex"):
-        if field == "Q" or isinstance(field, _Rationals):
-            self.field = _Rationals()
-        elif isinstance(field, int):
-            self.field = _PrimeField(field)
-        elif isinstance(field, _PrimeField):
+        if isinstance(field, _Field):
             self.field = field
+        elif field == "Q":
+            self.field = _Field(0)
+        elif isinstance(field, int):
+            if field < 2 or any(field % q == 0 for q in range(2, int(field ** 0.5) + 1)):
+                raise ValueError(f"field characteristic must be prime, got {field}")
+            self.field = _Field(field)
         else:
             raise ValueError(f"unsupported field spec: {field!r}")
         variables = tuple(variables)
@@ -195,28 +278,27 @@ class RingSpec:
         self.order = order
         self.nvars = len(variables)
         self.mono_key = MONOMIAL_ORDERS[order]
-        self._var_index = {v: i for i, v in enumerate(variables)}
-        self._zero_exp = (0,) * self.nvars
-        self._term_keys = None  # the Groebner engine's term-key layout, made on first use
+        key = (self.nvars, order)
+        self.layout = _LAYOUTS.get(key) or _LAYOUTS.setdefault(key, _Terms(*key))
+        self._var_keys = dict(zip(variables, self.layout.var_keys))
 
     # -- constructors ------------------------------------------------------
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return _poly(self, {})
 
     def one(self) -> "Poly":
-        return Poly(self, {self._zero_exp: self.field.one})
+        return _poly(self, {0: self.field.one})
 
     def const(self, c) -> "Poly":
         c = self.field.of(c)
-        return Poly(self, {} if c == self.field.zero else {self._zero_exp: c})
+        return _poly(self, {0: c} if c else {})
 
     def var(self, name: str) -> "Poly":
-        if name not in self._var_index:
+        k = self._var_keys.get(name)
+        if k is None:
             raise ValueError(f"unknown variable {name!r}")
-        e = [0] * self.nvars
-        e[self._var_index[name]] = 1
-        return Poly(self, {tuple(e): self.field.one})
+        return _poly(self, {k: self.field.one})
 
     def gens(self) -> tuple:
         return tuple(self.var(v) for v in self.variables)
@@ -226,7 +308,7 @@ class RingSpec:
 
     def extended(self, extra_var: str) -> "RingSpec":
         """Ring with one fresh variable appended (used by radical membership)."""
-        if extra_var in self._var_index:
+        if extra_var in self._var_keys:
             raise ValueError(f"variable {extra_var!r} already present")
         return RingSpec(self.field, self.variables + (extra_var,), self.order)
 
@@ -252,42 +334,67 @@ class RingSpec:
 
 
 class Poly:
-    """Sparse polynomial: mapping exponent tuple -> nonzero coefficient.
+    """Sparse polynomial: `keys` maps the packed key (`ring.layout`) of each
+    monomial to its nonzero coefficient.
 
-    The term dict is owned by the instance and must not be mutated; all
-    operations build fresh dicts.
+    Poly(ring, terms) takes a mapping of exponent tuples, one nonnegative int
+    per variable, to coefficients, which it brings into the field and drops
+    when zero; `terms` is that mapping again.  The key dict is owned by the
+    instance and must not be mutated; all operations build fresh dicts.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "keys")
 
     def __init__(self, ring: RingSpec, terms: Mapping[tuple, object]):
+        n, pack, of = ring.nvars, ring.layout.monomial, ring.field.of
+        keys = {}
+        for e, c in terms.items():
+            if (not isinstance(e, tuple) or len(e) != n
+                    or any(type(x) is not int or x < 0 for x in e)):
+                raise ValueError(f"exponent {e!r} is not a tuple of {n} nonnegative ints")
+            c = of(c)
+            if c:
+                keys[pack(e)] = c
         self.ring = ring
-        self.terms = dict(terms)
+        self.keys = keys
+
+    @property
+    def terms(self) -> dict:
+        """The exponent tuple of each monomial -> its coefficient, made anew
+        on each read."""
+        exponents = self.ring.layout.exponents
+        return {exponents(k): c for k, c in self.keys.items()}
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.keys
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and next(iter(self.terms)) == self.ring._zero_exp)
+        return not self.keys or (len(self.keys) == 1 and 0 in self.keys)
 
     def total_degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        d = self.ring.layout._deg
+        return max((k >> d & _ONES for k in self.keys), default=-1)
 
     # -- leading data --------------------------------------------------------
 
+    def _lead(self) -> int:
+        """The key of the leading monomial; error on zero."""
+        desc = self.ring.layout.desc
+        return desc ^ min([k ^ desc for k in self.keys])
+
     def leading(self) -> tuple:
         """(exponent tuple, coefficient) of the leading term; error on zero."""
-        key = self.ring.mono_key
-        e = max(self.terms, key=key)
-        return e, self.terms[e]
+        k = self._lead()
+        return self.ring.layout.exponents(k), self.keys[k]
 
     def sorted_terms(self) -> list:
-        """Terms in descending monomial order — the canonical serialization order."""
-        key = self.ring.mono_key
-        return sorted(self.terms.items(), key=lambda kv: key(kv[0]), reverse=True)
+        """(exponent tuple, coefficient) in descending monomial order — the
+        canonical serialization order."""
+        layout, keys = self.ring.layout, self.keys
+        return [(layout.exponents(k), keys[k]) for k in sorted(keys, key=layout.desc.__xor__)]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -298,52 +405,53 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
         p = self.ring.field.char
-        out = dict(self.terms)
+        out = dict(self.keys)
         get = out.get
-        for e, c in other.terms.items():
-            old = get(e)
+        for k, c in other.keys.items():
+            old = get(k)
             if old is None:
-                out[e] = c
+                out[k] = c
                 continue
             s = (old + c) % p if p else old + c
             if s:
-                out[e] = s
+                out[k] = s
             else:
-                del out[e]
+                del out[k]
         return _poly(self.ring, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
         p = self.ring.field.char
-        out = dict(self.terms)
+        out = dict(self.keys)
         get = out.get
-        for e, c in other.terms.items():
-            old = get(e)
+        for k, c in other.keys.items():
+            old = get(k)
             if old is None:
-                out[e] = -c % p if p else -c
+                out[k] = -c % p if p else -c
                 continue
             s = (old - c) % p if p else old - c
             if s:
-                out[e] = s
+                out[k] = s
             else:
-                del out[e]
+                del out[k]
         return _poly(self.ring, out)
 
     def __neg__(self) -> "Poly":
         p = self.ring.field.char
         if p:
-            return _poly(self.ring, {e: -c % p for e, c in self.terms.items()})
-        return _poly(self.ring, {e: -c for e, c in self.terms.items()})
+            return _poly(self.ring, {k: -c % p for k, c in self.keys.items()})
+        return _poly(self.ring, {k: -c for k, c in self.keys.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        p = self.ring.field.char
-        a, b = self.terms, other.terms
+        ring = self.ring
+        p, overflow = ring.field.char, ring.layout.overflow
+        a, b = self.keys, other.keys
         if p:
-            return _poly(self.ring, _coefficients(_product_sums(a, b, {}), 1, p))
+            return _poly(ring, _coefficients(_product_sums(a, b, {}), 1, p, overflow))
         da, db = _denominator(a.values()), _denominator(b.values())
         acc = _product_sums(_numerators(a, da), _numerators(b, db), {})
-        return _poly(self.ring, _coefficients(acc, da * db, 0))
+        return _poly(ring, _coefficients(acc, da * db, 0, overflow))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -360,24 +468,18 @@ class Poly:
     def scale(self, c) -> "Poly":
         field = self.ring.field
         c = field.of(c)
-        if c == field.zero:
-            return Poly(self.ring, {})
-        return Poly(self.ring, {e: field.mul(v, c) for e, v in self.terms.items()})
+        if not c:
+            return _poly(self.ring, {})
+        return _poly(self.ring, {k: field.mul(v, c) for k, v in self.keys.items()})
 
     def mul_term(self, exp: tuple, coeff) -> "Poly":
-        """Multiply by a single term coeff * x^exp (used heavily by reduction)."""
-        field = self.ring.field
-        if coeff == field.zero:
-            return Poly(self.ring, {})
-        return Poly(
-            self.ring,
-            {tuple(a + b for a, b in zip(e, exp)): field.mul(c, coeff) for e, c in self.terms.items()},
-        )
+        """Multiply by a single term coeff * x^exp, for an exponent tuple exp."""
+        return self * Poly(self.ring, {exp: coeff})
 
     def monic(self) -> "Poly":
-        if not self.terms:
+        if not self.keys:
             return self
-        _, lc = self.leading()
+        lc = self.keys[self._lead()]
         if lc == self.ring.field.one:
             return self
         return self.scale(self.ring.field.inv(lc))
@@ -385,10 +487,10 @@ class Poly:
     # -- comparisons / hashing ----------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.ring == other.ring and self.terms == other.terms
+        return isinstance(other, Poly) and self.ring == other.ring and self.keys == other.keys
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self.keys.items())))
 
     def __repr__(self):
         return f"Poly({self})"
@@ -396,7 +498,7 @@ class Poly:
     # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.keys:
             return "0"
         names = self.ring.variables
         pieces = []
@@ -421,12 +523,13 @@ class Poly:
         return out
 
 
-def _poly(ring: RingSpec, terms: dict) -> Poly:
-    """A Poly that takes ownership of `terms`, a fresh dict of nonzero
-    coefficients: no copy is made, unlike Poly(ring, terms)."""
+def _poly(ring: RingSpec, keys: dict) -> Poly:
+    """A Poly that takes ownership of `keys`, a fresh dict of packed
+    monomial keys to nonzero coefficients: no check and no copy is made,
+    unlike Poly(ring, terms)."""
     p = Poly.__new__(Poly)
     p.ring = ring
-    p.terms = terms
+    p.keys = keys
     return p
 
 
@@ -435,31 +538,68 @@ def _denominator(coeffs: Iterable) -> int:
     return math.lcm(*[c.denominator for c in coeffs])
 
 
-def _numerators(terms: dict, d: int) -> dict:
+def _numerators(keys: dict, d: int) -> dict:
     """Fraction coefficients times d, a common denominator, as ints."""
     if d == 1:
-        return {e: c.numerator for e, c in terms.items()}
-    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
+        return {k: c.numerator for k, c in keys.items()}
+    return {k: c.numerator * (d // c.denominator) for k, c in keys.items()}
 
 
 def _product_sums(a: dict, b: dict, acc: dict) -> dict:
-    """acc += a * b on integer coefficients, unreduced; zero sums are kept."""
+    """acc += a * b on integer coefficients, unreduced; zero sums are kept.
+    The key of a product of monomials is the sum of their keys."""
     get = acc.get
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            acc[e] = get(e, 0) + c1 * c2
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
     return acc
 
 
-def _coefficients(acc: dict, d: int, p: int) -> dict:
+def _coefficients(acc: dict, d: int, p: int, overflow: int) -> dict:
     """The nonzero field coefficients of integer sums over the denominator d:
-    s % p over GF(p) (where d is 1), Fraction(s, d) over Q."""
+    s % p over GF(p) (where d is 1), Fraction(s, d) over Q.
+
+    The keys of acc are sums of two keys whose fields are below 2^31, so no
+    field carries into the next, and one that reaches 2^31 has its guard bit
+    set: CapExceededError when the or of the keys has an `overflow` bit.
+    """
+    if reduce(or_, acc, 0) & overflow:
+        raise _overflowed()
     if p:
-        return {e: r for e, s in acc.items() if (r := s % p)}
+        return {k: r for k, s in acc.items() if (r := s % p)}
     if d == 1:
-        return {e: Fraction(s) for e, s in acc.items() if s}
-    return {e: Fraction(s, d) for e, s in acc.items() if s}
+        return {k: Fraction(s) for k, s in acc.items() if s}
+    return {k: Fraction(s, d) for k, s in acc.items() if s}
+
+
+def _add_scaled(target: dict, vp: dict, q: int, coeff, field, overflow: int,
+                born: Optional[list] = None) -> None:
+    """target += vp * (coeff * x^q), in place, for the monomial key q, where
+    target and vp map keys to coefficients: the keys of a Poly, or the term
+    keys of a vector flattened by the Groebner engine.
+
+    A key absent from target is a new term.  Each is tested against the
+    `overflow` guard bits, a test that is exact because both addends have
+    every field below 2^31, and appended to `born` when it is given.
+    """
+    get = target.get
+    p = field.char
+    for k, c in vp.items():
+        key = k + q
+        old = get(key)
+        if old is None:
+            if key & overflow:
+                raise _overflowed()
+            target[key] = c * coeff % p if p else c * coeff
+            if born is not None:
+                born.append(key)
+        else:
+            s = (old + c * coeff) % p if p else old + c * coeff
+            if s:
+                target[key] = s
+            else:
+                del target[key]
 
 
 def _coeff_string(c) -> tuple:
@@ -580,7 +720,7 @@ class _Parser:
             while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
                 self.pos += 1
             name = self.text[start:self.pos]
-            if name not in self.ring._var_index:
+            if name not in self.ring._var_keys:
                 raise ParseError(f"unknown variable {name!r}", start)
             return self.ring.var(name)
         raise ParseError("expected a coefficient, variable, or '('", self.pos)
@@ -604,7 +744,7 @@ class _Parser:
 
 def is_unit(a: Poly) -> bool:
     """Units of a polynomial ring over a field: nonzero constants."""
-    return bool(a.terms) and a.is_constant()
+    return bool(a.keys) and a.is_constant()
 
 
 def exact_division(numer: Poly, denom: Poly):
@@ -612,24 +752,26 @@ def exact_division(numer: Poly, denom: Poly):
 
     Plain long division by a single divisor: whenever denom | numer the
     leading term of the running remainder stays divisible, so a single
-    non-divisible leading term proves inexactness.
+    non-divisible leading term proves inexactness.  Divisibility is the
+    guard-bit test of `_Terms`, and a quotient term's key is the difference
+    of the keys.
     """
     if denom.is_zero():
         return None
     ring = numer.ring
     if denom.ring != ring:
         raise RingMismatchError("division across different rings")
-    field = ring.field
-    de, dc = denom.leading()
-    dinv = field.inv(dc)
-    rem = Poly(ring, numer.terms)
+    field, layout = ring.field, ring.layout
+    desc, guard = layout.desc, layout.guard
+    dk = denom._lead()
+    dinv = field.inv(denom.keys[dk])
+    rem = dict(numer.keys)
     q: dict = {}
-    while not rem.is_zero():
-        re, rc = rem.leading()
-        if any(a < b for a, b in zip(re, de)):
+    while rem:
+        rk = desc ^ min([k ^ desc for k in rem])
+        if ((rk | guard) - dk) & guard != guard:
             return None
-        qe = tuple(a - b for a, b in zip(re, de))
-        qc = field.mul(rc, dinv)
-        q[qe] = qc
-        rem = rem - denom.mul_term(qe, qc)
-    return Poly(ring, q)
+        qk = rk - dk
+        qc = q[qk] = field.mul(rem[rk], dinv)
+        _add_scaled(rem, denom.keys, qk, field.neg(qc), field, layout.overflow)
+    return _poly(ring, q)

@@ -5,20 +5,22 @@ flattened to a dict mapping a term key -> coefficient, and the term order is
 position-over-term (lower position wins, then the ring's monomial order).
 Ideals are the r = 1 case.
 
-A term key is one int, packed by `_Terms`: the position in the top bits,
-then one 32-bit field for the total degree and one per variable, laid out
-per monomial order so that comparing keys compares terms.  A term times a
-monomial is the sum of their keys; whether one term divides another of the
-same position is one masked subtraction on the guard bits, the top bit of
-each variable's field; and the key `k ^ desc` ascends as terms descend, so
-a min-heap of plain ints pops the largest term first.  Keys are made only
-where vectors of Poly enter the engine (`_vp_from_column`, which takes a
-sparse column, a mapping of positions to Poly, and `_vp_from_vector`) and
-turned back into exponent tuples where they leave it (`_column_from_vp`
-and `_vector_from_vp`).  Every exponent and total degree must stay below
-2^31, so that no field carries into the next: a vector beyond that is
-refused on entry, and a product whose new term reaches it raises
-CapExceededError, never a wrapped key.
+A term key is one int: the position in the top bits above the packed
+monomial key of `arith._Terms`, the ring's `layout`, with one 32-bit field
+for the total degree and one per variable, laid out per monomial order so
+that comparing keys compares terms.  A term times a monomial is the sum of
+their keys; whether one term divides another of the same position is one
+masked subtraction on the guard bits, the top bit of each variable's field;
+and the key `k ^ desc` ascends as terms descend, so a min-heap of plain ints
+pops the largest term first.  A Poly holds the same keys at position 0, so
+a vector enters the engine by a shift of each entry's keys to its position
+(`_vp_from_column`, which takes a sparse column, a mapping of positions to
+Poly, and `_vp_from_vector`) and leaves it by masking the position off
+(`_column_from_vp` and `_vector_from_vp`); at rank 1 a Poly's keys are its
+vector as they are.  Every exponent and total degree stays below 2^31, so
+that no field carries into the next: every Poly is within that bound, and a
+reduction or S-vector whose new term reaches it raises CapExceededError,
+never a wrapped key.
 
 Everything here is exact and deterministic: pair selection uses the normal
 strategy with a fixed tie-break, reduced bases are canonical (monic,
@@ -65,9 +67,11 @@ from itertools import combinations
 from math import gcd
 from typing import Mapping, Optional, Sequence
 
-from .arith import Poly, RingMismatchError, RingSpec, _poly
+from .arith import (CapExceededError, Poly, RingMismatchError, RingSpec, _add_scaled, _poly,
+                    _Terms)
 
 __all__ = [
+    "CapExceededError",
     "IdealBasis",
     "SubmoduleBasis",
     "groebner_basis",
@@ -83,130 +87,6 @@ __all__ = [
 ]
 
 
-class CapExceededError(RuntimeError):
-    """A bounded search (annihilating power, determinant exponent) ran out of
-    cap, or an exponent or total degree reached 2^31, the bound of the
-    Groebner engine's packed term keys."""
-
-
-# ---------------------------------------------------------------------------
-# packed term keys
-# ---------------------------------------------------------------------------
-
-_FIELD = 32
-_ONES = (1 << _FIELD) - 1
-_LIMIT = 1 << (_FIELD - 1)  # every exponent and total degree stays below this
-_MEMO = 1 << 16  # entries a memo of `_Terms` holds before it starts afresh
-
-
-class _Terms:
-    """Packed term keys of A^r for one number of variables and monomial order.
-
-    The key of x^e at position pos is (pos << shift) | fields, with one
-    32-bit field for the total degree and one per variable, most
-    significant first:
-
-        grevlex   deg | e_n | ... | e_1
-        grlex     deg | e_1 | ... | e_n
-        lex       e_1 | ... | e_n | deg
-
-    Under grlex and lex the fields, read as one int, compare as the
-    monomials do.  Grevlex compares (deg, -e_n, ..., -e_1), so there the
-    variable fields compare complemented: `m ^ asc` orders monomials
-    ascending, and `k ^ desc`, which complements the degree field under
-    grevlex and every field otherwise, orders keys by position and then by
-    descending term.  That is position over term reversed: a min-heap of
-    `k ^ desc` pops the largest term first.
-
-    While every field is below 2^31, its top bit is a guard.  k + m is the
-    key of the term times the monomial, with no carry between fields.
-    ((t | guard) - lt) & guard == guard, with `guard` the guard bits of the
-    variable fields, holds exactly when every exponent of t is at least
-    lt's: a variable field can borrow only from the degree field, which lies
-    below one only under lex, and only when t has the smaller degree and so
-    some smaller exponent.
-    """
-
-    __slots__ = ("shift", "mono", "desc", "asc", "guard", "overflow", "_deg", "_offsets",
-                 "_vars", "_spread", "_top", "_keys", "_exps")
-
-    def __init__(self, nvars: int, order: str):
-        if order == "lex":
-            deg, offsets = 0, [_FIELD * (nvars - i) for i in range(nvars)]
-        elif order == "grlex":
-            deg, offsets = _FIELD * nvars, [_FIELD * (nvars - 1 - i) for i in range(nvars)]
-        else:
-            deg, offsets = _FIELD * nvars, [_FIELD * i for i in range(nvars)]
-        self.shift = _FIELD * (nvars + 1)
-        self.mono = (1 << self.shift) - 1
-        self.desc = _ONES << deg if order == "grevlex" else self.mono
-        self.asc = self.desc ^ self.mono
-        self.guard = sum(_LIMIT << o for o in offsets)
-        self.overflow = self.guard | _LIMIT << deg
-        self._deg = deg
-        self._offsets = offsets
-        self._vars = sum(_ONES << o for o in offsets)
-        self._spread = sum(1 << o for o in offsets)
-        self._top = min(offsets) + max(offsets)
-        self._keys: dict = {}  # exponent tuple -> monomial key
-        self._exps: dict = {}  # monomial key -> exponent tuple
-
-    def monomial(self, e: tuple) -> int:
-        """The key of x^e at position 0; CapExceededError from degree 2^31."""
-        m = self._keys.get(e)
-        if m is None:
-            d = sum(e)
-            if d >= _LIMIT:
-                raise CapExceededError(f"total degree {d} is 2^31 or more, beyond the Groebner "
-                                       "engine's term keys")
-            m = d << self._deg
-            for x, o in zip(e, self._offsets):
-                m |= x << o
-            if len(self._keys) >= _MEMO:
-                self._keys.clear()
-            self._keys[e] = m
-        return m
-
-    def exponents(self, k: int) -> tuple:
-        """The exponent tuple of the key k, at any position."""
-        m = k & self.mono
-        e = self._exps.get(m)
-        if e is None:
-            e = tuple((m >> o) & _ONES for o in self._offsets)
-            if len(self._exps) >= _MEMO:
-                self._exps.clear()
-            self._exps[m] = e
-        return e
-
-    def lcm(self, a: int, b: int) -> int:
-        """The lcm of two keys at the same position.
-
-        Its degree field is summed anew and may reach 2^31, never 2^32; the
-        key of a term it makes in an S-vector is then refused as overflow.
-        """
-        ea, eb = a & self._vars, b & self._vars
-        a_ge = ((ea | self.guard) - eb) & self.guard  # guard bit: a's exponent >= b's
-        take = (a_ge >> (_FIELD - 1)) * (_LIMIT - 1)
-        e = (ea & take) | (eb & ~take)
-        # the field of e * spread at offset `top` is the sum of e's fields;
-        # each partial sum is at most that, below 2^32, so none carries
-        d = (e * self._spread >> self._top) & _ONES
-        return (a & ~self.mono) | d << self._deg | e
-
-
-_TERMS: dict = {}  # (number of variables, order) -> _Terms, shared by equal layouts
-
-
-def _terms(ring: RingSpec) -> _Terms:
-    t = ring._term_keys
-    if t is None:
-        t = _TERMS.get((ring.nvars, ring.order))
-        if t is None:
-            t = _TERMS[(ring.nvars, ring.order)] = _Terms(ring.nvars, ring.order)
-        ring._term_keys = t
-    return t
-
-
 # ---------------------------------------------------------------------------
 # flattened vector-polynomial helpers
 # ---------------------------------------------------------------------------
@@ -214,17 +94,8 @@ def _terms(ring: RingSpec) -> _Terms:
 def _vp_from_column(col: Mapping[int, Poly], ring: RingSpec) -> dict:
     """The flattened vector of a sparse column: a mapping of positions to Poly,
     in which a missing position is zero."""
-    terms = _terms(ring)
-    shift, get = terms.shift, terms._keys.get
-    vp = {}
-    for pos, p in col.items():
-        base = pos << shift
-        for e, c in p.terms.items():
-            m = get(e)
-            if m is None:
-                m = terms.monomial(e)
-            vp[base | m] = c
-    return vp
+    shift = ring.layout.shift
+    return {pos << shift | k: c for pos, p in col.items() for k, c in p.keys.items()}
 
 
 def _vp_from_vector(vec: Sequence[Poly], ring: RingSpec) -> dict:
@@ -235,8 +106,7 @@ def _column_from_vp(vp: dict, ring: RingSpec, head: int = 0) -> Optional[dict]:
     """The sparse column of the terms of vp, each position moved down by head,
     mapping a position to its nonzero Poly; None when vp has a term at a
     position below head."""
-    terms = _terms(ring)
-    shift, mono, get = terms.shift, terms.mono, terms._exps.get
+    shift, mono = ring.layout.shift, ring.layout.mono
     polys: dict = {}
     for k, c in vp.items():
         pos = (k >> shift) - head
@@ -245,7 +115,7 @@ def _column_from_vp(vp: dict, ring: RingSpec, head: int = 0) -> Optional[dict]:
         t = polys.get(pos)
         if t is None:
             t = polys[pos] = {}
-        t[get(k & mono) or terms.exponents(k)] = c
+        t[k & mono] = c
     return {pos: _poly(ring, t) for pos, t in polys.items()}
 
 
@@ -259,34 +129,6 @@ def _vector_from_vp(vp: dict, ring: RingSpec, rank: int, head: int = 0) -> tuple
     return tuple(col.get(i) or _poly(ring, {}) for i in range(rank))
 
 
-def _add_scaled(target: dict, vp: dict, q: int, coeff, field, overflow: int,
-                born: Optional[list] = None) -> None:
-    """target += vp * (coeff * x^q), in place, for the monomial key q.
-
-    A key absent from target is a new term.  Each is tested against the
-    `overflow` guard bits, a test that is exact because both addends have
-    every field below 2^31, and appended to `born` when it is given.
-    """
-    get = target.get
-    p = field.char
-    for k, c in vp.items():
-        key = k + q
-        old = get(key)
-        if old is None:
-            if key & overflow:
-                raise CapExceededError("an exponent or total degree reached 2^31, beyond the "
-                                       "Groebner engine's term keys")
-            target[key] = c * coeff % p if p else c * coeff
-            if born is not None:
-                born.append(key)
-        else:
-            s = (old + c * coeff) % p if p else old + c * coeff
-            if s:
-                target[key] = s
-            else:
-                del target[key]
-
-
 def _vp_canonical(vp: dict) -> tuple:
     return tuple(sorted(vp.items()))
 
@@ -296,12 +138,12 @@ class _Element:
 
     __slots__ = ("vp", "lt", "lc", "lt_pos")
 
-    def __init__(self, vp: dict, terms: _Terms):
-        desc = terms.desc
+    def __init__(self, vp: dict, layout: _Terms):
+        desc = layout.desc
         self.vp = vp
         self.lt = desc ^ min([k ^ desc for k in vp])
         self.lc = vp[self.lt]
-        self.lt_pos = self.lt >> terms.shift
+        self.lt_pos = self.lt >> layout.shift
 
 
 def _cofactors(a, b, p: int) -> tuple:
@@ -325,10 +167,10 @@ def _integral(vp: dict) -> dict:
     return {t: c.numerator * (den // c.denominator) for t, c in vp.items()}
 
 
-def _unit_normal(vp: dict, terms: _Terms, p: int) -> _Element:
+def _unit_normal(vp: dict, layout: _Terms, p: int) -> _Element:
     """The element for vp in Buchberger's working form: monic over GF(p); over
     Q an integer vector with content 1 and a positive leading coefficient."""
-    e = _Element(vp, terms)
+    e = _Element(vp, layout)
     if p:
         if e.lc != 1:
             inv = pow(e.lc, -1, p)
@@ -373,8 +215,8 @@ def _nf_vp(vp: dict, basis: Sequence[_Element], ring: RingSpec, want_cert: bool 
     """
     field = ring.field
     p = field.char
-    terms = _terms(ring)
-    desc, guard, shift, overflow = terms.desc, terms.guard, terms.shift, terms.overflow
+    layout = ring.layout
+    desc, guard, shift, overflow = layout.desc, layout.guard, layout.shift, layout.overflow
     if by_pos is None:
         by_pos = _by_position(basis)
     work = dict(vp)
@@ -460,12 +302,12 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
     field = ring.field
     p = field.char
     one = field.one
-    terms = _terms(ring)
-    desc, asc, guard, mono, overflow = terms.desc, terms.asc, terms.guard, terms.mono, terms.overflow
+    layout = ring.layout
+    desc, asc, guard, mono, overflow = layout.desc, layout.asc, layout.guard, layout.mono, layout.overflow
     want_basis = head is None
     if want_basis:
         head = rank
-    offset = head << terms.shift
+    offset = head << layout.shift
 
     G: list = []
     by_pos: dict = {}  # `_by_position(G)`, grown with G
@@ -474,14 +316,14 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
     queue: list = []  # min-heap of (ascending lcm monomial, (i, j)) over exactly the pairs in `pairs`
 
     def add_elem(vp: dict):
-        g = _unit_normal(vp, terms, p)
+        g = _unit_normal(vp, layout, p)
         if g.lt_pos >= head:
             syz.append(_field_vp({k - offset: c for k, c in g.vp.items()}, g.lc, p, one))
             return
         gi = len(G)
         same = by_pos.setdefault(g.lt_pos, [])
         for i, h in same:
-            lcm = terms.lcm(h.lt, g.lt)
+            lcm = layout.lcm(h.lt, g.lt)
             pairs[(i, gi)] = lcm
             heappush(queue, ((lcm & mono) ^ asc, (i, gi)))
         same.append((gi, g))
@@ -542,7 +384,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
         others = [h for k, h in enumerate(minimal) if k != idx]
         rem, _ = _nf_vp(g.vp, others, ring)
         if rem:
-            e = _unit_normal(rem, terms, p)
+            e = _unit_normal(rem, layout, p)
             e.vp = _field_vp(e.vp, e.lc, p, one)
             e.lc = one
             reduced.append(e)
@@ -583,25 +425,25 @@ class IdealBasis:
 
     def _gb_elements(self) -> list:
         if self._gb is None:
-            vps = [_vp_from_vector((g,), self.ring) for g in self.generators if not g.is_zero()]
-            self._gb = _compute_gb(self.ring, 1, vps)
+            # at rank 1 a Poly's keys are its flattened vector
+            self._gb = _compute_gb(self.ring, 1, [g.keys for g in self.generators if g.keys])
         return self._gb
 
     @property
     def reduced_gb(self) -> tuple:
-        return tuple(_vector_from_vp(e.vp, self.ring, 1)[0] for e in self._gb_elements())
+        return tuple(_poly(self.ring, e.vp) for e in self._gb_elements())
 
     def _checked_vp(self, f: Poly) -> dict:
         if f.ring != self.ring:
             raise RingMismatchError("polynomial ring does not match the ideal's ring")
-        return _vp_from_vector((f,), self.ring)
+        return f.keys
 
     def nf(self, f: Poly, want_cert: bool = False):
         rem, cert = _nf_vp(self._checked_vp(f), self._gb_elements(), self.ring, want_cert)
-        rpoly = _vector_from_vp(rem, self.ring, 1)[0]
+        rpoly = _poly(self.ring, rem)
         if not want_cert:
             return rpoly, None
-        return rpoly, [_vector_from_vp(c, self.ring, 1)[0] for c in cert]
+        return rpoly, [_poly(self.ring, c) for c in cert]
 
     def contains(self, f: Poly) -> bool:
         vp = self._checked_vp(f)
@@ -683,7 +525,8 @@ class SubmoduleBasis:
         rvec = _vector_from_vp(rem, self.ring, self.ambient_rank)
         if not want_cert:
             return rvec, None
-        return rvec, [_vector_from_vp(c, self.ring, 1)[0] for c in cert]
+        # a quotient term is the difference of two keys at one position
+        return rvec, [_poly(self.ring, c) for c in cert]
 
     def contains_vector(self, vec) -> bool:
         """Whether vec, a sequence of Poly or a sparse column dict, lies in the
@@ -759,7 +602,7 @@ def _graph_module(cols: Sequence[dict], rels: Sequence[dict], ring: RingSpec, ra
     rel ⊕ 0.  An element (v, t) has v ≡ Σ t_j·col_j modulo rels, so the tail
     t records which combination of the columns the head v is.
     """
-    shift, one = _terms(ring).shift, ring.field.one
+    shift, one = ring.layout.shift, ring.field.one
     return [{**vp, (rank + j) << shift: one} for j, vp in enumerate(cols)] + \
         [vp for vp in rels if vp]
 
@@ -794,11 +637,11 @@ def _kernel_and_image(cols: Sequence[Sequence[Poly]], ring: RingSpec, rank: int)
     from one uncached Buchberger run on its graph module: the flattened
     kernel generators, unreduced, and a Groebner basis of the image, the
     heads of that run's basis, as elements for `_nf_vp` (see `_buchberger`)."""
-    terms = _terms(ring)
+    layout = ring.layout
     graph = _graph_module([_vp_from_vector(v, ring) for v in cols], (), ring, rank)
     kernel, basis = _buchberger(graph, ring, rank + len(cols), head=rank)
-    bound = rank << terms.shift  # the least key at position rank
-    return kernel, [_Element({k: c for k, c in g.vp.items() if k < bound}, terms) for g in basis]
+    bound = rank << layout.shift  # the least key at position rank
+    return kernel, [_Element({k: c for k, c in g.vp.items() if k < bound}, layout) for g in basis]
 
 
 def _kernel(rows: Sequence[Sequence[Poly]], ring: Optional[RingSpec], source_rank: Optional[int],
@@ -855,9 +698,9 @@ def submodule_from_reduced_gb(ring: RingSpec, rank: int, vectors: Sequence[Seque
     output of `syzygies`; normal forms against the result are then
     certified directly in these generators.
     """
-    terms = _terms(ring)
+    layout = ring.layout
     sb = SubmoduleBasis(ring, rank, vectors)
-    sb._gb = [_Element(_vp_from_vector(v, ring), terms) for v in sb.generators]
+    sb._gb = [_Element(_vp_from_vector(v, ring), layout) for v in sb.generators]
     return sb
 
 
@@ -915,7 +758,7 @@ def ideal_dimension(I: IdealBasis) -> int:
     if I.contains_one():
         raise ValueError("unit ideal has no staircase dimension")
     n = I.ring.nvars
-    exponents = _terms(I.ring).exponents
+    exponents = I.ring.layout.exponents
     supports = {frozenset(i for i, x in enumerate(exponents(e.lt)) if x > 0) for e in I._gb_elements()}
     for size in range(n, -1, -1):
         for U in combinations(range(n), size):

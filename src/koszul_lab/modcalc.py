@@ -111,7 +111,7 @@ class FreeMap:
             for col, p in zip(cols, r):
                 if p.ring is not ring and p.ring != ring:
                     raise ValueError("entry ring mismatch")
-                if p.terms:
+                if p.keys:
                     col[i] = p
         self.ring = ring
         self.target_rank = target_rank
@@ -141,7 +141,7 @@ class FreeMap:
                 raise ValueError("column length mismatch")
             if any(p.ring != ring for p in c):
                 raise ValueError("entry ring mismatch")
-            out.append({i: p for i, p in enumerate(c) if p.terms})
+            out.append({i: p for i, p in enumerate(c) if p.keys})
         return _freemap(ring, target_rank, out)
 
     @classmethod
@@ -150,7 +150,7 @@ class FreeMap:
         diag = tuple(diag)
         if any(g.ring != ring for g in diag):
             raise ValueError("entry ring mismatch")
-        return _freemap(ring, len(diag), [{i: g} if g.terms else {} for i, g in enumerate(diag)])
+        return _freemap(ring, len(diag), [{i: g} if g.keys else {} for i, g in enumerate(diag)])
 
     @classmethod
     def scalar(cls, ring: RingSpec, g: Poly, n: int) -> "FreeMap":
@@ -218,9 +218,10 @@ class FreeMap:
         column j of other (Gustavson, ACM TOMS 1978).
 
         Each output entry sums its products term by term in one dict of
-        ints, for both fields.  Over Q each row i of self is scaled to
-        integers by the lcm D_i of its denominators and each column j of
-        other by E_j, so entry (i, j) is made once per term, as
+        ints, for both fields, keyed by packed monomial keys: the key of a
+        product of terms is the sum of theirs.  Over Q each row i of self
+        is scaled to integers by the lcm D_i of its denominators and each
+        column j of other by E_j, so entry (i, j) is made once per term, as
         Fraction(s, D_i·E_j) from the integer sum s; over GF(p) it is s % p.
         """
         if self.source_rank != other.target_rank:
@@ -228,30 +229,30 @@ class FreeMap:
         if self.ring != other.ring and self.target_rank and self.source_rank and other.source_rank:
             raise RingMismatchError(f"ring mismatch: {self.ring!r} vs {other.ring!r}")
         ring = self.ring
-        p = ring.field.char
-        # the nonzero entries of each column of self, in integers: [(row, terms)]
+        p, overflow = ring.field.char, ring.layout.overflow
+        # the nonzero entries of each column of self, in integers: [(row, keys)]
         if p:
             row_den = None
-            left = [[(i, a.terms) for i, a in c.items()] for c in self.cols]
+            left = [[(i, a.keys) for i, a in c.items()] for c in self.cols]
         else:
             row_den = [1] * self.target_rank
             for c in self.cols:
                 for i, a in c.items():
-                    row_den[i] = lcm(row_den[i], _denominator(a.terms.values()))
-            left = [[(i, _numerators(a.terms, row_den[i])) for i, a in c.items()] for c in self.cols]
+                    row_den[i] = lcm(row_den[i], _denominator(a.keys.values()))
+            left = [[(i, _numerators(a.keys, row_den[i])) for i, a in c.items()] for c in self.cols]
         out = []
         for bcol in other.cols:
-            e = 1 if p else _denominator(c for b in bcol.values() for c in b.terms.values())
+            e = 1 if p else _denominator(c for b in bcol.values() for c in b.keys.values())
             acc: dict = {}  # output row -> integer sums
             for k, b in bcol.items():
-                right = b.terms if p else _numerators(b.terms, e)
-                for i, aterms in left[k]:
-                    _product_sums(aterms, right, acc.setdefault(i, {}))
+                right = b.keys if p else _numerators(b.keys, e)
+                for i, akeys in left[k]:
+                    _product_sums(akeys, right, acc.setdefault(i, {}))
             col = {}
             for i, sums in acc.items():
-                terms = _coefficients(sums, 1 if p else row_den[i] * e, p)
-                if terms:
-                    col[i] = _poly(ring, terms)
+                keys = _coefficients(sums, 1 if p else row_den[i] * e, p, overflow)
+                if keys:
+                    col[i] = _poly(ring, keys)
             out.append(col)
         return _freemap(ring, self.target_rank, out)
 
@@ -272,7 +273,7 @@ class FreeMap:
         # A is a domain: g·p is zero only when g is
         if g.ring != self.ring:
             raise RingMismatchError(f"ring mismatch: {self.ring!r} vs {g.ring!r}")
-        if not g.terms:
+        if not g.keys:
             return FreeMap.zero(self.ring, self.target_rank, self.source_rank)
         return _freemap(self.ring, self.target_rank,
                         [{i: g * p for i, p in c.items()} for c in self.cols])
@@ -328,7 +329,7 @@ def _plus(a: FreeMap, b: FreeMap, negate: bool) -> FreeMap:
                 c[i] = -q if negate else q
                 continue
             s = p - q if negate else p + q
-            if s.terms:
+            if s.keys:
                 c[i] = s
             else:
                 del c[i]
@@ -584,7 +585,7 @@ def fitting_ideal(m: FreeMap, t: int) -> IdealBasis:
             if d.is_zero():
                 continue
             mine = d.monic()
-            key = tuple(sorted(mine.terms.items()))
+            key = tuple(sorted(mine.keys.items()))
             if key not in seen:
                 seen.add(key)
                 gens.append(d)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from koszul_lab.arith import (
     MONOMIAL_ORDERS,
+    CapExceededError,
     ParseError,
     Poly,
     RingMismatchError,
@@ -63,6 +64,35 @@ def test_ring_mismatch_raises():
         P("x") + P("x", F7)
     with pytest.raises(RingMismatchError):
         P("x") * P("x", RingSpec("Q", ("x", "y"), order="lex"))
+
+
+@pytest.mark.parametrize("spec,message", [
+    (0, "must be prime"), (1, "must be prime"), (4, "must be prime"), (-3, "must be prime"),
+    (True, "must be prime"), ("GF(7)", "unsupported field spec"),
+    (2.0, "unsupported field spec"),
+])
+def test_field_spec_is_refused(spec, message):
+    # 0 is not a way to ask for Q, and a bool is not a characteristic
+    with pytest.raises(ValueError, match=message):
+        RingSpec(spec, ("x",))
+    assert RingSpec(2, ("x",)).field.char == 2
+
+
+def test_poly_constructor_checks_its_exponent_tuples():
+    # a packed exponent that is negative or out of place would borrow from
+    # or land in a neighbouring field of the key, so it is refused
+    x, _ = Q2.gens()
+    for bad in [(1,), (1, 0, 0), (-1, 2), (1.0, 0), ("1", 0)]:
+        with pytest.raises(ValueError):
+            Poly(Q2, {bad: Fraction(1)})
+    zero = Poly(Q2, {(1, 0): Fraction(0)})
+    assert zero.is_zero() and zero == Q2.zero() and str(zero) == "0"
+    assert Poly(Q2, {(1, 0): Fraction(1)}) == x
+    assert str(Poly(Q2, {(1, 0): Fraction(1)}) + x) == "2*x"
+    # coefficients are brought into the field, as every operation keeps them
+    assert Poly(F7, {(1, 0): 9}) == F7.var("x").scale(2)
+    assert Poly(F7, {(1, 0): 7}).is_zero()
+    assert type(Poly(Q2, {(1, 0): 1}).terms[(1, 0)]) is Fraction
 
 
 # --------------------------------------------------------------------------
@@ -191,6 +221,31 @@ def test_leading_term_respects_ring_order():
     assert p_lex.leading()[0] == (1, 0)
 
 
+@st.composite
+def ordered_polys(draw, ring):
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * ring.nvars),
+                                 st.integers(-5, 5).filter(bool), max_size=5))
+    return Poly(ring, {e: ring.field.of(c) for e, c in terms.items()})
+
+
+@given(st.sampled_from(sorted(MONOMIAL_ORDERS)), st.sampled_from(["Q", 101]), st.data())
+def test_packed_order_is_the_reference_order(order, field, data):
+    # leading terms, sorted terms and degrees come from the packed keys;
+    # MONOMIAL_ORDERS on exponent tuples is the reference they must match
+    ring = RingSpec(field, ("x", "y", "z"), order)
+    a, b, c = (data.draw(ordered_polys(ring)) for _ in range(3))
+    p = a * b + c  # keys made by key arithmetic, not only by packing
+    assert [e for e, _ in p.sorted_terms()] == sorted(p.terms, key=ring.mono_key, reverse=True)
+    assert [coef for _, coef in p.sorted_terms()] == [p.terms[e] for e, _ in p.sorted_terms()]
+    if not p.is_zero():
+        top = max(p.terms, key=ring.mono_key)
+        assert p.leading() == (top, p.terms[top])
+    assert Poly(ring, p.terms) == p
+    assert p.total_degree() == max((sum(e) for e in p.terms), default=-1)
+    if not b.is_zero():
+        assert exact_division(a * b, b) == a
+
+
 # --------------------------------------------------------------------------
 # printing / parsing
 # --------------------------------------------------------------------------
@@ -266,3 +321,24 @@ def test_is_unit():
 def test_monic():
     assert P("2*x + 2*y").monic() == P("x + y")
     assert P("0").monic().is_zero()
+
+
+# --------------------------------------------------------------------------
+# the bound of the packed keys
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ring", [Q2, F7, Q2.with_order("lex"), Q2.with_order("grlex")])
+def test_every_polynomial_keeps_exponents_below_two_to_the_31(ring):
+    # the fields of a monomial key are 32 bits wide and keep the top bit as
+    # a guard, so 2^31 bounds every exponent and total degree of every
+    # polynomial, not only of those that reach the Groebner engine
+    x, y = ring.gens()
+    top = parse_poly("x^2147483647", ring)
+    assert top.total_degree() == 2 ** 31 - 1
+    assert str(top) == "x^2147483647"
+    assert top.leading()[0] == (2 ** 31 - 1, 0)
+    for beyond in (lambda: top * x, lambda: y * top, lambda: top.mul_term((0, 1), ring.field.one),
+                   lambda: parse_poly("x^2147483648", ring),
+                   lambda: Poly(ring, {(2 ** 31, 0): ring.field.one})):
+        with pytest.raises(CapExceededError, match=r"2\^31"):
+            beyond()

@@ -538,6 +538,9 @@ CROSS_ORDER_CASES = [
     ("resolve_typ_x2yz", ["resolve"], "resolve_typ_x2yz.json", 0),
     ("resolve_chain", ["resolve"], "resolve_chain.json", 0),
     ("resolve_chain_broken_square", ["resolve"], "resolve_chain_broken_square.json", 2),
+    # x^(2^31) is beyond the packed monomial keys of every polynomial, so even
+    # a command that never reaches the Groebner engine ends in a cap error
+    ("typical_overflow", ["typical"], "typical_overflow.json", 3),
 ]
 
 FIXED_ORDER_CASES = [

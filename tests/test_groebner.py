@@ -404,7 +404,7 @@ def _random_vector(rng, ring, rank, terms, max_exp):
 @pytest.mark.parametrize("rank", [1, 3])
 def test_nf_vp_matches_reference(field, order, rank):
     import random
-    from koszul_lab.groebner import _Element, _nf_vp, _terms, _vp_from_vector
+    from koszul_lab.groebner import _Element, _nf_vp, _vp_from_vector
     ring = RingSpec(field, ("x", "y", "z"), order)
     rng = random.Random(f"nf-{field}-{order}-{rank}")
     for _ in range(12):
@@ -413,7 +413,7 @@ def test_nf_vp_matches_reference(field, order, rank):
         linear = [_random_vector(rng, ring, rank, terms=3, max_exp=1) for _ in range(rng.randint(1, 3))]
         quadratic = [_random_vector(rng, ring, rank, terms=3, max_exp=2) for _ in range(rng.randint(1, 3))]
         gb = SubmoduleBasis(ring, rank, linear)._gb_elements()
-        raw = [_Element(_vp_from_vector(g, ring), _terms(ring)) for g in quadratic
+        raw = [_Element(_vp_from_vector(g, ring), ring.layout) for g in quadratic
                if any(not p.is_zero() for p in g)]
         for basis in (gb, raw):
             ref = [_RefElement(_decoded(b.vp, ring, rank), ring) for b in basis]
@@ -447,9 +447,8 @@ def test_packed_keys_follow_position_over_term(case):
     # one packed int per term: its heap key orders terms as position over
     # term under MONOMIAL_ORDERS; a product is a sum of keys; the guard-bit
     # test is componentwise <=; and a key unpacks to its term
-    from koszul_lab.groebner import _terms
     nvars, order, (p1, e1), (p2, e2), m = case
-    terms = _terms(RingSpec("Q", [f"x{i}" for i in range(nvars)], order))
+    terms = RingSpec("Q", [f"x{i}" for i in range(nvars)], order).layout
     mono = MONOMIAL_ORDERS[order]
     key = lambda pos, e: pos << terms.shift | terms.monomial(e)
     k1, k2, km = key(p1, e1), key(p2, e2), terms.monomial(m)

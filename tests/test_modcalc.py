@@ -185,6 +185,19 @@ def test_min_annihilating_power():
         min_annihilating_power(Y, cyclic("x"), 3)
 
 
+def test_compose_refuses_an_exponent_of_two_to_the_31():
+    # compose adds the packed keys of its entries, so it keeps the bound that
+    # every product of polynomials keeps: 2^31 is a cap error
+    for ring in (Q2, RingSpec(101, ("x", "y")), Q2.with_order("lex")):
+        x, y = ring.gens()
+        top = FreeMap(ring, [[parse_poly("1/2*x^2147483647", ring), x]])
+        below = FreeMap(ring, [[ring.one()], [y]])
+        assert top.compose(below) == FreeMap(ring, [[parse_poly("1/2*x^2147483647 + x*y", ring)]])
+        for beyond in (x, y, parse_poly("1/3*x*y", ring)):
+            with pytest.raises(CapExceededError, match=r"2\^31"):
+                top.compose(FreeMap(ring, [[beyond], [ring.zero()]]))
+
+
 def test_submodule_equal():
     a = SubmoduleBasis(Q2, 2, [(X, ZERO), (ZERO, Y)])
     b = SubmoduleBasis(Q2, 2, [(X, Y), (ZERO, Y)])
