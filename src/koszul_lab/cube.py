@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
 from .arith import RingSpec, is_unit
-from .groebner import SubmoduleBasis, _preimage, syzygies
+from .groebner import SubmoduleBasis, _preimage
 from .modcalc import (
     Complex,
     FPModule,
@@ -30,6 +30,7 @@ from .modcalc import (
     _congruent,
     _factor_through,
     _freemap,
+    _kernel,
     _nonzero_homology_degree,
     _preserves_relations,
     determinant_of_square,
@@ -227,7 +228,7 @@ def _require_valid(x: Cube) -> None:
 
 def _require_free(x: Cube) -> None:
     """Raise ValueError unless x is a valid cube of free modules."""
-    if any(M.relations.generators for M in x.vertices.values()):
+    if any(M.relations.cols for M in x.vertices.values()):
         raise ValueError("expected a cube of free modules, but a vertex carries relations")
     _require_valid(x)
 
@@ -343,7 +344,7 @@ def _h0_modcube(x: Cube, k: str) -> Cube:
     for T in sub:
         amb = x.vertices[T]
         dk = x.d(T | {k}, k)
-        rels = amb.relations.plus(SubmoduleBasis(x.ring, amb.rank, dk.columns()))
+        rels = amb.relations.plus(SubmoduleBasis(x.ring, amb.rank, dk.cols))
         verts[T] = FPModule(x.ring, amb.rank, rels)
     boundary = {(T, l): x.d(T, l) for T in sub for l in T}
     return Cube(x.ring, labels, verts, boundary)
@@ -382,8 +383,8 @@ def directional_homology(x: Cube, k: str, p: int) -> Cube:
     verts = {}
     for T in sub:
         src_rank = x.vertices[T | {k}].rank
-        gens = syzygies(x.d(T | {k}, k).entries, x.ring, source_rank=src_rank)
-        gens_at[T] = FreeMap.from_columns(x.ring, src_rank, gens)
+        gens = _kernel(x.d(T | {k}, k), reduced=True)
+        gens_at[T] = _freemap(x.ring, src_rank, gens)
         rels = _preimage(gens, (), x.ring, src_rank, reduced=True)
         verts[T] = FPModule(x.ring, len(gens), SubmoduleBasis(x.ring, len(gens), rels))
     boundary = {}
@@ -429,7 +430,7 @@ def _mod_injective(m: FreeMap, src: FPModule, tgt: FPModule) -> bool:
     membership.
     """
     return all(src.relations.contains_vector(t)
-               for t in _preimage(m.columns(), tgt.relations.generators, m.ring, tgt.rank))
+               for t in _preimage(m.cols, tgt.relations.cols, m.ring, tgt.rank))
 
 
 def _admissible_definition(mc: Cube, applied: frozenset, memo: dict) -> tuple:

@@ -12,15 +12,17 @@ that comparing keys compares terms.  A term times a monomial is the sum of
 their keys; whether one term divides another of the same position is one
 masked subtraction on the guard bits, the top bit of each variable's field;
 and the key `k ^ desc` ascends as terms descend, so a min-heap of plain ints
-pops the largest term first.  A Poly holds the same keys at position 0, so
-a vector enters the engine by a shift of each entry's keys to its position
-(`_vp_from_column`, which takes a sparse column, a mapping of positions to
-Poly, and `_vp_from_vector`) and leaves it by masking the position off
-(`_column_from_vp` and `_vector_from_vp`); at rank 1 a Poly's keys are its
-vector as they are.  Every exponent and total degree stays below 2^31, so
-that no field carries into the next: every Poly is within that bound, and a
-reduction or S-vector whose new term reaches it raises CapExceededError,
-never a wrapped key.
+pops the largest term first.  A Poly holds the same keys at position 0.
+Below the public API a vector of A^r is a sparse column, a dict from
+position to nonzero Poly (`_column` checks and makes one), the form of
+`modcalc.FreeMap`'s columns and of `SubmoduleBasis.cols`.  It enters the
+engine by a shift of each entry's keys to its position (`_vp_from_column`)
+and leaves it by masking the position off (`_column_from_vp`); at rank 1 a
+Poly's keys are its vector as they are.  Dense tuples of Poly are views made
+at the public edge (`_dense`).  Every exponent and total degree stays below
+2^31, so that no field carries into the next: every Poly is within that
+bound, and a reduction or S-vector whose new term reaches it raises
+CapExceededError, never a wrapped key.
 
 Everything here is exact and deterministic: pair selection uses the normal
 strategy with a fixed tie-break, reduced bases are canonical (monic,
@@ -98,10 +100,6 @@ def _vp_from_column(col: Mapping[int, Poly], ring: RingSpec) -> dict:
     return {pos << shift | k: c for pos, p in col.items() for k, c in p.keys.items()}
 
 
-def _vp_from_vector(vec: Sequence[Poly], ring: RingSpec) -> dict:
-    return _vp_from_column(dict(enumerate(vec)), ring)
-
-
 def _column_from_vp(vp: dict, ring: RingSpec, head: int = 0) -> Optional[dict]:
     """The sparse column of the terms of vp, each position moved down by head,
     mapping a position to its nonzero Poly; None when vp has a term at a
@@ -119,14 +117,32 @@ def _column_from_vp(vp: dict, ring: RingSpec, head: int = 0) -> Optional[dict]:
     return {pos: _poly(ring, t) for pos, t in polys.items()}
 
 
-def _vector_from_vp(vp: dict, ring: RingSpec, rank: int, head: int = 0) -> tuple:
-    """The vector in A^rank of the terms of vp at positions head .. head +
-    rank - 1, moved down to 0 .. rank - 1; None when vp has a term at a
-    position below head."""
-    col = _column_from_vp(vp, ring, head)
-    if col is None:
-        return None
-    return tuple(col.get(i) or _poly(ring, {}) for i in range(rank))
+def _column(vec, ring: RingSpec, rank: int) -> dict:
+    """The sparse column of vec, a sequence of rank Poly or a mapping of
+    positions below rank to Poly, as a new dict with no zero entry.  A wrong
+    length or position raises ValueError and a wrong ring RingMismatchError."""
+    if isinstance(vec, dict):
+        if any(not 0 <= i < rank for i in vec):
+            raise ValueError(f"column position out of range for ambient rank {rank}")
+        items = vec.items()
+    else:
+        vec = tuple(vec)
+        if len(vec) != rank:
+            raise ValueError(f"vector length {len(vec)} != ambient rank {rank}")
+        items = enumerate(vec)
+    col = {}
+    for i, p in items:
+        if p.ring is not ring and p.ring != ring:
+            raise RingMismatchError(f"ring mismatch: {p.ring!r} vs {ring!r}")
+        if p.keys:
+            col[i] = p
+    return col
+
+
+def _dense(col: Mapping[int, Poly], ring: RingSpec, rank: int) -> tuple:
+    """The sparse column col as a tuple of rank Poly, zeros filled in."""
+    z = _poly(ring, {})
+    return tuple(col.get(i, z) for i in range(rank))
 
 
 def _vp_canonical(vp: dict) -> tuple:
@@ -195,8 +211,8 @@ def _by_position(basis: Sequence[_Element]) -> dict:
     return by_pos
 
 
-def _nf_vp(vp: dict, basis: Sequence[_Element], ring: RingSpec, want_cert: bool = False,
-           by_pos: Optional[dict] = None):
+def _nf_vp(vp: dict, basis: Sequence[_Element], by_pos: dict, ring: RingSpec,
+           want_cert: bool = False):
     """Full normal form of vp against basis; optionally with division certificate.
 
     Returns (remainder_vp, cert) where cert[i] maps monomial keys to the
@@ -211,14 +227,12 @@ def _nf_vp(vp: dict, basis: Sequence[_Element], ring: RingSpec, want_cert: bool 
     the working vector was cancelled and is skipped.  A basis element at the
     term's position divides it when the guard bits survive the subtraction
     of its leading key, and the quotient is then the difference of the keys.
-    `by_pos` is `_by_position(basis)`, made here when it is not given.
+    `by_pos` is `_by_position(basis)`.
     """
     field = ring.field
     p = field.char
     layout = ring.layout
     desc, guard, shift, overflow = layout.desc, layout.guard, layout.shift, layout.overflow
-    if by_pos is None:
-        by_pos = _by_position(basis)
     work = dict(vp)
     heap = [k ^ desc for k in work]
     heapify(heap)
@@ -332,7 +346,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
     for vp in inputs:
         if not vp:
             continue
-        rem, _ = _nf_vp(vp if p else _integral(vp), G, ring, by_pos=by_pos)
+        rem, _ = _nf_vp(vp if p else _integral(vp), G, by_pos, ring)
         if rem:
             add_elem(rem)
 
@@ -363,7 +377,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
         s: dict = {}
         _add_scaled(s, gi.vp, lcm - gi.lt, ui, field, overflow)
         _add_scaled(s, gj.vp, lcm - gj.lt, field.neg(uj), field, overflow)
-        rem, _ = _nf_vp(s, G, ring, by_pos=by_pos)
+        rem, _ = _nf_vp(s, G, by_pos, ring)
         if rem:
             add_elem(rem)
 
@@ -382,7 +396,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
     reduced = []
     for idx, g in enumerate(minimal):
         others = [h for k, h in enumerate(minimal) if k != idx]
-        rem, _ = _nf_vp(g.vp, others, ring)
+        rem, _ = _nf_vp(g.vp, others, _by_position(others), ring)
         if rem:
             e = _unit_normal(rem, layout, p)
             e.vp = _field_vp(e.vp, e.lc, p, one)
@@ -410,10 +424,19 @@ def _compute_gb(ring: RingSpec, rank: int, vps: Sequence[dict]) -> list:
 # public basis types
 # ---------------------------------------------------------------------------
 
+def _reduce(basis, vp: dict, want_cert: bool = False):
+    """`_nf_vp` of vp against the reduced basis of an IdealBasis or a
+    SubmoduleBasis, grouped by lead position once per basis object."""
+    gb = basis._gb_elements()
+    if basis._by_pos is None:
+        basis._by_pos = _by_position(gb)
+    return _nf_vp(vp, gb, basis._by_pos, basis.ring, want_cert)
+
+
 class IdealBasis:
     """An ideal with a lazily computed canonical reduced Groebner basis."""
 
-    __slots__ = ("ring", "generators", "_gb")
+    __slots__ = ("ring", "generators", "_gb", "_by_pos")
 
     def __init__(self, ring: RingSpec, generators: Sequence[Poly]):
         for g in generators:
@@ -422,6 +445,7 @@ class IdealBasis:
         self.ring = ring
         self.generators = tuple(generators)
         self._gb: Optional[list] = None
+        self._by_pos: Optional[dict] = None
 
     def _gb_elements(self) -> list:
         if self._gb is None:
@@ -439,7 +463,7 @@ class IdealBasis:
         return f.keys
 
     def nf(self, f: Poly, want_cert: bool = False):
-        rem, cert = _nf_vp(self._checked_vp(f), self._gb_elements(), self.ring, want_cert)
+        rem, cert = _reduce(self, self._checked_vp(f), want_cert)
         rpoly = _poly(self.ring, rem)
         if not want_cert:
             return rpoly, None
@@ -448,7 +472,7 @@ class IdealBasis:
     def contains(self, f: Poly) -> bool:
         vp = self._checked_vp(f)
         # the zero polynomial lies in every ideal: no basis is needed
-        return not vp or not _nf_vp(vp, self._gb_elements(), self.ring)[0]
+        return not vp or not _reduce(self, vp)[0]
 
     def is_zero_ideal(self) -> bool:
         return not self._gb_elements()
@@ -472,68 +496,56 @@ class IdealBasis:
 
 
 class SubmoduleBasis:
-    """A submodule of A^rank given by generating vectors (tuples of Poly)."""
+    """A submodule of A^rank given by generating vectors.
 
-    __slots__ = ("ring", "ambient_rank", "generators", "_gb")
+    Each generator is stored as a sparse column, cols[j] mapping the
+    position of each nonzero entry of generator j to that entry; a zero
+    generator is kept, as {}.  The constructor takes each generator as a
+    sequence of ambient_rank Poly or as a sparse column (`_column`).
+    `generators`, the dense tuples, is a view made anew on each read.
+    """
 
-    def __init__(self, ring: RingSpec, ambient_rank: int, generators: Sequence[Sequence[Poly]]):
-        gens = []
-        for v in generators:
-            v = tuple(v)
-            if len(v) != ambient_rank:
-                raise ValueError(f"generator length {len(v)} != ambient rank {ambient_rank}")
-            for p in v:
-                if p.ring != ring:
-                    raise ValueError("generator ring mismatch")
-            gens.append(v)
+    __slots__ = ("ring", "ambient_rank", "cols", "_gb", "_by_pos")
+
+    def __init__(self, ring: RingSpec, ambient_rank: int, generators: Sequence):
         self.ring = ring
         self.ambient_rank = ambient_rank
-        self.generators = tuple(gens)
+        self.cols = tuple(_column(v, ring, ambient_rank) for v in generators)
         self._gb: Optional[list] = None
+        self._by_pos: Optional[dict] = None
+
+    @property
+    def generators(self) -> tuple:
+        return tuple(_dense(c, self.ring, self.ambient_rank) for c in self.cols)
 
     def _gb_elements(self) -> list:
         if self._gb is None:
-            vps = [_vp_from_vector(v, self.ring) for v in self.generators]
-            vps = [vp for vp in vps if vp]
-            self._gb = _compute_gb(self.ring, self.ambient_rank, vps)
+            self._gb = _compute_gb(self.ring, self.ambient_rank,
+                                   [_vp_from_column(c, self.ring) for c in self.cols if c])
         return self._gb
 
     @property
     def reduced_gb(self) -> tuple:
-        return tuple(_vector_from_vp(e.vp, self.ring, self.ambient_rank) for e in self._gb_elements())
+        return tuple(_dense(_column_from_vp(e.vp, self.ring), self.ring, self.ambient_rank)
+                     for e in self._gb_elements())
 
-    def _checked_vp(self, vec) -> dict:
-        """The flattened form of vec: a sequence of ambient_rank Poly, or a
-        sparse column, a dict of positions to Poly in which a missing
-        position is zero."""
-        if isinstance(vec, dict):
-            if any(not 0 <= i < self.ambient_rank for i in vec):
-                raise ValueError(
-                    f"column position out of range for ambient rank {self.ambient_rank}")
-            if any(p.ring != self.ring for p in vec.values()):
-                raise RingMismatchError("column ring does not match the submodule's ring")
-            return _vp_from_column(vec, self.ring)
-        vec = tuple(vec)
-        if len(vec) != self.ambient_rank:
-            raise ValueError(f"vector length {len(vec)} != ambient rank {self.ambient_rank}")
-        if any(p.ring != self.ring for p in vec):
-            raise RingMismatchError("vector ring does not match the submodule's ring")
-        return _vp_from_vector(vec, self.ring)
-
-    def nf_vector(self, vec: Sequence[Poly], want_cert: bool = False):
-        rem, cert = _nf_vp(self._checked_vp(vec), self._gb_elements(), self.ring, want_cert)
-        rvec = _vector_from_vp(rem, self.ring, self.ambient_rank)
+    def nf_vector(self, vec, want_cert: bool = False):
+        """Normal form of vec, a sequence of Poly or a sparse column, as a
+        dense vector; with `want_cert`, and its certificate."""
+        vp = _vp_from_column(_column(vec, self.ring, self.ambient_rank), self.ring)
+        rem, cert = _reduce(self, vp, want_cert)
+        rvec = _dense(_column_from_vp(rem, self.ring), self.ring, self.ambient_rank)
         if not want_cert:
             return rvec, None
         # a quotient term is the difference of two keys at one position
         return rvec, [_poly(self.ring, c) for c in cert]
 
     def contains_vector(self, vec) -> bool:
-        """Whether vec, a sequence of Poly or a sparse column dict, lies in the
+        """Whether vec, a sequence of Poly or a sparse column, lies in the
         submodule."""
-        vp = self._checked_vp(vec)
+        vp = _vp_from_column(_column(vec, self.ring, self.ambient_rank), self.ring)
         # the zero vector lies in every submodule: no basis is needed
-        return not vp or not _nf_vp(vp, self._gb_elements(), self.ring)[0]
+        return not vp or not _reduce(self, vp)[0]
 
     def is_zero_submodule(self) -> bool:
         return not self._gb_elements()
@@ -541,7 +553,7 @@ class SubmoduleBasis:
     def plus(self, other: "SubmoduleBasis") -> "SubmoduleBasis":
         if other.ambient_rank != self.ambient_rank or other.ring != self.ring:
             raise ValueError("ambient mismatch")
-        return SubmoduleBasis(self.ring, self.ambient_rank, self.generators + other.generators)
+        return SubmoduleBasis(self.ring, self.ambient_rank, self.cols + other.cols)
 
     def __eq__(self, other):
         if not isinstance(other, SubmoduleBasis):
@@ -558,7 +570,7 @@ class SubmoduleBasis:
         )
 
     def __repr__(self):
-        return f"SubmoduleBasis(rank={self.ambient_rank}, gens={len(self.generators)})"
+        return f"SubmoduleBasis(rank={self.ambient_rank}, gens={len(self.cols)})"
 
 
 # ---------------------------------------------------------------------------
@@ -607,17 +619,18 @@ def _graph_module(cols: Sequence[dict], rels: Sequence[dict], ring: RingSpec, ra
         [vp for vp in rels if vp]
 
 
-def _preimage(cols: Sequence[Sequence[Poly]], rels: Sequence[Sequence[Poly]], ring: RingSpec,
-              rank: int, reduced: bool = False) -> list:
-    """Generators of {t : Σ t_j·col_j ∈ span(rels)}, as vectors in A^len(cols).
+def _preimage(cols: Sequence[Mapping[int, Poly]], rels: Sequence[Mapping[int, Poly]],
+              ring: RingSpec, rank: int, reduced: bool = False) -> list:
+    """Generators of {t : Σ t_j·col_j ∈ span(rels)}, as sparse columns of
+    length len(cols); `cols` and `rels` are sparse columns in A^rank.
 
     One Buchberger run on the graph module with head `rank` collects its
     zero-head remainders (see `_buchberger`).  Those generators are cached,
     and with `reduced` so is their reduced basis, made from them.
     """
     n = len(cols)
-    col_vps = [_vp_from_vector(v, ring) for v in cols]
-    rel_vps = [_vp_from_vector(v, ring) for v in rels]
+    col_vps = [_vp_from_column(c, ring) for c in cols]
+    rel_vps = [_vp_from_column(c, ring) for c in rels]
     key = ("preimage", ring.key(), rank, tuple(map(_vp_canonical, col_vps)),
            tuple(map(_vp_canonical, rel_vps)))
     hit = _GB_CACHE.get(key)
@@ -629,50 +642,20 @@ def _preimage(cols: Sequence[Sequence[Poly]], rels: Sequence[Sequence[Poly]], ri
         hit = _GB_CACHE.get(key)
         if hit is None:
             hit = _GB_CACHE[key] = [e.vp for e in _buchberger(span, ring, n)]
-    return [_vector_from_vp(vp, ring, n) for vp in hit]
+    return [_column_from_vp(vp, ring) for vp in hit]
 
 
-def _kernel_and_image(cols: Sequence[Sequence[Poly]], ring: RingSpec, rank: int) -> tuple:
-    """(kernel, image) of the map A^len(cols) -> A^rank with columns `cols`,
-    from one uncached Buchberger run on its graph module: the flattened
-    kernel generators, unreduced, and a Groebner basis of the image, the
-    heads of that run's basis, as elements for `_nf_vp` (see `_buchberger`)."""
+def _kernel_and_image(cols: Sequence[Mapping[int, Poly]], ring: RingSpec, rank: int) -> tuple:
+    """(kernel, image) of the map A^len(cols) -> A^rank with the sparse
+    columns `cols`, from one uncached Buchberger run on its graph module:
+    the flattened kernel generators, unreduced, and a Groebner basis of the
+    image, the heads of that run's basis, as elements for `_nf_vp` (see
+    `_buchberger`)."""
     layout = ring.layout
-    graph = _graph_module([_vp_from_vector(v, ring) for v in cols], (), ring, rank)
+    graph = _graph_module([_vp_from_column(c, ring) for c in cols], (), ring, rank)
     kernel, basis = _buchberger(graph, ring, rank + len(cols), head=rank)
     bound = rank << layout.shift  # the least key at position rank
     return kernel, [_Element({k: c for k, c in g.vp.items() if k < bound}, layout) for g in basis]
-
-
-def _kernel(rows: Sequence[Sequence[Poly]], ring: Optional[RingSpec], source_rank: Optional[int],
-            reduced: bool) -> list:
-    """Kernel generators of the matrix `rows` (row-major), as columns: the
-    preimage of 0 under its columns."""
-    target_rank = len(rows)
-    if ring is None:
-        if not rows or not rows[0]:
-            raise ValueError("ring required for an empty matrix")
-        ring = rows[0][0].ring
-    if source_rank is None:
-        if target_rank == 0:
-            raise ValueError("source rank required for a 0-row matrix")
-        source_rank = len(rows[0])
-    for r in rows:
-        if len(r) != source_rank:
-            raise ValueError("ragged matrix")
-    cols = [[r[j] for r in rows] for j in range(source_rank)]
-    return _preimage(cols, (), ring, target_rank, reduced)
-
-
-def _kernel_span(rows: Sequence[Sequence[Poly]], ring: Optional[RingSpec] = None,
-                 source_rank: Optional[int] = None) -> list:
-    """Generators of the kernel of the matrix `rows`, unreduced.
-
-    These are the syzygies that one Buchberger pass collects (see
-    `_buchberger`): a generating set, not a basis, which is all a caller
-    needs that only tests whether each generator lies in some submodule.
-    """
-    return _kernel(rows, ring, source_rank, reduced=False)
 
 
 def syzygies(rows: Sequence[Sequence[Poly]], ring: Optional[RingSpec] = None,
@@ -681,17 +664,30 @@ def syzygies(rows: Sequence[Sequence[Poly]], ring: Optional[RingSpec] = None,
 
     `rows` is the matrix row-major (length = target rank); columns are vectors
     in A^(target rank).  Returns the reduced position-over-term Groebner
-    basis of the syzygy module in A^(source rank), as columns.
+    basis of the syzygy module in A^(source rank), as dense columns.
 
-    Computed as Schreyer syzygies: the generators of `_kernel_span`, read off
-    the S-pair reductions of one Buchberger run, and then their reduced
-    basis.  A reduced basis is unique, so it does not depend on how the
-    generators were found.
+    Computed as Schreyer syzygies, the preimage of 0 under the columns: the
+    generators read off the S-pair reductions of one Buchberger run, and
+    then their reduced basis.  A reduced basis is unique, so it does not
+    depend on how the generators were found.
     """
-    return _kernel(rows, ring, source_rank, reduced=True)
+    if ring is None:
+        if not rows or not rows[0]:
+            raise ValueError("ring required for an empty matrix")
+        ring = rows[0][0].ring
+    if source_rank is None:
+        if not rows:
+            raise ValueError("source rank required for a 0-row matrix")
+        source_rank = len(rows[0])
+    for r in rows:
+        if len(r) != source_rank:
+            raise ValueError("ragged matrix")
+    cols = [{i: r[j] for i, r in enumerate(rows) if r[j].keys} for j in range(source_rank)]
+    kernel = _preimage(cols, (), ring, len(rows), reduced=True)
+    return [_dense(t, ring, source_rank) for t in kernel]
 
 
-def submodule_from_reduced_gb(ring: RingSpec, rank: int, vectors: Sequence[Sequence[Poly]]) -> SubmoduleBasis:
+def submodule_from_reduced_gb(ring: RingSpec, rank: int, vectors: Sequence) -> SubmoduleBasis:
     """Wrap vectors already known to be a reduced module GB, skipping Buchberger.
 
     Used where the generators are a reduced basis already, such as the
@@ -700,31 +696,34 @@ def submodule_from_reduced_gb(ring: RingSpec, rank: int, vectors: Sequence[Seque
     """
     layout = ring.layout
     sb = SubmoduleBasis(ring, rank, vectors)
-    sb._gb = [_Element(_vp_from_vector(v, ring), layout) for v in sb.generators]
+    sb._gb = [_Element(_vp_from_column(c, ring), layout) for c in sb.cols]
     return sb
 
 
 def ideal_quotient(I: IdealBasis, f: Poly) -> IdealBasis:
     """(I : f) = {a : a*f in I}: the module quotient of the rank-1 submodule
     spanned by the nonzero generators of I."""
-    rel = SubmoduleBasis(I.ring, 1, [(g,) for g in I.generators if not g.is_zero()])
+    rel = SubmoduleBasis(I.ring, 1, [{0: g} for g in I.generators if g.keys])
     return module_quotient(rel, (f,))
 
 
-def module_quotient(rel: SubmoduleBasis, vec: Sequence[Poly]) -> IdealBasis:
+def module_quotient(rel: SubmoduleBasis, vec) -> IdealBasis:
     """(rel : vec) = {a : a*vec in rel} as an ideal: the preimage of rel
-    under a ↦ a·vec."""
-    pre = _preimage([tuple(vec)], rel.generators, rel.ring, rel.ambient_rank)
-    return IdealBasis(rel.ring, [t[0] for t in pre])
+    under a ↦ a·vec.  vec is a sequence of Poly or a sparse column."""
+    col = _column(vec, rel.ring, rel.ambient_rank)
+    return IdealBasis(rel.ring, [t[0] for t in _preimage([col], rel.cols, rel.ring, rel.ambient_rank)])
 
 
 def ideal_intersection(I: IdealBasis, J: IdealBasis) -> IdealBasis:
     """I ∩ J = {Σ t_i·g_i} over the preimage of J under the row (g_i) of
     I's generators."""
     ring = I.ring
-    gs = [g for g in I.generators if not g.is_zero()]
-    pre = _preimage([(g,) for g in gs], [(h,) for h in J.generators], ring, 1)
-    return IdealBasis(ring, [sum((a * g for a, g in zip(t, gs)), ring.zero()) for t in pre])
+    if J.ring != ring:
+        raise RingMismatchError(f"ring mismatch: {J.ring!r} vs {ring!r}")
+    gs = [g for g in I.generators if g.keys]
+    pre = _preimage([{0: g} for g in gs], [{0: h} for h in J.generators], ring, 1)
+    return IdealBasis(ring, [sum((a * gs[j] for j, a in sorted(t.items())), ring.zero())
+                             for t in pre])
 
 
 def radical_membership(f: Poly, I: IdealBasis) -> bool:
@@ -733,6 +732,8 @@ def radical_membership(f: Poly, I: IdealBasis) -> bool:
     Tests 1 in I + (1 - t*f) in the ring extended by a fresh variable t.
     """
     ring = I.ring
+    if f.ring != ring:
+        raise RingMismatchError(f"ring mismatch: {f.ring!r} vs {ring!r}")
     if f.is_zero():
         return True
     name = "t"

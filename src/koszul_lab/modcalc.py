@@ -19,9 +19,12 @@ and `_preserves_relations` (m induces a map of the presented modules).
 
 A FreeMap stores its nonzero entries only, one dict per column from row
 index to entry, and every operation runs over those; `entries`, the dense
-matrix row-major, is a view made on each read for printing, minors and
-`syzygies`.  The helpers above hand sparse columns to the engine as they
-are (`groebner._vp_from_column`), and coordinates come back sparse.
+matrix row-major, is a view made on each read for printing and minors.  A
+sparse column is the one form of a vector below the public API: the columns
+of a map and the relations of a module (`SubmoduleBasis.cols`) go to the
+engine as they are, and kernels, preimages and coordinates come back as
+sparse columns.  Dense tuples (`columns()`, `apply`, `kernel_generators`)
+are views for callers only.
 
 Presentations are never minimized; downstream properties are all phrased as
 zero-tests or submodule equalities, which the engine decides exactly.
@@ -42,18 +45,16 @@ from .groebner import (
     _by_position,
     _column_from_vp,
     _compute_gb,
+    _dense,
     _graph_module,
     _kernel_and_image,
-    _kernel_span,
     _nf_vp,
     _preimage,
     _vp_from_column,
-    _vp_from_vector,
     ideal_intersection,
     module_quotient,
     radical_membership,
     submodule_from_reduced_gb,
-    syzygies,
 )
 
 __all__ = [
@@ -337,12 +338,6 @@ def _plus(a: FreeMap, b: FreeMap, negate: bool) -> FreeMap:
     return _freemap(a.ring, a.target_rank, out)
 
 
-def _dense(col: dict, ring: RingSpec, rank: int) -> tuple:
-    """The sparse column col as a tuple of rank Poly, zeros filled in."""
-    z = _poly(ring, {})
-    return tuple(col.get(i, z) for i in range(rank))
-
-
 def _check_ranks(target_rank: int, source_rank: int) -> None:
     if target_rank < 0 or source_rank < 0:
         raise ValueError(f"negative rank in a {target_rank}x{source_rank} map")
@@ -374,7 +369,7 @@ class FPModule:
     @classmethod
     def cyclic(cls, ring: RingSpec, annihilators: Sequence[Poly]) -> "FPModule":
         """A/(annihilators) as a rank-1 presentation."""
-        return cls(ring, 1, SubmoduleBasis(ring, 1, [(a,) for a in annihilators]))
+        return cls(ring, 1, SubmoduleBasis(ring, 1, [{0: a} for a in annihilators]))
 
     def basis_vector(self, i: int) -> tuple:
         z = self.ring.zero()
@@ -388,7 +383,7 @@ class FPModule:
         return hash((self.ring, self.rank, self.relations))
 
     def __repr__(self):
-        return f"FPModule(rank={self.rank}, relations={len(self.relations.generators)})"
+        return f"FPModule(rank={self.rank}, relations={len(self.relations.cols)})"
 
 
 class Complex:
@@ -438,19 +433,24 @@ class Complex:
 # kernels / cokernels
 # ---------------------------------------------------------------------------
 
+def _kernel(m: FreeMap, reduced: bool) -> list:
+    """Generators of ker(m) as sparse columns, the preimage of 0 under its
+    columns: Schreyer syzygies of one Buchberger run, and with `reduced`
+    their reduced Groebner basis."""
+    return _preimage(m.cols, (), m.ring, m.target_rank, reduced)
+
+
 def kernel_generators(m: FreeMap) -> list:
-    """The reduced Groebner basis of ker(m), as columns: `syzygies` of the
-    matrix, Schreyer syzygies of one Buchberger run, reduced."""
-    return syzygies(m.entries, m.ring, source_rank=m.source_rank)
+    """The reduced Groebner basis of ker(m), as dense columns."""
+    return [_dense(t, m.ring, m.source_rank) for t in _kernel(m, reduced=True)]
 
 
 def is_injective(m: FreeMap) -> bool:
-    return not _kernel_span(m.entries, m.ring, source_rank=m.source_rank)
+    return not _kernel(m, reduced=False)
 
 
 def cokernel(m: FreeMap) -> FPModule:
-    rels = SubmoduleBasis(m.ring, m.target_rank, m.columns())
-    return FPModule(m.ring, m.target_rank, rels)
+    return FPModule(m.ring, m.target_rank, SubmoduleBasis(m.ring, m.target_rank, m.cols))
 
 
 def annihilator(M: FPModule) -> IdealBasis:
@@ -460,7 +460,7 @@ def annihilator(M: FPModule) -> IdealBasis:
         return IdealBasis(ring, [ring.one()])
     acc = None
     for i in range(M.rank):
-        quot = module_quotient(M.relations, M.basis_vector(i))
+        quot = module_quotient(M.relations, {i: ring.one()})
         acc = quot if acc is None else ideal_intersection(acc, quot)
     if not all(_kills(a, M) for a in acc.generators):
         raise RuntimeError("annihilator generator failed re-verification")
@@ -476,10 +476,9 @@ def supported_on(M: FPModule, f: Poly) -> bool:
     generator a is re-verified: a·e_i lies in the relations.
     """
     for i in range(M.rank):
-        e = M.basis_vector(i)
-        quot = module_quotient(M.relations, e)
+        quot = module_quotient(M.relations, {i: M.ring.one()})
         for a in quot.generators:
-            if not M.relations.contains_vector(tuple(a * c for c in e)):
+            if not M.relations.contains_vector({i: a}):
                 raise RuntimeError("quotient generator failed re-verification")
         if not radical_membership(f, quot):
             return False
@@ -505,7 +504,7 @@ def _congruent(a: FreeMap, b: FreeMap, rel: SubmoduleBasis) -> bool:
     columns are tested, since a zero column lies in every submodule, and
     with no relations only equal maps agree."""
     diff = [c for c in (a - b).cols if c]
-    return not diff or (bool(rel.generators) and all(map(rel.contains_vector, diff)))
+    return not diff or (bool(rel.cols) and all(map(rel.contains_vector, diff)))
 
 
 def _kills(g: Poly, M: FPModule) -> bool:
@@ -514,8 +513,12 @@ def _kills(g: Poly, M: FPModule) -> bool:
 
 
 def _preserves_relations(m: FreeMap, src: FPModule, tgt: FPModule) -> bool:
-    """m maps the relations of src into those of tgt, so it induces a map src → tgt."""
-    return all(tgt.relations.contains_vector(m.apply(r)) for r in src.relations.generators)
+    """m maps the relations of src into those of tgt, so it induces a map
+    src → tgt: every column of m∘R lies in tgt's relations, R the matrix
+    whose columns are src's relations."""
+    rels = src.relations.cols
+    return not rels or all(map(tgt.relations.contains_vector,
+                               m.compose(_freemap(m.ring, src.rank, rels)).cols))
 
 
 def _factor_through(d: FreeMap, b: FreeMap, rel: SubmoduleBasis) -> Union[FreeMap, int]:
@@ -611,15 +614,15 @@ def homology(c: Complex, k: int) -> FPModule:
         if c.length == 0:
             return FPModule.free(ring, c.ranks[0])
         return cokernel(c.differential(1))
-    gens = kernel_generators(c.differential(k))
+    gens = _kernel(c.differential(k), reduced=True)
     ker_basis = submodule_from_reduced_gb(ring, c.ranks[k], gens)
     rel_vectors = []
     if k < c.length:
-        for col in c.differential(k + 1).columns():
+        for col in c.differential(k + 1).cols:
             rem, cert = ker_basis.nf_vector(col, want_cert=True)
             if any(not p.is_zero() for p in rem):
                 raise RuntimeError("image column escaped the kernel — broken complex")
-            rel_vectors.append(tuple(cert))
+            rel_vectors.append(cert)
     rel_vectors += _preimage(gens, (), ring, c.ranks[k], reduced=True)
     rels = SubmoduleBasis(ring, len(gens), rel_vectors)
     return FPModule(ring, len(gens), rels)
@@ -633,19 +636,21 @@ def _nonzero_homology_degree(c: Complex) -> Optional[int]:
     H_k is presented.  One Buchberger run per differential serves both
     sides (`groebner._kernel_and_image`): the run on d_{k+1} that gives the
     Groebner basis of its image also gives ker d_{k+1}, the next degree's
-    kernel.  The runs are not cached: a face is visited once.
+    kernel.  The runs are not cached: a face is visited once.  Each image
+    basis is grouped by lead position once, for all the kernel generators.
     """
     ring = c.ring
     nxt = None  # (kernel, image) of d_k, when the previous degree's run made it
     for k in range(1, c.length + 1):
-        gens, _ = nxt or _kernel_and_image(c.differential(k).columns(), ring, c.ranks[k - 1])
+        gens, _ = nxt or _kernel_and_image(c.differential(k).cols, ring, c.ranks[k - 1])
         nxt = None
         if not gens:
             continue
         if k == c.length:
             return k  # nonzero kernel at the top has no image to kill it
-        nxt = _kernel_and_image(c.differential(k + 1).columns(), ring, c.ranks[k])
-        if any(_nf_vp(g, nxt[1], ring)[0] for g in gens):
+        nxt = _kernel_and_image(c.differential(k + 1).cols, ring, c.ranks[k])
+        by_pos = _by_position(nxt[1])
+        if any(_nf_vp(g, nxt[1], by_pos, ring)[0] for g in gens):
             return k
     return None
 
@@ -675,13 +680,13 @@ def _graph_coordinates(vecs: Sequence[Mapping[int, Poly]], cols: Sequence[Mappin
     if not vecs:
         return []
     graph = _graph_module([_vp_from_column(c, ring) for c in cols],
-                          [_vp_from_vector(v, ring) for v in rels.generators], ring, rank)
+                          [_vp_from_column(c, ring) for c in rels.cols], ring, rank)
     basis = _compute_gb(ring, rank + len(cols), graph)
     neg = ring.field.neg
     by_pos = _by_position(basis)
     out = []
     for vec in vecs:
-        rem, _ = _nf_vp(_vp_from_column(vec, ring), basis, ring, by_pos=by_pos)
+        rem, _ = _nf_vp(_vp_from_column(vec, ring), basis, by_pos, ring)
         out.append(_column_from_vp({k: neg(c) for k, c in rem.items()}, ring, head=rank))
     return out
 

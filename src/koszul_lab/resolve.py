@@ -219,14 +219,7 @@ def find_exponents(inp: ResolutionInput, cap: int = 64) -> Dict[str, int]:
 # ---------------------------------------------------------------------------
 
 def _gU_relations(ring: RingSpec, rank: int, gU: Sequence[Poly]) -> SubmoduleBasis:
-    z = ring.zero()
-    gens = []
-    for gu in gU:
-        for i in range(rank):
-            vec = [z] * rank
-            vec[i] = gu
-            gens.append(tuple(vec))
-    return SubmoduleBasis(ring, rank, gens)
+    return SubmoduleBasis(ring, rank, [{i: gu} for gu in gU for i in range(rank)])
 
 
 def _resolve_cube(z: Cube, gU: Sequence[Poly], g: Dict[str, Poly]):
@@ -421,9 +414,9 @@ def check_resolution(out: ResolutionOutput, inp: ResolutionInput) -> Report:
         tag = f"stage {idx}"
         for T in z.subsets():
             M = z.vertex(T)
-            span = SubmoduleBasis(ring, M.rank, M.relations.generators + tuple(epi[T].columns()))
+            span = SubmoduleBasis(ring, M.rank, M.relations.cols + epi[T].cols)
             missed = next((i for i in range(M.rank)
-                           if not span.contains_vector(M.basis_vector(i))), None)
+                           if not span.contains_vector({i: ring.one()})), None)
             if missed is not None:
                 failures.append(
                     f"(a) {tag}: epi at {{{subset_key(T)}}} misses basis vector {missed}")

@@ -525,6 +525,8 @@ CROSS_ORDER_CASES = [
     ("tot_typ_xy", ["tot"], "typ_xy.json", 0),
     ("det_typ_xy", ["det"], "typ_xy.json", 0),
     ("h0_typ_xy", ["h0"], "typ_xy.json", 0),
+    # rank-2 relations with a zero entry: the dense view of the relations
+    ("h0_rank2", ["h0"], "h0_rank2.json", 0),
     ("homology_typ_xy", ["homology"], "typ_xy.json", 0),
     ("admissible_typ_xy", ["admissible", "--strategy", "inductive"], "typ_xy.json", 0),
     ("admissible_spherical_typ_xy", ["admissible", "--strategy", "spherical_faces"],

@@ -198,6 +198,70 @@ def test_contains_vector_takes_sparse_columns():
         sub.contains_vector({0: Q3.gens()[0]})
 
 
+def test_dense_and_sparse_generators_give_one_submodule():
+    # a generator given as a dense tuple or as a sparse column is stored as
+    # the same sparse column, with no zero entry; a zero generator is kept
+    # as {} and still reads as the zero vector
+    x, y = Q2.gens()
+    zero = Q2.zero()
+    dense = [(x * x + y, zero, x), (zero, zero, zero), (y, x * y, zero)]
+    sparse = [{0: x * x + y, 2: x}, {}, {0: y, 1: x * y, 2: zero}]
+    a, b = SubmoduleBasis(Q2, 3, dense), SubmoduleBasis(Q2, 3, sparse)
+    assert a.cols == b.cols == ({0: x * x + y, 2: x}, {}, {0: y, 1: x * y})
+    assert a.generators == b.generators == tuple(dense)
+    assert all(len(v) == 3 for v in b.generators)
+    assert a.reduced_gb == b.reduced_gb
+    assert a == b and hash(a) == hash(b)
+    assert a.plus(b).cols == a.cols + b.cols
+    assert SubmoduleBasis(Q2, 2, [{1: zero}]).generators == ((zero, zero),)
+
+
+def test_vector_checks_reject_wrong_shape_and_ring():
+    # contains_vector, nf_vector and the constructor share one checker
+    x, y = Q2.gens()
+    zero = Q2.zero()
+    sub = SubmoduleBasis(Q2, 2, [(x, y)])
+    for check in (sub.contains_vector, sub.nf_vector,
+                  lambda v: SubmoduleBasis(Q2, 2, [v])):
+        with pytest.raises(ValueError, match="position out of range"):
+            check({2: x})
+        with pytest.raises(ValueError, match="position out of range"):
+            check({-1: x})
+        with pytest.raises(ValueError, match="vector length 3 != ambient rank 2"):
+            check((x, zero, zero))
+        with pytest.raises(ValueError, match="vector length 1 != ambient rank 2"):
+            check((x,))
+        with pytest.raises(RingMismatchError):
+            check((Q3.gens()[0], zero))
+        with pytest.raises(RingMismatchError):
+            check({1: RingSpec(101, ("x", "y")).gens()[0]})
+
+
+def test_ideal_and_module_operations_check_length_and_ring(monkeypatch):
+    # a wrong length raises ValueError and a wrong ring RingMismatchError,
+    # before any Groebner work starts
+    import koszul_lab.groebner as groebner
+
+    def no_groebner_work(*args, **kwargs):
+        raise AssertionError("Groebner work before the checks")
+    x, y = Q2.gens()
+    I = IdealBasis(Q2, [x * y])
+    F2 = RingSpec(101, ("x", "y"))
+    monkeypatch.setattr(groebner, "_buchberger", no_groebner_work)
+    with pytest.raises(ValueError, match="vector length 2 != ambient rank 1"):
+        module_quotient(SubmoduleBasis(Q2, 1, [(x,)]), (y, x))
+    with pytest.raises(ValueError, match="vector length 1 != ambient rank 2"):
+        module_quotient(SubmoduleBasis(Q2, 2, [(x, Q2.zero())]), (y,))
+    with pytest.raises(RingMismatchError):
+        ideal_quotient(I, Q3.var("z"))
+    with pytest.raises(RingMismatchError):
+        ideal_intersection(I, IdealBasis(Q3, [Q3.var("z")]))
+    with pytest.raises(RingMismatchError):
+        ideal_intersection(I, IdealBasis(F2, [F2.var("x")]))
+    with pytest.raises(RingMismatchError):
+        radical_membership(Q3.var("z"), I)
+
+
 def test_submodule_from_reduced_gb_is_trusted():
     x, y = Q2.gens()
     zero = Q2.zero()
@@ -320,7 +384,19 @@ def test_grade_invariant_under_permutation():
 #
 # The references run on (position, exponent tuple) dicts and share no code
 # with the engine's packed term keys; the engine's results are compared
-# through its decoder, `_vector_from_vp`.
+# through its decoder, `_column_from_vp`.
+
+def _vp_of(vec, ring):
+    """The engine's flattened vector of a dense vector of Poly."""
+    from koszul_lab.groebner import _column, _vp_from_column
+    return _vp_from_column(_column(vec, ring, len(vec)), ring)
+
+
+def _vector_of(vp, ring, rank):
+    """The dense vector in A^rank of the engine's flattened vector vp."""
+    from koszul_lab.groebner import _column_from_vp, _dense
+    return _dense(_column_from_vp(vp, ring), ring, rank)
+
 
 def _tuple_vp(vec):
     """A vector of Poly as a (position, exponent tuple) -> coefficient dict."""
@@ -329,8 +405,7 @@ def _tuple_vp(vec):
 
 def _decoded(vp, ring, rank):
     """A packed-key dict of the engine as a (position, exponent tuple) dict."""
-    from koszul_lab.groebner import _vector_from_vp
-    return _tuple_vp(_vector_from_vp(vp, ring, rank))
+    return _tuple_vp(_vector_of(vp, ring, rank))
 
 
 def _decoded_nf(result, ring, rank):
@@ -404,7 +479,7 @@ def _random_vector(rng, ring, rank, terms, max_exp):
 @pytest.mark.parametrize("rank", [1, 3])
 def test_nf_vp_matches_reference(field, order, rank):
     import random
-    from koszul_lab.groebner import _Element, _nf_vp, _vp_from_vector
+    from koszul_lab.groebner import _by_position, _Element, _nf_vp
     ring = RingSpec(field, ("x", "y", "z"), order)
     rng = random.Random(f"nf-{field}-{order}-{rank}")
     for _ in range(12):
@@ -413,17 +488,18 @@ def test_nf_vp_matches_reference(field, order, rank):
         linear = [_random_vector(rng, ring, rank, terms=3, max_exp=1) for _ in range(rng.randint(1, 3))]
         quadratic = [_random_vector(rng, ring, rank, terms=3, max_exp=2) for _ in range(rng.randint(1, 3))]
         gb = SubmoduleBasis(ring, rank, linear)._gb_elements()
-        raw = [_Element(_vp_from_vector(g, ring), ring.layout) for g in quadratic
+        raw = [_Element(_vp_of(g, ring), ring.layout) for g in quadratic
                if any(not p.is_zero() for p in g)]
         for basis in (gb, raw):
             ref = [_RefElement(_decoded(b.vp, ring, rank), ring) for b in basis]
             assert [_decoded({b.lt: b.lc}, ring, rank) for b in basis] == [{r.lt: r.lc} for r in ref]
             for _ in range(4):
                 vec = _random_vector(rng, ring, rank, terms=5, max_exp=3)
-                vp = _vp_from_vector(vec, ring)
-                assert _decoded_nf(_nf_vp(vp, basis, ring, True), ring, rank) == \
+                vp = _vp_of(vec, ring)
+                by_pos = _by_position(basis)
+                assert _decoded_nf(_nf_vp(vp, basis, by_pos, ring, True), ring, rank) == \
                     _nf_vp_reference(_tuple_vp(vec), ref, ring, True)
-                assert _decoded_nf(_nf_vp(vp, basis, ring), ring, rank) == \
+                assert _decoded_nf(_nf_vp(vp, basis, by_pos, ring), ring, rank) == \
                     _nf_vp_reference(_tuple_vp(vec), ref, ring)
 
 
@@ -612,12 +688,12 @@ def _ref_gb_data(gb):
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_buchberger_matches_field_reference(field, order, rank):
     import random
-    from koszul_lab.groebner import _buchberger, _nf_vp, _vp_from_vector
+    from koszul_lab.groebner import _buchberger, _by_position, _nf_vp
     ring, corpus = _rational_corpus(field, order, rank)
     rng = random.Random(f"ff-nf-{field}-{order}-{rank}")
     for gens in corpus:
         gens = [g for g in gens if any(p.terms for p in g)]
-        ours = _buchberger([_vp_from_vector(g, ring) for g in gens], ring, rank)
+        ours = _buchberger([_vp_of(g, ring) for g in gens], ring, rank)
         ref = _buchberger_reference([_tuple_vp(g) for g in gens], ring, rank)
         assert _gb_data(ours, ring, rank) == _ref_gb_data(ref)
         if field == "Q":
@@ -626,14 +702,15 @@ def test_buchberger_matches_field_reference(field, order, rank):
             vec = tuple(Poly(ring, {
                 tuple(rng.randint(0, 3) for _ in range(3)): ring.field.of(rng.choice(RATIONALS))
                 for _ in range(rng.randint(0, 4))}) for _ in range(rank))
-            assert _decoded_nf(_nf_vp(_vp_from_vector(vec, ring), ours, ring, True), ring, rank) == \
+            assert _decoded_nf(_nf_vp(_vp_of(vec, ring), ours, _by_position(ours), ring, True),
+                               ring, rank) == \
                 _nf_vp_reference(_tuple_vp(vec), ref, ring, True)
 
 
 @pytest.mark.parametrize("order", ["grevlex", "grlex", "lex"])
 def test_rank1_buchberger_matches_sympy(order):
     sympy = pytest.importorskip("sympy")
-    from koszul_lab.groebner import _buchberger, _vp_from_vector
+    from koszul_lab.groebner import _buchberger
     ring, corpus = _rational_corpus("Q", order, 1)
     sx = sympy.symbols("x y z")
     for gens in corpus:
@@ -641,7 +718,7 @@ def test_rank1_buchberger_matches_sympy(order):
         if not polys:
             continue
         ours = {frozenset((e, c) for (_, e), c in _decoded(g.vp, ring, 1).items())
-                for g in _buchberger([_vp_from_vector((p,), ring) for p in polys], ring, 1)}
+                for g in _buchberger([_vp_of((p,), ring) for p in polys], ring, 1)}
         theirs = sympy.groebner([sympy.Poly.from_dict(dict(p.terms), *sx, domain=sympy.QQ)
                                  for p in polys], *sx, order=order, domain=sympy.QQ)
         theirs = {frozenset((e, Fraction(int(c.numerator), int(c.denominator))) for e, c in g.terms())
@@ -652,14 +729,14 @@ def test_rank1_buchberger_matches_sympy(order):
 def test_buchberger_over_q_runs_no_fraction_arithmetic(monkeypatch):
     # Fractions may be built and read (Fraction(n, d), .numerator,
     # .denominator), but no Fraction operator may run inside Buchberger
-    from koszul_lab.groebner import _buchberger, _vp_from_vector
+    from koszul_lab.groebner import _buchberger
     cases = []
     for rank in (1, 2):
         ring, corpus = _rational_corpus("Q", "grevlex", rank)
         cases += [(ring, rank, [g for g in gens if any(p.terms for p in g)]) for gens in corpus]
     expected = [_ref_gb_data(_buchberger_reference([_tuple_vp(g) for g in gens], ring, rank))
                 for ring, rank, gens in cases]
-    cases = [(ring, rank, [_vp_from_vector(g, ring) for g in gens]) for ring, rank, gens in cases]
+    cases = [(ring, rank, [_vp_of(g, ring) for g in gens]) for ring, rank, gens in cases]
 
     def forbidden(*args):
         raise AssertionError("Fraction arithmetic inside Buchberger")
@@ -682,7 +759,7 @@ def _syzygies_reference(rows, ring, source_rank):
     """The elimination `syzygies` used to run: the reduced basis of the
     columns augmented with unit vectors below them, whose members with a
     leading term in the unit block are the reduced syzygy basis."""
-    from koszul_lab.groebner import _buchberger, _vector_from_vp, _vp_from_vector
+    from koszul_lab.groebner import _buchberger
     target_rank = len(rows)
     augmented = []
     for j in range(source_rank):
@@ -690,8 +767,8 @@ def _syzygies_reference(rows, ring, source_rank):
         unit[j] = ring.one()
         augmented.append(tuple(r[j] for r in rows) + tuple(unit))
     rank = target_rank + source_rank
-    gb = _buchberger([vp for vp in (_vp_from_vector(v, ring) for v in augmented) if vp], ring, rank)
-    return [_vector_from_vp(e.vp, ring, rank)[target_rank:] for e in gb if e.lt_pos >= target_rank]
+    gb = _buchberger([vp for vp in (_vp_of(v, ring) for v in augmented) if vp], ring, rank)
+    return [_vector_of(e.vp, ring, rank)[target_rank:] for e in gb if e.lt_pos >= target_rank]
 
 
 def _matrix_corpus(field, order):
@@ -742,10 +819,19 @@ def test_syzygies_match_elimination_reference(field, order):
     assert any(len(syzygies(rows, ring, len(rows[0]))) >= 3 for rows in corpus)
 
 
+def _kernel_span(rows, ring=None, source_rank=None):
+    """The unreduced kernel generators of the matrix rows (row-major), as
+    dense columns: the preimage of 0 under its columns."""
+    from koszul_lab.groebner import _column, _dense, _preimage
+    ring = ring or rows[0][0].ring
+    source_rank = len(rows[0]) if source_rank is None else source_rank
+    cols = [_column([r[j] for r in rows], ring, len(rows)) for j in range(source_rank)]
+    return [_dense(t, ring, source_rank) for t in _preimage(cols, (), ring, len(rows))]
+
+
 @pytest.mark.parametrize("field", ["Q", 101])
 @pytest.mark.parametrize("order", ["grevlex", "grlex", "lex"])
 def test_kernel_span_generates_the_syzygy_module(field, order):
-    from koszul_lab.groebner import _kernel_span
     ring, corpus = _matrix_corpus(field, order)
     for rows in corpus:
         source_rank = len(rows[0])
@@ -767,12 +853,13 @@ def test_kernel_and_image_from_one_run(field, order):
     # basis of the image: they generate the span of the columns, and their
     # leading terms generate the leading terms of its reduced basis; the
     # collected tails are the kernel
-    from koszul_lab.groebner import _buchberger, _kernel_and_image, _vector_from_vp, _vp_canonical
+    from koszul_lab.groebner import _buchberger, _column, _kernel_and_image, _vp_canonical
     ring, corpus = _matrix_corpus(field, order)
     for rows in corpus:
         target_rank, source_rank = len(rows), len(rows[0])
         cols = [tuple(r[j] for r in rows) for j in range(source_rank)]
-        kernel, image = _kernel_and_image(cols, ring, target_rank)
+        kernel, image = _kernel_and_image([_column(c, ring, target_rank) for c in cols], ring,
+                                          target_rank)
         assert all(e.lt_pos < target_rank for e in image)
         reduced = _buchberger([e.vp for e in image], ring, target_rank)
         want = SubmoduleBasis(ring, target_rank, cols)._gb_elements()
@@ -782,13 +869,12 @@ def test_kernel_and_image_from_one_run(field, order):
         assert [e.lt_pos for e in image] == [pos for pos, _ in image_leads]
         assert all(any(a == b and all(map(le, ea, eb)) for a, ea in image_leads)
                    for b, eb in want_leads), rows
-        span = [_vector_from_vp(vp, ring, source_rank) for vp in kernel]
+        span = [_vector_of(vp, ring, source_rank) for vp in kernel]
         assert _vector_data(SubmoduleBasis(ring, source_rank, span).reduced_gb) == \
             _vector_data(syzygies(rows, ring, source_rank))
 
 
 def test_kernel_span_of_injective_matrix_is_empty():
-    from koszul_lab.groebner import _kernel_span
     x, y, z = Q3.gens()
     zero = Q3.zero()
     assert _kernel_span([[x, y], [zero, z]]) == []
