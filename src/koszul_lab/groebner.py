@@ -3,7 +3,9 @@
 One reduction engine serves both cases: an element of a free module A^r is
 flattened to a dict mapping a term key -> coefficient, and the term order is
 position-over-term (lower position wins, then the ring's monomial order).
-Ideals are the r = 1 case.
+Ideals are the r = 1 case, and so is their type: `IdealBasis` is the
+`SubmoduleBasis` of rank 1, which shows its generators, reduced basis and
+normal forms as Poly, and the ideal operations are module operations.
 
 A term key is one int: the position in the top bits above the packed
 monomial key of `arith._Terms`, the ring's `layout`, with one 32-bit field
@@ -95,7 +97,11 @@ __all__ = [
 
 def _vp_from_column(col: Mapping[int, Poly], ring: RingSpec) -> dict:
     """The flattened vector of a sparse column: a mapping of positions to Poly,
-    in which a missing position is zero."""
+    in which a missing position is zero.  A column whose one entry is at
+    position 0 gives that Poly's own keys, not a copy: the engine never
+    writes into its inputs."""
+    if len(col) == 1 and 0 in col:
+        return col[0].keys
     shift = ring.layout.shift
     return {pos << shift | k: c for pos, p in col.items() for k, c in p.keys.items()}
 
@@ -392,11 +398,16 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
         if any(h.lt_pos == g.lt_pos and (lt_guarded - h.lt) & guard == guard for h in minimal):
             continue
         minimal.append(g)
-    # tail-reduce each against the others, then make it monic
+    # tail-reduce each against the others, then make it monic; the others
+    # stay in basis order, so each term meets the same divisor first
     reduced = []
+    by_pos = _by_position(minimal)
     for idx, g in enumerate(minimal):
-        others = [h for k, h in enumerate(minimal) if k != idx]
-        rem, _ = _nf_vp(g.vp, others, _by_position(others), ring)
+        same = by_pos[g.lt_pos]
+        at = same.index((idx, g))
+        del same[at]
+        rem, _ = _nf_vp(g.vp, minimal, by_pos, ring)
+        same.insert(at, (idx, g))
         if rem:
             e = _unit_normal(rem, layout, p)
             e.vp = _field_vp(e.vp, e.lc, p, one)
@@ -406,8 +417,8 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
     return reduced
 
 
-# global cache of reduced bases and kernel generators, keyed by a tag naming
-# what the entry holds and the canonical form of the generators
+# global cache of reduced bases ("gb") and preimage generators ("preimage"),
+# keyed by that tag and the canonical form of the generators
 _GB_CACHE: dict = {}
 
 
@@ -425,74 +436,12 @@ def _compute_gb(ring: RingSpec, rank: int, vps: Sequence[dict]) -> list:
 # ---------------------------------------------------------------------------
 
 def _reduce(basis, vp: dict, want_cert: bool = False):
-    """`_nf_vp` of vp against the reduced basis of an IdealBasis or a
-    SubmoduleBasis, grouped by lead position once per basis object."""
+    """`_nf_vp` of vp against the reduced basis of a SubmoduleBasis,
+    grouped by lead position once per basis object."""
     gb = basis._gb_elements()
     if basis._by_pos is None:
         basis._by_pos = _by_position(gb)
     return _nf_vp(vp, gb, basis._by_pos, basis.ring, want_cert)
-
-
-class IdealBasis:
-    """An ideal with a lazily computed canonical reduced Groebner basis."""
-
-    __slots__ = ("ring", "generators", "_gb", "_by_pos")
-
-    def __init__(self, ring: RingSpec, generators: Sequence[Poly]):
-        for g in generators:
-            if g.ring != ring:
-                raise ValueError("generator ring mismatch")
-        self.ring = ring
-        self.generators = tuple(generators)
-        self._gb: Optional[list] = None
-        self._by_pos: Optional[dict] = None
-
-    def _gb_elements(self) -> list:
-        if self._gb is None:
-            # at rank 1 a Poly's keys are its flattened vector
-            self._gb = _compute_gb(self.ring, 1, [g.keys for g in self.generators if g.keys])
-        return self._gb
-
-    @property
-    def reduced_gb(self) -> tuple:
-        return tuple(_poly(self.ring, e.vp) for e in self._gb_elements())
-
-    def _checked_vp(self, f: Poly) -> dict:
-        if f.ring != self.ring:
-            raise RingMismatchError("polynomial ring does not match the ideal's ring")
-        return f.keys
-
-    def nf(self, f: Poly, want_cert: bool = False):
-        rem, cert = _reduce(self, self._checked_vp(f), want_cert)
-        rpoly = _poly(self.ring, rem)
-        if not want_cert:
-            return rpoly, None
-        return rpoly, [_poly(self.ring, c) for c in cert]
-
-    def contains(self, f: Poly) -> bool:
-        vp = self._checked_vp(f)
-        # the zero polynomial lies in every ideal: no basis is needed
-        return not vp or not _reduce(self, vp)[0]
-
-    def is_zero_ideal(self) -> bool:
-        return not self._gb_elements()
-
-    def contains_one(self) -> bool:
-        # the key of the constant term at position 0 is 0
-        return any(e.lt == 0 for e in self._gb_elements())
-
-    def __eq__(self, other):
-        if not isinstance(other, IdealBasis) or self.ring != other.ring:
-            return False
-        return sorted(_vp_canonical(e.vp) for e in self._gb_elements()) == sorted(
-            _vp_canonical(e.vp) for e in other._gb_elements()
-        )
-
-    def __hash__(self):
-        return hash((self.ring, tuple(sorted(_vp_canonical(e.vp) for e in self._gb_elements()))))
-
-    def __repr__(self):
-        return f"IdealBasis({[str(g) for g in self.generators]})"
 
 
 class SubmoduleBasis:
@@ -573,6 +522,44 @@ class SubmoduleBasis:
         return f"SubmoduleBasis(rank={self.ambient_rank}, gens={len(self.cols)})"
 
 
+class IdealBasis(SubmoduleBasis):
+    """An ideal of A: the submodule of A^1 spanned by its generators, with
+    the same basis, equality and hash.  Its generators, reduced basis and
+    normal forms face the caller as Poly, not as vectors of length 1."""
+
+    __slots__ = ()
+
+    def __init__(self, ring: RingSpec, generators: Sequence[Poly]):
+        SubmoduleBasis.__init__(self, ring, 1, [(g,) for g in generators])
+
+    @property
+    def generators(self) -> tuple:
+        zero = _poly(self.ring, {})
+        return tuple(c.get(0, zero) for c in self.cols)
+
+    @property
+    def reduced_gb(self) -> tuple:
+        # at rank 1 an element's flattened vector is a Poly's keys
+        return tuple(_poly(self.ring, e.vp) for e in self._gb_elements())
+
+    def nf(self, f: Poly, want_cert: bool = False):
+        rem, cert = self.nf_vector((f,), want_cert)
+        return rem[0], cert
+
+    def contains(self, f: Poly) -> bool:
+        return self.contains_vector((f,))
+
+    def is_zero_ideal(self) -> bool:
+        return self.is_zero_submodule()
+
+    def contains_one(self) -> bool:
+        # the key of the constant term at position 0 is 0
+        return any(e.lt == 0 for e in self._gb_elements())
+
+    def __repr__(self):
+        return f"IdealBasis({[str(g) for g in self.generators]})"
+
+
 # ---------------------------------------------------------------------------
 # spec'd operations
 # ---------------------------------------------------------------------------
@@ -625,8 +612,8 @@ def _preimage(cols: Sequence[Mapping[int, Poly]], rels: Sequence[Mapping[int, Po
     length len(cols); `cols` and `rels` are sparse columns in A^rank.
 
     One Buchberger run on the graph module with head `rank` collects its
-    zero-head remainders (see `_buchberger`).  Those generators are cached,
-    and with `reduced` so is their reduced basis, made from them.
+    zero-head remainders (see `_buchberger`).  Those generators are cached;
+    with `reduced`, their reduced basis (`_compute_gb`) is returned instead.
     """
     n = len(cols)
     col_vps = [_vp_from_column(c, ring) for c in cols]
@@ -638,10 +625,7 @@ def _preimage(cols: Sequence[Mapping[int, Poly]], rels: Sequence[Mapping[int, Po
         graph = _graph_module(col_vps, rel_vps, ring, rank)
         hit = _GB_CACHE[key] = _buchberger(graph, ring, rank + n, head=rank)[0]
     if reduced:
-        span, key = hit, ("reduced",) + key
-        hit = _GB_CACHE.get(key)
-        if hit is None:
-            hit = _GB_CACHE[key] = [e.vp for e in _buchberger(span, ring, n)]
+        hit = [e.vp for e in _compute_gb(ring, n, hit)]
     return [_column_from_vp(vp, ring) for vp in hit]
 
 
@@ -701,10 +685,8 @@ def submodule_from_reduced_gb(ring: RingSpec, rank: int, vectors: Sequence) -> S
 
 
 def ideal_quotient(I: IdealBasis, f: Poly) -> IdealBasis:
-    """(I : f) = {a : a*f in I}: the module quotient of the rank-1 submodule
-    spanned by the nonzero generators of I."""
-    rel = SubmoduleBasis(I.ring, 1, [{0: g} for g in I.generators if g.keys])
-    return module_quotient(rel, (f,))
+    """(I : f) = {a : a*f in I}: the module quotient of I, a submodule of A^1."""
+    return module_quotient(I, (f,))
 
 
 def module_quotient(rel: SubmoduleBasis, vec) -> IdealBasis:
@@ -720,8 +702,8 @@ def ideal_intersection(I: IdealBasis, J: IdealBasis) -> IdealBasis:
     ring = I.ring
     if J.ring != ring:
         raise RingMismatchError(f"ring mismatch: {J.ring!r} vs {ring!r}")
-    gs = [g for g in I.generators if g.keys]
-    pre = _preimage([{0: g} for g in gs], [{0: h} for h in J.generators], ring, 1)
+    gs = I.generators
+    pre = _preimage(I.cols, J.cols, ring, 1)
     return IdealBasis(ring, [sum((a * gs[j] for j, a in sorted(t.items())), ring.zero())
                              for t in pre])
 

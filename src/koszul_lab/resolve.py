@@ -8,7 +8,10 @@ together with vertex-wise surjections y → z.
 The induction peels the first V-direction: resolve the front face, divide
 the resulting epi through by g_v to land in the back face (solvable exactly
 because g_v kills H_0 in that direction), resolve the back face to cover
-the cokernel, and assemble with d^y = diag(g_v·1, 1).
+the cokernel, and join the two epis side by side.  The front face's
+summands carry v in their typical cube and come first, so a stage's cube is
+the typical sum ⊕_T Typ_B(g^T)^{mult[T]} that its multiplicities declare
+(`_typical_sum_cube`), built once from them.
 
 Chains z(0) → z(1) are handled by resolving both targets and lifting the
 composite w ∘ q(0) through q(1).  The lift recurses the same way: lift on
@@ -223,19 +226,23 @@ def _gU_relations(ring: RingSpec, rank: int, gU: Sequence[Poly]) -> SubmoduleBas
 
 
 def _resolve_cube(z: Cube, gU: Sequence[Poly], g: Dict[str, Poly]):
-    """(y, epi, multiplicities) covering the module cube z, by induction on |V|."""
+    """(epi, multiplicities) of a sum of typical cubes covering the module
+    cube z, by induction on |V|.
+
+    The summands of the front face's cover, where v ∈ T, come before those
+    of the back face's, and each face orders its own summands by the same
+    rule, so the cover is `_typical_sum_cube` of the multiplicities.
+    """
     ring = z.ring
     if not z.labels:
         M = z.vertex(frozenset())
-        r = M.rank
         if not all(_kills(gu, M) for gu in gU):
             raise LiftError("the modulus does not annihilate the target module")
-        y = Cube(ring, (), {frozenset(): FPModule(ring, r, _gU_relations(ring, r, gU))}, {})
-        return y, {frozenset(): FreeMap.identity(ring, r)}, {frozenset(): r}
+        return {frozenset(): FreeMap.identity(ring, M.rank)}, {frozenset(): M.rank}
     v = z.labels[0]
     rest = tuple(lab for lab in z.labels if lab != v)
     z0 = restrict(z, rest, frozenset())
-    y0, p0, l0 = _resolve_cube(z0, gU, g)
+    p0, l0 = _resolve_cube(z0, gU, g)
     gv = g[v]
     # divide the front epi through by g_v: d^z ∘ s ≡ g_v · p0, solvable iff
     # g_v kills H_0 in direction v at each vertex
@@ -248,30 +255,17 @@ def _resolve_cube(z: Cube, gU: Sequence[Poly], g: Dict[str, Poly]):
                 f"{{{subset_key(A)}}} has no preimage under the {v}-boundary "
                 "(the modulus fails to kill H_0 in that direction)")
     z1 = restrict(z, rest, frozenset({v}))
-    y1, p1, l1 = _resolve_cube(z1, gU, g)
-    L0 = y0.vertex(frozenset()).rank
-    L1 = y1.vertex(frozenset()).rank
-    L = L0 + L1
-    subs = label_subsets(z.labels)
-    verts = {T: FPModule(ring, L, _gU_relations(ring, L, gU)) for T in subs}
-    boundary = {}
-    for T in subs:
-        for k in T:
-            if k == v:
-                boundary[(T, k)] = FreeMap.diagonal(ring, [gv] * L0 + [ring.one()] * L1)
-            else:
-                boundary[(T, k)] = FreeMap.block_diag(
-                    y0.d(T - {v}, k), y1.d(T - {v}, k))
+    p1, l1 = _resolve_cube(z1, gU, g)
     epi: VertexMaps = {}
-    for T in subs:
+    for T in label_subsets(z.labels):
         A = T - {v}
         if v in T:
             epi[T] = FreeMap.hstack(s[A], p1[A])
         else:
             epi[T] = FreeMap.hstack(p0[A], z.d(A | {v}, v).compose(p1[A]))
     mult = {Tp | {v}: c for Tp, c in l0.items()}
-    mult.update({W: c for W, c in l1.items()})
-    return Cube(ring, z.labels, verts, boundary), epi, mult
+    mult.update(l1)
+    return epi, mult
 
 
 def _summand_order(labels: Sequence[str]):
@@ -374,8 +368,8 @@ def koszul_resolve(inp: ResolutionInput, cap: int = 64) -> ResolutionOutput:
     gU = [g[u] for u in inp.U]
     stages = []
     for z in inp.targets:
-        y, epi, mult = _resolve_cube(z, gU, g)
-        stages.append(ResolutionStage(y, epi, mult))
+        epi, mult = _resolve_cube(z, gU, g)
+        stages.append(ResolutionStage(_typical_sum_cube(inp.ring, z.labels, g, mult, gU), epi, mult))
     connecting = []
     for i, w in enumerate(inp.connecting):
         f = {A: w[A].compose(stages[i].epi[A]) for A in stages[i].y.subsets()}

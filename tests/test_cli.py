@@ -536,6 +536,9 @@ CROSS_ORDER_CASES = [
     ("aseq_xx", ["aseq"], "aseq_xx.json", 1),
     ("regseq_xy_xz", ["regseq"], "regseq_xy_xz.json", 1),
     ("be_check_koszul_xy", ["be-check"], "koszul_xy_complex.json", 0),
+    # an ideal printed as its reduced basis: the 2x2 minors of [[x, y, 0], [0, x, y]]
+    ("fitting_minors", ["fitting", "--size", "2"], "minors_xy.json", 0),
+    ("grade_minors", ["grade"], "minors_xy.json", 0),
     ("resolve_onecube", ["resolve"], "resolve_onecube.json", 0),
     ("resolve_typ_x2yz", ["resolve"], "resolve_typ_x2yz.json", 0),
     ("resolve_chain", ["resolve"], "resolve_chain.json", 0),

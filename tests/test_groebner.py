@@ -913,6 +913,14 @@ def _ideal_intersection_reference(I, J):
     return IdealBasis(ring, [v[1] for v in gb if v[0].is_zero()])
 
 
+def _seeded_poly(ring, rng, max_deg):
+    """0-3 terms of degree at most max_deg in 3 variables, coefficients from
+    RATIONALS; the zero polynomial when no term is drawn."""
+    monomials = [e for e in product(range(3), repeat=3) if sum(e) <= max_deg]
+    return Poly(ring, {rng.choice(monomials): ring.field.of(rng.choice(RATIONALS))
+                       for _ in range(rng.randint(0, 3))})
+
+
 def _quotient_corpus(field):
     """Seeded module quotients at rank 1-3 with 0-3 relations, and ideal
     pairs with 0-3 generators each; coefficients such as 1/2 and -3/7.
@@ -922,9 +930,7 @@ def _quotient_corpus(field):
     rng = random.Random(f"quot-{field}")
 
     def poly(max_deg):
-        monomials = [e for e in product(range(3), repeat=3) if sum(e) <= max_deg]
-        return Poly(ring, {rng.choice(monomials): ring.field.of(rng.choice(RATIONALS))
-                           for _ in range(rng.randint(0, 3))})
+        return _seeded_poly(ring, rng, max_deg)
 
     quotients = []
     for rank, nrels, _ in product((1, 2, 3), (0, 1, 2, 3), range(3)):
@@ -972,3 +978,71 @@ def test_ideal_intersection_matches_reference(field):
         got.append(ours)
     assert any(not q.is_zero_ideal() and not q.contains_one() for q in got)
     assert ideal_intersection(IdealBasis(ring, []), IdealBasis(ring, ring.gens())).is_zero_ideal()
+
+
+# --------------------------------------------------------------------------
+# an ideal is the rank-1 submodule
+# --------------------------------------------------------------------------
+
+def _rank_one_corpus(field, order):
+    """Seeded generator lists of ideals of k[x,y,z] under `order`, 0-3
+    generators each, some of them zero, with the unit and the zero ideal;
+    and polynomials to reduce against them, coefficients such as 1/2 and
+    -3/7."""
+    import random
+    ring = RingSpec(field, ("x", "y", "z"), order)
+    rng = random.Random(f"rank1-{field}-{order}")
+
+    def poly(max_deg):
+        return _seeded_poly(ring, rng, max_deg)
+
+    gen_lists = [[poly(2) for _ in range(n)] for n, _ in product(range(4), range(3))]
+    gen_lists += [[ring.zero(), P("x + 1", ring), ring.one()], [ring.zero()], []]
+    fs = [poly(3) for _ in range(4)] + [ring.zero(), ring.one()]
+    return ring, gen_lists, fs
+
+
+RANK_ONE_CASES = list(product(["Q", 101], sorted(MONOMIAL_ORDERS)))
+
+
+@pytest.mark.parametrize("field,order", RANK_ONE_CASES)
+def test_ideal_agrees_with_rank_one_submodule(field, order):
+    ring, gen_lists, fs = _rank_one_corpus(field, order)
+    ideals = [IdealBasis(ring, gens) for gens in gen_lists]
+    for gens, I in zip(gen_lists, ideals):
+        mod = SubmoduleBasis(ring, 1, [(g,) for g in gens])
+        assert I.generators == tuple(v[0] for v in mod.generators) == tuple(gens)
+        assert I.reduced_gb == tuple(v[0] for v in mod.reduced_gb)
+        assert I.is_zero_ideal() == mod.is_zero_submodule()
+        assert I.contains_one() == mod.contains_vector((ring.one(),))
+        for f in fs:
+            rem, cert = mod.nf_vector((f,), want_cert=True)
+            assert I.nf(f, want_cert=True) == (rem[0], cert)
+            assert I.nf(f) == (rem[0], None)
+            assert I.contains(f) == mod.contains_vector((f,))
+    # the corpus reaches the zero ideal, the unit ideal and proper ideals between
+    assert any(I.is_zero_ideal() for I in ideals)
+    assert any(I.contains_one() for I in ideals)
+    assert any(not I.is_zero_ideal() and not I.contains_one() for I in ideals)
+    assert any(any(g.is_zero() for g in I.generators) for I in ideals)
+
+
+@pytest.mark.parametrize("field,order", RANK_ONE_CASES)
+def test_ideal_equals_rank_one_submodule(field, order):
+    ring, gen_lists, _ = _rank_one_corpus(field, order)
+    for gens in gen_lists:
+        I, mod = IdealBasis(ring, gens), SubmoduleBasis(ring, 1, [(g,) for g in gens])
+        assert I == mod and mod == I
+        assert hash(I) == hash(mod)
+
+
+def test_ideal_ring_mismatch_raises():
+    I = IdealBasis(Q2, [P("x*y")])
+    other = Q3.var("x")
+    with pytest.raises(RingMismatchError):
+        IdealBasis(Q2, [P("x"), other])
+    for op in (I.nf, I.contains):
+        with pytest.raises(RingMismatchError):
+            op(other)
+    with pytest.raises(RingMismatchError):
+        I.nf(other, want_cert=True)

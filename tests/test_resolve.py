@@ -381,6 +381,50 @@ def test_resolution_maps_are_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RESOLUTION_TRANSCRIPT_SHA256
 
 
+def _block_assembly_reference(ring, labels, g, mult, gU) -> Cube:
+    """The covering cube assembled block by block along the induction on the
+    first label v: the front face's summands (v ∈ T) resolve the front, the
+    others the back, and the two are joined by d^v = diag(g_v·1, 1) and
+    block_diag on every other direction."""
+    if not labels:
+        r = sum(mult.values())
+        rels = SubmoduleBasis(ring, r, [{i: gu} for gu in gU for i in range(r)])
+        return Cube(ring, (), {E: FPModule(ring, r, rels)}, {})
+    v, rest = labels[0], tuple(labels[1:])
+    y0 = _block_assembly_reference(ring, rest, g, {T - {v}: c for T, c in mult.items() if v in T}, gU)
+    y1 = _block_assembly_reference(ring, rest, g, {T: c for T, c in mult.items() if v not in T}, gU)
+    L0, L1 = y0.vertex(E).rank, y1.vertex(E).rank
+    subs = label_subsets(labels)
+    rels = SubmoduleBasis(ring, L0 + L1, [{i: gu} for gu in gU for i in range(L0 + L1)])
+    boundary = {}
+    for T in subs:
+        for k in T:
+            if k == v:
+                boundary[(T, k)] = FreeMap.diagonal(ring, [g[v]] * L0 + [ring.one()] * L1)
+            else:
+                boundary[(T, k)] = FreeMap.block_diag(y0.d(T - {v}, k), y1.d(T - {v}, k))
+    return Cube(ring, tuple(labels), {T: FPModule(ring, L0 + L1, rels) for T in subs}, boundary)
+
+
+def test_stage_cube_equals_block_assembly():
+    # check (b) of check_resolution compares a stage's cube with the typical
+    # sum its multiplicities declare; a stage cube built as that sum passes
+    # it by construction, so this is what keeps the assembly order checked
+    cases = resolve_problems() + [inp for field in ("Q", 101) for _, inp, _ in _wide_v_cases(field)]
+    for n, inp in enumerate(cases):
+        out = koszul_resolve(inp)
+        gU = [out.g[u] for u in inp.U]
+        for stage, z in zip(out.stages, inp.targets):
+            want = _block_assembly_reference(inp.ring, z.labels, out.g, stage.multiplicities, gU)
+            y = stage.y
+            assert y.labels == want.labels and set(y.subsets()) == set(want.subsets()), n
+            for T in want.subsets():
+                assert y.vertex(T).rank == want.vertex(T).rank, (n, T)
+                assert y.vertex(T).relations.cols == want.vertex(T).relations.cols, (n, T)
+                for k in T:
+                    assert y.d(T, k) == want.d(T, k), (n, T, k)
+
+
 # --------------------------------------------------------------------------
 # verification
 # --------------------------------------------------------------------------
