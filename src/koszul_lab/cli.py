@@ -69,9 +69,7 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, float):
         return "infinity" if math.isinf(obj) else obj
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, Poly):
+    if isinstance(obj, (Fraction, Poly)):
         return str(obj)
     if isinstance(obj, Report):
         return {"ok": obj.ok, "failures": list(obj.failures), "info": _jsonable(obj.info)}
@@ -158,10 +156,16 @@ def _require(doc: dict, key: str, where: str = ""):
     return doc[key]
 
 
-def _closed_keys(obj: dict, allowed: tuple, where: str) -> dict:
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"'{where}' must be an object")
+    return value
+
+
+def _closed_keys(obj, allowed: tuple, where: str) -> dict:
     """obj, the object at JSON path `where`, once no key of it is outside
     `allowed`: a misspelt key must not silently fall back to a default."""
-    extra = sorted(set(obj) - set(allowed))
+    extra = sorted(set(_object(obj, where)) - set(allowed))
     if extra:
         place = f"'{where}'" if where else "the input document"
         raise ValueError(f"unknown keys {extra} in {place}; allowed keys: {list(allowed)}")
@@ -169,10 +173,7 @@ def _closed_keys(obj: dict, allowed: tuple, where: str) -> dict:
 
 
 def _ring_from_doc(doc: dict, order_flag) -> RingSpec:
-    spec = _require(doc, "ring")
-    if not isinstance(spec, dict):
-        raise ValueError("'ring' must be an object")
-    _closed_keys(spec, ("field", "vars", "order"), "ring")
+    spec = _closed_keys(_require(doc, "ring"), ("field", "vars", "order"), "ring")
     field_spec = spec.get("field", "Q")
     if field_spec == "Q":
         field = "Q"
@@ -182,11 +183,10 @@ def _ring_from_doc(doc: dict, order_flag) -> RingSpec:
             raise ValueError(f"'ring.field.Fp' must be an integer prime, got {field!r}")
     else:
         raise ValueError(f"unsupported field spec {field_spec!r} (use \"Q\" or {{\"Fp\": p}})")
-    variables = spec.get("vars")
-    if not isinstance(variables, list) or not variables:
-        raise ValueError("'ring.vars' must be a nonempty list")
     order = order_flag or _string_from_doc(spec.get("order", "grevlex"), "ring.order")
-    names = tuple(_string_from_doc(v, f"ring.vars[{i}]") for i, v in enumerate(variables))
+    names = _labels_from_doc(spec.get("vars"), "ring.vars")
+    if not names:
+        raise ValueError("'ring.vars' must be a nonempty list")
     return RingSpec(field, names, order)
 
 
@@ -199,9 +199,10 @@ def _string_from_doc(value, where: str) -> str:
 
 
 def _labels_from_doc(value, where: str) -> tuple:
-    """A list of labels at JSON path `where`; each label is a JSON string."""
+    """The list of strings (labels, variable names or polynomials) at JSON
+    path `where`."""
     if not isinstance(value, list):
-        raise ValueError(f"'{where}' must be a list of labels")
+        raise ValueError(f"'{where}' must be a list of strings")
     return tuple(_string_from_doc(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
@@ -209,18 +210,44 @@ def _poly_from_doc(value, ring: RingSpec, where: str) -> Poly:
     return parse_poly(_string_from_doc(value, where), ring)
 
 
-def _matrix_from_doc(rows, ring, target_rank, source_rank, where: str) -> FreeMap:
-    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
-        raise ValueError(f"matrix '{where}' must be a list of rows")
-    parsed = [[_poly_from_doc(s, ring, f"{where}[{i}][{j}]") for j, s in enumerate(r)]
-              for i, r in enumerate(rows)]
-    return FreeMap(ring, parsed, target_rank=target_rank, source_rank=source_rank)
+def _rows_from_doc(rows, ring: RingSpec, width: int, where: str, count=None) -> list:
+    """The rows at JSON path `where`, each a list of `width` polynomial
+    strings, parsed; there must be `count` of them unless count is None."""
+    if not isinstance(rows, list):
+        raise ValueError(f"{where} must be a list of rows")
+    if count is not None and len(rows) != count:
+        raise ValueError(f"{where} has {len(rows)} rows, expected {count}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValueError(f"{where}[{i}] must be a list of polynomial strings")
+        if len(row) != width:
+            raise ValueError(f"{where}[{i}] has length {len(row)}, expected {width}")
+    return [[_poly_from_doc(s, ring, f"{where}[{i}][{j}]") for j, s in enumerate(row)]
+            for i, row in enumerate(rows)]
 
 
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"'{where}' must be an object")
-    return value
+def _matrix_from_doc(rows, ring: RingSpec, target_rank: int, source_rank: int,
+                     where: str) -> FreeMap:
+    return FreeMap(ring, _rows_from_doc(rows, ring, source_rank, where, target_rank),
+                   target_rank=target_rank, source_rank=source_rank)
+
+
+def _keyed_from_doc(obj, keys: dict, where: str) -> dict:
+    """{index: (obj[key], the JSON path of obj[key])} for each index -> key of
+    `keys`, once the keys of obj, the object at JSON path `where`, are
+    exactly those named there: subset keys, or "<subset key>|<direction>"."""
+    allowed = set(keys.values())
+    for key in _object(obj, where):
+        if key not in allowed:
+            raise ValueError(f"unknown key {where}[{json.dumps(key)}]; "
+                             f"allowed keys: {list(keys.values())}")
+    out = {}
+    for index, key in keys.items():
+        path = f"{where}[{json.dumps(key)}]"
+        if key not in obj:
+            raise ValueError(f"{path} is missing")
+        out[index] = obj[key], path
+    return out
 
 
 def _rank_from_doc(value, where: str) -> int:
@@ -233,22 +260,18 @@ def _cube_from_doc(d, ring: RingSpec, where: str) -> Cube:
     """The cube in the object `d` at JSON path `where`.  A vertex is a rank r,
     the free module A^r, or {"rank": r, "relations": rows}; "S" and
     "boundaries" default to [] and {}."""
-    d = _closed_keys(_object(d, where), ("S", "vertices", "boundaries"), where)
+    d = _closed_keys(d, ("S", "vertices", "boundaries"), where)
     labels = _labels_from_doc(d.get("S", []), f"{where}.S")
-    vd = _object(_require(d, "vertices", where), f"{where}.vertices")
     subs = label_subsets(labels)
-    verts = {}
-    for T in subs:
-        key = subset_key(T)
-        if key not in vd:
-            raise ValueError(f"missing vertex for subset '{key}' in '{where}.vertices'")
-        verts[T] = _vertex_from_doc(vd[key], ring, f"{where}.vertices[{json.dumps(key)}]")
-    extra = set(vd) - {subset_key(T) for T in subs}
-    if extra:
-        raise ValueError(f"unknown vertex keys {sorted(extra)} in '{where}.vertices'")
-    bd = _object(d.get("boundaries", {}), f"{where}.boundaries")
-    return Cube(ring, labels, verts, _boundaries_from_doc(bd, ring, subs, lambda T: verts[T].rank,
-                                                          f"{where}.boundaries"))
+    vd = _keyed_from_doc(_require(d, "vertices", where), {T: subset_key(T) for T in subs},
+                         f"{where}.vertices")
+    verts = {T: _vertex_from_doc(v, ring, path) for T, (v, path) in vd.items()}
+    bd = _keyed_from_doc(d.get("boundaries", {}),
+                         {(T, k): f"{subset_key(T)}|{k}" for T in subs for k in sorted(T)},
+                         f"{where}.boundaries")
+    return Cube(ring, labels, verts,
+                {(T, k): _matrix_from_doc(rows, ring, verts[T - {k}].rank, verts[T].rank, path)
+                 for (T, k), (rows, path) in bd.items()})
 
 
 def _vertex_from_doc(v, ring: RingSpec, where: str) -> FPModule:
@@ -257,49 +280,20 @@ def _vertex_from_doc(v, ring: RingSpec, where: str) -> FPModule:
     if "rank" not in _closed_keys(v, ("rank", "relations"), where):
         raise ValueError(f"{where} must be a rank or an object with 'rank' (and 'relations')")
     rank = _rank_from_doc(v["rank"], f"{where}.rank")
-    rows = v.get("relations", [])
-    if not isinstance(rows, list) or any(not isinstance(row, list) for row in rows):
-        raise ValueError(f"{where}.relations must be a list of rows")
-    gens = []
-    for i, row in enumerate(rows):
-        if len(row) != rank:
-            raise ValueError(f"{where}.relations[{i}] has length {len(row)}, expected {rank}")
-        gens.append(tuple(_poly_from_doc(s, ring, f"{where}.relations[{i}][{j}]")
-                          for j, s in enumerate(row)))
+    gens = _rows_from_doc(v.get("relations", []), ring, rank, f"{where}.relations")
     return FPModule(ring, rank, SubmoduleBasis(ring, rank, gens))
 
 
-def _boundaries_from_doc(bd: dict, ring: RingSpec, subs: list, rank, where: str) -> dict:
-    """Boundary matrices keyed "<subset key>|<direction>" in the object at
-    JSON path `where`; rank(T) is the ambient rank of the vertex at T."""
-    boundary = {}
-    for T in subs:
-        for k in sorted(T):
-            key = f"{subset_key(T)}|{k}"
-            if key not in bd:
-                raise ValueError(f"missing boundary matrix '{key}'")
-            boundary[(T, k)] = _matrix_from_doc(bd[key], ring, rank(T - {k}), rank(T),
-                                                f"{where}[{json.dumps(key)}]")
-    extra = set(bd) - {f"{subset_key(T)}|{k}" for T in subs for k in T}
-    if extra:
-        raise ValueError(f"unknown boundary keys {sorted(extra)}")
-    return boundary
-
-
 def _sequence_from_doc(doc: dict, ring: RingSpec, key: str = "sequence"):
-    seq = _require(doc, key)
-    if not isinstance(seq, list):
-        raise ValueError(f"'{key}' must be a list of polynomial strings")
-    return [_poly_from_doc(s, ring, f"{key}[{i}]") for i, s in enumerate(seq)]
+    return [parse_poly(s, ring) for s in _labels_from_doc(_require(doc, key), key)]
 
 
 def _complex_from_doc(doc: dict, ring: RingSpec) -> Complex:
-    cd = _closed_keys(_object(_require(doc, "complex"), "complex"), ("ranks", "differentials"),
-                      "complex")
+    cd = _closed_keys(_require(doc, "complex"), ("ranks", "differentials"), "complex")
     ranks = cd.get("ranks")
     if not isinstance(ranks, list) or not ranks:
         raise ValueError("'complex.ranks' must be a nonempty list")
-    ranks = [_rank_from_doc(r, "a 'complex.ranks' entry") for r in ranks]
+    ranks = [_rank_from_doc(r, f"complex.ranks[{i}]") for i, r in enumerate(ranks)]
     diffs_doc = cd.get("differentials", [])
     if not isinstance(diffs_doc, list):
         raise ValueError("'complex.differentials' must be a list")
@@ -312,23 +306,15 @@ def _complex_from_doc(doc: dict, ring: RingSpec) -> Complex:
 
 
 # ---------------------------------------------------------------------------
-# output documents (round-trip with the parsers above)
+# output documents (round-trip with the parsers above; _jsonable prints each
+# FreeMap as its rows)
 # ---------------------------------------------------------------------------
 
 def _cube_doc(x: Cube) -> dict:
     return {
-        "S": list(x.labels),
-        "vertices": {subset_key(T): x.vertex_rank[T] for T in x.subsets()},
-        "boundaries": {f"{subset_key(T)}|{k}": [[str(p) for p in row] for row in x.d(T, k).entries]
-                       for T in x.subsets() for k in sorted(T)},
-    }
-
-
-def _complex_doc(c: Complex) -> dict:
-    return {
-        "ranks": list(c.ranks),
-        "differentials": [[[str(p) for p in row] for row in d.entries]
-                          for d in c.differentials],
+        "S": x.labels,
+        "vertices": x.vertex_rank,
+        "boundaries": {f"{subset_key(T)}|{k}": x.d(T, k) for T in x.subsets() for k in sorted(T)},
     }
 
 
@@ -389,7 +375,7 @@ def cmd_validate(doc, ring, opts):
 def cmd_tot(doc, ring, opts):
     """Emit the total complex of a cube document."""
     c = total_complex(_cube_from_doc(_require(doc, "cube"), ring, "cube"))
-    return True, {"complex": _complex_doc(c)}
+    return True, {"complex": {"ranks": c.ranks, "differentials": c.differentials}}
 
 
 @_command("homology")
@@ -459,7 +445,7 @@ def cmd_det(doc, ring, opts):
 def cmd_fitting(doc, ring, opts):
     """Fitting ideal of the document's matrix."""
     rows = _require(doc, "matrix")
-    if not isinstance(rows, list) or not rows or any(not isinstance(r, list) for r in rows):
+    if not isinstance(rows, list) or not rows or not isinstance(rows[0], list):
         raise ValueError("'matrix' must be a nonempty list of rows")
     m = _matrix_from_doc(rows, ring, len(rows), len(rows[0]), "matrix")
     return True, {"size": opts["size"], "generators": fitting_ideal(m, opts["size"])}
@@ -535,12 +521,11 @@ def cmd_generators(doc, ring, opts):
 @_command("resolve")
 def cmd_resolve(doc, ring, opts):
     """Resolve the document's targets by sums of typical cubes."""
-    rd = _closed_keys(_object(_require(doc, "resolution"), "resolution"),
-                      ("U", "V", "fs", "targets", "connecting"), "resolution")
+    rd = _closed_keys(_require(doc, "resolution"), ("U", "V", "fs", "targets", "connecting"),
+                      "resolution")
     U = _labels_from_doc(rd.get("U", []), "resolution.U")
     V = _labels_from_doc(rd.get("V", []), "resolution.V")
-    fs_doc = _closed_keys(_object(_require(rd, "fs", "resolution"), "resolution.fs"), U + V,
-                          "resolution.fs")
+    fs_doc = _closed_keys(_require(rd, "fs", "resolution"), U + V, "resolution.fs")
     fs = {s: _poly_from_doc(p, ring, f"resolution.fs[{json.dumps(s)}]")
           for s, p in fs_doc.items()}
     targets_doc = _require(rd, "targets", "resolution")
@@ -548,25 +533,17 @@ def cmd_resolve(doc, ring, opts):
         raise ValueError("'resolution.targets' must be a list")
     targets = [_cube_from_doc(d, ring, f"resolution.targets[{i}]")
                for i, d in enumerate(targets_doc)]
-
-    def keyed_maps(d, src, tgt, where):
-        subsets = {subset_key(T): T for T in label_subsets(tgt.labels)}
-        out = {}
-        for key, rows in _object(d, where).items():
-            if key not in subsets:
-                raise ValueError(f"{where}[{json.dumps(key)}] is not a subset key of the "
-                                 f"target labels {list(tgt.labels)}")
-            T = subsets[key]
-            out[T] = _matrix_from_doc(rows, ring, tgt.vertex(T).rank,
-                                      src.vertex(T).rank, f"{where}[{json.dumps(key)}]")
-        return out
-
     connecting_doc = rd.get("connecting", [])
     if not isinstance(connecting_doc, list) or len(connecting_doc) != len(targets) - 1:
         raise ValueError("'resolution.connecting' must be a list of one map per "
                          "consecutive pair of targets")
-    connecting = [keyed_maps(w, targets[i], targets[i + 1], f"resolution.connecting[{i}]")
-                  for i, w in enumerate(connecting_doc)]
+    connecting = []
+    for i, (w, src, tgt) in enumerate(zip(connecting_doc, targets, targets[1:])):
+        wd = _keyed_from_doc(w, {T: subset_key(T) for T in label_subsets(tgt.labels)},
+                             f"resolution.connecting[{i}]")
+        connecting.append({T: _matrix_from_doc(rows, ring, tgt.vertex(T).rank,
+                                               src.vertex(T).rank, path)
+                           for T, (rows, path) in wd.items()})
     out = koszul_resolve(ResolutionInput(fs, U, V, targets, connecting), cap=opts["max_power"])
     # koszul_resolve has verified the resolution and raises when it fails
     return True, {

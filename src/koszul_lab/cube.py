@@ -261,13 +261,8 @@ def degenerate_directions(x: Cube) -> frozenset:
     Every boundary parallel to d^k is tested; on a verified Koszul cube the
     top boundary alone decides (see koszul.koszul_nondegenerate_part).
     """
-    S = frozenset(x.labels)
-    out = set()
-    for k in x.labels:
-        parallel = [T | {k} for T in restrict(x, S - {k}, frozenset()).subsets()]
-        if all(_is_invertible(x.d(T, k)) for T in parallel):
-            out.add(k)
-    return frozenset(out)
+    return frozenset(k for k in x.labels
+                     if all(_is_invertible(m) for (_, j), m in x.boundary.items() if j == k))
 
 
 def nondegenerate_part(x: Cube) -> Cube:

@@ -226,7 +226,9 @@ def _nf_vp(vp: dict, basis: Sequence[_Element], by_pos: dict, ring: RingSpec,
     exactly, for a nonzero scalar λ.  On field coefficients (GF(p), or
     Fractions over Q) every step divides by the leading coefficient and
     λ = 1.  On Buchberger's integer vectors over Q every step is a
-    pseudo-division and λ is the product of its multipliers.
+    pseudo-division and λ is the product of its multipliers.  A certificate
+    is asked for only against a cached reduced basis, whose leading
+    coefficients are field.one, so λ = 1 whenever `want_cert` is set.
 
     The terms still to reduce sit in a min-heap of plain ints, `k ^ desc`
     (see `_Terms`), so the largest pops first; a popped term no longer in
@@ -255,7 +257,7 @@ def _nf_vp(vp: dict, basis: Sequence[_Element], by_pos: dict, ring: RingSpec,
                 q = t - b.lt
                 u, qc = _cofactors(c, b.lc, p)
                 if u != 1:
-                    for d in [work, rem] + (cert or []):
+                    for d in (work, rem):
                         for k in d:
                             d[k] *= u
                 if want_cert:

@@ -334,15 +334,14 @@ def determinant(x: Cube) -> Tuple[Dict[str, Poly], Report]:
     if len(ranks) > 1:
         return {}, Report(False, (f"vertices do not share a rank: {sorted(ranks)}",))
     S = frozenset(x.labels)
-    dets = {k: determinant_of_square(x.d(S, k)) for k in x.labels}
+    det = {(T, k): determinant_of_square(x.d(T, k)) for T in x.subsets() for k in sorted(T)}
+    dets = {k: det[(S, k)] for k in x.labels}
     failures = []
-    for T in x.subsets():
-        for k in sorted(T):
-            dT = determinant_of_square(x.d(T, k))
-            q = exact_division(dT, dets[k])
-            if q is None or not is_unit(q):
-                failures.append(
-                    f"det d^{k} at {{{subset_key(T)}}} is not a unit multiple of the top determinant")
+    for (T, k), dT in det.items():
+        q = exact_division(dT, dets[k])
+        if q is None or not is_unit(q):
+            failures.append(
+                f"det d^{k} at {{{subset_key(T)}}} is not a unit multiple of the top determinant")
     return dets, Report(not failures, tuple(failures))
 
 
@@ -352,6 +351,12 @@ def det_is_a_sequence(x: Cube, perm_cap: int = 6) -> bool:
     The theorem says this is always true for non-degenerate free Koszul
     cubes; the suite treats a False here as a bug-detection event.
     """
+    return bool(is_A_sequence(_det_sequence(x), perm_cap=perm_cap).a_sequence)
+
+
+def _det_sequence(x: Cube) -> list:
+    """The determinants det d^k at the top subset, in label order, of a
+    non-degenerate cube with coherent determinants; any other cube raises."""
     deg = degenerate_directions(x)
     if deg:
         raise ValueError(
@@ -360,7 +365,7 @@ def det_is_a_sequence(x: Cube, perm_cap: int = 6) -> bool:
     dets, coherence = determinant(x)
     if not coherence.ok:
         raise ValueError("determinant incoherence: " + "; ".join(coherence.failures))
-    return bool(is_A_sequence([dets[k] for k in x.labels], perm_cap=perm_cap).a_sequence)
+    return [dets[k] for k in x.labels]
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +443,8 @@ def generators_presentation(x: Cube, perm_cap: int = 6):
     with sign +1), so its relations span the degree-1 image of the total
     complex.  Requires a non-degenerate cube with coherent determinants.
     """
-    deg = degenerate_directions(x)
-    if deg:
-        raise ValueError(
-            f"degenerate directions {sorted(deg)} — take the nondegenerate part first")
-    dets, coherence = determinant(x)
-    if not coherence.ok:
-        raise ValueError("determinant incoherence: " + "; ".join(coherence.failures))
-    H = _h0_over(x, x.labels).vertices[frozenset()]
-    seq_report = is_A_sequence([dets[k] for k in x.labels], perm_cap=perm_cap)
-    return H, seq_report
+    dets = _det_sequence(x)
+    return _h0_over(x, x.labels).vertices[frozenset()], is_A_sequence(dets, perm_cap=perm_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -534,32 +534,24 @@ def _factor_through(d: FreeMap, b: FreeMap, rel: SubmoduleBasis) -> Union[FreeMa
 # Fitting ideals
 # ---------------------------------------------------------------------------
 
-def matrix_minor_det(entries: Sequence[Sequence[Poly]], rows: tuple, cols: tuple,
-                     ring: RingSpec, memo: Optional[dict] = None) -> Poly:
-    """Determinant of the square submatrix entries[rows][cols], division-free
-    Laplace expansion along the first row, memoized on (rows, cols)."""
-    if len(rows) != len(cols):
-        raise ValueError("minor must be square")
-    if memo is None:
-        memo = {}
-    return _minor(entries, rows, cols, ring, memo)
-
-
-def _minor(entries, rows: tuple, cols: tuple, ring: RingSpec, memo: dict) -> Poly:
+def _minor(cols, rows: tuple, sel: tuple, ring: RingSpec, memo: dict) -> Poly:
+    """Determinant of the square submatrix of the sparse columns `cols` at
+    `rows` × `sel`: division-free Laplace expansion along the first row,
+    memoized on (rows, sel)."""
     if not rows:
         return ring.one()
-    key = (rows, cols)
+    key = (rows, sel)
     hit = memo.get(key)
     if hit is not None:
         return hit
     r0 = rows[0]
     rest = rows[1:]
     acc = ring.zero()
-    for j, c in enumerate(cols):
-        e = entries[r0][c]
-        if e.is_zero():
+    for j, c in enumerate(sel):
+        e = cols[c].get(r0)
+        if e is None:
             continue
-        sub = _minor(entries, rest, cols[:j] + cols[j + 1:], ring, memo)
+        sub = _minor(cols, rest, sel[:j] + sel[j + 1:], ring, memo)
         term = e * sub
         acc = acc + term if j % 2 == 0 else acc - term
     memo[key] = acc
@@ -569,8 +561,8 @@ def _minor(entries, rows: tuple, cols: tuple, ring: RingSpec, memo: dict) -> Pol
 def determinant_of_square(m: FreeMap) -> Poly:
     if m.target_rank != m.source_rank:
         raise ValueError("determinant of a non-square map")
-    n = m.target_rank
-    return matrix_minor_det(m.entries, tuple(range(n)), tuple(range(n)), m.ring)
+    n = tuple(range(m.target_rank))
+    return _minor(m.cols, n, n, m.ring, {})
 
 
 def fitting_ideal(m: FreeMap, t: int) -> IdealBasis:
@@ -578,13 +570,12 @@ def fitting_ideal(m: FreeMap, t: int) -> IdealBasis:
     if t < 1 or t > min(m.source_rank, m.target_rank):
         raise ValueError(f"minor size {t} out of range for a "
                          f"{m.target_rank}x{m.source_rank} matrix")
-    entries = m.entries
     memo: dict = {}
     gens = []
     seen = set()
     for rows in combinations(range(m.target_rank), t):
-        for cols in combinations(range(m.source_rank), t):
-            d = matrix_minor_det(entries, rows, cols, m.ring, memo)
+        for sel in combinations(range(m.source_rank), t):
+            d = _minor(m.cols, rows, sel, m.ring, memo)
             if d.is_zero():
                 continue
             mine = d.monic()

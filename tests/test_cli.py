@@ -367,6 +367,61 @@ def test_target_errors_name_their_json_path(tmp_path):
     assert "resolution.targets[0].vertices" in json.loads(out)["error"]["message"]
 
 
+ONE_TARGET = {"S": [], "vertices": {"": {"rank": 1}}}
+
+# a value of the wrong shape: the error names its JSON path, the missing or
+# unknown key as where["key"] and a row of a matrix as where[i]
+SHAPE_ERROR_CASES = [
+    ("missing_target_boundary", ["resolve"],
+     {"ring": RING_Q2, "resolution": {"U": [], "V": ["1"], "fs": {"1": "x"},
+                                      "targets": [ONE_CUBE, {**ONE_CUBE, "boundaries": {}}],
+                                      "connecting": [{"": [["1"]], "1": [["1"]]}]}},
+     'resolution.targets[1].boundaries["1|1"]'),
+    ("boundary_too_many_rows", ["validate"],
+     {"ring": RING_Q2, "cube": {**ONE_CUBE, "boundaries": {"1|1": [["x"], ["y"]]}}},
+     'cube.boundaries["1|1"]'),
+    ("ragged_differential", ["be-check"],
+     {"ring": RING_Q2, "complex": {"ranks": [2, 1], "differentials": [[["x"], ["y", "x"]]]}},
+     "complex.differentials[0][1]"),
+    ("ragged_fitting_matrix", ["fitting", "--size", "1"],
+     {"ring": RING_Q2, "matrix": [["x", "y"], ["x"]]},
+     "matrix[1]"),
+    ("missing_connecting_key", ["resolve"],
+     {"ring": RING_Q2, "resolution": {"U": [], "V": [], "fs": {},
+                                      "targets": [ONE_TARGET, ONE_TARGET], "connecting": [{}]}},
+     'resolution.connecting[0][""]'),
+    ("negative_complex_rank", ["be-check"],
+     {"ring": RING_Q2, "complex": {"ranks": [1, -1], "differentials": [[]]}},
+     "complex.ranks[1]"),
+    ("missing_vertex", ["validate"],
+     {"ring": RING_Q2, "cube": {**ONE_CUBE, "vertices": {"": 1}}},
+     'cube.vertices["1"]'),
+    ("unknown_boundary_key", ["validate"],
+     {"ring": RING_Q2, "cube": {**TYP_XY["cube"], "boundaries": {**TYP_XY["cube"]["boundaries"],
+                                                                 "2|1": [["x"]]}}},
+     'cube.boundaries["2|1"]'),
+    ("connecting_row_too_long", ["resolve"],
+     {"ring": RING_Q2, "resolution": {"U": [], "V": [], "fs": {},
+                                      "targets": [ONE_TARGET, ONE_TARGET],
+                                      "connecting": [{"": [["1", "1"]]}]}},
+     'resolution.connecting[0][""][0]'),
+    ("relations_row_too_long", ["resolve"],
+     {"ring": RING_Q2, "resolution": {"U": [], "V": [], "fs": {}, "targets": [
+         {"S": [], "vertices": {"": {"rank": 1, "relations": [["x", "y"]]}}}]}},
+     'resolution.targets[0].vertices[""].relations[0]'),
+]
+
+
+@pytest.mark.parametrize("args,doc,path", [c[1:] for c in SHAPE_ERROR_CASES],
+                         ids=[c[0] for c in SHAPE_ERROR_CASES])
+def test_shape_errors_name_their_json_path(tmp_path, args, doc, path):
+    out, code = run(*args, "--input", write_doc(tmp_path, doc))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "input"
+    assert path in err["message"]
+
+
 # --------------------------------------------------------------------------
 # envelope and reproducibility header
 # --------------------------------------------------------------------------

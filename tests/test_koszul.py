@@ -496,6 +496,17 @@ def test_generators_presentation():
         generators_presentation(rank1_square("1", "1", "y", "y"))
 
 
+@pytest.mark.parametrize("check", [det_is_a_sequence, generators_presentation])
+def test_determinant_preconditions_raise_one_error(check):
+    # degeneracy is decided first, then coherence, with the same wording
+    # in both checks
+    with pytest.raises(ValueError, match=r"^degenerate directions \['1'\]: their determinants "
+                                         r"are units, take the nondegenerate part first$"):
+        check(rank1_square("1", "1", "y", "y"))
+    with pytest.raises(ValueError, match=r"^determinant incoherence: det d\^"):
+        check(rank1_square("x", "x^2", "y^2", "x*y^2"))
+
+
 def _vector_multiset(vectors):
     return Counter(tuple(map(str, v)) for v in vectors)
 
