@@ -6,9 +6,9 @@ variable list and a monomial order, and `Poly`, a sparse monomial ->
 coefficient map.  Coefficients are `fractions.Fraction` over the rationals and
 plain ints in [0, p) over a prime field; there is no floating point anywhere.
 (Inside Buchberger over Q the Groebner engine works on integer vectors; every
-Poly and every basis it returns holds Fractions.  Products over Q, here and in
-`modcalc.FreeMap.compose`, likewise sum integer numerators over a common
-denominator and make each Fraction once.)
+Poly and every basis it returns holds Fractions.  Products over Q, of two Poly
+and of two matrices of sparse columns (`_matrix_product`), likewise sum
+integer numerators over a common denominator and make each Fraction once.)
 
 A monomial has one encoding below the public API: a packed int, its key
 under the ring's layout (`_Terms`, shared by every ring with the same number
@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "RingSpec",
@@ -571,6 +571,42 @@ def _coefficients(acc: dict, d: int, p: int, overflow: int) -> dict:
     if d == 1:
         return {k: Fraction(s) for k, s in acc.items() if s}
     return {k: Fraction(s, d) for k, s in acc.items() if s}
+
+
+def _matrix_product(ring: RingSpec, left: Sequence[Mapping[int, Poly]],
+                    right: Iterable[Mapping[int, Poly]], rows: int) -> list:
+    """The columns of L·R, where L has `rows` rows and the sparse columns
+    `left`, R the sparse columns `right`, each a dict from row index to
+    nonzero Poly over ring.  Column j of the product is the sum of b_kj times
+    column k of L over the nonzero entries b_kj of column j of R (Gustavson,
+    ACM TOMS 1978).
+
+    Each output entry sums its products term by term in one dict of ints,
+    for both fields.  Over Q each row i of L is scaled to integers by the
+    lcm D_i of its denominators and each column j of R by E_j, so entry
+    (i, j) is made once per term, as Fraction(s, D_i·E_j) from the integer
+    sum s; over GF(p) it is s % p.
+    """
+    p, overflow = ring.field.char, ring.layout.overflow
+    row_den = [1] * rows  # over GF(p) every denominator is 1
+    if not p:
+        for c in left:
+            for i, a in c.items():
+                row_den[i] = math.lcm(row_den[i], _denominator(a.keys.values()))
+    # the nonzero entries of each column of L, in integers: [(row, keys)]
+    ints = [[(i, a.keys if p else _numerators(a.keys, row_den[i])) for i, a in c.items()]
+            for c in left]
+    out = []
+    for bcol in right:
+        e = 1 if p else _denominator(c for b in bcol.values() for c in b.keys.values())
+        acc: dict = {}  # output row -> integer sums
+        for k, b in bcol.items():
+            bkeys = b.keys if p else _numerators(b.keys, e)
+            for i, akeys in ints[k]:
+                _product_sums(akeys, bkeys, acc.setdefault(i, {}))
+        out.append({i: _poly(ring, keys) for i, sums in acc.items()
+                    if (keys := _coefficients(sums, row_den[i] * e, p, overflow))})
+    return out
 
 
 def _add_scaled(target: dict, vp: dict, q: int, coeff, field, overflow: int,

@@ -395,7 +395,11 @@ def cmd_h0(doc, ring, opts):
     """Iterated directional H_0 over the chosen directions."""
     x = _cube_from_doc(_require(doc, "cube"), ring, "cube")
     directions = opts["directions"]
-    T = [s for s in directions.split(",") if s] if directions else list(x.labels)
+    T = directions.split(",") if directions else list(x.labels)
+    if "" in T:
+        raise ValueError(f"--directions {directions!r} has an empty label")
+    if len(set(T)) < len(T):
+        raise ValueError(f"--directions {directions!r} repeats a label")
     return True, {"directions": sorted(T), "vertices": iterated_h0(x, T).vertices}
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
 from .arith import RingSpec, is_unit
-from .groebner import SubmoduleBasis, _preimage
+from .groebner import SubmoduleBasis, _preimage, _reduced_kernel
 from .modcalc import (
     Complex,
     FPModule,
@@ -30,7 +30,6 @@ from .modcalc import (
     _congruent,
     _factor_through,
     _freemap,
-    _kernel,
     _nonzero_homology_degree,
     _preserves_relations,
     determinant_of_square,
@@ -261,8 +260,20 @@ def degenerate_directions(x: Cube) -> frozenset:
     Every boundary parallel to d^k is tested; on a verified Koszul cube the
     top boundary alone decides (see koszul.koszul_nondegenerate_part).
     """
+    return _degenerate_directions(x, {})
+
+
+def _degenerate_directions(x: Cube, dets: dict) -> frozenset:
+    """degenerate_directions(x), keeping in dets, by boundary key (T, k),
+    each determinant it takes.  A direction's boundaries are tested until
+    one is not invertible, so each is taken at most once."""
+    def invertible(key, m):
+        if m.source_rank != m.target_rank:
+            return False
+        det = dets[key] = determinant_of_square(m)
+        return is_unit(det)
     return frozenset(k for k in x.labels
-                     if all(_is_invertible(m) for (_, j), m in x.boundary.items() if j == k))
+                     if all(invertible(key, m) for key, m in x.boundary.items() if key[1] == k))
 
 
 def nondegenerate_part(x: Cube) -> Cube:
@@ -377,10 +388,10 @@ def directional_homology(x: Cube, k: str, p: int) -> Cube:
     gens_at: dict = {}  # T -> the kernel generators, as the columns of a map
     verts = {}
     for T in sub:
-        src_rank = x.vertices[T | {k}].rank
-        gens = _kernel(x.d(T | {k}, k), reduced=True)
-        gens_at[T] = _freemap(x.ring, src_rank, gens)
-        rels = _preimage(gens, (), x.ring, src_rank, reduced=True)
+        d = x.d(T | {k}, k)
+        gens = _reduced_kernel(d.cols, x.ring, d.target_rank).cols
+        gens_at[T] = _freemap(x.ring, d.source_rank, gens)
+        rels = _reduced_kernel(gens, x.ring, d.source_rank).cols
         verts[T] = FPModule(x.ring, len(gens), SubmoduleBasis(x.ring, len(gens), rels))
     boundary = {}
     for T in sub:

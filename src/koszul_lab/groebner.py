@@ -16,15 +16,15 @@ masked subtraction on the guard bits, the top bit of each variable's field;
 and the key `k ^ desc` ascends as terms descend, so a min-heap of plain ints
 pops the largest term first.  A Poly holds the same keys at position 0.
 Below the public API a vector of A^r is a sparse column, a dict from
-position to nonzero Poly (`_column` checks and makes one), the form of
-`modcalc.FreeMap`'s columns and of `SubmoduleBasis.cols`.  It enters the
-engine by a shift of each entry's keys to its position (`_vp_from_column`)
-and leaves it by masking the position off (`_column_from_vp`); at rank 1 a
-Poly's keys are its vector as they are.  Dense tuples of Poly are views made
-at the public edge (`_dense`).  Every exponent and total degree stays below
-2^31, so that no field carries into the next: every Poly is within that
-bound, and a reduction or S-vector whose new term reaches it raises
-CapExceededError, never a wrapped key.
+position to nonzero Poly (`_column` checks and makes one), the form of the
+columns of a map and of `SubmoduleBasis.cols`.  It enters the engine by a
+shift of each entry's keys to its position (`_vp_from_column`) and leaves it
+by masking the position off (`_column_from_vp`); at rank 1 a Poly's keys are
+its vector as they are.  Dense tuples of Poly are views made at the public
+edge (`_dense`).  Every exponent and total degree stays below 2^31, so that
+no field carries into the next: every Poly is within that bound, and a
+reduction or S-vector whose new term reaches it raises CapExceededError,
+never a wrapped key.
 
 Everything here is exact and deterministic: pair selection uses the normal
 strategy with a fixed tie-break, reduced bases are canonical (monic,
@@ -55,11 +55,15 @@ never joins the basis (Schreyer): their tails generate the preimage
 {t : Σ t_j·col_j ∈ span(rels)}, which `_preimage` returns.  The heads of
 the elements that do join it are a Groebner basis of the image, the span of
 the columns and relations, so one run gives both the kernel of a map and a
-basis that decides membership in its image (`_kernel_and_image`).  A
-kernel, and so `syzygies`, is the preimage of 0; `module_quotient` is the
-preimage of rel under a ↦ a·vec; `ideal_intersection` is Σ t_i·g_i over the preimage of
-J under the generators g_i of I.  The reduced basis of the graph module
-itself gives coordinates modulo the relations (`modcalc._graph_coordinates`).
+basis that decides membership in its image (`_kernel_and_image`), which is
+all the 0-sphericity scan of a complex needs (`_nonexact_degree`).  A
+kernel is the preimage of 0, and `_reduced_kernel`, which `syzygies` reads,
+is its reduced basis; `module_quotient` is the preimage of rel under
+a ↦ a·vec; `ideal_intersection` is Σ t_i·g_i over the preimage of J under
+the generators g_i of I.  The reduced basis of the graph module itself gives
+coordinates modulo the relations (`_graph_coordinates`).  Other modules
+ask all of these in sparse columns and Poly: flattened vectors, basis
+elements and the graph module stay here.
 """
 
 from __future__ import annotations
@@ -608,16 +612,14 @@ def _graph_module(cols: Sequence[dict], rels: Sequence[dict], ring: RingSpec, ra
         [vp for vp in rels if vp]
 
 
-def _preimage(cols: Sequence[Mapping[int, Poly]], rels: Sequence[Mapping[int, Poly]],
-              ring: RingSpec, rank: int, reduced: bool = False) -> list:
-    """Generators of {t : Σ t_j·col_j ∈ span(rels)}, as sparse columns of
-    length len(cols); `cols` and `rels` are sparse columns in A^rank.
+def _schreyer(cols: Sequence[Mapping[int, Poly]], rels: Sequence[Mapping[int, Poly]],
+              ring: RingSpec, rank: int) -> list:
+    """Flattened generators of {t : Σ t_j·col_j ∈ span(rels)}, in
+    A^len(cols); `cols` and `rels` are sparse columns in A^rank.
 
     One Buchberger run on the graph module with head `rank` collects its
-    zero-head remainders (see `_buchberger`).  Those generators are cached;
-    with `reduced`, their reduced basis (`_compute_gb`) is returned instead.
+    zero-head remainders (see `_buchberger`).  The generators are cached.
     """
-    n = len(cols)
     col_vps = [_vp_from_column(c, ring) for c in cols]
     rel_vps = [_vp_from_column(c, ring) for c in rels]
     key = ("preimage", ring.key(), rank, tuple(map(_vp_canonical, col_vps)),
@@ -625,10 +627,30 @@ def _preimage(cols: Sequence[Mapping[int, Poly]], rels: Sequence[Mapping[int, Po
     hit = _GB_CACHE.get(key)
     if hit is None:
         graph = _graph_module(col_vps, rel_vps, ring, rank)
-        hit = _GB_CACHE[key] = _buchberger(graph, ring, rank + n, head=rank)[0]
-    if reduced:
-        hit = [e.vp for e in _compute_gb(ring, n, hit)]
-    return [_column_from_vp(vp, ring) for vp in hit]
+        hit = _GB_CACHE[key] = _buchberger(graph, ring, rank + len(cols), head=rank)[0]
+    return hit
+
+
+def _preimage(cols: Sequence[Mapping[int, Poly]], rels: Sequence[Mapping[int, Poly]],
+              ring: RingSpec, rank: int) -> list:
+    """Generators of {t : Σ t_j·col_j ∈ span(rels)}, unreduced, as sparse
+    columns of length len(cols); `cols` and `rels` are sparse columns in
+    A^rank."""
+    return [_column_from_vp(vp, ring) for vp in _schreyer(cols, rels, ring, rank)]
+
+
+def _reduced_kernel(cols: Sequence[Mapping[int, Poly]], ring: RingSpec, rank: int) -> SubmoduleBasis:
+    """The kernel of the map A^len(cols) -> A^rank with the sparse columns
+    `cols`, as a SubmoduleBasis whose generators are its reduced Groebner
+    basis, in basis order.  The basis is the cached reduced basis
+    (`_compute_gb`) of the cached Schreyer generators, and the
+    SubmoduleBasis holds it, so reading it runs no Buchberger and a
+    certificate against it is in these generators."""
+    n = len(cols)
+    gb = _compute_gb(ring, n, _schreyer(cols, (), ring, rank))
+    kernel = SubmoduleBasis(ring, n, [_column_from_vp(e.vp, ring) for e in gb])
+    kernel._gb = gb
+    return kernel
 
 
 def _kernel_and_image(cols: Sequence[Mapping[int, Poly]], ring: RingSpec, rank: int) -> tuple:
@@ -642,6 +664,55 @@ def _kernel_and_image(cols: Sequence[Mapping[int, Poly]], ring: RingSpec, rank: 
     kernel, basis = _buchberger(graph, ring, rank + len(cols), head=rank)
     bound = rank << layout.shift  # the least key at position rank
     return kernel, [_Element({k: c for k, c in g.vp.items() if k < bound}, layout) for g in basis]
+
+
+def _nonexact_degree(maps: Sequence[Sequence[Mapping[int, Poly]]], ranks: Sequence[int],
+                     ring: RingSpec) -> Optional[int]:
+    """The least k >= 1 with ker d_k not inside im d_{k+1}, or None when
+    there is none, for the complex whose differential d_k : A^ranks[k] ->
+    A^ranks[k-1] has the sparse columns maps[k-1].
+
+    Each degree tests the unreduced kernel generators of d_k for membership
+    in the image, and no homology is presented.  One uncached Buchberger
+    run per differential serves both sides (`_kernel_and_image`): the run
+    on d_{k+1} that gives the Groebner basis of its image also gives
+    ker d_{k+1}, the next degree's kernel.  Each image basis is grouped by
+    lead position once, for all the kernel generators.
+    """
+    kernel = _kernel_and_image(maps[0], ring, ranks[0])[0] if maps else []
+    for k in range(1, len(maps)):
+        nxt, image = _kernel_and_image(maps[k], ring, ranks[k])
+        if kernel:
+            by_pos = _by_position(image)
+            if any(_nf_vp(g, image, by_pos, ring)[0] for g in kernel):
+                return k
+        kernel = nxt
+    return len(maps) if kernel else None  # a nonzero kernel at the top has no image to kill it
+
+
+def _graph_coordinates(vecs: Sequence[Mapping[int, Poly]], cols: Sequence[Mapping[int, Poly]],
+                       rels: SubmoduleBasis, ring: RingSpec, rank: int) -> list:
+    """Coordinates of each vector of vecs in terms of cols, modulo rels.
+
+    Vectors and columns are sparse columns in A^rank.  Returns one entry per
+    vector, in order: its coordinates, a sparse column of length len(cols),
+    or None when it is not in the span.  One reduced basis of the graph
+    module (col_j ⊕ e_j, rel ⊕ 0) serves the whole batch: the normal form
+    of (vec ⊕ 0) has zero head (positions < rank) iff vec lies in the span,
+    and its tail is then the negated coordinate vector.
+    """
+    if not vecs:
+        return []
+    graph = _graph_module([_vp_from_column(c, ring) for c in cols],
+                          [_vp_from_column(c, ring) for c in rels.cols], ring, rank)
+    basis = _compute_gb(ring, rank + len(cols), graph)
+    neg = ring.field.neg
+    by_pos = _by_position(basis)
+    out = []
+    for vec in vecs:
+        rem, _ = _nf_vp(_vp_from_column(vec, ring), basis, by_pos, ring)
+        out.append(_column_from_vp({k: neg(c) for k, c in rem.items()}, ring, head=rank))
+    return out
 
 
 def syzygies(rows: Sequence[Sequence[Poly]], ring: Optional[RingSpec] = None,
@@ -669,21 +740,7 @@ def syzygies(rows: Sequence[Sequence[Poly]], ring: Optional[RingSpec] = None,
         if len(r) != source_rank:
             raise ValueError("ragged matrix")
     cols = [{i: r[j] for i, r in enumerate(rows) if r[j].keys} for j in range(source_rank)]
-    kernel = _preimage(cols, (), ring, len(rows), reduced=True)
-    return [_dense(t, ring, source_rank) for t in kernel]
-
-
-def submodule_from_reduced_gb(ring: RingSpec, rank: int, vectors: Sequence) -> SubmoduleBasis:
-    """Wrap vectors already known to be a reduced module GB, skipping Buchberger.
-
-    Used where the generators are a reduced basis already, such as the
-    output of `syzygies`; normal forms against the result are then
-    certified directly in these generators.
-    """
-    layout = ring.layout
-    sb = SubmoduleBasis(ring, rank, vectors)
-    sb._gb = [_Element(_vp_from_column(c, ring), layout) for c in sb.cols]
-    return sb
+    return list(_reduced_kernel(cols, ring, len(rows)).generators)
 
 
 def ideal_quotient(I: IdealBasis, f: Poly) -> IdealBasis:

@@ -26,11 +26,11 @@ from .arith import Poly, RingSpec, exact_division, is_unit
 from .cube import (
     Cube,
     Report,
+    _degenerate_directions,
     _h0_over,
     _is_invertible,
     _require_free,
     _total_complex,
-    degenerate_directions,
     label_subsets,
     restrict,
     subset_key,
@@ -329,12 +329,19 @@ def determinant(x: Cube) -> Tuple[Dict[str, Poly], Report]:
     Incoherence on a cube that passed is_koszul_cube means a bug, so the
     verdict is returned rather than assumed.
     """
+    return _determinant(x, {})
+
+
+def _determinant(x: Cube, known: dict) -> Tuple[Dict[str, Poly], Report]:
+    """determinant(x), reading det d^k_T from known, by boundary key (T, k),
+    where it is there."""
     _require_free(x)
     ranks = {M.rank for M in x.vertices.values()}
     if len(ranks) > 1:
         return {}, Report(False, (f"vertices do not share a rank: {sorted(ranks)}",))
     S = frozenset(x.labels)
-    det = {(T, k): determinant_of_square(x.d(T, k)) for T in x.subsets() for k in sorted(T)}
+    det = {(T, k): known[(T, k)] if (T, k) in known else determinant_of_square(x.d(T, k))
+           for T in x.subsets() for k in sorted(T)}
     dets = {k: det[(S, k)] for k in x.labels}
     failures = []
     for (T, k), dT in det.items():
@@ -356,13 +363,16 @@ def det_is_a_sequence(x: Cube, perm_cap: int = 6) -> bool:
 
 def _det_sequence(x: Cube) -> list:
     """The determinants det d^k at the top subset, in label order, of a
-    non-degenerate cube with coherent determinants; any other cube raises."""
-    deg = degenerate_directions(x)
+    non-degenerate cube with coherent determinants; any other cube raises.
+    Degeneracy is decided first, and the determinants it takes are reused,
+    so each boundary's is taken once."""
+    known: dict = {}
+    deg = _degenerate_directions(x, known)
     if deg:
         raise ValueError(
             f"degenerate directions {sorted(deg)}: their determinants are units, "
             "take the nondegenerate part first")
-    dets, coherence = determinant(x)
+    dets, coherence = _determinant(x, known)
     if not coherence.ok:
         raise ValueError("determinant incoherence: " + "; ".join(coherence.failures))
     return [dets[k] for k in x.labels]

@@ -3,18 +3,18 @@
 Modules are cokernels: an FPModule is a free ambient A^rank together with a
 submodule of relations, and every operation below reduces to Groebner
 computations on the relations or on free-map matrices.  Each linear system
-among them is the one graph module of `groebner` (col_j ⊕ e_j, rel ⊕ 0):
-kernels, injectivity and the relations of homology presentations are
-preimages of 0, annihilators are built from quotients and intersections,
-which are preimages too, and lifting through a surjection reads coordinates
-off the graph module's reduced basis.  The same run that gives a kernel
-gives a basis of the image, which is all 0-sphericity needs; support on
-V(f) is tested on the cyclic quotients (rel : e_i) with no annihilator
-formed.  Fitting ideals come from minors.
+among them is asked of the engine in sparse columns, and the engine solves
+it on its one graph module: kernels, injectivity and the relations of
+homology presentations are preimages of 0, annihilators are built from
+quotients and intersections, which are preimages too, and lifting through a
+surjection reads coordinates modulo the relations.  The same run that gives
+a kernel gives a basis of the image, which is all 0-sphericity needs;
+support on V(f) is tested on the cyclic quotients (rel : e_i) with no
+annihilator formed.  Fitting ideals come from minors.
 
 Each question asked of module maps has one helper, the one place it is
 asked: `_congruent` (a ≡ b modulo relations), `_kills` (g·M = 0),
-`_factor_through` (X with d∘X ≡ b, the only caller of `_graph_coordinates`)
+`_factor_through` (X with d∘X ≡ b, the one place coordinates are asked for)
 and `_preserves_relations` (m induces a map of the presented modules).
 
 A FreeMap stores its nonzero entries only, one dict per column from row
@@ -33,28 +33,21 @@ zero-tests or submodule equalities, which the engine decides exactly.
 from __future__ import annotations
 
 from itertools import combinations
-from math import lcm
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .arith import (Poly, RingMismatchError, RingSpec, _coefficients, _denominator, _numerators,
-                    _poly, _product_sums)
+from .arith import Poly, RingMismatchError, RingSpec, _matrix_product, _poly
 from .groebner import (
     CapExceededError,
     IdealBasis,
     SubmoduleBasis,
-    _by_position,
-    _column_from_vp,
-    _compute_gb,
     _dense,
-    _graph_module,
-    _kernel_and_image,
-    _nf_vp,
+    _graph_coordinates,
+    _nonexact_degree,
     _preimage,
-    _vp_from_column,
+    _reduced_kernel,
     ideal_intersection,
     module_quotient,
     radical_membership,
-    submodule_from_reduced_gb,
 )
 
 __all__ = [
@@ -214,48 +207,13 @@ class FreeMap:
     # -- arithmetic -------------------------------------------------------------
 
     def compose(self, other: "FreeMap") -> "FreeMap":
-        """self ∘ other, column by column: column j of the product is the sum
-        of b_kj times column k of self over the nonzero entries b_kj of
-        column j of other (Gustavson, ACM TOMS 1978).
-
-        Each output entry sums its products term by term in one dict of
-        ints, for both fields, keyed by packed monomial keys: the key of a
-        product of terms is the sum of theirs.  Over Q each row i of self
-        is scaled to integers by the lcm D_i of its denominators and each
-        column j of other by E_j, so entry (i, j) is made once per term, as
-        Fraction(s, D_i·E_j) from the integer sum s; over GF(p) it is s % p.
-        """
+        """self ∘ other, column by column (`arith._matrix_product`)."""
         if self.source_rank != other.target_rank:
             raise ValueError("rank mismatch in composition")
         if self.ring != other.ring and self.target_rank and self.source_rank and other.source_rank:
             raise RingMismatchError(f"ring mismatch: {self.ring!r} vs {other.ring!r}")
-        ring = self.ring
-        p, overflow = ring.field.char, ring.layout.overflow
-        # the nonzero entries of each column of self, in integers: [(row, keys)]
-        if p:
-            row_den = None
-            left = [[(i, a.keys) for i, a in c.items()] for c in self.cols]
-        else:
-            row_den = [1] * self.target_rank
-            for c in self.cols:
-                for i, a in c.items():
-                    row_den[i] = lcm(row_den[i], _denominator(a.keys.values()))
-            left = [[(i, _numerators(a.keys, row_den[i])) for i, a in c.items()] for c in self.cols]
-        out = []
-        for bcol in other.cols:
-            e = 1 if p else _denominator(c for b in bcol.values() for c in b.keys.values())
-            acc: dict = {}  # output row -> integer sums
-            for k, b in bcol.items():
-                right = b.keys if p else _numerators(b.keys, e)
-                for i, akeys in left[k]:
-                    _product_sums(akeys, right, acc.setdefault(i, {}))
-            col = {}
-            for i, sums in acc.items():
-                keys = _coefficients(sums, 1 if p else row_den[i] * e, p, overflow)
-                if keys:
-                    col[i] = _poly(ring, keys)
-            out.append(col)
-        return _freemap(ring, self.target_rank, out)
+        return _freemap(self.ring, self.target_rank,
+                        _matrix_product(self.ring, self.cols, other.cols, self.target_rank))
 
     def __matmul__(self, other: "FreeMap") -> "FreeMap":
         return self.compose(other)
@@ -433,20 +391,13 @@ class Complex:
 # kernels / cokernels
 # ---------------------------------------------------------------------------
 
-def _kernel(m: FreeMap, reduced: bool) -> list:
-    """Generators of ker(m) as sparse columns, the preimage of 0 under its
-    columns: Schreyer syzygies of one Buchberger run, and with `reduced`
-    their reduced Groebner basis."""
-    return _preimage(m.cols, (), m.ring, m.target_rank, reduced)
-
-
 def kernel_generators(m: FreeMap) -> list:
     """The reduced Groebner basis of ker(m), as dense columns."""
-    return [_dense(t, m.ring, m.source_rank) for t in _kernel(m, reduced=True)]
+    return list(_reduced_kernel(m.cols, m.ring, m.target_rank).generators)
 
 
 def is_injective(m: FreeMap) -> bool:
-    return not _kernel(m, reduced=False)
+    return not _preimage(m.cols, (), m.ring, m.target_rank)
 
 
 def cokernel(m: FreeMap) -> FPModule:
@@ -605,16 +556,16 @@ def homology(c: Complex, k: int) -> FPModule:
         if c.length == 0:
             return FPModule.free(ring, c.ranks[0])
         return cokernel(c.differential(1))
-    gens = _kernel(c.differential(k), reduced=True)
-    ker_basis = submodule_from_reduced_gb(ring, c.ranks[k], gens)
+    kernel = _reduced_kernel(c.differential(k).cols, ring, c.ranks[k - 1])
+    gens = kernel.cols
     rel_vectors = []
     if k < c.length:
         for col in c.differential(k + 1).cols:
-            rem, cert = ker_basis.nf_vector(col, want_cert=True)
+            rem, cert = kernel.nf_vector(col, want_cert=True)
             if any(not p.is_zero() for p in rem):
                 raise RuntimeError("image column escaped the kernel — broken complex")
             rel_vectors.append(cert)
-    rel_vectors += _preimage(gens, (), ring, c.ranks[k], reduced=True)
+    rel_vectors += _reduced_kernel(gens, ring, c.ranks[k]).cols
     rels = SubmoduleBasis(ring, len(gens), rel_vectors)
     return FPModule(ring, len(gens), rels)
 
@@ -622,28 +573,12 @@ def homology(c: Complex, k: int) -> FPModule:
 def _nonzero_homology_degree(c: Complex) -> Optional[int]:
     """The least k >= 1 with H_k(c) != 0, or None when c is 0-spherical.
 
-    H_k is zero iff ker d_k lies in im d_{k+1}, so each degree tests the
-    unreduced kernel generators of d_k for membership in the image, and no
-    H_k is presented.  One Buchberger run per differential serves both
-    sides (`groebner._kernel_and_image`): the run on d_{k+1} that gives the
-    Groebner basis of its image also gives ker d_{k+1}, the next degree's
-    kernel.  The runs are not cached: a face is visited once.  Each image
-    basis is grouped by lead position once, for all the kernel generators.
+    H_k is zero iff ker d_k lies in im d_{k+1}, which
+    `groebner._nonexact_degree` tests with one uncached Buchberger run per
+    differential and no H_k presented; the runs are not cached because a
+    face is visited once.
     """
-    ring = c.ring
-    nxt = None  # (kernel, image) of d_k, when the previous degree's run made it
-    for k in range(1, c.length + 1):
-        gens, _ = nxt or _kernel_and_image(c.differential(k).cols, ring, c.ranks[k - 1])
-        nxt = None
-        if not gens:
-            continue
-        if k == c.length:
-            return k  # nonzero kernel at the top has no image to kill it
-        nxt = _kernel_and_image(c.differential(k + 1).cols, ring, c.ranks[k])
-        by_pos = _by_position(nxt[1])
-        if any(_nf_vp(g, nxt[1], by_pos, ring)[0] for g in gens):
-            return k
-    return None
+    return _nonexact_degree([d.cols for d in c.differentials], c.ranks, c.ring)
 
 
 def zero_spherical(c: Complex) -> bool:
@@ -654,33 +589,6 @@ def zero_spherical(c: Complex) -> bool:
 # ---------------------------------------------------------------------------
 # lifting
 # ---------------------------------------------------------------------------
-
-def _graph_coordinates(vecs: Sequence[Mapping[int, Poly]], cols: Sequence[Mapping[int, Poly]],
-                       rels: SubmoduleBasis, ring: RingSpec, rank: int) -> list:
-    """Coordinates of each vector of vecs in terms of cols, modulo rels.
-
-    Vectors and columns are sparse, mappings of positions to Poly in which
-    a missing position is zero.  Returns one entry per vector, in order: its
-    coordinates, sparse in the same way with only nonzero Poly, or None when
-    it is not in the span.  One reduced basis of the graph module
-    (`groebner._graph_module`: col_j ⊕ e_j, rel ⊕ 0) serves the whole
-    batch: the normal form of (vec ⊕ 0) has zero head (positions < rank)
-    iff vec lies in the span, and its tail is then the negated coordinate
-    vector.
-    """
-    if not vecs:
-        return []
-    graph = _graph_module([_vp_from_column(c, ring) for c in cols],
-                          [_vp_from_column(c, ring) for c in rels.cols], ring, rank)
-    basis = _compute_gb(ring, rank + len(cols), graph)
-    neg = ring.field.neg
-    by_pos = _by_position(basis)
-    out = []
-    for vec in vecs:
-        rem, _ = _nf_vp(_vp_from_column(vec, ring), basis, by_pos, ring)
-        out.append(_column_from_vp({k: neg(c) for k, c in rem.items()}, ring, head=rank))
-    return out
-
 
 def lift_through_surjection(f: FreeMap, p: FreeMap, module: FPModule) -> FreeMap:
     """g with p∘g = f as maps into the module presented on the shared target.

@@ -521,6 +521,27 @@ def test_h0_directions_flag(tmp_path):
     assert set(env["details"]["vertices"]) == {"", "2"}
 
 
+@pytest.mark.parametrize("directions,want_code,want", [
+    ("2,1", 0, ["1", "2"]),
+    # a repeated label used to be echoed although H_0 is taken once per
+    # direction, and an empty one used to be dropped
+    ("1,1", 2, "repeats a label"),
+    ("1,,2", 2, "has an empty label"),
+    (",", 2, "has an empty label"),
+    ("1,", 2, "has an empty label"),
+])
+def test_h0_directions_are_what_is_computed(tmp_path, directions, want_code, want):
+    out, code = run("h0", "--input", write_doc(tmp_path, TYP_XY), "--directions", directions)
+    assert code == want_code
+    env = json.loads(out)
+    if want_code:
+        assert env["error"]["type"] == "input"
+        assert env["error"]["message"].startswith("--directions ")
+        assert want in env["error"]["message"]
+    else:
+        assert env["details"]["directions"] == want
+
+
 def test_fitting_and_grade_and_generators(tmp_path):
     mdoc = write_doc(tmp_path, {"ring": RING_Q2,
                                 "matrix": [["x", "0"], ["0", "y"]]}, "m.json")
@@ -582,6 +603,7 @@ CROSS_ORDER_CASES = [
     ("h0_typ_xy", ["h0"], "typ_xy.json", 0),
     # rank-2 relations with a zero entry: the dense view of the relations
     ("h0_rank2", ["h0"], "h0_rank2.json", 0),
+    ("h0_repeated_direction", ["h0", "--directions", "1,1"], "typ_xy.json", 2),
     ("homology_typ_xy", ["homology"], "typ_xy.json", 0),
     ("admissible_typ_xy", ["admissible", "--strategy", "inductive"], "typ_xy.json", 0),
     ("admissible_spherical_typ_xy", ["admissible", "--strategy", "spherical_faces"],

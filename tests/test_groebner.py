@@ -27,7 +27,6 @@ from koszul_lab.groebner import (
     module_quotient,
     normal_form,
     radical_membership,
-    submodule_from_reduced_gb,
     syzygies,
 )
 
@@ -262,13 +261,28 @@ def test_ideal_and_module_operations_check_length_and_ring(monkeypatch):
         radical_membership(Q3.var("z"), I)
 
 
-def test_submodule_from_reduced_gb_is_trusted():
-    x, y = Q2.gens()
-    zero = Q2.zero()
-    ref = SubmoduleBasis(Q2, 2, [(x, zero), (zero, y)])
-    seeded = submodule_from_reduced_gb(Q2, 2, ref.reduced_gb)
-    assert seeded == ref
-    assert seeded.contains_vector((x, zero))
+def test_reduced_kernel_holds_its_reduced_basis(monkeypatch):
+    # the kernel of the Koszul row (x, y, z) comes back holding the cached
+    # reduced basis, so reading that basis and reducing against it runs no
+    # Buchberger, and certificates are in its generators
+    import koszul_lab.groebner as G
+    x, y, z = Q3.gens()
+    zero = Q3.zero()
+    kernel = G._reduced_kernel([{0: x}, {0: y}, {0: z}], Q3, 1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Buchberger ran on a basis already held")
+
+    monkeypatch.setattr(G, "_buchberger", forbidden)
+    assert kernel.reduced_gb == kernel.generators
+    vec = (y * z, -x * z, zero)
+    rem, cert = kernel.nf_vector(vec, want_cert=True)
+    assert all(p.is_zero() for p in rem)
+    assert len(cert) == len(kernel.generators)
+    assert tuple(sum((c * g[i] for c, g in zip(cert, kernel.generators)), zero)
+                 for i in range(3)) == vec
+    monkeypatch.undo()
+    assert kernel == SubmoduleBasis(Q3, 3, syzygies([[x, y, z]]))
 
 
 # --------------------------------------------------------------------------

@@ -507,6 +507,25 @@ def test_determinant_preconditions_raise_one_error(check):
         check(rank1_square("x", "x^2", "y^2", "x*y^2"))
 
 
+@pytest.mark.parametrize("check", [det_is_a_sequence, generators_presentation])
+def test_determinant_preconditions_take_one_determinant_per_boundary(monkeypatch, check):
+    # the degeneracy test and the coherence test share one table: 12
+    # boundaries, 12 determinants (there were 15, one per direction twice)
+    calls = []
+    real = modcalc.determinant_of_square
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(cube, "determinant_of_square", counted)
+    monkeypatch.setattr(koszul, "determinant_of_square", counted)
+    x = typical_cube([P("x", Q3), P("y^2", Q3), P("z", Q3)])
+    check(x)
+    assert len(x.boundary) == 12
+    assert len(calls) == 12
+
+
 def _vector_multiset(vectors):
     return Counter(tuple(map(str, v)) for v in vectors)
 

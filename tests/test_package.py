@@ -63,6 +63,31 @@ def test_no_unused_imports():
     assert unused == []
 
 
+ENGINE_PRIVATE = {"_nf_vp", "_by_position", "_compute_gb", "_graph_module", "_kernel_and_image",
+                  "_buchberger", "_vp_from_column", "_column_from_vp", "_Element", "_GB_CACHE"}
+ARITH_PRIVATE = {"_product_sums", "_numerators", "_coefficients", "_denominator", "_add_scaled",
+                 "_Terms"}
+
+
+def test_encodings_stay_with_their_owners():
+    # Flattened vectors, basis elements, the graph module and the cache are
+    # the Groebner engine's; the coefficient sums and packed term layout are
+    # arith's, shared with the engine only.  Every other library module asks
+    # in sparse columns and Poly, so the engine's own work runs in one module.
+    owners = {"groebner": ({"groebner"}, ENGINE_PRIVATE),
+              "arith": ({"arith", "groebner"}, ARITH_PRIVATE)}
+    leaks = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or not node.module:
+                continue
+            source = node.module.rsplit(".", 1)[-1]
+            if source in owners and path.stem not in owners[source][0]:
+                leaks += [f"{path.name}: {source}.{a.name}" for a in node.names
+                          if a.name in owners[source][1]]
+    assert leaks == []
+
+
 def test_sources_parse_as_python_3_10():
     # 3.10 is the requires-python floor; this catches newer syntax where no
     # 3.10 interpreter is at hand
