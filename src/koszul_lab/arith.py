@@ -8,7 +8,9 @@ plain ints in [0, p) over a prime field; there is no floating point anywhere.
 (Inside Buchberger over Q the Groebner engine works on integer vectors; every
 Poly and every basis it returns holds Fractions.  Products over Q, of two Poly
 and of two matrices of sparse columns (`_matrix_product`), likewise sum
-integer numerators over a common denominator and make each Fraction once.)
+integer numerators over a common denominator and make each Fraction once, and
+so do the minors of a matrix of sparse columns (`_minors`), a Laplace
+expansion on integer sums.)
 
 A monomial has one encoding below the public API: a packed int, its key
 under the ring's layout (`_Terms`, shared by every ring with the same number
@@ -583,30 +585,118 @@ def _matrix_product(ring: RingSpec, left: Sequence[Mapping[int, Poly]],
 
     Each output entry sums its products term by term in one dict of ints,
     for both fields.  Over Q each row i of L is scaled to integers by the
-    lcm D_i of its denominators and each column j of R by E_j, so entry
-    (i, j) is made once per term, as Fraction(s, D_i·E_j) from the integer
-    sum s; over GF(p) it is s % p.
+    lcm D_i of its denominators (`_integer_rows`) and each column j of R by
+    E_j, so entry (i, j) is made once per term, as Fraction(s, D_i·E_j)
+    from the integer sum s; over GF(p) it is s % p.
     """
     p, overflow = ring.field.char, ring.layout.overflow
-    row_den = [1] * rows  # over GF(p) every denominator is 1
-    if not p:
-        for c in left:
-            for i, a in c.items():
-                row_den[i] = math.lcm(row_den[i], _denominator(a.keys.values()))
-    # the nonzero entries of each column of L, in integers: [(row, keys)]
-    ints = [[(i, a.keys if p else _numerators(a.keys, row_den[i])) for i, a in c.items()]
-            for c in left]
+    row_den, ints = _integer_rows(left, rows, p)
     out = []
     for bcol in right:
         e = 1 if p else _denominator(c for b in bcol.values() for c in b.keys.values())
         acc: dict = {}  # output row -> integer sums
         for k, b in bcol.items():
             bkeys = b.keys if p else _numerators(b.keys, e)
-            for i, akeys in ints[k]:
+            for i, akeys in ints[k].items():
                 _product_sums(akeys, bkeys, acc.setdefault(i, {}))
         out.append({i: _poly(ring, keys) for i, sums in acc.items()
                     if (keys := _coefficients(sums, row_den[i] * e, p, overflow))})
     return out
+
+
+def _integer_rows(cols: Sequence[Mapping[int, Poly]], rows: int, p: int) -> tuple:
+    """([D_i], columns): the lcm D_i of the denominators of row i of the
+    matrix with `rows` rows and the sparse columns `cols`, and those columns
+    with row i scaled by D_i, each entry as its integer term dict.  Over
+    GF(p) every D_i is 1 and an entry's dict is its Poly's keys."""
+    row_den = [1] * rows
+    if not p:
+        for c in cols:
+            for i, a in c.items():
+                row_den[i] = math.lcm(row_den[i], _denominator(a.keys.values()))
+    return row_den, [{i: a.keys if p else _numerators(a.keys, row_den[i]) for i, a in c.items()}
+                     for c in cols]
+
+
+def _minors(ring: RingSpec, cols: Sequence[Mapping[int, Poly]], rows: int,
+            pairs: Iterable[tuple]) -> list:
+    """The distinct nonzero minors of the matrix with `rows` rows and the
+    sparse columns `cols` at `pairs`, in their order: each pair is a tuple
+    of row indices and one of column indices, both ascending and of one
+    length, and a minor is dropped when it is zero or a scalar multiple of
+    one kept before it.  The minor at two empty tuples is 1.
+
+    Each minor is a Laplace expansion along its first row on integer sums
+    (`_minor_sums`), with one memo shared by every pair and dropped on
+    return.  Over Q each row i is scaled to integers by the lcm D_i of its
+    denominators (`_integer_rows`), so the minor at (R, C) is made once per
+    term, as Fraction(s, ∏_{i∈R} D_i) from the integer sum s; over GF(p)
+    each sum is kept reduced mod p.
+    """
+    p, overflow = ring.field.char, ring.layout.overflow
+    row_den, ints = _integer_rows(cols, rows, p)
+    memo: dict = {}
+    seen = set()
+    out = []
+    for r, c in pairs:
+        sums = _minor_sums(ints, r, c, memo, p, overflow) if r else {0: 1}
+        if not sums:
+            continue
+        cls = _unit_class(sums, p)
+        if cls in seen:
+            continue
+        seen.add(cls)
+        out.append(_poly(ring, _coefficients(sums, math.prod(row_den[i] for i in r), p, overflow)))
+    return out
+
+
+def _minor_sums(ints: list, rows: tuple, sel: tuple, memo: dict, p: int, overflow: int) -> dict:
+    """The nonzero integer sums of the minor of `ints`, sparse columns of
+    integer term dicts, at rows × sel (both nonempty): Laplace expansion
+    along the first row, memoized on (rows, sel) in memo.
+
+    Each expansion collects every product of an entry with its sub-minor in
+    one dict and tests the guard bits of all its keys, zero sums included,
+    before it drops the zero sums (and reduces mod p over GF(p)).  A
+    sub-minor's keys are then below 2^31 in every field, so the next level
+    adds keys with no carry, and a key that reaches 2^31 raises at the level
+    that made it.
+    """
+    if len(rows) == 1:
+        return ints[sel[0]].get(rows[0], {})
+    key = (rows, sel)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    r0, rest = rows[0], rows[1:]
+    acc: dict = {}
+    for j, c in enumerate(sel):
+        e = ints[c].get(r0)
+        if e is None:
+            continue
+        sub = _minor_sums(ints, rest, sel[:j] + sel[j + 1:], memo, p, overflow)
+        if sub:
+            _product_sums({k: -v for k, v in e.items()} if j & 1 else e, sub, acc)
+    if reduce(or_, acc, 0) & overflow:
+        raise _overflowed()
+    out = memo[key] = ({k: r for k, s in acc.items() if (r := s % p)} if p
+                       else {k: s for k, s in acc.items() if s})
+    return out
+
+
+def _unit_class(sums: dict, p: int) -> frozenset:
+    """The terms of nonzero integer sums scaled so that the term with the
+    largest key has coefficient 1 over GF(p); over Q, divided by their
+    content with that term's sign.  Two sums get the same class exactly
+    when one is a nonzero scalar multiple of the other."""
+    top = sums[max(sums)]
+    if p:
+        inv = pow(top, -1, p)
+        return frozenset((k, s * inv % p) for k, s in sums.items())
+    g = math.gcd(*sums.values())
+    if top < 0:
+        g = -g
+    return frozenset((k, s // g) for k, s in sums.items())
 
 
 def _add_scaled(target: dict, vp: dict, q: int, coeff, field, overflow: int,

@@ -248,12 +248,6 @@ def restrict(x: Cube, U: Iterable[str], V: Iterable[str]) -> Cube:
     return Cube(x.ring, labels, {A: x.vertices[A | V] for A in sub}, boundary)
 
 
-def _is_invertible(m: FreeMap) -> bool:
-    if m.source_rank != m.target_rank:
-        return False
-    return is_unit(determinant_of_square(m))
-
-
 def degenerate_directions(x: Cube) -> frozenset:
     """Labels k along which the cube is degenerate (all d^k invertible).
 

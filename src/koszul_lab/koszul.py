@@ -28,7 +28,6 @@ from .cube import (
     Report,
     _degenerate_directions,
     _h0_over,
-    _is_invertible,
     _require_free,
     _total_complex,
     label_subsets,
@@ -246,12 +245,13 @@ def _sequence_by_label(x: Cube, fs) -> Dict[str, Poly]:
     return dict(zip(x.labels, fs))
 
 
-def _boundary_flags(m: FreeMap, f: Poly) -> Tuple[bool, bool]:
-    """(injective, support on V(f)) for one boundary m, an r×s matrix."""
+def _boundary_flags(m: FreeMap, f: Poly, key: tuple, dets: dict) -> Tuple[bool, bool]:
+    """(injective, support on V(f)) for one boundary m, an r×s matrix; the
+    determinant of a square m is kept in dets under key."""
     ring = m.ring
     r, s = m.target_rank, m.source_rank
     if r == s:
-        det = determinant_of_square(m)
+        det = dets[key] = determinant_of_square(m)
         return not det.is_zero(), radical_membership(f, IdealBasis(ring, [det]))
     if r == 0:
         fitt = IdealBasis(ring, [ring.one()])   # the empty minor
@@ -277,13 +277,19 @@ def is_koszul_cube(x: Cube, fs) -> KoszulVerdict:
     cover every (T,k) pair even after a failure, so a bad cube reports all
     of its defects at once.
     """
+    return _koszul_verdict(x, fs, {})
+
+
+def _koszul_verdict(x: Cube, fs, dets: dict) -> KoszulVerdict:
+    """is_koszul_cube(x, fs), keeping in dets, by boundary key (T, k), the
+    determinant of each square boundary."""
     _require_free(x)
     seq = _sequence_by_label(x, fs)
     diagnostics: Dict[str, dict] = {}
     ok = True
     for T in x.subsets():
         for k in sorted(T):
-            inj, supp = _boundary_flags(x.d(T, k), seq[k])
+            inj, supp = _boundary_flags(x.d(T, k), seq[k], (T, k), dets)
             diagnostics[f"{subset_key(T)}|{k}"] = {"injective": inj, "support": supp}
             ok = ok and inj and supp
     return KoszulVerdict(ok, diagnostics)
@@ -302,18 +308,20 @@ def is_reduced_koszul(x: Cube, fs) -> bool:
 
 
 def koszul_nondegenerate_part(x: Cube, fs) -> Cube:
-    """nondegenerate_part of a Koszul cube, one determinant per direction.
+    """nondegenerate_part of a Koszul cube, decided by the top determinants.
 
     On a Koszul cube, invertibility of d^k at the top subset S forces
     invertibility of every parallel boundary, so direction k is degenerate
     iff d^k_S is invertible.  That is false on other cubes, so the Koszul
-    condition is verified here first, and a cube that fails it raises.
+    condition is verified here first, and a cube that fails it raises.  The
+    verification takes det d^k_S of each square top boundary, which is read
+    here; a boundary that is not square is not invertible.
     """
-    verdict = is_koszul_cube(x, fs)
-    if not verdict.is_koszul:
+    dets: dict = {}
+    if not _koszul_verdict(x, fs, dets).is_koszul:
         raise ValueError("shortcut degeneracy detection requires a verified Koszul cube")
     S = frozenset(x.labels)
-    deg = {k for k in x.labels if _is_invertible(x.d(S, k))}
+    deg = {k for k in x.labels if (S, k) in dets and is_unit(dets[(S, k)])}
     return restrict(x, S - deg, frozenset())
 
 

@@ -10,7 +10,8 @@ quotients and intersections, which are preimages too, and lifting through a
 surjection reads coordinates modulo the relations.  The same run that gives
 a kernel gives a basis of the image, which is all 0-sphericity needs;
 support on V(f) is tested on the cyclic quotients (rel : e_i) with no
-annihilator formed.  Fitting ideals come from minors.
+annihilator formed.  Fitting ideals and determinants come from minors,
+which `arith._minors` expands on integer sums.
 
 Each question asked of module maps has one helper, the one place it is
 asked: `_congruent` (a ≡ b modulo relations), `_kills` (g·M = 0),
@@ -19,7 +20,7 @@ and `_preserves_relations` (m induces a map of the presented modules).
 
 A FreeMap stores its nonzero entries only, one dict per column from row
 index to entry, and every operation runs over those; `entries`, the dense
-matrix row-major, is a view made on each read for printing and minors.  A
+matrix row-major, is a view made on each read for printing.  A
 sparse column is the one form of a vector below the public API: the columns
 of a map and the relations of a module (`SubmoduleBasis.cols`) go to the
 engine as they are, and kernels, preimages and coordinates come back as
@@ -32,10 +33,10 @@ zero-tests or submodule equalities, which the engine decides exactly.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional, Sequence, Union
 
-from .arith import Poly, RingMismatchError, RingSpec, _matrix_product, _poly
+from .arith import Poly, RingMismatchError, RingSpec, _matrix_product, _minors, _poly
 from .groebner import (
     CapExceededError,
     IdealBasis,
@@ -484,57 +485,28 @@ def _factor_through(d: FreeMap, b: FreeMap, rel: SubmoduleBasis) -> Union[FreeMa
 # ---------------------------------------------------------------------------
 # Fitting ideals
 # ---------------------------------------------------------------------------
-
-def _minor(cols, rows: tuple, sel: tuple, ring: RingSpec, memo: dict) -> Poly:
-    """Determinant of the square submatrix of the sparse columns `cols` at
-    `rows` × `sel`: division-free Laplace expansion along the first row,
-    memoized on (rows, sel)."""
-    if not rows:
-        return ring.one()
-    key = (rows, sel)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    r0 = rows[0]
-    rest = rows[1:]
-    acc = ring.zero()
-    for j, c in enumerate(sel):
-        e = cols[c].get(r0)
-        if e is None:
-            continue
-        sub = _minor(cols, rest, sel[:j] + sel[j + 1:], ring, memo)
-        term = e * sub
-        acc = acc + term if j % 2 == 0 else acc - term
-    memo[key] = acc
-    return acc
-
+#
+# Every minor is taken by `arith._minors`: a Laplace expansion on integer
+# sums, with one memo per call shared by all the minors of one matrix.
 
 def determinant_of_square(m: FreeMap) -> Poly:
+    """det m, for a square m; 1 for the 0×0 matrix."""
     if m.target_rank != m.source_rank:
         raise ValueError("determinant of a non-square map")
     n = tuple(range(m.target_rank))
-    return _minor(m.cols, n, n, m.ring, {})
+    det = _minors(m.ring, m.cols, m.target_rank, [(n, n)])
+    return det[0] if det else _poly(m.ring, {})
 
 
 def fitting_ideal(m: FreeMap, t: int) -> IdealBasis:
-    """Ideal of t×t minors of the matrix of m."""
+    """Ideal of t×t minors of the matrix of m, generated by the first of
+    each class of nonzero minors equal up to a scalar, rows and then columns
+    in `combinations` order (`arith._minors`)."""
     if t < 1 or t > min(m.source_rank, m.target_rank):
         raise ValueError(f"minor size {t} out of range for a "
                          f"{m.target_rank}x{m.source_rank} matrix")
-    memo: dict = {}
-    gens = []
-    seen = set()
-    for rows in combinations(range(m.target_rank), t):
-        for sel in combinations(range(m.source_rank), t):
-            d = _minor(m.cols, rows, sel, m.ring, memo)
-            if d.is_zero():
-                continue
-            mine = d.monic()
-            key = tuple(sorted(mine.keys.items()))
-            if key not in seen:
-                seen.add(key)
-                gens.append(d)
-    return IdealBasis(m.ring, gens)
+    pairs = product(combinations(range(m.target_rank), t), combinations(range(m.source_rank), t))
+    return IdealBasis(m.ring, _minors(m.ring, m.cols, m.target_rank, pairs))
 
 
 # ---------------------------------------------------------------------------

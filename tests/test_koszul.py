@@ -526,6 +526,26 @@ def test_determinant_preconditions_take_one_determinant_per_boundary(monkeypatch
     assert len(calls) == 12
 
 
+def test_koszul_nondegenerate_part_takes_one_determinant_per_boundary(monkeypatch):
+    # the Koszul verification keeps each boundary's determinant and the top
+    # ones decide degeneracy: 12 boundaries, 12 determinants (there were 15,
+    # each top determinant twice)
+    calls = []
+    real = modcalc.determinant_of_square
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(cube, "determinant_of_square", counted)
+    monkeypatch.setattr(koszul, "determinant_of_square", counted)
+    fs = [P("x", Q3), P("y^2", Q3), P("z", Q3)]
+    x = typical_cube(fs)
+    assert koszul_nondegenerate_part(x, fs).labels == x.labels
+    assert len(x.boundary) == 12
+    assert len(calls) == 12
+
+
 def _vector_multiset(vectors):
     return Counter(tuple(map(str, v)) for v in vectors)
 

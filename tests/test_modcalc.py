@@ -1,5 +1,9 @@
 """Free maps, finitely presented modules, complexes, homology."""
 
+import random
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -243,6 +247,141 @@ def test_fitting_invariant_under_elementary_ops():
     e = M([["0", "x"], ["y", "x^2"]])
     for t in (1, 2):
         assert fitting_ideal(d, t) == fitting_ideal(e, t)
+
+
+def _minor_reference(cols, rows, sel, ring, memo):
+    """The minor of the sparse columns `cols` at rows × sel by Laplace
+    expansion along the first row in Poly arithmetic, memoized on (rows,
+    sel): the reference that the integer expansion must match."""
+    if not rows:
+        return ring.one()
+    key = (rows, sel)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    acc = ring.zero()
+    for j, c in enumerate(sel):
+        e = cols[c].get(rows[0])
+        if e is None:
+            continue
+        term = e * _minor_reference(cols, rows[1:], sel[:j] + sel[j + 1:], ring, memo)
+        acc = acc + term if j % 2 == 0 else acc - term
+    memo[key] = acc
+    return acc
+
+
+def _first_of_each_class(minors):
+    """The first of each class of nonzero minors equal up to a scalar, the
+    class read off `monic()`: the generators `fitting_ideal` keeps."""
+    gens, seen = [], set()
+    for d in minors:
+        key = frozenset(d.monic().keys.items())
+        if d.keys and key not in seen:
+            seen.add(key)
+            gens.append(d)
+    return gens
+
+
+def _exact(p):
+    # the keys of p with each coefficient's type: Fraction(1) is not 1
+    return p.ring, sorted((k, repr(c)) for k, c in p.keys.items())
+
+
+_COEFFS = (Fraction(1, 2), Fraction(-3, 7), Fraction(5, 3), Fraction(2, 9), 1, -1)
+
+
+def _random_matrix(ring, rows, cols, rng):
+    """A sparse rows × cols matrix of one- and two-term entries, each row
+    with mixed denominators; some have a zero row, a zero column, or a last
+    row that is a multiple of the first, so that minors cancel to zero and
+    others are scalar multiples of each other."""
+    def entry():
+        if rng.random() < 0.4:
+            return ring.zero()
+        return Poly(ring, {(rng.randrange(3), rng.randrange(3)): rng.choice(_COEFFS)
+                           for _ in range(rng.randrange(1, 3))})
+    entries = [[entry() for _ in range(cols)] for _ in range(rows)]
+    kind = rng.randrange(4)
+    if kind == 1 and rows:
+        entries[rng.randrange(rows)] = [ring.zero()] * cols
+    elif kind == 2 and cols:
+        j = rng.randrange(cols)
+        for r in entries:
+            r[j] = ring.zero()
+    elif kind == 3 and rows > 1:
+        entries[-1] = [e.scale(Fraction(-5, 3)) for e in entries[0]]
+    return FreeMap(ring, entries, target_rank=rows, source_rank=cols)
+
+
+def _reference_cases():
+    rng = random.Random(20)
+    return [(ring, _random_matrix(ring, rows, cols, rng))
+            for ring in (Q2, RingSpec(101, ("x", "y")))
+            for rows in range(5) for cols in range(6) for _ in range(3)]
+
+
+def test_minors_match_the_poly_reference():
+    # determinants and Fitting generators, Poly for Poly and in order, on
+    # every shape from 0x0 to 4x5 and every minor size
+    cancelled = proportional = 0
+    for ring, m in _reference_cases():
+        if m.target_rank == m.source_rank:
+            n = tuple(range(m.target_rank))
+            assert _exact(determinant_of_square(m)) == _exact(_minor_reference(m.cols, n, n, ring, {}))
+        for t in range(1, min(m.target_rank, m.source_rank) + 1):
+            memo = {}
+            pairs = [(r, c) for r in combinations(range(m.target_rank), t)
+                     for c in combinations(range(m.source_rank), t)]
+            minors = [_minor_reference(m.cols, r, c, ring, memo) for r, c in pairs]
+            want = _first_of_each_class(minors)
+            assert [_exact(g) for g in fitting_ideal(m, t).generators] == [_exact(g) for g in want]
+            # zero although no row of the submatrix is zero
+            cancelled += sum(not d.keys and all(any(i in m.cols[j] for j in c) for i in r)
+                             for (r, c), d in zip(pairs, minors))
+            proportional += sum(bool(d.keys) for d in minors) - len(want)
+    assert cancelled > 0 and proportional > 0
+
+
+def test_minors_over_q_run_no_fraction_arithmetic(monkeypatch):
+    # Fractions may be built and read (Fraction(n, d), .numerator,
+    # .denominator), but no Fraction operator may run while minors are
+    # taken, and neither may Poly arithmetic
+    cases = [m for ring, m in _reference_cases() if ring == Q2 and m.target_rank and m.source_rank]
+    assert any(c.denominator > 1 for m in cases for col in m.cols
+               for p in col.values() for c in p.keys.values())
+
+    def run():
+        return [([_exact(determinant_of_square(m))] if m.target_rank == m.source_rank else [])
+                + [[_exact(g) for g in fitting_ideal(m, t).generators]
+                   for t in range(1, min(m.target_rank, m.source_rank) + 1)]
+                for m in cases]
+    expected = run()
+
+    def forbidden(*args):
+        raise AssertionError("arithmetic inside a minor")
+    with monkeypatch.context() as p:
+        for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
+            p.setattr(Fraction, f"__{op}__", forbidden)
+            p.setattr(Fraction, f"__r{op}__", forbidden)
+        for op in ("neg", "pos", "abs"):
+            p.setattr(Fraction, f"__{op}__", forbidden)
+        for op in ("__add__", "__sub__", "__mul__", "__neg__", "monic", "scale"):
+            p.setattr(Poly, op, forbidden)
+        got = run()
+    assert got == expected
+
+
+def test_determinant_refuses_an_exponent_of_two_to_the_31():
+    # every level of the expansion tests its keys: in the 3x3 diagonal the
+    # 2x2 sub-minor already reaches 2^31, and by the third factor the carry
+    # has left x's guard bit clear
+    for ring in (Q2, RingSpec(101, ("x", "y"))):
+        x = ring.var("x")
+        below = FreeMap.diagonal(ring, [x ** (2 ** 30), x ** (2 ** 30 - 1)])
+        assert determinant_of_square(below) == x ** (2 ** 31 - 1)
+        for n, e in ((2, 2 ** 30), (3, 2 ** 31 - 1)):
+            with pytest.raises(CapExceededError, match=r"2\^31"):
+                determinant_of_square(FreeMap.diagonal(ring, [x ** e] * n))
 
 
 # --------------------------------------------------------------------------

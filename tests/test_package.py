@@ -66,14 +66,15 @@ def test_no_unused_imports():
 ENGINE_PRIVATE = {"_nf_vp", "_by_position", "_compute_gb", "_graph_module", "_kernel_and_image",
                   "_buchberger", "_vp_from_column", "_column_from_vp", "_Element", "_GB_CACHE"}
 ARITH_PRIVATE = {"_product_sums", "_numerators", "_coefficients", "_denominator", "_add_scaled",
-                 "_Terms"}
+                 "_Terms", "_integer_rows", "_minor_sums", "_unit_class"}
 
 
 def test_encodings_stay_with_their_owners():
     # Flattened vectors, basis elements, the graph module and the cache are
-    # the Groebner engine's; the coefficient sums and packed term layout are
-    # arith's, shared with the engine only.  Every other library module asks
-    # in sparse columns and Poly, so the engine's own work runs in one module.
+    # the Groebner engine's; the coefficient sums, the packed term layout and
+    # the integer expansion of minors are arith's, shared with the engine
+    # only.  Every other library module asks in sparse columns and Poly, so
+    # the engine's own work runs in one module.
     owners = {"groebner": ({"groebner"}, ENGINE_PRIVATE),
               "arith": ({"arith", "groebner"}, ARITH_PRIVATE)}
     leaks = []
