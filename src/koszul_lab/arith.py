@@ -117,6 +117,33 @@ class _Field:
         return hash(("GF", self.char) if self.char else "Q")
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller–Rabin with the first twelve primes as bases, exact for every
+    n below 2^64 (it is not called on larger n)."""
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # monomial orders
 # ---------------------------------------------------------------------------
@@ -252,7 +279,7 @@ _LAYOUTS: dict = {}  # (number of variables, order) -> _Terms, shared by equal l
 class RingSpec:
     """A polynomial ring over an exact field with a fixed monomial order.
 
-    field: "Q" or an int p (prime) for GF(p).
+    field: "Q" or an int p (prime, below 2^64) for GF(p).
     variables: ordered, distinct, nonempty names.
     order: "grevlex" (default) | "lex" | "grlex".
     `layout` packs its monomials into keys (`_Terms`).
@@ -266,7 +293,10 @@ class RingSpec:
         elif field == "Q":
             self.field = _Field(0)
         elif isinstance(field, int):
-            if field < 2 or any(field % q == 0 for q in range(2, int(field ** 0.5) + 1)):
+            if field >= 1 << 64:
+                # not printed: str() refuses an int of more than 4,300 digits
+                raise ValueError("field characteristic must be below 2^64")
+            if not _is_prime(field):
                 raise ValueError(f"field characteristic must be prime, got {field}")
             self.field = _Field(field)
         else:
@@ -761,7 +791,10 @@ def parse_poly(text: str, ring: RingSpec) -> Poly:
     variable names.
     """
     parser = _Parser(text, ring)
-    poly = parser.parse_expr()
+    try:
+        poly = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.pos) from None
     parser.skip_ws()
     if parser.pos < len(parser.text):
         raise ParseError(f"unexpected character {parser.text[parser.pos]!r}", parser.pos)

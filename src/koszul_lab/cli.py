@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from fractions import Fraction
 
 import click
 
@@ -23,7 +22,6 @@ from .arith import Poly, RingMismatchError, RingSpec, parse_poly
 from .cube import (
     ADMISSIBILITY_STRATEGIES,
     Cube,
-    Report,
     is_admissible,
     iterated_h0,
     label_subsets,
@@ -69,10 +67,8 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, float):
         return "infinity" if math.isinf(obj) else obj
-    if isinstance(obj, (Fraction, Poly)):
+    if isinstance(obj, Poly):
         return str(obj)
-    if isinstance(obj, Report):
-        return {"ok": obj.ok, "failures": list(obj.failures), "info": _jsonable(obj.info)}
     if isinstance(obj, IdealBasis):
         return [str(g) for g in obj.reduced_gb]
     if isinstance(obj, SubmoduleBasis):
@@ -81,8 +77,6 @@ def _jsonable(obj):
         return {"rank": obj.rank, "relations": _jsonable(obj.relations)}
     if isinstance(obj, FreeMap):
         return [[str(p) for p in row] for row in obj.entries]
-    if isinstance(obj, frozenset):
-        return subset_key(obj)
     if isinstance(obj, dict):
         return {(subset_key(k) if isinstance(k, frozenset) else str(k)): _jsonable(v)
                 for k, v in obj.items()}
@@ -142,6 +136,8 @@ def _load_doc(path: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"malformed JSON: {e.msg} at line {e.lineno} column {e.colno}")
+    except RecursionError:
+        raise ValueError("malformed JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("input document must be a JSON object")
     # the keys any command reads: documents are shared between commands

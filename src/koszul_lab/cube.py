@@ -251,23 +251,13 @@ def restrict(x: Cube, U: Iterable[str], V: Iterable[str]) -> Cube:
 def degenerate_directions(x: Cube) -> frozenset:
     """Labels k along which the cube is degenerate (all d^k invertible).
 
-    Every boundary parallel to d^k is tested; on a verified Koszul cube the
-    top boundary alone decides (see koszul.koszul_nondegenerate_part).
+    Every boundary parallel to d^k is tested, until one is not invertible; a
+    boundary that is not square is not.  On a verified Koszul cube the top
+    boundary alone decides (see koszul.koszul_nondegenerate_part).
     """
-    return _degenerate_directions(x, {})
-
-
-def _degenerate_directions(x: Cube, dets: dict) -> frozenset:
-    """degenerate_directions(x), keeping in dets, by boundary key (T, k),
-    each determinant it takes.  A direction's boundaries are tested until
-    one is not invertible, so each is taken at most once."""
-    def invertible(key, m):
-        if m.source_rank != m.target_rank:
-            return False
-        det = dets[key] = determinant_of_square(m)
-        return is_unit(det)
-    return frozenset(k for k in x.labels
-                     if all(invertible(key, m) for key, m in x.boundary.items() if key[1] == k))
+    return frozenset(k for k in x.labels if all(
+        m.source_rank == m.target_rank and is_unit(determinant_of_square(m))
+        for (_, j), m in x.boundary.items() if j == k))
 
 
 def nondegenerate_part(x: Cube) -> Cube:

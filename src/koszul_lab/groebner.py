@@ -75,8 +75,8 @@ from itertools import combinations
 from math import gcd
 from typing import Mapping, Optional, Sequence
 
-from .arith import (CapExceededError, Poly, RingMismatchError, RingSpec, _add_scaled, _poly,
-                    _Terms)
+from .arith import (CapExceededError, Poly, RingMismatchError, RingSpec, _add_scaled,
+                    _denominator, _numerators, _poly, _Terms)
 
 __all__ = [
     "CapExceededError",
@@ -185,12 +185,6 @@ def _cofactors(a, b, p: int) -> tuple:
         g = gcd(a, b)
         return b // g, a // g
     return 1, a / b
-
-
-def _integral(vp: dict) -> dict:
-    """vp over Q with its denominators cleared: an integer vector on the same terms."""
-    den = math.lcm(*(c.denominator for c in vp.values()))
-    return {t: c.numerator * (den // c.denominator) for t, c in vp.items()}
 
 
 def _unit_normal(vp: dict, layout: _Terms, p: int) -> _Element:
@@ -358,7 +352,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
     for vp in inputs:
         if not vp:
             continue
-        rem, _ = _nf_vp(vp if p else _integral(vp), G, by_pos, ring)
+        rem, _ = _nf_vp(vp if p else _numerators(vp, _denominator(vp.values())), G, by_pos, ring)
         if rem:
             add_elem(rem)
 

@@ -26,10 +26,10 @@ from .arith import Poly, RingSpec, exact_division, is_unit
 from .cube import (
     Cube,
     Report,
-    _degenerate_directions,
     _h0_over,
     _require_free,
     _total_complex,
+    degenerate_directions,
     label_subsets,
     restrict,
     subset_key,
@@ -245,13 +245,12 @@ def _sequence_by_label(x: Cube, fs) -> Dict[str, Poly]:
     return dict(zip(x.labels, fs))
 
 
-def _boundary_flags(m: FreeMap, f: Poly, key: tuple, dets: dict) -> Tuple[bool, bool]:
-    """(injective, support on V(f)) for one boundary m, an r×s matrix; the
-    determinant of a square m is kept in dets under key."""
+def _boundary_flags(m: FreeMap, f: Poly) -> Tuple[bool, bool]:
+    """(injective, support on V(f)) for one boundary m, an r×s matrix."""
     ring = m.ring
     r, s = m.target_rank, m.source_rank
     if r == s:
-        det = dets[key] = determinant_of_square(m)
+        det = determinant_of_square(m)
         return not det.is_zero(), radical_membership(f, IdealBasis(ring, [det]))
     if r == 0:
         fitt = IdealBasis(ring, [ring.one()])   # the empty minor
@@ -277,19 +276,13 @@ def is_koszul_cube(x: Cube, fs) -> KoszulVerdict:
     cover every (T,k) pair even after a failure, so a bad cube reports all
     of its defects at once.
     """
-    return _koszul_verdict(x, fs, {})
-
-
-def _koszul_verdict(x: Cube, fs, dets: dict) -> KoszulVerdict:
-    """is_koszul_cube(x, fs), keeping in dets, by boundary key (T, k), the
-    determinant of each square boundary."""
     _require_free(x)
     seq = _sequence_by_label(x, fs)
     diagnostics: Dict[str, dict] = {}
     ok = True
     for T in x.subsets():
         for k in sorted(T):
-            inj, supp = _boundary_flags(x.d(T, k), seq[k], (T, k), dets)
+            inj, supp = _boundary_flags(x.d(T, k), seq[k])
             diagnostics[f"{subset_key(T)}|{k}"] = {"injective": inj, "support": supp}
             ok = ok and inj and supp
     return KoszulVerdict(ok, diagnostics)
@@ -314,14 +307,16 @@ def koszul_nondegenerate_part(x: Cube, fs) -> Cube:
     invertibility of every parallel boundary, so direction k is degenerate
     iff d^k_S is invertible.  That is false on other cubes, so the Koszul
     condition is verified here first, and a cube that fails it raises.  The
-    verification takes det d^k_S of each square top boundary, which is read
-    here; a boundary that is not square is not invertible.
+    verification takes det d^k_S of each square top boundary, and the map
+    keeps it, so reading it here takes nothing more; a boundary that is not
+    square is not invertible.
     """
-    dets: dict = {}
-    if not _koszul_verdict(x, fs, dets).is_koszul:
+    if not is_koszul_cube(x, fs).is_koszul:
         raise ValueError("shortcut degeneracy detection requires a verified Koszul cube")
     S = frozenset(x.labels)
-    deg = {k for k in x.labels if (S, k) in dets and is_unit(dets[(S, k)])}
+    top = {k: x.d(S, k) for k in x.labels}
+    deg = {k for k, m in top.items()
+           if m.source_rank == m.target_rank and is_unit(determinant_of_square(m))}
     return restrict(x, S - deg, frozenset())
 
 
@@ -337,19 +332,12 @@ def determinant(x: Cube) -> Tuple[Dict[str, Poly], Report]:
     Incoherence on a cube that passed is_koszul_cube means a bug, so the
     verdict is returned rather than assumed.
     """
-    return _determinant(x, {})
-
-
-def _determinant(x: Cube, known: dict) -> Tuple[Dict[str, Poly], Report]:
-    """determinant(x), reading det d^k_T from known, by boundary key (T, k),
-    where it is there."""
     _require_free(x)
     ranks = {M.rank for M in x.vertices.values()}
     if len(ranks) > 1:
         return {}, Report(False, (f"vertices do not share a rank: {sorted(ranks)}",))
     S = frozenset(x.labels)
-    det = {(T, k): known[(T, k)] if (T, k) in known else determinant_of_square(x.d(T, k))
-           for T in x.subsets() for k in sorted(T)}
+    det = {(T, k): determinant_of_square(x.d(T, k)) for T in x.subsets() for k in sorted(T)}
     dets = {k: det[(S, k)] for k in x.labels}
     failures = []
     for (T, k), dT in det.items():
@@ -372,15 +360,14 @@ def det_is_a_sequence(x: Cube, perm_cap: int = 6) -> bool:
 def _det_sequence(x: Cube) -> list:
     """The determinants det d^k at the top subset, in label order, of a
     non-degenerate cube with coherent determinants; any other cube raises.
-    Degeneracy is decided first, and the determinants it takes are reused,
-    so each boundary's is taken once."""
-    known: dict = {}
-    deg = _degenerate_directions(x, known)
+    Degeneracy is decided first; each boundary keeps the determinant it
+    takes, so the coherence test takes none twice."""
+    deg = degenerate_directions(x)
     if deg:
         raise ValueError(
             f"degenerate directions {sorted(deg)}: their determinants are units, "
             "take the nondegenerate part first")
-    dets, coherence = _determinant(x, known)
+    dets, coherence = determinant(x)
     if not coherence.ok:
         raise ValueError("determinant incoherence: " + "; ".join(coherence.failures))
     return [dets[k] for k in x.labels]

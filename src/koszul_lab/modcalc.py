@@ -83,9 +83,14 @@ class FreeMap:
     so every operation runs over the nonzero entries only.  `entries`, the
     dense matrix row-major, is a view made anew on each read.  Maps are
     immutable, and share column dicts.
+
+    A square map keeps its determinant in `_det` once
+    `determinant_of_square` has taken it; both constructors leave the slot
+    unset.  Neither the map nor its column dicts ever change, so the kept
+    value cannot go stale.
     """
 
-    __slots__ = ("ring", "target_rank", "source_rank", "cols")
+    __slots__ = ("ring", "target_rank", "source_rank", "cols", "_det")
 
     def __init__(self, ring: RingSpec, entries: Sequence[Sequence[Poly]],
                  target_rank: Optional[int] = None, source_rank: Optional[int] = None):
@@ -487,15 +492,22 @@ def _factor_through(d: FreeMap, b: FreeMap, rel: SubmoduleBasis) -> Union[FreeMa
 # ---------------------------------------------------------------------------
 #
 # Every minor is taken by `arith._minors`: a Laplace expansion on integer
-# sums, with one memo per call shared by all the minors of one matrix.
+# sums, with one memo per call shared by all the minors of one matrix.  A
+# map keeps its determinant, so it is expanded once however many checks
+# read it; Fitting ideals are not kept, since the t-minor lists of every
+# differential would live as long as their maps.
 
 def determinant_of_square(m: FreeMap) -> Poly:
-    """det m, for a square m; 1 for the 0×0 matrix."""
-    if m.target_rank != m.source_rank:
-        raise ValueError("determinant of a non-square map")
-    n = tuple(range(m.target_rank))
-    det = _minors(m.ring, m.cols, m.target_rank, [(n, n)])
-    return det[0] if det else _poly(m.ring, {})
+    """det m, for a square m; 1 for the 0×0 matrix.  It is taken once per
+    map and kept on it, so every check that asks for it shares it."""
+    det = getattr(m, "_det", None)
+    if det is None:
+        if m.target_rank != m.source_rank:
+            raise ValueError("determinant of a non-square map")
+        n = tuple(range(m.target_rank))
+        dets = _minors(m.ring, m.cols, m.target_rank, [(n, n)])
+        det = m._det = dets[0] if dets else _poly(m.ring, {})
+    return det
 
 
 def fitting_ideal(m: FreeMap, t: int) -> IdealBasis:

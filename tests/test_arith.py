@@ -1,5 +1,6 @@
 """Polynomial arithmetic, monomial orders, parsing/printing."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from koszul_lab.arith import (
     Poly,
     RingMismatchError,
     RingSpec,
+    _is_prime,
     exact_division,
     is_unit,
     parse_poly,
@@ -70,12 +72,45 @@ def test_ring_mismatch_raises():
     (0, "must be prime"), (1, "must be prime"), (4, "must be prime"), (-3, "must be prime"),
     (True, "must be prime"), ("GF(7)", "unsupported field spec"),
     (2.0, "unsupported field spec"),
+    # a Carmichael number and a base-2 strong pseudoprime
+    (561, "must be prime"), (2047, "must be prime"),
+    (10 ** 400, r"below 2\^64"), (2 ** 64 + 1, r"below 2\^64"),
 ])
 def test_field_spec_is_refused(spec, message):
     # 0 is not a way to ask for Q, and a bool is not a characteristic
     with pytest.raises(ValueError, match=message):
         RingSpec(spec, ("x",))
     assert RingSpec(2, ("x",)).field.char == 2
+
+
+def test_rings_made_apart_are_equal_by_value():
+    # rings are compared, and cached under, their field, variables and order
+    for field in ("Q", 7, 2 ** 61 - 1):
+        a, b = RingSpec(field, ("x", "y")), RingSpec(field, ("x", "y"))
+        assert a == b and hash(a) == hash(b)
+        assert P("x", a) == P("x", b)
+    assert RingSpec(7, ("x", "y")) != RingSpec(11, ("x", "y"))
+    assert RingSpec(7, ("x", "y")) != RingSpec("Q", ("x", "y"))
+
+
+def test_large_prime_characteristics_are_accepted():
+    # 2^61 - 1, the largest Mersenne prime below 2^64, and 2^64 - 59, the
+    # largest prime below 2^64
+    for p in (2 ** 61 - 1, 2 ** 64 - 59):
+        ring = RingSpec(p, ("x",))
+        x = ring.var("x")
+        assert ring.field.char == p
+        assert (x.scale(p - 1) + x).is_zero()
+
+
+def test_primality_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    values = list(range(-5, 3000)) + [rng.randrange(2 ** 64) for _ in range(2000)]
+    values += [rng.randrange(2 ** 32) | 1 for _ in range(2000)]
+    # the least strong pseudoprimes to the prime bases up to 7 and up to 23
+    values += [3215031751, 3825123056546413051]
+    assert [p for p in values if _is_prime(p) != sympy.isprime(p)] == []
 
 
 def test_poly_constructor_checks_its_exponent_tuples():
@@ -283,6 +318,10 @@ def test_parse_error_positions():
         P("x y")  # implicit multiplication is not in the grammar
     with pytest.raises(ParseError):
         P("")
+    # past Python's recursion limit the parser raises its own error, which
+    # the CLI reports as malformed input
+    with pytest.raises(ParseError, match="nested too deeply"):
+        P("(" * 2000 + "x" + ")" * 2000)
 
 
 def test_double_star_is_not_a_power():
@@ -296,6 +335,7 @@ def test_parse_rational_and_nested():
     assert P("1/2*x + 1/2*x") == P("x")
     assert P("-(x - y)") == P("y - x")
     assert P("2^3") == Q2.const(8)
+    assert P("(" * 50 + "x" + ")" * 50) == P("x")
 
 
 # --------------------------------------------------------------------------

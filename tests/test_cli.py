@@ -86,6 +86,16 @@ def test_exponent_beyond_the_term_keys_is_a_cap_error(tmp_path):
         "ring": RING_Q2, "sequence": ["x^2147483646", "y"]}, "b.json"))[1] == 0
 
 
+def test_document_nested_too_deeply_is_input_error(tmp_path):
+    # the JSON decoder's recursion error used to exit 4, "internal"
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"ring": ' + "[" * 1000 + "]" * 1000 + "}")
+    out, code = run("regseq", "--input", str(deep))
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "input",
+                                        "message": "malformed JSON: nested too deeply"}
+
+
 def test_missing_file_is_input_error(tmp_path):
     out, code = run("validate", "--input", str(tmp_path / "absent.json"))
     assert code == 2
@@ -157,6 +167,13 @@ MALFORMED_CASES = [
     ("fs_label_outside_u_v", "resolve",
      {"ring": RING_Q2, "resolution": {"U": [], "V": ["1"], "fs": {"1": "x", "l": "y"},
                                       "targets": [ONE_CUBE]}}),
+    # a characteristic this large used to overflow the primality test's
+    # square root, a traceback with exit 1
+    ("field_beyond_two_to_the_64", "regseq",
+     {"ring": {"field": {"Fp": 10 ** 400}, "vars": ["x"]}, "sequence": ["x"]}),
+    # parentheses nested past the recursion limit used to exit 4, "internal"
+    ("polynomial_nested_too_deeply", "regseq",
+     {"ring": RING_Q2, "sequence": ["(" * 250 + "x" + ")" * 250]}),
 ]
 
 
@@ -445,6 +462,11 @@ def test_text_mode(tmp_path):
     assert lines[0] == "command: validate"
     assert lines[1].startswith("options: ")
     assert "verdict: pass" in lines
+    # an error envelope has an error line in place of verdict and details
+    out, code = run("validate", "--input", str(tmp_path / "absent.json"), "--text")
+    assert code == 2
+    assert [line.split(": ")[0] for line in out.splitlines()] == ["command", "options",
+                                                                  "error[input]"]
 
 
 def test_determinism_two_runs(tmp_path):

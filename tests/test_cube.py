@@ -260,6 +260,17 @@ def test_degenerate_directions():
     assert degenerate_directions(typical_cube([X, Y])) == frozenset()
 
 
+def test_degenerate_directions_with_a_boundary_that_is_not_square():
+    # d^1 maps A^2 onto A, which is not invertible; d^2 is the identity on
+    # every vertex, so direction 2 alone is degenerate
+    proj = FreeMap(Q2, [[Q2.one(), Q2.zero()]])
+    x = Cube(Q2, ("1", "2"), {E: 1, S1: 2, S2: 1, S12: 2},
+             {(S1, "1"): proj, (S12, "1"): proj,
+              (S2, "2"): FreeMap.identity(Q2, 1), (S12, "2"): FreeMap.identity(Q2, 2)})
+    assert validate_cube(x).ok
+    assert degenerate_directions(x) == frozenset({"2"})
+
+
 def test_directional_homology_h0():
     h = directional_homology(typical_cube([X, Y]), "1", 0)
     assert h.labels == ("2",)

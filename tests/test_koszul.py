@@ -337,6 +337,15 @@ def test_koszul_nondegenerate_part():
     assert nd.d(S2, "2") == FreeMap(Q2, [[Y]])
 
 
+def test_koszul_nondegenerate_part_refuses_a_cube_that_is_not_koszul():
+    # d^1 = y: coker A/(y) is not supported on V(x), so the top-boundary
+    # shortcut has no ground and the cube is refused
+    c = rank1_square("y", "y", "x", "x")
+    assert not is_koszul_cube(c, [X, Y]).is_koszul
+    with pytest.raises(ValueError, match="requires a verified Koszul cube"):
+        koszul_nondegenerate_part(c, [X, Y])
+
+
 def _same_cube(a, b):
     return (a.labels == b.labels and a.vertex_rank == b.vertex_rank
             and a.boundary == b.boundary)
@@ -507,19 +516,26 @@ def test_determinant_preconditions_raise_one_error(check):
         check(rank1_square("x", "x^2", "y^2", "x*y^2"))
 
 
+def _count_expansions(monkeypatch):
+    """The list to which every later `arith._minors` expansion made by
+    modcalc appends its matrix."""
+    calls = []
+    real = modcalc._minors
+
+    def counted(ring, cols, *args):
+        calls.append(cols)
+        return real(ring, cols, *args)
+
+    monkeypatch.setattr(modcalc, "_minors", counted)
+    return calls
+
+
 @pytest.mark.parametrize("check", [det_is_a_sequence, generators_presentation])
 def test_determinant_preconditions_take_one_determinant_per_boundary(monkeypatch, check):
-    # the degeneracy test and the coherence test share one table: 12
-    # boundaries, 12 determinants (there were 15, one per direction twice)
-    calls = []
-    real = modcalc.determinant_of_square
-
-    def counted(m):
-        calls.append(m)
-        return real(m)
-
-    monkeypatch.setattr(cube, "determinant_of_square", counted)
-    monkeypatch.setattr(koszul, "determinant_of_square", counted)
+    # the degeneracy test and the coherence test read the determinant each
+    # boundary keeps: 12 boundaries, 12 expansions (there were 15, one per
+    # direction twice)
+    calls = _count_expansions(monkeypatch)
     x = typical_cube([P("x", Q3), P("y^2", Q3), P("z", Q3)])
     check(x)
     assert len(x.boundary) == 12
@@ -527,21 +543,30 @@ def test_determinant_preconditions_take_one_determinant_per_boundary(monkeypatch
 
 
 def test_koszul_nondegenerate_part_takes_one_determinant_per_boundary(monkeypatch):
-    # the Koszul verification keeps each boundary's determinant and the top
-    # ones decide degeneracy: 12 boundaries, 12 determinants (there were 15,
+    # the Koszul verification takes each boundary's determinant and the top
+    # ones decide degeneracy: 12 boundaries, 12 expansions (there were 15,
     # each top determinant twice)
-    calls = []
-    real = modcalc.determinant_of_square
-
-    def counted(m):
-        calls.append(m)
-        return real(m)
-
-    monkeypatch.setattr(cube, "determinant_of_square", counted)
-    monkeypatch.setattr(koszul, "determinant_of_square", counted)
+    calls = _count_expansions(monkeypatch)
     fs = [P("x", Q3), P("y^2", Q3), P("z", Q3)]
     x = typical_cube(fs)
     assert koszul_nondegenerate_part(x, fs).labels == x.labels
+    assert len(x.boundary) == 12
+    assert len(calls) == 12
+
+
+def test_a_cube_takes_each_determinant_once_across_checks(monkeypatch):
+    # a boundary keeps its determinant, so every check run on one cube
+    # shares it: 12 boundaries, 12 expansions (63 when each check kept its
+    # own table)
+    calls = _count_expansions(monkeypatch)
+    fs = [P("x", Q3), P("y^2", Q3), P("z", Q3)]
+    x = typical_cube(fs)
+    assert det_is_a_sequence(x)
+    generators_presentation(x)
+    assert is_koszul_cube(x, fs).is_koszul
+    assert koszul_nondegenerate_part(x, fs).labels == x.labels
+    assert determinant(x)[1].ok
+    assert degenerate_directions(x) == frozenset()
     assert len(x.boundary) == 12
     assert len(calls) == 12
 

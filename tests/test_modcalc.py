@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszul_lab.arith import Poly, RingSpec, parse_poly
+import koszul_lab.modcalc as modcalc
 from koszul_lab.groebner import IdealBasis, SubmoduleBasis, _preimage
 from koszul_lab.modcalc import (
     CapExceededError,
@@ -221,6 +222,24 @@ def test_determinant_frozen():
         determinant_of_square(M([["x", "y"]]))
 
 
+def test_a_map_keeps_its_determinant(monkeypatch):
+    # the first call expands, later ones read what the map keeps; a map
+    # made from it is a new map and expands anew
+    calls = []
+    real = modcalc._minors
+    monkeypatch.setattr(modcalc, "_minors", lambda *args: calls.append(args) or real(*args))
+    m = M([["x", "y"], ["y", "x"]])
+    assert determinant_of_square(m) == determinant_of_square(m) == X * X - Y * Y
+    assert len(calls) == 1
+    assert determinant_of_square(-m) == X * X - Y * Y
+    assert len(calls) == 2
+    wide = M([["x", "y"]])
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            determinant_of_square(wide)
+    assert len(calls) == 2
+
+
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
                 min_size=3, max_size=3))
 @settings(max_examples=20)
@@ -350,12 +369,15 @@ def test_minors_over_q_run_no_fraction_arithmetic(monkeypatch):
     assert any(c.denominator > 1 for m in cases for col in m.cols
                for p in col.values() for c in p.keys.values())
 
-    def run():
+    def run(maps):
         return [([_exact(determinant_of_square(m))] if m.target_rank == m.source_rank else [])
                 + [[_exact(g) for g in fitting_ideal(m, t).generators]
                    for t in range(1, min(m.target_rank, m.source_rank) + 1)]
-                for m in cases]
-    expected = run()
+                for m in maps]
+    expected = run(cases)
+    # a map keeps its determinant: new maps on the same entries make the
+    # expansions run again below
+    fresh = [FreeMap(Q2, m.entries, m.target_rank, m.source_rank) for m in cases]
 
     def forbidden(*args):
         raise AssertionError("arithmetic inside a minor")
@@ -367,7 +389,7 @@ def test_minors_over_q_run_no_fraction_arithmetic(monkeypatch):
             p.setattr(Fraction, f"__{op}__", forbidden)
         for op in ("__add__", "__sub__", "__mul__", "__neg__", "monic", "scale"):
             p.setattr(Poly, op, forbidden)
-        got = run()
+        got = run(fresh)
     assert got == expected
 
 

@@ -4,6 +4,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import code_lines
 import koszul_lab
 
 SRC = Path(koszul_lab.__file__).resolve().parent
@@ -87,6 +88,37 @@ def test_encodings_stay_with_their_owners():
                 leaks += [f"{path.name}: {source}.{a.name}" for a in node.names
                           if a.name in owners[source][1]]
     assert leaks == []
+
+
+CODE_LINE_SAMPLE = '''"""Module docstring,
+
+on three lines."""
+
+import os  # a trailing comment keeps the line
+# a comment line
+
+
+class A:
+    """Class docstring."""
+
+    def f(self, a,
+          b):
+        """Function
+        docstring."""
+        s = """a string
+        that is not a docstring"""
+        return os.path.join(
+            a,
+            b,
+        )
+'''
+
+
+def test_code_line_counter_rules():
+    # a code line holds a token other than a comment or a docstring: here
+    # the import, the class line, both lines of the def, both of the string
+    # that is no docstring and all four of the call
+    assert code_lines.code_lines(CODE_LINE_SAMPLE) == 10
 
 
 def test_sources_parse_as_python_3_10():
