@@ -293,8 +293,11 @@ class RingSpec:
         elif field == "Q":
             self.field = _Field(0)
         elif isinstance(field, int):
+            # neither bound prints the value: str() refuses an int of more
+            # than 4,300 digits
+            if field < 2:
+                raise ValueError("field characteristic must be prime, got a value below 2")
             if field >= 1 << 64:
-                # not printed: str() refuses an int of more than 4,300 digits
                 raise ValueError("field characteristic must be below 2^64")
             if not _is_prime(field):
                 raise ValueError(f"field characteristic must be prime, got {field}")
@@ -784,16 +787,24 @@ def _coeff_string(c) -> tuple:
 #                                      output over Q; see README)
 # Exponents must be positive integers.
 
+# At most this many parentheses may be open at once.  Each costs the parser
+# four stack frames, so an expression parses, or is refused, the same way at
+# the top level and from a caller hundreds of frames deep.
+_MAX_NESTING = 100
+
+
 def parse_poly(text: str, ring: RingSpec) -> Poly:
     """Parse `text` into a canonical Poly over `ring`.
 
     Raises ParseError (with position) on bad syntax, including unknown
-    variable names.
+    variable names and more than 100 parentheses open at once.
     """
     parser = _Parser(text, ring)
     try:
         poly = parser.parse_expr()
     except RecursionError:
+        # a backstop: the nesting bound stops the parser first unless the
+        # caller is already near Python's recursion limit
         raise ParseError("expression nested too deeply", parser.pos) from None
     parser.skip_ws()
     if parser.pos < len(parser.text):
@@ -806,6 +817,7 @@ class _Parser:
         self.text = text
         self.ring = ring
         self.pos = 0
+        self.depth = 0  # parentheses open at `pos`
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -857,11 +869,15 @@ class _Parser:
     def parse_atom(self) -> Poly:
         ch = self.peek()
         if ch == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError("expression nested too deeply", self.pos)
             self.pos += 1
+            self.depth += 1
             inner = self.parse_expr()
             if self.peek() != ")":
                 raise ParseError("expected ')'", self.pos)
             self.pos += 1
+            self.depth -= 1
             return inner
         if ch.isdigit():
             num = self.parse_int(allow_sign=False)

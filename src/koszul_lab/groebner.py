@@ -28,8 +28,11 @@ never a wrapped key.
 
 Everything here is exact and deterministic: pair selection uses the normal
 strategy with a fixed tie-break, reduced bases are canonical (monic,
-auto-reduced, sorted by leading term), and results are cached by the canonical
-form of the generators.
+auto-reduced, sorted by leading term), and the reduced bases and preimage
+generators of the `_GB_CACHE_ENTRIES` most recently used generator lists are
+cached by the canonical form of the generators (`_cached`).  A result
+computed again after its entry was dropped is the same: Buchberger is
+deterministic and a reduced basis is unique.
 
 Over Q, Buchberger runs fraction-free.  Its inputs enter with denominators
 cleared, and every element it keeps is a primitive integer vector (content 1,
@@ -69,6 +72,7 @@ elements and the graph module stay here.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -280,7 +284,7 @@ def _field_vp(vp: dict, lc, p: int, one) -> dict:
 
     Over GF(p) the working form is already monic.  Over Q this is where the
     Fractions are made.  A coefficient 1 is the shared field.one, not a new
-    Fraction per term: the bases stay cached for the life of the process, and
+    Fraction per term: up to `_GB_CACHE_ENTRIES` bases stay cached, and
     fresh ones cost about 2% more peak memory.
     """
     if p:
@@ -417,18 +421,52 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
     return reduced
 
 
-# global cache of reduced bases ("gb") and preimage generators ("preimage"),
-# keyed by that tag and the canonical form of the generators
-_GB_CACHE: dict = {}
+# Reduced bases ("gb") and preimage generators ("preimage") of the process,
+# keyed by that tag and the canonical form of the generators, least recently
+# used first.  Only `_cached` reads or writes it.  The bound keeps what the
+# three admissibility strategies on one cube share (one check of the
+# benchmark's admissibility inputs adds at most 158 entries) and drops the
+# entries of earlier checks, most of which are never read again; a dropped
+# entry recomputes to the same value.
+_GB_CACHE_ENTRIES = 512
+_GB_CACHE: OrderedDict = OrderedDict()
+
+
+class _Key:
+    """A cache key that hashes its tuple once: the tuple holds every
+    coefficient of the generators, and a Fraction hashes by a modular
+    inverse on each call."""
+
+    __slots__ = ("t", "h")
+
+    def __init__(self, t: tuple):
+        self.t = t
+        self.h = hash(t)
+
+    def __hash__(self) -> int:
+        return self.h
+
+    def __eq__(self, other) -> bool:
+        return self.t == other.t
+
+
+def _cached(key: tuple, compute):
+    """The cached value under `key`, or `compute()` stored under it; at most
+    `_GB_CACHE_ENTRIES` entries stay, the least recently used is dropped."""
+    key = _Key(key)
+    hit = _GB_CACHE.get(key)
+    if hit is None:
+        hit = _GB_CACHE[key] = compute()
+        if len(_GB_CACHE) > _GB_CACHE_ENTRIES:
+            _GB_CACHE.popitem(last=False)
+    else:
+        _GB_CACHE.move_to_end(key)
+    return hit
 
 
 def _compute_gb(ring: RingSpec, rank: int, vps: Sequence[dict]) -> list:
     key = ("gb", ring.key(), rank, tuple(sorted(_vp_canonical(vp) for vp in vps)))
-    hit = _GB_CACHE.get(key)
-    if hit is None:
-        hit = _buchberger(list(vps), ring, rank)
-        _GB_CACHE[key] = hit
-    return hit
+    return _cached(key, lambda: _buchberger(list(vps), ring, rank))
 
 
 # ---------------------------------------------------------------------------
@@ -612,17 +650,15 @@ def _schreyer(cols: Sequence[Mapping[int, Poly]], rels: Sequence[Mapping[int, Po
     A^len(cols); `cols` and `rels` are sparse columns in A^rank.
 
     One Buchberger run on the graph module with head `rank` collects its
-    zero-head remainders (see `_buchberger`).  The generators are cached.
+    zero-head remainders (see `_buchberger`).  The generators are cached
+    under the columns and relations in their order (`_cached`).
     """
     col_vps = [_vp_from_column(c, ring) for c in cols]
     rel_vps = [_vp_from_column(c, ring) for c in rels]
     key = ("preimage", ring.key(), rank, tuple(map(_vp_canonical, col_vps)),
            tuple(map(_vp_canonical, rel_vps)))
-    hit = _GB_CACHE.get(key)
-    if hit is None:
-        graph = _graph_module(col_vps, rel_vps, ring, rank)
-        hit = _GB_CACHE[key] = _buchberger(graph, ring, rank + len(cols), head=rank)[0]
-    return hit
+    return _cached(key, lambda: _buchberger(_graph_module(col_vps, rel_vps, ring, rank),
+                                            ring, rank + len(cols), head=rank)[0])
 
 
 def _preimage(cols: Sequence[Mapping[int, Poly]], rels: Sequence[Mapping[int, Poly]],

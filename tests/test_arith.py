@@ -70,6 +70,11 @@ def test_ring_mismatch_raises():
 
 @pytest.mark.parametrize("spec,message", [
     (0, "must be prime"), (1, "must be prime"), (4, "must be prime"), (-3, "must be prime"),
+    # below 2 the value is not printed: str() refuses an int of more than
+    # 4,300 digits
+    pytest.param(-10 ** 5000, "prime, got a value below 2$", id="minus_ten_to_the_5000"),
+    (-7, "prime, got a value below 2$"), (0, "prime, got a value below 2$"),
+    (1, "prime, got a value below 2$"),
     (True, "must be prime"), ("GF(7)", "unsupported field spec"),
     (2.0, "unsupported field spec"),
     # a Carmichael number and a base-2 strong pseudoprime
@@ -318,10 +323,27 @@ def test_parse_error_positions():
         P("x y")  # implicit multiplication is not in the grammar
     with pytest.raises(ParseError):
         P("")
-    # past Python's recursion limit the parser raises its own error, which
-    # the CLI reports as malformed input
+    # past the nesting bound the parser raises its own error, which the CLI
+    # reports as malformed input
     with pytest.raises(ParseError, match="nested too deeply"):
         P("(" * 2000 + "x" + ")" * 2000)
+
+
+def _at_depth(frames, f):
+    """f() called `frames` stack frames below this call."""
+    return f() if frames == 0 else _at_depth(frames - 1, f)
+
+
+def test_nesting_bound_does_not_depend_on_the_stack():
+    # 100 open parentheses parse and 101 are refused, at the top level and
+    # 300 frames down alike; before the bound, Python's recursion limit
+    # decided, so how deep the caller's stack was changed the answer
+    for frames in (0, 300):
+        deep = "(" * 100 + "x" + ")" * 100
+        assert _at_depth(frames, lambda: P(deep)) == P("x")
+        with pytest.raises(ParseError, match="nested too deeply") as e:
+            _at_depth(frames, lambda: P("(" + deep + ")"))
+        assert e.value.position == 100
 
 
 def test_double_star_is_not_a_power():

@@ -171,6 +171,8 @@ MALFORMED_CASES = [
     # square root, a traceback with exit 1
     ("field_beyond_two_to_the_64", "regseq",
      {"ring": {"field": {"Fp": 10 ** 400}, "vars": ["x"]}, "sequence": ["x"]}),
+    ("field_below_two", "regseq",
+     {"ring": {"field": {"Fp": -7}, "vars": ["x"]}, "sequence": ["x"]}),
     # parentheses nested past the recursion limit used to exit 4, "internal"
     ("polynomial_nested_too_deeply", "regseq",
      {"ring": RING_Q2, "sequence": ["(" * 250 + "x" + ")" * 250]}),

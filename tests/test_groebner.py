@@ -1060,3 +1060,80 @@ def test_ideal_ring_mismatch_raises():
             op(other)
     with pytest.raises(RingMismatchError):
         I.nf(other, want_cert=True)
+
+
+# --------------------------------------------------------------------------
+# the bounded cache of reduced bases and preimages
+# --------------------------------------------------------------------------
+
+def _eviction_corpus():
+    """Seeded syzygies, reduced bases, module quotients and admissibility
+    verdicts under all three strategies, over Q and GF(101).  Every basis
+    object and cube is made afresh on each call, so none carries a basis
+    over from an earlier call: each result comes from the cache or a run."""
+    from _gen import koszul_suite, perturbed_suite
+    from koszul_lab.cube import ADMISSIBILITY_STRATEGIES, is_admissible
+    out = []
+    for field in ("Q", 101):
+        ring, corpus = _matrix_corpus(field, "grevlex")
+        for rows in corpus[::4]:
+            out.append(_vector_data(syzygies(rows, ring)))
+            cols = [tuple(r[j] for r in rows) for j in range(len(rows[0]))]
+            out.append(_vector_data(SubmoduleBasis(ring, len(rows), cols).reduced_gb))
+        _, quotients, _ = _quotient_corpus(field)
+        out += [module_quotient(rel, vec).reduced_gb for rel, vec in quotients[::3]]
+    cubes = [x for x, _ in koszul_suite(6)] + perturbed_suite(4)
+    out += [is_admissible(x, strategy=s) for x in cubes for s in ADMISSIBILITY_STRATEGIES]
+    return out
+
+
+def test_eviction_never_changes_a_result(monkeypatch):
+    # Buchberger is deterministic and a reduced basis is unique, so an
+    # entry dropped and computed again is the same, bases and preimage
+    # generators alike
+    from collections import OrderedDict
+
+    from koszul_lab import groebner
+    runs = [0]
+    buchberger = groebner._buchberger
+
+    def counted(*args, **kwargs):
+        runs[0] += 1
+        return buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+    want, full = _eviction_corpus(), runs[0]
+    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+    monkeypatch.setattr(groebner, "_GB_CACHE_ENTRIES", 2)
+    runs[0] = 0
+    assert _eviction_corpus() == want
+    # entries were dropped and asked for again
+    assert runs[0] > full
+
+
+def test_cache_holds_at_most_its_bound(monkeypatch):
+    from collections import OrderedDict
+
+    from koszul_lab import groebner
+    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+    monkeypatch.setattr(groebner, "_GB_CACHE_ENTRIES", 5)
+    sizes = []
+    cached = groebner._cached
+
+    def recorded(key, compute):
+        hit = cached(key, compute)
+        sizes.append(len(groebner._GB_CACHE))
+        return hit
+
+    monkeypatch.setattr(groebner, "_cached", recorded)
+    _eviction_corpus()
+    assert max(sizes) == 5
+    # a hit makes its entry the most recently used: the least recently used
+    # one is dropped
+    monkeypatch.setattr(groebner, "_GB_CACHE_ENTRIES", 2)
+    groebner._GB_CACHE.clear()
+    for key in ("a", "b", "a", "c"):
+        cached((key,), lambda: [key])
+    assert [k.t for k in groebner._GB_CACHE] == [("a",), ("c",)]
+    assert cached(("a",), lambda: None) == ["a"]

@@ -65,7 +65,8 @@ def test_no_unused_imports():
 
 
 ENGINE_PRIVATE = {"_nf_vp", "_by_position", "_compute_gb", "_graph_module", "_kernel_and_image",
-                  "_buchberger", "_vp_from_column", "_column_from_vp", "_Element", "_GB_CACHE"}
+                  "_buchberger", "_vp_from_column", "_column_from_vp", "_Element", "_GB_CACHE",
+                  "_cached", "_Key"}
 ARITH_PRIVATE = {"_product_sums", "_numerators", "_coefficients", "_denominator", "_add_scaled",
                  "_Terms", "_integer_rows", "_minor_sums", "_unit_class"}
 
