@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
 from .arith import RingSpec, is_unit
-from .groebner import SubmoduleBasis, _preimage, _reduced_kernel
+from .groebner import SubmoduleBasis, _nonexact_degree, _preimage, _reduced_kernel
 from .modcalc import (
     Complex,
     FPModule,
@@ -30,7 +30,6 @@ from .modcalc import (
     _congruent,
     _factor_through,
     _freemap,
-    _nonzero_homology_degree,
     _preserves_relations,
     determinant_of_square,
 )
@@ -279,17 +278,20 @@ def total_complex(x: Cube, ordering: Optional[CubeOrdering] = None) -> Complex:
     d ∘ d = 0.
     """
     _require_free(x)
-    return _total_complex(x, ordering)
+    maps, ranks = _total_complex(x, ordering)
+    return Complex(x.ring, ranks, [_freemap(x.ring, r, cols) for r, cols in zip(ranks, maps)])
 
 
-def _total_complex(x: Cube, ordering: Optional[CubeOrdering] = None) -> Complex:
-    """Tot(x) of a cube already known to be a valid free cube."""
+def _total_complex(x: Cube, ordering: Optional[CubeOrdering] = None) -> tuple:
+    """(maps, ranks) of Tot(x), for a cube already known to be a valid free
+    cube: ranks[k] is the rank of degree k and maps[k-1] the sparse columns
+    of d_k, the form `groebner._nonexact_degree` reads.  Nothing re-checks
+    d ∘ d = 0, which holds because x's squares commute."""
     if ordering is None:
         ordering = CubeOrdering(x.labels)
     if sorted(ordering.sequence) != sorted(x.labels):
         raise ValueError("ordering is not a bijection on the cube's labels")
     n = len(x.labels)
-    ring = x.ring
     layers = []  # per degree: list of subsets in canonical order
     offsets = []  # per degree: subset -> starting row/column
     ranks = []
@@ -303,7 +305,7 @@ def _total_complex(x: Cube, ordering: Optional[CubeOrdering] = None) -> Complex:
             total += x.vertices[s].rank
         offsets.append(off)
         ranks.append(total)
-    diffs = []
+    maps = []
     for k in range(1, n + 1):
         cols = [{} for _ in range(ranks[k])]
         for T in layers[k]:
@@ -316,8 +318,8 @@ def _total_complex(x: Cube, ordering: Optional[CubeOrdering] = None) -> Complex:
                     out = cols[col0 + jj]
                     for i, entry in c.items():
                         out[row0 + i] = -entry if sign else entry
-        diffs.append(_freemap(ring, ranks[k - 1], cols))
-    return Complex(ring, ranks, diffs)
+        maps.append(cols)
+    return maps, ranks
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +458,7 @@ def _admissible_spherical(x: Cube, fixed: frozenset, memo: dict) -> tuple:
     if not x.labels:
         return True, ()
     failures = []
-    bad = _nonzero_homology_degree(_total_complex(x))
+    bad = _nonexact_degree(*_total_complex(x), x.ring)
     if bad is not None:
         failures.append(f"Tot is not 0-spherical: H_{bad} is nonzero")
     ok = bad is None
@@ -525,17 +527,16 @@ def is_admissible(x: Cube, strategy: str = "definition") -> Report:
     failures relative to its cube, and a repeat visit replays them under the
     path's prefix, so the failure list equals the unmemoized one.
     """
+    if strategy not in ADMISSIBILITY_STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; choose from {ADMISSIBILITY_STRATEGIES}")
+    failures: list = []
     if strategy == "spherical_faces":
         _require_free(x)
+        ok, failures = _admissible_spherical(x, frozenset(), {})
+    elif strategy == "definition":
+        _require_valid(x)
+        ok, failures = _admissible_definition(x, frozenset(), {})
     else:
         _require_valid(x)
-    failures: list = []
-    if strategy == "definition":
-        ok, failures = _admissible_definition(x, frozenset(), {})
-    elif strategy == "spherical_faces":
-        ok, failures = _admissible_spherical(x, frozenset(), {})
-    elif strategy == "inductive":
         ok = _admissible_inductive(x, failures, "")
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}; choose from {ADMISSIBILITY_STRATEGIES}")
     return Report(ok, tuple(failures), {"strategy": strategy})

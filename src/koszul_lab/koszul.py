@@ -10,6 +10,10 @@ criterion, the weight decomposition data, the presentation of H_0(Tot) by
 arrival boundaries, and a seeded generator of base-changed sums of typical
 cubes for the test corpus.
 
+Every sum of typical cubes is assembled by `_typical_sum`: Typ(f) is the
+one-row sum, the generator conjugates the boundaries of a sum, and the
+stage cubes of `resolve` are sums over A/(g_U).
+
 Everything theorem-shaped (determinants form an A-sequence, Koszul implies
 admissible, BE agrees with homology) is exposed as a checkable verdict so
 the suite can use the theorems as live oracles.
@@ -37,6 +41,8 @@ from .cube import (
 )
 from .groebner import (
     IdealBasis,
+    SubmoduleBasis,
+    _nonexact_degree,
     grade,
     ideal_quotient,
     radical_membership,
@@ -44,6 +50,7 @@ from .groebner import (
 from .modcalc import (
     CapExceededError,
     Complex,
+    FPModule,
     FreeMap,
     _freemap,
     _kills,
@@ -51,7 +58,6 @@ from .modcalc import (
     determinant_of_square,
     fitting_ideal,
     is_injective,
-    zero_spherical,
 )
 
 __all__ = [
@@ -206,6 +212,31 @@ def factor_sequence_check(fs: Sequence[Poly], gs: Sequence[Poly], perm_cap: int 
 # typical cubes and the Koszul condition
 # ---------------------------------------------------------------------------
 
+def _labels(labels: Optional[Sequence[str]], n: int) -> Tuple[str, ...]:
+    """The labels as a tuple, "1".."n" by default; one per sequence entry."""
+    labels = tuple(str(i + 1) for i in range(n)) if labels is None else tuple(labels)
+    if len(labels) != n:
+        raise ValueError("one label per sequence entry")
+    return labels
+
+
+def _typical_sum(ring: RingSpec, labels: Sequence[str], rows: Sequence[Sequence[Poly]],
+                 moduli: Sequence[Poly]) -> Cube:
+    """⊕_i Typ(rows[i]) over A/(moduli), each row a sequence in label order.
+
+    Every vertex is A^L, L = len(rows), modulo g·e_j for each g in moduli and
+    each j, and all vertices share that one module.  The boundary in
+    direction k is the diagonal of the rows' k-entries, a fresh map at each
+    subset, so each keeps its own determinant.
+    """
+    L = len(rows)
+    vertex = FPModule(ring, L, SubmoduleBasis(ring, L, [{j: g} for g in moduli for j in range(L)]))
+    subs = label_subsets(labels)
+    diagonal = {k: [row[j] for row in rows] for j, k in enumerate(labels)}
+    boundary = {(T, k): FreeMap.diagonal(ring, diagonal[k]) for T in subs for k in T}
+    return Cube(ring, labels, {T: vertex for T in subs}, boundary)
+
+
 def typical_cube(fs: Sequence[Poly], labels: Optional[Sequence[str]] = None,
                  ring: Optional[RingSpec] = None) -> Cube:
     """Typ(f): every vertex A, boundary in direction t is multiplication by f_t.
@@ -220,16 +251,7 @@ def typical_cube(fs: Sequence[Poly], labels: Optional[Sequence[str]] = None,
         if not fs:
             raise ValueError("ring required for the empty typical cube")
         ring = fs[0].ring
-    if labels is None:
-        labels = tuple(str(i + 1) for i in range(len(fs)))
-    labels = tuple(labels)
-    if len(labels) != len(fs):
-        raise ValueError("one label per sequence entry")
-    by_label = dict(zip(labels, fs))
-    subs = label_subsets(labels)
-    ranks = {T: 1 for T in subs}
-    boundary = {(T, k): FreeMap(ring, [[by_label[k]]]) for T in subs for k in T}
-    return Cube(ring, labels, ranks, boundary)
+    return _typical_sum(ring, _labels(labels, len(fs)), [fs], ())
 
 
 def _sequence_by_label(x: Cube, fs) -> Dict[str, Poly]:
@@ -433,7 +455,8 @@ def verify_weight_decomposition(x: Cube, fs) -> Report:
     for T in x.subsets():
         for U in label_subsets(lab for lab in x.labels if lab not in T):
             pairs += 1
-            if len(T) >= 2 and not zero_spherical(_total_complex(restrict(x, T, U))):
+            if len(T) >= 2 and _nonexact_degree(*_total_complex(restrict(x, T, U)),
+                                                x.ring) is not None:
                 failures.append(
                     f"Tot of the restriction to {{{subset_key(T)}}} over "
                     f"{{{subset_key(U) or '{}'}}} is not 0-spherical")
@@ -505,26 +528,17 @@ def random_koszul(fs: Sequence[Poly], summands: int, basechange_steps: int, seed
     if not cert.a_sequence:
         raise ValueError("the sequence must be an A-sequence")
     ring = fs[0].ring
-    if labels is None:
-        labels = tuple(str(i + 1) for i in range(len(fs)))
-    labels = tuple(labels)
-    if len(labels) != len(fs):
-        raise ValueError("one label per sequence entry")
+    labels = _labels(labels, len(fs))
     rng = random.Random(seed)
     expo = [[1] * len(fs)]
     for _ in range(summands - 1):
         expo.append([rng.choice((1, 2)) for _ in fs])
     any_power = any(e == 2 for row in expo for e in row)
-    powered = [[fs[j] ** row[j] for j in range(len(fs))] for row in expo]
-    by_label = {lab: j for j, lab in enumerate(labels)}
-    subs = label_subsets(labels)
-    diag = {k: FreeMap.diagonal(ring, [row[by_label[k]] for row in powered]) for k in labels}
-    if summands == 1 or basechange_steps == 0:
-        boundary = {(T, k): diag[k] for T in subs for k in T}
-    else:
+    out = _typical_sum(ring, labels, [[f ** e for f, e in zip(fs, row)] for row in expo], ())
+    if summands > 1 and basechange_steps > 0:
         P = {}
         Pinv = {}
-        for T in sorted(subs, key=lambda s: (len(s), subset_key(s))):
+        for T in out.subsets():
             factors = []
             linear_used = False
             for _ in range(basechange_steps):
@@ -538,13 +552,12 @@ def random_koszul(fs: Sequence[Poly], summands: int, basechange_steps: int, seed
             P[T] = _elementary_product(ring, summands, factors)
             Pinv[T] = _elementary_product(
                 ring, summands, [(i, jj, -c) for (i, jj, c) in reversed(factors)])
-        boundary = {(T, k): P[T - {k}].compose(diag[k]).compose(Pinv[T])
-                    for T in subs for k in T}
-    out = Cube(ring, labels, {T: summands for T in subs}, boundary)
+        out = Cube(ring, labels, out.vertices,
+                   {(T, k): P[T - {k}].compose(d).compose(Pinv[T])
+                    for (T, k), d in out.boundary.items()})
     check = validate_cube(out)
     if not check.ok:
         raise RuntimeError("generated cube failed validation: " + "; ".join(check.failures))
-    verdict = is_koszul_cube(out, {lab: fs[by_label[lab]] for lab in labels})
-    if not verdict.is_koszul:
+    if not is_koszul_cube(out, fs).is_koszul:
         raise RuntimeError("generated cube failed the Koszul check")
     return out

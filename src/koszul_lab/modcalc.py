@@ -13,6 +13,10 @@ support on V(f) is tested on the cyclic quotients (rel : e_i) with no
 annihilator formed.  Fitting ideals and determinants come from minors,
 which `arith._minors` expands on integer sums.
 
+A `Complex` checks d ∘ d = 0 when it is built, which guards complexes that
+come from outside.  The cube layer builds none for its faces: it hands each
+face's total complex to the engine's exactness scan as sparse columns.
+
 Each question asked of module maps has one helper, the one place it is
 asked: `_congruent` (a ≡ b modulo relations), `_kills` (g·M = 0),
 `_factor_through` (X with d∘X ≡ b, the one place coordinates are asked for)
@@ -554,20 +558,14 @@ def homology(c: Complex, k: int) -> FPModule:
     return FPModule(ring, len(gens), rels)
 
 
-def _nonzero_homology_degree(c: Complex) -> Optional[int]:
-    """The least k >= 1 with H_k(c) != 0, or None when c is 0-spherical.
+def zero_spherical(c: Complex) -> bool:
+    """True iff H_k(c) = 0 for every k >= 1.
 
     H_k is zero iff ker d_k lies in im d_{k+1}, which
     `groebner._nonexact_degree` tests with one uncached Buchberger run per
-    differential and no H_k presented; the runs are not cached because a
-    face is visited once.
+    differential and no H_k presented.
     """
-    return _nonexact_degree([d.cols for d in c.differentials], c.ranks, c.ring)
-
-
-def zero_spherical(c: Complex) -> bool:
-    """True iff H_k(c) = 0 for every k >= 1."""
-    return _nonzero_homology_degree(c) is None
+    return _nonexact_degree([d.cols for d in c.differentials], c.ranks, c.ring) is None
 
 
 # ---------------------------------------------------------------------------

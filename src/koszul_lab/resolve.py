@@ -10,8 +10,9 @@ the resulting epi through by g_v to land in the back face (solvable exactly
 because g_v kills H_0 in that direction), resolve the back face to cover
 the cokernel, and join the two epis side by side.  The front face's
 summands carry v in their typical cube and come first, so a stage's cube is
-the typical sum ⊕_T Typ_B(g^T)^{mult[T]} that its multiplicities declare
-(`_typical_sum_cube`), built once from them.
+the typical sum ⊕_T Typ_B(g^T)^{mult[T]} that its multiplicities declare,
+built once from them: `_typical_sum_cube` lists one row per summand and
+`koszul._typical_sum` assembles the cube.
 
 Chains z(0) → z(1) are handled by resolving both targets and lifting the
 composite w ∘ q(0) through q(1).  The lift recurses the same way: lift on
@@ -38,7 +39,7 @@ from .arith import Poly, RingSpec
 from .cube import (Cube, Report, _admissible_inductive, _h0_modcube, _h0_over,
                    _noncommuting_squares, label_subsets, restrict, subset_key, validate_cube)
 from .groebner import SubmoduleBasis
-from .koszul import is_A_sequence
+from .koszul import _typical_sum, is_A_sequence
 from .modcalc import (
     FPModule,
     FreeMap,
@@ -125,13 +126,14 @@ class ResolutionInput:
             normalized.append(w)
         self.connecting: Tuple[VertexMaps, ...] = tuple(normalized)
 
-    def verify(self) -> Report:
+    def verify(self, perm_cap: int = 6) -> Report:
         """Re-verify the hypotheses the construction leans on.
 
-        The sequence over U ∪ V is an A-sequence; every target is a valid,
-        admissible module cube (checked by the inductive strategy, at every
-        |V|); every vertex is supported on V(f_u) for u ∈ U and every
-        directional cokernel on V(f_v); connecting maps are cube morphisms.
+        The sequence over U ∪ V is an A-sequence (`is_A_sequence` under
+        perm_cap); every target is a valid, admissible module cube (checked
+        by the inductive strategy, at every |V|); every vertex is supported
+        on V(f_u) for u ∈ U and every directional cokernel on V(f_v);
+        connecting maps are cube morphisms.
 
         Support is decided without forming an annihilator: Ann M is the
         intersection of the quotients (rel : e_i) over the basis vectors,
@@ -141,7 +143,7 @@ class ResolutionInput:
         """
         failures = []
         seq = [self.fs[s] for s in self.U + self.V]
-        if seq and not is_A_sequence(seq).a_sequence:
+        if seq and not is_A_sequence(seq, perm_cap=perm_cap).a_sequence:
             failures.append("the sequence over U ∪ V is not an A-sequence")
         for j, z in enumerate(self.targets):
             rep = validate_cube(z)
@@ -200,11 +202,12 @@ def _h0_tot_module(z: Cube) -> FPModule:
     return _h0_over(z, z.labels).vertex(frozenset())
 
 
-def find_exponents(inp: ResolutionInput, cap: int = 64) -> Dict[str, int]:
+def find_exponents(inp: ResolutionInput, cap: int = 64, perm_cap: int = 6) -> Dict[str, int]:
     """Least m_s ≤ cap per label: f_u^{m_u} kills every vertex of every target;
     f_v^{m_v} kills H_0(Tot) of every target.  Raises CapExceededError when a
-    power runs past the cap and ValueError when the input hypotheses fail."""
-    rep = inp.verify()
+    power runs past the cap, or the sequence past perm_cap entries, and
+    ValueError when the input hypotheses fail."""
+    rep = inp.verify(perm_cap)
     if not rep.ok:
         raise ValueError("input hypotheses violated: " + "; ".join(rep.failures[:3]))
     out: Dict[str, int] = {}
@@ -220,10 +223,6 @@ def find_exponents(inp: ResolutionInput, cap: int = 64) -> Dict[str, int]:
 # ---------------------------------------------------------------------------
 # the induction
 # ---------------------------------------------------------------------------
-
-def _gU_relations(ring: RingSpec, rank: int, gU: Sequence[Poly]) -> SubmoduleBasis:
-    return SubmoduleBasis(ring, rank, [{i: gu} for gu in gU for i in range(rank)])
-
 
 def _resolve_cube(z: Cube, gU: Sequence[Poly], g: Dict[str, Poly]):
     """(epi, multiplicities) of a sum of typical cubes covering the module
@@ -268,24 +267,14 @@ def _resolve_cube(z: Cube, gU: Sequence[Poly], g: Dict[str, Poly]):
     return epi, mult
 
 
-def _summand_order(labels: Sequence[str]):
-    """Subsets of the labels in assembly order: first label's block first."""
-    return sorted(label_subsets(labels), key=lambda T: tuple(0 if lab in T else 1 for lab in labels))
-
-
 def _typical_sum_cube(ring: RingSpec, labels: Sequence[str], g: Dict[str, Poly],
                       mult: Dict[FrozenSet[str], int], gU: Sequence[Poly]) -> Cube:
-    """The declared shape: ⊕_T Typ_B(g^T)^{mult[T]} with g^T_v = g_v or 1."""
-    blocks = []
-    for T in _summand_order(labels):
-        blocks.extend([T] * mult.get(T, 0))
-    L = len(blocks)
-    subs = label_subsets(labels)
-    verts = {A: FPModule(ring, L, _gU_relations(ring, L, gU)) for A in subs}
+    """The declared shape: ⊕_T Typ_B(g^T)^{mult[T]} with g^T_v = g_v or 1,
+    the summands of the first label's block first, and so on recursively."""
     one = ring.one()
-    boundary = {(A, k): FreeMap.diagonal(ring, [g[k] if k in T else one for T in blocks])
-                for A in subs for k in A}
-    return Cube(ring, tuple(labels), verts, boundary)
+    order = sorted(label_subsets(labels), key=lambda T: tuple(lab not in T for lab in labels))
+    rows = [[g[k] if k in T else one for k in labels] for T in order for _ in range(mult.get(T, 0))]
+    return _typical_sum(ring, labels, rows, gU)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +344,7 @@ def _lift_cube(f: VertexMaps, x: Cube, q: VertexMaps, y: Cube, z: Cube) -> Verte
 # driver and verification
 # ---------------------------------------------------------------------------
 
-def koszul_resolve(inp: ResolutionInput, cap: int = 64) -> ResolutionOutput:
+def koszul_resolve(inp: ResolutionInput, cap: int = 64, perm_cap: int = 6) -> ResolutionOutput:
     """Resolve every target and lift the chain maps; verified before returning.
 
     The verification failure path raises RuntimeError — the construction is
@@ -363,7 +352,7 @@ def koszul_resolve(inp: ResolutionInput, cap: int = 64) -> ResolutionOutput:
     is rejected earlier by verify()/find_exponents, or surfaces as LiftError
     with the offending generator).
     """
-    m = find_exponents(inp, cap)
+    m = find_exponents(inp, cap, perm_cap)
     g = {s: inp.fs[s] ** e for s, e in m.items()}
     gU = [g[u] for u in inp.U]
     stages = []

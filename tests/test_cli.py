@@ -176,6 +176,11 @@ MALFORMED_CASES = [
     # parentheses nested past the recursion limit used to exit 4, "internal"
     ("polynomial_nested_too_deeply", "regseq",
      {"ring": RING_Q2, "sequence": ["(" * 250 + "x" + ")" * 250]}),
+    # d_1 ∘ d_2 = 2xy: the Complex constructor is the one d ∘ d check, and
+    # it guards complexes that come from outside
+    ("not_a_complex", "be-check",
+     {"ring": RING_Q2, "complex": {"ranks": [1, 2, 1],
+                                   "differentials": [[["x", "y"]], [["y"], ["x"]]]}}),
 ]
 
 
@@ -185,6 +190,35 @@ def test_malformed_document_is_input_error(tmp_path, command, doc):
     out, code = run(command, "--input", write_doc(tmp_path, doc))
     assert code == 2
     assert json.loads(out)["error"]["type"] == "input"
+
+
+def test_non_complex_names_the_failing_composition(tmp_path):
+    doc = next(c[2] for c in MALFORMED_CASES if c[0] == "not_a_complex")
+    out, code = run("be-check", "--input", write_doc(tmp_path, doc))
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "input",
+                                        "message": "not a complex: d_1 ∘ d_2 != 0"}
+
+
+SEVEN_VARIABLES = [f"x{i}" for i in range(1, 8)]
+SEVEN_LABELS = {"ring": {"field": {"Fp": 101}, "vars": SEVEN_VARIABLES}, "resolution": {
+    "U": [f"u{i}" for i in range(1, 8)], "V": [],
+    "fs": {f"u{i}": v for i, v in enumerate(SEVEN_VARIABLES, start=1)},
+    "targets": [{"S": [], "vertices": {"": {"rank": 1,
+                                            "relations": [[v] for v in SEVEN_VARIABLES]}}}]}}
+
+
+def test_resolve_honours_perm_cap(tmp_path):
+    # the A-sequence check of resolve's input used to keep the default cap
+    # of 6 whatever --perm-cap said
+    doc = write_doc(tmp_path, SEVEN_LABELS)
+    out, code = run("resolve", "--input", doc)
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == (
+        "A-sequence check on 7 elements exceeds the permutation cap 6")
+    out, code = run("resolve", "--perm-cap", "7", "--input", doc)
+    assert code == 0
+    assert json.loads(out)["details"]["exponents"] == {f"u{i}": 1 for i in range(1, 8)}
 
 
 # a non-string where a polynomial, a variable name or a label belongs used to

@@ -513,6 +513,37 @@ def test_spherical_faces_validates_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_unknown_strategy_is_refused_before_validation(monkeypatch):
+    # a misspelt strategy used to surface only after the commuting-square
+    # validation, which on an invalid cube raised "invalid cube: ..."
+    import koszul_lab.cube as cube_module
+    noncommuting = Cube(Q2, ("1", "2"), {E: 1, S1: 1, S2: 1, S12: 1},
+                        {(S1, "1"): FreeMap(Q2, [[X]]), (S2, "2"): FreeMap(Q2, [[Y]]),
+                         (S12, "1"): FreeMap(Q2, [[X]]), (S12, "2"): FreeMap(Q2, [[X]])})
+    assert not validate_cube(noncommuting).ok
+    calls = _count_calls(monkeypatch, cube_module, "validate_cube")
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        is_admissible(noncommuting, "bogus")
+    assert calls == []
+
+
+def test_face_scans_build_no_complex(monkeypatch):
+    # the face scans hand each Tot to the exactness scan as sparse columns;
+    # only the public total_complex wraps it in a Complex, whose constructor
+    # re-checks d ∘ d = 0
+    from koszul_lab.koszul import verify_weight_decomposition
+    from koszul_lab.modcalc import Complex
+    ring = RingSpec(101, ("x", "y", "z", "w"))
+    fs = list(ring.gens())
+    x = typical_cube(fs)
+    calls = _count_calls(monkeypatch, Complex, "__init__")
+    assert is_admissible(x, "spherical_faces").ok
+    assert verify_weight_decomposition(x, fs).ok
+    assert calls == []
+    total_complex(x)
+    assert len(calls) == 1
+
+
 def test_definition_builds_each_h0_cube_once(monkeypatch):
     # |S| = 4: H_0 cubes are indexed by the 2^4 sets of applied directions;
     # expanding each once takes at most 4 * 2^3 calls of _h0_modcube

@@ -91,6 +91,36 @@ def test_encodings_stay_with_their_owners():
     assert leaks == []
 
 
+def _callers(predicate) -> set:
+    """(module, function) of every call in the library that predicate
+    accepts, the function being the innermost def around it."""
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, ast.Call) and predicate(node.func):
+            found.add((module, function))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return found
+
+
+def test_typical_sums_and_complexes_have_one_builder():
+    # every sum of typical cubes is assembled by koszul._typical_sum, the
+    # only caller of FreeMap.diagonal besides FreeMap.scalar; a Complex is
+    # built only where a complex leaves the library or comes from a
+    # document, since its constructor re-checks d ∘ d = 0, and the face
+    # scans hand their total complexes to the engine as sparse columns
+    diagonal = _callers(lambda f: isinstance(f, ast.Attribute) and f.attr == "diagonal")
+    assert diagonal == {("koszul", "_typical_sum"), ("modcalc", "scalar")}
+    complexes = _callers(lambda f: isinstance(f, ast.Name) and f.id == "Complex")
+    assert complexes == {("cube", "total_complex"), ("cli", "_complex_from_doc")}
+
+
 CODE_LINE_SAMPLE = '''"""Module docstring,
 
 on three lines."""
