@@ -797,12 +797,15 @@ def ideal_intersection(I: IdealBasis, J: IdealBasis) -> IdealBasis:
                              for t in pre])
 
 
-def radical_membership(f: Poly, I: IdealBasis) -> bool:
-    """True iff f lies in the radical of I (Rabinowitsch trick).
+def radical_membership(f: Poly, rel: SubmoduleBasis) -> bool:
+    """True iff f ∈ √Ann(A^r/rel), that is (A^r/rel)[1/f] = 0 (Rabinowitsch).
 
-    Tests 1 in I + (1 - t*f) in the ring extended by a fresh variable t.
+    With a fresh variable t, that holds iff rel + (1 - t·f)·A[t]^r is all of
+    A[t]^r, that is iff its reduced basis has every unit vector e_i as a
+    leading term.  An IdealBasis I is the rank-1 case: f ∈ √I iff 1 lies in
+    I + (1 - t·f).  No quotient or annihilator is formed.
     """
-    ring = I.ring
+    ring, r = rel.ring, rel.ambient_rank
     if f.ring != ring:
         raise RingMismatchError(f"ring mismatch: {f.ring!r} vs {ring!r}")
     if f.is_zero():
@@ -814,10 +817,10 @@ def radical_membership(f: Poly, I: IdealBasis) -> bool:
         k += 1
     ext = ring.extended(name)
     lift = lambda p: Poly(ext, {e + (0,): c for e, c in p.terms.items()})
-    t = ext.var(name)
-    gens = [lift(g) for g in I.generators if not g.is_zero()]
-    gens.append(ext.one() - t * lift(f))
-    return IdealBasis(ext, gens).contains_one()
+    u = ext.one() - ext.var(name) * lift(f)
+    gens = [{i: lift(p) for i, p in c.items()} for c in rel.cols]
+    leads = {e.lt for e in SubmoduleBasis(ext, r, gens + [{i: u} for i in range(r)])._gb_elements()}
+    return all(i << ext.layout.shift in leads for i in range(r))
 
 
 def ideal_dimension(I: IdealBasis) -> int:

@@ -268,35 +268,24 @@ def _sequence_by_label(x: Cube, fs) -> Dict[str, Poly]:
 
 
 def _boundary_flags(m: FreeMap, f: Poly) -> Tuple[bool, bool]:
-    """(injective, support on V(f)) for one boundary m, an r×s matrix."""
-    ring = m.ring
-    r, s = m.target_rank, m.source_rank
-    if r == s:
+    """(injective, support on V(f)) for one boundary m."""
+    if m.target_rank == m.source_rank:
         det = determinant_of_square(m)
-        return not det.is_zero(), radical_membership(f, IdealBasis(ring, [det]))
-    if r == 0:
-        fitt = IdealBasis(ring, [ring.one()])   # the empty minor
-    elif s < r:
-        fitt = IdealBasis(ring, [])
-    else:
-        fitt = fitting_ideal(m, r)
-    return is_injective(m), radical_membership(f, fitt)
+        return not det.is_zero(), radical_membership(f, IdealBasis(m.ring, [det]))
+    return is_injective(m), radical_membership(f, cokernel(m).relations)
 
 
 def is_koszul_cube(x: Cube, fs) -> KoszulVerdict:
     """Every boundary d^k_T injective with cokernel supported on V(f_k).
 
-    Support is tested on Fitt_0 instead of the annihilator: by Fitting's
-    lemma √Ann(M) = √Fitt_0(M) (Eisenbud, Commutative Algebra, Prop. 20.7),
-    and Fitt_0(coker m) is the ideal of maximal minors I_r(m) of the r×s
-    matrix m, so the flag is the radical test of f_k against I_r(m).  That
-    ideal is the unit ideal when r = 0 and zero when s < r, as the
-    annihilator is on those shapes.  For a square m, Fitt_0 = (det m), and
-    since the ring is a domain m is injective iff det m ≠ 0: one determinant
-    decides both flags.  A non-square m keeps the kernel computation for
-    injectivity.  Diagnostics
-    cover every (T,k) pair even after a failure, so a bad cube reports all
-    of its defects at once.
+    For a square m, since the ring is a domain, m is injective iff det m ≠ 0,
+    and √Ann(coker m) = √(det m), since (det m) = Fitt_0(coker m) (Fitting's
+    lemma, Eisenbud, Commutative Algebra, Prop. 20.7): the determinant the
+    map keeps decides both flags.  Any other shape keeps the kernel
+    computation for injectivity, and its support is the one Rabinowitsch
+    test f_k ∈ √Ann(coker m) on the columns of m (`radical_membership`).
+    Diagnostics cover every (T,k) pair even after a failure, so a bad cube
+    reports all of its defects at once.
     """
     _require_free(x)
     seq = _sequence_by_label(x, fs)
@@ -349,8 +338,10 @@ def koszul_nondegenerate_part(x: Cube, fs) -> Cube:
 def determinant(x: Cube) -> Tuple[Dict[str, Poly], Report]:
     """Per-direction determinants det d^k at the top subset, plus coherence.
 
-    Coherence: all vertices share one rank and, for every (T,k), the ratio
-    det d^k_T / det d^k_S is a nonzero constant — decided by exact division.
+    Coherence: all vertices share one rank, det d^k_S is nonzero, and for
+    every T ≠ S the ratio det d^k_T / det d^k_S is a nonzero constant —
+    decided by exact division.  A zero det d^k_S is the one failure reported
+    for k: no ratio is taken against it.
     Incoherence on a cube that passed is_koszul_cube means a bug, so the
     verdict is returned rather than assumed.
     """
@@ -361,8 +352,10 @@ def determinant(x: Cube) -> Tuple[Dict[str, Poly], Report]:
     S = frozenset(x.labels)
     det = {(T, k): determinant_of_square(x.d(T, k)) for T in x.subsets() for k in sorted(T)}
     dets = {k: det[(S, k)] for k in x.labels}
-    failures = []
+    failures = [f"det d^{k} at {{{subset_key(S)}}} is zero" for k in x.labels if dets[k].is_zero()]
     for (T, k), dT in det.items():
+        if T == S or dets[k].is_zero():
+            continue
         q = exact_division(dT, dets[k])
         if q is None or not is_unit(q):
             failures.append(

@@ -9,9 +9,12 @@ homology presentations are preimages of 0, annihilators are built from
 quotients and intersections, which are preimages too, and lifting through a
 surjection reads coordinates modulo the relations.  The same run that gives
 a kernel gives a basis of the image, which is all 0-sphericity needs;
-support on V(f) is tested on the cyclic quotients (rel : e_i) with no
-annihilator formed.  Fitting ideals and determinants come from minors,
-which `arith._minors` expands on integer sums.
+support on V(f) is one Rabinowitsch test on the relations themselves,
+rel + (1 - t·f)·A[t]^r = A[t]^r, with no quotient or annihilator formed.
+`annihilator` still forms the quotients (rel : e_i) and their
+intersection; it is the reference that test is checked against.  Fitting
+ideals and determinants come from minors, which `arith._minors` expands on
+integer sums.
 
 A `Complex` checks d ∘ d = 0 when it is built, which guards complexes that
 come from outside.  The cube layer builds none for its faces: it hands each
@@ -429,21 +432,10 @@ def annihilator(M: FPModule) -> IdealBasis:
 
 
 def supported_on(M: FPModule, f: Poly) -> bool:
-    """True iff M is supported on V(f), that is f ∈ √Ann M.
-
-    Ann M = ∩_i (relations : e_i), and the radical of a finite intersection
-    is the intersection of the radicals, so f is tested against each
-    quotient on its own and no intersection is formed.  Each quotient
-    generator a is re-verified: a·e_i lies in the relations.
-    """
-    for i in range(M.rank):
-        quot = module_quotient(M.relations, {i: M.ring.one()})
-        for a in quot.generators:
-            if not M.relations.contains_vector({i: a}):
-                raise RuntimeError("quotient generator failed re-verification")
-        if not radical_membership(f, quot):
-            return False
-    return True
+    """True iff M is supported on V(f), that is f ∈ √Ann M, or M[1/f] = 0:
+    one Rabinowitsch run on the relations (`radical_membership`), with no
+    quotient or annihilator formed."""
+    return radical_membership(f, M.relations)
 
 
 def submodule_equal(a: SubmoduleBasis, b: SubmoduleBasis) -> bool:

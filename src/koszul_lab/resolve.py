@@ -135,10 +135,8 @@ class ResolutionInput:
         on V(f_u) for u ∈ U and every directional cokernel on V(f_v);
         connecting maps are cube morphisms.
 
-        Support is decided without forming an annihilator: Ann M is the
-        intersection of the quotients (rel : e_i) over the basis vectors,
-        and the radical of a finite intersection is the intersection of the
-        radicals, so f ∈ √Ann M iff f ∈ √(rel : e_i) for every i
+        Support is decided without forming an annihilator: f ∈ √Ann M iff
+        M[1/f] = 0, which one Rabinowitsch run on the relations of M decides
         (`modcalc.supported_on`).
         """
         failures = []

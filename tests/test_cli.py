@@ -619,6 +619,25 @@ def test_fitting_and_grade_and_generators(tmp_path):
     assert env["details"]["rank"] == 1
 
 
+@pytest.mark.parametrize("labels, boundaries, failure", [
+    (["1"], {"1|1": [["0"]]}, "det d^1 at {1} is zero"),
+    (["1", "2"], {"1|1": [["x"]], "1,2|1": [["x"]], "2|2": [["0"]], "1,2|2": [["0"]]},
+     "det d^2 at {1,2} is zero"),
+])
+def test_zero_top_determinant_is_reported_as_zero(tmp_path, labels, boundaries, failure):
+    # the top boundary is not tested against itself, and a zero top
+    # determinant is one failure, not one per parallel boundary
+    vertices = {"": 1, "1": 1, "2": 1, "1,2": 1} if len(labels) == 2 else {"": 1, "1": 1}
+    doc = write_doc(tmp_path, {"ring": RING_Q2, "cube": {"S": labels, "vertices": vertices,
+                                                         "boundaries": boundaries}})
+    out, code = run("det", "--input", doc)
+    assert code == 1
+    assert json.loads(out)["details"]["failures"] == [failure]
+    out, code = run("generators", "--input", doc)
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == "determinant incoherence: " + failure
+
+
 def test_weight_decomp_and_factor_lemma(tmp_path):
     out, code = run("weight-decomp", "--input", write_doc(tmp_path, TYP_XY))
     assert code == 0

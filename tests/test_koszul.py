@@ -1,6 +1,8 @@
 """Koszul cubes, sequence conditions, determinants, acyclicity, generators."""
 
+import random
 from collections import Counter
+from math import factorial
 
 import pytest
 
@@ -395,6 +397,20 @@ def test_determinant_rank_mismatch():
     assert not rep.ok
 
 
+@pytest.mark.parametrize("c, failure", [
+    (Cube(Q2, ("1",), {E: 1, S1: 1}, {(S1, "1"): FreeMap(Q2, [[Q2.zero()]])}), "det d^1 at {1} is zero"),
+    (rank1_square("x", "x", "0", "0"), "det d^2 at {1,2} is zero"),
+])
+def test_zero_top_determinant_is_one_failure(c, failure):
+    # a zero top determinant is reported once, as zero, and no ratio is
+    # taken against it; the top is never tested against itself
+    assert determinant(c)[1].failures == (failure,)
+    for check in (det_is_a_sequence, generators_presentation):
+        with pytest.raises(ValueError) as err:
+            check(c)
+        assert str(err.value) == "determinant incoherence: " + failure
+
+
 # --------------------------------------------------------------------------
 # Buchsbaum–Eisenbud
 # --------------------------------------------------------------------------
@@ -714,6 +730,57 @@ def test_five_direction_resolve_round_trips():
         inp = ResolutionInput(dict(zip(x.labels, fs)), [], x.labels, [x])
         rep = check_resolution(koszul_resolve(inp), inp)
         assert rep.ok, (i, rep.failures)
+
+
+def _deep_failure_row(n, field):
+    """x_1, ..., x_{n-1}, x_1 + ... + x_{n-1} over field[x_1..x_n]: any n - 1
+    of its entries are a regular sequence, and the last is zero modulo them."""
+    ring = RingSpec(field, tuple(f"x{i}" for i in range(1, n + 1)))
+    xs = ring.gens()[:n - 1]
+    return ring, list(xs) + [sum(xs, ring.zero())]
+
+
+@pytest.mark.parametrize("field", ["Q", 101])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_admissibility_fails_at_depth_n_minus_one(n, field):
+    # Typ of a sequence that is no A-sequence, whose first failure lies
+    # n - 1 levels of H_0 deep: every strategy must agree with is_A_sequence,
+    # and the definition must find the failure on each of the n! paths
+    _, row = _deep_failure_row(n, field)
+    want = is_A_sequence(row).a_sequence
+    assert want is False
+    x = typical_cube(row)
+    for s in ADMISSIBILITY_STRATEGIES:
+        assert is_admissible(x, strategy=s).ok is want, s
+    failures = is_admissible(x, strategy="definition").failures
+    assert len(failures) == factorial(n)
+    assert all(f.count("H0^") == n - 1 for f in failures)
+
+
+@pytest.mark.parametrize("field", ["Q", 101])
+def test_deep_failure_survives_sums_and_base_change(field):
+    # the bad row summed with an A-sequence row and its square, conjugated
+    # by elementary matrices as random_koszul does: the good summands fail
+    # nowhere and a base change is an isomorphism, so every strategy must
+    # list exactly the bad row's failures
+    ring, bad = _deep_failure_row(4, field)
+    good = list(ring.gens())
+    labels = ("1", "2", "3", "4")
+    x = koszul._typical_sum(ring, labels, [bad, good, [g * g for g in good]], ())
+    rng = random.Random(_gen.SEED0)
+    P, Pinv = {}, {}
+    for T in x.subsets():
+        factors = [(*rng.sample(range(3), 2), ring.const(rng.randint(1, 5))) for _ in range(3)]
+        P[T] = koszul._elementary_product(ring, 3, factors)
+        Pinv[T] = koszul._elementary_product(ring, 3, [(i, j, -c) for i, j, c in reversed(factors)])
+    y = Cube(ring, labels, x.vertices, {(T, k): P[T - {k}].compose(d).compose(Pinv[T])
+                                        for (T, k), d in x.boundary.items()})
+    assert validate_cube(y).ok
+    assert any(len(d.cols[0]) > 1 for d in y.boundary.values())
+    for s in ADMISSIBILITY_STRATEGIES:
+        want = is_admissible(typical_cube(bad, labels), strategy=s)
+        assert not want.ok
+        assert is_admissible(y, strategy=s).failures == want.failures, s
 
 
 # --------------------------------------------------------------------------

@@ -809,23 +809,38 @@ def test_nonzero_homology_degree_matches_separate_image_reference():
     assert None in degrees and 1 in degrees and any(d and d >= 2 for d in degrees)
 
 
+def _rank_three_modules(ring):
+    """A^3 modulo relations: a cokernel of a square map, one with a free
+    summand, and a sum of cyclic modules of different supports."""
+    x, y = ring.gens()[:2]
+    z = ring.zero()
+    rels = ([(x, y, z), (z, x, y), (y, z, x)],
+            [(x * x, z, z), (y, x, z), (z, z, y)],
+            [(x * x, z, z), (z, y, z), (z, z, x + y), (z, x * y, x)])
+    return [FPModule(ring, 3, SubmoduleBasis(ring, 3, r)) for r in rels]
+
+
 def _module_corpus():
-    """Modules of both support verdicts: hand-made ones, the vertices and
-    H_0^k vertices of the resolve problems' targets, and cokernels of the
-    boundaries of small Koszul cubes."""
-    from _gen import koszul_suite, resolve_problems
-    from koszul_lab.cube import _h0_modcube
+    """Modules of both support verdicts: hand-made ones of rank up to 3 over
+    Q and GF(101), the vertices and H_0^k vertices of the resolve problems'
+    targets and of a GF(101) target with relations of rank 3, and cokernels
+    of the boundaries of small Koszul cubes."""
+    from _gen import X3, Y3, Z3, koszul_suite, resolve_problems
+    from koszul_lab.cube import _h0_modcube, _h0_over
+    from koszul_lab.koszul import random_koszul
     two = FPModule(Q2, 2, SubmoduleBasis(Q2, 2, [(X * X, ZERO), (Y, X), (ZERO, Y * Y)]))
     # A/(x^2) ⊕ A/(y): the two basis vectors have different supports
     split = FPModule(Q2, 2, SubmoduleBasis(Q2, 2, [(X * X, ZERO), (ZERO, Y)]))
     modules = [FPModule.free(Q2, 0), FPModule.free(Q2, 2), cyclic("1"), cyclic("x^2"),
                cyclic("x^2", "x*y"), cyclic("x*y"), two, split]
-    for inp in resolve_problems():
-        for z in inp.targets:
-            modules += [z.vertex(T) for T in z.subsets()]
-            for v in z.labels:
-                H = _h0_modcube(z, v)
-                modules += [H.vertex(T) for T in H.subsets()]
+    modules += _rank_three_modules(Q2) + _rank_three_modules(RingSpec(101, ("x", "y")))
+    targets = [z for inp in resolve_problems() for z in inp.targets]
+    targets.append(_h0_over(random_koszul([X3, Y3 + Z3, Z3], 3, 4, seed=7), ["3"]))
+    for z in targets:
+        modules += [z.vertex(T) for T in z.subsets()]
+        for v in z.labels:
+            H = _h0_modcube(z, v)
+            modules += [H.vertex(T) for T in H.subsets()]
     for x, _ in koszul_suite(20):
         modules += [cokernel(x.d(T, k)) for T in x.subsets() for k in sorted(T)]
     return modules
@@ -846,9 +861,24 @@ def test_supported_on_matches_annihilator_reference():
     assert verdicts == {True, False}
 
 
-def test_supported_on_reverifies_each_quotient_generator(monkeypatch):
-    import koszul_lab.modcalc as modcalc
-    assert supported_on(cyclic("x^2"), X)
-    monkeypatch.setattr(modcalc, "module_quotient", lambda rel, vec: IdealBasis(Q2, [X]))
-    with pytest.raises(RuntimeError, match="re-verification"):
-        supported_on(cyclic("x^2"), X)
+def test_support_forms_no_quotient(monkeypatch):
+    # support is one Rabinowitsch run on the relations: neither supported_on
+    # nor the Koszul support flags form a module quotient or ask the engine
+    # for a preimage (non-square injectivity uses modcalc's own binding)
+    import koszul_lab.groebner as groebner
+    from _gen import koszul_suite
+    from koszul_lab.cube import Cube
+    from koszul_lab.koszul import is_koszul_cube
+    modules = _rank_three_modules(Q2) + [cyclic("x^2", "x*y")]
+    one, E = frozenset({"1"}), frozenset()
+    cubes = koszul_suite(6) + [(Cube(Q2, ("1",), {E: r, one: s}, {(one, "1"): FreeMap(Q2, m)}),
+                                [X]) for r, s, m in ((2, 1, [[X], [Y]]), (1, 2, [[X, Y]]))]
+    want = [supported_on(M, X) for M in modules], [is_koszul_cube(x, fs) for x, fs in cubes]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("support formed a quotient")
+
+    monkeypatch.setattr(modcalc, "module_quotient", forbidden)
+    monkeypatch.setattr(groebner, "_preimage", forbidden)
+    assert ([supported_on(M, X) for M in modules],
+            [is_koszul_cube(x, fs) for x, fs in cubes]) == want

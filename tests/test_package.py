@@ -121,6 +121,19 @@ def test_typical_sums_and_complexes_have_one_builder():
     assert complexes == {("cube", "total_complex"), ("cli", "_complex_from_doc")}
 
 
+def test_support_has_one_test():
+    # support on V(f) is one Rabinowitsch run, the only user of a ring with
+    # a fresh variable; the quotients (rel : e_i) are formed only for the
+    # annihilator, the independent reference, and Fitting ideals only for
+    # the Buchsbaum-Eisenbud criterion, not for the Koszul support flags
+    extended = _callers(lambda f: isinstance(f, ast.Attribute) and f.attr == "extended")
+    assert extended == {("groebner", "radical_membership")}
+    quotients = _callers(lambda f: isinstance(f, ast.Name) and f.id == "module_quotient")
+    assert {c for c in quotients if c[0] == "modcalc"} == {("modcalc", "annihilator")}
+    fitting = _callers(lambda f: isinstance(f, ast.Name) and f.id == "fitting_ideal")
+    assert {c for c in fitting if c[0] == "koszul"} == {("koszul", "be_acyclicity")}
+
+
 CODE_LINE_SAMPLE = '''"""Module docstring,
 
 on three lines."""
