@@ -396,7 +396,7 @@ def cmd_h0(doc, ring, opts):
         raise ValueError(f"--directions {directions!r} has an empty label")
     if len(set(T)) < len(T):
         raise ValueError(f"--directions {directions!r} repeats a label")
-    return True, {"directions": sorted(T), "vertices": iterated_h0(x, T).vertices}
+    return True, {"directions": sorted(T), "vertices": dict(iterated_h0(x, T).vertices)}
 
 
 @_command("admissible", click.option("--strategy", type=click.Choice(ADMISSIBILITY_STRATEGIES),

@@ -19,10 +19,11 @@ order-independence statements become literal submodule equalities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
 
 from .arith import RingSpec, is_unit
-from .groebner import SubmoduleBasis, _nonexact_degree, _preimage, _reduced_kernel
+from .groebner import SubmoduleBasis, _nonexact_degree, _preimage_in, _reduced_kernel
 from .modcalc import (
     Complex,
     FPModule,
@@ -113,10 +114,12 @@ class Cube:
     case where no vertex carries relations.  Construction checks labels,
     shapes and key completeness only; well-definedness and the
     commuting-square law are checked by validate_cube so that invalid cubes
-    can be constructed and reported on.
+    can be constructed and reported on.  `vertices` and `boundary` are
+    read-only mappings, so the report validate_cube keeps on the cube
+    cannot go stale.
     """
 
-    __slots__ = ("labels", "ring", "vertices", "boundary")
+    __slots__ = ("labels", "ring", "vertices", "boundary", "_report")
 
     def __init__(self, ring: RingSpec, labels: Sequence[str],
                  vertices: Dict[FrozenSet[str], Union[int, FPModule]],
@@ -141,8 +144,9 @@ class Cube:
         all_subsets = label_subsets(labels)
         if set(verts) != set(all_subsets):
             raise ValueError("vertices must cover exactly the subsets of the labels")
-        self.vertices = verts
-        self.boundary = boundary
+        self.vertices = MappingProxyType(verts)
+        self.boundary = MappingProxyType(boundary)
+        self._report: Optional[Report] = None
         needed = {(T, k) for T in all_subsets for k in T}
         if needed != boundary.keys():
             missing = {(subset_key(T), k) for (T, k) in needed - boundary.keys()}
@@ -192,7 +196,11 @@ def validate_cube(x: Cube) -> Report:
     Every boundary must map the relations of its source into those of its
     target (these failures come first), and every square must commute,
     d^l ∘ d^k = d^k ∘ d^l, modulo the relations of the vertex it lands in.
+    A cube is checked once: the Report is kept on it and returned again, so
+    the strategies of `is_admissible` run on one cube share one check.
     """
+    if x._report is not None:
+        return x._report
     failures = []
     for T, k in sorted(x.boundary, key=lambda Tk: (subset_key(Tk[0]), Tk[1])):
         if not _preserves_relations(x.boundary[(T, k)], x.vertices[T], x.vertices[T - {k}]):
@@ -205,7 +213,8 @@ def validate_cube(x: Cube) -> Report:
                                             x.vertices[T - {k, l}].relations):
                     failures.append(
                         f"square at {{{subset_key(T)}}} in directions {k},{l} does not commute")
-    return Report(not failures, tuple(failures))
+    x._report = Report(not failures, tuple(failures))
+    return x._report
 
 
 def _noncommuting_squares(w: Dict[FrozenSet[str], FreeMap], src: Cube, tgt: Cube) -> list:
@@ -419,10 +428,9 @@ def _mod_injective(m: FreeMap, src: FPModule, tgt: FPModule) -> bool:
 
     Injectivity says the preimage of rel_tgt under m lies in rel_src.  Its
     generators are tested unreduced, since each is only tested for
-    membership.
+    membership, and in the engine's own form (`groebner._preimage_in`).
     """
-    return all(src.relations.contains_vector(t)
-               for t in _preimage(m.cols, tgt.relations.cols, m.ring, tgt.rank))
+    return _preimage_in(m.cols, tgt.relations.cols, src.relations, tgt.rank)
 
 
 def _admissible_definition(mc: Cube, applied: frozenset, memo: dict) -> tuple:

@@ -27,27 +27,32 @@ reduction or S-vector whose new term reaches it raises CapExceededError,
 never a wrapped key.
 
 Everything here is exact and deterministic: pair selection uses the normal
-strategy with a fixed tie-break, reduced bases are canonical (monic,
-auto-reduced, sorted by leading term), and the reduced bases and preimage
-generators of the `_GB_CACHE_ENTRIES` most recently used generator lists are
-cached by the canonical form of the generators (`_cached`).  A result
-computed again after its entry was dropped is the same: Buchberger is
-deterministic and a reduced basis is unique.
+strategy with a fixed tie-break, reduced bases are canonical (auto-reduced,
+sorted by leading term, each element in the working form below), and the
+reduced bases and preimage generators of the `_GB_CACHE_ENTRIES` most
+recently used generator lists are cached by the canonical form of the
+generators (`_cached`).  A result computed again after its entry was dropped
+is the same: Buchberger is deterministic and a reduced basis is unique.
 
-Over Q, Buchberger runs fraction-free.  Its inputs enter with denominators
-cleared, and every element it keeps is a primitive integer vector (content 1,
-positive leading coefficient, not divided out).  A reduction step is a
-pseudo-division: with g = gcd(lc(b), c) the working vector is multiplied by
-lc(b)/g and (c/g)·x^q·b is subtracted; the S-vector of g_i and g_j is
+Over Q the engine works on integers.  A vector enters with its denominators
+cleared (`_cleared`), and every element Buchberger keeps, every cached
+reduced basis and every cached Schreyer generator is a primitive integer
+vector: content 1, positive leading coefficient, not divided out.  That form
+is a unique multiple of the monic vector, so a reduced basis in it is still
+canonical, and cache keys, `SubmoduleBasis.__eq__` and `__hash__` still
+decide equality of submodules.  A reduction step is a pseudo-division: with
+g = gcd(lc(b), c) the working vector is multiplied by lc(b)/g and
+(c/g)·x^q·b is subtracted; the S-vector of g_i and g_j is
 (lc_j/g)·x^{u_i}·g_i - (lc_i/g)·x^{u_j}·g_j.  Content is removed once per
-remainder, and Fractions are made only at the end, when the reduced basis is
-made monic.  Over GF(p) elements are kept monic and the same steps run with
-multipliers 1 and c/lc(b).  Every element is a nonzero scalar multiple of the
-one a field-coefficient run would hold, so leading terms, divisibility tests,
-pairs and both criteria are the same, the same reductions run, and the reduced
-basis, which is unique, is the same Fraction basis to the last coefficient.
-Normal forms outside Buchberger reduce the Fraction vectors of the cached
-monic bases by field division.
+remainder.  A normal form returns the product λ of its multipliers, so a
+remainder, certificate or coordinate vector is divided by one scalar at the
+end.  Over GF(p) elements are kept monic and the same steps run with
+multipliers 1 and c/lc(b), so λ = 1.  Every element is a nonzero scalar
+multiple of the one a field-coefficient run would hold, so leading terms,
+divisibility tests, pairs and both criteria are the same and the same
+reductions run.  Fractions are made only where a vector leaves the engine
+(`_field_vp`): made monic, or divided by its λ, it is the field run's vector
+to the last coefficient.
 
 Every linear system over A is solved on one graph module.  For columns
 col_j in A^rank and relations rel, `_graph_module` flattens the generators
@@ -176,19 +181,27 @@ class _Element:
         self.lt_pos = self.lt >> layout.shift
 
 
-def _cofactors(a, b, p: int) -> tuple:
-    """(u, v) with u*a == v*b and u != 0: the multipliers that cancel a
-    coefficient a against b.
+def _cofactors(a: int, b: int, p: int) -> tuple:
+    """(u, v) with u*a == v*b and u != 0: the multipliers that cancel the
+    coefficient a against b, both ints.
 
-    Over GF(p), u = 1.  Over Q on integers, u = b/g and v = a/g with
-    g = gcd(a, b), so no denominator arises; on Fractions, u = 1.
+    Over GF(p), u = 1.  Over Q, u = b/g and v = a/g with g = gcd(a, b), so
+    no denominator arises; u > 0 whenever b > 0, as every leading
+    coefficient of the working form is.
     """
     if p:
         return 1, a * pow(b, -1, p) % p
-    if type(a) is int and type(b) is int:
-        g = gcd(a, b)
-        return b // g, a // g
-    return 1, a / b
+    g = gcd(a, b)
+    return b // g, a // g
+
+
+def _cleared(vp: dict, p: int) -> tuple:
+    """(w, d): over Q, w = d·vp as ints, d the lcm of the denominators of
+    vp's coefficients; over GF(p), vp itself and 1."""
+    if p:
+        return vp, 1
+    d = _denominator(vp.values())
+    return _numerators(vp, d), d
 
 
 def _unit_normal(vp: dict, layout: _Terms, p: int) -> _Element:
@@ -223,14 +236,16 @@ def _nf_vp(vp: dict, basis: Sequence[_Element], by_pos: dict, ring: RingSpec,
            want_cert: bool = False):
     """Full normal form of vp against basis; optionally with division certificate.
 
-    Returns (remainder_vp, cert) where cert[i] maps monomial keys to the
-    coefficients of q_i, with  λ·input = sum_i q_i * basis[i] + remainder
-    exactly, for a nonzero scalar λ.  On field coefficients (GF(p), or
-    Fractions over Q) every step divides by the leading coefficient and
-    λ = 1.  On Buchberger's integer vectors over Q every step is a
-    pseudo-division and λ is the product of its multipliers.  A certificate
-    is asked for only against a cached reduced basis, whose leading
-    coefficients are field.one, so λ = 1 whenever `want_cert` is set.
+    vp and the basis are in the working form: over Q integer vectors (a
+    caller clears an input's denominators, `_cleared`), over GF(p) ints
+    below p.  Returns (remainder_vp, cert, λ)
+    where cert[i] maps monomial keys to the coefficients of q_i, with
+    λ·input = sum_i q_i * basis[i] + remainder  exactly.  Every step is a
+    pseudo-division (`_cofactors`): the working vector, the remainder so far
+    and the certificate are multiplied by u, and λ is the product of the
+    u's, a positive int, 1 over GF(p).  The field normal form of the input
+    is remainder / λ, and its certificate against the monic basis is
+    q_i·lc_i / λ: the same reductions run, on proportional vectors.
 
     The terms still to reduce sit in a min-heap of plain ints, `k ^ desc`
     (see `_Terms`), so the largest pops first; a popped term no longer in
@@ -248,6 +263,8 @@ def _nf_vp(vp: dict, basis: Sequence[_Element], by_pos: dict, ring: RingSpec,
     heapify(heap)
     rem: dict = {}
     cert = [dict() for _ in basis] if want_cert else None
+    scaled = (work, rem, *cert) if want_cert else (work, rem)
+    lam = 1
     born: list = []
     while heap:
         t = heappop(heap) ^ desc
@@ -259,15 +276,16 @@ def _nf_vp(vp: dict, basis: Sequence[_Element], by_pos: dict, ring: RingSpec,
                 q = t - b.lt
                 u, qc = _cofactors(c, b.lc, p)
                 if u != 1:
-                    for d in (work, rem):
+                    lam *= u
+                    for d in scaled:
                         for k in d:
                             d[k] *= u
                 if want_cert:
-                    s = field.add(cert[i].get(q, field.zero), qc)
-                    if s == field.zero:
-                        cert[i].pop(q, None)
-                    else:
+                    s = field.add(cert[i].get(q, 0), qc)
+                    if s:
                         cert[i][q] = s
+                    else:
+                        cert[i].pop(q, None)
                 _add_scaled(work, b.vp, q, field.neg(qc), field, overflow, born)
                 for k in born:
                     heappush(heap, k ^ desc)
@@ -276,20 +294,28 @@ def _nf_vp(vp: dict, basis: Sequence[_Element], by_pos: dict, ring: RingSpec,
         else:
             rem[t] = c
             del work[t]
-    return rem, cert
+    return rem, cert, lam
 
 
-def _field_vp(vp: dict, lc, p: int, one) -> dict:
-    """vp divided by its leading coefficient lc, with field coefficients.
+def _field_vp(vp: dict, d: int, field) -> dict:
+    """vp / d with field coefficients: the one place where a vector leaves
+    the engine's working form.  d is an element's leading coefficient (the
+    monic vector) or a normal form's λ times its input's denominator.
 
-    Over GF(p) the working form is already monic.  Over Q this is where the
-    Fractions are made.  A coefficient 1 is the shared field.one, not a new
-    Fraction per term: up to `_GB_CACHE_ENTRIES` bases stay cached, and
-    fresh ones cost about 2% more peak memory.
+    Over GF(p) the working form is already monic and d is 1, so vp is
+    returned as it is.  Over Q each coefficient is made once, as
+    Fraction(c, d); one equal to d is the shared field.one, not a new
+    Fraction per term.
     """
-    if p:
+    if field.char:
         return vp
-    return {t: one if c == lc else Fraction(c, lc) for t, c in vp.items()}
+    one = field.one
+    return {t: one if c == d else Fraction(c, d) for t, c in vp.items()}
+
+
+def _monic_column(e: _Element, ring: RingSpec) -> dict:
+    """The sparse column of the element e made monic (`_field_vp`)."""
+    return _column_from_vp(_field_vp(e.vp, e.lc, ring.field), ring)
 
 
 def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optional[int] = None):
@@ -299,10 +325,11 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
 
     Normal pair-selection strategy (smallest lcm in the order, ties by index),
     chain criterion always, product criterion only for rank 1 — it is unsound
-    for module positions.  Elements are kept in the working form of
-    `_unit_normal` (over Q, integer vectors) and made monic field vectors on
-    return.  Leading terms, lcms and the shifts of S-vectors are term keys
-    (`_Terms`), so the criteria and S-vectors are integer operations.
+    for module positions.  Elements are kept, and returned, in the working
+    form of `_unit_normal` (over Q, primitive integer vectors); `_field_vp`
+    makes the field vectors where they leave the engine.  Leading terms,
+    lcms and the shifts of S-vectors are term keys (`_Terms`), so the
+    criteria and S-vectors are integer operations.
 
     Given `head`, the inputs are a graph module (`_graph_module`) with its
     columns col_j in the positions < head, so every element is some
@@ -314,7 +341,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
     each input to the basis; so the collected tails generate the preimage of
     R, the kernel when there are no relations (Schreyer 1980; La
     Scala-Stillman 1998).  They are returned unreduced, shifted to positions
-    0 .. rank - head - 1, as monic field vectors, in place of the reduced
+    0 .. rank - head - 1, in the working form, in place of the reduced
     basis, together with the basis as it stands: each of its elements has
     its leading term in the head, and each S-pair among them reduces to
     zero or to a collected remainder, whose head is zero; so the heads of
@@ -325,7 +352,6 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
     """
     field = ring.field
     p = field.char
-    one = field.one
     layout = ring.layout
     desc, asc, guard, mono, overflow = layout.desc, layout.asc, layout.guard, layout.mono, layout.overflow
     want_basis = head is None
@@ -342,7 +368,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
     def add_elem(vp: dict):
         g = _unit_normal(vp, layout, p)
         if g.lt_pos >= head:
-            syz.append(_field_vp({k - offset: c for k, c in g.vp.items()}, g.lc, p, one))
+            syz.append({k - offset: c for k, c in g.vp.items()})
             return
         gi = len(G)
         same = by_pos.setdefault(g.lt_pos, [])
@@ -356,7 +382,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
     for vp in inputs:
         if not vp:
             continue
-        rem, _ = _nf_vp(vp if p else _numerators(vp, _denominator(vp.values())), G, by_pos, ring)
+        rem = _nf_vp(_cleared(vp, p)[0], G, by_pos, ring)[0]
         if rem:
             add_elem(rem)
 
@@ -387,7 +413,7 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
         s: dict = {}
         _add_scaled(s, gi.vp, lcm - gi.lt, ui, field, overflow)
         _add_scaled(s, gj.vp, lcm - gj.lt, field.neg(uj), field, overflow)
-        rem, _ = _nf_vp(s, G, by_pos, ring)
+        rem = _nf_vp(s, G, by_pos, ring)[0]
         if rem:
             add_elem(rem)
 
@@ -402,21 +428,19 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
         if any(h.lt_pos == g.lt_pos and (lt_guarded - h.lt) & guard == guard for h in minimal):
             continue
         minimal.append(g)
-    # tail-reduce each against the others, then make it monic; the others
-    # stay in basis order, so each term meets the same divisor first
+    # tail-reduce each against the others, then put it in the working form;
+    # the others stay in basis order, so each term meets the same divisor
+    # first
     reduced = []
     by_pos = _by_position(minimal)
     for idx, g in enumerate(minimal):
         same = by_pos[g.lt_pos]
         at = same.index((idx, g))
         del same[at]
-        rem, _ = _nf_vp(g.vp, minimal, by_pos, ring)
+        rem = _nf_vp(g.vp, minimal, by_pos, ring)[0]
         same.insert(at, (idx, g))
         if rem:
-            e = _unit_normal(rem, layout, p)
-            e.vp = _field_vp(e.vp, e.lc, p, one)
-            e.lc = one
-            reduced.append(e)
+            reduced.append(_unit_normal(rem, layout, p))
     reduced.sort(key=lambda g: g.lt ^ desc, reverse=True)
     return reduced
 
@@ -473,13 +497,24 @@ def _compute_gb(ring: RingSpec, rank: int, vps: Sequence[dict]) -> list:
 # public basis types
 # ---------------------------------------------------------------------------
 
-def _reduce(basis, vp: dict, want_cert: bool = False):
-    """`_nf_vp` of vp against the reduced basis of a SubmoduleBasis,
-    grouped by lead position once per basis object."""
+def _indexed(basis) -> tuple:
+    """(reduced basis, `_by_position` of it) of a SubmoduleBasis, grouped
+    by lead position once per basis object."""
     gb = basis._gb_elements()
     if basis._by_pos is None:
         basis._by_pos = _by_position(gb)
-    return _nf_vp(vp, gb, basis._by_pos, basis.ring, want_cert)
+    return gb, basis._by_pos
+
+
+def _reduce(basis, vp: dict, want_cert: bool = False):
+    """`_nf_vp` of vp, a flattened vector with field coefficients, against
+    the reduced basis of a SubmoduleBasis: (remainder, cert, s) with
+    s·vp = Σ cert_i·gb_i + remainder, where s is λ times the lcm of vp's
+    denominators, which are cleared once, here."""
+    gb, by_pos = _indexed(basis)
+    vp, d = _cleared(vp, basis.ring.field.char)
+    rem, cert, lam = _nf_vp(vp, gb, by_pos, basis.ring, want_cert)
+    return rem, cert, lam * d
 
 
 class SubmoduleBasis:
@@ -513,19 +548,25 @@ class SubmoduleBasis:
 
     @property
     def reduced_gb(self) -> tuple:
-        return tuple(_dense(_column_from_vp(e.vp, self.ring), self.ring, self.ambient_rank)
+        """The reduced basis as dense vectors, each made monic."""
+        ring = self.ring
+        return tuple(_dense(_monic_column(e, ring), ring, self.ambient_rank)
                      for e in self._gb_elements())
 
     def nf_vector(self, vec, want_cert: bool = False):
         """Normal form of vec, a sequence of Poly or a sparse column, as a
-        dense vector; with `want_cert`, and its certificate."""
-        vp = _vp_from_column(_column(vec, self.ring, self.ambient_rank), self.ring)
-        rem, cert = _reduce(self, vp, want_cert)
-        rvec = _dense(_column_from_vp(rem, self.ring), self.ring, self.ambient_rank)
+        dense vector; with `want_cert`, and its certificate against the
+        monic `reduced_gb`.  Both are divided by their scalar once, here."""
+        ring = self.ring
+        vp = _vp_from_column(_column(vec, ring, self.ambient_rank), ring)
+        rem, cert, s = _reduce(self, vp, want_cert)
+        rvec = _dense(_column_from_vp(_field_vp(rem, s, ring.field), ring), ring, self.ambient_rank)
         if not want_cert:
             return rvec, None
-        # a quotient term is the difference of two keys at one position
-        return rvec, [_poly(self.ring, c) for c in cert]
+        # q_i·gb_i = (q_i·lc_i)·(gb_i / lc_i); a quotient term is the
+        # difference of two keys at one position
+        return rvec, [_poly(ring, _field_vp({k: c * e.lc for k, c in q.items()}, s, ring.field))
+                      for q, e in zip(cert, self._gb_elements())]
 
     def contains_vector(self, vec) -> bool:
         """Whether vec, a sequence of Poly or a sparse column, lies in the
@@ -578,7 +619,8 @@ class IdealBasis(SubmoduleBasis):
     @property
     def reduced_gb(self) -> tuple:
         # at rank 1 an element's flattened vector is a Poly's keys
-        return tuple(_poly(self.ring, e.vp) for e in self._gb_elements())
+        field = self.ring.field
+        return tuple(_poly(self.ring, _field_vp(e.vp, e.lc, field)) for e in self._gb_elements())
 
     def nf(self, f: Poly, want_cert: bool = False):
         rem, cert = self.nf_vector((f,), want_cert)
@@ -647,7 +689,8 @@ def _graph_module(cols: Sequence[dict], rels: Sequence[dict], ring: RingSpec, ra
 def _schreyer(cols: Sequence[Mapping[int, Poly]], rels: Sequence[Mapping[int, Poly]],
               ring: RingSpec, rank: int) -> list:
     """Flattened generators of {t : Σ t_j·col_j ∈ span(rels)}, in
-    A^len(cols); `cols` and `rels` are sparse columns in A^rank.
+    A^len(cols) and in the working form; `cols` and `rels` are sparse
+    columns in A^rank.
 
     One Buchberger run on the graph module with head `rank` collects its
     zero-head remainders (see `_buchberger`).  The generators are cached
@@ -663,22 +706,41 @@ def _schreyer(cols: Sequence[Mapping[int, Poly]], rels: Sequence[Mapping[int, Po
 
 def _preimage(cols: Sequence[Mapping[int, Poly]], rels: Sequence[Mapping[int, Poly]],
               ring: RingSpec, rank: int) -> list:
-    """Generators of {t : Σ t_j·col_j ∈ span(rels)}, unreduced, as sparse
-    columns of length len(cols); `cols` and `rels` are sparse columns in
-    A^rank."""
-    return [_column_from_vp(vp, ring) for vp in _schreyer(cols, rels, ring, rank)]
+    """Generators of {t : Σ t_j·col_j ∈ span(rels)}, unreduced and monic, as
+    sparse columns of length len(cols); `cols` and `rels` are sparse columns
+    in A^rank."""
+    return [_monic_column(_Element(vp, ring.layout), ring)
+            for vp in _schreyer(cols, rels, ring, rank)]
+
+
+def _preimage_in(cols: Sequence[Mapping[int, Poly]], rels: Sequence[Mapping[int, Poly]],
+                 sub: SubmoduleBasis, rank: int) -> bool:
+    """Whether {t : Σ t_j·col_j ∈ span(rels)} lies in sub, a submodule of
+    A^len(cols); `cols` and `rels` are sparse columns in A^rank.
+
+    Each cached Schreyer generator (`_schreyer`), an integer vector, is
+    reduced against sub's reduced basis as it is: no column is made and no
+    denominator is cleared.  sub's basis is computed only when there is a
+    generator to test.
+    """
+    ring = sub.ring
+    gens = _schreyer(cols, rels, ring, rank)
+    if not gens:
+        return True
+    gb, by_pos = _indexed(sub)
+    return all(not _nf_vp(vp, gb, by_pos, ring)[0] for vp in gens)
 
 
 def _reduced_kernel(cols: Sequence[Mapping[int, Poly]], ring: RingSpec, rank: int) -> SubmoduleBasis:
     """The kernel of the map A^len(cols) -> A^rank with the sparse columns
     `cols`, as a SubmoduleBasis whose generators are its reduced Groebner
-    basis, in basis order.  The basis is the cached reduced basis
-    (`_compute_gb`) of the cached Schreyer generators, and the
+    basis, in basis order, made monic.  The basis is the cached reduced
+    basis (`_compute_gb`) of the cached Schreyer generators, and the
     SubmoduleBasis holds it, so reading it runs no Buchberger and a
     certificate against it is in these generators."""
     n = len(cols)
     gb = _compute_gb(ring, n, _schreyer(cols, (), ring, rank))
-    kernel = SubmoduleBasis(ring, n, [_column_from_vp(e.vp, ring) for e in gb])
+    kernel = SubmoduleBasis(ring, n, [_monic_column(e, ring) for e in gb])
     kernel._gb = gb
     return kernel
 
@@ -729,19 +791,24 @@ def _graph_coordinates(vecs: Sequence[Mapping[int, Poly]], cols: Sequence[Mappin
     or None when it is not in the span.  One reduced basis of the graph
     module (col_j ⊕ e_j, rel ⊕ 0) serves the whole batch: the normal form
     of (vec ⊕ 0) has zero head (positions < rank) iff vec lies in the span,
-    and its tail is then the negated coordinate vector.
+    and its tail is then the negated coordinate vector times the scalar
+    s = λ·(lcm of vec's denominators), which is divided out once, here.
     """
     if not vecs:
         return []
     graph = _graph_module([_vp_from_column(c, ring) for c in cols],
                           [_vp_from_column(c, ring) for c in rels.cols], ring, rank)
     basis = _compute_gb(ring, rank + len(cols), graph)
-    neg = ring.field.neg
+    field = ring.field
+    neg = field.neg
+    bound = rank << ring.layout.shift  # the least key at position rank
     by_pos = _by_position(basis)
     out = []
     for vec in vecs:
-        rem, _ = _nf_vp(_vp_from_column(vec, ring), basis, by_pos, ring)
-        out.append(_column_from_vp({k: neg(c) for k, c in rem.items()}, ring, head=rank))
+        vp, d = _cleared(_vp_from_column(vec, ring), field.char)
+        rem, _, lam = _nf_vp(vp, basis, by_pos, ring)
+        out.append(None if any(k < bound for k in rem) else _column_from_vp(
+            _field_vp({k: neg(c) for k, c in rem.items()}, lam * d, field), ring, head=rank))
     return out
 
 

@@ -5,6 +5,8 @@ are sized so the whole acceptance run stays within its stated time budgets
 on a laptop-class machine (GF(101) coefficients, small ranks).
 """
 
+from fractions import Fraction
+
 from koszul_lab.arith import RingSpec, parse_poly
 from koszul_lab.cube import Cube, ModCube
 from koszul_lab.koszul import random_koszul
@@ -172,6 +174,63 @@ def perturbed_suite(count=50, seed0=SEED0 + 20_000):
             base = random_koszul(fs, 1 + i % 2, (i * 3) % 4, seed=seed0 + i)
             out.append(zero_direction(base, base.labels[0]))
         i += 1
+    return out
+
+
+# Constants of the base changes and automorphisms below, nonzero in GF(101).
+BASE_CHANGE_CONSTANTS = (1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 7))
+
+
+def not_a_sequence_row(family, ring, rng):
+    """A row of ring.nvars entries that is no A-sequence while the ideal of
+    all its entries is proper (the maximal ideal at the origin):
+
+    - "deep": x_1, ..., x_{n-1}, x_1 + ... + x_{n-1}.  Any n - 1 of its
+      entries are a regular sequence and the last is zero modulo them, so
+      admissibility first fails n - 1 levels of H_0 deep.
+    - "image": x, y(1 - x), z(1 - x), w, ... under the automorphism that
+      adds c_i·x_{i+1} to x_i, the c_i drawn from rng.  y(1 - x) and
+      z(1 - x) are zero divisors modulo each other, so admissibility
+      first fails one level deep.
+    """
+    xs = ring.gens()
+    if family == "deep":
+        return list(xs[:-1]) + [sum(xs[:-1], ring.zero())]
+    image = [v + ring.const(rng.choice(BASE_CHANGE_CONSTANTS)) * w
+             for v, w in zip(xs, xs[1:])] + [xs[-1]]
+    x, y, z = image[:3]
+    return [x, y * (ring.one() - x), z * (ring.one() - x)] + image[3:]
+
+
+def not_a_sequence_suite(seed0=SEED0 + 100_000):
+    """(family, cube, bad row) triples over Q and GF(101) at |S| = 3, 4 and
+    5, for both families of `not_a_sequence_row`: the typical sum of the bad
+    row and of the variables, an A-sequence, base-changed at every vertex by
+    a product of elementary matrices as random_koszul does (which refuses
+    rows that are no A-sequence).  A base change is an isomorphism and the
+    variables' summand is admissible, so each cube is admissible exactly
+    when the bad row is an A-sequence, which it is not."""
+    import random as _random
+    from koszul_lab.koszul import _elementary_product, _typical_sum
+    out = []
+    for field in ("Q", 101):
+        for n in (3, 4, 5):
+            ring = RingSpec(field, tuple(f"x{i}" for i in range(1, n + 1)))
+            labels = tuple(str(i) for i in range(1, n + 1))
+            for family in ("deep", "image"):
+                rng = _random.Random(f"{seed0}-{field}-{n}-{family}")
+                bad = not_a_sequence_row(family, ring, rng)
+                x = _typical_sum(ring, labels, [bad, list(ring.gens())], ())
+                P, Pinv = {}, {}
+                for T in x.subsets():
+                    factors = [(i, 1 - i, ring.const(rng.choice(BASE_CHANGE_CONSTANTS)))
+                               for i in (0, 1, 0)]
+                    P[T] = _elementary_product(ring, 2, factors)
+                    Pinv[T] = _elementary_product(ring, 2,
+                                                  [(i, j, -c) for i, j, c in reversed(factors)])
+                out.append((family, Cube(ring, labels, x.vertices,
+                                         {(T, k): P[T - {k}].compose(d).compose(Pinv[T])
+                                          for (T, k), d in x.boundary.items()}), bad))
     return out
 
 

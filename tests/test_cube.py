@@ -513,6 +513,29 @@ def test_spherical_faces_validates_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_cube_is_validated_once(monkeypatch):
+    # validate_cube keeps its Report on the cube: the three strategies and a
+    # validate_cube after them test each commuting square once
+    import koszul_lab.cube as cube_module
+    x = typical_cube(list(Q3.gens()))
+    calls = _count_calls(monkeypatch, cube_module, "_congruent")
+    for s in ADMISSIBILITY_STRATEGIES:
+        assert is_admissible(x, strategy=s).ok
+    assert validate_cube(x).ok
+    assert len(calls) == sum(len(T) * (len(T) - 1) // 2 for T in x.subsets()) == 6
+    assert validate_cube(x) is validate_cube(x)
+
+
+def test_cube_vertices_and_boundary_are_read_only():
+    # the kept Report could go stale if a vertex or boundary were replaced
+    x = typical_cube(list(Q3.gens()))
+    with pytest.raises(TypeError):
+        x.boundary[(S1, "1")] = FreeMap(Q3, [[Q3.one()]])
+    with pytest.raises(TypeError):
+        x.vertices[E] = FPModule.free(Q3, 1)
+    assert x.boundary[(S1, "1")] == FreeMap(Q3, [[Q3.var("x")]])
+
+
 def test_unknown_strategy_is_refused_before_validation(monkeypatch):
     # a misspelt strategy used to surface only after the commuting-square
     # validation, which on an invalid cube raised "invalid cube: ..."

@@ -422,9 +422,27 @@ def _decoded(vp, ring, rank):
     return _tuple_vp(_vector_of(vp, ring, rank))
 
 
-def _decoded_nf(result, ring, rank):
-    # remainder in A^rank, certificate keys as exponent tuples
-    rem, cert = result
+def _working(vp, ring):
+    """(w, d): vp in the engine's working form, its denominators cleared:
+    w = d·vp (`_cleared`)."""
+    from koszul_lab.groebner import _cleared
+    return _cleared(vp, ring.field.char)
+
+
+def _monic(e, ring):
+    """A basis element of the engine made monic, as it leaves the engine."""
+    from koszul_lab.groebner import _field_vp
+    return _field_vp(e.vp, e.lc, ring.field)
+
+
+def _decoded_nf(result, ring, rank, d=1):
+    # remainder in A^rank, certificate keys as exponent tuples; the engine's
+    # pseudo-division returns λ·(normal form) of its input, which was d times
+    # the vector reduced, so both are divided by λ·d as they leave it
+    from koszul_lab.groebner import _field_vp
+    rem, cert, lam = result
+    rem = _field_vp(rem, lam * d, ring.field)
+    cert = cert and [_field_vp(q, lam * d, ring.field) for q in cert]
     return _decoded(rem, ring, rank), cert and [{e: c for (_, e), c in _decoded(q, ring, 1).items()}
                                                 for q in cert]
 
@@ -502,18 +520,18 @@ def test_nf_vp_matches_reference(field, order, rank):
         linear = [_random_vector(rng, ring, rank, terms=3, max_exp=1) for _ in range(rng.randint(1, 3))]
         quadratic = [_random_vector(rng, ring, rank, terms=3, max_exp=2) for _ in range(rng.randint(1, 3))]
         gb = SubmoduleBasis(ring, rank, linear)._gb_elements()
-        raw = [_Element(_vp_of(g, ring), ring.layout) for g in quadratic
+        raw = [_Element(_working(_vp_of(g, ring), ring)[0], ring.layout) for g in quadratic
                if any(not p.is_zero() for p in g)]
         for basis in (gb, raw):
             ref = [_RefElement(_decoded(b.vp, ring, rank), ring) for b in basis]
             assert [_decoded({b.lt: b.lc}, ring, rank) for b in basis] == [{r.lt: r.lc} for r in ref]
             for _ in range(4):
                 vec = _random_vector(rng, ring, rank, terms=5, max_exp=3)
-                vp = _vp_of(vec, ring)
+                vp, d = _working(_vp_of(vec, ring), ring)
                 by_pos = _by_position(basis)
-                assert _decoded_nf(_nf_vp(vp, basis, by_pos, ring, True), ring, rank) == \
+                assert _decoded_nf(_nf_vp(vp, basis, by_pos, ring, True), ring, rank, d) == \
                     _nf_vp_reference(_tuple_vp(vec), ref, ring, True)
-                assert _decoded_nf(_nf_vp(vp, basis, by_pos, ring), ring, rank) == \
+                assert _decoded_nf(_nf_vp(vp, basis, by_pos, ring), ring, rank, d) == \
                     _nf_vp_reference(_tuple_vp(vec), ref, ring)
 
 
@@ -688,9 +706,9 @@ def _rational_corpus(field, order, rank):
 
 
 def _gb_data(gb, ring, rank):
-    # the engine's elements, through its decoder
-    return [(_decoded(e.vp, ring, rank), next(iter(_decoded({e.lt: e.lc}, ring, rank))), e.lc)
-            for e in gb]
+    # the engine's elements, made monic as they leave it, through its decoder
+    return [(_decoded(_monic(e, ring), ring, rank), next(iter(_decoded({e.lt: e.lc}, ring, rank))),
+             ring.field.one) for e in gb]
 
 
 def _ref_gb_data(gb):
@@ -711,13 +729,16 @@ def test_buchberger_matches_field_reference(field, order, rank):
         ref = _buchberger_reference([_tuple_vp(g) for g in gens], ring, rank)
         assert _gb_data(ours, ring, rank) == _ref_gb_data(ref)
         if field == "Q":
-            assert all(type(c) is Fraction for e in ours for c in e.vp.values())
+            assert all(type(c) is Fraction for e in ours for c in _monic(e, ring).values())
         for _ in range(3):
             vec = tuple(Poly(ring, {
                 tuple(rng.randint(0, 3) for _ in range(3)): ring.field.of(rng.choice(RATIONALS))
                 for _ in range(rng.randint(0, 4))}) for _ in range(rank))
-            assert _decoded_nf(_nf_vp(_vp_of(vec, ring), ours, _by_position(ours), ring, True),
-                               ring, rank) == \
+            # the certificate of the engine is against its own elements,
+            # which are lc times the monic ones of the reference
+            vp, d = _working(_vp_of(vec, ring), ring)
+            rem, cert = _decoded_nf(_nf_vp(vp, ours, _by_position(ours), ring, True), ring, rank, d)
+            assert (rem, [{k: c * e.lc for k, c in q.items()} for q, e in zip(cert, ours)]) == \
                 _nf_vp_reference(_tuple_vp(vec), ref, ring, True)
 
 
@@ -731,7 +752,7 @@ def test_rank1_buchberger_matches_sympy(order):
         polys = [g[0] for g in gens if not g[0].is_zero()]
         if not polys:
             continue
-        ours = {frozenset((e, c) for (_, e), c in _decoded(g.vp, ring, 1).items())
+        ours = {frozenset((e, c) for (_, e), c in _decoded(_monic(g, ring), ring, 1).items())
                 for g in _buchberger([_vp_of((p,), ring) for p in polys], ring, 1)}
         theirs = sympy.groebner([sympy.Poly.from_dict(dict(p.terms), *sx, domain=sympy.QQ)
                                  for p in polys], *sx, order=order, domain=sympy.QQ)
@@ -740,9 +761,66 @@ def test_rank1_buchberger_matches_sympy(order):
         assert ours == theirs
 
 
+def _reductions_over_q():
+    """Seeded inputs over Q for the tests that reduce against cached bases:
+    membership, the injectivity of a map of modules, exactness of a total
+    complex and coordinates modulo relations.  Returns a function that asks
+    all of them on fresh basis objects, so that each computes its own bases,
+    and returns the answers by kind."""
+    import random
+    from koszul_lab.cube import _mod_injective, _total_complex
+    from koszul_lab.groebner import _column, _graph_coordinates, _nonexact_degree
+    from koszul_lab.koszul import typical_cube
+    from koszul_lab.modcalc import FPModule, FreeMap
+    ring, quotients, _ = _quotient_corpus("Q")
+    _, matrices = _matrix_corpus("Q", "grevlex")
+    rng = random.Random("reductions-Q")
+    x, y, z = ring.gens()
+    half = ring.const(Fraction(1, 2))
+    members = [(rel.ambient_rank, rel.cols, vec) for rel, vec in quotients]
+    # half of a module's first relation lies in its relations
+    members += [(rel.ambient_rank, rel.cols, tuple(half * p for p in g))
+                for rel, _ in quotients for g in rel.generators[:1]]
+    maps = []
+    for rows in matrices[::3]:
+        m = FreeMap(ring, rows)
+        rels = lambda rank: [tuple(_seeded_poly(ring, rng, 1) for _ in range(rank))
+                             for _ in range(rng.randint(0, 2))]
+        maps.append((m, [_column(v, ring, m.source_rank) for v in rels(m.source_rank)],
+                     [_column(v, ring, m.target_rank) for v in rels(m.target_rank)]))
+    complexes = [_total_complex(typical_cube(row)) for row in
+                 ([x, y, z], [half * x, y, x + y], [x * y, half * y * z, x * z], [x, x + y, y])]
+    # half of each column lies in the span, a drawn vector mostly not
+    coordinates = [([_column(v, ring, len(rows)) for v in
+                     [tuple(half * p for p in c) for c in zip(*rows)]
+                     + [tuple(_seeded_poly(ring, rng, 1) for _ in rows)]], m, tgt)
+                   for (m, _, tgt), rows in zip(maps, matrices[::3])]
+
+    def module(rank, rels):
+        return FPModule(ring, rank, SubmoduleBasis(ring, rank, rels))
+
+    def ask():
+        return {
+            "member": [SubmoduleBasis(ring, rank, rels).contains_vector(vec)
+                       for rank, rels, vec in members],
+            "injective": [_mod_injective(m, module(m.source_rank, src), module(m.target_rank, tgt))
+                          for m, src, tgt in maps],
+            "degree": [_nonexact_degree(*tc, ring) for tc in complexes],
+            "coordinates": [_graph_coordinates(vecs, m.cols, SubmoduleBasis(ring, m.target_rank, tgt),
+                                               ring, m.target_rank)
+                            for vecs, m, tgt in coordinates]}
+    return ask
+
+
 def test_buchberger_over_q_runs_no_fraction_arithmetic(monkeypatch):
     # Fractions may be built and read (Fraction(n, d), .numerator,
-    # .denominator), but no Fraction operator may run inside Buchberger
+    # .denominator), but no Fraction operator may run inside Buchberger, nor
+    # in the membership, injectivity, exactness and coordinate tests that
+    # reduce against its bases: a vector enters with its denominators
+    # cleared and leaves divided once
+    from collections import OrderedDict
+
+    from koszul_lab import groebner
     from koszul_lab.groebner import _buchberger
     cases = []
     for rank in (1, 2):
@@ -751,9 +829,13 @@ def test_buchberger_over_q_runs_no_fraction_arithmetic(monkeypatch):
     expected = [_ref_gb_data(_buchberger_reference([_tuple_vp(g) for g in gens], ring, rank))
                 for ring, rank, gens in cases]
     cases = [(ring, rank, [_vp_of(g, ring) for g in gens]) for ring, rank, gens in cases]
+    ask = _reductions_over_q()
+    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+    answers = ask()
 
     def forbidden(*args):
-        raise AssertionError("Fraction arithmetic inside Buchberger")
+        raise AssertionError("Fraction arithmetic inside the engine")
+    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
     with monkeypatch.context() as m:
         for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
             m.setattr(Fraction, f"__{op}__", forbidden)
@@ -761,8 +843,18 @@ def test_buchberger_over_q_runs_no_fraction_arithmetic(monkeypatch):
         for op in ("neg", "pos", "abs"):
             m.setattr(Fraction, f"__{op}__", forbidden)
         got = [_buchberger(vps, ring, rank) for ring, rank, vps in cases]
+        assert ask() == answers
     assert [_gb_data(gb, ring, rank) for gb, (ring, rank, _) in zip(got, cases)] == expected
-    assert any(c.denominator > 1 for gb in got for e in gb for c in e.vp.values())
+    assert any(c.denominator > 1 for (ring, _, _), gb in zip(cases, got) for e in gb
+               for c in _monic(e, ring).values())
+    # both answers to each yes-no question, exact and inexact complexes, and
+    # coordinates with denominators and vectors outside the span
+    assert set(answers["member"]) == set(answers["injective"]) == {True, False}
+    assert None in answers["degree"] and any(answers["degree"])
+    coordinates = [c for batch in answers["coordinates"] for c in batch]
+    assert None in coordinates
+    assert any(q.denominator > 1 for c in coordinates if c for p in c.values()
+               for q in p.terms.values())
 
 
 # --------------------------------------------------------------------------
@@ -782,7 +874,8 @@ def _syzygies_reference(rows, ring, source_rank):
         augmented.append(tuple(r[j] for r in rows) + tuple(unit))
     rank = target_rank + source_rank
     gb = _buchberger([vp for vp in (_vp_of(v, ring) for v in augmented) if vp], ring, rank)
-    return [_vector_of(e.vp, ring, rank)[target_rank:] for e in gb if e.lt_pos >= target_rank]
+    return [_vector_of(_monic(e, ring), ring, rank)[target_rank:] for e in gb
+            if e.lt_pos >= target_rank]
 
 
 def _matrix_corpus(field, order):
@@ -1137,3 +1230,77 @@ def test_cache_holds_at_most_its_bound(monkeypatch):
         cached((key,), lambda: [key])
     assert [k.t for k in groebner._GB_CACHE] == [("a",), ("c",)]
     assert cached(("a",), lambda: None) == ["a"]
+
+
+# --------------------------------------------------------------------------
+# the engine's edge: every way a vector leaves it, pinned over Q
+# --------------------------------------------------------------------------
+
+EDGE_LINES = 258
+EDGE_TRANSCRIPT_SHA256 = "341d6a5eae4349719c982d91cea2c8ac2b5ebaf57329cba4f1b0b8221bd6176d"
+
+
+def _edge_transcript():
+    """The printed values of every way a vector leaves the engine, over Q:
+    reduced bases, syzygies, normal forms with certificates, preimages,
+    reduced kernels, graph coordinates, module quotients, intersections and
+    homology presentations, on seeded submodules of rank 1-3 with 0-2
+    relations and coefficients such as 1/2 and -3/7."""
+    import random
+    from koszul_lab.groebner import _column, _dense, _graph_coordinates, _preimage, _reduced_kernel
+    from koszul_lab.modcalc import Complex, FreeMap, homology
+    ring = RingSpec("Q", ("x", "y", "z"))
+    rng = random.Random("edge-Q")
+    show = lambda vecs: "; ".join("[" + ", ".join(map(str, v)) + "]" for v in vecs)
+    lines = []
+    for rank, nrels, ncols in product((1, 2, 3), (0, 1, 2), (1, 2, 3)):
+        max_deg = 2 if rank * (nrels + ncols) <= 6 else 1
+        vector = lambda: tuple(_seeded_poly(ring, rng, max_deg) for _ in range(rank))
+        cols, rels = [vector() for _ in range(ncols)], [vector() for _ in range(nrels)]
+        sub, rel = SubmoduleBasis(ring, rank, cols + rels), SubmoduleBasis(ring, rank, rels)
+        sparse = [_column(c, ring, rank) for c in cols]
+        # one vector of the span, with rational coefficients, and one drawn
+        scalars = [_seeded_poly(ring, rng, 1) for _ in cols + rels]
+        inside = tuple(sum((a * v[i] for a, v in zip(scalars, cols + rels)), ring.zero())
+                       for i in range(rank))
+        vecs = [inside, vector()]
+        lines.append(f"{rank} {nrels} {ncols} gb {show(sub.reduced_gb)}")
+        rows = [[c[i] for c in cols] for i in range(rank)]
+        lines.append(f"syz {show(syzygies(rows, ring, ncols))}")
+        preimage = _preimage(sparse, rel.cols, ring, rank)
+        lines.append(f"preimage {show(_dense(t, ring, ncols) for t in preimage)}")
+        lines.append(f"kernel {show(_reduced_kernel(sparse, ring, rank).generators)}")
+        for vec in vecs:
+            rem, cert = normal_form(vec, sub)
+            lines.append(f"nf {show([rem])} cert {show([cert])}")
+            lines.append(f"quotient {show([module_quotient(rel, vec).generators])}")
+        coords = _graph_coordinates([_column(v, ring, rank) for v in vecs], sparse, rel, ring, rank)
+        lines.append("coords " + "; ".join("None" if t is None else show([_dense(t, ring, ncols)])
+                                           for t in coords))
+    for ni, nj in product((1, 2, 3), (1, 2)):
+        I = IdealBasis(ring, [_seeded_poly(ring, rng, 2) for _ in range(ni)])
+        J = IdealBasis(ring, [_seeded_poly(ring, rng, 2) for _ in range(nj)])
+        lines.append(f"meet {show([ideal_intersection(I, J).generators])} gb {show([I.reduced_gb])}")
+    for n in range(3):
+        # d_2 is made of multiples of kernel generators of d_1, so its image
+        # lies in the kernel and each homology is presented on real data
+        d1 = FreeMap(ring, [[_seeded_poly(ring, rng, 1) for _ in range(3)] for _ in range(2)])
+        gens = syzygies(d1.entries, ring, 3)
+        cols = [tuple(a * p for p in g) for g in gens
+                for a in (_seeded_poly(ring, rng, 1), _seeded_poly(ring, rng, 1))]
+        d2 = FreeMap.from_columns(ring, 3, cols) if cols else FreeMap(ring, [[]] * 3, 3, 0)
+        c = Complex(ring, [2, 3, len(cols)], [d1, d2])
+        for k in range(3):
+            H = homology(c, k)
+            lines.append(f"H_{k} {H.rank} {show(H.relations.generators)}")
+    return lines
+
+
+def test_engine_edge_is_pinned():
+    # computed at the commit before the engine kept integer working forms
+    # over Q: every Fraction that leaves the engine is the one the field
+    # engine made, to the last digit
+    import hashlib
+    lines = _edge_transcript()
+    assert len(lines) == EDGE_LINES
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EDGE_TRANSCRIPT_SHA256

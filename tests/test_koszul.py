@@ -24,7 +24,13 @@ from koszul_lab.cube import (
     total_complex,
     validate_cube,
 )
-from koszul_lab.groebner import IdealBasis, SubmoduleBasis, grade, radical_membership
+from koszul_lab.groebner import (
+    IdealBasis,
+    SubmoduleBasis,
+    grade,
+    ideal_quotient,
+    radical_membership,
+)
 from koszul_lab.koszul import (
     be_acyclicity,
     det_is_a_sequence,
@@ -781,6 +787,54 @@ def test_deep_failure_survives_sums_and_base_change(field):
         want = is_admissible(typical_cube(bad, labels), strategy=s)
         assert not want.ok
         assert is_admissible(y, strategy=s).failures == want.failures, s
+
+
+def _failing_pairs(failures):
+    """The (set of H_0 directions, failing direction) of each `definition`
+    failure "H0^a·H0^b·boundary d^t_{T} is not injective"."""
+    pairs = set()
+    for f in failures:
+        *path, boundary = f.split("·")
+        pairs.add((frozenset(h[len("H0^"):] for h in path),
+                   boundary[len("boundary d^"):].split("_", 1)[0]))
+    return pairs
+
+
+def _zero_divisor_pairs(labels, row):
+    """The (P, t), t ∉ P, for which f_t is a zero divisor on A/(f_P), that
+    is (f_P : f_t) ≠ (f_P), by ideal quotients."""
+    ring = row[0].ring
+    f = dict(zip(labels, row))
+    out = set()
+    for P in label_subsets(labels):
+        I = IdealBasis(ring, [f[k] for k in labels if k in P])
+        out |= {(P, t) for t in labels if t not in P and ideal_quotient(I, f[t]) != I}
+    return out
+
+
+def test_base_changed_sums_of_bad_rows_fail_where_quotients_say():
+    # typical sums of a row that is no A-sequence and the variables,
+    # base-changed at every vertex, at |S| = 3, 4 and 5 over Q and GF(101):
+    # every strategy agrees with is_A_sequence, and with (f_S) proper the
+    # definition fails at exactly the (H_0 directions P, direction t) for
+    # which f_t is a zero divisor on A/(f_P)
+    suite = _gen.not_a_sequence_suite()
+    assert len(suite) == 12
+    for family, x, bad in suite:
+        case = (family, x.ring.field.char, len(x.labels))
+        assert validate_cube(x).ok, case
+        assert any(len(d.cols[0]) > 1 for d in x.boundary.values()), case
+        assert not IdealBasis(x.ring, bad).contains_one(), case
+        want = is_A_sequence(bad).a_sequence
+        assert want is False, case
+        reports = {s: is_admissible(x, strategy=s) for s in ADMISSIBILITY_STRATEGIES}
+        assert {s: r.ok for s, r in reports.items()} == dict.fromkeys(reports, want), case
+        pairs = _failing_pairs(reports["definition"].failures)
+        assert pairs == _zero_divisor_pairs(x.labels, bad), case
+        # the first failure is n - 1 levels deep, or at every depth from 1
+        n = len(x.labels)
+        depths = {n - 1} if family == "deep" else set(range(1, n - 1))
+        assert {len(P) for P, _ in pairs} == depths, case
 
 
 # --------------------------------------------------------------------------
