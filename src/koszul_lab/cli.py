@@ -544,12 +544,12 @@ def cmd_resolve(doc, ring, opts):
         connecting.append({T: _matrix_from_doc(rows, ring, tgt.vertex(T).rank,
                                                src.vertex(T).rank, path)
                            for T, (rows, path) in wd.items()})
-    out = koszul_resolve(ResolutionInput(fs, U, V, targets, connecting), cap=opts["max_power"],
-                         perm_cap=opts["perm_cap"])
+    inp = ResolutionInput(fs, U, V, targets, connecting)
+    out = koszul_resolve(inp, cap=opts["max_power"], perm_cap=opts["perm_cap"])
     # koszul_resolve has verified the resolution and raises when it fails
     return True, {
         "exponents": out.exponents,
-        "g": out.g,
+        "g": {s: inp.fs[s] ** m for s, m in out.exponents.items()},
         "stages": [{"multiplicities": stage.multiplicities, "epi": stage.epi}
                    for stage in out.stages],
         "connecting": out.connecting,

@@ -112,11 +112,11 @@ class Cube:
 
     A vertex given as an int r is the free module A^r, so a free cube is the
     case where no vertex carries relations.  Construction checks labels,
-    shapes and key completeness only; well-definedness and the
-    commuting-square law are checked by validate_cube so that invalid cubes
-    can be constructed and reported on.  `vertices` and `boundary` are
-    read-only mappings, so the report validate_cube keeps on the cube
-    cannot go stale.
+    shapes, key completeness and that every vertex and boundary lies over
+    `ring`; well-definedness and the commuting-square law are checked by
+    validate_cube so that invalid cubes can be constructed and reported on.
+    `vertices` and `boundary` are read-only mappings, so the report
+    validate_cube keeps on the cube cannot go stale.
     """
 
     __slots__ = ("labels", "ring", "vertices", "boundary", "_report")
@@ -139,6 +139,8 @@ class Cube:
                 if M < 0:
                     raise ValueError("vertex rank must be non-negative")
                 M = FPModule.free(ring, M)
+            elif M.ring != ring:
+                raise ValueError("vertex ring mismatch")
             verts[frozenset(T)] = M
         boundary = {(frozenset(T), k): m for (T, k), m in boundary.items()}
         all_subsets = label_subsets(labels)

@@ -10,9 +10,15 @@ the resulting epi through by g_v to land in the back face (solvable exactly
 because g_v kills H_0 in that direction), resolve the back face to cover
 the cokernel, and join the two epis side by side.  The front face's
 summands carry v in their typical cube and come first, so a stage's cube is
-the typical sum ⊕_T Typ_B(g^T)^{mult[T]} that its multiplicities declare,
-built once from them: `_typical_sum_cube` lists one row per summand and
-`koszul._typical_sum` assembles the cube.
+the typical sum ⊕_T Typ_B(g^T)^{mult[T]} that its multiplicities declare:
+`_typical_sum_cube` lists one row per summand and `koszul._typical_sum`
+assembles the cube.
+
+A ResolutionOutput stores only what the construction chose: the exponents
+m_s, each stage's epi and multiplicities, and the lifted chain maps.  The
+moduli g_s = f_s^{m_s} and the stage cubes are derived from those, by
+koszul_resolve for the lifts and again by check_resolution, so the checker
+verifies exactly the output the caller gets.
 
 Chains z(0) → z(1) are handled by resolving both targets and lifting the
 composite w ∘ q(0) through q(1).  The lift recurses the same way: lift on
@@ -50,7 +56,6 @@ from .modcalc import (
     _preserves_relations,
     lift_through_surjection,
     min_annihilating_power,
-    submodule_equal,
     supported_on,
 )
 
@@ -107,9 +112,8 @@ class ResolutionInput:
         missing = (set(self.U) | set(self.V)) - set(fs)
         if missing:
             raise ValueError(f"sequence entries missing for labels {sorted(missing)}")
-        for f in fs.values():
-            if f.ring != self.ring:
-                raise ValueError("sequence ring mismatch")
+        if any(f.ring != self.ring for f in fs.values()):
+            raise ValueError("sequence ring mismatch")
         self.fs = fs
         connecting = tuple(connecting)
         if len(connecting) != len(self.targets) - 1:
@@ -174,19 +178,26 @@ class ResolutionInput:
 
 @dataclass(frozen=True)
 class ResolutionStage:
-    """One resolved target: the covering cube, its epi, and summand counts."""
+    """One resolved target: the epi from its covering cube, and the summand
+    counts of that cube.
 
-    y: Cube
+    The covering cube is not stored: it is ⊕_T Typ_B(g^T)^{multiplicities[T]},
+    which `_typical_sum_cube` builds from the counts and the moduli.
+    """
+
     epi: VertexMaps
     multiplicities: Dict[FrozenSet[str], int]
 
 
 @dataclass(frozen=True)
 class ResolutionOutput:
-    """Exponents, moduli g_s = f_s^{m_s}, per-target stages, and lifted chain maps."""
+    """Exponents m_s, per-target stages, and lifted chain maps.
+
+    The moduli g_s = f_s^{m_s} are not stored: they follow from the
+    exponents and the input's sequence.
+    """
 
     exponents: Dict[str, int]
-    g: Dict[str, Poly]
     stages: Tuple[ResolutionStage, ...]
     connecting: Tuple[VertexMaps, ...]
 
@@ -240,12 +251,11 @@ def _resolve_cube(z: Cube, gU: Sequence[Poly], g: Dict[str, Poly]):
     rest = tuple(lab for lab in z.labels if lab != v)
     z0 = restrict(z, rest, frozenset())
     p0, l0 = _resolve_cube(z0, gU, g)
-    gv = g[v]
     # divide the front epi through by g_v: d^z ∘ s ≡ g_v · p0, solvable iff
     # g_v kills H_0 in direction v at each vertex
     s: VertexMaps = {}
     for A in z0.subsets():
-        s[A] = _factor_through(z.d(A | {v}, v), p0[A].scaled(gv), z0.vertex(A).relations)
+        s[A] = _factor_through(z.d(A | {v}, v), p0[A].scaled(g[v]), z0.vertex(A).relations)
         if isinstance(s[A], int):
             raise LiftError(
                 f"lifting infeasible: g_{v} times generator {s[A]} at vertex "
@@ -254,12 +264,9 @@ def _resolve_cube(z: Cube, gU: Sequence[Poly], g: Dict[str, Poly]):
     z1 = restrict(z, rest, frozenset({v}))
     p1, l1 = _resolve_cube(z1, gU, g)
     epi: VertexMaps = {}
-    for T in label_subsets(z.labels):
-        A = T - {v}
-        if v in T:
-            epi[T] = FreeMap.hstack(s[A], p1[A])
-        else:
-            epi[T] = FreeMap.hstack(p0[A], z.d(A | {v}, v).compose(p1[A]))
+    for A in z0.subsets():
+        epi[A | {v}] = FreeMap.hstack(s[A], p1[A])
+        epi[A] = FreeMap.hstack(p0[A], z.d(A | {v}, v).compose(p1[A]))
     mult = {Tp | {v}: c for Tp, c in l0.items()}
     mult.update(l1)
     return epi, mult
@@ -300,16 +307,13 @@ def _lift_cube(f: VertexMaps, x: Cube, q: VertexMaps, y: Cube, z: Cube) -> Verte
     x0 = restrict(x, rest, frozenset())
     y0 = restrict(y, rest, frozenset())
     y1 = restrict(y, rest, frozenset({v}))
-    z0 = restrict(z, rest, frozenset())
     z1 = restrict(z, rest, frozenset({v}))
     Hx = _h0_modcube(x, v)
     Hy = _h0_modcube(y, v)
     Hz = _h0_modcube(z, v)
     sub_rest = x0.subsets()
-    f0 = {A: f[A] for A in sub_rest}
-    q0 = {A: q[A] for A in sub_rest}
     q1 = {A: q[A | {v}] for A in sub_rest}
-    sigma = _lift_cube(f0, Hx, q0, Hy, Hz)
+    sigma = _lift_cube(f, Hx, q, Hy, Hz)
     idmaps = {A: FreeMap.identity(ring, y0.vertex(A).rank) for A in sub_rest}
     s0p = _lift_cube(sigma, x0, idmaps, y0, Hy)
     s1p: VertexMaps = {}
@@ -323,7 +327,7 @@ def _lift_cube(f: VertexMaps, x: Cube, q: VertexMaps, y: Cube, z: Cube) -> Verte
     h: VertexMaps = {}
     for A in sub_rest:
         h[A] = _factor_through(z.d(A | {v}, v), f[A] - q[A].compose(s0p[A]),
-                               z0.vertex(A).relations)
+                               z.vertex(A).relations)
         if isinstance(h[A], int):
             raise LiftError(
                 f"lift failed: homotopy defect escapes the {v}-boundary image "
@@ -331,10 +335,8 @@ def _lift_cube(f: VertexMaps, x: Cube, q: VertexMaps, y: Cube, z: Cube) -> Verte
     u = _lift_cube(h, x0, q1, y1, z1)
     t: VertexMaps = {}
     for A in sub_rest:
-        dx = x.d(A | {v}, v)
-        dy = y.d(A | {v}, v)
-        t[A] = s0p[A] + dy.compose(u[A])
-        t[A | {v}] = s1p[A] + u[A].compose(dx)
+        t[A] = s0p[A] + y.d(A | {v}, v).compose(u[A])
+        t[A | {v}] = s1p[A] + u[A].compose(x.d(A | {v}, v))
     return t
 
 
@@ -345,6 +347,11 @@ def _lift_cube(f: VertexMaps, x: Cube, q: VertexMaps, y: Cube, z: Cube) -> Verte
 def koszul_resolve(inp: ResolutionInput, cap: int = 64, perm_cap: int = 6) -> ResolutionOutput:
     """Resolve every target and lift the chain maps; verified before returning.
 
+    Each stage's covering cube is built from its multiplicities by
+    `_typical_sum_cube` for the lifts and is not kept: the output holds the
+    exponents, epis, multiplicities and lifted maps that were chosen, and
+    check_resolution builds the cubes again from exactly those.
+
     The verification failure path raises RuntimeError — the construction is
     theorem-backed, so a failed check means a bug, not bad input (bad input
     is rejected earlier by verify()/find_exponents, or surfaces as LiftError
@@ -353,16 +360,15 @@ def koszul_resolve(inp: ResolutionInput, cap: int = 64, perm_cap: int = 6) -> Re
     m = find_exponents(inp, cap, perm_cap)
     g = {s: inp.fs[s] ** e for s, e in m.items()}
     gU = [g[u] for u in inp.U]
-    stages = []
-    for z in inp.targets:
-        epi, mult = _resolve_cube(z, gU, g)
-        stages.append(ResolutionStage(_typical_sum_cube(inp.ring, z.labels, g, mult, gU), epi, mult))
+    stages = [ResolutionStage(*_resolve_cube(z, gU, g)) for z in inp.targets]
+    covers = [_typical_sum_cube(inp.ring, z.labels, g, stage.multiplicities, gU)
+              for stage, z in zip(stages, inp.targets)]
     connecting = []
     for i, w in enumerate(inp.connecting):
-        f = {A: w[A].compose(stages[i].epi[A]) for A in stages[i].y.subsets()}
-        t = _lift_cube(f, stages[i].y, stages[i + 1].epi, stages[i + 1].y, inp.targets[i + 1])
-        connecting.append(t)
-    out = ResolutionOutput(m, g, tuple(stages), tuple(connecting))
+        f = {A: w[A].compose(stages[i].epi[A]) for A in covers[i].subsets()}
+        connecting.append(_lift_cube(f, covers[i], stages[i + 1].epi, covers[i + 1],
+                                     inp.targets[i + 1]))
+    out = ResolutionOutput(m, tuple(stages), tuple(connecting))
     rep = check_resolution(out, inp)
     if not rep.ok:
         raise RuntimeError("constructed resolution failed verification: "
@@ -370,14 +376,50 @@ def koszul_resolve(inp: ResolutionInput, cap: int = 64, perm_cap: int = 6) -> Re
     return out
 
 
+def _shape_failures(out: ResolutionOutput, inp: ResolutionInput) -> list:
+    """What the moduli and cubes derived from out need: a stage per target
+    and a lifted map per connecting map, positive int exponents on exactly
+    U ∪ V, counts ≥ 0 keyed by subsets of each target's labels, and at every
+    vertex a map of the shape those counts give."""
+    if (len(out.stages), len(out.connecting)) != (len(inp.targets), len(inp.connecting)):
+        return [f"the output has {len(out.stages)} stages and {len(out.connecting)} lifted maps"
+                f" for {len(inp.targets)} targets and {len(inp.connecting)} connecting maps"]
+    failures = [f"stage {i}: multiplicities are not counts ≥ 0 of subsets of {list(z.labels)}"
+                for i, (stage, z) in enumerate(zip(out.stages, inp.targets))
+                if not all(isinstance(T, frozenset) and T <= set(z.labels) and isinstance(c, int)
+                           and c >= 0 for T, c in stage.multiplicities.items())]
+    if (set(out.exponents) != set(inp.U + inp.V)
+            or not all(isinstance(e, int) and e > 0 for e in out.exponents.values())):
+        failures.append(f"exponents are not positive ints on exactly {sorted(inp.U + inp.V)}")
+    if failures:
+        return failures
+    L = [sum(stage.multiplicities.values()) for stage in out.stages]
+    shapes = [(f"stage {i}: epi", stage.epi, {T: (z.vertex(T).rank, L[i]) for T in z.subsets()})
+              for i, (stage, z) in enumerate(zip(out.stages, inp.targets))]
+    shapes += [(f"lifted map {i}", t, dict.fromkeys(inp.targets[i].subsets(), (L[i + 1], L[i])))
+               for i, t in enumerate(out.connecting)]
+    return [f"{tag} at {{{subset_key(T)}}} is "
+            + (f"{maps[T].target_rank}x{maps[T].source_rank}, not {r}x{s}" if T in maps else "missing")
+            for tag, maps, want in shapes for T, (r, s) in want.items()
+            if T not in maps or (maps[T].target_rank, maps[T].source_rank) != (r, s)]
+
+
 def check_resolution(out: ResolutionOutput, inp: ResolutionInput) -> Report:
     """Independent re-verification of a resolution.
 
+    First the shape of out (`_shape_failures`): a stage per target and a
+    lifted map per connecting map, exponents on exactly U ∪ V, multiplicities
+    keyed by subsets of the target's labels, and maps at every vertex of the
+    ranks the multiplicities give.  Failures there are reported alone, since
+    the checks below read those maps.  Then the moduli g_s = f_s^{m_s} and
+    each stage's covering cube, `_typical_sum_cube` of its multiplicities,
+    are built from out as koszul_resolve built them, and
+
     (a) every vertex map is surjective onto its target module;
-    (b) every stage cube equals the shape declared by its multiplicities
-        (diagonal g-power boundaries, g_U relations);
     (c) all squares commute modulo the target presentations — within each
         stage, and around the connecting maps for chains.
+
+    No cube is stored in out, so none can disagree with its multiplicities.
 
     For (a), epi[T] is onto A^r/rel exactly when every basis vector e_i
     lies in rel + im epi[T].  That is a membership question in one
@@ -387,42 +429,30 @@ def check_resolution(out: ResolutionOutput, inp: ResolutionInput) -> Report:
     Surjectivity on H_0(Tot) is not checked on its own: H_0(Tot z) is a
     quotient of z_∅, so (a) at the empty vertex implies it.
     """
-    failures = []
+    failures = _shape_failures(out, inp)
+    if failures:
+        return Report(False, tuple(failures))
     ring = inp.ring
-    gU = [out.g[u] for u in inp.U]
-    for idx, (stage, z) in enumerate(zip(out.stages, inp.targets)):
-        y, epi, mult = stage.y, stage.epi, stage.multiplicities
+    g = {s: inp.fs[s] ** e for s, e in out.exponents.items()}
+    gU = [g[u] for u in inp.U]
+    covers = [_typical_sum_cube(ring, z.labels, g, stage.multiplicities, gU)
+              for stage, z in zip(out.stages, inp.targets)]
+    for idx, (stage, y, z) in enumerate(zip(out.stages, covers, inp.targets)):
         tag = f"stage {idx}"
         for T in z.subsets():
             M = z.vertex(T)
-            span = SubmoduleBasis(ring, M.rank, M.relations.cols + epi[T].cols)
+            span = SubmoduleBasis(ring, M.rank, M.relations.cols + stage.epi[T].cols)
             missed = next((i for i in range(M.rank)
                            if not span.contains_vector({i: ring.one()})), None)
             if missed is not None:
                 failures.append(
                     f"(a) {tag}: epi at {{{subset_key(T)}}} misses basis vector {missed}")
-        expected = _typical_sum_cube(ring, z.labels, out.g, mult, gU)
-        shapes_ok = True
-        for T in y.subsets():
-            if y.vertex(T).rank != expected.vertex(T).rank:
-                failures.append(f"(b) {tag}: rank mismatch at {{{subset_key(T)}}}")
-                shapes_ok = False
-            elif not submodule_equal(y.vertex(T).relations, expected.vertex(T).relations):
-                failures.append(
-                    f"(b) {tag}: relations at {{{subset_key(T)}}} differ from the declared modulus")
-        if shapes_ok:
-            for T in y.subsets():
-                for k in sorted(T):
-                    if y.d(T, k) != expected.d(T, k):
-                        failures.append(
-                            f"(b) {tag}: boundary d^{k} at {{{subset_key(T)}}} is not the "
-                            "declared diagonal")
         failures += [f"(c) {tag}: square at {{{subset_key(T)}}} direction {k} fails"
-                     for T, k in _noncommuting_squares(epi, y, z)]
+                     for T, k in _noncommuting_squares(stage.epi, y, z)]
     for i, t in enumerate(out.connecting):
         src, tgt = out.stages[i], out.stages[i + 1]
-        squares = _noncommuting_squares(t, src.y, tgt.y)
-        for T in src.y.subsets():
+        squares = _noncommuting_squares(t, covers[i], covers[i + 1])
+        for T in inp.targets[i].subsets():
             if not _congruent(tgt.epi[T].compose(t[T]), inp.connecting[i][T].compose(src.epi[T]),
                               inp.targets[i + 1].vertex(T).relations):
                 failures.append(

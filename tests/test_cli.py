@@ -17,6 +17,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from koszul_lab.cli import main
+from koszul_lab.cube import subset_key
 
 GOLDEN = Path(__file__).parent / "golden"
 runner = CliRunner()
@@ -298,6 +299,27 @@ def test_resolve_non_admissible_target_is_input_error(tmp_path):
     doc = {"ring": {"field": "Q", "vars": ["x", "y", "z"]},
            "resolution": {"U": [], "V": labels, "fs": {"1": "x", "2": "y", "3": "z"},
                           "targets": [target]}}
+    out, code = run("resolve", "--input", write_doc(tmp_path, doc))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "input"
+    assert "target 0: H0^1·H0^2·boundary d^3_{3} is not injective" in err["message"]
+
+
+def test_resolve_deep_failure_is_input_error(tmp_path):
+    # the base-changed sum of x1, x2, x1 + x2 and the variables over
+    # Q[x1, x2, x3]: its first failure lies two H_0 levels down
+    from _gen import not_a_sequence_suite
+    family, x, _ = not_a_sequence_suite()[0]
+    assert (family, len(x.labels), x.ring.field.char) == ("deep", 3, 0)
+    target = {"S": list(x.labels),
+              "vertices": {subset_key(T): r for T, r in x.vertex_rank.items()},
+              "boundaries": {f"{subset_key(T)}|{k}": [[str(p) for p in row]
+                                                      for row in x.d(T, k).entries]
+                             for T in x.subsets() for k in sorted(T)}}
+    doc = {"ring": {"field": "Q", "vars": list(x.ring.variables)},
+           "resolution": {"U": [], "V": list(x.labels),
+                          "fs": dict(zip(x.labels, x.ring.variables)), "targets": [target]}}
     out, code = run("resolve", "--input", write_doc(tmp_path, doc))
     assert code == 2
     err = json.loads(out)["error"]

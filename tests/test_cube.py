@@ -193,6 +193,34 @@ def test_labels_must_serialize():
                  {(frozenset({bad}), bad): FreeMap(Q2, [[X]])})
 
 
+def test_vertices_must_lie_over_the_cube_ring():
+    # a vertex over another ring would pass validation and then give wrong
+    # verdicts: over Q[x, y] this cube reads "not admissible", and over
+    # Q[x, y, z] under lex the check ends in a cap error
+    d = FreeMap(Q3, [[P(e, Q3) for e in row] for row in (("x", "y"), ("y", "z"), ("z", "x"))])
+
+    def cube(ring):
+        return Cube(Q3, ("1",), {E: FPModule.free(ring, 3), S1: FPModule.free(ring, 2)},
+                    {(S1, "1"): d})
+
+    assert is_admissible(cube(Q3)).ok
+    for ring in (Q2, Q3.with_order("lex")):
+        with pytest.raises(ValueError, match="vertex ring mismatch"):
+            cube(ring)
+
+
+def test_random_maps_against_another_vertex_ring_are_refused():
+    # 40 random 3x2 boundaries over Q[x, y, z] with vertices over Q[x, y]
+    import random
+    rng = random.Random(17)
+    monomials = ["0", "1", "x", "y", "z", "x*y", "y*z", "x^2", "z^2"]
+    for _ in range(40):
+        d = FreeMap(Q3, [[P(rng.choice(monomials), Q3) for _ in range(2)] for _ in range(3)])
+        with pytest.raises(ValueError, match="vertex ring mismatch"):
+            Cube(Q3, ("1",), {E: FPModule.free(Q2, 3), S1: FPModule.free(Q2, 2)},
+                 {(S1, "1"): d})
+
+
 def test_validate_catches_shape_mismatch():
     with pytest.raises(ValueError):
         Cube(Q2, ("1",), {E: 1, S1: 2},

@@ -789,13 +789,14 @@ def test_deep_failure_survives_sums_and_base_change(field):
         assert is_admissible(y, strategy=s).failures == want.failures, s
 
 
-def _failing_pairs(failures):
-    """The (set of H_0 directions, failing direction) of each `definition`
-    failure "H0^a·H0^b·boundary d^t_{T} is not injective"."""
+def _failing_pairs(failures, prefix=""):
+    """The (set of H_0 directions, failing direction) of each failure
+    "prefixH0^a·H0^b·boundary d^t_{T} is not injective"; the face steps
+    "front^k" that the inductive strategy puts in the path are skipped."""
     pairs = set()
     for f in failures:
-        *path, boundary = f.split("·")
-        pairs.add((frozenset(h[len("H0^"):] for h in path),
+        *path, boundary = f[len(prefix):].split("·")
+        pairs.add((frozenset(h[len("H0^"):] for h in path if h.startswith("H0^")),
                    boundary[len("boundary d^"):].split("_", 1)[0]))
     return pairs
 
@@ -815,9 +816,10 @@ def _zero_divisor_pairs(labels, row):
 def test_base_changed_sums_of_bad_rows_fail_where_quotients_say():
     # typical sums of a row that is no A-sequence and the variables,
     # base-changed at every vertex, at |S| = 3, 4 and 5 over Q and GF(101):
-    # every strategy agrees with is_A_sequence, and with (f_S) proper the
-    # definition fails at exactly the (H_0 directions P, direction t) for
-    # which f_t is a zero divisor on A/(f_P)
+    # every strategy agrees with is_A_sequence and lists exactly the bad
+    # row's failures, and with (f_S) proper the definition fails at exactly
+    # the (H_0 directions P, direction t) for which f_t is a zero divisor on
+    # A/(f_P)
     suite = _gen.not_a_sequence_suite()
     assert len(suite) == 12
     for family, x, bad in suite:
@@ -829,12 +831,33 @@ def test_base_changed_sums_of_bad_rows_fail_where_quotients_say():
         assert want is False, case
         reports = {s: is_admissible(x, strategy=s) for s in ADMISSIBILITY_STRATEGIES}
         assert {s: r.ok for s, r in reports.items()} == dict.fromkeys(reports, want), case
+        for s, r in reports.items():
+            assert r.failures == is_admissible(typical_cube(bad, x.labels), strategy=s).failures, \
+                (case, s)
         pairs = _failing_pairs(reports["definition"].failures)
         assert pairs == _zero_divisor_pairs(x.labels, bad), case
         # the first failure is n - 1 levels deep, or at every depth from 1
         n = len(x.labels)
         depths = {n - 1} if family == "deep" else set(range(1, n - 1))
         assert {len(P) for P, _ in pairs} == depths, case
+
+
+def test_resolve_refuses_bad_rows_where_quotients_say():
+    # the same cubes as targets over the variables, an A-sequence: verify()
+    # runs the inductive strategy, so resolve refuses each cube, and every
+    # boundary it names as not injective lies at an (H_0 directions P,
+    # direction t) with f_t a zero divisor on A/(f_P), the first one n - 1
+    # H_0 levels deep for "deep" and 1 for "image"
+    for family, x, bad in _gen.not_a_sequence_suite():
+        case = (family, x.ring.field.char, len(x.labels))
+        inp = ResolutionInput(dict(zip(x.labels, x.ring.gens())), [], x.labels, [x])
+        injective = [f for f in inp.verify().failures if f.endswith("is not injective")]
+        assert injective, case
+        assert _failing_pairs(injective, "target 0: ") <= _zero_divisor_pairs(x.labels, bad), case
+        depth = len(x.labels) - 1 if family == "deep" else 1
+        assert injective[0].count("H0^") == depth, case
+        with pytest.raises(ValueError, match="is not injective"):
+            koszul_resolve(inp)
 
 
 # --------------------------------------------------------------------------

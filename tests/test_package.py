@@ -122,6 +122,19 @@ def test_typical_sums_and_complexes_have_one_builder():
     assert diagonal == {("koszul", "_typical_sum"), ("modcalc", "scalar")}
     complexes = _callers(lambda f: isinstance(f, ast.Name) and f.id == "Complex")
     assert complexes == {("cube", "total_complex"), ("cli", "_complex_from_doc")}
+    # a resolution stores no covering cube: the construction builds each
+    # from its multiplicities for the lifts, and the checker builds it again
+    covers = _callers(lambda f: isinstance(f, ast.Name) and f.id == "_typical_sum_cube")
+    assert covers == {("resolve", "koszul_resolve"), ("resolve", "check_resolution")}
+
+
+def test_a_resolution_stores_only_its_choices():
+    # the moduli g_s = f_s^{m_s} and the covering cubes are derived from
+    # these fields, so no stored copy can disagree with them
+    from dataclasses import fields
+    from koszul_lab.resolve import ResolutionOutput, ResolutionStage
+    assert [f.name for f in fields(ResolutionStage)] == ["epi", "multiplicities"]
+    assert [f.name for f in fields(ResolutionOutput)] == ["exponents", "stages", "connecting"]
 
 
 def test_support_has_one_test():

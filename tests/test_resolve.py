@@ -43,6 +43,19 @@ def entries(m: FreeMap):
     return [[str(p) for p in row] for row in m.entries]
 
 
+def moduli(out, inp):
+    """g_s = f_s^{m_s} for the exponents of out."""
+    return {s: inp.fs[s] ** m for s, m in out.exponents.items()}
+
+
+def cover(out, inp, i=0):
+    """The covering cube of stage i, built from its multiplicities as
+    check_resolution builds it."""
+    g = moduli(out, inp)
+    return _typical_sum_cube(inp.ring, inp.targets[i].labels, g, out.stages[i].multiplicities,
+                             [g[u] for u in inp.U])
+
+
 def cyclic(rel, ring=Q2):
     return FPModule(ring, 1, SubmoduleBasis(ring, 1, [(parse_poly(rel, ring),)]))
 
@@ -75,11 +88,11 @@ def test_resolve_module_example():
     inp = ResolutionInput({"1": X}, ["1"], [], [cyclic("x^2")])
     out = koszul_resolve(inp)
     assert out.exponents == {"1": 2}
-    assert str(out.g["1"]) == "x^2"
+    assert str(moduli(out, inp)["1"]) == "x^2"
     stage = out.stages[0]
     assert stage.multiplicities == {E: 1}
     assert entries(stage.epi[E]) == [["1"]]
-    assert stage.y.vertex(E).relations.contains_vector((X * X,))
+    assert cover(out, inp).vertex(E).relations.contains_vector((X * X,))
     assert check_resolution(out, inp).ok
 
 
@@ -91,8 +104,8 @@ def test_resolve_one_cube_example():
     assert stage.multiplicities == {S1: 1, E: 1}
     assert entries(stage.epi[S1]) == [["1", "1"]]
     assert entries(stage.epi[E]) == [["1", "x^2"]]
-    assert entries(stage.y.d(S1, "1")) == [["x^2", "0"], ["0", "1"]]
-    assert stage.y.vertex(E).relations.is_zero_submodule()  # U is empty
+    assert entries(cover(out, inp).d(S1, "1")) == [["x^2", "0"], ["0", "1"]]
+    assert cover(out, inp).vertex(E).relations.is_zero_submodule()  # U is empty
     assert check_resolution(out, inp).ok
 
 
@@ -100,7 +113,8 @@ def test_resolve_square_example():
     inp = ResolutionInput({"1": X, "2": Y}, [], ["1", "2"], [square_cube("x^2", "y")])
     out = koszul_resolve(inp)
     assert out.exponents == {"1": 2, "2": 1}
-    assert str(out.g["1"]) == "x^2" and str(out.g["2"]) == "y"
+    g = moduli(out, inp)
+    assert str(g["1"]) == "x^2" and str(g["2"]) == "y"
     stage = out.stages[0]
     assert stage.multiplicities == {S12: 1, S1: 1, S2: 1, E: 1}
     assert entries(stage.epi[S12]) == [["1", "1", "1", "1"]]
@@ -109,10 +123,11 @@ def test_resolve_square_example():
     assert entries(stage.epi[E]) == [["1", "y", "x^2", "x^2*y"]]
     # the covering cube is the diagonal sum of typical cubes, summands ordered
     # contains-1-first then contains-2-first
-    assert entries(stage.y.d(S12, "1")) == [
+    y = cover(out, inp)
+    assert entries(y.d(S12, "1")) == [
         ["x^2", "0", "0", "0"], ["0", "x^2", "0", "0"],
         ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
-    assert entries(stage.y.d(S12, "2")) == [
+    assert entries(y.d(S12, "2")) == [
         ["y", "0", "0", "0"], ["0", "1", "0", "0"],
         ["0", "0", "y", "0"], ["0", "0", "0", "1"]]
     assert check_resolution(out, inp).ok
@@ -125,9 +140,8 @@ def test_resolve_mixed_u_and_v():
     inp = ResolutionInput({"1": X, "2": Y}, ["2"], ["1"], [z])
     out = koszul_resolve(inp)
     assert out.exponents == {"1": 2, "2": 3}
-    stage = out.stages[0]
     # the covering cube carries g_U = y^3 as vertex relations
-    assert stage.y.vertex(E).relations.contains_vector((Y ** 3, Q2.zero()))
+    assert cover(out, inp).vertex(E).relations.contains_vector((Y ** 3, Q2.zero()))
     assert check_resolution(out, inp).ok
 
 
@@ -407,16 +421,17 @@ def _block_assembly_reference(ring, labels, g, mult, gU) -> Cube:
 
 
 def test_stage_cube_equals_block_assembly():
-    # check (b) of check_resolution compares a stage's cube with the typical
-    # sum its multiplicities declare; a stage cube built as that sum passes
-    # it by construction, so this is what keeps the assembly order checked
+    # a stage's covering cube is not stored: koszul_resolve and
+    # check_resolution both build it from the multiplicities, so this is
+    # what keeps the assembly order checked against the induction
     cases = resolve_problems() + [inp for field in ("Q", 101) for _, inp, _ in _wide_v_cases(field)]
     for n, inp in enumerate(cases):
         out = koszul_resolve(inp)
-        gU = [out.g[u] for u in inp.U]
-        for stage, z in zip(out.stages, inp.targets):
-            want = _block_assembly_reference(inp.ring, z.labels, out.g, stage.multiplicities, gU)
-            y = stage.y
+        g = moduli(out, inp)
+        gU = [g[u] for u in inp.U]
+        for i, (stage, z) in enumerate(zip(out.stages, inp.targets)):
+            want = _block_assembly_reference(inp.ring, z.labels, g, stage.multiplicities, gU)
+            y = cover(out, inp, i)
             assert y.labels == want.labels and set(y.subsets()) == set(want.subsets()), n
             for T in want.subsets():
                 assert y.vertex(T).rank == want.vertex(T).rank, (n, T)
@@ -518,8 +533,8 @@ def test_surjectivity_check_matches_graph_coordinates_reference():
                 if drop is not None:
                     epi = {T: _zero_column(m, drop) if drop < m.source_rank else m
                            for T, m in epi.items()}
-                stages.append(ResolutionStage(stage.y, epi, stage.multiplicities))
-            bent = ResolutionOutput(out.exponents, out.g, tuple(stages), out.connecting)
+                stages.append(ResolutionStage(epi, stage.multiplicities))
+            bent = ResolutionOutput(out.exponents, tuple(stages), out.connecting)
             want = _surjectivity_failures_reference(bent, inp)
             got = check_resolution(bent, inp).failures
             assert [f for f in got if f.startswith("(a)")] == want, (i, drop)
@@ -589,33 +604,105 @@ def test_checks_solve_no_coordinates_and_form_no_annihilator(monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# malformed outputs are reported, never raised
+# --------------------------------------------------------------------------
+
+def _reported(out, inp):
+    """check_resolution's failures on out; it must not raise."""
+    rep = check_resolution(out, inp)
+    assert rep.ok is not bool(rep.failures)
+    return list(rep.failures)
+
+
+def test_check_resolution_reports_missing_stages_and_maps():
+    # stages pair with targets and lifted maps with connecting maps, so an
+    # output with fewer of either is refused before anything is paired
+    problems = resolve_problems()
+    assert len(problems) == 20
+    for i, inp in enumerate(problems):
+        out = koszul_resolve(inp)
+        n, c = len(inp.targets), len(inp.connecting)
+        assert _reported(ResolutionOutput(out.exponents, (), ()), inp) == [
+            f"the output has 0 stages and 0 lifted maps for {n} targets and {c} connecting maps"], i
+        assert _reported(ResolutionOutput(out.exponents, out.stages[:1], out.connecting), inp) \
+            == ([] if n == 1 else ["the output has 1 stages and 1 lifted maps for 2 targets and "
+                                   "1 connecting maps"]), i
+        if c:
+            assert _reported(ResolutionOutput(out.exponents, out.stages, ()), inp) == [
+                "the output has 2 stages and 0 lifted maps for 2 targets and 1 connecting maps"], i
+
+
+def test_check_resolution_reports_bad_exponents():
+    inp = ResolutionInput({"1": X, "2": Y}, [], ["1", "2"], [square_cube("x^2", "y")])
+    out = koszul_resolve(inp)
+    assert out.exponents == {"1": 2, "2": 1}
+    want = ["exponents are not positive ints on exactly ['1', '2']"]
+    for exponents in ({"1": 2}, {"1": 2, "2": 1, "3": 1}, {"1": 2, "2": 0}, {"1": 2, "2": -1},
+                      {"1": 2, "2": 1.0}, {"1": 2, "2": "1"}):
+        assert _reported(ResolutionOutput(exponents, out.stages, out.connecting), inp) == want, \
+            exponents
+
+
+def test_check_resolution_reports_bad_multiplicities():
+    for i, inp in enumerate(resolve_problems()):
+        out = koszul_resolve(inp)
+        stage, labels = out.stages[0], list(inp.targets[0].labels)
+        first = next(iter(stage.multiplicities))
+        want = [f"stage 0: multiplicities are not counts ≥ 0 of subsets of {labels}"]
+        for mult in ({**stage.multiplicities, frozenset({"9"}): 1},
+                     {**stage.multiplicities, first: -1},
+                     {**stage.multiplicities, first: 0.5}):
+            bent = ResolutionOutput(out.exponents,
+                                    (ResolutionStage(stage.epi, mult),) + out.stages[1:],
+                                    out.connecting)
+            assert _reported(bent, inp) == want, (i, mult)
+        # one more summand than the epi has columns: a well-formed count,
+        # so every epi of the stage is reported by its shape
+        more = {**stage.multiplicities, first: stage.multiplicities[first] + 1}
+        L = sum(stage.multiplicities.values())
+        bent = ResolutionOutput(out.exponents, (ResolutionStage(stage.epi, more),) + out.stages[1:],
+                                out.connecting)
+        z = inp.targets[0]
+        want = [f"stage 0: epi at {{{subset_key(T)}}} is {z.vertex(T).rank}x{L}, "
+                f"not {z.vertex(T).rank}x{L + 1}" for T in z.subsets()]
+        if out.connecting:
+            L1 = sum(out.stages[1].multiplicities.values())
+            want += [f"lifted map 0 at {{{subset_key(T)}}} is {L1}x{L}, not {L1}x{L + 1}"
+                     for T in z.subsets()]
+        assert _reported(bent, inp) == want, i
+
+
+def test_check_resolution_reports_maps_missing_a_vertex():
+    checked = 0
+    for i, inp in enumerate(resolve_problems()):
+        out = koszul_resolve(inp)
+        for T in inp.targets[0].subsets():
+            stage = out.stages[0]
+            epi = {U: m for U, m in stage.epi.items() if U != T}
+            bent = ResolutionOutput(out.exponents,
+                                    (ResolutionStage(epi, stage.multiplicities),) + out.stages[1:],
+                                    out.connecting)
+            assert _reported(bent, inp) == [f"stage 0: epi at {{{subset_key(T)}}} is missing"], i
+            if out.connecting:
+                t = {U: m for U, m in out.connecting[0].items() if U != T}
+                bent = ResolutionOutput(out.exponents, out.stages, (t,))
+                assert _reported(bent, inp) == [f"lifted map 0 at {{{subset_key(T)}}} is missing"], i
+                checked += 1
+    assert checked > 0
+
+
+# --------------------------------------------------------------------------
 # square checks against the loops they were written as
 # --------------------------------------------------------------------------
 
 def _square_failures_reference(out, inp):
-    """Checks (b) and (c) of check_resolution on out (none when out is None),
-    then the connecting-map checks of inp.verify(), written out as one loop
-    per square: each difference of composites is tested column by column."""
+    """Check (c) of check_resolution on out (none when out is None), then
+    the connecting-map checks of inp.verify(), written out as one loop per
+    square: each difference of composites is tested column by column."""
     failures = []
     for idx, (stage, z) in enumerate(zip(out.stages if out else (), inp.targets)):
-        y, epi, mult = stage.y, stage.epi, stage.multiplicities
+        y, epi = cover(out, inp, idx), stage.epi
         tag = f"stage {idx}"
-        expected = _typical_sum_cube(inp.ring, z.labels, out.g, mult,
-                                     [out.g[u] for u in inp.U])
-        shapes_ok = True
-        for T in y.subsets():
-            if y.vertex(T).rank != expected.vertex(T).rank:
-                failures.append(f"(b) {tag}: rank mismatch at {{{subset_key(T)}}}")
-                shapes_ok = False
-            elif y.vertex(T).relations != expected.vertex(T).relations:
-                failures.append(
-                    f"(b) {tag}: relations at {{{subset_key(T)}}} differ from the declared modulus")
-        if shapes_ok:
-            for T in y.subsets():
-                for k in sorted(T):
-                    if y.d(T, k) != expected.d(T, k):
-                        failures.append(f"(b) {tag}: boundary d^{k} at {{{subset_key(T)}}} is "
-                                        "not the declared diagonal")
         for T in z.subsets():
             for k in sorted(T):
                 diff = epi[T - {k}].compose(y.d(T, k)) - z.d(T, k).compose(epi[T])
@@ -624,7 +711,7 @@ def _square_failures_reference(out, inp):
                     failures.append(f"(c) {tag}: square at {{{subset_key(T)}}} direction {k} fails")
     for i, t in enumerate(out.connecting if out else ()):
         w = inp.connecting[i]
-        y_src, y_tgt = out.stages[i].y, out.stages[i + 1].y
+        y_src, y_tgt = cover(out, inp, i), cover(out, inp, i + 1)
         epi_src, epi_tgt = out.stages[i].epi, out.stages[i + 1].epi
         for T in y_src.subsets():
             diff = epi_tgt[T].compose(t[T]) - w[T].compose(epi_src[T])
@@ -658,7 +745,7 @@ def _square_failures(out, inp):
     """The failures of the same checks, as check_resolution and verify() report them."""
     failures = []
     if out is not None:
-        failures += [f for f in check_resolution(out, inp).failures if f.startswith(("(b)", "(c)"))]
+        failures += [f for f in check_resolution(out, inp).failures if f.startswith("(c)")]
     if inp.connecting:
         failures += [f for f in inp.verify().failures if f.startswith("connecting")]
     return failures
@@ -673,27 +760,19 @@ def _plus_x(maps, key, ring):
 
 
 def _bent(out, inp, i):
-    """(out, inp) pairs with one entry bent by x: an epi entry, a boundary
-    entry of a covering cube, an entry of the lifted connecting map, an entry
-    of the input's connecting map.  The vertex bent cycles with i."""
+    """(out, inp) pairs with one entry bent by x: an epi entry, an entry of
+    the lifted connecting map, an entry of the input's connecting map.  The
+    vertex bent cycles with i."""
     ring = inp.ring
     stage = out.stages[0]
-    subs = stage.y.subsets()
+    subs = inp.targets[0].subsets()
     T = subs[i % len(subs)]
-    yield (ResolutionOutput(out.exponents, out.g,
-                            (ResolutionStage(stage.y, _plus_x(stage.epi, T, ring),
+    yield (ResolutionOutput(out.exponents,
+                            (ResolutionStage(_plus_x(stage.epi, T, ring),
                                              stage.multiplicities),) + out.stages[1:],
                             out.connecting), inp)
-    y = stage.y
-    if y.labels:
-        top = subs[-1]
-        k = sorted(top)[i % len(top)]
-        bent_y = Cube(ring, y.labels, y.vertices, _plus_x(y.boundary, (top, k), ring))
-        yield (ResolutionOutput(out.exponents, out.g,
-                                (ResolutionStage(bent_y, stage.epi, stage.multiplicities),)
-                                + out.stages[1:], out.connecting), inp)
     if out.connecting:
-        yield (ResolutionOutput(out.exponents, out.g, out.stages,
+        yield (ResolutionOutput(out.exponents, out.stages,
                                 (_plus_x(out.connecting[0], T, ring),)), inp)
         bent_inp = ResolutionInput(inp.fs, inp.U, inp.V, inp.targets,
                                    [_plus_x(inp.connecting[0], T, ring)])
@@ -701,7 +780,7 @@ def _bent(out, inp, i):
 
 
 def test_square_checks_match_reference():
-    # checks (b) and (c) and the connecting-map checks of verify() report,
+    # check (c) and the connecting-map checks of verify() report,
     # string for string and in order, what one loop per square reported,
     # on resolutions and on copies with one entry bent
     problems = (resolve_problems() + [square_chain_input(), three_v_chain_input()]
@@ -719,6 +798,6 @@ def test_square_checks_match_reference():
     want = _square_failures_reference(None, unmapped)
     assert _square_failures(None, unmapped) == want
     seen.update(f.split(" at ")[0] for f in want)
-    assert seen >= {"(b) stage 0: boundary d^1", "(c) stage 0: square",
+    assert seen >= {"(c) stage 0: square",
                     "(c) connecting square", "(c) connecting map is not a cube morphism",
                     "connecting square", "connecting map does not preserve relations"}, seen
