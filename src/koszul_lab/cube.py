@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .arith import RingSpec, is_unit
 from .groebner import SubmoduleBasis, _nonexact_degree, _preimage_in, _reduced_kernel
@@ -219,13 +219,18 @@ def validate_cube(x: Cube) -> Report:
     return x._report
 
 
-def _noncommuting_squares(w: Dict[FrozenSet[str], FreeMap], src: Cube, tgt: Cube) -> list:
-    """The (T, k), in subset order, at which the vertex maps w: src → tgt fail
-    to commute with the boundaries: w[T∖k]∘d^k_T ≢ d^k_T∘w[T] modulo the
+def _morphism_failures(w: Dict[FrozenSet[str], FreeMap], src: Cube, tgt: Cube) -> Iterator[tuple]:
+    """Where the vertex maps w: src → tgt fail to be a morphism of module
+    cubes, vertex by vertex in subset order: (T, None) when w[T] does not
+    carry the relations of src at T into those of tgt, then (T, k) for each
+    square that does not commute, w[T∖k]∘d^k_T ≢ d^k_T∘w[T] modulo the
     relations of tgt at T∖k.  w is a cube morphism iff there are none."""
-    return [(T, k) for T in src.subsets() for k in sorted(T)
-            if not _congruent(w[T - {k}].compose(src.d(T, k)), tgt.d(T, k).compose(w[T]),
-                              tgt.vertex(T - {k}).relations)]
+    for T in src.subsets():
+        if not _preserves_relations(w[T], src.vertex(T), tgt.vertex(T)):
+            yield T, None
+        yield from ((T, k) for k in sorted(T)
+                    if not _congruent(w[T - {k}].compose(src.d(T, k)), tgt.d(T, k).compose(w[T]),
+                                      tgt.vertex(T - {k}).relations))
 
 
 def _require_valid(x: Cube) -> None:
@@ -408,11 +413,12 @@ def iterated_h0(x: Cube, T: Iterable[str]) -> Cube:
 
     Its vertex at W is x's vertex at W with relations enlarged by
     Σ_{k∈T} im d^k_{W∪k}, a sum that does not depend on the order in which
-    the directions are taken, so they are taken in label order.  Requires
-    admissibility of x when |T| ≥ 2, per the iterated-homology hypothesis;
-    x may be free or carry relations.
+    the directions are taken, so they are taken in label order.  x must be
+    a valid cube, whatever T is, and admissible when |T| ≥ 2, per the
+    iterated-homology hypothesis; x may be free or carry relations.
     """
     T = _normalize_subset(T, x.labels)
+    _require_valid(x)
     if len(T) >= 2:
         verdict = is_admissible(x, strategy="definition")
         if not verdict.ok:

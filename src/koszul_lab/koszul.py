@@ -43,6 +43,7 @@ from .groebner import (
     IdealBasis,
     SubmoduleBasis,
     _nonexact_degree,
+    _preimage_in,
     grade,
     ideal_quotient,
     radical_membership,
@@ -129,9 +130,9 @@ def _regular_check(fs: Sequence[Poly], order: Sequence[int], memo: dict):
         key = (frozenset(order[:pos - 1]), i)
         if key not in memo:
             prefix = IdealBasis(fs[i].ring, [fs[j] for j in order[:pos - 1]])
-            quot = ideal_quotient(prefix, fs[i])
-            memo[key] = None if quot == prefix else next(
-                g for g in quot.reduced_gb if not prefix.contains(g))
+            regular = _preimage_in(IdealBasis(fs[i].ring, [fs[i]]).cols, prefix.cols, prefix, 1)
+            memo[key] = None if regular else next(
+                g for g in ideal_quotient(prefix, fs[i]).reduced_gb if not prefix.contains(g))
         if memo[key] is not None:
             return False, pos, memo[key]
     return True, None, None
@@ -140,9 +141,11 @@ def _regular_check(fs: Sequence[Poly], order: Sequence[int], memo: dict):
 def is_regular_sequence(fs: Sequence[Poly]) -> SequenceReport:
     """Is each f_i a nonunit and a nonzerodivisor modulo its predecessors?
 
-    The quotient test ((f_1..f_{i-1}) : f_i) = (f_1..f_{i-1}) decides this
-    exactly; a failure yields a witness straight from the quotient's reduced
-    Groebner basis.
+    With I = (f_1..f_{i-1}), f_i is a nonzerodivisor modulo I exactly when
+    (I : f_i) = I, that is when the preimage of I under multiplication by
+    f_i lies in I; `groebner._preimage_in` decides that, as it decides
+    injectivity in `cube._mod_injective`.  Only a failure forms the
+    quotient, and its reduced Groebner basis yields the witness.
     """
     fs = tuple(fs)
     ok, idx, wit = _regular_check(fs, range(len(fs)), {})

@@ -30,10 +30,11 @@ module-level lifting.
 B = A/(g_U) is represented by carrying g_U·(ambient basis) as extra
 relations on A-presentations throughout; one Groebner engine suffices.
 
-Each division and lift is `modcalc._factor_through`, the base case's
-annihilation `_kills` and each checked square `_congruent`; whether vertex
-maps form a cube morphism is `cube._noncommuting_squares`, for verify() and
-check_resolution alike.
+Each division and lift is `modcalc._factor_through`, and the construction
+re-verifies none of them: check_resolution checks the whole output once.
+Whether vertex maps form a morphism of module cubes (relations carried into
+relations, every square commuting) is `cube._morphism_failures`, for
+verify() and check_resolution alike.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Dict, FrozenSet, Mapping, Sequence, Tuple, Union
 
 from .arith import Poly, RingSpec
 from .cube import (Cube, Report, _admissible_inductive, _h0_modcube, _h0_over,
-                   _noncommuting_squares, label_subsets, restrict, subset_key, validate_cube)
+                   _morphism_failures, label_subsets, restrict, subset_key, validate_cube)
 from .groebner import SubmoduleBasis
 from .koszul import _typical_sum, is_A_sequence
 from .modcalc import (
@@ -52,9 +53,6 @@ from .modcalc import (
     LiftError,
     _congruent,
     _factor_through,
-    _kills,
-    _preserves_relations,
-    lift_through_surjection,
     min_annihilating_power,
     supported_on,
 )
@@ -165,14 +163,9 @@ class ResolutionInput:
                         failures.append(
                             f"target {j}: H_0^{v} at {{{subset_key(T)}}} is not supported on V(f_{v})")
         for i, w in enumerate(self.connecting):
-            src, tgt = self.targets[i], self.targets[i + 1]
-            squares = _noncommuting_squares(w, src, tgt)
-            for T in src.subsets():
-                if not _preserves_relations(w[T], src.vertex(T), tgt.vertex(T)):
-                    failures.append(
-                        f"connecting map does not preserve relations at {{{subset_key(T)}}}")
-                failures += [f"connecting square at {{{subset_key(T)}}} direction {k} fails"
-                             for U, k in squares if U == T]
+            failures += [f"connecting square at {{{subset_key(T)}}} direction {k} fails" if k else
+                         f"connecting map does not preserve relations at {{{subset_key(T)}}}"
+                         for T, k in _morphism_failures(w, self.targets[i], self.targets[i + 1])]
         return Report(not failures, tuple(failures))
 
 
@@ -233,24 +226,25 @@ def find_exponents(inp: ResolutionInput, cap: int = 64, perm_cap: int = 6) -> Di
 # the induction
 # ---------------------------------------------------------------------------
 
-def _resolve_cube(z: Cube, gU: Sequence[Poly], g: Dict[str, Poly]):
+def _resolve_cube(z: Cube, g: Dict[str, Poly]):
     """(epi, multiplicities) of a sum of typical cubes covering the module
     cube z, by induction on |V|.
 
     The summands of the front face's cover, where v ∈ T, come before those
     of the back face's, and each face orders its own summands by the same
-    rule, so the cover is `_typical_sum_cube` of the multiplicities.
+    rule, so the cover is `_typical_sum_cube` of the multiplicities.  The
+    base case is the identity of A^r, a map of modules from (A/(g_U))^r
+    only because g_U kills the vertex, as `find_exponents` chose it to;
+    check (a) of check_resolution verifies that, not this function.
     """
     ring = z.ring
     if not z.labels:
-        M = z.vertex(frozenset())
-        if not all(_kills(gu, M) for gu in gU):
-            raise LiftError("the modulus does not annihilate the target module")
-        return {frozenset(): FreeMap.identity(ring, M.rank)}, {frozenset(): M.rank}
+        r = z.vertex(frozenset()).rank
+        return {frozenset(): FreeMap.identity(ring, r)}, {frozenset(): r}
     v = z.labels[0]
     rest = tuple(lab for lab in z.labels if lab != v)
     z0 = restrict(z, rest, frozenset())
-    p0, l0 = _resolve_cube(z0, gU, g)
+    p0, l0 = _resolve_cube(z0, g)
     # divide the front epi through by g_v: d^z ∘ s ≡ g_v · p0, solvable iff
     # g_v kills H_0 in direction v at each vertex
     s: VertexMaps = {}
@@ -262,7 +256,7 @@ def _resolve_cube(z: Cube, gU: Sequence[Poly], g: Dict[str, Poly]):
                 f"{{{subset_key(A)}}} has no preimage under the {v}-boundary "
                 "(the modulus fails to kill H_0 in that direction)")
     z1 = restrict(z, rest, frozenset({v}))
-    p1, l1 = _resolve_cube(z1, gU, g)
+    p1, l1 = _resolve_cube(z1, g)
     epi: VertexMaps = {}
     for A in z0.subsets():
         epi[A | {v}] = FreeMap.hstack(s[A], p1[A])
@@ -297,11 +291,17 @@ def _lift_cube(f: VertexMaps, x: Cube, q: VertexMaps, y: Cube, z: Cube) -> Verte
     t₁ = s′₁ + u∘d^x, t₀ = s′₀ + d^y∘u.  Soundness needs z admissible, which
     ResolutionInput.verify() establishes: the recursion leans on d^z being
     injective modulo relations on z, on its faces and on H_0^v(z).
+
+    Every step, the base case included, is one `_factor_through`; a column
+    with no preimage raises LiftError.  No intermediate lift is re-verified:
+    check_resolution checks the final maps.
     """
     ring = x.ring
     if not x.labels:
-        key = frozenset()
-        return {key: lift_through_surjection(f[key], q[key], z.vertex(key))}
+        t = _factor_through(q[frozenset()], f[frozenset()], z.vertex(frozenset()).relations)
+        if isinstance(t, int):
+            raise LiftError(f"lift failed: column {t} has no preimage under the epi")
+        return {frozenset(): t}
     v = x.labels[0]
     rest = tuple(lab for lab in x.labels if lab != v)
     x0 = restrict(x, rest, frozenset())
@@ -352,7 +352,8 @@ def koszul_resolve(inp: ResolutionInput, cap: int = 64, perm_cap: int = 6) -> Re
     exponents, epis, multiplicities and lifted maps that were chosen, and
     check_resolution builds the cubes again from exactly those.
 
-    The verification failure path raises RuntimeError — the construction is
+    Nothing is verified on the way; check_resolution checks the whole
+    output once, and a failure there raises RuntimeError — the construction is
     theorem-backed, so a failed check means a bug, not bad input (bad input
     is rejected earlier by verify()/find_exponents, or surfaces as LiftError
     with the offending generator).
@@ -360,7 +361,7 @@ def koszul_resolve(inp: ResolutionInput, cap: int = 64, perm_cap: int = 6) -> Re
     m = find_exponents(inp, cap, perm_cap)
     g = {s: inp.fs[s] ** e for s, e in m.items()}
     gU = [g[u] for u in inp.U]
-    stages = [ResolutionStage(*_resolve_cube(z, gU, g)) for z in inp.targets]
+    stages = [ResolutionStage(*_resolve_cube(z, g)) for z in inp.targets]
     covers = [_typical_sum_cube(inp.ring, z.labels, g, stage.multiplicities, gU)
               for stage, z in zip(stages, inp.targets)]
     connecting = []
@@ -415,9 +416,15 @@ def check_resolution(out: ResolutionOutput, inp: ResolutionInput) -> Report:
     each stage's covering cube, `_typical_sum_cube` of its multiplicities,
     are built from out as koszul_resolve built them, and
 
-    (a) every vertex map is surjective onto its target module;
+    (a) every epi is onto its target module and a map of modules: it
+        carries the relations of its covering vertex into the target's;
     (c) all squares commute modulo the target presentations — within each
-        stage, and around the connecting maps for chains.
+        stage, and around the connecting maps for chains — and each lifted
+        map carries relations into relations.
+
+    Whether the vertex maps of an epi or of a lifted map form a morphism of
+    module cubes is one test, `cube._morphism_failures`, the one verify()
+    makes of the input's connecting maps.
 
     No cube is stored in out, so none can disagree with its multiplicities.
 
@@ -447,16 +454,17 @@ def check_resolution(out: ResolutionOutput, inp: ResolutionInput) -> Report:
             if missed is not None:
                 failures.append(
                     f"(a) {tag}: epi at {{{subset_key(T)}}} misses basis vector {missed}")
-        failures += [f"(c) {tag}: square at {{{subset_key(T)}}} direction {k} fails"
-                     for T, k in _noncommuting_squares(stage.epi, y, z)]
+        failures += [f"(c) {tag}: square at {{{subset_key(T)}}} direction {k} fails" if k else
+                     f"(a) {tag}: epi at {{{subset_key(T)}}} does not preserve relations"
+                     for T, k in _morphism_failures(stage.epi, y, z)]
     for i, t in enumerate(out.connecting):
         src, tgt = out.stages[i], out.stages[i + 1]
-        squares = _noncommuting_squares(t, covers[i], covers[i + 1])
+        morphism = list(_morphism_failures(t, covers[i], covers[i + 1]))
         for T in inp.targets[i].subsets():
             if not _congruent(tgt.epi[T].compose(t[T]), inp.connecting[i][T].compose(src.epi[T]),
                               inp.targets[i + 1].vertex(T).relations):
                 failures.append(
                     f"(c) connecting square at {{{subset_key(T)}}} fails (stage {i}→{i + 1})")
-            failures += [f"(c) connecting map is not a cube morphism at {{{subset_key(T)}}} "
-                         f"direction {k}" for U, k in squares if U == T]
+            failures += [f"(c) connecting map is not a cube morphism at {{{subset_key(T)}}}"
+                         + (f" direction {k}" if k else "") for U, k in morphism if U == T]
     return Report(not failures, tuple(failures))

@@ -622,6 +622,20 @@ def test_h0_directions_are_what_is_computed(tmp_path, directions, want_code, wan
         assert env["details"]["directions"] == want
 
 
+@pytest.mark.parametrize("directions", ["1", "2", "1,2"])
+def test_h0_rejects_an_invalid_cube_for_any_directions(tmp_path, directions):
+    # the square at {1,2} does not commute: d^1 d^2 = x·y, d^2 d^1 = x·x
+    doc = {"ring": {"field": "Q", "vars": ["x", "y"]},
+           "cube": {"S": ["1", "2"], "vertices": {"": 1, "1": 1, "2": 1, "1,2": 1},
+                    "boundaries": {"1|1": [["x"]], "2|2": [["y"]],
+                                   "1,2|1": [["x"]], "1,2|2": [["x"]]}}}
+    out, code = run("h0", "--input", write_doc(tmp_path, doc), "--directions", directions)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "input",
+        "message": "invalid cube: square at {1,2} in directions 1,2 does not commute"}
+
+
 def test_fitting_and_grade_and_generators(tmp_path):
     mdoc = write_doc(tmp_path, {"ring": RING_Q2,
                                 "matrix": [["x", "0"], ["0", "y"]]}, "m.json")

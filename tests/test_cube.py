@@ -366,6 +366,18 @@ def test_iterated_h0_requires_admissibility():
         iterated_h0(BOTH_X, {"1", "2"})
 
 
+@pytest.mark.parametrize("T", [(), ("1",), ("2",), ("1", "2")])
+def test_iterated_h0_rejects_an_invalid_cube_in_any_directions(T):
+    # d^1 d^2 = x·y but d^2 d^1 = x·x at {1,2}: H_0 in fewer than two
+    # directions used to be taken without validating the cube
+    bad = Cube(Q2, ("1", "2"), {E: 1, S1: 1, S2: 1, S12: 1},
+               {(S1, "1"): FreeMap(Q2, [[X]]), (S2, "2"): FreeMap(Q2, [[Y]]),
+                (S12, "1"): FreeMap(Q2, [[X]]), (S12, "2"): FreeMap(Q2, [[X]])})
+    with pytest.raises(ValueError, match=r"^invalid cube: square at \{1,2\} in directions 1,2 "
+                                         r"does not commute$"):
+        iterated_h0(bad, T)
+
+
 def test_iterated_h0_explicit_orders():
     x, y, z = Q3.gens()
     t = typical_cube([x, y, z])

@@ -137,6 +137,20 @@ def test_a_resolution_stores_only_its_choices():
     assert [f.name for f in fields(ResolutionOutput)] == ["exponents", "stages", "connecting"]
 
 
+def test_cube_morphisms_have_one_test():
+    # whether vertex maps form a morphism of module cubes is asked by
+    # cube._morphism_failures alone, for verify() and check_resolution; a
+    # cube's own boundaries by validate_cube.  The construction in resolve
+    # lifts through _factor_through only and checks nothing on the way
+    preserves = _callers(lambda f: isinstance(f, ast.Name) and f.id == "_preserves_relations")
+    assert preserves == {("cube", "validate_cube"), ("cube", "_morphism_failures")}
+    morphism = _callers(lambda f: isinstance(f, ast.Name) and f.id == "_morphism_failures")
+    assert morphism == {("resolve", "verify"), ("resolve", "check_resolution")}
+    checks = _callers(lambda f: isinstance(f, ast.Name)
+                      and f.id in ("lift_through_surjection", "_kills"))
+    assert {c for c in checks if c[0] == "resolve"} == set()
+
+
 def test_support_has_one_test():
     # support on V(f) is one Rabinowitsch run, the only user of a ring with
     # a fresh variable; the quotients (rel : e_i) are formed only for the

@@ -194,12 +194,37 @@ def test_resolve_cube_lift_error_when_power_too_small():
     # g = x does not kill H_0 of [A --x^2--> A]; the s-step must refuse
     z = one_cube("x^2")
     with pytest.raises(LiftError):
-        _resolve_cube(z, [], {"1": X})
+        _resolve_cube(z, {"1": X})
+
+
+def _with_exponent(out, u, delta):
+    """out with the exponent of u moved by delta; the epis and lifted maps
+    are kept, so the covering cubes are rebuilt over the new modulus."""
+    return ResolutionOutput({**out.exponents, u: out.exponents[u] + delta}, out.stages,
+                            out.connecting)
 
 
 def test_base_case_checks_annihilation():
-    with pytest.raises(LiftError):
-        _resolve_cube(ModCube(Q2, (), {E: cyclic("x^2")}, {}), [X], {})
+    # the base case covers A/(x^2) by the identity of A^1, a map of modules
+    # from A/(g_u) only when g_u kills A/(x^2): check (a) tests that, not
+    # _resolve_cube
+    inp = ResolutionInput({"1": X}, ["1"], [], [cyclic("x^2")])
+    epi, mult = _resolve_cube(inp.targets[0], {})
+    assert check_resolution(ResolutionOutput({"1": 1}, (ResolutionStage(epi, mult),), ()),
+                            inp).failures == ("(a) stage 0: epi at {} does not preserve relations",)
+    # on every resolved U problem whose exponent can go down: one less is
+    # refused at every vertex of every stage, one more is a valid resolution
+    lowered = 0
+    for i, inp in enumerate(resolve_problems()):
+        out = koszul_resolve(inp)
+        for u in inp.U:
+            if out.exponents[u] > 1:
+                want = [f"(a) stage {j}: epi at {{{subset_key(T)}}} does not preserve relations"
+                        for j, z in enumerate(inp.targets) for T in z.subsets()]
+                assert list(check_resolution(_with_exponent(out, u, -1), inp).failures) == want, i
+                assert check_resolution(_with_exponent(out, u, 1), inp).ok, i
+                lowered += 1
+    assert lowered == 6
 
 
 def test_verify_reports_defect_two_h0_levels_down():
@@ -696,14 +721,20 @@ def test_check_resolution_reports_maps_missing_a_vertex():
 # --------------------------------------------------------------------------
 
 def _square_failures_reference(out, inp):
-    """Check (c) of check_resolution on out (none when out is None), then
-    the connecting-map checks of inp.verify(), written out as one loop per
-    square: each difference of composites is tested column by column."""
+    """The morphism checks of check_resolution on out (none when out is
+    None): whether each epi and each lifted map carries relations into
+    relations, and check (c); then the connecting-map checks of
+    inp.verify().  They are written out as one loop per relation generator
+    and per square: each difference of composites is tested column by
+    column."""
     failures = []
     for idx, (stage, z) in enumerate(zip(out.stages if out else (), inp.targets)):
         y, epi = cover(out, inp, idx), stage.epi
         tag = f"stage {idx}"
         for T in z.subsets():
+            if not all(z.vertex(T).relations.contains_vector(epi[T].apply(r))
+                       for r in y.vertex(T).relations.generators):
+                failures.append(f"(a) {tag}: epi at {{{subset_key(T)}}} does not preserve relations")
             for k in sorted(T):
                 diff = epi[T - {k}].compose(y.d(T, k)) - z.d(T, k).compose(epi[T])
                 rel = z.vertex(T - {k}).relations
@@ -719,6 +750,9 @@ def _square_failures_reference(out, inp):
             if not all(rel.contains_vector(diff.column(j)) for j in range(diff.source_rank)):
                 failures.append(
                     f"(c) connecting square at {{{subset_key(T)}}} fails (stage {i}→{i + 1})")
+            if not all(y_tgt.vertex(T).relations.contains_vector(t[T].apply(r))
+                       for r in y_src.vertex(T).relations.generators):
+                failures.append(f"(c) connecting map is not a cube morphism at {{{subset_key(T)}}}")
             for k in sorted(T):
                 diff = t[T - {k}].compose(y_src.d(T, k)) - y_tgt.d(T, k).compose(t[T])
                 rel = y_tgt.vertex(T - {k}).relations
@@ -745,7 +779,8 @@ def _square_failures(out, inp):
     """The failures of the same checks, as check_resolution and verify() report them."""
     failures = []
     if out is not None:
-        failures += [f for f in check_resolution(out, inp).failures if f.startswith("(c)")]
+        failures += [f for f in check_resolution(out, inp).failures
+                     if f.startswith("(c)") or f.endswith("does not preserve relations")]
     if inp.connecting:
         failures += [f for f in inp.verify().failures if f.startswith("connecting")]
     return failures
@@ -762,8 +797,12 @@ def _plus_x(maps, key, ring):
 def _bent(out, inp, i):
     """(out, inp) pairs with one entry bent by x: an epi entry, an entry of
     the lifted connecting map, an entry of the input's connecting map.  The
-    vertex bent cycles with i."""
+    vertex bent cycles with i.  A U problem also gives out with each U
+    exponent above 1 lowered by one, whose epis are not maps of modules."""
     ring = inp.ring
+    for u in inp.U:
+        if out.exponents[u] > 1:
+            yield _with_exponent(out, u, -1), inp
     stage = out.stages[0]
     subs = inp.targets[0].subsets()
     T = subs[i % len(subs)]
@@ -798,6 +837,6 @@ def test_square_checks_match_reference():
     want = _square_failures_reference(None, unmapped)
     assert _square_failures(None, unmapped) == want
     seen.update(f.split(" at ")[0] for f in want)
-    assert seen >= {"(c) stage 0: square",
+    assert seen >= {"(a) stage 0: epi", "(c) stage 0: square",
                     "(c) connecting square", "(c) connecting map is not a cube morphism",
                     "connecting square", "connecting map does not preserve relations"}, seen
