@@ -3,14 +3,15 @@
 Everything downstream (Groebner bases, module calculus, cube homology) runs on
 the two types defined here: `RingSpec`, which fixes a coefficient field, a
 variable list and a monomial order, and `Poly`, a sparse monomial ->
-coefficient map.  Coefficients are `fractions.Fraction` over the rationals and
-plain ints in [0, p) over a prime field; there is no floating point anywhere.
-(Inside Buchberger over Q the Groebner engine works on integer vectors; every
-Poly and every basis it returns holds Fractions.  Products over Q, of two Poly
-and of two matrices of sparse columns (`_matrix_product`), likewise sum
-integer numerators over a common denominator and make each Fraction once, and
-so do the minors of a matrix of sparse columns (`_minors`), a Laplace
-expansion on integer sums.)
+coefficient map.  Coefficients are plain ints in [0, p) over a prime field,
+and over the rationals an int when the value is an integer and a
+`fractions.Fraction` only otherwise (`_Field`); there is no floating point
+anywhere.  (Inside Buchberger over Q the Groebner engine works on integer
+vectors.  Products over Q, of two Poly and of two matrices of sparse columns
+(`_matrix_product`), likewise sum integer numerators over a common
+denominator and make each coefficient once, and so do the minors of a matrix
+of sparse columns (`_minors`), a Laplace expansion on integer sums; where
+every coefficient is an int, nothing is cleared and no Fraction is made.)
 
 A monomial has one encoding below the public API: a packed int, its key
 under the ring's layout (`_Terms`, shared by every ring with the same number
@@ -32,7 +33,7 @@ import math
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "RingSpec",
@@ -70,34 +71,47 @@ class CapExceededError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class _Field:
-    """The coefficient field of characteristic `char`: Q when it is 0, with
-    Fraction coefficients, and GF(char) otherwise, with ints in [0, char)."""
+    """The coefficient field of characteristic `char`: Q when it is 0, and
+    GF(char) otherwise, with ints in [0, char).
+
+    An element of Q has one form: an int when it is an integer, and a
+    Fraction with denominator > 1 otherwise (`_rational`).  An int and a
+    Fraction that are equal also hash equal, so Poly equality and every
+    cache key see values, not types.  No coefficient is divided by `/`: an
+    int divided by an int is a float, so the one inverse goes through
+    Fraction.
+    """
 
     __slots__ = ("char", "name", "zero", "one")
 
     def __init__(self, char: int):
         self.char = char
         self.name = f"GF({char})" if char else "Q"
-        self.zero = 0 if char else Fraction(0)
-        self.one = 1 if char else Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def of(self, n):
+        """n, an int (a bool counts as its int) or a Fraction, in the field;
+        ValueError for any other type, and over GF(p) for a denominator
+        divisible by p."""
         p = self.char
+        if isinstance(n, int):
+            return n % p if p else int(n)
+        if not isinstance(n, Fraction):
+            raise ValueError(f"coefficient {n!r} is not an int or a Fraction")
         if not p:
-            return Fraction(n)
-        if isinstance(n, Fraction):
-            if n.denominator % p == 0:
-                raise ValueError(f"denominator of {n} is divisible by {p}")
-            return n.numerator * pow(n.denominator, -1, p) % p
-        return int(n) % p
+            return _rational(n)
+        if n.denominator % p == 0:
+            raise ValueError(f"denominator of {n} is divisible by {p}")
+        return n.numerator * pow(n.denominator, -1, p) % p
 
     def add(self, a, b):
         p = self.char
-        return (a + b) % p if p else a + b
+        return (a + b) % p if p else _rational(a + b)
 
     def mul(self, a, b):
         p = self.char
-        return a * b % p if p else a * b
+        return a * b % p if p else _rational(a * b)
 
     def neg(self, a):
         p = self.char
@@ -105,7 +119,7 @@ class _Field:
 
     def inv(self, a):
         p = self.char
-        return pow(a, -1, p) if p else self.one / a
+        return pow(a, -1, p) if p else _rational(Fraction(a.denominator, a.numerator))
 
     def __repr__(self):
         return self.name
@@ -115,6 +129,12 @@ class _Field:
 
     def __hash__(self):
         return hash(("GF", self.char) if self.char else "Q")
+
+
+def _rational(c):
+    """The rational c, an int or a Fraction, in its one form over Q: an int
+    when it is an integer, else the Fraction."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -447,7 +467,7 @@ class Poly:
             if old is None:
                 out[k] = c
                 continue
-            s = (old + c) % p if p else old + c
+            s = (old + c) % p if p else _rational(old + c)
             if s:
                 out[k] = s
             else:
@@ -464,7 +484,7 @@ class Poly:
             if old is None:
                 out[k] = -c % p if p else -c
                 continue
-            s = (old - c) % p if p else old - c
+            s = (old - c) % p if p else _rational(old - c)
             if s:
                 out[k] = s
             else:
@@ -568,15 +588,21 @@ def _poly(ring: RingSpec, keys: dict) -> Poly:
     return p
 
 
-def _denominator(coeffs: Iterable) -> int:
-    """The lcm of the denominators of Fraction coefficients."""
-    return math.lcm(*[c.denominator for c in coeffs])
+def _denominator(coeffs: Collection) -> int:
+    """The lcm of the denominators of rational coefficients: 1, with no lcm
+    taken, when every one is an int."""
+    for c in coeffs:
+        if type(c) is not int:
+            return math.lcm(*[c.denominator for c in coeffs])
+    return 1
 
 
 def _numerators(keys: dict, d: int) -> dict:
-    """Fraction coefficients times d, a common denominator, as ints."""
+    """Rational coefficients times d, a common denominator, as ints: keys
+    itself when d is 1, where every coefficient is an int already (callers
+    do not write into it)."""
     if d == 1:
-        return {k: c.numerator for k, c in keys.items()}
+        return keys
     return {k: c.numerator * (d // c.denominator) for k, c in keys.items()}
 
 
@@ -593,7 +619,8 @@ def _product_sums(a: dict, b: dict, acc: dict) -> dict:
 
 def _coefficients(acc: dict, d: int, p: int, overflow: int) -> dict:
     """The nonzero field coefficients of integer sums over the denominator d:
-    s % p over GF(p) (where d is 1), Fraction(s, d) over Q.
+    s % p over GF(p) (where d is 1); over Q the sums themselves when d is 1,
+    else s // d when d divides s and Fraction(s, d) otherwise.
 
     The keys of acc are sums of two keys whose fields are below 2^31, so no
     field carries into the next, and one that reaches 2^31 has its guard bit
@@ -604,8 +631,8 @@ def _coefficients(acc: dict, d: int, p: int, overflow: int) -> dict:
     if p:
         return {k: r for k, s in acc.items() if (r := s % p)}
     if d == 1:
-        return {k: Fraction(s) for k, s in acc.items() if s}
-    return {k: Fraction(s, d) for k, s in acc.items() if s}
+        return {k: s for k, s in acc.items() if s}
+    return {k: Fraction(s, d) if s % d else s // d for k, s in acc.items() if s}
 
 
 def _matrix_product(ring: RingSpec, left: Sequence[Mapping[int, Poly]],
@@ -619,17 +646,18 @@ def _matrix_product(ring: RingSpec, left: Sequence[Mapping[int, Poly]],
     Each output entry sums its products term by term in one dict of ints,
     for both fields.  Over Q each row i of L is scaled to integers by the
     lcm D_i of its denominators (`_integer_rows`) and each column j of R by
-    E_j, so entry (i, j) is made once per term, as Fraction(s, D_i·E_j)
-    from the integer sum s; over GF(p) it is s % p.
+    E_j, so entry (i, j) is made once per term from the integer sum s, as
+    s over D_i·E_j (`_coefficients`): s itself when both are 1, as they are
+    for integer matrices; over GF(p) it is s % p.
     """
     p, overflow = ring.field.char, ring.layout.overflow
     row_den, ints = _integer_rows(left, rows, p)
     out = []
     for bcol in right:
-        e = 1 if p else _denominator(c for b in bcol.values() for c in b.keys.values())
+        e = 1 if p else math.lcm(*[_denominator(b.keys.values()) for b in bcol.values()])
         acc: dict = {}  # output row -> integer sums
         for k, b in bcol.items():
-            bkeys = b.keys if p else _numerators(b.keys, e)
+            bkeys = _numerators(b.keys, e)
             for i, akeys in ints[k].items():
                 _product_sums(akeys, bkeys, acc.setdefault(i, {}))
         out.append({i: _poly(ring, keys) for i, sums in acc.items()
@@ -640,15 +668,15 @@ def _matrix_product(ring: RingSpec, left: Sequence[Mapping[int, Poly]],
 def _integer_rows(cols: Sequence[Mapping[int, Poly]], rows: int, p: int) -> tuple:
     """([D_i], columns): the lcm D_i of the denominators of row i of the
     matrix with `rows` rows and the sparse columns `cols`, and those columns
-    with row i scaled by D_i, each entry as its integer term dict.  Over
-    GF(p) every D_i is 1 and an entry's dict is its Poly's keys."""
+    with row i scaled by D_i, each entry as its integer term dict.  Where
+    D_i is 1, as in every row over GF(p), an entry's dict is its Poly's
+    keys (`_numerators`)."""
     row_den = [1] * rows
     if not p:
         for c in cols:
             for i, a in c.items():
                 row_den[i] = math.lcm(row_den[i], _denominator(a.keys.values()))
-    return row_den, [{i: a.keys if p else _numerators(a.keys, row_den[i]) for i, a in c.items()}
-                     for c in cols]
+    return row_den, [{i: _numerators(a.keys, row_den[i]) for i, a in c.items()} for c in cols]
 
 
 def _minors(ring: RingSpec, cols: Sequence[Mapping[int, Poly]], rows: int,
@@ -663,8 +691,8 @@ def _minors(ring: RingSpec, cols: Sequence[Mapping[int, Poly]], rows: int,
     (`_minor_sums`), with one memo shared by every pair and dropped on
     return.  Over Q each row i is scaled to integers by the lcm D_i of its
     denominators (`_integer_rows`), so the minor at (R, C) is made once per
-    term, as Fraction(s, ∏_{i∈R} D_i) from the integer sum s; over GF(p)
-    each sum is kept reduced mod p.
+    term from the integer sum s, as s over ∏_{i∈R} D_i (`_coefficients`);
+    over GF(p) each sum is kept reduced mod p.
     """
     p, overflow = ring.field.char, ring.layout.overflow
     row_den, ints = _integer_rows(cols, rows, p)
@@ -762,16 +790,10 @@ def _add_scaled(target: dict, vp: dict, q: int, coeff, field, overflow: int,
 
 
 def _coeff_string(c) -> tuple:
-    """(is_negative, magnitude string) for a coefficient.
-
-    GF(p) coefficients are already in [0, p) and print as-is; rationals print
-    their absolute value, with `/` for non-integers.
-    """
-    if isinstance(c, Fraction):
-        neg = c < 0
-        a = abs(c)
-        return neg, (str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}")
-    return False, str(c)
+    """(is_negative, magnitude string) for a coefficient: its sign and its
+    absolute value, with `/` only for a Fraction, whose denominator is > 1.
+    GF(p) coefficients lie in [0, p) and are never negative."""
+    return c < 0, str(abs(c))
 
 
 # ---------------------------------------------------------------------------

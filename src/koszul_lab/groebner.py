@@ -35,9 +35,10 @@ generators (`_cached`).  A result computed again after its entry was dropped
 is the same: Buchberger is deterministic and a reduced basis is unique.
 
 Over Q the engine works on integers.  A vector enters with its denominators
-cleared (`_cleared`), and every element Buchberger keeps, every cached
-reduced basis and every cached Schreyer generator is a primitive integer
-vector: content 1, positive leading coefficient, not divided out.  That form
+cleared (`_cleared`), as it is when every coefficient is an int, and every
+element Buchberger keeps, every cached reduced basis and every cached
+Schreyer generator is a primitive integer vector: content 1, positive
+leading coefficient, not divided out.  That form
 is a unique multiple of the monic vector, so a reduced basis in it is still
 canonical, and cache keys, `SubmoduleBasis.__eq__` and `__hash__` still
 decide equality of submodules.  A reduction step is a pseudo-division: with
@@ -50,9 +51,11 @@ end.  Over GF(p) elements are kept monic and the same steps run with
 multipliers 1 and c/lc(b), so λ = 1.  Every element is a nonzero scalar
 multiple of the one a field-coefficient run would hold, so leading terms,
 divisibility tests, pairs and both criteria are the same and the same
-reductions run.  Fractions are made only where a vector leaves the engine
-(`_field_vp`): made monic, or divided by its λ, it is the field run's vector
-to the last coefficient.
+reductions run.  Field coefficients are made only where a vector leaves the
+engine (`_field_vp`): made monic, or divided by its λ, it is the field run's
+vector to the last coefficient, each rational an int when it is an integer
+and a Fraction only otherwise, so a vector with no denominator leaves as it
+is.
 
 Every linear system over A is solved on one graph module.  For columns
 col_j in A^rank and relations rel, `_graph_module` flattens the generators
@@ -197,7 +200,8 @@ def _cofactors(a: int, b: int, p: int) -> tuple:
 
 def _cleared(vp: dict, p: int) -> tuple:
     """(w, d): over Q, w = d·vp as ints, d the lcm of the denominators of
-    vp's coefficients; over GF(p), vp itself and 1."""
+    vp's coefficients, and w is vp itself when d is 1 (`_numerators`); over
+    GF(p), vp itself and 1."""
     if p:
         return vp, 1
     d = _denominator(vp.values())
@@ -302,15 +306,14 @@ def _field_vp(vp: dict, d: int, field) -> dict:
     the engine's working form.  d is an element's leading coefficient (the
     monic vector) or a normal form's λ times its input's denominator.
 
-    Over GF(p) the working form is already monic and d is 1, so vp is
-    returned as it is.  Over Q each coefficient is made once, as
-    Fraction(c, d); one equal to d is the shared field.one, not a new
-    Fraction per term.
+    Over GF(p) the working form is already monic and d is 1, and over Q d
+    may be 1: vp is then returned as it is.  Otherwise each coefficient is
+    made once, in the field's form over Q: c // d when d divides c, and
+    Fraction(c, d) only when it does not.
     """
-    if field.char:
+    if field.char or d == 1:
         return vp
-    one = field.one
-    return {t: one if c == d else Fraction(c, d) for t, c in vp.items()}
+    return {t: Fraction(c, d) if c % d else c // d for t, c in vp.items()}
 
 
 def _monic_column(e: _Element, ring: RingSpec) -> dict:
@@ -458,8 +461,8 @@ _GB_CACHE: OrderedDict = OrderedDict()
 
 class _Key:
     """A cache key that hashes its tuple once: the tuple holds every
-    coefficient of the generators, and a Fraction hashes by a modular
-    inverse on each call."""
+    coefficient of the generators, and a Fraction among them hashes by a
+    modular inverse on each call."""
 
     __slots__ = ("t", "h")
 
@@ -581,7 +584,7 @@ class SubmoduleBasis:
     def plus(self, other: "SubmoduleBasis") -> "SubmoduleBasis":
         if other.ambient_rank != self.ambient_rank or other.ring != self.ring:
             raise ValueError("ambient mismatch")
-        return SubmoduleBasis(self.ring, self.ambient_rank, self.cols + other.cols)
+        return _basis(SubmoduleBasis, self.ring, self.ambient_rank, self.cols + other.cols)
 
     def __eq__(self, other):
         if not isinstance(other, SubmoduleBasis):
@@ -638,6 +641,21 @@ class IdealBasis(SubmoduleBasis):
 
     def __repr__(self):
         return f"IdealBasis({[str(g) for g in self.generators]})"
+
+
+def _basis(cls, ring: RingSpec, rank: int, cols: Sequence[dict], gb: Optional[list] = None):
+    """A `cls` (SubmoduleBasis, or IdealBasis at rank 1) of A^rank on
+    `cols`, sparse columns over ring as `_column` makes them, with `gb` as
+    its reduced basis when given: no check and no copy is made, unlike the
+    constructors.  For columns this module has just made or already
+    checked."""
+    b = cls.__new__(cls)
+    b.ring = ring
+    b.ambient_rank = rank
+    b.cols = tuple(cols)
+    b._gb = gb
+    b._by_pos = None
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -740,9 +758,7 @@ def _reduced_kernel(cols: Sequence[Mapping[int, Poly]], ring: RingSpec, rank: in
     certificate against it is in these generators."""
     n = len(cols)
     gb = _compute_gb(ring, n, _schreyer(cols, (), ring, rank))
-    kernel = SubmoduleBasis(ring, n, [_monic_column(e, ring) for e in gb])
-    kernel._gb = gb
-    return kernel
+    return _basis(SubmoduleBasis, ring, n, [_monic_column(e, ring) for e in gb], gb)
 
 
 def _kernel_and_image(cols: Sequence[Mapping[int, Poly]], ring: RingSpec, rank: int) -> tuple:
@@ -849,7 +865,8 @@ def module_quotient(rel: SubmoduleBasis, vec) -> IdealBasis:
     """(rel : vec) = {a : a*vec in rel} as an ideal: the preimage of rel
     under a ↦ a·vec.  vec is a sequence of Poly or a sparse column."""
     col = _column(vec, rel.ring, rel.ambient_rank)
-    return IdealBasis(rel.ring, [t[0] for t in _preimage([col], rel.cols, rel.ring, rel.ambient_rank)])
+    # a preimage generator of one column is a nonzero column {0: a}
+    return _basis(IdealBasis, rel.ring, 1, _preimage([col], rel.cols, rel.ring, rel.ambient_rank))
 
 
 def ideal_intersection(I: IdealBasis, J: IdealBasis) -> IdealBasis:
@@ -859,9 +876,10 @@ def ideal_intersection(I: IdealBasis, J: IdealBasis) -> IdealBasis:
     if J.ring != ring:
         raise RingMismatchError(f"ring mismatch: {J.ring!r} vs {ring!r}")
     gs = I.generators
-    pre = _preimage(I.cols, J.cols, ring, 1)
-    return IdealBasis(ring, [sum((a * gs[j] for j, a in sorted(t.items())), ring.zero())
-                             for t in pre])
+    meet = [sum((a * gs[j] for j, a in sorted(t.items())), ring.zero())
+            for t in _preimage(I.cols, J.cols, ring, 1)]
+    # a syzygy of I's generators gives the zero generator, kept as {}
+    return _basis(IdealBasis, ring, 1, [{0: g} if g.keys else {} for g in meet])
 
 
 def radical_membership(f: Poly, rel: SubmoduleBasis) -> bool:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from _canonical import canonical
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -45,6 +46,24 @@ def test_characteristic():
     assert Q2.field.char == 0
     assert F7.field.char == 7
     assert RingSpec("Q", ("x",)).field.of(3) == Fraction(3)
+
+
+def test_coefficients_are_ints_and_fractions_only():
+    # a float would be truncated over GF(p) (2.5 -> 2, 0.1 -> 0) and kept
+    # as its binary value over Q, and a string parsed over Q alone: every
+    # way a coefficient enters refuses them on both fields
+    from decimal import Decimal
+    for ring in (Q2, F7):
+        x = ring.var("x")
+        for bad in (2.5, 0.1, 2.0, "3", "1/2", Decimal("0.5"), None):
+            with pytest.raises(ValueError, match="not an int or a Fraction"):
+                Poly(ring, {(1, 0): bad})
+            with pytest.raises(ValueError, match="not an int or a Fraction"):
+                ring.const(bad)
+            with pytest.raises(ValueError, match="not an int or a Fraction"):
+                x.scale(bad)
+        # a bool counts as its int
+        assert ring.const(True) == ring.one() and x.scale(False).is_zero()
 
 
 def test_mod_p_normalization():
@@ -132,7 +151,10 @@ def test_poly_constructor_checks_its_exponent_tuples():
     # coefficients are brought into the field, as every operation keeps them
     assert Poly(F7, {(1, 0): 9}) == F7.var("x").scale(2)
     assert Poly(F7, {(1, 0): 7}).is_zero()
-    assert type(Poly(Q2, {(1, 0): 1}).terms[(1, 0)]) is Fraction
+    # over Q an integer is an int and anything else a Fraction in lowest terms
+    for c, want in [(1, 1), (Fraction(4, 2), 2), (True, 1), (Fraction(-1, 2), Fraction(-1, 2))]:
+        got = Poly(Q2, {(1, 0): c}).terms[(1, 0)]
+        assert got == want and type(got) is type(want) and canonical(got, 0)
 
 
 # --------------------------------------------------------------------------
@@ -208,7 +230,7 @@ def test_arithmetic_matches_term_by_term_reference(ring, data):
     assert (-a).terms == _reference_sum(ring.zero(), a, -1)
     assert (a * b).terms == _reference_product(a, b)
     for p in (a + b, a - b, -a, a * b):
-        assert all(type(c) is (int if ring.field.char else Fraction) for c in p.terms.values())
+        assert all(canonical(c, ring.field.char) for c in p.terms.values())
 
 
 @given(polys(), st.integers(0, 5))
@@ -297,6 +319,17 @@ def test_canonical_strings():
     assert str(P("2*x - 3")) == "2*x - 3"
     assert str(P("1/2*x^2*y")) == "1/2*x^2*y"
     assert str(P("(x + y)^2")) == "x^2 + 2*x*y + y^2"
+
+
+def test_one_printing_rule_for_both_fields():
+    # the sign comes from c < 0 and the magnitude is abs(c), with / only for
+    # a Fraction; GF(p) coefficients are never negative
+    p = P("-3*x^2 + 1/2*y - 1")
+    assert [type(c) for _, c in p.sorted_terms()] == [int, Fraction, int]
+    assert str(p) == "-3*x^2 + 1/2*y - 1"
+    assert str(P("-6/3*x - 1/2 + 4/2*y")) == "-2*x + 2*y - 1/2"
+    assert str(P("-3*x^2 + 1/2*y - 1", F7)) == "4*x^2 + 4*y + 6"
+    assert str(P("x - 1", F7)) == "x + 6"
 
 
 @given(polys())

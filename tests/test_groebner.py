@@ -11,6 +11,7 @@ from itertools import product
 from operator import le
 
 import pytest
+from _canonical import canonical
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -728,8 +729,7 @@ def test_buchberger_matches_field_reference(field, order, rank):
         ours = _buchberger([_vp_of(g, ring) for g in gens], ring, rank)
         ref = _buchberger_reference([_tuple_vp(g) for g in gens], ring, rank)
         assert _gb_data(ours, ring, rank) == _ref_gb_data(ref)
-        if field == "Q":
-            assert all(type(c) is Fraction for e in ours for c in _monic(e, ring).values())
+        assert all(canonical(c, ring.field.char) for e in ours for c in _monic(e, ring).values())
         for _ in range(3):
             vec = tuple(Poly(ring, {
                 tuple(rng.randint(0, 3) for _ in range(3)): ring.field.of(rng.choice(RATIONALS))
@@ -1304,3 +1304,70 @@ def test_engine_edge_is_pinned():
     lines = _edge_transcript()
     assert len(lines) == EDGE_LINES
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EDGE_TRANSCRIPT_SHA256
+
+
+def test_every_rational_coefficient_is_made_in_its_one_form():
+    # over Q a coefficient is an int exactly when it is an integer and a
+    # Fraction with denominator > 1 otherwise, at every place one is made:
+    # parsing, Poly arithmetic, map products and minors, and every exit of
+    # the engine; each place makes both kinds here
+    from koszul_lab.arith import exact_division
+    from koszul_lab.groebner import _column, _graph_coordinates, _preimage
+    from koszul_lab.modcalc import FreeMap, determinant_of_square, fitting_ideal
+    made: dict = {}
+
+    def record(where, *polys):
+        made.setdefault(where, []).extend(c for p in polys for c in p.keys.values())
+
+    ring, quotients, pairs = _quotient_corpus("Q")
+    x, y, _ = ring.gens()
+    half, third = ring.const(Fraction(1, 2)), ring.const(Fraction(1, 3))
+    parsed = parse_poly("4/2*x - 6/3*y + 1/2*z", ring)
+    assert parsed.terms == {(1, 0, 0): 2, (0, 1, 0): -2, (0, 0, 1): Fraction(1, 2)}
+    record("parse", parsed)
+    record("terms", Poly(ring, {(1, 0, 0): Fraction(4, 2), (0, 1, 0): Fraction(1, 3)}))
+    record("add", half * x + half * x, half * x + third * x)
+    record("sub", half * x - ring.const(Fraction(-1, 2)) * x, x - third * x)
+    record("mul", half * (x + y) * ring.const(2), half * third * x)
+    record("scale", (half * x).scale(2), x.scale(Fraction(2, 3)))
+    record("monic", (ring.const(3) * x + ring.const(6) * y).monic(),
+           (ring.const(Fraction(2, 3)) * x + y).monic())
+    numer = (half * x + ring.const(3)) * (x - half * y)
+    assert exact_division(numer, half * x + ring.const(3)) == x - half * y
+    record("exact_division", exact_division(numer, half * x + ring.const(3)),
+           exact_division(numer, x - half * y))
+
+    _, matrices = _matrix_corpus("Q", "grevlex")
+    for rows in matrices:
+        m = FreeMap(ring, rows)
+        square = m.compose(FreeMap(ring, [list(c) for c in zip(*rows)]))
+        record("compose", *(p for r in square.entries for p in r))
+        record("determinant", determinant_of_square(square))
+        for t in range(1, min(m.target_rank, m.source_rank) + 1):
+            record("minors", *fitting_ideal(m, t).generators)
+        ncols = len(rows[0])
+        record("syzygies", *(p for g in syzygies(rows, ring, ncols) for p in g))
+    for rel, vec in quotients:
+        rank = rel.ambient_rank
+        sub = rel.plus(SubmoduleBasis(ring, rank, [vec]))
+        record("reduced_gb", *(p for g in sub.reduced_gb for p in g))
+        rem, cert = rel.nf_vector(tuple(half * p + third * q for p, q in zip(vec, vec[1:] + vec[:1])),
+                                  want_cert=True)
+        record("nf_vector", *rem, *cert)
+        cols = [_column(g, ring, rank) for g in rel.generators + (vec,)]
+        record("_preimage", *(p for t in _preimage(cols, rel.cols, ring, rank) for p in t.values()))
+        record("module_quotient", *module_quotient(rel, vec).generators)
+        # each column and half of it lie in the span
+        vecs = cols + [{i: half * p for i, p in c.items()} for c in cols]
+        record("_graph_coordinates", *(p for t in _graph_coordinates(vecs, cols, rel, ring, rank)
+                                       if t for p in t.values()))
+    for I, J in pairs:
+        record("reduced_gb", *I.reduced_gb)
+        record("ideal_intersection", *ideal_intersection(I, J).generators)
+    assert sorted(made) == sorted([
+        "parse", "terms", "add", "sub", "mul", "scale", "monic", "exact_division", "compose",
+        "determinant", "minors", "syzygies", "reduced_gb", "nf_vector", "_preimage",
+        "module_quotient", "_graph_coordinates", "ideal_intersection"])
+    for where, coefficients in made.items():
+        assert all(canonical(c, 0) for c in coefficients), where
+        assert {type(c) for c in coefficients} == {int, Fraction}, where

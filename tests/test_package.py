@@ -69,7 +69,7 @@ def test_no_unused_imports():
 ENGINE_PRIVATE = {"_nf_vp", "_by_position", "_compute_gb", "_graph_module", "_kernel_and_image",
                   "_buchberger", "_vp_from_column", "_column_from_vp", "_Element", "_GB_CACHE",
                   "_cached", "_Key", "_schreyer", "_reduce", "_unit_normal", "_cofactors",
-                  "_vp_canonical", "_field_vp", "_monic_column", "_cleared", "_indexed"}
+                  "_vp_canonical", "_field_vp", "_monic_column", "_cleared", "_indexed", "_basis"}
 ARITH_PRIVATE = {"_product_sums", "_numerators", "_coefficients", "_denominator", "_add_scaled",
                  "_Terms", "_integer_rows", "_minor_sums", "_unit_class"}
 
@@ -126,6 +126,25 @@ def test_typical_sums_and_complexes_have_one_builder():
     # from its multiplicities for the lifts, and the checker builds it again
     covers = _callers(lambda f: isinstance(f, ast.Name) and f.id == "_typical_sum_cube")
     assert covers == {("resolve", "koszul_resolve"), ("resolve", "check_resolution")}
+
+
+def test_only_the_engine_makes_a_basis_unchecked():
+    # a basis made by groebner._basis skips _column's ring and position
+    # checks, so only the engine hands it columns: those it has just made
+    # (module quotients, intersections, reduced kernels) or already checked
+    # (the sum of two submodules)
+    unchecked = _callers(lambda f: isinstance(f, ast.Name) and f.id == "_basis")
+    assert unchecked == {("groebner", "module_quotient"), ("groebner", "ideal_intersection"),
+                         ("groebner", "_reduced_kernel"), ("groebner", "plus")}
+
+
+def test_no_true_division_in_the_library():
+    # an int divided by an int is a float, so no coefficient may meet `/`:
+    # the one inverse over Q is made by Fraction (arith._Field.inv)
+    divisions = [f"{path.name}:{node.lineno}" for path in sorted(SRC.rglob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+    assert divisions == []
 
 
 def test_a_resolution_stores_only_its_choices():
