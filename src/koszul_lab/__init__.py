@@ -12,13 +12,10 @@ from .groebner import (
     IdealBasis,
     SubmoduleBasis,
     grade,
-    groebner_basis,
     ideal_dimension,
     ideal_intersection,
-    ideal_membership,
     ideal_quotient,
     module_quotient,
-    normal_form,
     radical_membership,
     syzygies,
 )
@@ -28,22 +25,18 @@ from .modcalc import (
     FPModule,
     FreeMap,
     LiftError,
-    annihilator,
     cokernel,
     determinant_of_square,
     fitting_ideal,
     homology,
     is_injective,
     is_zero_module,
-    kernel_generators,
-    lift_through_surjection,
     min_annihilating_power,
     zero_spherical,
 )
 from .cube import (
     ADMISSIBILITY_STRATEGIES,
     Cube,
-    CubeOrdering,
     ModCube,
     Report,
     degenerate_directions,
@@ -68,7 +61,6 @@ from .koszul import (
     is_koszul_cube,
     is_reduced_koszul,
     is_regular_sequence,
-    koszul_nondegenerate_part,
     random_koszul,
     typical_cube,
     verify_weight_decomposition,

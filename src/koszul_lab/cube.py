@@ -38,7 +38,6 @@ from .modcalc import (
 __all__ = [
     "Cube",
     "ModCube",
-    "CubeOrdering",
     "Report",
     "subset_key",
     "validate_cube",
@@ -85,25 +84,6 @@ class Report:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-class CubeOrdering:
-    """Bijection from cube labels to positions 1..n (the sign convention input)."""
-
-    __slots__ = ("sequence", "_pos")
-
-    def __init__(self, sequence: Sequence[str]):
-        sequence = tuple(sequence)
-        if len(set(sequence)) != len(sequence):
-            raise ValueError("ordering must be a bijection (repeated label)")
-        self.sequence = sequence
-        self._pos = {lab: i + 1 for i, lab in enumerate(sequence)}
-
-    def position(self, label: str) -> int:
-        return self._pos[label]
-
-    def __repr__(self):
-        return f"CubeOrdering({list(self.sequence)})"
 
 
 class Cube:
@@ -267,8 +247,8 @@ def degenerate_directions(x: Cube) -> frozenset:
     """Labels k along which the cube is degenerate (all d^k invertible).
 
     Every boundary parallel to d^k is tested, until one is not invertible; a
-    boundary that is not square is not.  On a verified Koszul cube the top
-    boundary alone decides (see koszul.koszul_nondegenerate_part).
+    boundary that is not square is not.  On a Koszul cube the top boundary
+    d^k_S alone would decide, but this test does not assume one.
     """
     return frozenset(k for k in x.labels if all(
         m.source_rank == m.target_rank and is_unit(determinant_of_square(m))
@@ -285,28 +265,25 @@ def nondegenerate_part(x: Cube) -> Cube:
 # total complex
 # ---------------------------------------------------------------------------
 
-def total_complex(x: Cube, ordering: Optional[CubeOrdering] = None) -> Complex:
+def total_complex(x: Cube) -> Complex:
     """Tot(x): degree k is ⊕_{|T|=k} x_T, components ordered by serialized subset.
 
     The component of the differential from summand T to T∖{j} is
-    (−1)^{#{t ∈ T : α(t) > α(j)}} · d^j_T, where α is the ordering (labels in
-    their declared order by default).  The Complex constructor re-asserts
-    d ∘ d = 0.
+    (−1)^{#{t ∈ T : t after j in x.labels}} · d^j_T, so the signs follow the
+    cube's label order; the same cube with its labels in another order gives
+    the signs of that order.  The Complex constructor re-asserts d ∘ d = 0.
     """
     _require_free(x)
-    maps, ranks = _total_complex(x, ordering)
+    maps, ranks = _total_complex(x)
     return Complex(x.ring, ranks, [_freemap(x.ring, r, cols) for r, cols in zip(ranks, maps)])
 
 
-def _total_complex(x: Cube, ordering: Optional[CubeOrdering] = None) -> tuple:
+def _total_complex(x: Cube) -> tuple:
     """(maps, ranks) of Tot(x), for a cube already known to be a valid free
     cube: ranks[k] is the rank of degree k and maps[k-1] the sparse columns
     of d_k, the form `groebner._nonexact_degree` reads.  Nothing re-checks
     d ∘ d = 0, which holds because x's squares commute."""
-    if ordering is None:
-        ordering = CubeOrdering(x.labels)
-    if sorted(ordering.sequence) != sorted(x.labels):
-        raise ValueError("ordering is not a bijection on the cube's labels")
+    position = {lab: i for i, lab in enumerate(x.labels)}
     n = len(x.labels)
     layers = []  # per degree: list of subsets in canonical order
     offsets = []  # per degree: subset -> starting row/column
@@ -327,7 +304,7 @@ def _total_complex(x: Cube, ordering: Optional[CubeOrdering] = None) -> tuple:
         for T in layers[k]:
             col0 = offsets[k][T]
             for j in sorted(T):
-                sign = sum(1 for t in T if ordering.position(t) > ordering.position(j)) % 2
+                sign = sum(1 for t in T if position[t] > position[j]) % 2
                 m = x.d(T, j)
                 row0 = offsets[k - 1][T - {j}]
                 for jj, c in enumerate(m.cols):

@@ -94,9 +94,6 @@ __all__ = [
     "CapExceededError",
     "IdealBasis",
     "SubmoduleBasis",
-    "groebner_basis",
-    "normal_form",
-    "ideal_membership",
     "ideal_quotient",
     "ideal_intersection",
     "module_quotient",
@@ -659,37 +656,8 @@ def _basis(cls, ring: RingSpec, rank: int, cols: Sequence[dict], gb: Optional[li
 
 
 # ---------------------------------------------------------------------------
-# spec'd operations
+# linear systems on the graph module, and the ideal operations
 # ---------------------------------------------------------------------------
-
-def groebner_basis(gens):
-    """Populate (and return) the reduced Groebner basis cache of a basis object."""
-    gens._gb_elements()
-    return gens
-
-
-def normal_form(f, basis):
-    """Remainder + division certificate of f against the basis's reduced GB.
-
-    For an IdealBasis, f is a Poly and the certificate is a list of Poly
-    multipliers aligned with `basis.reduced_gb`; for a SubmoduleBasis, f is a
-    vector (sequence of Poly) and the certificate has the same shape.
-    The identity  f = sum_i cert_i * gb_i + remainder  holds exactly.
-    """
-    if isinstance(basis, IdealBasis):
-        return basis.nf(f, want_cert=True)
-    if isinstance(basis, SubmoduleBasis):
-        return basis.nf_vector(f, want_cert=True)
-    raise TypeError(f"unsupported basis type {type(basis).__name__}")
-
-
-def ideal_membership(f: Poly, I: IdealBasis):
-    """(True, certificate) when f is in I, else (False, None)."""
-    rem, cert = I.nf(f, want_cert=True)
-    if rem.is_zero():
-        return True, cert
-    return False, None
-
 
 def _graph_module(cols: Sequence[dict], rels: Sequence[dict], ring: RingSpec, rank: int) -> list:
     """The graph module of the flattened columns `cols` modulo the flattened

@@ -70,7 +70,6 @@ __all__ = [
     "typical_cube",
     "is_koszul_cube",
     "is_reduced_koszul",
-    "koszul_nondegenerate_part",
     "determinant",
     "det_is_a_sequence",
     "be_acyclicity",
@@ -312,26 +311,6 @@ def is_reduced_koszul(x: Cube, fs) -> bool:
         raise ValueError("not a Koszul cube with respect to the given sequence")
     seq = _sequence_by_label(x, fs)
     return all(_kills(seq[k], cokernel(x.d(T, k))) for T in x.subsets() for k in sorted(T))
-
-
-def koszul_nondegenerate_part(x: Cube, fs) -> Cube:
-    """nondegenerate_part of a Koszul cube, decided by the top determinants.
-
-    On a Koszul cube, invertibility of d^k at the top subset S forces
-    invertibility of every parallel boundary, so direction k is degenerate
-    iff d^k_S is invertible.  That is false on other cubes, so the Koszul
-    condition is verified here first, and a cube that fails it raises.  The
-    verification takes det d^k_S of each square top boundary, and the map
-    keeps it, so reading it here takes nothing more; a boundary that is not
-    square is not invertible.
-    """
-    if not is_koszul_cube(x, fs).is_koszul:
-        raise ValueError("shortcut degeneracy detection requires a verified Koszul cube")
-    S = frozenset(x.labels)
-    top = {k: x.d(S, k) for k in x.labels}
-    deg = {k for k, m in top.items()
-           if m.source_rank == m.target_rank and is_unit(determinant_of_square(m))}
-    return restrict(x, S - deg, frozenset())
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,13 @@ submodule of relations, and every operation below reduces to Groebner
 computations on the relations or on free-map matrices.  Each linear system
 among them is asked of the engine in sparse columns, and the engine solves
 it on its one graph module: kernels, injectivity and the relations of
-homology presentations are preimages of 0, annihilators are built from
-quotients and intersections, which are preimages too, and lifting through a
-surjection reads coordinates modulo the relations.  The same run that gives
-a kernel gives a basis of the image, which is all 0-sphericity needs;
-support on V(f) is one Rabinowitsch test on the relations themselves,
+homology presentations are preimages of 0, and a lift X with d∘X ≡ b
+reads coordinates modulo the relations.  The same run that gives a kernel
+gives a basis of the image, which is all 0-sphericity needs; support on
+V(f) is one Rabinowitsch test on the relations themselves,
 rel + (1 - t·f)·A[t]^r = A[t]^r, with no quotient or annihilator formed.
-`annihilator` still forms the quotients (rel : e_i) and their
-intersection; it is the reference that test is checked against.  Fitting
-ideals and determinants come from minors, which `arith._minors` expands on
-integer sums.
+Fitting ideals and determinants come from minors, which `arith._minors`
+expands on integer sums.
 
 A `Complex` checks d ∘ d = 0 when it is built, which guards complexes that
 come from outside.  The cube layer builds none for its faces: it hands each
@@ -31,8 +28,8 @@ matrix row-major, is a view made on each read for printing.  A
 sparse column is the one form of a vector below the public API: the columns
 of a map and the relations of a module (`SubmoduleBasis.cols`) go to the
 engine as they are, and kernels, preimages and coordinates come back as
-sparse columns.  Dense tuples (`columns()`, `apply`, `kernel_generators`)
-are views for callers only.
+sparse columns.  Dense tuples (`columns()`, `apply`) are views for callers
+only.
 
 Presentations are never minimized; downstream properties are all phrased as
 zero-tests or submodule equalities, which the engine decides exactly.
@@ -53,8 +50,6 @@ from .groebner import (
     _nonexact_degree,
     _preimage,
     _reduced_kernel,
-    ideal_intersection,
-    module_quotient,
     radical_membership,
 )
 
@@ -66,14 +61,11 @@ __all__ = [
     "LiftError",
     "is_injective",
     "cokernel",
-    "annihilator",
     "supported_on",
-    "submodule_equal",
     "fitting_ideal",
     "homology",
     "is_zero_module",
     "zero_spherical",
-    "lift_through_surjection",
     "min_annihilating_power",
 ]
 
@@ -404,11 +396,6 @@ class Complex:
 # kernels / cokernels
 # ---------------------------------------------------------------------------
 
-def kernel_generators(m: FreeMap) -> list:
-    """The reduced Groebner basis of ker(m), as dense columns."""
-    return list(_reduced_kernel(m.cols, m.ring, m.target_rank).generators)
-
-
 def is_injective(m: FreeMap) -> bool:
     return not _preimage(m.cols, (), m.ring, m.target_rank)
 
@@ -417,31 +404,11 @@ def cokernel(m: FreeMap) -> FPModule:
     return FPModule(m.ring, m.target_rank, SubmoduleBasis(m.ring, m.target_rank, m.cols))
 
 
-def annihilator(M: FPModule) -> IdealBasis:
-    """ann(M) = ∩_i (relations : e_i); each generator re-verified against M."""
-    ring = M.ring
-    if M.rank == 0:
-        return IdealBasis(ring, [ring.one()])
-    acc = None
-    for i in range(M.rank):
-        quot = module_quotient(M.relations, {i: ring.one()})
-        acc = quot if acc is None else ideal_intersection(acc, quot)
-    if not all(_kills(a, M) for a in acc.generators):
-        raise RuntimeError("annihilator generator failed re-verification")
-    return acc
-
-
 def supported_on(M: FPModule, f: Poly) -> bool:
     """True iff M is supported on V(f), that is f ∈ √Ann M, or M[1/f] = 0:
     one Rabinowitsch run on the relations (`radical_membership`), with no
     quotient or annihilator formed."""
     return radical_membership(f, M.relations)
-
-
-def submodule_equal(a: SubmoduleBasis, b: SubmoduleBasis) -> bool:
-    if a.ring != b.ring or a.ambient_rank != b.ambient_rank:
-        raise ValueError("ambient mismatch")
-    return a == b
 
 
 def is_zero_module(M: FPModule) -> bool:
@@ -558,30 +525,6 @@ def zero_spherical(c: Complex) -> bool:
     differential and no H_k presented.
     """
     return _nonexact_degree([d.cols for d in c.differentials], c.ranks, c.ring) is None
-
-
-# ---------------------------------------------------------------------------
-# lifting
-# ---------------------------------------------------------------------------
-
-def lift_through_surjection(f: FreeMap, p: FreeMap, module: FPModule) -> FreeMap:
-    """g with p∘g = f as maps into the module presented on the shared target.
-
-    Both f and p land in module's ambient A^rank; equality holds modulo the
-    module's relations and is re-verified before returning.
-    """
-    if f.target_rank != module.rank or p.target_rank != module.rank:
-        raise ValueError("maps must share the module's ambient rank")
-    # one solve for the basis vectors and the columns of f; once every basis
-    # vector has a preimage, so does every column of f
-    lifted = _factor_through(p, FreeMap.hstack(FreeMap.identity(module.ring, module.rank), f),
-                             module.relations)
-    if isinstance(lifted, int):
-        raise LiftError("map is not surjective onto the module")
-    g = _freemap(module.ring, p.source_rank, lifted.cols[module.rank:])
-    if not _congruent(p.compose(g), f, module.relations):
-        raise RuntimeError("lift failed re-verification")
-    return g
 
 
 def min_annihilating_power(f: Poly, M: FPModule, cap: int) -> int:

@@ -340,6 +340,20 @@ def test_failed_reverification_is_internal_error(monkeypatch):
     assert "failed verification" in err["message"]
 
 
+def test_homology_reverification_failure_is_internal_error(monkeypatch):
+    # modcalc.homology re-verifies each image column against the kernel the
+    # engine returned; a wrong kernel is a defect of the program: exit 4
+    import koszul_lab.modcalc
+    from koszul_lab.groebner import SubmoduleBasis
+    monkeypatch.setattr(koszul_lab.modcalc, "_reduced_kernel",
+                        lambda cols, ring, rank: SubmoduleBasis(ring, len(cols), []))
+    out, code = run("homology", "--input", golden_in("typ_xy.json"))
+    assert code == 4
+    err = json.loads(out)["error"]
+    assert err == {"type": "internal",
+                   "message": "image column escaped the kernel — broken complex"}
+
+
 COMMANDS = ["admissible", "aseq", "be-check", "det", "factor-lemma", "fitting", "generators",
             "grade", "h0", "homology", "koszul-check", "random-koszul", "reduced-check",
             "regseq", "resolve", "tot", "typical", "validate", "weight-decomp"]

@@ -7,7 +7,6 @@ from koszul_lab.arith import RingSpec, parse_poly
 from koszul_lab.cube import (
     ADMISSIBILITY_STRATEGIES,
     Cube,
-    CubeOrdering,
     ModCube,
     _h0_modcube,
     _mod_injective,
@@ -28,7 +27,6 @@ from koszul_lab.modcalc import (
     FreeMap,
     homology,
     is_zero_module,
-    submodule_equal,
     zero_spherical,
 )
 
@@ -122,8 +120,8 @@ def test_module_cube_admissibility():
             h = _h0_modcube(x, k)
             assert is_admissible(h, "definition").ok and is_admissible(h, "inductive").ok
             rest = [lab for lab in x.labels if lab != k]
-            assert submodule_equal(iterated_h0(h, rest).vertices[E].relations,
-                                   iterated_h0(x, x.labels).vertices[E].relations)
+            assert (iterated_h0(h, rest).vertices[E].relations
+                    == iterated_h0(x, x.labels).vertices[E].relations)
     # on H_0^k of non-admissible cubes the two strategies agree, both ways
     verdicts = set()
     for x in perturbed_suite(20):
@@ -247,22 +245,18 @@ def test_total_complex_three_directions():
     assert c.differential(1) == FreeMap(Q3, [[x, y, z]])
     # d^2 = 0 is enforced by the Complex constructor; homology is the real check
     assert zero_spherical(c)
-    assert submodule_equal(homology(c, 0).relations,
-                           SubmoduleBasis(Q3, 1, [(x,), (y,), (z,)]))
+    assert homology(c, 0).relations == SubmoduleBasis(Q3, 1, [(x,), (y,), (z,)])
 
 
 def test_total_complex_custom_ordering():
+    # the same cube with its labels in the order 2, 1: summand order is
+    # always canonical, and the label order only flips signs
     x = typical_cube([X, Y])
-    rev = CubeOrdering(("2", "1"))
-    c = total_complex(x, ordering=rev)
-    # summand order is always canonical; the ordering only flips signs
+    c = total_complex(Cube(Q2, ("2", "1"), dict(x.vertices), dict(x.boundary)))
     assert c.differential(1) == FreeMap(Q2, [[X, Y]])
     assert c.differential(2) == FreeMap(Q2, [[-Y], [X]])
     assert zero_spherical(c)
-    assert submodule_equal(homology(c, 0).relations,
-                           SubmoduleBasis(Q2, 1, [(X,), (Y,)]))
-    with pytest.raises(ValueError):
-        total_complex(x, ordering=CubeOrdering(("1", "3")))
+    assert homology(c, 0).relations == SubmoduleBasis(Q2, 1, [(X,), (Y,)])
 
 
 def test_restrict_faces():
@@ -321,13 +315,23 @@ def test_directional_homology_h1():
 def test_directional_homology_h1_without_coordinates_raises(monkeypatch):
     # an induced boundary is written in the target's kernel generators; when
     # the solver finds no coordinates the invariant is broken, and that is a
-    # RuntimeError naming the boundary, not a None inside a matrix
+    # RuntimeError naming the boundary and the first generator the lift
+    # (cube._factor_through) reports, not a None inside a matrix
+    import koszul_lab.cube
     import koszul_lab.modcalc
     from _gen import zero_direction
-    monkeypatch.setattr(koszul_lab.modcalc, "_graph_coordinates",
-                        lambda vecs, *rest: [None] * len(vecs))
+    from koszul_lab.koszul import random_koszul
     x = zero_direction(typical_cube([X, Y]), "2")
-    with pytest.raises(RuntimeError, match=r"d\^1_\{1,2\} maps kernel generator 0 out"):
+    with monkeypatch.context() as m:
+        m.setattr(koszul_lab.modcalc, "_graph_coordinates", lambda vecs, *rest: [None] * len(vecs))
+        with pytest.raises(RuntimeError, match=r"d\^1_\{1,2\} maps kernel generator 0 out"):
+            directional_homology(x, "2", 1)
+    # zeroing d^2 of a rank-2 cube leaves two kernel generators per vertex
+    x = zero_direction(random_koszul([X, Y], 2, 3, seed=11), "2")
+    assert directional_homology(x, "2", 1).vertex_rank == {E: 2, S1: 2}
+    monkeypatch.setattr(koszul_lab.cube, "_factor_through", lambda d, b, rel: 1)
+    with pytest.raises(RuntimeError, match=r"^d\^1_\{1,2\} maps kernel generator 1 out of "
+                                           r"the kernel of d\^2$"):
         directional_homology(x, "2", 1)
 
 
@@ -357,8 +361,7 @@ def test_iterated_h0_agreement():
     x = typical_cube([X, Y])
     mc = iterated_h0(x, {"1", "2"})
     assert mc.labels == ()
-    assert submodule_equal(mc.vertex(E).relations,
-                           SubmoduleBasis(Q2, 1, [(X,), (Y,)]))
+    assert mc.vertex(E).relations == SubmoduleBasis(Q2, 1, [(X,), (Y,)])
 
 
 def test_iterated_h0_requires_admissibility():
@@ -384,10 +387,10 @@ def test_iterated_h0_explicit_orders():
     want = SubmoduleBasis(Q3, 1, [(x,), (z,)])
     mc = iterated_h0(t, {"1", "3"})
     assert mc.labels == ("2",)
-    assert submodule_equal(mc.vertex(E).relations, want)
+    assert mc.vertex(E).relations == want
     # the reverse order presents the same vertex
     rev = _h0_modcube(_h0_modcube(t, "3"), "1")
-    assert submodule_equal(rev.vertex(E).relations, want)
+    assert rev.vertex(E).relations == want
 
 
 def test_iterated_h0_matches_tot_h0():
@@ -397,7 +400,7 @@ def test_iterated_h0_matches_tot_h0():
     mc = iterated_h0(t, T)
     for W in mc.subsets():
         tot0 = homology(total_complex(restrict(t, T, W)), 0)
-        assert submodule_equal(mc.vertex(W).relations, tot0.relations)
+        assert mc.vertex(W).relations == tot0.relations
 
 
 # --------------------------------------------------------------------------

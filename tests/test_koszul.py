@@ -7,10 +7,11 @@ from math import factorial
 import pytest
 
 import _gen
+from _reference import annihilator
 import koszul_lab.cube as cube
 import koszul_lab.koszul as koszul
 import koszul_lab.modcalc as modcalc
-from koszul_lab.arith import RingSpec, parse_poly
+from koszul_lab.arith import RingSpec, is_unit, parse_poly
 from koszul_lab.cube import (
     ADMISSIBILITY_STRATEGIES,
     Cube,
@@ -41,7 +42,6 @@ from koszul_lab.koszul import (
     is_koszul_cube,
     is_reduced_koszul,
     is_regular_sequence,
-    koszul_nondegenerate_part,
     random_koszul,
     typical_cube,
     verify_weight_decomposition,
@@ -50,11 +50,10 @@ from koszul_lab.modcalc import (
     CapExceededError,
     Complex,
     FreeMap,
-    annihilator,
     cokernel,
+    determinant_of_square,
     is_injective,
     is_zero_module,
-    submodule_equal,
     zero_spherical,
 )
 from koszul_lab.resolve import ResolutionInput, check_resolution, koszul_resolve
@@ -340,18 +339,9 @@ def test_koszul_nondegenerate_part():
     # direction 1 is an isomorphism: still Koszul (coker = 0), but degenerate
     c = rank1_square("1", "1", "y", "y")
     assert is_koszul_cube(c, [X, Y]).is_koszul
-    nd = koszul_nondegenerate_part(c, [X, Y])
+    nd = nondegenerate_part(c)
     assert nd.labels == ("2",)
     assert nd.d(S2, "2") == FreeMap(Q2, [[Y]])
-
-
-def test_koszul_nondegenerate_part_refuses_a_cube_that_is_not_koszul():
-    # d^1 = y: coker A/(y) is not supported on V(x), so the top-boundary
-    # shortcut has no ground and the cube is refused
-    c = rank1_square("y", "y", "x", "x")
-    assert not is_koszul_cube(c, [X, Y]).is_koszul
-    with pytest.raises(ValueError, match="requires a verified Koszul cube"):
-        koszul_nondegenerate_part(c, [X, Y])
 
 
 def _same_cube(a, b):
@@ -359,16 +349,28 @@ def _same_cube(a, b):
             and a.boundary == b.boundary)
 
 
+def _top_degenerate(x):
+    """The directions k whose top boundary d^k_S is invertible."""
+    S = frozenset(x.labels)
+    top = {k: x.d(S, k) for k in x.labels}
+    return {k for k, m in top.items()
+            if m.source_rank == m.target_rank and is_unit(determinant_of_square(m))}
+
+
 def test_koszul_nondegenerate_part_matches_full_test_on_padded_cubes():
-    # an identity direction added to a Koszul cube keeps it Koszul (the new
-    # cokernels are 0) and is the one degenerate direction: the top-boundary
-    # test must drop exactly it, as the test of every parallel boundary does
+    # on a Koszul cube an invertible top boundary d^k_S forces every boundary
+    # parallel to it to be invertible, so the top boundaries decide
+    # degeneracy.  An identity direction added to a Koszul cube keeps it
+    # Koszul (the new cokernels are 0) and is the one degenerate direction:
+    # the top-boundary rule must find exactly it, as the test of every
+    # parallel boundary does
     cases = _gen.koszul_suite(100) + _gen.nonlinear_koszul_suite()
     for x, fs in cases:
         padded = _gen.pad_identity(x, "9")
-        short = koszul_nondegenerate_part(padded, list(fs) + [fs[0].ring.gens()[0]])
-        assert _same_cube(short, nondegenerate_part(padded))
-        assert _same_cube(short, x)
+        assert is_koszul_cube(padded, list(fs) + [fs[0].ring.gens()[0]]).is_koszul
+        assert _top_degenerate(x) == degenerate_directions(x) == frozenset()
+        assert _top_degenerate(padded) == degenerate_directions(padded) == {"9"}
+        assert _same_cube(nondegenerate_part(padded), x)
 
 
 # --------------------------------------------------------------------------
@@ -499,7 +501,7 @@ def test_weight_decomposition_one_direction_faces_are_implied_by_koszul():
 
 def test_weight_decomposition_validates_once(monkeypatch):
     # the Koszul check validates the cube; its faces are not validated
-    # again, and no annihilator is computed
+    # again
     x, fs = next((x, fs) for x, fs in _gen.koszul_suite(10) if len(x.labels) == 3)
     validations = []
     real_validate = cube.validate_cube
@@ -508,12 +510,7 @@ def test_weight_decomposition_validates_once(monkeypatch):
         validations.append(c.labels)
         return real_validate(c)
 
-    def no_annihilator(M):
-        raise AssertionError("annihilator computed")
-
     monkeypatch.setattr(cube, "validate_cube", counted)
-    monkeypatch.setattr(modcalc, "annihilator", no_annihilator)
-    monkeypatch.setattr(koszul, "annihilator", no_annihilator, raising=False)
     assert verify_weight_decomposition(x, fs).info["pairs_checked"] == 27
     assert validations == [x.labels]
 
@@ -521,7 +518,7 @@ def test_weight_decomposition_validates_once(monkeypatch):
 def test_generators_presentation():
     M, cert = generators_presentation(typical_cube([X, Y]))
     assert M.rank == 1
-    assert submodule_equal(M.relations, SubmoduleBasis(Q2, 1, [(X,), (Y,)]))
+    assert M.relations == SubmoduleBasis(Q2, 1, [(X,), (Y,)])
     assert cert.a_sequence
     with pytest.raises(ValueError):
         generators_presentation(rank1_square("1", "1", "y", "y"))
@@ -564,18 +561,6 @@ def test_determinant_preconditions_take_one_determinant_per_boundary(monkeypatch
     assert len(calls) == 12
 
 
-def test_koszul_nondegenerate_part_takes_one_determinant_per_boundary(monkeypatch):
-    # the Koszul verification takes each boundary's determinant and the top
-    # ones decide degeneracy: 12 boundaries, 12 expansions (there were 15,
-    # each top determinant twice)
-    calls = _count_expansions(monkeypatch)
-    fs = [P("x", Q3), P("y^2", Q3), P("z", Q3)]
-    x = typical_cube(fs)
-    assert koszul_nondegenerate_part(x, fs).labels == x.labels
-    assert len(x.boundary) == 12
-    assert len(calls) == 12
-
-
 def test_a_cube_takes_each_determinant_once_across_checks(monkeypatch):
     # a boundary keeps its determinant, so every check run on one cube
     # shares it: 12 boundaries, 12 expansions (63 when each check kept its
@@ -586,7 +571,7 @@ def test_a_cube_takes_each_determinant_once_across_checks(monkeypatch):
     assert det_is_a_sequence(x)
     generators_presentation(x)
     assert is_koszul_cube(x, fs).is_koszul
-    assert koszul_nondegenerate_part(x, fs).labels == x.labels
+    assert nondegenerate_part(x).labels == x.labels
     assert determinant(x)[1].ok
     assert degenerate_directions(x) == frozenset()
     assert len(x.boundary) == 12

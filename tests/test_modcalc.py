@@ -6,29 +6,26 @@ from itertools import combinations
 
 import pytest
 from _canonical import canonical
+from _reference import annihilator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszul_lab.arith import Poly, RingSpec, parse_poly
 import koszul_lab.modcalc as modcalc
-from koszul_lab.groebner import IdealBasis, SubmoduleBasis, _nonexact_degree, _preimage
+from koszul_lab.groebner import IdealBasis, SubmoduleBasis, _nonexact_degree, _preimage, syzygies
 from koszul_lab.modcalc import (
     CapExceededError,
     Complex,
     FPModule,
     FreeMap,
-    LiftError,
-    annihilator,
+    _factor_through,
     cokernel,
     determinant_of_square,
     fitting_ideal,
     homology,
     is_injective,
     is_zero_module,
-    kernel_generators,
-    lift_through_surjection,
     min_annihilating_power,
-    submodule_equal,
     supported_on,
     zero_spherical,
 )
@@ -153,10 +150,11 @@ def test_freemap_rejects_negative_ranks():
 # --------------------------------------------------------------------------
 
 def test_kernel_generators():
-    ker = kernel_generators(M([["x", "y"]]))
-    assert submodule_equal(SubmoduleBasis(Q2, 2, ker),
-                           SubmoduleBasis(Q2, 2, [(Y, -X)]))
-    assert kernel_generators(M([["x"]])) == []
+    m = M([["x", "y"]])
+    ker = syzygies(m.entries, m.ring, source_rank=m.source_rank)
+    assert SubmoduleBasis(Q2, 2, ker) == SubmoduleBasis(Q2, 2, [(Y, -X)])
+    m = M([["x"]])
+    assert syzygies(m.entries, m.ring, source_rank=m.source_rank) == []
 
 
 def test_is_injective():
@@ -206,8 +204,8 @@ def test_compose_refuses_an_exponent_of_two_to_the_31():
 def test_submodule_equal():
     a = SubmoduleBasis(Q2, 2, [(X, ZERO), (ZERO, Y)])
     b = SubmoduleBasis(Q2, 2, [(X, Y), (ZERO, Y)])
-    assert submodule_equal(a, b)
-    assert not submodule_equal(a, SubmoduleBasis(Q2, 2, [(X, ZERO)]))
+    assert a == b
+    assert a != SubmoduleBasis(Q2, 2, [(X, ZERO)])
 
 
 # --------------------------------------------------------------------------
@@ -428,7 +426,7 @@ def test_complex_validates_ddzero():
 def test_koszul_homology():
     c = koszul_xy()
     H0 = homology(c, 0)
-    assert submodule_equal(H0.relations, SubmoduleBasis(Q2, 1, [(X,), (Y,)]))
+    assert H0.relations == SubmoduleBasis(Q2, 1, [(X,), (Y,)])
     assert is_zero_module(homology(c, 1))
     assert is_zero_module(homology(c, 2))
     assert zero_spherical(c)
@@ -436,7 +434,7 @@ def test_koszul_homology():
 
 def test_two_step_homology():
     c = Complex(Q2, (1, 1), (M([["x"]]),))
-    assert submodule_equal(homology(c, 0).relations, SubmoduleBasis(Q2, 1, [(X,)]))
+    assert homology(c, 0).relations == SubmoduleBasis(Q2, 1, [(X,)])
     assert is_zero_module(homology(c, 1))
     assert zero_spherical(c)
 
@@ -466,30 +464,35 @@ def test_homology_middle_degree():
 # lifting
 # --------------------------------------------------------------------------
 
+# modcalc._factor_through is the one lift: X with d∘X ≡ b modulo the
+# relations, or the index of the first column of b that has no preimage.
+# Its callers in resolve turn that index into a LiftError.
+
+def _lifts(d, b, rel):
+    """Whether X = _factor_through(d, b, rel) is a map with d∘X ≡ b modulo
+    rel, tested column by column by membership."""
+    X = _factor_through(d, b, rel)
+    assert isinstance(X, FreeMap), X
+    assert (X.target_rank, X.source_rank) == (d.source_rank, b.source_rank)
+    return all(rel.contains_vector(c) for c in (d.compose(X) - b).columns())
+
+
 def test_lift_through_surjection():
     # p : A^2 -> A/(x^2), e1 -> 1, e2 -> x ; lift f : A -> A/(x^2), 1 -> x + x^2
     mod = cyclic("x^2")
-    p = M([["1", "x"]])
-    f = M([["x + x^2"]])
-    g = lift_through_surjection(f, p, mod)
-    diff = p.compose(g) - f
-    assert mod.relations.contains_vector(diff.column(0))
+    assert _lifts(M([["1", "x"]]), M([["x + x^2"]]), mod.relations)
 
 
 def test_lift_not_surjective_raises():
-    mod = FPModule.free(Q2, 1)
-    with pytest.raises(LiftError):
-        lift_through_surjection(M([["1"]]), M([["x"]]), mod)
+    # x : A -> A is not onto, so 1 has no preimage: column 0 is reported
+    assert _factor_through(M([["x"]]), M([["1"]]), SubmoduleBasis(Q2, 1, [])) == 0
 
 
 def test_lift_infeasible_raises():
-    # p : A -> A/(x) is onto, but there is no preimage question here —
-    # a genuinely infeasible lift needs a non-surjective column target, so
-    # aim f at a free module instead.
-    mod = FPModule.free(Q2, 2)
-    p = FreeMap.from_columns(Q2, 2, [(ONE, ZERO)])  # misses e2
-    with pytest.raises(LiftError):
-        lift_through_surjection(FreeMap.identity(Q2, 2), p, mod)
+    # the 2x1 map e1 -> e1 misses e2, so the identity on A^2 lifts in its
+    # first column and not in its second: the index 1 is returned
+    p = FreeMap.from_columns(Q2, 2, [(ONE, ZERO)])
+    assert _factor_through(p, FreeMap.identity(Q2, 2), SubmoduleBasis(Q2, 2, [])) == 1
 
 
 @given(st.integers(0, 3), st.integers(0, 3))
@@ -497,10 +500,7 @@ def test_lift_infeasible_raises():
 def test_lift_roundtrip_on_cyclic_quotients(a, b):
     # any map into A/(x^2) given by a polynomial lifts through p = (1 x)
     mod = cyclic("x^2")
-    f = FreeMap(Q2, [[X ** a * Y ** b]])
-    g = lift_through_surjection(f, M([["1", "x"]]), mod)
-    diff = M([["1", "x"]]).compose(g) - f
-    assert mod.relations.contains_vector(diff.column(0))
+    assert _lifts(M([["1", "x"]]), FreeMap(Q2, [[X ** a * Y ** b]]), mod.relations)
 
 
 def _exact_at(c: Complex, k: int) -> bool:
@@ -510,7 +510,8 @@ def _exact_at(c: Complex, k: int) -> bool:
         kernel = [tuple(ring.one() if j == i else ring.zero() for j in range(rank))
                   for i in range(rank)]
     else:
-        kernel = kernel_generators(c.differential(k))
+        d = c.differential(k)
+        kernel = syzygies(d.entries, ring, source_rank=d.source_rank)
     if k == c.length:
         return not kernel
     image = SubmoduleBasis(ring, rank, c.differential(k + 1).columns())
@@ -529,7 +530,8 @@ def test_homology_presents_syzygies_of_kernel_generators():
     # satisfy one syzygy; the presentation must carry it as a relation
     R = RingSpec("Q", ("x", "y", "z"))
     c = Complex(R, (1, 3), (FreeMap(R, [list(R.gens())]),))
-    gens = kernel_generators(c.differential(1))
+    d = c.differential(1)
+    gens = syzygies(d.entries, R, source_rank=d.source_rank)
     H1 = homology(c, 1)
     assert H1.rank == len(gens) == 3
     assert not H1.relations.is_zero_submodule()
@@ -760,11 +762,15 @@ def test_graph_coordinates_batch_matches_reference(field):
 
 
 def test_lift_reports_non_surjective_before_missing_preimage():
-    # p misses e2, and so does the second column of f
-    mod = FPModule.free(Q2, 2)
+    # p misses e2: the index returned is the first column of b that has no
+    # preimage, whichever columns after it also have none
     p = FreeMap.from_columns(Q2, 2, [(ONE, ZERO)])
-    with pytest.raises(LiftError, match="not surjective"):
-        lift_through_surjection(FreeMap.identity(Q2, 2), p, mod)
+    free = SubmoduleBasis(Q2, 2, [])
+    e1, e2, xe1 = (ONE, ZERO), (ZERO, ONE), (X, ZERO)
+    assert _factor_through(p, FreeMap.from_columns(Q2, 2, [e2, e1, e2]), free) == 0
+    assert _factor_through(p, FreeMap.from_columns(Q2, 2, [e1, xe1, e2, e2]), free) == 2
+    # modulo e2 every column lifts
+    assert _lifts(p, FreeMap.from_columns(Q2, 2, [e1, xe1, e2]), SubmoduleBasis(Q2, 2, [e2]))
 
 
 # --------------------------------------------------------------------------
@@ -878,7 +884,7 @@ def test_support_forms_no_quotient(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("support formed a quotient")
 
-    monkeypatch.setattr(modcalc, "module_quotient", forbidden)
+    monkeypatch.setattr(groebner, "module_quotient", forbidden)
     monkeypatch.setattr(groebner, "_preimage", forbidden)
     assert ([supported_on(M, X) for M in modules],
             [is_koszul_cube(x, fs) for x, fs in cubes]) == want

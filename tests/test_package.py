@@ -14,13 +14,17 @@ TRACER = PERFBENCH / "tracer.py"
 TESTS = Path(__file__).resolve().parent
 
 
+def _worker_names() -> set:
+    """The names the benchmark worker reads off `koszul_lab as K`."""
+    return {node.attr for node in ast.walk(ast.parse(WORKER.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "K"}
+
+
 def test_benchmark_worker_names_exist():
     # The worker reads every name off `koszul_lab as K`; a missing one would
     # only show as every benchmark operation failing.
-    tree = ast.parse(WORKER.read_text())
-    names = {node.attr for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-             and node.value.id == "K"}
+    names = _worker_names()
     assert {"Cube", "ModCube", "is_admissible", "koszul_resolve"} <= names
     assert [n for n in sorted(names) if not hasattr(koszul_lab, n)] == []
     assert koszul_lab.ModCube is koszul_lab.Cube
@@ -37,6 +41,37 @@ def test_tracer_private_names_exist():
     missing = [f"{layer}.{name}" for layer, names in sorted(private.items()) for name in names
                if not hasattr(importlib.import_module(f"koszul_lab.{layer}"), name)]
     assert missing == []
+
+
+# user API with tests of its own that no command, library path or benchmark
+# operation calls
+API_WITHOUT_A_CALLER = {"syzygies", "ideal_intersection", "directional_homology",
+                        "nondegenerate_part"}
+
+
+def test_exported_functions_have_a_caller():
+    # every name the package re-exports is read somewhere in the library
+    # outside its own definition (the CLI counts) or by the benchmark worker
+    # as K.<name>, so a public function nothing calls shows up here
+    exported = {a.asname or a.name for node in ast.parse((SRC / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    read = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.update({node.id} - enclosing)
+        elif isinstance(node, ast.Attribute):
+            read.update({node.attr} - enclosing)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name != "__init__.py":
+            visit(ast.parse(path.read_text()), frozenset())
+    assert API_WITHOUT_A_CALLER <= exported
+    assert sorted(exported - read - _worker_names()) == sorted(API_WITHOUT_A_CALLER)
 
 
 def test_no_unused_imports():
@@ -165,20 +200,21 @@ def test_cube_morphisms_have_one_test():
     assert preserves == {("cube", "validate_cube"), ("cube", "_morphism_failures")}
     morphism = _callers(lambda f: isinstance(f, ast.Name) and f.id == "_morphism_failures")
     assert morphism == {("resolve", "verify"), ("resolve", "check_resolution")}
-    checks = _callers(lambda f: isinstance(f, ast.Name)
-                      and f.id in ("lift_through_surjection", "_kills"))
+    checks = _callers(lambda f: isinstance(f, ast.Name) and f.id == "_kills")
     assert {c for c in checks if c[0] == "resolve"} == set()
 
 
 def test_support_has_one_test():
     # support on V(f) is one Rabinowitsch run, the only user of a ring with
-    # a fresh variable; the quotients (rel : e_i) are formed only for the
-    # annihilator, the independent reference, and Fitting ideals only for
-    # the Buchsbaum-Eisenbud criterion, not for the Koszul support flags
+    # a fresh variable; a module quotient is formed only as the ideal
+    # quotient (I : f), never for support (the annihilator, formed from the
+    # quotients (rel : e_i), is a test reference only), and Fitting ideals
+    # only for the Buchsbaum-Eisenbud criterion, not for the Koszul support
+    # flags
     extended = _callers(lambda f: isinstance(f, ast.Attribute) and f.attr == "extended")
     assert extended == {("groebner", "radical_membership")}
     quotients = _callers(lambda f: isinstance(f, ast.Name) and f.id == "module_quotient")
-    assert {c for c in quotients if c[0] == "modcalc"} == {("modcalc", "annihilator")}
+    assert quotients == {("groebner", "ideal_quotient")}
     fitting = _callers(lambda f: isinstance(f, ast.Name) and f.id == "fitting_ideal")
     assert {c for c in fitting if c[0] == "koszul"} == {("koszul", "be_acyclicity")}
 

@@ -593,8 +593,8 @@ def test_verify_support_matches_annihilator_reference(monkeypatch):
     # support on V(f) is f ∈ √(rel : e_i) for each basis vector; verify()
     # must report what the radical of the whole annihilator reported
     import koszul_lab.resolve as resolve_mod
+    from _reference import annihilator
     from koszul_lab.groebner import radical_membership
-    from koszul_lab.modcalc import annihilator
     cases = _verify_cases()
     got = [inp.verify() for inp in cases]
     monkeypatch.setattr(resolve_mod, "supported_on",
@@ -608,12 +608,10 @@ def test_verify_support_matches_annihilator_reference(monkeypatch):
 
 def test_checks_solve_no_coordinates_and_form_no_annihilator(monkeypatch):
     # check_resolution and verify() only answer yes/no questions: neither
-    # reads coordinates off a graph module nor builds an annihilator.  Every
-    # solve goes through modcalc._factor_through, so patching modcalc's
-    # binding of the solver reaches all of them
-    import koszul_lab.koszul
+    # reads coordinates off a graph module (and the library forms no
+    # annihilator at all).  Every solve goes through modcalc._factor_through,
+    # so patching modcalc's binding of the solver reaches all of them
     import koszul_lab.modcalc
-    import koszul_lab.resolve
     problems = resolve_problems()[:6] + [inp for _, inp, _ in _wide_v_cases(101)]
     outs = [koszul_resolve(inp) for inp in problems]
 
@@ -621,8 +619,6 @@ def test_checks_solve_no_coordinates_and_form_no_annihilator(monkeypatch):
         raise AssertionError("called from a yes/no check")
 
     monkeypatch.setattr(koszul_lab.modcalc, "_graph_coordinates", forbidden)
-    for module in (koszul_lab.modcalc, koszul_lab.resolve, koszul_lab.koszul):
-        monkeypatch.setattr(module, "annihilator", forbidden, raising=False)
     for inp, out in zip(problems, outs):
         assert inp.verify().ok
         assert check_resolution(out, inp).ok
