@@ -43,7 +43,6 @@ from .groebner import (
     IdealBasis,
     SubmoduleBasis,
     _nonexact_degree,
-    _preimage_in,
     grade,
     ideal_quotient,
     radical_membership,
@@ -120,20 +119,36 @@ class KoszulVerdict:
 def _regular_check(fs: Sequence[Poly], order: Sequence[int], memo: dict):
     """(ok, failing position 1-based, witness) for fs taken in `order`.
 
-    memo maps (frozenset of prefix indices, index i) to the witness that f_i
-    is a zerodivisor modulo the prefix ideal, or to None when it is not.
+    Once the entries before position pos have passed, f_i, the entry at pos,
+    is a nonzerodivisor modulo (f_P), P the earlier indices, exactly when
+    grade (f_S) ≥ pos for S = P ∪ {i}:
+
+    - the entries before pos passed, so f_P is a regular sequence;
+    - if (f_P) ≠ A it is unmixed of height |P|, since A is Cohen–Macaulay
+      (Matsumura, Commutative Ring Theory, Thm 17.6); so f_i is a
+      nonzerodivisor modulo it iff f_i lies in no minimal prime of (f_P),
+      iff ht (f_P, f_i) ≥ |P| + 1, which Krull's theorem also bounds above;
+    - if (f_P) = A then (f_S) = A, whose grade is math.inf: the step passes;
+    - in k[x_1..x_n], ht I = n − dim A/I, and dim A/I = dim A/LT(I) for
+      every term order (Kredel and Weispfenning, J. Symbolic Comput. 6
+      (1988)), which is what `grade` reads off one reduced basis.
+
+    S is a set of indices, not of polynomials: (x, y, x) has grade 2 < 3 at
+    S = {0, 1, 2} and fails at position 3.  memo maps S to its verdict; it
+    is read only after the entries before pos have passed in the current
+    order, so the verdict holds whichever order stored it.  Only a failing
+    step forms the quotient (f_P : f_i), for its witness.
     """
     for pos, i in enumerate(order, start=1):
         if is_unit(fs[i]):
             return False, pos, None
-        key = (frozenset(order[:pos - 1]), i)
-        if key not in memo:
+        S = frozenset(order[:pos])
+        if S not in memo:
+            memo[S] = grade(IdealBasis(fs[i].ring, [fs[j] for j in sorted(S)])) >= pos
+        if not memo[S]:
             prefix = IdealBasis(fs[i].ring, [fs[j] for j in order[:pos - 1]])
-            regular = _preimage_in(IdealBasis(fs[i].ring, [fs[i]]).cols, prefix.cols, prefix, 1)
-            memo[key] = None if regular else next(
+            return False, pos, next(
                 g for g in ideal_quotient(prefix, fs[i]).reduced_gb if not prefix.contains(g))
-        if memo[key] is not None:
-            return False, pos, memo[key]
     return True, None, None
 
 
@@ -141,10 +156,9 @@ def is_regular_sequence(fs: Sequence[Poly]) -> SequenceReport:
     """Is each f_i a nonunit and a nonzerodivisor modulo its predecessors?
 
     With I = (f_1..f_{i-1}), f_i is a nonzerodivisor modulo I exactly when
-    (I : f_i) = I, that is when the preimage of I under multiplication by
-    f_i lies in I; `groebner._preimage_in` decides that, as it decides
-    injectivity in `cube._mod_injective`.  Only a failure forms the
-    quotient, and its reduced Groebner basis yields the witness.
+    (I : f_i) = I.  Each step is decided by the grade of (f_1..f_i), one
+    reduced basis (`_regular_check`).  Only a failure forms the quotient,
+    and its reduced Groebner basis yields the witness.
     """
     fs = tuple(fs)
     ok, idx, wit = _regular_check(fs, range(len(fs)), {})
@@ -155,13 +169,13 @@ def is_A_sequence(fs: Sequence[Poly], perm_cap: int = 6) -> SequenceReport:
     """Regular under every permutation (the order-free strengthening).
 
     All len(fs)! orders are checked, so the length is capped (default 6).
-    Each regularity question is decided once per call: whether f_i is a
-    nonzerodivisor modulo (f_j : j ∈ P) depends only on the set P, and the
-    witness, the first element of the reduced Groebner basis of (P : f_i)
-    outside (P), is canonical too.  A memo keyed on (P, i) is shared by the
-    first-order check and every permutation, so n entries cost at most
-    n·2^(n-1) ideal quotients instead of n + n!·n, and every report is the
-    one the unmemoized checks would give.
+    Each step is decided by the grade of the ideal of the entries up to it,
+    which depends only on their set S of indices (`_regular_check`).  A memo
+    keyed on S is shared by the first-order check and every permutation, so
+    n entries cost at most 2^n − 1 reduced bases instead of n + n!·n ideal
+    quotients.  The witness, the first element of the reduced Groebner basis
+    of (P : f_i) outside (P), is canonical, so every report is the one the
+    unmemoized checks would give.
     """
     fs = tuple(fs)
     if len(fs) > perm_cap:

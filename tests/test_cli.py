@@ -738,6 +738,10 @@ CROSS_ORDER_CASES = [
     ("admissible_bothx", ["admissible", "--strategy", "spherical_faces"],
      "bothx_square.json", 1),
     ("aseq_xx", ["aseq"], "aseq_xx.json", 1),
+    # regular but not an A-sequence: the failing order and its witness
+    ("aseq_not_a", ["aseq"], "aseq_not_a.json", 1),
+    # an A-sequence whose first two entries generate the unit ideal
+    ("aseq_unit_prefix", ["aseq"], "aseq_unit_prefix.json", 0),
     ("regseq_xy_xz", ["regseq"], "regseq_xy_xz.json", 1),
     ("be_check_koszul_xy", ["be-check"], "koszul_xy_complex.json", 0),
     # an ideal printed as its reduced basis: the 2x2 minors of [[x, y, 0], [0, x, y]]

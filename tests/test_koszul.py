@@ -1,14 +1,15 @@
 """Koszul cubes, sequence conditions, determinants, acyclicity, generators."""
 
 import random
-from collections import Counter
+from collections import Counter, OrderedDict
 from math import factorial
 
 import pytest
 
 import _gen
-from _reference import annihilator
+from _reference import annihilator, sequence_reports
 import koszul_lab.cube as cube
+import koszul_lab.groebner as groebner
 import koszul_lab.koszul as koszul
 import koszul_lab.modcalc as modcalc
 from koszul_lab.arith import RingSpec, is_unit, parse_poly
@@ -122,8 +123,9 @@ def test_a_sequence_perm_cap():
 
 
 def test_a_sequence_decides_each_question_once(monkeypatch):
-    # one ideal quotient per (prefix set, entry): 4 * 2^3, where checking
-    # every order afresh costs 4 + 4! * 4 = 100
+    # only a failing step forms an ideal quotient, for its witness, so an
+    # A-sequence forms none, where checking every order afresh by quotients
+    # costs 4 + 4! * 4 = 100
     calls = []
     real = koszul.ideal_quotient
 
@@ -136,12 +138,14 @@ def test_a_sequence_decides_each_question_once(monkeypatch):
         for text in (("x", "y", "z", "w"), ("x^2", "y^2+x*z", "z^3", "w")):
             calls.clear()
             assert is_A_sequence([parse_poly(t, ring) for t in text]).a_sequence
-            assert len(calls) <= 32
+            assert calls == []
 
 
-# (field, sequence, is_regular_sequence fields, is_A_sequence fields), each
-# report as (regular, a_sequence, failing_permutation, failing_index,
-# witness); pinned from the checks that tried every order afresh
+# (field or (field, order), sequence, is_regular_sequence fields,
+# is_A_sequence fields), each report as (regular, a_sequence,
+# failing_permutation, failing_index, witness); pinned from the checks that
+# tried every order afresh, and the last three from the checks that decided
+# each step by a Schreyer preimage
 SEQUENCE_REPORTS = [
     ("Q", ("x", "y*(1-x)", "z*(1-x)"),
      (True, None, None, None, None),
@@ -182,6 +186,16 @@ SEQUENCE_REPORTS = [
     (101, ("x", "y", "x"),
      (False, None, None, 3, "1"),
      (False, False, ("x", "y", "x"), 3, "1")),
+    # the first two entries generate the unit ideal
+    ("Q", ("x", "x-1", "y"),
+     (True, None, None, None, None),
+     (True, True, None, None, None)),
+    (101, ("x-1", "x*y", "x*z"),
+     (True, None, None, None, None),
+     (True, False, ("x*y", "x*z", "x + 100"), 2, "y")),
+    (("Q", "lex"), ("x*y", "x*z+y^2", "z"),
+     (False, None, None, 3, "x^2"),
+     (False, False, ("x*y", "x*z + y^2", "z"), 3, "x^2")),
 ]
 
 
@@ -193,10 +207,105 @@ def _report_fields(rep):
 
 @pytest.mark.parametrize("field,text,regular,a_seq", SEQUENCE_REPORTS)
 def test_sequence_reports_pinned(field, text, regular, a_seq):
-    ring = RingSpec(field, ("x", "y", "z", "w"))
+    field, order = field if isinstance(field, tuple) else (field, "grevlex")
+    ring = RingSpec(field, ("x", "y", "z", "w"), order)
     fs = [parse_poly(t, ring) for t in text]
     assert _report_fields(is_regular_sequence(fs)) == regular
     assert _report_fields(is_A_sequence(fs)) == a_seq
+
+
+def _random_entry(rng, ring, earlier):
+    """A zero, constant or repeated entry now and then, one that makes the
+    unit ideal with an earlier entry, else a sum of one to three terms of
+    degree 0..3 in x, y, z, not all constant."""
+    draw = rng.random()
+    if draw < 0.05:
+        return ring.zero()
+    if draw < 0.1:
+        return ring.const(rng.choice((1, 2, 3)))
+    if earlier and draw < 0.2:
+        return rng.choice(earlier)
+    if earlier and draw < 0.27:
+        return rng.choice(earlier) - ring.one()
+    out = ring.zero()
+    while out.is_zero() or is_unit(out):
+        for _ in range(rng.choice((1, 2, 3))):
+            term = ring.const(rng.choice((1, -1, 2, 3)))
+            for _ in range(rng.randint(0, 3)):
+                term = term * ring.var(rng.choice("xyz"))
+            out = out + term
+    return out
+
+
+SEQUENCES_PER_RING = 60
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("field", ["Q", 7, 101])
+def test_sequence_reports_match_the_quotient_reference(field, order):
+    # every field of both reports against the definition, (I : f) = I asked
+    # afresh at every step of every order; the corpus holds A-sequences,
+    # sequences regular in one order only, and failures at a unit entry
+    ring = RingSpec(field, ("x", "y", "z", "w"), order)
+    rng = random.Random(_gen.SEED0 + 110_000 + 10 * ["Q", 7, 101].index(field)
+                        + ["grevlex", "lex"].index(order))
+    kinds = Counter()
+    for _ in range(SEQUENCES_PER_RING):
+        fs = []
+        for _ in range(rng.choice((1, 2, 3, 3, 4, 4, 4))):
+            fs.append(_random_entry(rng, ring, fs))
+        regular, a_seq = sequence_reports(fs)
+        assert _report_fields(is_regular_sequence(fs)) == _report_fields(regular), fs
+        assert _report_fields(is_A_sequence(fs)) == _report_fields(a_seq), fs
+        kinds[(a_seq.regular, a_seq.a_sequence, a_seq.witness is None)] += 1
+    assert kinds[(True, True, True)] and kinds[(True, False, False)] and kinds[(False, False, True)]
+
+
+def test_a_sequence_runs_no_schreyer_preimage(monkeypatch):
+    # a passing step is decided by the height of one subset ideal: a
+    # 4-entry A-sequence asks for at most 2^4 - 1 reduced bases and no
+    # graph-module run, and a failing check runs the graph module only for
+    # the quotient behind its one witness
+    heads = []
+    real = groebner._buchberger
+
+    def counted(inputs, ring, rank, head=None):
+        heads.append(head)
+        return real(inputs, ring, rank, head)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    ring = RingSpec("Q", ("x", "y", "z", "w"))
+    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+    assert is_A_sequence([parse_poly(t, ring) for t in ("x^2", "y^2+x*z", "z^3", "w")]).a_sequence
+    assert heads and heads.count(None) == len(heads) <= 15
+    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+    heads.clear()
+    rep = is_A_sequence([parse_poly(t, ring) for t in ("x", "y*(1-x)", "z*(1-x)")])
+    assert (rep.a_sequence, rep.failing_index, str(rep.witness)) == (False, 2, "y")
+    quotient_heads = len(heads) - heads.count(None)
+    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+    heads.clear()
+    perm = rep.failing_permutation
+    ideal_quotient(IdealBasis(ring, list(perm[:1])), perm[1])
+    assert quotient_heads == len(heads) - heads.count(None) == 1
+
+
+@pytest.mark.parametrize("field", ["Q", 101])
+def test_triangular_cubics_are_an_a_sequence(field):
+    # the cubes of a triangular change of coordinates
+    ring = RingSpec(field, ("x", "y", "z", "w"))
+    fs = [parse_poly(t, ring) for t in ("x^3", "(y+x^2)^3", "(z+2*x*y)^3", "(w+z+y^2)^3")]
+    rep = is_A_sequence(fs)
+    assert rep.regular and rep.a_sequence
+
+
+def test_five_triangular_squares_are_an_a_sequence():
+    # 5! orders over 2^5 - 1 subset ideals
+    ring = RingSpec("Q", ("a", "b", "c", "d", "e"))
+    fs = [parse_poly(t, ring) for t in ("a^2", "(b+a^2)^2", "(c+2*a*b)^2", "(d+c+b^2)^2",
+                                        "(e+d)^2")]
+    rep = is_A_sequence(fs)
+    assert rep.regular and rep.a_sequence
 
 
 @pytest.mark.parametrize("field", ["Q", 101])

@@ -74,29 +74,54 @@ def test_exported_functions_have_a_caller():
     assert sorted(exported - read - _worker_names()) == sorted(API_WITHOUT_A_CALLER)
 
 
+def _dotted(node):
+    """`a.b.c` for an attribute chain on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _unused_imports(source: str) -> list:
+    """The names a module imports and neither reads nor lists in __all__.
+    `import a.b` counts as read only when the chain a.b is read, and
+    `import a.b as name` when name is."""
+    tree = ast.parse(source)
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for a in node.names}
+    read = {_dotted(node) for node in ast.walk(tree)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(imported - read - exported)
+
+
 def test_no_unused_imports():
     # No lint tool is installed, so this is the check: every name a library
     # or test module imports is read in that module or listed in its
     # __all__.  A package __init__ imports to re-export, so it is exempt.
     unused = []
     for path in sorted(SRC.rglob("*.py")) + sorted(TESTS.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text())
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
-            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                imported |= {a.asname or a.name for a in node.names}
-        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        exported = set()
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
-                                                    for t in node.targets):
-                exported = set(ast.literal_eval(node.value))
-        unused += [f"{path.parent.name}/{path.name}: {name}" for name in sorted(imported - read - exported)]
+        if path.name != "__init__.py":
+            unused += [f"{path.parent.name}/{path.name}: {name}"
+                       for name in _unused_imports(path.read_text())]
     assert unused == []
+
+
+def test_unused_import_guard_reads_dotted_chains():
+    # tests import koszul_lab.<module> to patch it: reading another module
+    # of the package does not make the import used
+    assert _unused_imports("import koszul_lab.cube\nimport koszul_lab.resolve\n"
+                           "koszul_lab.cube.x\n") == ["koszul_lab.resolve"]
+    assert _unused_imports("import koszul_lab.resolve\nkoszul_lab.resolve.x\n") == []
+    assert _unused_imports("import koszul_lab.resolve as r\nr.x\n") == []
+    assert _unused_imports("import ast\nfrom json import dumps\n__all__ = ['dumps']\n") == ["ast"]
 
 
 # the injectivity test `_preimage_in` is asked in sparse columns; what it
