@@ -202,6 +202,16 @@ def _labels_from_doc(value, where: str) -> tuple:
     return tuple(_string_from_doc(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
+def _cube_labels_from_doc(value, where: str) -> tuple:
+    """The cube labels at JSON path `where`, a list of strings with no
+    label repeated: a repeat is refused before anything is keyed by it."""
+    labels = _labels_from_doc(value, where)
+    for i, lab in enumerate(labels):
+        if lab in labels[:i]:
+            raise ValueError(f"'{where}' repeats the label {json.dumps(lab)}")
+    return labels
+
+
 def _poly_from_doc(value, ring: RingSpec, where: str) -> Poly:
     return parse_poly(_string_from_doc(value, where), ring)
 
@@ -257,7 +267,7 @@ def _cube_from_doc(d, ring: RingSpec, where: str) -> Cube:
     the free module A^r, or {"rank": r, "relations": rows}; "S" and
     "boundaries" default to [] and {}."""
     d = _closed_keys(d, ("S", "vertices", "boundaries"), where)
-    labels = _labels_from_doc(d.get("S", []), f"{where}.S")
+    labels = _cube_labels_from_doc(d.get("S", []), f"{where}.S")
     subs = label_subsets(labels)
     vd = _keyed_from_doc(_require(d, "vertices", where), {T: subset_key(T) for T in subs},
                          f"{where}.vertices")
@@ -429,7 +439,7 @@ def cmd_typical(doc, ring, opts):
     fs = _sequence_from_doc(doc, ring)
     labels = doc.get("labels")
     if labels is not None:
-        labels = _labels_from_doc(labels, "labels")
+        labels = _cube_labels_from_doc(labels, "labels")
     return True, {"cube": _cube_doc(typical_cube(fs, labels=labels, ring=ring))}
 
 
@@ -523,8 +533,8 @@ def cmd_resolve(doc, ring, opts):
     """Resolve the document's targets by sums of typical cubes."""
     rd = _closed_keys(_require(doc, "resolution"), ("U", "V", "fs", "targets", "connecting"),
                       "resolution")
-    U = _labels_from_doc(rd.get("U", []), "resolution.U")
-    V = _labels_from_doc(rd.get("V", []), "resolution.V")
+    U = _cube_labels_from_doc(rd.get("U", []), "resolution.U")
+    V = _cube_labels_from_doc(rd.get("V", []), "resolution.V")
     fs_doc = _closed_keys(_require(rd, "fs", "resolution"), U + V, "resolution.fs")
     fs = {s: _poly_from_doc(p, ring, f"resolution.fs[{json.dumps(s)}]")
           for s, p in fs_doc.items()}

@@ -96,7 +96,8 @@ class Cube:
     `ring`; well-definedness and the commuting-square law are checked by
     validate_cube so that invalid cubes can be constructed and reported on.
     `vertices` and `boundary` are read-only mappings, so the report
-    validate_cube keeps on the cube cannot go stale.
+    validate_cube keeps on the cube cannot go stale, and a face or H_0 cube
+    can share its parent's modules and maps (`_cube`).
     """
 
     __slots__ = ("labels", "ring", "vertices", "boundary", "_report")
@@ -168,6 +169,22 @@ class Cube:
 ModCube = Cube
 
 
+def _cube(ring: RingSpec, labels: tuple, vertices: dict, boundary: dict) -> Cube:
+    """A Cube on `vertices` and `boundary`, dicts keyed by frozenset and
+    (frozenset, label) as the constructor keys them: no check and no copy is
+    made, unlike Cube(...).  For the faces and H_0 cubes of a cube that
+    passed the constructor, which would pass it too: the ring is the
+    parent's, the labels a sub-tuple of the parent's, the keys complete by
+    construction and every shape the shape of a parent's map."""
+    x = Cube.__new__(Cube)
+    x.ring = ring
+    x.labels = labels
+    x.vertices = MappingProxyType(vertices)
+    x.boundary = MappingProxyType(boundary)
+    x._report = None
+    return x
+
+
 # ---------------------------------------------------------------------------
 # validation / restriction / degeneracy
 # ---------------------------------------------------------------------------
@@ -231,7 +248,9 @@ def restrict(x: Cube, U: Iterable[str], V: Iterable[str]) -> Cube:
     """x|_U^V: the cube over U whose vertex at A is x's vertex at A ∪ V.
 
     U and V must be disjoint subsets of the labels; the label order of U is
-    inherited from x.
+    inherited from x.  The face shares x's vertex modules and boundary maps
+    and is built without the constructor's checks (`_cube`), which x has
+    passed.
     """
     U = _normalize_subset(U, x.labels)
     V = _normalize_subset(V, x.labels)
@@ -239,8 +258,8 @@ def restrict(x: Cube, U: Iterable[str], V: Iterable[str]) -> Cube:
         raise ValueError(f"restriction subsets overlap: {sorted(U & V)}")
     labels = tuple(lab for lab in x.labels if lab in U)
     sub = label_subsets(labels)
-    boundary = {(A, k): x.d(A | V, k) for A in sub for k in A}
-    return Cube(x.ring, labels, {A: x.vertices[A | V] for A in sub}, boundary)
+    return _cube(x.ring, labels, {A: x.vertices[A | V] for A in sub},
+                 {(A, k): x.boundary[(A | V, k)] for A in sub for k in A})
 
 
 def degenerate_directions(x: Cube) -> frozenset:
@@ -282,15 +301,18 @@ def _total_complex(x: Cube) -> tuple:
     """(maps, ranks) of Tot(x), for a cube already known to be a valid free
     cube: ranks[k] is the rank of degree k and maps[k-1] the sparse columns
     of d_k, the form `groebner._nonexact_degree` reads.  Nothing re-checks
-    d ∘ d = 0, which holds because x's squares commute."""
+    d ∘ d = 0, which holds because x's squares commute.
+
+    The subsets are sorted by serialized key once and grouped by size, and
+    the vertices and boundaries are read by index: x's keys are complete,
+    as for any Cube, and a face shares its parent's checked maps."""
     position = {lab: i for i, lab in enumerate(x.labels)}
-    n = len(x.labels)
-    layers = []  # per degree: list of subsets in canonical order
+    layers = [[] for _ in range(len(x.labels) + 1)]  # per degree: subsets in canonical order
+    for s in sorted(label_subsets(x.labels), key=subset_key):
+        layers[len(s)].append(s)
     offsets = []  # per degree: subset -> starting row/column
     ranks = []
-    for k in range(n + 1):
-        subs = sorted((s for s in x.subsets() if len(s) == k), key=subset_key)
-        layers.append(subs)
+    for subs in layers:
         off = {}
         total = 0
         for s in subs:
@@ -299,13 +321,13 @@ def _total_complex(x: Cube) -> tuple:
         offsets.append(off)
         ranks.append(total)
     maps = []
-    for k in range(1, n + 1):
+    for k in range(1, len(layers)):
         cols = [{} for _ in range(ranks[k])]
         for T in layers[k]:
             col0 = offsets[k][T]
             for j in sorted(T):
                 sign = sum(1 for t in T if position[t] > position[j]) % 2
-                m = x.d(T, j)
+                m = x.boundary[(T, j)]
                 row0 = offsets[k - 1][T - {j}]
                 for jj, c in enumerate(m.cols):
                     out = cols[col0 + jj]
@@ -320,7 +342,11 @@ def _total_complex(x: Cube) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _h0_modcube(x: Cube, k: str) -> Cube:
-    """H_0^k of a module cube: same ambient ranks, relations enlarged by im d^k."""
+    """H_0^k of a module cube: same ambient ranks, relations enlarged by im d^k.
+
+    The H_0 cube shares x's boundary maps and is built without the
+    constructor's checks (`_cube`), which x has passed; each new relation
+    module is checked as it is made."""
     if k not in x.labels:
         raise ValueError(f"direction {k!r} not a label")
     labels = tuple(lab for lab in x.labels if lab != k)
@@ -328,11 +354,10 @@ def _h0_modcube(x: Cube, k: str) -> Cube:
     verts = {}
     for T in sub:
         amb = x.vertices[T]
-        dk = x.d(T | {k}, k)
+        dk = x.boundary[(T | {k}, k)]
         rels = amb.relations.plus(SubmoduleBasis(x.ring, amb.rank, dk.cols))
         verts[T] = FPModule(x.ring, amb.rank, rels)
-    boundary = {(T, l): x.d(T, l) for T in sub for l in T}
-    return Cube(x.ring, labels, verts, boundary)
+    return _cube(x.ring, labels, verts, {(T, l): x.boundary[(T, l)] for T in sub for l in T})
 
 
 def _h0_over(x: Cube, T: Iterable[str]) -> Cube:

@@ -67,7 +67,9 @@ never joins the basis (Schreyer): their tails generate the preimage
 the elements that do join it are a Groebner basis of the image, the span of
 the columns and relations, so one run gives both the kernel of a map and a
 basis that decides membership in its image (`_kernel_and_image`), which is
-all the 0-sphericity scan of a complex needs (`_nonexact_degree`).  A
+all the 0-sphericity scan of a complex needs (`_nonexact_degree`); the
+scan reads ker d_1, whose image it never needs, from the cached Schreyer
+generators (`_schreyer`), the entry an injectivity test of d_1 fills.  A
 kernel is the preimage of 0, and `_reduced_kernel`, which `syzygies` reads,
 is its reduced basis; `module_quotient` is the preimage of rel under
 a ↦ a·vec; `ideal_intersection` is Σ t_i·g_i over the preimage of J under
@@ -750,12 +752,18 @@ def _nonexact_degree(maps: Sequence[Sequence[Mapping[int, Poly]]], ranks: Sequen
 
     Each degree tests the unreduced kernel generators of d_k for membership
     in the image, and no homology is presented.  One uncached Buchberger
-    run per differential serves both sides (`_kernel_and_image`): the run
-    on d_{k+1} that gives the Groebner basis of its image also gives
-    ker d_{k+1}, the next degree's kernel.  Each image basis is grouped by
-    lead position once, for all the kernel generators.
+    run per differential d_{k+1}, k >= 1, serves both sides
+    (`_kernel_and_image`): the run that gives the Groebner basis of its
+    image also gives ker d_{k+1}, the next degree's kernel.  Each image
+    basis is grouped by lead position once, for all the kernel generators.
+    Degree 0 carries no condition, so the image of d_1 is never read, and
+    ker d_1 is the cached Schreyer generators of d_1 (`_schreyer`): the same
+    run on the same graph module, so the same list, and on a one-direction
+    cube, whose Tot is its one boundary with sign +, the entry its
+    injectivity test (`cube._mod_injective`) fills.  A cached list is the
+    value a fresh run computes, so the answer does not depend on the cache.
     """
-    kernel = _kernel_and_image(maps[0], ring, ranks[0])[0] if maps else []
+    kernel = _schreyer(maps[0], (), ring, ranks[0]) if maps else []
     for k in range(1, len(maps)):
         nxt, image = _kernel_and_image(maps[k], ring, ranks[k])
         if kernel:

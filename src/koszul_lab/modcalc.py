@@ -521,8 +521,9 @@ def zero_spherical(c: Complex) -> bool:
     """True iff H_k(c) = 0 for every k >= 1.
 
     H_k is zero iff ker d_k lies in im d_{k+1}, which
-    `groebner._nonexact_degree` tests with one uncached Buchberger run per
-    differential and no H_k presented.
+    `groebner._nonexact_degree` tests with no H_k presented: one uncached
+    Buchberger run per differential after the first, and the cached Schreyer
+    generators of d_1 for ker d_1.
     """
     return _nonexact_degree([d.cols for d in c.differentials], c.ranks, c.ring) is None
 

@@ -511,6 +511,35 @@ def test_shape_errors_name_their_json_path(tmp_path, args, doc, path):
     assert path in err["message"]
 
 
+# a repeated cube label is refused where it is read, before any key is
+# formed from the labels: it used to surface as a missing vertex or as
+# "cube labels must be distinct", which named neither the path nor the label
+REPEATED_LABEL_CASES = [
+    ("cube_S", ["validate"],
+     {"ring": RING_Q2, "cube": {"S": ["a", "a"], "vertices": {"": 1}}},
+     "'cube.S' repeats the label \"a\""),
+    ("typical_labels", ["typical"],
+     {"ring": RING_Q2, "sequence": ["x", "y"], "labels": ["a", "a"]},
+     "'labels' repeats the label \"a\""),
+    ("resolution_target_S", ["resolve"],
+     {"ring": RING_Q2, "resolution": {"U": ["1"], "V": [], "fs": {"1": "x"}, "targets": [
+         {**ONE_CUBE, "S": ["1", "1"]}]}},
+     "'resolution.targets[0].S' repeats the label \"1\""),
+    ("resolution_U", ["resolve"],
+     {"ring": RING_Q2, "resolution": {"U": ["1", "1"], "V": [], "fs": {"1": "x"},
+                                      "targets": [ONE_CUBE]}},
+     "'resolution.U' repeats the label \"1\""),
+]
+
+
+@pytest.mark.parametrize("args,doc,message", [c[1:] for c in REPEATED_LABEL_CASES],
+                         ids=[c[0] for c in REPEATED_LABEL_CASES])
+def test_repeated_labels_are_refused_by_path_and_label(tmp_path, args, doc, message):
+    out, code = run(*args, "--input", write_doc(tmp_path, doc))
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "input", "message": message}
+
+
 # --------------------------------------------------------------------------
 # envelope and reproducibility header
 # --------------------------------------------------------------------------

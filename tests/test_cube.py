@@ -273,6 +273,64 @@ def test_restrict_faces():
         restrict(x, {"7"}, frozenset())
 
 
+def _restrict_reference(x, U, V):
+    """x|_U^V through the checked constructor, from x's public accessors."""
+    labels = tuple(lab for lab in x.labels if lab in U)
+    sub = [A for A in x.subsets() if A <= U]
+    return Cube(x.ring, labels, {A: x.vertex(A | V) for A in sub},
+                {(A, k): x.d(A | V, k) for A in sub for k in A})
+
+
+def _h0_reference(x, k):
+    """H_0^k of x through the checked constructor: each vertex's relations
+    enlarged by the columns of d^k."""
+    sub = [T for T in x.subsets() if k not in T]
+    verts = {}
+    for T in sub:
+        M = x.vertex(T)
+        rels = M.relations.plus(SubmoduleBasis(x.ring, M.rank, x.d(T | {k}, k).cols))
+        verts[T] = FPModule(x.ring, M.rank, rels)
+    return Cube(x.ring, tuple(lab for lab in x.labels if lab != k), verts,
+                {(T, l): x.d(T, l) for T in sub for l in T})
+
+
+def _same_cube(a, b):
+    return (a.ring == b.ring and a.labels == b.labels and dict(a.vertices) == dict(b.vertices)
+            and dict(a.boundary) == dict(b.boundary))
+
+
+def test_derived_cubes_are_the_checked_constructors_cubes():
+    # faces and H_0 cubes share their parent's maps and skip the
+    # constructor's checks; they must be the cubes it builds from the same
+    # data, and pass it
+    from _gen import four_direction_koszul_suite, koszul_suite
+    cubes = [x for x, _ in koszul_suite(20) + four_direction_koszul_suite(2)]
+    h0s = [_h0_modcube(x, k) for x in cubes for k in x.labels]
+    for x in cubes + h0s:
+        S = frozenset(x.labels)
+        for U in x.subsets():
+            for V in restrict(x, S - U, E).subsets():
+                face = restrict(x, U, V)
+                assert _same_cube(face, _restrict_reference(x, U, V)), (x, U, V)
+                assert _same_cube(face, Cube(face.ring, face.labels, dict(face.vertices),
+                                             dict(face.boundary)))
+        for k in x.labels:
+            assert _same_cube(_h0_modcube(x, k), _h0_reference(x, k)), (x, k)
+    for x in cubes:
+        for T in x.subsets():
+            want = x
+            for k in [lab for lab in x.labels if lab in T]:
+                want = _h0_reference(want, k)
+            assert _same_cube(iterated_h0(x, T), want), (x, T)
+    for x in cubes + h0s:
+        assert validate_cube(x).ok
+    x = cubes[-1]
+    with pytest.raises(ValueError, match="not in cube labels"):
+        restrict(x, {"9"}, E)
+    with pytest.raises(ValueError, match="overlap"):
+        restrict(x, {"1", "2"}, {"2"})
+
+
 def test_degenerate_directions():
     x = square("1", "x")  # direction 1 is an isomorphism everywhere
     assert degenerate_directions(x) == frozenset({"1"})
@@ -523,45 +581,33 @@ def test_memoized_failure_lists_pinned():
         "Tot is not 0-spherical: H_1 is nonzero",)
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def test_spherical_faces_builds_each_face_tot_once(monkeypatch):
+def test_spherical_faces_builds_each_face_tot_once(count_calls):
     # |S| = 4: one Tot per face x|_U^V with U nonempty, 3^4 - 2^4 of them
     import koszul_lab.cube as cube_module
     ring = RingSpec(101, ("x", "y", "z", "w"))
     x = typical_cube(list(ring.gens()))
-    calls = _count_calls(monkeypatch, cube_module, "_total_complex")
+    calls = count_calls(cube_module, "_total_complex")
     assert is_admissible(x, "spherical_faces").ok
     assert 0 < len(calls) <= 3 ** 4 - 2 ** 4
 
 
-def test_spherical_faces_validates_once(monkeypatch):
+def test_spherical_faces_validates_once(count_calls):
     # the input is validated at the root; its faces are valid free cubes
     # and their total complexes are built without validating again
     import koszul_lab.cube as cube_module
     ring = RingSpec(101, ("x", "y", "z", "w"))
     x = typical_cube(list(ring.gens()))
-    calls = _count_calls(monkeypatch, cube_module, "validate_cube")
+    calls = count_calls(cube_module, "validate_cube")
     assert is_admissible(x, "spherical_faces").ok
     assert len(calls) == 1
 
 
-def test_a_cube_is_validated_once(monkeypatch):
+def test_a_cube_is_validated_once(count_calls):
     # validate_cube keeps its Report on the cube: the three strategies and a
     # validate_cube after them test each commuting square once
     import koszul_lab.cube as cube_module
     x = typical_cube(list(Q3.gens()))
-    calls = _count_calls(monkeypatch, cube_module, "_congruent")
+    calls = count_calls(cube_module, "_congruent")
     for s in ADMISSIBILITY_STRATEGIES:
         assert is_admissible(x, strategy=s).ok
     assert validate_cube(x).ok
@@ -579,7 +625,7 @@ def test_cube_vertices_and_boundary_are_read_only():
     assert x.boundary[(S1, "1")] == FreeMap(Q3, [[Q3.var("x")]])
 
 
-def test_unknown_strategy_is_refused_before_validation(monkeypatch):
+def test_unknown_strategy_is_refused_before_validation(count_calls):
     # a misspelt strategy used to surface only after the commuting-square
     # validation, which on an invalid cube raised "invalid cube: ..."
     import koszul_lab.cube as cube_module
@@ -587,13 +633,13 @@ def test_unknown_strategy_is_refused_before_validation(monkeypatch):
                         {(S1, "1"): FreeMap(Q2, [[X]]), (S2, "2"): FreeMap(Q2, [[Y]]),
                          (S12, "1"): FreeMap(Q2, [[X]]), (S12, "2"): FreeMap(Q2, [[X]])})
     assert not validate_cube(noncommuting).ok
-    calls = _count_calls(monkeypatch, cube_module, "validate_cube")
+    calls = count_calls(cube_module, "validate_cube")
     with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
         is_admissible(noncommuting, "bogus")
     assert calls == []
 
 
-def test_face_scans_build_no_complex(monkeypatch):
+def test_face_scans_build_no_complex(count_calls):
     # the face scans hand each Tot to the exactness scan as sparse columns;
     # only the public total_complex wraps it in a Complex, whose constructor
     # re-checks d ∘ d = 0
@@ -602,7 +648,7 @@ def test_face_scans_build_no_complex(monkeypatch):
     ring = RingSpec(101, ("x", "y", "z", "w"))
     fs = list(ring.gens())
     x = typical_cube(fs)
-    calls = _count_calls(monkeypatch, Complex, "__init__")
+    calls = count_calls(Complex, "__init__")
     assert is_admissible(x, "spherical_faces").ok
     assert verify_weight_decomposition(x, fs).ok
     assert calls == []
@@ -610,12 +656,58 @@ def test_face_scans_build_no_complex(monkeypatch):
     assert len(calls) == 1
 
 
-def test_definition_builds_each_h0_cube_once(monkeypatch):
+def test_definition_builds_each_h0_cube_once(count_calls):
     # |S| = 4: H_0 cubes are indexed by the 2^4 sets of applied directions;
     # expanding each once takes at most 4 * 2^3 calls of _h0_modcube
     import koszul_lab.cube as cube_module
     ring = RingSpec(101, ("x", "y", "z", "w"))
     x = typical_cube(list(ring.gens()))
-    calls = _count_calls(monkeypatch, cube_module, "_h0_modcube")
+    calls = count_calls(cube_module, "_h0_modcube")
     assert is_admissible(x, "definition").ok
     assert len(calls) <= 4 * 2 ** 3
+
+
+def test_verdicts_do_not_depend_on_what_the_cache_holds(monkeypatch):
+    # spherical_faces reads the kernel of each Tot's d_1 from the cache that
+    # definition fills; from an empty cache, and after definition, the
+    # Reports are equal, failure lists included
+    from collections import OrderedDict
+
+    from _gen import X3, Y3, Z3, zero_direction
+    from koszul_lab import groebner
+    from koszul_lab.koszul import random_koszul
+    zd = zero_direction(random_koszul([X3, Y3, Z3], 1, 2, seed=0), "1")
+    cubes = [zd, BOTH_X, typical_cube([X3, Y3, X3 + Y3])]
+    reports = []
+    for x in cubes:
+        monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+        cold = is_admissible(x, "spherical_faces")
+        monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+        is_admissible(x, "definition")
+        assert is_admissible(x, "spherical_faces") == cold, x
+        reports.append(cold)
+    assert reports[0].failures == ZERO_DIRECTION_SPHERICAL_FAILURES
+    assert [r.ok for r in reports] == [False, False, False]
+
+
+def test_spherical_faces_reads_one_direction_kernels_from_the_cache(monkeypatch, count_calls):
+    # the Tot of a one-direction face is its boundary with sign +, whose
+    # kernel definition's injectivity test has cached: after definition,
+    # spherical_faces runs Buchberger once less for each of the n·2^(n-1)
+    # one-direction faces
+    from collections import OrderedDict
+
+    from koszul_lab import groebner
+    from koszul_lab.koszul import random_koszul
+    ring = RingSpec(101, ("x", "y", "z", "w"))
+    x = random_koszul(list(ring.gens()), 2, 3, seed=5)
+    assert validate_cube(x).ok
+    runs = count_calls(groebner, "_buchberger")
+    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+    assert is_admissible(x, "spherical_faces").ok
+    cold = len(runs)
+    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+    assert is_admissible(x, "definition").ok
+    runs.clear()
+    assert is_admissible(x, "spherical_faces").ok
+    assert cold - len(runs) == 4 * 2 ** 3

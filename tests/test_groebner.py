@@ -1172,29 +1172,22 @@ def _eviction_corpus():
     return out
 
 
-def test_eviction_never_changes_a_result(monkeypatch):
+def test_eviction_never_changes_a_result(monkeypatch, count_calls):
     # Buchberger is deterministic and a reduced basis is unique, so an
     # entry dropped and computed again is the same, bases and preimage
     # generators alike
     from collections import OrderedDict
 
     from koszul_lab import groebner
-    runs = [0]
-    buchberger = groebner._buchberger
-
-    def counted(*args, **kwargs):
-        runs[0] += 1
-        return buchberger(*args, **kwargs)
-
-    monkeypatch.setattr(groebner, "_buchberger", counted)
+    runs = count_calls(groebner, "_buchberger")
     monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
-    want, full = _eviction_corpus(), runs[0]
+    want, full = _eviction_corpus(), len(runs)
     monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
     monkeypatch.setattr(groebner, "_GB_CACHE_ENTRIES", 2)
-    runs[0] = 0
+    runs.clear()
     assert _eviction_corpus() == want
     # entries were dropped and asked for again
-    assert runs[0] > full
+    assert len(runs) > full
 
 
 def test_cache_holds_at_most_its_bound(monkeypatch):

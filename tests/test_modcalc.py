@@ -220,12 +220,10 @@ def test_determinant_frozen():
         determinant_of_square(M([["x", "y"]]))
 
 
-def test_a_map_keeps_its_determinant(monkeypatch):
+def test_a_map_keeps_its_determinant(count_calls):
     # the first call expands, later ones read what the map keeps; a map
     # made from it is a new map and expands anew
-    calls = []
-    real = modcalc._minors
-    monkeypatch.setattr(modcalc, "_minors", lambda *args: calls.append(args) or real(*args))
+    calls = count_calls(modcalc, "_minors")
     m = M([["x", "y"], ["y", "x"]])
     assert determinant_of_square(m) == determinant_of_square(m) == X * X - Y * Y
     assert len(calls) == 1
@@ -813,6 +811,21 @@ def test_nonzero_homology_degree_matches_separate_image_reference():
         assert _nonexact_degree([d.cols for d in c.differentials], c.ranks, c.ring) == want, c
         degrees.append(want)
     assert None in degrees and 1 in degrees and any(d and d >= 2 for d in degrees)
+
+
+def test_first_kernel_is_the_schreyer_list():
+    # the scan reads ker d_1 from the cached Schreyer generators of d_1: the
+    # run _kernel_and_image makes on the same graph module gives the same
+    # generators in the same order
+    from _gen import complex_suite
+    from koszul_lab.groebner import _kernel_and_image, _schreyer
+    nonzero = 0
+    for c in complex_suite(100):
+        d = c.differential(1)
+        kernel = _kernel_and_image(d.cols, c.ring, c.ranks[0])[0]
+        assert _schreyer(d.cols, (), c.ring, c.ranks[0]) == kernel, c
+        nonzero += bool(kernel)
+    assert nonzero > 0
 
 
 def _rank_three_modules(ring):

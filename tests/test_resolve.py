@@ -496,7 +496,7 @@ def test_epi_at_empty_vertex_implies_h0_tot_surjective():
                     assert drop is not None, i
 
 
-def test_resolve_solves_each_lifting_system_once(monkeypatch):
+def test_resolve_solves_each_lifting_system_once(count_calls):
     # a chain of two free 1-cubes: the resolution, the lift of the chain map
     # and check_resolution each write a batch of vectors against one
     # (cols, rels); 11 solver calls in all (22 with one call per vector).
@@ -505,14 +505,7 @@ def test_resolve_solves_each_lifting_system_once(monkeypatch):
     import koszul_lab.modcalc
     inp = resolve_problems()[4]
     assert len(inp.targets) == 2
-    solve = koszul_lab.modcalc._graph_coordinates
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(koszul_lab.modcalc, "_graph_coordinates", counted)
+    calls = count_calls(koszul_lab.modcalc, "_graph_coordinates")
     koszul_resolve(inp)
     assert len(calls) <= 11
 
