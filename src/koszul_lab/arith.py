@@ -358,9 +358,6 @@ class RingSpec:
     def gens(self) -> tuple:
         return tuple(self.var(v) for v in self.variables)
 
-    def with_order(self, order: str) -> "RingSpec":
-        return RingSpec(self.field, self.variables, order)
-
     def extended(self, extra_var: str) -> "RingSpec":
         """Ring with one fresh variable appended (used by radical membership)."""
         if extra_var in self._var_keys:
@@ -526,10 +523,6 @@ class Poly:
         if not c:
             return _poly(self.ring, {})
         return _poly(self.ring, {k: field.mul(v, c) for k, v in self.keys.items()})
-
-    def mul_term(self, exp: tuple, coeff) -> "Poly":
-        """Multiply by a single term coeff * x^exp, for an exponent tuple exp."""
-        return self * Poly(self.ring, {exp: coeff})
 
     def monic(self) -> "Poly":
         if not self.keys:
@@ -738,10 +731,7 @@ def _minor_sums(ints: list, rows: tuple, sel: tuple, memo: dict, p: int, overflo
         sub = _minor_sums(ints, rest, sel[:j] + sel[j + 1:], memo, p, overflow)
         if sub:
             _product_sums({k: -v for k, v in e.items()} if j & 1 else e, sub, acc)
-    if reduce(or_, acc, 0) & overflow:
-        raise _overflowed()
-    out = memo[key] = ({k: r for k, s in acc.items() if (r := s % p)} if p
-                       else {k: s for k, s in acc.items() if s})
+    out = memo[key] = _coefficients(acc, 1, p, overflow)
     return out
 
 

@@ -382,8 +382,6 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
         G.append(g)
 
     for vp in inputs:
-        if not vp:
-            continue
         rem = _nf_vp(_cleared(vp, p)[0], G, by_pos, ring)[0]
         if rem:
             add_elem(rem)
@@ -783,7 +781,8 @@ def _graph_coordinates(vecs: Sequence[Mapping[int, Poly]], cols: Sequence[Mappin
     or None when it is not in the span.  One reduced basis of the graph
     module (col_j ⊕ e_j, rel ⊕ 0) serves the whole batch: the normal form
     of (vec ⊕ 0) has zero head (positions < rank) iff vec lies in the span,
-    and its tail is then the negated coordinate vector times the scalar
+    so `_column_from_vp` with head = rank gives None exactly for a vector
+    outside it.  The tail is the negated coordinate vector times the scalar
     s = λ·(lcm of vec's denominators), which is divided out once, here.
     """
     if not vecs:
@@ -793,14 +792,13 @@ def _graph_coordinates(vecs: Sequence[Mapping[int, Poly]], cols: Sequence[Mappin
     basis = _compute_gb(ring, rank + len(cols), graph)
     field = ring.field
     neg = field.neg
-    bound = rank << ring.layout.shift  # the least key at position rank
     by_pos = _by_position(basis)
     out = []
     for vec in vecs:
         vp, d = _cleared(_vp_from_column(vec, ring), field.char)
         rem, _, lam = _nf_vp(vp, basis, by_pos, ring)
-        out.append(None if any(k < bound for k in rem) else _column_from_vp(
-            _field_vp({k: neg(c) for k, c in rem.items()}, lam * d, field), ring, head=rank))
+        out.append(_column_from_vp(_field_vp({k: neg(c) for k, c in rem.items()}, lam * d, field),
+                                   ring, head=rank))
     return out
 
 
@@ -889,7 +887,8 @@ def ideal_dimension(I: IdealBasis) -> int:
 
     The dimension equals the largest size of a variable subset U such that no
     leading monomial of the reduced GB is supported inside U.  Errors on the
-    unit ideal.
+    unit ideal; for a proper ideal no leading monomial is 1, so the empty U
+    qualifies and the search always returns.
     """
     if I.contains_one():
         raise ValueError("unit ideal has no staircase dimension")
@@ -901,7 +900,6 @@ def ideal_dimension(I: IdealBasis) -> int:
             Uset = frozenset(U)
             if not any(s <= Uset for s in supports):
                 return size
-    return 0  # unreachable: the empty subset is independent for proper ideals
 
 
 def grade(I: IdealBasis):

@@ -171,7 +171,7 @@ def is_A_sequence(fs: Sequence[Poly], perm_cap: int = 6) -> SequenceReport:
     All len(fs)! orders are checked, so the length is capped (default 6).
     Each step is decided by the grade of the ideal of the entries up to it,
     which depends only on their set S of indices (`_regular_check`).  A memo
-    keyed on S is shared by the first-order check and every permutation, so
+    keyed on S is shared by every permutation, the identity first, so
     n entries cost at most 2^n − 1 reduced bases instead of n + n!·n ideal
     quotients.  The witness, the first element of the reduced Groebner basis
     of (P : f_i) outside (P), is canonical, so every report is the one the
@@ -182,14 +182,11 @@ def is_A_sequence(fs: Sequence[Poly], perm_cap: int = 6) -> SequenceReport:
         raise CapExceededError(
             f"A-sequence check on {len(fs)} elements exceeds the permutation cap {perm_cap}")
     memo: dict = {}
-    reg_ok, reg_idx, reg_wit = _regular_check(fs, range(len(fs)), memo)
-    if not reg_ok:
-        return SequenceReport(fs, False, a_sequence=False, failing_permutation=fs,
-                              failing_index=reg_idx, witness=reg_wit)
-    for perm in permutations(range(len(fs))):
+    for tried, perm in enumerate(permutations(range(len(fs)))):
         ok, idx, wit = _regular_check(fs, perm, memo)
         if not ok:
-            return SequenceReport(fs, True, a_sequence=False,
+            # the first order is the identity: fs is regular iff it passed
+            return SequenceReport(fs, tried > 0, a_sequence=False,
                                   failing_permutation=tuple(fs[i] for i in perm),
                                   failing_index=idx, witness=wit)
     return SequenceReport(fs, True, a_sequence=True)
@@ -359,13 +356,13 @@ def determinant(x: Cube) -> Tuple[Dict[str, Poly], Report]:
     return dets, Report(not failures, tuple(failures))
 
 
-def det_is_a_sequence(x: Cube, perm_cap: int = 6) -> bool:
+def det_is_a_sequence(x: Cube) -> bool:
     """A-sequence verdict for the determinant sequence of a non-degenerate cube.
 
     The theorem says this is always true for non-degenerate free Koszul
     cubes; the suite treats a False here as a bug-detection event.
     """
-    return bool(is_A_sequence(_det_sequence(x), perm_cap=perm_cap).a_sequence)
+    return bool(is_A_sequence(_det_sequence(x)).a_sequence)
 
 
 def _det_sequence(x: Cube) -> list:
@@ -485,9 +482,9 @@ def _elementary_product(ring: RingSpec, n: int, factors) -> FreeMap:
     return out
 
 
-def random_koszul(fs: Sequence[Poly], summands: int, basechange_steps: int, seed: int,
-                  labels: Optional[Sequence[str]] = None) -> Cube:
-    """Seeded Koszul cube: base-changed direct sum of power-tweaked typical cubes.
+def random_koszul(fs: Sequence[Poly], summands: int, basechange_steps: int, seed: int) -> Cube:
+    """Seeded Koszul cube: base-changed direct sum of power-tweaked typical
+    cubes, labelled "1".."n" in the order of fs.
 
     Summand 0 uses the sequence as given; extra summands may square entries.
     Each vertex gets an invertible base change built from elementary matrices
@@ -517,7 +514,7 @@ def random_koszul(fs: Sequence[Poly], summands: int, basechange_steps: int, seed
     if not cert.a_sequence:
         raise ValueError("the sequence must be an A-sequence")
     ring = fs[0].ring
-    labels = _labels(labels, len(fs))
+    labels = _labels(None, len(fs))
     rng = random.Random(seed)
     expo = [[1] * len(fs)]
     for _ in range(summands - 1):

@@ -28,7 +28,7 @@ matrix row-major, is a view made on each read for printing.  A
 sparse column is the one form of a vector below the public API: the columns
 of a map and the relations of a module (`SubmoduleBasis.cols`) go to the
 engine as they are, and kernels, preimages and coordinates come back as
-sparse columns.  Dense tuples (`columns()`, `apply`) are views for callers
+sparse columns.  Dense tuples (`entries`, `apply`) are views for callers
 only.
 
 Presentations are never minimized; downstream properties are all phrased as
@@ -45,7 +45,6 @@ from .groebner import (
     CapExceededError,
     IdealBasis,
     SubmoduleBasis,
-    _dense,
     _graph_coordinates,
     _nonexact_degree,
     _preimage,
@@ -131,31 +130,12 @@ class FreeMap:
         return _freemap(ring, target_rank, [{} for _ in range(source_rank)])
 
     @classmethod
-    def from_columns(cls, ring: RingSpec, target_rank: int, cols: Sequence[Sequence[Poly]]) -> "FreeMap":
-        cols = [tuple(c) for c in cols]
-        _check_ranks(target_rank, len(cols))
-        out = []
-        for c in cols:
-            if len(c) != target_rank:
-                raise ValueError("column length mismatch")
-            if any(p.ring != ring for p in c):
-                raise ValueError("entry ring mismatch")
-            out.append({i: p for i, p in enumerate(c) if p.keys})
-        return _freemap(ring, target_rank, out)
-
-    @classmethod
     def diagonal(cls, ring: RingSpec, diag: Sequence[Poly]) -> "FreeMap":
         """The square matrix with diagonal `diag` and zeros elsewhere."""
         diag = tuple(diag)
         if any(g.ring != ring for g in diag):
             raise ValueError("entry ring mismatch")
         return _freemap(ring, len(diag), [{i: g} if g.keys else {} for i, g in enumerate(diag)])
-
-    @classmethod
-    def scalar(cls, ring: RingSpec, g: Poly, n: int) -> "FreeMap":
-        """g times the identity on A^n."""
-        _check_ranks(n, n)
-        return cls.diagonal(ring, [g] * n)
 
     # -- block structure ------------------------------------------------------
 
@@ -174,17 +154,6 @@ class FreeMap:
         _check_same_ring(a, b)
         return _freemap(a.ring, a.target_rank, a.cols + b.cols)
 
-    @classmethod
-    def vstack(cls, a: "FreeMap", b: "FreeMap") -> "FreeMap":
-        """[a ; b]: same source, concatenated targets."""
-        if a.source_rank != b.source_rank:
-            raise ValueError("vstack needs equal source ranks")
-        _check_same_ring(a, b)
-        shift = a.target_rank
-        return _freemap(a.ring, a.target_rank + b.target_rank,
-                        [{**ca, **{i + shift: p for i, p in cb.items()}}
-                         for ca, cb in zip(a.cols, b.cols)])
-
     # -- data access -----------------------------------------------------------
 
     @property
@@ -192,12 +161,6 @@ class FreeMap:
         """The dense matrix, row-major, with the zero entries filled in."""
         z = _poly(self.ring, {})
         return tuple(tuple(c.get(i, z) for c in self.cols) for i in range(self.target_rank))
-
-    def column(self, j: int) -> tuple:
-        return _dense(self.cols[j], self.ring, self.target_rank)
-
-    def columns(self) -> list:
-        return [_dense(c, self.ring, self.target_rank) for c in self.cols]
 
     def apply(self, vec: Sequence[Poly]) -> tuple:
         vec = tuple(vec)
@@ -219,9 +182,6 @@ class FreeMap:
             raise RingMismatchError(f"ring mismatch: {self.ring!r} vs {other.ring!r}")
         return _freemap(self.ring, self.target_rank,
                         _matrix_product(self.ring, self.cols, other.cols, self.target_rank))
-
-    def __matmul__(self, other: "FreeMap") -> "FreeMap":
-        return self.compose(other)
 
     def __add__(self, other: "FreeMap") -> "FreeMap":
         return _plus(self, other, False)
@@ -328,15 +288,6 @@ class FPModule:
     @classmethod
     def free(cls, ring: RingSpec, rank: int) -> "FPModule":
         return cls(ring, rank, SubmoduleBasis(ring, rank, []))
-
-    @classmethod
-    def cyclic(cls, ring: RingSpec, annihilators: Sequence[Poly]) -> "FPModule":
-        """A/(annihilators) as a rank-1 presentation."""
-        return cls(ring, 1, SubmoduleBasis(ring, 1, [{0: a} for a in annihilators]))
-
-    def basis_vector(self, i: int) -> tuple:
-        z = self.ring.zero()
-        return tuple(self.ring.one() if j == i else z for j in range(self.rank))
 
     def __eq__(self, other):
         return (isinstance(other, FPModule) and self.ring == other.ring

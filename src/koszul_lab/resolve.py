@@ -86,8 +86,10 @@ class ResolutionInput:
                  connecting: Sequence[VertexMaps] = ()):
         self.U = tuple(U)
         self.V = tuple(V)
-        if len(set(self.U)) != len(self.U) or len(set(self.V)) != len(self.V):
-            raise ValueError("repeated labels")
+        for name, labels in (("U", self.U), ("V", self.V)):
+            for i, lab in enumerate(labels):
+                if lab in labels[:i]:
+                    raise ValueError(f'label "{lab}" is repeated in {name}')
         if set(self.U) & set(self.V):
             raise ValueError("U and V must be disjoint")
         targets = tuple(targets)

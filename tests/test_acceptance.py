@@ -119,9 +119,7 @@ def test_criterion_3_koszul_implies_admissible(koszul_cubes):
         assert all(r <= 4 for r in c.vertex_rank.values())
         for T in c.subsets():
             for k in sorted(T):
-                m = c.d(T, k)
-                for j in range(m.source_rank):
-                    assert all(e.total_degree() <= 2 for e in m.column(j))
+                assert all(e.total_degree() <= 2 for row in c.d(T, k).entries for e in row)
         assert is_admissible(c).ok, (i, "not admissible")
         assert zero_spherical(total_complex(c)) is True, (i, "Tot not 0-spherical")
     dt = gen_time + (time.perf_counter() - t0)

@@ -169,7 +169,7 @@ def polys(draw, ring=Q2, max_terms=4, max_exp=3):
         max_size=max_terms))
     acc = ring.zero()
     for e, c in pairs:
-        acc = acc + ring.one().mul_term(e, ring.field.of(c))
+        acc = acc + Poly(ring, {e: ring.field.of(c)})
     return acc
 
 
@@ -279,7 +279,7 @@ def test_lex_ignores_degree():
 def test_leading_term_respects_ring_order():
     p_grev = P("x + y^2")
     assert p_grev.leading()[0] == (0, 2)
-    p_lex = parse_poly("x + y^2", Q2.with_order("lex"))
+    p_lex = parse_poly("x + y^2", RingSpec("Q", ("x", "y"), "lex"))
     assert p_lex.leading()[0] == (1, 0)
 
 
@@ -422,7 +422,8 @@ def test_monic():
 # the bound of the packed keys
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("ring", [Q2, F7, Q2.with_order("lex"), Q2.with_order("grlex")])
+@pytest.mark.parametrize("ring", [Q2, F7, RingSpec("Q", ("x", "y"), "lex"),
+                                  RingSpec("Q", ("x", "y"), "grlex")])
 def test_every_polynomial_keeps_exponents_below_two_to_the_31(ring):
     # the fields of a monomial key are 32 bits wide and keep the top bit as
     # a guard, so 2^31 bounds every exponent and total degree of every
@@ -432,8 +433,7 @@ def test_every_polynomial_keeps_exponents_below_two_to_the_31(ring):
     assert top.total_degree() == 2 ** 31 - 1
     assert str(top) == "x^2147483647"
     assert top.leading()[0] == (2 ** 31 - 1, 0)
-    for beyond in (lambda: top * x, lambda: y * top, lambda: top.mul_term((0, 1), ring.field.one),
-                   lambda: parse_poly("x^2147483648", ring),
+    for beyond in (lambda: top * x, lambda: y * top, lambda: parse_poly("x^2147483648", ring),
                    lambda: Poly(ring, {(2 ** 31, 0): ring.field.one})):
         with pytest.raises(CapExceededError, match=r"2\^31"):
             beyond()

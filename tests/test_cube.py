@@ -25,6 +25,7 @@ from koszul_lab.koszul import typical_cube
 from koszul_lab.modcalc import (
     FPModule,
     FreeMap,
+    cokernel,
     homology,
     is_zero_module,
     zero_spherical,
@@ -33,6 +34,7 @@ from koszul_lab.modcalc import (
 Q2 = RingSpec("Q", ("x", "y"))
 Q3 = RingSpec("Q", ("x", "y", "z"))
 X, Y = Q2.gens()
+MOD_X = cokernel(FreeMap(Q2, [[X]]))  # A/(x)
 
 E = frozenset()
 S1 = frozenset({"1"})
@@ -86,22 +88,22 @@ def _square_mod_x(e_vertex):
 
 
 def test_validate_square_commuting_modulo_relations():
-    assert validate_cube(_square_mod_x(FPModule.cyclic(Q2, [X]))).ok
+    assert validate_cube(_square_mod_x(MOD_X)).ok
     assert validate_cube(_square_mod_x(1)).failures == (
         "square at {1,2} in directions 1,2 does not commute",)
 
 
 def test_validate_catches_boundary_not_preserving_relations():
     one = FreeMap(Q2, [[P("1")]])
-    z = ModCube(Q2, ("1",), {E: 1, S1: FPModule.cyclic(Q2, [X])}, {(S1, "1"): one})
+    z = ModCube(Q2, ("1",), {E: 1, S1: MOD_X}, {(S1, "1"): one})
     assert validate_cube(z).failures == ("boundary d^1_{1} does not preserve relations",)
-    ok = ModCube(Q2, ("1",), {E: FPModule.cyclic(Q2, [X]), S1: FPModule.cyclic(Q2, [X])},
+    ok = ModCube(Q2, ("1",), {E: MOD_X, S1: MOD_X},
                  {(S1, "1"): one})
     assert validate_cube(ok).ok
 
 
 def test_free_only_operations_reject_relations():
-    x = _square_mod_x(FPModule.cyclic(Q2, [X]))
+    x = _square_mod_x(MOD_X)
     with pytest.raises(ValueError, match="relations"):
         total_complex(x)
     with pytest.raises(ValueError, match="relations"):
@@ -134,10 +136,10 @@ def test_module_cube_admissibility():
 def _mod_injective_reference(m, src, tgt):
     """The test `_mod_injective` ran on the reduced syzygy basis of
     [m | rel_tgt]: every first block must lie in rel_src."""
-    cols = m.columns() + list(tgt.relations.generators)
-    rows = [[c[i] for c in cols] for i in range(tgt.rank)]
+    rels = tgt.relations.generators
+    rows = [list(r) + [g[i] for g in rels] for i, r in enumerate(m.entries)]
     return all(src.relations.contains_vector(g[:m.source_rank])
-               for g in syzygies(rows, m.ring, source_rank=len(cols)))
+               for g in syzygies(rows, m.ring, source_rank=m.source_rank + len(rels)))
 
 
 def test_mod_injective_matches_syzygy_reference():
@@ -202,7 +204,7 @@ def test_vertices_must_lie_over_the_cube_ring():
                     {(S1, "1"): d})
 
     assert is_admissible(cube(Q3)).ok
-    for ring in (Q2, Q3.with_order("lex")):
+    for ring in (Q2, RingSpec("Q", ("x", "y", "z"), "lex")):
         with pytest.raises(ValueError, match="vertex ring mismatch"):
             cube(ring)
 
@@ -228,6 +230,17 @@ def test_validate_catches_shape_mismatch():
 def test_missing_boundary_rejected():
     with pytest.raises(ValueError):
         Cube(Q2, ("1",), {E: 1, S1: 1}, {})
+
+
+@pytest.mark.parametrize("labels, vertices, boundary, message", [
+    (("1", "1"), {E: 1, S1: 1}, {(S1, "1"): FreeMap(Q2, [[X]])}, "cube labels must be distinct"),
+    (("1",), {E: -1, S1: 1}, {(S1, "1"): FreeMap(Q2, [[X]])}, "vertex rank must be non-negative"),
+    (("1",), {E: 1}, {}, "vertices must cover exactly the subsets of the labels"),
+    (("1",), {E: 1, S1: 1}, {(S1, "1"): FreeMap(Q3, [[P("z", Q3)]])}, "boundary ring mismatch"),
+])
+def test_constructor_refusals(labels, vertices, boundary, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Cube(Q2, labels, vertices, boundary)
 
 
 def test_total_complex_signs_frozen():

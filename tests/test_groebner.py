@@ -114,8 +114,8 @@ def test_spolys_reduce_to_zero(gens):
             ei, ci = gb[i].leading()
             ej, cj = gb[j].leading()
             lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-            s = gb[i].mul_term(tuple(l - a for l, a in zip(lcm, ei)), Q2.field.inv(ci)) \
-                - gb[j].mul_term(tuple(l - a for l, a in zip(lcm, ej)), Q2.field.inv(cj))
+            s = gb[i] * Poly(Q2, {tuple(l - a for l, a in zip(lcm, ei)): Q2.field.inv(ci)}) \
+                - gb[j] * Poly(Q2, {tuple(l - a for l, a in zip(lcm, ej)): Q2.field.inv(cj)})
             assert I.nf(s)[0].is_zero()
 
 
@@ -584,7 +584,7 @@ def test_exponent_of_two_to_the_31_is_refused_not_wrapped():
     # one reduction step that raises the total degree from 2^31 - 2 to 2^31:
     # x^(2^31 - 2) - x^(2^31 - 3)·(x - y^3) under lex, and the same at
     # position 0 of A^2 against (x, y^3) under grevlex
-    lex = Q2.with_order("lex")
+    lex = RingSpec("Q", ("x", "y"), "lex")
     xl, yl = lex.gens()
     with pytest.raises(engine_cap):
         IdealBasis(lex, [xl - yl ** 3]).contains(xl ** (big - 2))
@@ -1273,7 +1273,8 @@ def _edge_transcript():
         gens = syzygies(d1.entries, ring, 3)
         cols = [tuple(a * p for p in g) for g in gens
                 for a in (_seeded_poly(ring, rng, 1), _seeded_poly(ring, rng, 1))]
-        d2 = FreeMap.from_columns(ring, 3, cols) if cols else FreeMap(ring, [[]] * 3, 3, 0)
+        # the rows of the matrix whose columns are cols
+        d2 = FreeMap(ring, list(zip(*cols)) or [()] * 3, 3, len(cols))
         c = Complex(ring, [2, 3, len(cols)], [d1, d2])
         for k in range(3):
             H = homology(c, k)

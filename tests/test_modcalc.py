@@ -51,8 +51,7 @@ def test_freemap_shapes_and_algebra():
     f = M([["x", "y"]])                      # A^2 -> A
     g = M([["x"], ["y"]])                    # A -> A^2
     assert f.target_rank == 1 and f.source_rank == 2
-    assert f.compose(g).entries == M([["x^2 + y^2"]]).entries
-    assert (f @ g) == M([["x^2 + y^2"]])
+    assert f.compose(g) == M([["x^2 + y^2"]])
     assert f.apply((ONE, ONE)) == (X + Y,)
     assert (f + f) == f.scaled(Q2.const(2))
     assert (f - f).is_zero_map()
@@ -92,13 +91,14 @@ def test_compose_matches_entrywise_reference(field):
         a = FreeMap(ring, [[entry() for _ in range(m)] for _ in range(r)], target_rank=r, source_rank=m)
         b = FreeMap(ring, [[entry() for _ in range(s)] for _ in range(m)], target_rank=m, source_rank=s)
         # [a | a] ∘ [b ; -b] is zero: every sum cancels
-        for x, y in ((a, b), (FreeMap.hstack(a, a), FreeMap.vstack(b, -b))):
+        b_minus_b = FreeMap(ring, b.entries + (-b).entries, target_rank=2 * m, source_rank=s)
+        for x, y in ((a, b), (FreeMap.hstack(a, a), b_minus_b)):
             got = x.compose(y)
             for i in range(r):
                 for j in range(s):
                     assert got.entries[i][j].terms == reference(x, y, i, j), (i, j)
                     assert all(canonical(c, F.char) for c in got.entries[i][j].terms.values())
-        assert FreeMap.hstack(a, a).compose(FreeMap.vstack(b, -b)).is_zero_map()
+        assert FreeMap.hstack(a, a).compose(b_minus_b).is_zero_map()
 
 
 def test_freemap_identity_zero_blocks():
@@ -109,24 +109,20 @@ def test_freemap_identity_zero_blocks():
     assert d == M([["x", "0"], ["0", "y"]])
     h = FreeMap.hstack(M([["x"]]), M([["y"]]))
     assert h == M([["x", "y"]])
-    v = FreeMap.vstack(M([["x"]]), M([["y"]]))
-    assert v == M([["x"], ["y"]])
-    s = FreeMap.scalar(Q2, X, 2)
+    s = FreeMap.diagonal(Q2, [X, X])
     assert s == M([["x", "0"], ["0", "x"]])
 
 
 def test_freemap_zero_rank_edges():
     empty_src = FreeMap(Q2, [[], []], target_rank=2, source_rank=0)
-    assert empty_src.columns() == []
+    assert empty_src.cols == ()
     assert is_injective(empty_src)  # vacuously
     empty_tgt = FreeMap(Q2, [], target_rank=0, source_rank=2)
     assert empty_tgt.apply((X, Y)) == ()
     assert empty_src.compose(empty_tgt).entries == FreeMap.zero(Q2, 2, 2).entries
 
 
-def test_freemap_from_columns_and_shape_mismatch():
-    f = FreeMap.from_columns(Q2, 2, [(X, ZERO), (ZERO, Y)])
-    assert f == M([["x", "0"], ["0", "y"]])
+def test_freemap_shape_mismatch():
     with pytest.raises(ValueError):
         M([["x", "y"], ["x"]])
     with pytest.raises(ValueError):
@@ -138,11 +134,24 @@ def test_freemap_rejects_negative_ranks():
                  lambda: FreeMap(Q2, [], target_rank=-1, source_rank=0),
                  lambda: FreeMap.zero(Q2, 0, -1),
                  lambda: FreeMap.zero(Q2, -1, 2),
-                 lambda: FreeMap.identity(Q2, -1),
-                 lambda: FreeMap.scalar(Q2, X, -3),
-                 lambda: FreeMap.from_columns(Q2, -1, [])):
+                 lambda: FreeMap.identity(Q2, -1)):
         with pytest.raises(ValueError, match="negative rank"):
             make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FPModule(Q2, 2, SubmoduleBasis(Q2, 1, [])), "relations ambient rank 1 != module rank 2"),
+    (lambda: FPModule(Q2, 1, SubmoduleBasis(RingSpec(101, ("x", "y")), 1, [])),
+     "relations ring mismatch"),
+    (lambda: Complex(Q2, [], []), "a complex needs at least one term"),
+    (lambda: Complex(Q2, [1, 1], []), "expected 1 differentials, got 0"),
+    (lambda: Complex(Q2, [1, 1], [FreeMap.identity(RingSpec(101, ("x", "y")), 1)]),
+     "differential ring mismatch"),
+    (lambda: Complex(Q2, [1, 2], [M([["x"]])]), "d_1 has shape 1x1, expected 1x2"),
+])
+def test_module_and_complex_constructor_refusals(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +200,7 @@ def test_min_annihilating_power():
 def test_compose_refuses_an_exponent_of_two_to_the_31():
     # compose adds the packed keys of its entries, so it keeps the bound that
     # every product of polynomials keeps: 2^31 is a cap error
-    for ring in (Q2, RingSpec(101, ("x", "y")), Q2.with_order("lex")):
+    for ring in (Q2, RingSpec(101, ("x", "y")), RingSpec("Q", ("x", "y"), "lex")):
         x, y = ring.gens()
         top = FreeMap(ring, [[parse_poly("1/2*x^2147483647", ring), x]])
         below = FreeMap(ring, [[ring.one()], [y]])
@@ -472,7 +481,7 @@ def _lifts(d, b, rel):
     X = _factor_through(d, b, rel)
     assert isinstance(X, FreeMap), X
     assert (X.target_rank, X.source_rank) == (d.source_rank, b.source_rank)
-    return all(rel.contains_vector(c) for c in (d.compose(X) - b).columns())
+    return all(rel.contains_vector(c) for c in (d.compose(X) - b).cols)
 
 
 def test_lift_through_surjection():
@@ -489,7 +498,7 @@ def test_lift_not_surjective_raises():
 def test_lift_infeasible_raises():
     # the 2x1 map e1 -> e1 misses e2, so the identity on A^2 lifts in its
     # first column and not in its second: the index 1 is returned
-    p = FreeMap.from_columns(Q2, 2, [(ONE, ZERO)])
+    p = M([["1"], ["0"]])
     assert _factor_through(p, FreeMap.identity(Q2, 2), SubmoduleBasis(Q2, 2, [])) == 1
 
 
@@ -512,7 +521,7 @@ def _exact_at(c: Complex, k: int) -> bool:
         kernel = syzygies(d.entries, ring, source_rank=d.source_rank)
     if k == c.length:
         return not kernel
-    image = SubmoduleBasis(ring, rank, c.differential(k + 1).columns())
+    image = SubmoduleBasis(ring, rank, c.differential(k + 1).cols)
     return all(image.contains_vector(g) for g in kernel)
 
 
@@ -611,7 +620,6 @@ def _dense_ops_reference(ring, rows, t, s):
     """Every FreeMap operation, on a dense list of rows of Poly."""
     z = ring.zero()
     return {
-        "column": lambda j: tuple(rows[i][j] for i in range(t)),
         "neg": [[-p for p in r] for r in rows],
         "scaled": lambda g: [[g * p for p in r] for r in rows],
         "plus": lambda other, sign: [[a + b if sign > 0 else a - b for a, b in zip(ra, rb)]
@@ -619,7 +627,6 @@ def _dense_ops_reference(ring, rows, t, s):
         "apply": lambda vec: tuple(sum((rows[i][j] * vec[j] for j in range(s)), z)
                                    for i in range(t)),
         "hstack": lambda other: [list(ra) + list(rb) for ra, rb in zip(rows, other)],
-        "vstack": lambda other: [list(r) for r in rows] + [list(r) for r in other],
         "block_diag": lambda other, ot, os: ([list(r) + [z] * os for r in rows]
                                              + [[z] * s + list(r) for r in other]),
     }
@@ -663,8 +670,6 @@ def test_freemap_operations_match_dense_reference(field):
         for m in (a, b, c, d, e):
             _assert_sparse_invariants(m)
         assert a.is_zero_map() == all(p.is_zero() for r in rows for p in r)
-        assert a.columns() == [ref["column"](j) for j in range(s)]
-        assert FreeMap.from_columns(ring, t, a.columns()) == a
         same(-a, ref["neg"], (t, s))
         g = rng.choice((z, ring.const(3), ring.gens()[0] - ring.gens()[2]))
         same(a.scaled(g), ref["scaled"](g), (t, s))
@@ -676,10 +681,9 @@ def test_freemap_operations_match_dense_reference(field):
         assert (a - a).is_zero_map() and (a - a) == FreeMap.zero(ring, t, s)
         same(a.compose(c), _compose_reference(a, c).entries, (t, c.source_rank))
         same(e.compose(a), _compose_reference(e, a).entries, (e.target_rank, s))
-        vec = c.column(0) if c.source_rank else tuple(ring.gens()[1] for _ in range(s))
+        vec = tuple(r[0] for r in c.entries) if c.source_rank else (ring.gens()[1],) * s
         assert a.apply(vec) == ref["apply"](vec)
         same(FreeMap.hstack(a, b), ref["hstack"](b.entries), (t, 2 * s))
-        same(FreeMap.vstack(a, d), ref["vstack"](d.entries), (t + d.target_rank, s))
         same(FreeMap.block_diag(a, c), ref["block_diag"](c.entries, c.target_rank, c.source_rank),
              (t + c.target_rank, s + c.source_rank))
         # equal maps built in different ways hash equal
@@ -692,10 +696,6 @@ def test_freemap_operations_match_dense_reference(field):
     for n in (0, 1, 3):
         eye = [[ring.one() if i == j else z for j in range(n)] for i in range(n)]
         assert FreeMap.identity(ring, n).entries == tuple(map(tuple, eye))
-        assert FreeMap.scalar(ring, x, n) == FreeMap(ring, [[x * p for p in r] for r in eye],
-                                                     target_rank=n, source_rank=n)
-        assert FreeMap.scalar(ring, z, n) == FreeMap.zero(ring, n, n)
-        _assert_sparse_invariants(FreeMap.scalar(ring, z, n))
         diag = [x, z, ring.one()][:n]
         assert FreeMap.diagonal(ring, diag).entries == tuple(
             tuple(diag[i] if i == j else z for j in range(n)) for i in range(n))
@@ -709,19 +709,17 @@ def test_freemap_operations_match_dense_reference(field):
 # --------------------------------------------------------------------------
 
 def _graph_coordinates_reference(vec, cols, rels, ring, rank):
-    """Coordinates of one vector in terms of cols modulo rels, or None, by a
-    fresh graph module and `nf_vector` per vector."""
-    n = len(cols)
+    """Coordinates of one vector, the one column of the map vec, in terms of
+    the columns of the map cols modulo rels, or None, by a fresh graph
+    module and `nf_vector` per vector."""
+    n = cols.source_rank
     z = ring.zero()
-    gens = []
-    for j, col in enumerate(cols):
-        tail = [z] * n
-        tail[j] = ring.one()
-        gens.append(tuple(col) + tuple(tail))
+    # the columns col_j ⊕ e_j of the matrix (cols ; 1)
+    gens = list(zip(*(cols.entries + FreeMap.identity(ring, n).entries)))
     for r in rels.generators:
         gens.append(tuple(r) + (z,) * n)
     graph = SubmoduleBasis(ring, rank + n, gens)
-    rem, _ = graph.nf_vector(tuple(vec) + (z,) * n)
+    rem, _ = graph.nf_vector(tuple(r[0] for r in vec.entries) + (z,) * n)
     if any(not p.is_zero() for p in rem[:rank]):
         return None
     return [-p for p in rem[rank:]]
@@ -736,21 +734,20 @@ def test_graph_coordinates_batch_matches_reference(field):
     seen_none = seen_coords = 0
     for _ in range(40):
         rank, n, nrels = rng.randint(1, 3), rng.randint(0, 4), rng.randint(0, 2)
-        cols = _sparse_random_map(rng, ring, rank, n).columns()
-        rels = SubmoduleBasis(ring, rank, _sparse_random_map(rng, ring, rank, nrels).columns())
+        cols = _sparse_random_map(rng, ring, rank, n)
+        rel_map = _sparse_random_map(rng, ring, rank, nrels)
+        rels = SubmoduleBasis(ring, rank, rel_map.cols)
         # combinations of the columns and relations lie in the span; random
-        # vectors mostly do not
-        span = FreeMap.from_columns(ring, rank, cols + list(rels.generators))
+        # vectors mostly do not; each vector is a one-column map
+        span = FreeMap.hstack(cols, rel_map)
         vecs = []
         for _ in range(rng.randint(0, 5)):
             if rng.random() < 0.6:
-                coeffs = _sparse_random_map(rng, ring, n + nrels, 1, density=0.6).column(0)
-                vecs.append(span.apply(coeffs))
+                vecs.append(span.compose(_sparse_random_map(rng, ring, n + nrels, 1, density=0.6)))
             else:
-                vecs.append(_sparse_random_map(rng, ring, rank, 1, density=0.6).column(0))
+                vecs.append(_sparse_random_map(rng, ring, rank, 1, density=0.6))
         got = [u if u is None else [u.get(j, ring.zero()) for j in range(n)]
-               for u in _graph_coordinates([dict(enumerate(v)) for v in vecs],
-                                           [dict(enumerate(c)) for c in cols], rels, ring, rank)]
+               for u in _graph_coordinates([v.cols[0] for v in vecs], cols.cols, rels, ring, rank)]
         want = [_graph_coordinates_reference(v, cols, rels, ring, rank) for v in vecs]
         assert got == want
         seen_none += want.count(None)
@@ -762,13 +759,13 @@ def test_graph_coordinates_batch_matches_reference(field):
 def test_lift_reports_non_surjective_before_missing_preimage():
     # p misses e2: the index returned is the first column of b that has no
     # preimage, whichever columns after it also have none
-    p = FreeMap.from_columns(Q2, 2, [(ONE, ZERO)])
+    p = M([["1"], ["0"]])
     free = SubmoduleBasis(Q2, 2, [])
-    e1, e2, xe1 = (ONE, ZERO), (ZERO, ONE), (X, ZERO)
-    assert _factor_through(p, FreeMap.from_columns(Q2, 2, [e2, e1, e2]), free) == 0
-    assert _factor_through(p, FreeMap.from_columns(Q2, 2, [e1, xe1, e2, e2]), free) == 2
+    # the columns e2, e1, e2; then e1, x·e1, e2, e2; then e1, x·e1, e2
+    assert _factor_through(p, M([["0", "1", "0"], ["1", "0", "1"]]), free) == 0
+    assert _factor_through(p, M([["1", "x", "0", "0"], ["0", "0", "1", "1"]]), free) == 2
     # modulo e2 every column lifts
-    assert _lifts(p, FreeMap.from_columns(Q2, 2, [e1, xe1, e2]), SubmoduleBasis(Q2, 2, [e2]))
+    assert _lifts(p, M([["1", "x", "0"], ["0", "0", "1"]]), SubmoduleBasis(Q2, 2, [(ZERO, ONE)]))
 
 
 # --------------------------------------------------------------------------
@@ -785,7 +782,7 @@ def _nonzero_homology_degree_reference(c):
             continue
         if k == c.length:
             return k
-        image = SubmoduleBasis(c.ring, c.ranks[k], c.differential(k + 1).columns())
+        image = SubmoduleBasis(c.ring, c.ranks[k], c.differential(k + 1).cols)
         if not all(image.contains_vector(g) for g in gens):
             return k
     return None
@@ -878,6 +875,39 @@ def test_supported_on_matches_annihilator_reference():
             assert supported_on(M, f) == want, (M, f)
             verdicts.add(want)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("field", ["Q", 101])
+def test_radical_membership_picks_a_fresh_variable(field, monkeypatch):
+    # over a ring that has t and t0 the Rabinowitsch variable is t1; the
+    # verdicts must be those of the same modules over a ring with other
+    # names, where the variable is t, against the annihilator reference
+    from koszul_lab.groebner import radical_membership
+    ring, plain = RingSpec(field, ("t", "x", "t0")), RingSpec(field, ("a", "b", "c"))
+    t, x, t0 = ring.gens()
+    z = ring.zero()
+
+    def module(rank, rels, over=ring):
+        return FPModule(over, rank, SubmoduleBasis(over, rank, rels))
+
+    def renamed(p):
+        return Poly(plain, p.terms)
+
+    modules = [module(1, [(t ** 2,)]), module(1, [(x * t0,)]), module(1, [(t * x,), (x ** 2,)]),
+               module(1, [(t - x,), (t0 ** 3,)]), module(2, [(t, x), (z, t0 ** 2)]),
+               module(2, [(x * t, z), (t0, t)]), module(2, [(t ** 2, z), (z, x + t0)])]
+    fs = [t, x, t0, t + x, t * t0, x * t0 - t, z]
+    want = [[radical_membership(renamed(f), annihilator(module(
+                 M.rank, [tuple(map(renamed, g)) for g in M.relations.generators], plain)))
+             for f in fs] for M in modules]
+    names = []
+    extended = RingSpec.extended
+    monkeypatch.setattr(RingSpec, "extended", lambda r, name: names.append(name) or extended(r, name))
+    assert [[radical_membership(f, M.relations) for f in fs] for M in modules] == want
+    assert [[supported_on(M, f) for f in fs] for M in modules] == want
+    assert [[radical_membership(f, annihilator(M)) for f in fs] for M in modules] == want
+    assert set(names) == {"t1"}
+    assert {v for row in want for v in row} == {True, False}
 
 
 def test_support_forms_no_quotient(monkeypatch):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import code_lines
 import koszul_lab
+import line_coverage
 
 SRC = Path(koszul_lab.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -49,12 +50,17 @@ API_WITHOUT_A_CALLER = {"syzygies", "ideal_intersection", "directional_homology"
                         "nondegenerate_part"}
 
 
+def _exported() -> set:
+    """The names koszul_lab/__init__.py re-exports."""
+    return {a.asname or a.name for node in ast.parse((SRC / "__init__.py").read_text()).body
+            if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
 def test_exported_functions_have_a_caller():
     # every name the package re-exports is read somewhere in the library
     # outside its own definition (the CLI counts) or by the benchmark worker
     # as K.<name>, so a public function nothing calls shows up here
-    exported = {a.asname or a.name for node in ast.parse((SRC / "__init__.py").read_text()).body
-                if isinstance(node, ast.ImportFrom) for a in node.names}
+    exported = _exported()
     read = set()
 
     def visit(node, enclosing):
@@ -72,6 +78,62 @@ def test_exported_functions_have_a_caller():
             visit(ast.parse(path.read_text()), frozenset())
     assert API_WITHOUT_A_CALLER <= exported
     assert sorted(exported - read - _worker_names()) == sorted(API_WITHOUT_A_CALLER)
+
+
+# methods and properties of exported classes, user API with tests of its
+# own, that no command, library path or benchmark operation reads
+MEMBERS_WITHOUT_A_CALLER = {"RingSpec.gens", "Poly.leading", "Poly.monic", "Poly.total_degree",
+                            "IdealBasis.nf", "FreeMap.apply", "FreeMap.block_diag"}
+
+# the arithmetic operators and the method each one calls: an operator
+# written anywhere reads its method, so an alias such as `@` for compose is
+# a member like any other; the other dunder protocol methods are left out
+OPERATOR_METHODS = {ast.Add: "__add__", ast.Sub: "__sub__", ast.Mult: "__mul__",
+                    ast.MatMult: "__matmul__", ast.Pow: "__pow__", ast.USub: "__neg__"}
+
+
+def _member_reads(tree, read, enclosing=frozenset()):
+    """Add to read the attribute names and operator methods that tree reads
+    outside the definitions named in enclosing, and outside each def in tree
+    for its own name."""
+    if isinstance(tree, ast.Attribute):
+        read.update({tree.attr} - enclosing)
+    elif (isinstance(tree, (ast.BinOp, ast.UnaryOp, ast.AugAssign))
+          and type(tree.op) in OPERATOR_METHODS):
+        read.update({OPERATOR_METHODS[type(tree.op)]} - enclosing)
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing = enclosing | {tree.name}
+    for child in ast.iter_child_nodes(tree):
+        _member_reads(child, read, enclosing)
+    return read
+
+
+def _members_without_a_caller() -> list:
+    """Class.member for each public method or property, or operator method,
+    of a class the package re-exports that no library module reads outside
+    the member's own definition and the benchmark worker does not read.
+    Members are matched by name, as the function guard matches exported
+    names."""
+    exported = _exported()
+    read = _member_reads(ast.parse(WORKER.read_text()), set())
+    members = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        _member_reads(tree, read)
+        members |= {(cls.name, f.name) for cls in tree.body
+                    if isinstance(cls, ast.ClassDef) and cls.name in exported
+                    for f in cls.body if isinstance(f, ast.FunctionDef)
+                    and (not f.name.startswith("_") or f.name in OPERATOR_METHODS.values())}
+    return sorted(f"{cls}.{name}" for cls, name in members if name not in read)
+
+
+def test_public_members_have_a_caller():
+    # the member twin of test_exported_functions_have_a_caller: a method,
+    # property or operator of an exported class that nothing reads shows up
+    # here
+    assert _members_without_a_caller() == sorted(MEMBERS_WITHOUT_A_CALLER)
 
 
 def _dotted(node):
@@ -174,12 +236,12 @@ def _callers(predicate) -> set:
 
 def test_typical_sums_and_complexes_have_one_builder():
     # every sum of typical cubes is assembled by koszul._typical_sum, the
-    # only caller of FreeMap.diagonal besides FreeMap.scalar; a Complex is
-    # built only where a complex leaves the library or comes from a
-    # document, since its constructor re-checks d ∘ d = 0, and the face
-    # scans hand their total complexes to the engine as sparse columns
+    # only caller of FreeMap.diagonal; a Complex is built only where a
+    # complex leaves the library or comes from a document, since its
+    # constructor re-checks d ∘ d = 0, and the face scans hand their total
+    # complexes to the engine as sparse columns
     diagonal = _callers(lambda f: isinstance(f, ast.Attribute) and f.attr == "diagonal")
-    assert diagonal == {("koszul", "_typical_sum"), ("modcalc", "scalar")}
+    assert diagonal == {("koszul", "_typical_sum")}
     complexes = _callers(lambda f: isinstance(f, ast.Name) and f.id == "Complex")
     assert complexes == {("cube", "total_complex"), ("cli", "_complex_from_doc")}
     # a resolution stores no covering cube: the construction builds each
@@ -273,6 +335,58 @@ def test_code_line_counter_rules():
     # the import, the class line, both lines of the def, both of the string
     # that is no docstring and all four of the call
     assert code_lines.code_lines(CODE_LINE_SAMPLE) == 10
+
+
+LINE_SAMPLE = '''"""Module docstring,
+
+on two lines."""
+
+import os
+
+
+class A:
+    """Class docstring."""
+
+    def f(self, a,
+          b):
+        """Function
+        docstring."""
+        if a:
+            return os.path.join(
+                a,
+                b,
+            )
+        return None
+
+
+def g(flag):
+    while flag:
+        flag = False
+    return A().f("", "b")
+'''
+
+
+def test_line_report_rules(tmp_path):
+    # executable lines carry an instruction: no docstring, no continuation
+    # line of the def, no closing bracket; g runs everything but the branch
+    # of f it does not take, and the report lists that branch alone
+    sample = tmp_path / "sample.py"
+    sample.write_text(LINE_SAMPLE)
+    assert line_coverage.executable_lines(LINE_SAMPLE, str(sample)) == {
+        5, 8, 11, 15, 16, 17, 18, 20, 23, 24, 25, 26}
+    tracer = line_coverage.LineTracer(tmp_path)
+    code = compile(LINE_SAMPLE, str(sample), "exec")
+    namespace = {}
+    tracer.start()
+    try:
+        exec(code, namespace)
+        namespace["g"](True)
+    finally:
+        tracer.stop()
+    assert line_coverage.report([sample], tracer.ran).splitlines() == [
+        "sample: 3 of 12 lines never ran", "    16-18",
+        "total: 3 of 12 executable lines never ran"]
+    assert line_coverage.report([sample], {}).splitlines()[1] == "    5, 8, 11, 15-18, 20, 23-26"
 
 
 def test_sources_parse_as_python_3_10():

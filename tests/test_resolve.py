@@ -5,6 +5,9 @@ multiplicities, exponents); they are frozen byte-for-byte so the assembly
 order of summands cannot drift silently.
 """
 
+import itertools
+import sys
+
 import pytest
 
 from koszul_lab.arith import RingSpec, parse_poly
@@ -258,6 +261,48 @@ def test_input_shape_validation():
                         [one_cube("x^2"), one_cube("x^2")], connecting=[])
 
 
+R101 = RingSpec(101, ("x", "y"))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ResolutionInput({"1": X}, ["1", "1"], [], [cyclic("x")]),
+     'label "1" is repeated in U'),
+    (lambda: ResolutionInput({"1": X, "2": Y}, ["2"], ["1", "1"], [one_cube("x^2")]),
+     'label "1" is repeated in V'),
+    (lambda: ResolutionInput({"1": X}, ["1"], ["1"], [one_cube("x^2")]),
+     "U and V must be disjoint"),
+    (lambda: ResolutionInput({"1": X, "2": Y}, [], ["2"], [one_cube("x^2")]),
+     r"target labels \['1'\] must equal V \['2'\]"),
+    (lambda: ResolutionInput({"1": X}, [], ["1"], [one_cube("x^2"), one_cube("x^2", ring=R101)]),
+     "targets must share one ring"),
+    (lambda: ResolutionInput({"1": R101.gens()[0]}, [], ["1"], [one_cube("x^2")]),
+     "sequence ring mismatch"),
+    (lambda: ResolutionInput({"1": X}, [], ["1"], [one_cube("x^2"), one_cube("x^2")],
+                             connecting=[{E: FreeMap.identity(Q2, 1)}]),
+     "connecting map must cover every vertex"),
+    (lambda: ResolutionInput({"1": X}, [], ["1"], [one_cube("x^2"), one_cube("x^2")],
+                             connecting=[{E: FreeMap.identity(Q2, 1), S1: FreeMap.zero(Q2, 2, 1)}]),
+     r"connecting map shape mismatch at \{1\}"),
+])
+def test_input_structural_refusals(make, message):
+    # the structural refusals test_input_shape_validation does not reach,
+    # with their messages; the CLI reader refuses such documents before
+    # they get here
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_verify_reports_an_invalid_target_cube():
+    # a square whose two paths to the empty vertex are y·x and x·(y + 1)
+    one = free1()
+    z = ModCube(Q2, ("1", "2"), {E: one, S1: one, S2: one, S12: one},
+                {(S1, "1"): FreeMap(Q2, [[X]]), (S2, "2"): FreeMap(Q2, [[Y]]),
+                 (S12, "1"): FreeMap(Q2, [[X]]), (S12, "2"): FreeMap(Q2, [[Y + Q2.one()]])})
+    failures = ResolutionInput({"1": X, "2": Y}, [], ["1", "2"], [z]).verify().failures
+    assert failures == ("target 0 is not a valid module cube: "
+                        "square at {1,2} in directions 1,2 does not commute",)
+
+
 # --------------------------------------------------------------------------
 # chains (two targets + one connecting map)
 # --------------------------------------------------------------------------
@@ -294,7 +339,7 @@ def test_chain_of_modules():
     q1 = out.stages[1].epi[E]
     q0 = out.stages[0].epi[E]
     diff = q1.compose(lifted) - w[E].compose(q0)
-    assert m1.relations.contains_vector(diff.column(0))
+    assert m1.relations.contains_vector(diff.cols[0])
 
 
 def test_chain_rejects_broken_square():
@@ -334,6 +379,46 @@ def test_chain_three_v_labels():
     out = koszul_resolve(inp)
     rep = check_resolution(out, inp)
     assert rep.ok, rep.failures
+
+
+def _lift_failures(inp, monkeypatch):
+    """The LiftError messages of koszul_resolve(inp) when the n-th call of
+    `_factor_through` made by `_lift_cube` finds no preimage for column 0,
+    one run for each n up to the number of such calls."""
+    import koszul_lab.resolve as resolve
+    original = resolve._factor_through
+    messages = []
+    for fail_at in itertools.count(1):
+        calls = []
+
+        def factor(d, b, rel):
+            if sys._getframe(1).f_code.co_name == "_lift_cube":
+                calls.append(1)
+                if len(calls) == fail_at:
+                    return 0
+            return original(d, b, rel)
+
+        monkeypatch.setattr(resolve, "_factor_through", factor)
+        try:
+            koszul_resolve(inp)
+        except LiftError as e:
+            messages.append(str(e))
+        if len(calls) < fail_at:
+            return messages
+
+
+def test_each_lift_step_names_where_it_failed(monkeypatch):
+    # _lift_cube has three steps that can find no preimage: the base case,
+    # the front solution through the boundary of y and the homotopy through
+    # the boundary of z.  Each refusal names its vertex and direction
+    base = "lift failed: column 0 has no preimage under the epi"
+    front = "lift failed: front solution does not factor through the {}-boundary at {{{}}}"
+    homotopy = "lift failed: homotopy defect escapes the {}-boundary image at {{{}}}"
+    assert set(_lift_failures(resolve_problems()[4], monkeypatch)) == {
+        base, front.format("1", ""), homotopy.format("1", "")}
+    assert set(_lift_failures(square_chain_input(), monkeypatch)) == {
+        base, front.format("1", ""), front.format("1", "2"), front.format("2", ""),
+        homotopy.format("1", ""), homotopy.format("1", "2"), homotopy.format("2", "")}
 
 
 # --------------------------------------------------------------------------
@@ -473,10 +558,8 @@ def _lifts(cols, M, ring):
     """Is M = A^r / relations spanned by the images of `cols`?  On M = H_0(Tot z)
     and the epi at the empty vertex this is surjectivity on H_0(Tot), which
     check_resolution leaves to its check (a)."""
-    basis = [M.basis_vector(i) for i in range(M.rank)]
-    return None not in _graph_coordinates([dict(enumerate(v)) for v in basis],
-                                          [dict(enumerate(c)) for c in cols], M.relations, ring,
-                                          M.rank)
+    basis = FreeMap.identity(ring, M.rank).cols
+    return None not in _graph_coordinates(basis, cols, M.relations, ring, M.rank)
 
 
 def test_epi_at_empty_vertex_implies_h0_tot_surjective():
@@ -487,7 +570,7 @@ def test_epi_at_empty_vertex_implies_h0_tot_surjective():
     for i, inp in enumerate(problems):
         out = koszul_resolve(inp)
         for stage, z in zip(out.stages, inp.targets):
-            cols = stage.epi[E].columns()
+            cols = stage.epi[E].cols
             for drop in [None] + list(range(len(cols))):
                 kept = cols if drop is None else cols[:drop] + cols[drop + 1:]
                 if _lifts(kept, z.vertex(E), inp.ring):
@@ -521,9 +604,8 @@ def _surjectivity_failures_reference(out, inp):
     for idx, (stage, z) in enumerate(zip(out.stages, inp.targets)):
         for T in z.subsets():
             M = z.vertex(T)
-            basis = [M.basis_vector(i) for i in range(M.rank)]
-            coords = _graph_coordinates([dict(enumerate(v)) for v in basis], stage.epi[T].cols,
-                                        M.relations, inp.ring, M.rank)
+            basis = FreeMap.identity(inp.ring, M.rank).cols
+            coords = _graph_coordinates(basis, stage.epi[T].cols, M.relations, inp.ring, M.rank)
             missed = [i for i, u in enumerate(coords) if u is None]
             if missed:
                 failures.append(f"(a) stage {idx}: epi at {{{subset_key(T)}}} misses basis vector "
@@ -532,9 +614,11 @@ def _surjectivity_failures_reference(out, inp):
 
 
 def _zero_column(m, j):
-    cols = m.columns()
-    cols[j] = tuple(m.ring.zero() for _ in cols[j])
-    return FreeMap.from_columns(m.ring, m.target_rank, cols)
+    """m with its column j set to zero: m composed with the diagonal map
+    that is 1 everywhere but 0 at j."""
+    one, zero = m.ring.one(), m.ring.zero()
+    return m.compose(FreeMap.diagonal(m.ring, [zero if i == j else one
+                                               for i in range(m.source_rank)]))
 
 
 def test_surjectivity_check_matches_graph_coordinates_reference():
@@ -727,7 +811,7 @@ def _square_failures_reference(out, inp):
             for k in sorted(T):
                 diff = epi[T - {k}].compose(y.d(T, k)) - z.d(T, k).compose(epi[T])
                 rel = z.vertex(T - {k}).relations
-                if not all(rel.contains_vector(diff.column(j)) for j in range(diff.source_rank)):
+                if not all(map(rel.contains_vector, diff.cols)):
                     failures.append(f"(c) {tag}: square at {{{subset_key(T)}}} direction {k} fails")
     for i, t in enumerate(out.connecting if out else ()):
         w = inp.connecting[i]
@@ -736,7 +820,7 @@ def _square_failures_reference(out, inp):
         for T in y_src.subsets():
             diff = epi_tgt[T].compose(t[T]) - w[T].compose(epi_src[T])
             rel = inp.targets[i + 1].vertex(T).relations
-            if not all(rel.contains_vector(diff.column(j)) for j in range(diff.source_rank)):
+            if not all(map(rel.contains_vector, diff.cols)):
                 failures.append(
                     f"(c) connecting square at {{{subset_key(T)}}} fails (stage {i}→{i + 1})")
             if not all(y_tgt.vertex(T).relations.contains_vector(t[T].apply(r))
@@ -745,7 +829,7 @@ def _square_failures_reference(out, inp):
             for k in sorted(T):
                 diff = t[T - {k}].compose(y_src.d(T, k)) - y_tgt.d(T, k).compose(t[T])
                 rel = y_tgt.vertex(T - {k}).relations
-                if not all(rel.contains_vector(diff.column(j)) for j in range(diff.source_rank)):
+                if not all(map(rel.contains_vector, diff.cols)):
                     failures.append(f"(c) connecting map is not a cube morphism at "
                                     f"{{{subset_key(T)}}} direction {k}")
     for i, w in enumerate(inp.connecting):
@@ -758,7 +842,7 @@ def _square_failures_reference(out, inp):
             for k in sorted(T):
                 diff = w[T - {k}].compose(src.d(T, k)) - tgt.d(T, k).compose(w[T])
                 rel = tgt.vertex(T - {k}).relations
-                if not all(rel.contains_vector(diff.column(jj)) for jj in range(diff.source_rank)):
+                if not all(map(rel.contains_vector, diff.cols)):
                     failures.append(
                         f"connecting square at {{{subset_key(T)}}} direction {k} fails")
     return failures
