@@ -465,13 +465,24 @@ def _admissible_definition(mc: Cube, applied: frozenset, memo: dict) -> tuple:
     return ok, tuple(failures)
 
 
-def _admissible_spherical(x: Cube, fixed: frozenset, memo: dict) -> tuple:
-    """(ok, failures) for the face `x`, whose vertex at A is the input cube's
-    vertex at A ∪ fixed; failures are relative to x.  memo maps a face, as
-    (its labels, fixed), to its (ok, failures).
+def _admissible_spherical(x: Cube, memo: dict) -> tuple:
+    """(ok, failures) for the front face `x`, whose vertex at A is the input
+    cube's vertex at A; failures are relative to x.  memo maps a face, by
+    its labels, to its (ok, failures).
 
     Tot(x) is 0-spherical unless some ker d_k escapes im d_{k+1}; the first
     such degree is the one reported, and no H_k is presented to find it.
+
+    Only front faces x|_U^∅ are visited: every face x|_U^V has a 0-spherical
+    Tot once they do.  Take v ∈ V, V' = V∖v and y = x|_{U∪v}^{V'}.  Tot of
+    the front face x|_U^{V'} is the subcomplex of Tot(y) on the vertices
+    without v, and the quotient is Tot(x|_U^V) shifted up by one, each
+    summand rescaled by ±1.  The long exact sequence of this mapping cone
+    (Weibel, An Introduction to Homological Algebra, §1.5) holds
+    H_k(y) → H_{k−1}(x|_U^V) → H_{k−1}(x|_U^{V'}), so H_k(y) = 0 and
+    H_{k−1}(x|_U^{V'}) = 0 give H_{k−1}(x|_U^V) = 0 for every k ≥ 2, which
+    is 0-sphericity.  y and x|_U^{V'} hold fewer directions at the back,
+    which gives the induction on |V|; at V = ∅ the face is a front face.
     """
     if not x.labels:
         return True, ()
@@ -482,36 +493,43 @@ def _admissible_spherical(x: Cube, fixed: frozenset, memo: dict) -> tuple:
     ok = bad is None
     S = frozenset(x.labels)
     for k in x.labels:
-        for V, tag in ((frozenset(), "front"), (frozenset({k}), "back")):
-            key = (S - {k}, fixed | V)
-            if key not in memo:
-                memo[key] = _admissible_spherical(restrict(x, S - {k}, V), fixed | V, memo)
-            sub_ok, sub_failures = memo[key]
-            ok = ok and sub_ok
-            failures += [f"{tag}^{k}·{f}" for f in sub_failures]
+        key = S - {k}
+        if key not in memo:
+            memo[key] = _admissible_spherical(restrict(x, key, ()), memo)
+        sub_ok, sub_failures = memo[key]
+        ok = ok and sub_ok
+        failures += [f"front^{k}·{f}" for f in sub_failures]
     return ok, tuple(failures)
 
 
 def _admissible_inductive(mc: Cube, failures: list, prefix: str) -> bool:
+    """Is the module cube `mc` admissible?  Failures are appended to
+    `failures`, each under `prefix`.
+
+    With s the first label: the front face mc|_{S∖s}^∅ is admissible, every
+    d^s is injective, and H_0^s(mc) is admissible, which is checked only
+    when the first two hold.  The back face mc|_{S∖s}^{s} is not checked,
+    as these three make it admissible, by induction on |S|.  Its boundaries:
+    the square d^s_T ∘ d^k_{T∪s} = d^k_T ∘ d^s_{T∪s} has an injective
+    right-hand side, so d^k_{T∪s} is injective.  Its H_0 cubes: 0 → back →
+    front → H_0^s(mc) → 0 is exact at each vertex and the boundaries of
+    H_0^s(mc) are injective, so the snake lemma (Weibel, An Introduction to
+    Homological Algebra, 1.3.2) in a direction k makes H_0^k(back) →
+    H_0^k(front) injective with cokernel H_0^s(H_0^k(mc)).  The cube
+    H_0^k(mc) thus has an admissible front, an injective d^s and an
+    admissible H_0^s in direction s, and its back face, H_0^k(back), is
+    admissible by induction.  A 0-cube is admissible.
+    """
     if not mc.labels:
         return True
     s = mc.labels[0]
-    rest = frozenset(mc.labels) - {s}
-    ok = True
-    for V, tag in ((frozenset(), "front"), (frozenset({s}), "back")):
-        face = restrict(mc, rest, V)
-        if not _admissible_inductive(face, failures, f"{prefix}{tag}^{s}·"):
-            ok = False
-    for T in restrict(mc, rest, frozenset()).subsets():
-        m = mc.d(T | {s}, s)
-        if not _mod_injective(m, mc.vertex(T | {s}), mc.vertex(T)):
+    front = restrict(mc, mc.labels[1:], ())
+    ok = _admissible_inductive(front, failures, f"{prefix}front^{s}·")
+    for T in front.subsets():
+        if not _mod_injective(mc.d(T | {s}, s), mc.vertex(T | {s}), mc.vertex(T)):
             failures.append(f"{prefix}boundary d^{s}_{{{subset_key(T | {s})}}} is not injective")
             ok = False
-    if ok:
-        sub = _h0_modcube(mc, s)
-        if not _admissible_inductive(sub, failures, f"{prefix}H0^{s}·"):
-            ok = False
-    return ok
+    return ok and _admissible_inductive(_h0_modcube(mc, s), failures, f"{prefix}H0^{s}·")
 
 
 ADMISSIBILITY_STRATEGIES = ("definition", "spherical_faces", "inductive")
@@ -521,10 +539,14 @@ def is_admissible(x: Cube, strategy: str = "definition") -> Report:
     """Admissibility verdict under one of three equivalent strategies.
 
     definition: all boundaries are injective and every H_0^k cube is
-    recursively admissible.  spherical_faces: Tot(x) is 0-spherical and all
-    front/back faces are recursively admissible.  inductive: the two faces in
-    the first label's direction are admissible, that direction's boundaries
-    are injective, and H_0 in that direction is admissible.
+    recursively admissible.  spherical_faces: Tot(x) is 0-spherical and
+    every front face x|_U^∅ is recursively admissible.  inductive: the
+    front face in the first label's direction is admissible, that
+    direction's boundaries are injective, and H_0 in that direction is
+    admissible.  Neither of the last two visits a back face x|_U^V with V
+    nonempty: the checks they make fix its verdict (the proofs are in
+    `_admissible_spherical` and `_admissible_inductive`), so a failure is
+    never listed under a back^ prefix.
 
     x must be a valid cube.  definition and inductive take any cube,
     injectivity being tested modulo the vertex relations; spherical_faces
@@ -534,23 +556,23 @@ def is_admissible(x: Cube, strategy: str = "definition") -> Report:
     squares of x), so their total complexes are built without re-validating.
 
     definition and spherical_faces reach one cube along many paths (H_0^k
-    then H_0^l or the reverse; the back face of a front face or the reverse),
-    so each call keeps a memo, created here and dropped on return, and checks
-    every cube once.  This is sound because the cube a path ends at does not
-    depend on the path.  H_0 over the directions D keeps the other labels in
-    their order and presents its vertex at W with relations
+    then H_0^l or the reverse; the front face of a front face, in either
+    order), so each call keeps a memo, created here and dropped on return,
+    and checks every cube once.  This is sound because the cube a path ends
+    at does not depend on the path.  H_0 over the directions D keeps the
+    other labels in their order and presents its vertex at W with relations
     rel_W + Σ_{k∈D} im d^k_{W∪k}, a sum that does not depend on the order of
-    D; a face keeps the label order and is fixed by its labels and the
-    directions held at the back.  A memo entry holds the verdict and the
-    failures relative to its cube, and a repeat visit replays them under the
-    path's prefix, so the failure list equals the unmemoized one.
+    D; a front face keeps the label order and is fixed by its labels.  A
+    memo entry holds the verdict and the failures relative to its cube, and
+    a repeat visit replays them under the path's prefix, so the failure list
+    equals the unmemoized one.
     """
     if strategy not in ADMISSIBILITY_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {ADMISSIBILITY_STRATEGIES}")
     failures: list = []
     if strategy == "spherical_faces":
         _require_free(x)
-        ok, failures = _admissible_spherical(x, frozenset(), {})
+        ok, failures = _admissible_spherical(x, {})
     elif strategy == "definition":
         _require_valid(x)
         ok, failures = _admissible_definition(x, frozenset(), {})

@@ -284,11 +284,10 @@ def _nf_vp(vp: dict, basis: Sequence[_Element], by_pos: dict, ring: RingSpec,
                         for k in d:
                             d[k] *= u
                 if want_cert:
-                    s = field.add(cert[i].get(q, 0), qc)
-                    if s:
-                        cert[i][q] = s
-                    else:
-                        cert[i].pop(q, None)
+                    # t pops once (terms pop in decreasing order and a step at
+                    # t makes only smaller ones) and fixes q, so the key is new
+                    # and qc, like c, is nonzero
+                    cert[i][q] = qc
                 _add_scaled(work, b.vp, q, field.neg(qc), field, overflow, born)
                 for k in born:
                     heappush(heap, k ^ desc)

@@ -135,7 +135,8 @@ class ResolutionInput:
 
         The sequence over U ∪ V is an A-sequence (`is_A_sequence` under
         perm_cap); every target is a valid, admissible module cube (checked
-        by the inductive strategy, at every |V|); every vertex is supported
+        by the inductive strategy, at every |V|, which visits no back face:
+        see `cube._admissible_inductive`); every vertex is supported
         on V(f_u) for u ∈ U and every directional cokernel on V(f_v);
         connecting maps are cube morphisms.
 

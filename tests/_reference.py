@@ -6,12 +6,20 @@ library's support tests (`radical_membership`, `supported_on`,
 
 Regular and A-sequences by the definition: every step of every order asks
 whether (I : f) = I afresh, with no memo and no height count, the reference
-for `is_regular_sequence` and `is_A_sequence`."""
+for `is_regular_sequence` and `is_A_sequence`.
+
+The `inductive` and `spherical_faces` admissibility strategies with their
+back-face recursion: each recurses into the back face x|_U^V (V nonempty)
+as well as the front face, the reference for the strategies in `cube`,
+which visit front faces only."""
 
 from itertools import permutations
 
 from koszul_lab.arith import is_unit
-from koszul_lab.groebner import IdealBasis, ideal_intersection, ideal_quotient, module_quotient
+from koszul_lab.cube import (Report, _h0_modcube, _mod_injective, _require_free, _require_valid,
+                             _total_complex, restrict, subset_key)
+from koszul_lab.groebner import (IdealBasis, _nonexact_degree, ideal_intersection, ideal_quotient,
+                                 module_quotient)
 from koszul_lab.koszul import SequenceReport
 from koszul_lab.modcalc import FPModule, _kills
 
@@ -61,3 +69,61 @@ def sequence_reports(fs):
         if not ok:
             return regular, SequenceReport(fs, True, False, tuple(fs[i] for i in perm), idx, wit)
     return regular, SequenceReport(fs, True, True)
+
+
+def admissible_inductive(mc, failures, prefix):
+    """The inductive strategy recursing into both faces in the first label's
+    direction, then testing that direction's boundaries, then H_0 in it when
+    all of these hold; failures appended under `prefix`."""
+    if not mc.labels:
+        return True
+    s = mc.labels[0]
+    rest = frozenset(mc.labels) - {s}
+    ok = True
+    for V, tag in ((frozenset(), "front"), (frozenset({s}), "back")):
+        if not admissible_inductive(restrict(mc, rest, V), failures, f"{prefix}{tag}^{s}·"):
+            ok = False
+    for T in restrict(mc, rest, frozenset()).subsets():
+        if not _mod_injective(mc.d(T | {s}, s), mc.vertex(T | {s}), mc.vertex(T)):
+            failures.append(f"{prefix}boundary d^{s}_{{{subset_key(T | {s})}}} is not injective")
+            ok = False
+    if ok and not admissible_inductive(_h0_modcube(mc, s), failures, f"{prefix}H0^{s}·"):
+        ok = False
+    return ok
+
+
+def admissible_spherical(x, fixed, memo):
+    """(ok, failures) of the spherical_faces strategy on the face `x`, whose
+    vertex at A is the input's vertex at A ∪ fixed: Tot(x) is 0-spherical
+    and both faces in every direction are, recursively.  memo maps a face,
+    as (its labels, fixed), to its (ok, failures)."""
+    if not x.labels:
+        return True, ()
+    failures = []
+    bad = _nonexact_degree(*_total_complex(x), x.ring)
+    if bad is not None:
+        failures.append(f"Tot is not 0-spherical: H_{bad} is nonzero")
+    ok = bad is None
+    S = frozenset(x.labels)
+    for k in x.labels:
+        for V, tag in ((frozenset(), "front"), (frozenset({k}), "back")):
+            key = (S - {k}, fixed | V)
+            if key not in memo:
+                memo[key] = admissible_spherical(restrict(x, S - {k}, V), fixed | V, memo)
+            sub_ok, sub_failures = memo[key]
+            ok = ok and sub_ok
+            failures += [f"{tag}^{k}·{f}" for f in sub_failures]
+    return ok, tuple(failures)
+
+
+def admissibility(x, strategy):
+    """`is_admissible(x, strategy)` for "inductive" or "spherical_faces",
+    recursing into back faces."""
+    if strategy == "spherical_faces":
+        _require_free(x)
+        ok, failures = admissible_spherical(x, frozenset(), {})
+    else:
+        _require_valid(x)
+        failures = []
+        ok = admissible_inductive(x, failures, "")
+    return Report(ok, tuple(failures), {"strategy": strategy})

@@ -3,11 +3,13 @@ admissibility strategies."""
 
 import pytest
 
+import _reference
 from koszul_lab.arith import RingSpec, parse_poly
 from koszul_lab.cube import (
     ADMISSIBILITY_STRATEGIES,
     Cube,
     ModCube,
+    Report,
     _h0_modcube,
     _mod_injective,
     degenerate_directions,
@@ -511,6 +513,13 @@ def test_identity_padding_preserves_admissibility():
         assert is_admissible(padded, strategy=s).ok
 
 
+def test_report_truth_is_its_verdict():
+    # a dataclass instance is truthy whatever its fields; a Report is not
+    assert bool(Report(True)) is True
+    assert bool(Report(False, ("a failure",))) is False
+    assert not is_admissible(BOTH_X, "definition") and is_admissible(typical_cube([X, Y]))
+
+
 def test_unknown_strategy():
     with pytest.raises(ValueError):
         is_admissible(typical_cube([X]), strategy="magic")
@@ -548,21 +557,15 @@ def test_koszul_rank4_cube_admissible_all_strategies(field):
 
 # Failure lists as the unmemoized recursions produced them.  In both cubes
 # one face or H_0 cube is reached along several paths, so the memo has to
-# replay its failures under each path's prefix.
+# replay its failures under each path's prefix.  spherical_faces visits
+# front faces only: its list is the back-face recursion's
+# (`_reference.admissible_spherical`) less the back^ entries.
 ZERO_DIRECTION_SPHERICAL_FAILURES = (
     "Tot is not 0-spherical: H_1 is nonzero",
     "front^2·Tot is not 0-spherical: H_1 is nonzero",
     "front^2·front^3·Tot is not 0-spherical: H_1 is nonzero",
-    "front^2·back^3·Tot is not 0-spherical: H_1 is nonzero",
-    "back^2·Tot is not 0-spherical: H_1 is nonzero",
-    "back^2·front^3·Tot is not 0-spherical: H_1 is nonzero",
-    "back^2·back^3·Tot is not 0-spherical: H_1 is nonzero",
     "front^3·Tot is not 0-spherical: H_1 is nonzero",
     "front^3·front^2·Tot is not 0-spherical: H_1 is nonzero",
-    "front^3·back^2·Tot is not 0-spherical: H_1 is nonzero",
-    "back^3·Tot is not 0-spherical: H_1 is nonzero",
-    "back^3·front^2·Tot is not 0-spherical: H_1 is nonzero",
-    "back^3·back^2·Tot is not 0-spherical: H_1 is nonzero",
 )
 ZERO_DIRECTION_DEFINITION_FAILURES = (
     "boundary d^1_{1} is not injective",
@@ -594,14 +597,72 @@ def test_memoized_failure_lists_pinned():
         "Tot is not 0-spherical: H_1 is nonzero",)
 
 
+def _nonadmissible_cubes():
+    """The seeded non-admissible suite, zero_direction in each direction of
+    two |S| = 3 Koszul cubes, and (x, y, x + y)."""
+    from _gen import X3, Y3, Z3, perturbed_suite, zero_direction
+    from koszul_lab.koszul import random_koszul
+    zeroed = [zero_direction(random_koszul(fs, 1 + i, 2, seed=i), lab)
+              for i, fs in enumerate(([X3, Y3, Z3], [X3, Y3 + Z3, Z3])) for lab in ("1", "2", "3")]
+    return perturbed_suite(20) + zeroed + [typical_cube([X3, Y3, X3 + Y3])]
+
+
+def _assert_front_faces_decide(x, strategy):
+    # the back faces the reference also visits change no verdict, and only
+    # their own failures go missing; returns the reference's Report
+    ref = _reference.admissibility(x, strategy)
+    got = is_admissible(x, strategy)
+    assert got.ok == ref.ok, (x, strategy)
+    assert got.failures == tuple(f for f in ref.failures if "back^" not in f), (x, strategy)
+    assert got.failures or not any("back^" in f for f in ref.failures), (x, strategy)
+    return ref
+
+
+def test_back_faces_change_no_verdict():
+    lost = {s: 0 for s in ("inductive", "spherical_faces")}
+    cubes = _nonadmissible_cubes()
+    for x in cubes:
+        for s in lost:
+            ref = _assert_front_faces_decide(x, s)
+            lost[s] += sum("back^" in f for f in ref.failures)
+        for k in x.labels:
+            _assert_front_faces_decide(_h0_modcube(x, k), "inductive")
+    assert all(not is_admissible(x, "definition").ok for x in cubes)
+    assert lost["inductive"] > 0 and lost["spherical_faces"] > 0
+
+
+def test_back_face_gate_can_fail(monkeypatch):
+    # a reference whose back faces always fail disagrees on an admissible cube
+    from _gen import X3, Y3, Z3
+    x = typical_cube([X3, Y3, Z3])
+    for s in ("inductive", "spherical_faces"):
+        _assert_front_faces_decide(x, s)
+    inductive, spherical = _reference.admissible_inductive, _reference.admissible_spherical
+
+    def failing_inductive(mc, failures, prefix):
+        if "back^" in prefix:
+            failures.append(f"{prefix}broken")
+            return False
+        return inductive(mc, failures, prefix)
+
+    def failing_spherical(face, fixed, memo):
+        return (False, ("broken",)) if fixed else spherical(face, fixed, memo)
+
+    monkeypatch.setattr(_reference, "admissible_inductive", failing_inductive)
+    monkeypatch.setattr(_reference, "admissible_spherical", failing_spherical)
+    for s in ("inductive", "spherical_faces"):
+        with pytest.raises(AssertionError):
+            _assert_front_faces_decide(x, s)
+
+
 def test_spherical_faces_builds_each_face_tot_once(count_calls):
-    # |S| = 4: one Tot per face x|_U^V with U nonempty, 3^4 - 2^4 of them
+    # |S| = 4: one Tot per front face x|_U^∅ with U nonempty, 2^4 - 1 of them
     import koszul_lab.cube as cube_module
     ring = RingSpec(101, ("x", "y", "z", "w"))
     x = typical_cube(list(ring.gens()))
     calls = count_calls(cube_module, "_total_complex")
     assert is_admissible(x, "spherical_faces").ok
-    assert 0 < len(calls) <= 3 ** 4 - 2 ** 4
+    assert 0 < len(calls) <= 2 ** 4 - 1
 
 
 def test_spherical_faces_validates_once(count_calls):
@@ -706,8 +767,8 @@ def test_verdicts_do_not_depend_on_what_the_cache_holds(monkeypatch):
 def test_spherical_faces_reads_one_direction_kernels_from_the_cache(monkeypatch, count_calls):
     # the Tot of a one-direction face is its boundary with sign +, whose
     # kernel definition's injectivity test has cached: after definition,
-    # spherical_faces runs Buchberger once less for each of the n·2^(n-1)
-    # one-direction faces
+    # spherical_faces runs Buchberger once less for each of the n
+    # one-direction front faces
     from collections import OrderedDict
 
     from koszul_lab import groebner
@@ -723,4 +784,4 @@ def test_spherical_faces_reads_one_direction_kernels_from_the_cache(monkeypatch,
     assert is_admissible(x, "definition").ok
     runs.clear()
     assert is_admissible(x, "spherical_faces").ok
-    assert cold - len(runs) == 4 * 2 ** 3
+    assert cold - len(runs) == 4

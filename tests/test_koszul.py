@@ -624,6 +624,28 @@ def test_weight_decomposition_validates_once(monkeypatch):
     assert validations == [x.labels]
 
 
+def test_weight_decomposition_names_a_face_that_is_not_spherical(monkeypatch):
+    # the scan is made to find H_1 on the one face x|_{1,3}^{2}: the Report
+    # fails, names that face, and still counts every pair
+    x, fs = next((x, fs) for x, fs in _gen.koszul_suite(10) if len(x.labels) == 3)
+    chosen = (frozenset({"1", "3"}), frozenset({"2"}))
+    faces = []
+    real_restrict, real_scan = koszul.restrict, koszul._nonexact_degree
+
+    def recorded(c, T, U):
+        faces.append((frozenset(T), frozenset(U)))
+        return real_restrict(c, T, U)
+
+    monkeypatch.setattr(koszul, "restrict", recorded)
+    monkeypatch.setattr(koszul, "_nonexact_degree",
+                        lambda maps, ranks, ring: 1 if faces[-1] == chosen else real_scan(maps, ranks, ring))
+    rep = verify_weight_decomposition(x, fs)
+    assert not rep.ok
+    assert rep.failures == ("Tot of the restriction to {1,3} over {2} is not 0-spherical",)
+    assert rep.info["pairs_checked"] == 27
+    assert chosen in faces
+
+
 def test_generators_presentation():
     M, cert = generators_presentation(typical_cube([X, Y]))
     assert M.rank == 1

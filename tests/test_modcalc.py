@@ -154,6 +154,16 @@ def test_module_and_complex_constructor_refusals(make, message):
         make()
 
 
+def test_equal_modules_hash_equal():
+    # relation generators in another order, one of them rescaled: the same
+    # submodule, so the modules are equal, hash equal and deduplicate
+    a = FPModule(Q2, 2, SubmoduleBasis(Q2, 2, [(X * X, ZERO), (Y, X), (ZERO, Y * Y)]))
+    b = FPModule(Q2, 2, SubmoduleBasis(Q2, 2, [(ZERO, Y * Y), (-Y, -X), (X * X, ZERO)]))
+    assert a == b and hash(a) == hash(b)
+    assert {a, b, FPModule.free(Q2, 2)} == {a, FPModule.free(Q2, 2)}
+    assert len({a, b}) == 1
+
+
 # --------------------------------------------------------------------------
 # kernels, cokernels, annihilators
 # --------------------------------------------------------------------------
