@@ -305,7 +305,7 @@ class RingSpec:
     `layout` packs its monomials into keys (`_Terms`).
     """
 
-    __slots__ = ("field", "variables", "order", "nvars", "mono_key", "layout", "_var_keys")
+    __slots__ = ("field", "variables", "order", "nvars", "layout", "_var_keys")
 
     def __init__(self, field, variables: Iterable[str], order: str = "grevlex"):
         if isinstance(field, _Field):
@@ -332,7 +332,6 @@ class RingSpec:
         self.variables = variables
         self.order = order
         self.nvars = len(variables)
-        self.mono_key = MONOMIAL_ORDERS[order]
         key = (self.nvars, order)
         self.layout = _LAYOUTS.get(key) or _LAYOUTS.setdefault(key, _Terms(*key))
         self._var_keys = dict(zip(variables, self.layout.var_keys))
@@ -872,7 +871,7 @@ class _Parser:
             self.pos += 1
             self.skip_ws()
             start = self.pos
-            n = self.parse_int(allow_sign=False)
+            n = self.parse_int()
             if n <= 0:
                 raise ParseError("exponent must be a positive integer", start)
             return base ** n
@@ -892,12 +891,12 @@ class _Parser:
             self.depth -= 1
             return inner
         if ch.isdigit():
-            num = self.parse_int(allow_sign=False)
+            num = self.parse_int()
             if self.peek() == "/":
                 self.pos += 1
                 self.skip_ws()
                 start = self.pos
-                den = self.parse_int(allow_sign=False)
+                den = self.parse_int()
                 if den == 0:
                     raise ParseError("zero denominator", start)
                 return self.ring.const(Fraction(num, den))
@@ -912,15 +911,12 @@ class _Parser:
             return self.ring.var(name)
         raise ParseError("expected a coefficient, variable, or '('", self.pos)
 
-    def parse_int(self, allow_sign: bool) -> int:
+    def parse_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        if allow_sign and self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        digits_start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        if self.pos == digits_start:
+        if self.pos == start:
             raise ParseError("expected an integer", start)
         return int(self.text[start:self.pos])
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Sequence, Tuple, Union
 
 from .arith import Poly, RingSpec
-from .cube import (Cube, Report, _admissible_inductive, _h0_modcube, _h0_over,
+from .cube import (Cube, Report, _admissible_inductive, _h0_corner, _h0_modcube,
                    _morphism_failures, label_subsets, restrict, subset_key, validate_cube)
 from .groebner import SubmoduleBasis
 from .koszul import _typical_sum, is_A_sequence
@@ -140,6 +140,15 @@ class ResolutionInput:
         on V(f_u) for u ∈ U and every directional cokernel on V(f_v);
         connecting maps are cube morphisms.
 
+        Support is tested at the corner only: z_∅ on V(f_u), and the corner
+        of H_0^v(z) on V(f_v).  A target that passes `_admissible_inductive`
+        is admissible, so every boundary is injective modulo relations, and
+        z_T ↪ z_∅ through a chain of boundaries.  Then Ann(z_∅) ⊆ Ann(z_T)
+        (Eisenbud, Commutative Algebra, §2.1), and z_T is supported on V(f)
+        when z_∅ is.  H_0^v(z) is admissible too, so the same holds for its
+        vertices.  The verdict is unchanged; a failure at another vertex
+        shows only when the target is not admissible or its corner fails.
+
         Support is decided without forming an annihilator: f ∈ √Ann M iff
         M[1/f] = 0, which one Rabinowitsch run on the relations of M decides
         (`modcalc.supported_on`).
@@ -154,17 +163,10 @@ class ResolutionInput:
                 failures.append(f"target {j} is not a valid module cube: {rep.failures[0]}")
                 continue
             _admissible_inductive(z, failures, f"target {j}: ")
-            for u in self.U:
-                for T in z.subsets():
-                    if not supported_on(z.vertex(T), self.fs[u]):
-                        failures.append(
-                            f"target {j}: vertex {{{subset_key(T)}}} is not supported on V(f_{u})")
-            for v in self.V:
-                H = _h0_modcube(z, v)
-                for T in label_subsets(H.labels):
-                    if not supported_on(H.vertex(T), self.fs[v]):
-                        failures.append(
-                            f"target {j}: H_0^{v} at {{{subset_key(T)}}} is not supported on V(f_{v})")
+            failures += [f"target {j}: vertex {{}} is not supported on V(f_{u})"
+                         for u in self.U if not supported_on(z.vertex(()), self.fs[u])]
+            failures += [f"target {j}: H_0^{v} at {{}} is not supported on V(f_{v})"
+                         for v in self.V if not supported_on(_h0_corner(z, {v}), self.fs[v])]
         for i, w in enumerate(self.connecting):
             failures += [f"connecting square at {{{subset_key(T)}}} direction {k} fails" if k else
                          f"connecting map does not preserve relations at {{{subset_key(T)}}}"
@@ -202,25 +204,25 @@ class ResolutionOutput:
 # exponents
 # ---------------------------------------------------------------------------
 
-def _h0_tot_module(z: Cube) -> FPModule:
-    """H_0(Tot z): the corner modulo its relations and all arrival images."""
-    return _h0_over(z, z.labels).vertex(frozenset())
-
-
 def find_exponents(inp: ResolutionInput, cap: int = 64, perm_cap: int = 6) -> Dict[str, int]:
     """Least m_s ≤ cap per label: f_u^{m_u} kills every vertex of every target;
     f_v^{m_v} kills H_0(Tot) of every target.  Raises CapExceededError when a
     power runs past the cap, or the sequence past perm_cap entries, and
-    ValueError when the input hypotheses fail."""
+    ValueError when the input hypotheses fail.
+
+    m_u is read off z_∅ alone.  verify() has passed, so the target passed
+    `_admissible_inductive` and every boundary is injective modulo
+    relations.  Then z_T ↪ z_∅ through a chain of boundaries, so a power of
+    f_u that kills z_∅ kills z_T: m_u(z_T) ≤ m_u(z_∅), and the maximum over
+    all vertices is the corner's value."""
     rep = inp.verify(perm_cap)
     if not rep.ok:
         raise ValueError("input hypotheses violated: " + "; ".join(rep.failures[:3]))
     out: Dict[str, int] = {}
     for u in inp.U:
-        out[u] = max(min_annihilating_power(inp.fs[u], z.vertex(T), cap)
-                     for z in inp.targets for T in z.subsets())
+        out[u] = max(min_annihilating_power(inp.fs[u], z.vertex(()), cap) for z in inp.targets)
     for v in inp.V:
-        out[v] = max(min_annihilating_power(inp.fs[v], _h0_tot_module(z), cap)
+        out[v] = max(min_annihilating_power(inp.fs[v], _h0_corner(z, z.labels), cap)
                      for z in inp.targets)
     return out
 

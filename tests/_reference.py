@@ -11,17 +11,22 @@ for `is_regular_sequence` and `is_A_sequence`.
 The `inductive` and `spherical_faces` admissibility strategies with their
 back-face recursion: each recurses into the back face x|_U^V (V nonempty)
 as well as the front face, the reference for the strategies in `cube`,
-which visit front faces only."""
+which visit front faces only.
+
+`ResolutionInput.verify` and `find_exponents` testing support and
+annihilating powers at every vertex of each target and of each H_0^v, the
+reference for the library's, which test the corner only."""
 
 from itertools import permutations
 
 from koszul_lab.arith import is_unit
-from koszul_lab.cube import (Report, _h0_modcube, _mod_injective, _require_free, _require_valid,
-                             _total_complex, restrict, subset_key)
+from koszul_lab.cube import (Report, _admissible_inductive, _h0_modcube, _h0_over, _mod_injective,
+                             _morphism_failures, _require_free, _require_valid, _total_complex,
+                             label_subsets, restrict, subset_key, validate_cube)
 from koszul_lab.groebner import (IdealBasis, _nonexact_degree, ideal_intersection, ideal_quotient,
                                  module_quotient)
-from koszul_lab.koszul import SequenceReport
-from koszul_lab.modcalc import FPModule, _kills
+from koszul_lab.koszul import SequenceReport, is_A_sequence
+from koszul_lab.modcalc import FPModule, _kills, min_annihilating_power, supported_on
 
 
 def annihilator(M: FPModule) -> IdealBasis:
@@ -127,3 +132,51 @@ def admissibility(x, strategy):
         failures = []
         ok = admissible_inductive(x, failures, "")
     return Report(ok, tuple(failures), {"strategy": strategy})
+
+
+def vertex_supported(z, T, f):
+    """Is the vertex of z at T supported on V(f)?"""
+    return supported_on(z.vertex(T), f)
+
+
+def resolution_verify(inp, perm_cap=6):
+    """`inp.verify(perm_cap)` testing support on V(f_u) at every vertex of
+    each target and on V(f_v) at every vertex of each H_0^v."""
+    failures = []
+    seq = [inp.fs[s] for s in inp.U + inp.V]
+    if seq and not is_A_sequence(seq, perm_cap=perm_cap).a_sequence:
+        failures.append("the sequence over U ∪ V is not an A-sequence")
+    for j, z in enumerate(inp.targets):
+        rep = validate_cube(z)
+        if not rep.ok:
+            failures.append(f"target {j} is not a valid module cube: {rep.failures[0]}")
+            continue
+        _admissible_inductive(z, failures, f"target {j}: ")
+        for u in inp.U:
+            for T in z.subsets():
+                if not vertex_supported(z, T, inp.fs[u]):
+                    failures.append(
+                        f"target {j}: vertex {{{subset_key(T)}}} is not supported on V(f_{u})")
+        for v in inp.V:
+            H = _h0_modcube(z, v)
+            for T in label_subsets(H.labels):
+                if not vertex_supported(H, T, inp.fs[v]):
+                    failures.append(
+                        f"target {j}: H_0^{v} at {{{subset_key(T)}}} is not supported on V(f_{v})")
+    for i, w in enumerate(inp.connecting):
+        failures += [f"connecting square at {{{subset_key(T)}}} direction {k} fails" if k else
+                     f"connecting map does not preserve relations at {{{subset_key(T)}}}"
+                     for T, k in _morphism_failures(w, inp.targets[i], inp.targets[i + 1])]
+    return Report(not failures, tuple(failures))
+
+
+def resolution_exponents(inp, cap=64):
+    """`find_exponents(inp, cap)` of an input verify() accepts: m_u the
+    largest over every vertex of every target, m_v over H_0(Tot) of each
+    target as `_h0_over` presents it."""
+    out = {u: max(min_annihilating_power(inp.fs[u], z.vertex(T), cap)
+                  for z in inp.targets for T in z.subsets()) for u in inp.U}
+    for v in inp.V:
+        out[v] = max(min_annihilating_power(inp.fs[v], _h0_over(z, z.labels).vertex(()), cap)
+                     for z in inp.targets)
+    return out

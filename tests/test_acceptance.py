@@ -16,6 +16,7 @@ from koszul_lab.arith import RingSpec
 from koszul_lab.cube import (
     Cube,
     _h0_modcube,
+    _h0_over,
     degenerate_directions,
     is_admissible,
     iterated_h0,
@@ -42,7 +43,6 @@ from koszul_lab.modcalc import (
 )
 from koszul_lab.resolve import (
     ResolutionInput,
-    _h0_tot_module,
     check_resolution,
     koszul_resolve,
 )
@@ -253,7 +253,7 @@ def _verify_minimal_exponents(inp, out):
             assert not all(_kills(f, M, m - 1) for M in targets), (u, "not minimal")
     for v in inp.V:
         f, m = inp.fs[v], out.exponents[v]
-        hs = [_h0_tot_module(z) for z in inp.targets]
+        hs = [_h0_over(z, z.labels).vertex(()) for z in inp.targets]
         assert all(_kills(f, H, m) for H in hs)
         if m > 1:
             assert not all(_kills(f, H, m - 1) for H in hs), (v, "not minimal")

@@ -85,6 +85,8 @@ def test_ring_mismatch_raises():
         P("x") + P("x", F7)
     with pytest.raises(RingMismatchError):
         P("x") * P("x", RingSpec("Q", ("x", "y"), order="lex"))
+    with pytest.raises(RingMismatchError):
+        exact_division(P("x"), P("x", F7))
 
 
 @pytest.mark.parametrize("spec,message", [
@@ -297,10 +299,11 @@ def test_packed_order_is_the_reference_order(order, field, data):
     ring = RingSpec(field, ("x", "y", "z"), order)
     a, b, c = (data.draw(ordered_polys(ring)) for _ in range(3))
     p = a * b + c  # keys made by key arithmetic, not only by packing
-    assert [e for e, _ in p.sorted_terms()] == sorted(p.terms, key=ring.mono_key, reverse=True)
+    key = MONOMIAL_ORDERS[order]
+    assert [e for e, _ in p.sorted_terms()] == sorted(p.terms, key=key, reverse=True)
     assert [coef for _, coef in p.sorted_terms()] == [p.terms[e] for e, _ in p.sorted_terms()]
     if not p.is_zero():
-        top = max(p.terms, key=ring.mono_key)
+        top = max(p.terms, key=key)
         assert p.leading() == (top, p.terms[top])
     assert Poly(ring, p.terms) == p
     assert p.total_degree() == max((sum(e) for e in p.terms), default=-1)
@@ -356,6 +359,12 @@ def test_parse_error_positions():
         P("x y")  # implicit multiplication is not in the grammar
     with pytest.raises(ParseError):
         P("")
+    with pytest.raises(ParseError, match=r"expected '\)'") as e:
+        P("(x")
+    assert e.value.position == 2
+    with pytest.raises(ParseError, match="zero denominator") as e:
+        P("1/0")
+    assert e.value.position == 2
     # past the nesting bound the parser raises its own error, which the CLI
     # reports as malformed input
     with pytest.raises(ParseError, match="nested too deeply"):

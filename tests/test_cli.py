@@ -8,7 +8,10 @@ pinned under the default order.
 
 import copy
 import json
+import os
 import string
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ from click.testing import CliRunner
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import koszul_lab
 from koszul_lab.cli import main
 from koszul_lab.cube import subset_key
 
@@ -164,6 +168,8 @@ MALFORMED_CASES = [
     ("ring_misspelt_field", "regseq",
      {"ring": {"feild": {"Fp": 7}, "vars": ["x"]}, "sequence": ["7*x"]}),
     ("ring_misspelt_order", "regseq", {"ring": {**RING_Q2, "ordr": "lex"}, "sequence": ["x"]}),
+    ("typical_labels_wrong_length", "typical",
+     {"ring": RING_Q2, "sequence": ["x", "y"], "labels": ["1"]}),
     # a sequence entry for a label outside U ∪ V used to be ignored
     ("fs_label_outside_u_v", "resolve",
      {"ring": RING_Q2, "resolution": {"U": [], "V": ["1"], "fs": {"1": "x", "l": "y"},
@@ -817,6 +823,19 @@ def test_golden_cross_order(name, args, infile, want_code):
         out, code = run(*args, "--input", golden_in(infile), "--order", order)
         assert code == want_code
         assert out == reference, f"output drifted under --order {order}"
+
+
+@pytest.mark.parametrize("name", ["resolve_typ_x2yz", "admissible_bothx"])
+def test_module_entry_point_matches_golden(name):
+    # `python -m koszul_lab.cli`, as the benchmark's cli workload starts
+    # every operation, exits and prints as the in-process runner does
+    _, args, infile, want_code = next(c for c in CROSS_ORDER_CASES if c[0] == name)
+    src = str(Path(koszul_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "koszul_lab.cli", *args, "--input",
+                           golden_in(infile)], capture_output=True, env=env)
+    assert proc.returncode == want_code
+    assert proc.stdout == (GOLDEN / "expected" / f"{name}.out").read_bytes()
 
 
 # --------------------------------------------------------------------------

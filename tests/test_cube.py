@@ -10,6 +10,7 @@ from koszul_lab.cube import (
     Cube,
     ModCube,
     Report,
+    _h0_corner,
     _h0_modcube,
     _mod_injective,
     degenerate_directions,
@@ -337,6 +338,8 @@ def test_derived_cubes_are_the_checked_constructors_cubes():
             for k in [lab for lab in x.labels if lab in T]:
                 want = _h0_reference(want, k)
             assert _same_cube(iterated_h0(x, T), want), (x, T)
+            # the corner alone, its relations in the same order
+            assert _h0_corner(x, T).relations.cols == want.vertex(E).relations.cols, (x, T)
     for x in cubes + h0s:
         assert validate_cube(x).ok
     x = cubes[-1]
@@ -372,6 +375,10 @@ def test_directional_homology_h0():
     for T in h.subsets():
         assert h.vertex(T).relations.contains_vector((X,))
     assert h.d(S2, "2") == FreeMap(Q2, [[Y]])
+    with pytest.raises(ValueError, match="direction '3' not a label"):
+        directional_homology(typical_cube([X, Y]), "3", 0)
+    with pytest.raises(ValueError, match="direction '1' not in subset 2"):
+        h.d(S2, "1")
 
 
 def test_directional_homology_h1():

@@ -445,7 +445,7 @@ class _RefElement:
     tuple) under position over term, lower position first."""
 
     def __init__(self, vp, ring):
-        mono = ring.mono_key
+        mono = MONOMIAL_ORDERS[ring.order]
         self.vp = vp
         self.lt = max(vp, key=lambda t: (-t[0], mono(t[1])))
         self.lc = vp[self.lt]
@@ -456,7 +456,7 @@ def _nf_vp_reference(vp, basis, ring, want_cert=False):
     """Normal form by re-keying every remaining term at each step: the
     largest term first, reduced by the first divisor in basis order."""
     field = ring.field
-    mono = ring.mono_key
+    mono = MONOMIAL_ORDERS[ring.order]
     work = dict(vp)
     rem = {}
     cert = [dict() for _ in basis] if want_cert else None
@@ -609,7 +609,7 @@ def _buchberger_reference(inputs, ring, rank):
     criterion and rank-1 product criterion as the engine."""
     from heapq import heappop, heappush
     field = ring.field
-    mono = ring.mono_key
+    mono = MONOMIAL_ORDERS[ring.order]
     term_key = lambda t: (-t[0], mono(t[1]))  # ascending in position over term
     divides = lambda a, b: all(x <= y for x, y in zip(a, b))
     G, pairs, queue = [], {}, []

@@ -205,6 +205,8 @@ def test_min_annihilating_power():
     assert min_annihilating_power(X + Y, cyclic("(x + y)^3"), 8) == 3
     with pytest.raises(CapExceededError):
         min_annihilating_power(Y, cyclic("x"), 3)
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        min_annihilating_power(X, cyclic("x"), 0)
 
 
 def test_compose_refuses_an_exponent_of_two_to_the_31():
@@ -438,6 +440,8 @@ def test_complex_validates_ddzero():
     assert c.differential(1) == M([["x", "y"]])
     with pytest.raises(IndexError):
         c.differential(3)
+    with pytest.raises(IndexError, match=r"homology index 3 out of range 0\.\.2"):
+        homology(c, 3)
 
 
 def test_koszul_homology():

@@ -95,8 +95,8 @@ OPERATOR_METHODS = {ast.Add: "__add__", ast.Sub: "__sub__", ast.Mult: "__mul__",
 def _member_reads(tree, read, enclosing=frozenset()):
     """Add to read the attribute names and operator methods that tree reads
     outside the definitions named in enclosing, and outside each def in tree
-    for its own name."""
-    if isinstance(tree, ast.Attribute):
+    for its own name.  An attribute assigned to is not read."""
+    if isinstance(tree, ast.Attribute) and not isinstance(tree.ctx, ast.Store):
         read.update({tree.attr} - enclosing)
     elif (isinstance(tree, (ast.BinOp, ast.UnaryOp, ast.AugAssign))
           and type(tree.op) in OPERATOR_METHODS):
@@ -108,12 +108,27 @@ def _member_reads(tree, read, enclosing=frozenset()):
     return read
 
 
+def _class_members(cls: ast.ClassDef) -> set:
+    """The public methods, properties, `__slots__` entries and dataclass
+    fields of cls, and its operator methods."""
+    names = {f.name for f in cls.body if isinstance(f, ast.FunctionDef)
+             and (not f.name.startswith("_") or f.name in OPERATOR_METHODS.values())}
+    for node in cls.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)):
+            names |= {n for n in ast.literal_eval(node.value) if not n.startswith("_")}
+        elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+              and not node.target.id.startswith("_")):
+            names.add(node.target.id)
+    return names
+
+
 def _members_without_a_caller() -> list:
-    """Class.member for each public method or property, or operator method,
-    of a class the package re-exports that no library module reads outside
-    the member's own definition and the benchmark worker does not read.
-    Members are matched by name, as the function guard matches exported
-    names."""
+    """Class.member for each public method, property, slot or dataclass
+    field, or operator method, of a class the package re-exports that no
+    library module reads outside the member's own definition and the
+    benchmark worker does not read.  Members are matched by name, as the
+    function guard matches exported names."""
     exported = _exported()
     read = _member_reads(ast.parse(WORKER.read_text()), set())
     members = set()
@@ -122,18 +137,28 @@ def _members_without_a_caller() -> list:
             continue
         tree = ast.parse(path.read_text())
         _member_reads(tree, read)
-        members |= {(cls.name, f.name) for cls in tree.body
+        members |= {(cls.name, name) for cls in tree.body
                     if isinstance(cls, ast.ClassDef) and cls.name in exported
-                    for f in cls.body if isinstance(f, ast.FunctionDef)
-                    and (not f.name.startswith("_") or f.name in OPERATOR_METHODS.values())}
+                    for name in _class_members(cls)}
     return sorted(f"{cls}.{name}" for cls, name in members if name not in read)
 
 
 def test_public_members_have_a_caller():
     # the member twin of test_exported_functions_have_a_caller: a method,
-    # property or operator of an exported class that nothing reads shows up
-    # here
+    # property, slot, dataclass field or operator of an exported class that
+    # nothing reads shows up here
     assert _members_without_a_caller() == sorted(MEMBERS_WITHOUT_A_CALLER)
+
+
+def test_member_guard_counts_slots_and_fields():
+    # public slots and dataclass fields are members, and assigning one is
+    # not reading it
+    tree = ast.parse("class A:\n    __slots__ = ('u', '_v')\n"
+                     "    def __init__(self):\n        self.u = 1\n"
+                     "class B:\n    w: int\n    _z: int = 0\n")
+    assert [_class_members(cls) for cls in tree.body] == [{"u"}, {"w"}]
+    assert _member_reads(tree, set()) == set()
+    assert _member_reads(ast.parse("a.u + a.w"), set()) == {"u", "w", "__add__"}
 
 
 def _dotted(node):

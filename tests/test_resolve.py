@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import _reference
 from koszul_lab.arith import RingSpec, parse_poly
 from koszul_lab.cube import Cube, ModCube, _h0_over, label_subsets, subset_key
 from koszul_lab.groebner import SubmoduleBasis
@@ -20,7 +21,6 @@ from koszul_lab.resolve import (
     ResolutionInput,
     ResolutionOutput,
     ResolutionStage,
-    _h0_tot_module,
     _resolve_cube,
     _typical_sum_cube,
     check_resolution,
@@ -574,7 +574,7 @@ def test_epi_at_empty_vertex_implies_h0_tot_surjective():
             for drop in [None] + list(range(len(cols))):
                 kept = cols if drop is None else cols[:drop] + cols[drop + 1:]
                 if _lifts(kept, z.vertex(E), inp.ring):
-                    assert _lifts(kept, _h0_tot_module(z), inp.ring), (i, drop)
+                    assert _lifts(kept, _h0_over(z, z.labels).vertex(E), inp.ring), (i, drop)
                 else:
                     assert drop is not None, i
 
@@ -681,6 +681,60 @@ def test_verify_support_matches_annihilator_reference(monkeypatch):
     assert {rep.ok for rep in want} == {True, False}
     unsupported = [f for rep in want for f in rep.failures if "is not supported" in f]
     assert any("vertex" in f for f in unsupported) and any("H_0^" in f for f in unsupported)
+
+
+def _off_corner(failure):
+    """Is failure a support entry at a vertex other than the corner?"""
+    return "is not supported" in failure and "{} is not supported" not in failure
+
+
+def _assert_corner_decides(inp):
+    # support tests away from the corner change no verdict and no exponent,
+    # and only their own entries go missing; returns the reference's Report
+    ref = _reference.resolution_verify(inp)
+    got = inp.verify()
+    assert got.ok == ref.ok
+    assert got.failures == tuple(f for f in ref.failures if not _off_corner(f))
+    if ref.ok:
+        assert find_exponents(inp) == _reference.resolution_exponents(inp)
+    return ref
+
+
+def _corner_cases():
+    """The verify cases, the resolve suites, a non-admissible 1-cube whose
+    corner A/(x) is supported on V(x) and whose other vertex A is not (its
+    boundary is zero), and an admissible one whose corner A/(x^2, y) needs
+    x^2 where its other vertex A/(x, y) needs x."""
+    zero = ModCube(Q2, ("1",), {E: cyclic("x"), S1: free1()},
+                   {(S1, "1"): FreeMap(Q2, [[Q2.zero()]])})
+    deeper = ModCube(Q2, ("1",), {E: FPModule(Q2, 1, SubmoduleBasis(Q2, 1, [(X * X,), (Y,)])),
+                                  S1: FPModule(Q2, 1, SubmoduleBasis(Q2, 1, [(X,), (Y,)]))},
+                     {(S1, "1"): FreeMap(Q2, [[X]])})
+    return (_verify_cases() + [inp for _, inp, _ in _wide_v_cases("Q")]
+            + [ResolutionInput({"u": X, "1": Y}, ["u"], ["1"], [z]) for z in (zero, deeper)])
+
+
+def test_corner_decides_support_and_exponents():
+    dropped = []
+    cases = _corner_cases()
+    for inp in cases:
+        ref = _assert_corner_decides(inp)
+        dropped += [f for f in ref.failures if _off_corner(f)]
+    assert "target 0: vertex {1} is not supported on V(f_u)" in dropped
+    assert any("H_0^" in f for f in dropped)
+    assert koszul_resolve(cases[-1]).exponents == {"u": 2, "1": 1}
+
+
+def test_corner_gate_can_fail(monkeypatch):
+    # a reference whose vertices off the corner always fail their support
+    # test disagrees on an input verify() accepts
+    inp = _wide_v_cases("Q")[0][1]
+    assert _assert_corner_decides(inp).ok
+    supported = _reference.vertex_supported
+    monkeypatch.setattr(_reference, "vertex_supported",
+                        lambda z, T, f: not T and supported(z, T, f))
+    with pytest.raises(AssertionError):
+        _assert_corner_decides(inp)
 
 
 def test_checks_solve_no_coordinates_and_form_no_annihilator(monkeypatch):
