@@ -369,14 +369,6 @@ def _h0_over(x: Cube, T: Iterable[str]) -> Cube:
     return x
 
 
-def _h0_corner(x: Cube, T: Iterable[str]) -> FPModule:
-    """The vertex at ∅ of `_h0_over(x, T)`, built alone: x_∅ modulo rel_∅
-    and the columns of each d^k_{k}, k ∈ T, in label order."""
-    amb = x.vertices[frozenset()]
-    cols = [c for k in x.labels if k in T for c in x.boundary[(frozenset({k}), k)].cols]
-    return FPModule(x.ring, amb.rank, amb.relations.plus(SubmoduleBasis(x.ring, amb.rank, cols)))
-
-
 def directional_homology(x: Cube, k: str, p: int) -> Cube:
     """H_p^k(x) as a module cube over S∖{k}; p must be 0 or 1.
 

@@ -30,7 +30,7 @@ from .arith import Poly, RingSpec, exact_division, is_unit
 from .cube import (
     Cube,
     Report,
-    _h0_corner,
+    _h0_over,
     _require_free,
     _total_complex,
     degenerate_directions,
@@ -458,7 +458,7 @@ def generators_presentation(x: Cube, perm_cap: int = 6):
     complex.  Requires a non-degenerate cube with coherent determinants.
     """
     dets = _det_sequence(x)
-    return _h0_corner(x, x.labels), is_A_sequence(dets, perm_cap=perm_cap)
+    return _h0_over(x, x.labels).vertices[frozenset()], is_A_sequence(dets, perm_cap=perm_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Sequence, Tuple, Union
 
 from .arith import Poly, RingSpec
-from .cube import (Cube, Report, _admissible_inductive, _h0_corner, _h0_modcube,
+from .cube import (Cube, Report, _admissible_inductive, _h0_modcube, _h0_over,
                    _morphism_failures, label_subsets, restrict, subset_key, validate_cube)
 from .groebner import SubmoduleBasis
 from .koszul import _typical_sum, is_A_sequence
@@ -166,7 +166,8 @@ class ResolutionInput:
             failures += [f"target {j}: vertex {{}} is not supported on V(f_{u})"
                          for u in self.U if not supported_on(z.vertex(()), self.fs[u])]
             failures += [f"target {j}: H_0^{v} at {{}} is not supported on V(f_{v})"
-                         for v in self.V if not supported_on(_h0_corner(z, {v}), self.fs[v])]
+                         for v in self.V
+                         if not supported_on(_h0_modcube(z, v).vertex(()), self.fs[v])]
         for i, w in enumerate(self.connecting):
             failures += [f"connecting square at {{{subset_key(T)}}} direction {k} fails" if k else
                          f"connecting map does not preserve relations at {{{subset_key(T)}}}"
@@ -222,7 +223,7 @@ def find_exponents(inp: ResolutionInput, cap: int = 64, perm_cap: int = 6) -> Di
     for u in inp.U:
         out[u] = max(min_annihilating_power(inp.fs[u], z.vertex(()), cap) for z in inp.targets)
     for v in inp.V:
-        out[v] = max(min_annihilating_power(inp.fs[v], _h0_corner(z, z.labels), cap)
+        out[v] = max(min_annihilating_power(inp.fs[v], _h0_over(z, z.labels).vertex(()), cap)
                      for z in inp.targets)
     return out
 
