@@ -379,10 +379,6 @@ class RingSpec:
     def __repr__(self):
         return f"RingSpec({self.field!r}, vars={list(self.variables)}, order={self.order!r})"
 
-    def key(self) -> tuple:
-        """Hashable identity used by caches."""
-        return (repr(self.field), self.variables, self.order)
-
 
 class Poly:
     """Sparse polynomial: `keys` maps the packed key (`ring.layout`) of each

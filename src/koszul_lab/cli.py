@@ -18,7 +18,7 @@ import sys
 
 import click
 
-from .arith import Poly, RingMismatchError, RingSpec, parse_poly
+from .arith import ParseError, Poly, RingMismatchError, RingSpec, parse_poly
 from .cube import (
     ADMISSIBILITY_STRATEGIES,
     Cube,
@@ -183,7 +183,18 @@ def _ring_from_doc(doc: dict, order_flag) -> RingSpec:
     names = _labels_from_doc(spec.get("vars"), "ring.vars")
     if not names:
         raise ValueError("'ring.vars' must be a nonempty list")
-    return RingSpec(field, names, order)
+    ring = RingSpec(field, names, order)
+    # output prints each variable by its name, so the polynomial grammar
+    # must read each name back as that variable: "x^2" next to "x" would
+    # read back as x·x
+    for i, name in enumerate(names):
+        try:
+            ok = parse_poly(name, ring) == ring.var(name)
+        except (ParseError, CapExceededError):
+            ok = False
+        if not ok:
+            raise ValueError(f"'ring.vars[{i}]' {json.dumps(name)} does not parse as a variable")
+    return ring
 
 
 def _string_from_doc(value, where: str) -> str:

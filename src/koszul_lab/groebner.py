@@ -29,10 +29,13 @@ never a wrapped key.
 Everything here is exact and deterministic: pair selection uses the normal
 strategy with a fixed tie-break, reduced bases are canonical (auto-reduced,
 sorted by leading term, each element in the working form below), and the
-reduced bases and preimage generators of the `_GB_CACHE_ENTRIES` most
-recently used generator lists are cached by the canonical form of the
-generators (`_cached`).  A result computed again after its entry was dropped
-is the same: Buchberger is deterministic and a reduced basis is unique.
+reduced bases and Schreyer generators of the `_GB_CACHE_ENTRIES` most
+recently used generator lists are kept by `functools.lru_cache` (`_cached`)
+under the ring and the canonical form of the generators, from which they
+are computed.  So a value is a function of its key alone: Buchberger is
+deterministic, an entry computed again after it was dropped is the same,
+and a reduced basis is unique, so it is the one the caller's order of the
+generators would give.
 
 Over Q the engine works on integers.  A vector enters with its denominators
 cleared (`_cleared`), as it is when every coefficient is an int, and every
@@ -82,8 +85,8 @@ elements and the graph module stay here.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd
@@ -444,52 +447,28 @@ def _buchberger(inputs: Sequence[dict], ring: RingSpec, rank: int, head: Optiona
     return reduced
 
 
-# Reduced bases ("gb") and preimage generators ("preimage") of the process,
-# keyed by that tag and the canonical form of the generators, least recently
-# used first.  Only `_cached` reads or writes it.  The bound keeps what the
+# Reduced bases and Schreyer generators of the process, least recently used
+# dropped first.  The key is the ring (equal rings hash and compare equal by
+# field, variables and order), the rank, the canonical generators
+# (`_vp_canonical`) and `head`, and the value is a function of the key alone:
+# a dropped entry recomputes to the same value.  The bound keeps what the
 # three admissibility strategies on one cube share (one check of the
 # benchmark's admissibility inputs adds at most 158 entries) and drops the
-# entries of earlier checks, most of which are never read again; a dropped
-# entry recomputes to the same value.
+# entries of earlier checks, most of which are never read again.
 _GB_CACHE_ENTRIES = 512
-_GB_CACHE: OrderedDict = OrderedDict()
 
 
-class _Key:
-    """A cache key that hashes its tuple once: the tuple holds every
-    coefficient of the generators, and a Fraction among them hashes by a
-    modular inverse on each call."""
-
-    __slots__ = ("t", "h")
-
-    def __init__(self, t: tuple):
-        self.t = t
-        self.h = hash(t)
-
-    def __hash__(self) -> int:
-        return self.h
-
-    def __eq__(self, other) -> bool:
-        return self.t == other.t
-
-
-def _cached(key: tuple, compute):
-    """The cached value under `key`, or `compute()` stored under it; at most
-    `_GB_CACHE_ENTRIES` entries stay, the least recently used is dropped."""
-    key = _Key(key)
-    hit = _GB_CACHE.get(key)
-    if hit is None:
-        hit = _GB_CACHE[key] = compute()
-        if len(_GB_CACHE) > _GB_CACHE_ENTRIES:
-            _GB_CACHE.popitem(last=False)
-    else:
-        _GB_CACHE.move_to_end(key)
-    return hit
+@lru_cache(maxsize=_GB_CACHE_ENTRIES)
+def _cached(ring: RingSpec, rank: int, gens: tuple, head: Optional[int]) -> list:
+    """`_buchberger` on the canonical generators gens in A^rank: their
+    reduced basis when head is None, else the Schreyer generators of the
+    graph module gens with head `head`."""
+    out = _buchberger([dict(g) for g in gens], ring, rank, head)
+    return out if head is None else out[0]
 
 
 def _compute_gb(ring: RingSpec, rank: int, vps: Sequence[dict]) -> list:
-    key = ("gb", ring.key(), rank, tuple(sorted(_vp_canonical(vp) for vp in vps)))
-    return _cached(key, lambda: _buchberger(list(vps), ring, rank))
+    return _cached(ring, rank, tuple(sorted(_vp_canonical(vp) for vp in vps)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +658,11 @@ def _schreyer(cols: Sequence[Mapping[int, Poly]], rels: Sequence[Mapping[int, Po
 
     One Buchberger run on the graph module with head `rank` collects its
     zero-head remainders (see `_buchberger`).  The generators are cached
-    under the columns and relations in their order (`_cached`).
+    under the graph module in its order (`_cached`).
     """
-    col_vps = [_vp_from_column(c, ring) for c in cols]
-    rel_vps = [_vp_from_column(c, ring) for c in rels]
-    key = ("preimage", ring.key(), rank, tuple(map(_vp_canonical, col_vps)),
-           tuple(map(_vp_canonical, rel_vps)))
-    return _cached(key, lambda: _buchberger(_graph_module(col_vps, rel_vps, ring, rank),
-                                            ring, rank + len(cols), head=rank)[0])
+    gens = _graph_module([_vp_from_column(c, ring) for c in cols],
+                         [_vp_from_column(c, ring) for c in rels], ring, rank)
+    return _cached(ring, rank + len(cols), tuple(map(_vp_canonical, gens)), rank)
 
 
 def _preimage(cols: Sequence[Mapping[int, Poly]], rels: Sequence[Mapping[int, Poly]],

@@ -20,6 +20,7 @@ from koszul_lab.arith import (
     is_unit,
     parse_poly,
 )
+from koszul_lab.modcalc import FreeMap
 
 Q2 = RingSpec("Q", ("x", "y"))
 F7 = RingSpec(7, ("x", "y"))
@@ -87,6 +88,21 @@ def test_ring_mismatch_raises():
         P("x") * P("x", RingSpec("Q", ("x", "y"), order="lex"))
     with pytest.raises(RingMismatchError):
         exact_division(P("x"), P("x", F7))
+    m = FreeMap(Q2, [[P("x")]])
+    with pytest.raises(RingMismatchError):
+        m.scaled(P("x", F7))
+    with pytest.raises(RingMismatchError):
+        m + FreeMap(F7, [[P("x", F7)]])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Q2.var("z"), "unknown variable 'z'"),
+    (lambda: Q2.extended("y"), "variable 'y' already present"),
+    (lambda: P("x") ** -1, "negative exponent"),
+])
+def test_ring_and_power_refusals(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
 
 
 @pytest.mark.parametrize("spec,message", [

@@ -188,6 +188,31 @@ MALFORMED_CASES = [
     ("not_a_complex", "be-check",
      {"ring": RING_Q2, "complex": {"ranks": [1, 2, 1],
                                    "differentials": [[["x", "y"]], [["y"], ["x"]]]}}),
+    # a variable name the polynomial grammar reads otherwise used to be
+    # accepted: output printed "84*x*x^2", which reads back as 84·x^3
+    ("var_name_reads_as_power", "random-koszul",
+     {"ring": {"field": {"Fp": 101}, "vars": ["x", "x^2"]}, "sequence": ["x"]}),
+    ("var_name_with_space", "regseq", {"ring": {"field": "Q", "vars": ["x y"]}, "sequence": ["1"]}),
+    ("var_name_is_constant", "regseq", {"ring": {"field": "Q", "vars": ["1"]}, "sequence": ["1"]}),
+    ("var_name_beyond_exponent_bound", "regseq",
+     {"ring": {"field": "Q", "vars": ["x", "x^2147483648"]}, "sequence": ["x"]}),
+    ("validate_without_cube", "validate", {"ring": RING_Q2}),
+    ("ring_without_vars", "regseq", {"ring": {"field": "Q", "vars": []}, "sequence": ["1"]}),
+    ("vertex_without_rank", "validate",
+     {"ring": RING_Q2, "cube": {**ONE_CUBE, "vertices": {"": {"relations": []}, "1": 1}}}),
+    ("complex_without_differentials", "be-check", {"ring": RING_Q2, "complex": {"ranks": [1, 1]}}),
+    ("complex_without_ranks", "be-check", {"ring": RING_Q2, "complex": {"ranks": []}}),
+    ("targets_not_list", "resolve",
+     {"ring": RING_Q2, "resolution": {"U": [], "V": [], "fs": {}, "targets": ONE_CUBE}}),
+    ("document_not_object", "regseq", [RING_Q2]),
+    ("field_unsupported", "regseq", {"ring": {"field": "R", "vars": ["x"]}, "sequence": ["x"]}),
+    ("row_not_list", "validate",
+     {"ring": RING_Q2, "cube": {**ONE_CUBE, "boundaries": {"1|1": ["x"]}}}),
+    ("connecting_missing", "resolve",
+     {"ring": RING_Q2, "resolution": {"U": [], "V": [], "fs": {},
+                                      "targets": [{"S": [], "vertices": {"": {"rank": 1}}}] * 2}}),
+    ("denominator_divisible_by_p", "regseq",
+     {"ring": {"field": {"Fp": 7}, "vars": ["x"]}, "sequence": ["1/7"]}),
 ]
 
 
@@ -481,6 +506,8 @@ SHAPE_ERROR_CASES = [
     ("ragged_fitting_matrix", ["fitting", "--size", "1"],
      {"ring": RING_Q2, "matrix": [["x", "y"], ["x"]]},
      "matrix[1]"),
+    ("empty_fitting_matrix", ["fitting", "--size", "1"], {"ring": RING_Q2, "matrix": []},
+     "'matrix'"),
     ("missing_connecting_key", ["resolve"],
      {"ring": RING_Q2, "resolution": {"U": [], "V": [], "fs": {},
                                       "targets": [ONE_TARGET, ONE_TARGET], "connecting": [{}]}},

@@ -749,8 +749,6 @@ def test_verdicts_do_not_depend_on_what_the_cache_holds(monkeypatch):
     # spherical_faces reads the kernel of each Tot's d_1 from the cache that
     # definition fills; from an empty cache, and after definition, the
     # Reports are equal, failure lists included
-    from collections import OrderedDict
-
     from _gen import X3, Y3, Z3, zero_direction
     from koszul_lab import groebner
     from koszul_lab.koszul import random_koszul
@@ -758,9 +756,9 @@ def test_verdicts_do_not_depend_on_what_the_cache_holds(monkeypatch):
     cubes = [zd, BOTH_X, typical_cube([X3, Y3, X3 + Y3])]
     reports = []
     for x in cubes:
-        monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+        groebner._cached.cache_clear()
         cold = is_admissible(x, "spherical_faces")
-        monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+        groebner._cached.cache_clear()
         is_admissible(x, "definition")
         assert is_admissible(x, "spherical_faces") == cold, x
         reports.append(cold)
@@ -773,18 +771,16 @@ def test_spherical_faces_reads_one_direction_kernels_from_the_cache(monkeypatch,
     # kernel definition's injectivity test has cached: after definition,
     # spherical_faces runs Buchberger once less for each of the n
     # one-direction front faces
-    from collections import OrderedDict
-
     from koszul_lab import groebner
     from koszul_lab.koszul import random_koszul
     ring = RingSpec(101, ("x", "y", "z", "w"))
     x = random_koszul(list(ring.gens()), 2, 3, seed=5)
     assert validate_cube(x).ok
     runs = count_calls(groebner, "_buchberger")
-    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+    groebner._cached.cache_clear()
     assert is_admissible(x, "spherical_faces").ok
     cold = len(runs)
-    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+    groebner._cached.cache_clear()
     assert is_admissible(x, "definition").ok
     runs.clear()
     assert is_admissible(x, "spherical_faces").ok

@@ -88,6 +88,10 @@ def test_zero_and_unit_ideal():
 def test_basis_equality_ignores_presentation():
     assert ideal("x*y", "x^2 + y^2") == ideal("x^2 + y^2", "x*y", "y^3")
     assert ideal("x") != ideal("x^2")
+    # another type, ring or rank is never equal
+    assert ideal("x") != "x"
+    assert ideal("x") != IdealBasis(RingSpec(7, ("x", "y")), [P("x", RingSpec(7, ("x", "y")))])
+    assert ideal("x") != SubmoduleBasis(Q2, 2, [(P("x"), P("0"))])
 
 
 @st.composite
@@ -810,8 +814,6 @@ def test_buchberger_over_q_runs_no_fraction_arithmetic(monkeypatch):
     # in the membership, injectivity, exactness and coordinate tests that
     # reduce against its bases: a vector enters with its denominators
     # cleared and leaves divided once
-    from collections import OrderedDict
-
     from koszul_lab import groebner
     from koszul_lab.groebner import _buchberger
     cases = []
@@ -822,12 +824,12 @@ def test_buchberger_over_q_runs_no_fraction_arithmetic(monkeypatch):
                 for ring, rank, gens in cases]
     cases = [(ring, rank, [_vp_of(g, ring) for g in gens]) for ring, rank, gens in cases]
     ask = _reductions_over_q()
-    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+    groebner._cached.cache_clear()
     answers = ask()
 
     def forbidden(*args):
         raise AssertionError("Fraction arithmetic inside the engine")
-    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+    groebner._cached.cache_clear()
     with monkeypatch.context() as m:
         for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
             m.setattr(Fraction, f"__{op}__", forbidden)
@@ -1176,14 +1178,13 @@ def test_eviction_never_changes_a_result(monkeypatch, count_calls):
     # Buchberger is deterministic and a reduced basis is unique, so an
     # entry dropped and computed again is the same, bases and preimage
     # generators alike
-    from collections import OrderedDict
+    from functools import lru_cache
 
     from koszul_lab import groebner
     runs = count_calls(groebner, "_buchberger")
-    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+    groebner._cached.cache_clear()
     want, full = _eviction_corpus(), len(runs)
-    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
-    monkeypatch.setattr(groebner, "_GB_CACHE_ENTRIES", 2)
+    monkeypatch.setattr(groebner, "_cached", lru_cache(maxsize=2)(groebner._cached.__wrapped__))
     runs.clear()
     assert _eviction_corpus() == want
     # entries were dropped and asked for again
@@ -1191,30 +1192,33 @@ def test_eviction_never_changes_a_result(monkeypatch, count_calls):
 
 
 def test_cache_holds_at_most_its_bound(monkeypatch):
-    from collections import OrderedDict
+    # one least-recently-used cache of _GB_CACHE_ENTRIES entries holds the
+    # reduced bases (head None) and the Schreyer generators alike
+    from functools import lru_cache
 
     from koszul_lab import groebner
-    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
-    monkeypatch.setattr(groebner, "_GB_CACHE_ENTRIES", 5)
-    sizes = []
-    cached = groebner._cached
+    assert groebner._cached.cache_info().maxsize == groebner._GB_CACHE_ENTRIES == 512
+    compute = groebner._cached.__wrapped__
+    bounded = lru_cache(maxsize=5)(compute)
+    sizes, kinds = [], set()
 
-    def recorded(key, compute):
-        hit = cached(key, compute)
-        sizes.append(len(groebner._GB_CACHE))
+    def recorded(ring, rank, gens, head):
+        hit = bounded(ring, rank, gens, head)
+        sizes.append(bounded.cache_info().currsize)
+        kinds.add(head is None)
         return hit
 
     monkeypatch.setattr(groebner, "_cached", recorded)
     _eviction_corpus()
-    assert max(sizes) == 5
+    assert max(sizes) == 5 and kinds == {True, False}
     # a hit makes its entry the most recently used: the least recently used
-    # one is dropped
-    monkeypatch.setattr(groebner, "_GB_CACHE_ENTRIES", 2)
-    groebner._GB_CACHE.clear()
-    for key in ("a", "b", "a", "c"):
-        cached((key,), lambda: [key])
-    assert [k.t for k in groebner._GB_CACHE] == [("a",), ("c",)]
-    assert cached(("a",), lambda: None) == ["a"]
+    # one is dropped (recorded now reads a cache of 2 entries)
+    bounded = lru_cache(maxsize=2)(compute)
+    for f in ("x", "y", "x", "x + y", "x"):
+        ideal(f).reduced_gb
+    assert bounded.cache_info()[:2] == (2, 3)
+    ideal("y").reduced_gb
+    assert bounded.cache_info()[:2] == (2, 4)
 
 
 # --------------------------------------------------------------------------

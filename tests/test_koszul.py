@@ -1,7 +1,7 @@
 """Koszul cubes, sequence conditions, determinants, acyclicity, generators."""
 
 import random
-from collections import Counter, OrderedDict
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -275,15 +275,15 @@ def test_a_sequence_runs_no_schreyer_preimage(monkeypatch):
 
     monkeypatch.setattr(groebner, "_buchberger", counted)
     ring = RingSpec("Q", ("x", "y", "z", "w"))
-    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+    groebner._cached.cache_clear()
     assert is_A_sequence([parse_poly(t, ring) for t in ("x^2", "y^2+x*z", "z^3", "w")]).a_sequence
     assert heads and heads.count(None) == len(heads) <= 15
-    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+    groebner._cached.cache_clear()
     heads.clear()
     rep = is_A_sequence([parse_poly(t, ring) for t in ("x", "y*(1-x)", "z*(1-x)")])
     assert (rep.a_sequence, rep.failing_index, str(rep.witness)) == (False, 2, "y")
     quotient_heads = len(heads) - heads.count(None)
-    monkeypatch.setattr(groebner, "_GB_CACHE", OrderedDict())
+    groebner._cached.cache_clear()
     heads.clear()
     perm = rep.failing_permutation
     ideal_quotient(IdealBasis(ring, list(perm[:1])), perm[1])
@@ -442,6 +442,10 @@ def test_koszul_power_boundary_not_reduced():
 def test_sequence_by_mapping():
     t = typical_cube([X, Y], labels=["a", "b"])
     assert is_koszul_cube(t, {"a": X, "b": Y}).is_koszul
+    with pytest.raises(ValueError, match="^sequence labels do not match the cube's labels$"):
+        is_koszul_cube(t, {"a": X, "c": Y})
+    with pytest.raises(ValueError, match="^sequence length 1 does not match 2 cube directions$"):
+        is_koszul_cube(t, [X])
 
 
 def test_koszul_nondegenerate_part():
@@ -572,6 +576,8 @@ def test_weight_decomposition_typical():
     rep = verify_weight_decomposition(typical_cube([X, Y]), [X, Y])
     assert rep.ok
     assert rep.info["pairs_checked"] == 9  # 3^2 disjoint (T, U) pairs
+    with pytest.raises(ValueError, match="^weight decomposition requires a verified Koszul cube$"):
+        verify_weight_decomposition(typical_cube([Y, Y]), [X, Y])
 
 
 def test_weight_decomposition_support_is_implied_by_koszul():
@@ -1030,6 +1036,8 @@ def test_random_koszul_input_caps():
         random_koszul([x], 5, 2, seed=0)               # too many summands
     with pytest.raises(ValueError):
         random_koszul([x], 2, 13, seed=0)              # too many steps
+    with pytest.raises(ValueError, match="^need a nonempty sequence$"):
+        random_koszul([], 2, 2, seed=0)
     r7 = RingSpec(101, ("a", "b", "c", "d", "e", "f", "g"))
     with pytest.raises(ValueError, match="at most 6 directions"):
         random_koszul(list(r7.gens()), 1, 0, seed=0)   # too many directions

@@ -148,10 +148,31 @@ def test_freemap_rejects_negative_ranks():
     (lambda: Complex(Q2, [1, 1], [FreeMap.identity(RingSpec(101, ("x", "y")), 1)]),
      "differential ring mismatch"),
     (lambda: Complex(Q2, [1, 2], [M([["x"]])]), "d_1 has shape 1x1, expected 1x2"),
+    (lambda: FreeMap(Q2, []), "source rank required for a 0-row matrix"),
+    (lambda: FreeMap(Q2, [[X]], target_rank=2), "expected 2 rows, got 1"),
+    (lambda: FreeMap.hstack(M([["x"], ["y"]]), FreeMap.identity(Q2, 1)),
+     "hstack needs equal target ranks"),
+    (lambda: FreeMap(Q2, [[parse_poly("x", RingSpec("Q", ("x",)))]]), "entry ring mismatch"),
+    (lambda: FreeMap.diagonal(Q2, [X, parse_poly("x", RingSpec(7, ("x", "y")))]),
+     "entry ring mismatch"),
+    (lambda: M([["x", "y"]]).apply((X,)), "vector length mismatch"),
+    (lambda: M([["x", "y"]]) + M([["x"]]), "shape mismatch"),
+    (lambda: SubmoduleBasis(Q2, 1, []).plus(SubmoduleBasis(Q2, 2, [])), "ambient mismatch"),
+    (lambda: syzygies([]), "ring required for an empty matrix"),
+    (lambda: syzygies([[X, Y], [X]]), "ragged matrix"),
 ])
 def test_module_and_complex_constructor_refusals(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()
+
+
+def test_reprs():
+    d = M([["x", "y"]])
+    objects = (X + Y.scale(2), SubmoduleBasis(Q2, 2, [(X, Y)]), IdealBasis(Q2, [X, Y * Y]), d,
+               FPModule(Q2, 1, SubmoduleBasis(Q2, 1, [(X,)])), Complex(Q2, [1, 2], [d]))
+    assert [repr(o) for o in objects] == [
+        "Poly(x + 2*y)", "SubmoduleBasis(rank=2, gens=1)", "IdealBasis(['x', 'y^2'])",
+        "FreeMap(1x2)", "FPModule(rank=1, relations=1)", "Complex(ranks=[1, 2])"]
 
 
 def test_equal_modules_hash_equal():

@@ -214,8 +214,8 @@ def test_unused_import_guard_reads_dotted_chains():
 # the injectivity test `_preimage_in` is asked in sparse columns; what it
 # reads, the Schreyer generators and an indexed basis, is flattened
 ENGINE_PRIVATE = {"_nf_vp", "_by_position", "_compute_gb", "_graph_module", "_kernel_and_image",
-                  "_buchberger", "_vp_from_column", "_column_from_vp", "_Element", "_GB_CACHE",
-                  "_cached", "_Key", "_schreyer", "_reduce", "_unit_normal", "_cofactors",
+                  "_buchberger", "_vp_from_column", "_column_from_vp", "_Element", "_cached",
+                  "_schreyer", "_reduce", "_unit_normal", "_cofactors",
                   "_vp_canonical", "_field_vp", "_monic_column", "_cleared", "_indexed", "_basis"}
 ARITH_PRIVATE = {"_product_sums", "_numerators", "_coefficients", "_denominator", "_add_scaled",
                  "_Terms", "_integer_rows", "_minor_sums", "_unit_class"}
@@ -412,6 +412,14 @@ def test_line_report_rules(tmp_path):
         "sample: 3 of 12 lines never ran", "    16-18",
         "total: 3 of 12 executable lines never ran"]
     assert line_coverage.report([sample], {}).splitlines()[1] == "    5, 8, 11, 15-18, 20, 23-26"
+    # the gate: an unrun line no pin names fails it, a pinned one does not,
+    # and a pin that names no unrun line fails it too
+    pins = [("sample", "return os.path.join(", ""), ("sample", "a,", "")]
+    assert line_coverage.unpinned([sample], tracer.ran, pins) == (["sample:18: b,"], [])
+    pins.append(("sample", "b,", ""))
+    assert line_coverage.unpinned([sample], tracer.ran, pins) == ([], [])
+    pins.append(("sample", "return None", ""))
+    assert line_coverage.unpinned([sample], tracer.ran, pins) == ([], [pins[-1]])
 
 
 def test_sources_parse_as_python_3_10():
