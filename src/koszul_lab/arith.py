@@ -296,6 +296,15 @@ def _overflowed() -> CapExceededError:
 _LAYOUTS: dict = {}  # (number of variables, order) -> _Terms, shared by equal layouts
 
 
+def _variable_names(variables: Iterable[str]) -> tuple:
+    """`variables` as a tuple; ValueError unless the names are distinct and
+    nonempty and there is at least one."""
+    variables = tuple(variables)
+    if not variables or len(set(variables)) != len(variables) or any(not v for v in variables):
+        raise ValueError("variable names must be distinct and nonempty")
+    return variables
+
+
 class RingSpec:
     """A polynomial ring over an exact field with a fixed monomial order.
 
@@ -324,9 +333,7 @@ class RingSpec:
             self.field = _Field(field)
         else:
             raise ValueError(f"unsupported field spec: {field!r}")
-        variables = tuple(variables)
-        if not variables or len(set(variables)) != len(variables) or any(not v for v in variables):
-            raise ValueError("variable names must be distinct and nonempty")
+        variables = _variable_names(variables)
         if order not in MONOMIAL_ORDERS:
             raise ValueError(f"unknown monomial order {order!r}")
         self.variables = variables

@@ -18,7 +18,7 @@ import sys
 
 import click
 
-from .arith import ParseError, Poly, RingMismatchError, RingSpec, parse_poly
+from .arith import ParseError, Poly, RingMismatchError, RingSpec, _variable_names, parse_poly
 from .cube import (
     ADMISSIBILITY_STRATEGIES,
     Cube,
@@ -181,8 +181,10 @@ def _ring_from_doc(doc: dict, order_flag) -> RingSpec:
         raise ValueError(f"unsupported field spec {field_spec!r} (use \"Q\" or {{\"Fp\": p}})")
     order = order_flag or _string_from_doc(spec.get("order", "grevlex"), "ring.order")
     names = _labels_from_doc(spec.get("vars"), "ring.vars")
-    if not names:
-        raise ValueError("'ring.vars' must be a nonempty list")
+    try:
+        _variable_names(names)
+    except ValueError as e:
+        raise ValueError(f"'ring.vars': {e}") from None
     ring = RingSpec(field, names, order)
     # output prints each variable by its name, so the polynomial grammar
     # must read each name back as that variable: "x^2" next to "x" would

@@ -13,6 +13,10 @@ back-face recursion: each recurses into the back face x|_U^V (V nonempty)
 as well as the front face, the reference for the strategies in `cube`,
 which visit front faces only.
 
+The `definition` strategy testing every boundary of every H_0 cube, the
+reference for the library's, which tests the first-label boundary at each
+vertex and lets the commuting squares decide the others.
+
 `ResolutionInput.verify` and `find_exponents` testing support and
 annihilating powers at every vertex of each target and of each H_0^v, the
 reference for the library's, which test the corner only."""
@@ -97,6 +101,30 @@ def admissible_inductive(mc, failures, prefix):
     return ok
 
 
+def admissible_definition(mc, applied, memo):
+    """(ok, failures) of the definition strategy on the H_0 cube `mc`,
+    reached by applying the directions `applied`: every boundary is tested
+    for injectivity, then H_0 in every direction when all are injective.
+    memo maps a set of applied directions to the (ok, failures) of its
+    cube."""
+    failures = []
+    for T in mc.subsets():
+        for k in sorted(T):
+            if not _mod_injective(mc.d(T, k), mc.vertex(T), mc.vertex(T - {k})):
+                failures.append(f"boundary d^{k}_{{{subset_key(T)}}} is not injective")
+    if failures:
+        return False, tuple(failures)
+    ok = True
+    for k in mc.labels:
+        key = applied | {k}
+        if key not in memo:
+            memo[key] = admissible_definition(_h0_modcube(mc, k), key, memo)
+        sub_ok, sub_failures = memo[key]
+        ok = ok and sub_ok
+        failures += [f"H0^{k}·{f}" for f in sub_failures]
+    return ok, tuple(failures)
+
+
 def admissible_spherical(x, fixed, memo):
     """(ok, failures) of the spherical_faces strategy on the face `x`, whose
     vertex at A is the input's vertex at A ∪ fixed: Tot(x) is 0-spherical
@@ -122,11 +150,14 @@ def admissible_spherical(x, fixed, memo):
 
 
 def admissibility(x, strategy):
-    """`is_admissible(x, strategy)` for "inductive" or "spherical_faces",
-    recursing into back faces."""
+    """`is_admissible(x, strategy)`: "inductive" and "spherical_faces"
+    recursing into back faces, "definition" testing every boundary."""
     if strategy == "spherical_faces":
         _require_free(x)
         ok, failures = admissible_spherical(x, frozenset(), {})
+    elif strategy == "definition":
+        _require_valid(x)
+        ok, failures = admissible_definition(x, frozenset(), {})
     else:
         _require_valid(x)
         failures = []

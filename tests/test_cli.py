@@ -198,6 +198,8 @@ MALFORMED_CASES = [
      {"ring": {"field": "Q", "vars": ["x", "x^2147483648"]}, "sequence": ["x"]}),
     ("validate_without_cube", "validate", {"ring": RING_Q2}),
     ("ring_without_vars", "regseq", {"ring": {"field": "Q", "vars": []}, "sequence": ["1"]}),
+    ("ring_repeated_vars", "regseq", {"ring": {"field": "Q", "vars": ["x", "x"]}, "sequence": ["1"]}),
+    ("ring_empty_var_name", "regseq", {"ring": {"field": "Q", "vars": [""]}, "sequence": ["1"]}),
     ("vertex_without_rank", "validate",
      {"ring": RING_Q2, "cube": {**ONE_CUBE, "vertices": {"": {"relations": []}, "1": 1}}}),
     ("complex_without_differentials", "be-check", {"ring": RING_Q2, "complex": {"ranks": [1, 1]}}),
@@ -222,6 +224,18 @@ def test_malformed_document_is_input_error(tmp_path, command, doc):
     out, code = run(command, "--input", write_doc(tmp_path, doc))
     assert code == 2
     assert json.loads(out)["error"]["type"] == "input"
+
+
+@pytest.mark.parametrize("name", ["ring_without_vars", "ring_repeated_vars", "ring_empty_var_name",
+                                  "var_name_reads_as_power", "var_name_with_space",
+                                  "var_name_is_constant", "var_name_beyond_exponent_bound"])
+def test_every_vars_refusal_names_ring_vars(tmp_path, name):
+    # RingSpec's rule (distinct, nonempty names, at least one) and the CLI's
+    # (each name reads back as its variable) both name the JSON path
+    _, command, doc = next(c for c in MALFORMED_CASES if c[0] == name)
+    out, code = run(command, "--input", write_doc(tmp_path, doc))
+    assert code == 2
+    assert json.loads(out)["error"]["message"].startswith("'ring.vars")
 
 
 def test_non_complex_names_the_failing_composition(tmp_path):
@@ -793,6 +807,8 @@ CROSS_ORDER_CASES = [
     # rank-2 relations with a zero entry: the dense view of the relations
     ("h0_rank2", ["h0"], "h0_rank2.json", 0),
     ("h0_repeated_direction", ["h0", "--directions", "1,1"], "typ_xy.json", 2),
+    # iterated H_0 over two directions of a cube that is not admissible
+    ("h0_bothx_not_admissible", ["h0", "--directions", "1,2"], "bothx_square.json", 2),
     ("homology_typ_xy", ["homology"], "typ_xy.json", 0),
     ("admissible_typ_xy", ["admissible", "--strategy", "inductive"], "typ_xy.json", 0),
     ("admissible_spherical_typ_xy", ["admissible", "--strategy", "spherical_faces"],

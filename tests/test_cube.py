@@ -442,8 +442,12 @@ def test_iterated_h0_agreement():
 
 
 def test_iterated_h0_requires_admissibility():
-    with pytest.raises(ValueError):
+    # every boundary of BOTH_X is injective; each H_0^k is not admissible
+    with pytest.raises(ValueError) as refusal:
         iterated_h0(BOTH_X, {"1", "2"})
+    assert str(refusal.value) == (
+        "iterated H_0 requires an admissible cube: H0^1·boundary d^2_{2} is not injective; "
+        "H0^2·boundary d^1_{1} is not injective")
 
 
 @pytest.mark.parametrize("T", [(), ("1",), ("2",), ("1", "2")])
@@ -657,6 +661,61 @@ def test_back_face_gate_can_fail(monkeypatch):
     for s in ("inductive", "spherical_faces"):
         with pytest.raises(AssertionError):
             _assert_front_faces_decide(x, s)
+
+
+def _assert_squares_decide(x):
+    # definition tests the first-label boundary at each vertex and the
+    # commuting squares decide the rest: the Report, failures included, is
+    # the one testing every boundary gives
+    ref = _reference.admissibility(x, "definition")
+    assert is_admissible(x, "definition") == ref, x
+    return ref
+
+
+def test_definition_squares_change_no_report():
+    from _gen import four_direction_koszul_suite, koszul_suite
+    admissible = [x for x, _ in koszul_suite(20) + four_direction_koszul_suite(2)]
+    refused = _nonadmissible_cubes() + [BOTH_X, _square_mod_x(MOD_X), square("x", "0"),
+                                        square("0", "y")]
+    for cubes, ok in ((admissible, True), (refused, False)):
+        assert {x.ring.field.char for x in cubes} == {0, 101}
+        assert all(_assert_squares_decide(x).ok == ok for x in cubes)
+    # the H_0 cubes are module cubes, admissible or not over either field
+    h0 = [_h0_modcube(x, k) for x in admissible + refused for k in x.labels]
+    assert {(h.ring.field.char, _assert_squares_decide(h).ok) for h in h0} == {
+        (0, True), (0, False), (101, True), (101, False)}
+    # d^2 is the second label's boundary at {1,2}: the squares do not
+    # decide it when a first-label boundary fails, so it is tested
+    assert is_admissible(square("x", "0"), "definition").failures == (
+        "boundary d^2_{2} is not injective", "boundary d^2_{1,2} is not injective")
+
+
+def test_definition_squares_gate_can_fail(monkeypatch):
+    # a reference that reports d^2_{1,2}, which is not a first-label
+    # boundary, as not injective disagrees on an admissible cube
+    from _gen import X3, Y3, Z3
+    x = typical_cube([X3, Y3, Z3])
+    _assert_squares_decide(x)
+    injective, d2 = _reference._mod_injective, x.d({"1", "2"}, "2")
+    monkeypatch.setattr(_reference, "_mod_injective",
+                        lambda m, src, tgt: m is not d2 and injective(m, src, tgt))
+    with pytest.raises(AssertionError):
+        _assert_squares_decide(x)
+
+
+@pytest.mark.parametrize("variables,tests", [("xyz", 19), ("xyzw", 65)])
+def test_definition_tests_one_boundary_per_vertex(count_calls, variables, tests):
+    # Typ(x_1..x_m) is admissible, so every H_0 cube over the directions D
+    # takes 2^(m-|D|) - 1 injectivity tests: 3^m - 2^m in all, against
+    # m·3^(m-1) (27, 108) testing every boundary
+    import koszul_lab.cube as cube_module
+    from koszul_lab import groebner
+    ring = RingSpec(101, tuple(variables))
+    x = typical_cube(list(ring.gens()))
+    groebner._cached.cache_clear()
+    calls = count_calls(cube_module, "_mod_injective")
+    assert is_admissible(x, "definition").ok
+    assert len(calls) == tests == 3 ** len(variables) - 2 ** len(variables)
 
 
 def test_spherical_faces_builds_each_face_tot_once(count_calls):
