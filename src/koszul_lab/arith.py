@@ -43,7 +43,6 @@ __all__ = [
     "CapExceededError",
     "parse_poly",
     "is_unit",
-    "exact_division",
     "MONOMIAL_ORDERS",
 ]
 
@@ -62,8 +61,9 @@ class ParseError(ValueError):
 
 class CapExceededError(RuntimeError):
     """A bounded search (annihilating power, determinant exponent) ran out of
-    cap, or an exponent or total degree reached 2^31, the bound of the packed
-    monomial keys."""
+    cap, an exponent or total degree reached 2^31, the bound of the packed
+    monomial keys, or an integer to parse or print has more than 4,300
+    digits (`_DIGITS`)."""
 
 
 # ---------------------------------------------------------------------------
@@ -457,38 +457,10 @@ class Poly:
             raise RingMismatchError(f"ring mismatch: {self.ring!r} vs {other.ring!r}")
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        p = self.ring.field.char
-        out = dict(self.keys)
-        get = out.get
-        for k, c in other.keys.items():
-            old = get(k)
-            if old is None:
-                out[k] = c
-                continue
-            s = (old + c) % p if p else _rational(old + c)
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return _poly(self.ring, out)
+        return _signed_sum(self, other, False)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        p = self.ring.field.char
-        out = dict(self.keys)
-        get = out.get
-        for k, c in other.keys.items():
-            old = get(k)
-            if old is None:
-                out[k] = -c % p if p else -c
-                continue
-            s = (old - c) % p if p else _rational(old - c)
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return _poly(self.ring, out)
+        return _signed_sum(self, other, True)
 
     def __neg__(self) -> "Poly":
         p = self.ring.field.char
@@ -581,6 +553,27 @@ def _poly(ring: RingSpec, keys: dict) -> Poly:
     p.ring = ring
     p.keys = keys
     return p
+
+
+def _signed_sum(a: Poly, b: Poly, negate: bool) -> Poly:
+    """a + b, or a − b when negate is set: b's terms enter a copy of a's,
+    each sum reduced mod p over GF(p) and brought to its one form over Q."""
+    a._check(b)
+    p = a.ring.field.char
+    out = dict(a.keys)
+    get = out.get
+    for k, c in b.keys.items():
+        old = get(k)
+        if old is None:
+            out[k] = (-c % p if p else -c) if negate else c
+            continue
+        s = old - c if negate else old + c
+        s = s % p if p else _rational(s)
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return _poly(a.ring, out)
 
 
 def _denominator(coeffs: Collection) -> int:
@@ -781,11 +774,23 @@ def _add_scaled(target: dict, vp: dict, q: int, coeff, field, overflow: int,
                 del target[key]
 
 
+# No coefficient is printed, and no integer literal parsed, with more than
+# this many decimal digits: str() and int() refuse longer ones
+_DIGITS = 4300
+_TOO_LONG = 10 ** _DIGITS  # the least int with more than _DIGITS digits
+
+
 def _coeff_string(c) -> tuple:
     """(is_negative, magnitude string) for a coefficient: its sign and its
     absolute value, with `/` only for a Fraction, whose denominator is > 1.
-    GF(p) coefficients lie in [0, p) and are never negative."""
-    return c < 0, str(abs(c))
+    GF(p) coefficients lie in [0, p) and are never negative.
+    CapExceededError when the numerator or denominator has more than
+    _DIGITS digits."""
+    m = abs(c)
+    if m.numerator >= _TOO_LONG or m.denominator >= _TOO_LONG:
+        raise CapExceededError(f"a coefficient has more than {_DIGITS} digits, "
+                               "beyond the bound on printed integers")
+    return c < 0, str(m)
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +804,8 @@ def _coeff_string(c) -> tuple:
 #   atom   :=  COEFF | NAME | "(" expr ")"
 #   COEFF  :=  INT [ "/" INT ]        (the ratio form appears in canonical
 #                                      output over Q; see README)
+#   INT    :=  one or more ASCII digits 0-9, at most _DIGITS of them
+#              (a longer one raises CapExceededError)
 # Exponents must be positive integers.
 
 # At most this many parentheses may be open at once.  Each costs the parser
@@ -893,7 +900,7 @@ class _Parser:
             self.pos += 1
             self.depth -= 1
             return inner
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             num = self.parse_int()
             if self.peek() == "/":
                 self.pos += 1
@@ -917,47 +924,20 @@ class _Parser:
     def parse_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
+        if self.pos - start > _DIGITS:
+            raise CapExceededError(f"the integer at position {start} has {self.pos - start} "
+                                   f"digits, more than {_DIGITS}")
         return int(self.text[start:self.pos])
 
 
 # ---------------------------------------------------------------------------
-# the small spec'd operation surface
+# units: a question about a unit multiple is one of monic forms (`Poly.monic`)
 # ---------------------------------------------------------------------------
 
 def is_unit(a: Poly) -> bool:
     """Units of a polynomial ring over a field: nonzero constants."""
     return bool(a.keys) and a.is_constant()
-
-
-def exact_division(numer: Poly, denom: Poly):
-    """numer / denom when denom divides numer exactly; None otherwise.
-
-    Plain long division by a single divisor: whenever denom | numer the
-    leading term of the running remainder stays divisible, so a single
-    non-divisible leading term proves inexactness.  Divisibility is the
-    guard-bit test of `_Terms`, and a quotient term's key is the difference
-    of the keys.
-    """
-    if denom.is_zero():
-        return None
-    ring = numer.ring
-    if denom.ring != ring:
-        raise RingMismatchError("division across different rings")
-    field, layout = ring.field, ring.layout
-    desc, guard = layout.desc, layout.guard
-    dk = denom._lead()
-    dinv = field.inv(denom.keys[dk])
-    rem = dict(numer.keys)
-    q: dict = {}
-    while rem:
-        rk = desc ^ min([k ^ desc for k in rem])
-        if ((rk | guard) - dk) & guard != guard:
-            return None
-        qk = rk - dk
-        qc = q[qk] = field.mul(rem[rk], dinv)
-        _add_scaled(rem, denom.keys, qk, field.neg(qc), field, layout.overflow)
-    return _poly(ring, q)

@@ -18,7 +18,7 @@ import sys
 
 import click
 
-from .arith import ParseError, Poly, RingMismatchError, RingSpec, _variable_names, parse_poly
+from .arith import ParseError, Poly, RingSpec, _variable_names, parse_poly
 from .cube import (
     ADMISSIBILITY_STRATEGIES,
     Cube,
@@ -102,27 +102,28 @@ def _emit(envelope: dict, fmt: str):
     click.echo("\n".join(lines))
 
 
+# the error type and exit code of each failure a command reports, first
+# match first: a cap is a RuntimeError, and any other RuntimeError is a
+# failed internal re-verification, a defect of the program, not a verdict;
+# malformed JSON and a ring mismatch are ValueErrors
+_ERRORS = {CapExceededError: ("cap", 3), RuntimeError: ("internal", 4),
+           OSError: ("input", 2), ValueError: ("input", 2)}
+
+
 def _run(command: str, options: dict, fmt: str, worker):
+    """Run worker, which returns (verdict, details), and print its envelope.
+    Serializing the details is inside the handler: printing a coefficient,
+    or the reduced basis of an IdealBasis, can raise too."""
     envelope = {"schema": SCHEMA, "command": command, "options": options}
     try:
         verdict, details = worker()
-    except CapExceededError as e:
-        envelope["error"] = {"type": "cap", "message": str(e)}
-        _emit(envelope, fmt)
-        sys.exit(3)
-    except RuntimeError as e:
-        # a failed internal re-verification: a defect of the program, not a verdict
-        envelope["error"] = {"type": "internal", "message": str(e)}
-        _emit(envelope, fmt)
-        sys.exit(4)
-    except (OSError, json.JSONDecodeError, RingMismatchError, ValueError) as e:
-        envelope["error"] = {"type": "input", "message": str(e)}
-        _emit(envelope, fmt)
-        sys.exit(2)
-    envelope["verdict"] = bool(verdict)
-    envelope["details"] = _jsonable(details)
+        envelope.update(verdict=bool(verdict), details=_jsonable(details))
+        code = 0 if verdict else 1
+    except tuple(_ERRORS) as e:
+        kind, code = next(v for cls, v in _ERRORS.items() if isinstance(e, cls))
+        envelope["error"] = {"type": kind, "message": str(e)}
     _emit(envelope, fmt)
-    sys.exit(0 if verdict else 1)
+    sys.exit(code)
 
 
 # ---------------------------------------------------------------------------

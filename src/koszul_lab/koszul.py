@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .arith import Poly, RingSpec, exact_division, is_unit
+from .arith import Poly, RingSpec, is_unit
 from .cube import (
     Cube,
     Report,
@@ -333,8 +333,9 @@ def determinant(x: Cube) -> Tuple[Dict[str, Poly], Report]:
 
     Coherence: all vertices share one rank, det d^k_S is nonzero, and for
     every T ≠ S the ratio det d^k_T / det d^k_S is a nonzero constant —
-    decided by exact division.  A zero det d^k_S is the one failure reported
-    for k: no ratio is taken against it.
+    decided by monic forms: for a nonzero det d^k_S, det d^k_T is a unit
+    multiple of it exactly when the two monic forms are equal.  A zero
+    det d^k_S is the one failure reported for k: no ratio is taken against it.
     Incoherence on a cube that passed is_koszul_cube means a bug, so the
     verdict is returned rather than assumed.
     """
@@ -346,11 +347,9 @@ def determinant(x: Cube) -> Tuple[Dict[str, Poly], Report]:
     det = {(T, k): determinant_of_square(x.d(T, k)) for T in x.subsets() for k in sorted(T)}
     dets = {k: det[(S, k)] for k in x.labels}
     failures = [f"det d^{k} at {{{subset_key(S)}}} is zero" for k in x.labels if dets[k].is_zero()]
+    tops = {k: top.monic() for k, top in dets.items()}
     for (T, k), dT in det.items():
-        if T == S or dets[k].is_zero():
-            continue
-        q = exact_division(dT, dets[k])
-        if q is None or not is_unit(q):
+        if T != S and not dets[k].is_zero() and dT.monic() != tops[k]:
             failures.append(
                 f"det d^{k} at {{{subset_key(T)}}} is not a unit multiple of the top determinant")
     return dets, Report(not failures, tuple(failures))

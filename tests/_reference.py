@@ -19,18 +19,24 @@ vertex and lets the commuting squares decide the others.
 
 `ResolutionInput.verify` and `find_exponents` testing support and
 annihilating powers at every vertex of each target and of each H_0^v, the
-reference for the library's, which test the corner only."""
+reference for the library's, which test the corner only.
+
+Exact division of one polynomial by another, and the determinant coherence
+test built on it: a boundary determinant is a unit multiple of the top one
+when the quotient exists and is a unit, the reference for
+`koszul.determinant`, which compares monic forms."""
 
 from itertools import permutations
 
-from koszul_lab.arith import is_unit
+from koszul_lab.arith import Poly, RingMismatchError, _add_scaled, _poly, is_unit
 from koszul_lab.cube import (Report, _admissible_inductive, _h0_modcube, _h0_over, _mod_injective,
                              _morphism_failures, _require_free, _require_valid, _total_complex,
                              label_subsets, restrict, subset_key, validate_cube)
 from koszul_lab.groebner import (IdealBasis, _nonexact_degree, ideal_intersection, ideal_quotient,
                                  module_quotient)
 from koszul_lab.koszul import SequenceReport, is_A_sequence
-from koszul_lab.modcalc import FPModule, _kills, min_annihilating_power, supported_on
+from koszul_lab.modcalc import (FPModule, _kills, determinant_of_square, min_annihilating_power,
+                               supported_on)
 
 
 def annihilator(M: FPModule) -> IdealBasis:
@@ -211,3 +217,55 @@ def resolution_exponents(inp, cap=64):
         out[v] = max(min_annihilating_power(inp.fs[v], _h0_over(z, z.labels).vertex(()), cap)
                      for z in inp.targets)
     return out
+
+
+def exact_division(numer: Poly, denom: Poly):
+    """numer / denom when denom divides numer exactly; None otherwise.
+
+    Plain long division by a single divisor: whenever denom | numer the
+    leading term of the running remainder stays divisible, so a single
+    non-divisible leading term proves inexactness.  Divisibility is the
+    guard-bit test of `_Terms`, and a quotient term's key is the difference
+    of the keys.
+    """
+    if denom.is_zero():
+        return None
+    ring = numer.ring
+    if denom.ring != ring:
+        raise RingMismatchError("division across different rings")
+    field, layout = ring.field, ring.layout
+    desc, guard = layout.desc, layout.guard
+    dk = denom._lead()
+    dinv = field.inv(denom.keys[dk])
+    rem = dict(numer.keys)
+    q: dict = {}
+    while rem:
+        rk = desc ^ min([k ^ desc for k in rem])
+        if ((rk | guard) - dk) & guard != guard:
+            return None
+        qk = rk - dk
+        qc = q[qk] = field.mul(rem[rk], dinv)
+        _add_scaled(rem, denom.keys, qk, field.neg(qc), field, layout.overflow)
+    return _poly(ring, q)
+
+
+def determinant(x):
+    """`koszul.determinant(x)` with coherence decided by exact division: the
+    ratio of each boundary determinant to the top one in its direction must
+    exist and be a unit."""
+    _require_free(x)
+    ranks = {M.rank for M in x.vertices.values()}
+    if len(ranks) > 1:
+        return {}, Report(False, (f"vertices do not share a rank: {sorted(ranks)}",))
+    S = frozenset(x.labels)
+    det = {(T, k): determinant_of_square(x.d(T, k)) for T in x.subsets() for k in sorted(T)}
+    dets = {k: det[(S, k)] for k in x.labels}
+    failures = [f"det d^{k} at {{{subset_key(S)}}} is zero" for k in x.labels if dets[k].is_zero()]
+    for (T, k), dT in det.items():
+        if T == S or dets[k].is_zero():
+            continue
+        q = exact_division(dT, dets[k])
+        if q is None or not is_unit(q):
+            failures.append(
+                f"det d^{k} at {{{subset_key(T)}}} is not a unit multiple of the top determinant")
+    return dets, Report(not failures, tuple(failures))

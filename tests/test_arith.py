@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from _canonical import canonical
+from _reference import exact_division
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,7 +17,6 @@ from koszul_lab.arith import (
     RingMismatchError,
     RingSpec,
     _is_prime,
-    exact_division,
     is_unit,
     parse_poly,
 )
@@ -87,7 +87,7 @@ def test_ring_mismatch_raises():
     with pytest.raises(RingMismatchError):
         P("x") * P("x", RingSpec("Q", ("x", "y"), order="lex"))
     with pytest.raises(RingMismatchError):
-        exact_division(P("x"), P("x", F7))
+        P("x") - P("x", F7)
     m = FreeMap(Q2, [[P("x")]])
     with pytest.raises(RingMismatchError):
         m.scaled(P("x", F7))
@@ -385,6 +385,33 @@ def test_parse_error_positions():
     # reports as malformed input
     with pytest.raises(ParseError, match="nested too deeply"):
         P("(" * 2000 + "x" + ")" * 2000)
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("x^\u00b2", "expected an integer", 2),  # superscript two
+    ("\u0663*x", "expected a coefficient, variable, or '\\('", 0),  # Arabic-Indic three
+    ("x^1\u0663", "unexpected character", 3),
+    ("1/\uff13", "expected an integer", 2),  # fullwidth three
+])
+def test_integers_are_ascii_digits(text, message, position):
+    # INT is 0-9 only: str.isdigit also accepts other scripts' digits, which
+    # int() then read or refused with a bare ValueError and no position
+    with pytest.raises(ParseError, match=message) as e:
+        P(text)
+    assert e.value.position == position
+
+
+def test_integers_have_at_most_4300_digits():
+    # str() and int() refuse more than 4,300 digits with a bare ValueError;
+    # the parser and the printer refuse them first, as a cap
+    assert P("9" * 4300) == Q2.const(10 ** 4300 - 1)
+    assert str(Q2.const(Fraction(1, 10 ** 4300 - 1))) == "1/" + "9" * 4300
+    for text in ("1" * 4301 + "*x", "x^" + "1" * 4301, "1/" + "3" * 5000):
+        with pytest.raises(CapExceededError, match="more than 4300"):
+            P(text)
+    for c in (10 ** 4300, Fraction(1, 10 ** 4300), Fraction(-(10 ** 4300), 3)):
+        with pytest.raises(CapExceededError, match="more than 4300 digits"):
+            str(Q2.const(c) * Q2.gens()[0])
 
 
 def _at_depth(frames, f):

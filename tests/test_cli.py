@@ -215,6 +215,8 @@ MALFORMED_CASES = [
                                       "targets": [{"S": [], "vertices": {"": {"rank": 1}}}] * 2}}),
     ("denominator_divisible_by_p", "regseq",
      {"ring": {"field": {"Fp": 7}, "vars": ["x"]}, "sequence": ["1/7"]}),
+    ("exponent_not_ascii_digit", "regseq", {"ring": RING_Q2, "sequence": ["x^\u00b2"]}),
+    ("coefficient_not_ascii_digit", "regseq", {"ring": RING_Q2, "sequence": ["\u0663*x"]}),
 ]
 
 
@@ -236,6 +238,39 @@ def test_every_vars_refusal_names_ring_vars(tmp_path, name):
     out, code = run(command, "--input", write_doc(tmp_path, doc))
     assert code == 2
     assert json.loads(out)["error"]["message"].startswith("'ring.vars")
+
+
+def test_non_ascii_exponent_names_its_position(tmp_path):
+    # int() read the superscript two as a digit and refused it with no
+    # position; the grammar's INT is 0-9 only
+    out, code = run("regseq", "--input", write_doc(tmp_path, {"ring": RING_Q2,
+                                                              "sequence": ["x^\u00b2"]}))
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "input",
+                                        "message": "expected an integer (at position 2)"}
+
+
+# each of these used to end in a traceback with exit 1, or exit 2: a degree
+# beyond the packed term keys, or an integer beyond the 4,300 digits that
+# str() and int() accept, is a cap, also where only printing the details meets it
+CAP_CASES = [
+    ("s_vector_degree_beyond_the_term_keys", ("fitting", "--size", "1"),
+     {"ring": RING_Q2, "matrix": [["x^1500000000*y", "x*y^1500000000"]]}, "2^31"),
+    ("coefficient_beyond_4300_digits", ("typical",),
+     {"ring": RING_Q2, "sequence": ["(2*x)^20000", "y"]}, "more than 4300 digits"),
+    ("literal_beyond_4300_digits", ("regseq",),
+     {"ring": RING_Q2, "sequence": ["1" * 5000 + "*x"]}, "5000 digits, more than 4300"),
+]
+
+
+@pytest.mark.parametrize("args,doc,message", [c[1:] for c in CAP_CASES],
+                         ids=[c[0] for c in CAP_CASES])
+def test_cap_is_reported_wherever_it_is_met(tmp_path, args, doc, message):
+    out, code = run(*args, "--input", write_doc(tmp_path, doc))
+    assert code == 3
+    env = json.loads(out)
+    assert env["error"]["type"] == "cap" and message in env["error"]["message"]
+    assert "verdict" not in env and "details" not in env
 
 
 def test_non_complex_names_the_failing_composition(tmp_path):

@@ -3,6 +3,7 @@ admissibility strategies."""
 
 import pytest
 
+import _gen
 import _reference
 from koszul_lab.arith import RingSpec, parse_poly
 from koszul_lab.cube import (
@@ -516,7 +517,7 @@ def test_empty_cube_admissible():
 
 def test_identity_padding_preserves_admissibility():
     base = typical_cube([X, Y])
-    padded = pad_with_identity(base, "3")
+    padded = _gen.pad_identity(base, "3")
     for s in ADMISSIBILITY_STRATEGIES:
         assert is_admissible(padded, strategy=s).ok
 
@@ -531,21 +532,6 @@ def test_report_truth_is_its_verdict():
 def test_unknown_strategy():
     with pytest.raises(ValueError):
         is_admissible(typical_cube([X]), strategy="magic")
-
-
-def pad_with_identity(x: Cube, new_label: str) -> Cube:
-    """Extend by one direction with identity boundaries (used by suites too)."""
-    labels = x.labels + (new_label,)
-    ranks = {}
-    boundary = {}
-    for T in x.subsets():
-        ranks[T] = x.vertex_rank[T]
-        ranks[T | {new_label}] = x.vertex_rank[T]
-        for k in T:
-            boundary[(T, k)] = x.d(T, k)
-            boundary[(T | {new_label}, k)] = x.d(T, k)
-        boundary[(T | {new_label}, new_label)] = FreeMap.identity(x.ring, x.vertex_rank[T])
-    return Cube(x.ring, labels, ranks, boundary)
 
 
 # --------------------------------------------------------------------------

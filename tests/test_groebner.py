@@ -1301,7 +1301,6 @@ def test_every_rational_coefficient_is_made_in_its_one_form():
     # Fraction with denominator > 1 otherwise, at every place one is made:
     # parsing, Poly arithmetic, map products and minors, and every exit of
     # the engine; each place makes both kinds here
-    from koszul_lab.arith import exact_division
     from koszul_lab.groebner import _column, _graph_coordinates, _preimage
     from koszul_lab.modcalc import FreeMap, determinant_of_square, fitting_ideal
     made: dict = {}
@@ -1322,10 +1321,6 @@ def test_every_rational_coefficient_is_made_in_its_one_form():
     record("scale", (half * x).scale(2), x.scale(Fraction(2, 3)))
     record("monic", (ring.const(3) * x + ring.const(6) * y).monic(),
            (ring.const(Fraction(2, 3)) * x + y).monic())
-    numer = (half * x + ring.const(3)) * (x - half * y)
-    assert exact_division(numer, half * x + ring.const(3)) == x - half * y
-    record("exact_division", exact_division(numer, half * x + ring.const(3)),
-           exact_division(numer, x - half * y))
 
     _, matrices = _matrix_corpus("Q", "grevlex")
     for rows in matrices:
@@ -1355,7 +1350,7 @@ def test_every_rational_coefficient_is_made_in_its_one_form():
         record("reduced_gb", *I.reduced_gb)
         record("ideal_intersection", *ideal_intersection(I, J).generators)
     assert sorted(made) == sorted([
-        "parse", "terms", "add", "sub", "mul", "scale", "monic", "exact_division", "compose",
+        "parse", "terms", "add", "sub", "mul", "scale", "monic", "compose",
         "determinant", "minors", "syzygies", "reduced_gb", "nf_vector", "_preimage",
         "module_quotient", "_graph_coordinates", "ideal_intersection"])
     for where, coefficients in made.items():

@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 import _gen
+import _reference
 from _reference import annihilator, sequence_reports
 import koszul_lab.cube as cube
 import koszul_lab.groebner as groebner
@@ -530,6 +531,45 @@ def test_zero_top_determinant_is_one_failure(c, failure):
         with pytest.raises(ValueError) as err:
             check(c)
         assert str(err.value) == "determinant incoherence: " + failure
+
+
+# (a, b, c, d) of rank1_square: parallel determinants that differ by the
+# units 2, 1/3 and −1, by y, and a zero top determinant, and a zero
+# determinant below a nonzero top; the first three are coherent
+UNIT_RATIO_SQUARES = (("2*x", "x", "2*y", "y"), ("1/3*x", "x", "1/3*y", "y"),
+                      ("-x", "x", "-y", "y"), ("x*y", "x", "y^2", "y"),
+                      ("x", "x", "0", "0"), ("0", "x", "0", "y"))
+
+
+def _determinant_cases():
+    """Koszul cubes over Q and GF(101), whose parallel determinants differ
+    by the units of their base changes, and the UNIT_RATIO_SQUARES over
+    both fields."""
+    cases = [x for x, _ in _gen.koszul_suite() + _gen.nonlinear_koszul_suite()
+             + _gen.four_direction_koszul_suite()]
+    return cases + [rank1_square(*sq, ring) for ring in (Q2, F101) for sq in UNIT_RATIO_SQUARES]
+
+
+def _assert_determinants_match_reference(cases):
+    for x in cases:
+        assert determinant(x) == _reference.determinant(x), x
+
+
+def test_determinant_matches_the_exact_division_reference():
+    # coherence compares monic forms: det d^k_T is a unit multiple of a
+    # nonzero top determinant exactly when their monic forms are equal, as
+    # an exact division with a unit quotient decides
+    cases = _determinant_cases()
+    assert [determinant(x)[1].ok for x in cases[-12:]] == ([True] * 3 + [False] * 3) * 2
+    _assert_determinants_match_reference(cases)
+
+
+def test_determinant_gate_can_fail(monkeypatch):
+    # a reference that finds no ratio makes every coherent cube incoherent:
+    # the gate must trip
+    monkeypatch.setattr(_reference, "exact_division", lambda numer, denom: None)
+    with pytest.raises(AssertionError):
+        _assert_determinants_match_reference(_determinant_cases())
 
 
 # --------------------------------------------------------------------------

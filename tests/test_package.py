@@ -82,7 +82,7 @@ def test_exported_functions_have_a_caller():
 
 # methods and properties of exported classes, user API with tests of its
 # own, that no command, library path or benchmark operation reads
-MEMBERS_WITHOUT_A_CALLER = {"RingSpec.gens", "Poly.leading", "Poly.monic", "Poly.total_degree",
+MEMBERS_WITHOUT_A_CALLER = {"RingSpec.gens", "Poly.leading", "Poly.total_degree",
                             "IdealBasis.nf", "FreeMap.apply", "FreeMap.block_diag"}
 
 # the arithmetic operators and the method each one calls: an operator
